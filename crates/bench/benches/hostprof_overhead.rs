@@ -2,7 +2,7 @@
 //!
 //! The contract (DESIGN.md §14): with no session open, an instrumented
 //! site costs one relaxed atomic load — `touch/span_disabled` must sit
-//! within noise of `simulator_fastpath`'s uninstrumented `touch` rows.
+//! within noise of the perf ledger's `ccnuma.touch_*_ns` rungs.
 //! With a session open, `span_hot` pays a thread-local stack push/pop
 //! and an aggregate update; that cost is visible here so regressions in
 //! the *enabled* path are caught too (tests/host_spans.rs carries the

@@ -2,9 +2,9 @@
 //! the default `TraceSink::Null` (one not-taken branch per instrumentation
 //! site) versus an active sink recording latency samples and events.
 //!
-//! The Null rows are directly comparable to the `touch/*` rows of
-//! `simulator_fastpath` — the acceptance bar for the instrumentation is a
-//! Null-sink regression under 2% against those.
+//! The Null rows are directly comparable to the perf ledger's
+//! `ccnuma.touch_*_ns` rungs (`benchmark/`) — the acceptance bar for the
+//! instrumentation is a Null-sink regression under 2% against those.
 
 use ccnuma::{AccessKind, Machine, MachineConfig, PAGE_SIZE};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -4,31 +4,38 @@
 //! scale x seed — are embarrassingly parallel on the host: every cell
 //! builds its own simulated machine and never touches another cell's
 //! state. This crate supplies the one missing piece, a dependency-free
-//! work-stealing thread pool whose contract is built around the
-//! repository's determinism guarantee:
+//! thread pool — **one** shared FIFO job queue and **one** job runner —
+//! whose contract is built around the repository's determinism guarantee:
 //!
-//! * **Deterministic merge order.** [`Pool::run`] returns results in
-//!   submission order, whatever the worker count or stealing schedule.
-//!   Downstream report builders consume the merged vector, so a
-//!   single-threaded and a `--jobs N` run produce byte-identical output.
+//! * **Deterministic merge order.** Results come back in submission
+//!   order, whatever the worker count or schedule. Downstream report
+//!   builders consume the merged vector, so a single-threaded and a
+//!   `--jobs N` run produce byte-identical output.
 //! * **Panic isolation.** Each job runs under `catch_unwind`; a panicking
-//!   job yields a [`JobPanic`] in its slot while sibling jobs keep
-//!   running. A failed experiment cell becomes a failed row, not a dead
-//!   run.
-//! * **No unscoped threads.** Workers are `std::thread::scope` threads,
-//!   joined before [`Pool::run`] returns — no detached threads outliving
-//!   the experiment, nothing to leak on the error path.
+//!   job yields a [`JobPanic`] (and its wall time) in its slot while
+//!   sibling jobs keep running. A failed experiment cell becomes a failed
+//!   row, not a dead run.
+//! * **No detached threads.** Workers are joined when their
+//!   [`ResidentPool`] drops — nothing outlives the pool, nothing leaks on
+//!   the error path.
 //!
-//! The pool is deliberately a *vendored-shim style* implementation: plain
-//! `Mutex<VecDeque>` per-worker queues with FIFO stealing, not lock-free
-//! Chase–Lev deques. Experiment cells run for milliseconds to minutes, so
-//! queue overhead is noise; simplicity and auditability win.
+//! The queue is deliberately plain — a `Mutex<VecDeque>` and a condvar,
+//! no per-worker deques, no stealing. Experiment cells run for
+//! milliseconds to minutes, so queue overhead is noise and a shared FIFO
+//! already balances them; simplicity and auditability win.
 //!
-//! A second executor, [`ResidentPool`], trades the scoped shape for
-//! longevity: workers spawned once and joined on drop, fed `'static` job
-//! batches from concurrent submitters, with per-slot streaming waits. It
-//! exists for the resident experiment server (`xp serve`), which owns one
-//! pool across many client requests.
+//! Two ways in, one mechanism behind both ([`resident`]):
+//!
+//! * [`ResidentPool::submit`] + [`BatchHandle::wait`] — many concurrent
+//!   submitters, streaming per-slot waits that never execute a job. The
+//!   resident experiment server (`xp serve`) owns one such pool across
+//!   all client requests, so its worker count bounds its concurrency.
+//! * [`ResidentPool::run`] — the **helping caller**: the submitting
+//!   thread runs jobs from the queue itself until it is empty. Sweeps use
+//!   it on a pool that keeps one seat for the caller
+//!   ([`ResidentPool::with_caller`]), and [`Pool::run`] is the one-shot
+//!   form: open such a pool, run one batch, join. `--jobs 1` therefore
+//!   spawns no thread at all.
 
 pub mod pool;
 pub mod resident;
@@ -38,4 +45,4 @@ pub use pool::{Job, JobPanic, Pool, TimedResult};
 pub use resident::{
     BatchHandle, ResidentJob, ResidentPool, ResidentStats, ResidentStatus, ResidentWorkerStatus,
 };
-pub use telemetry::{PoolMonitor, PoolStatus, PoolTelemetry, WorkerStatus, WorkerTelemetry};
+pub use telemetry::{PoolMonitor, PoolTelemetry, WorkerTelemetry};

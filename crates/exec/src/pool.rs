@@ -1,28 +1,16 @@
-//! The scoped-thread work-stealing pool.
+//! The job and result types, and the one-shot façade over the queue.
 //!
-//! Jobs are dealt round-robin onto per-worker deques. A worker pops from
-//! the back of its own deque (LIFO — the most recently dealt job is the
-//! most cache-warm) and steals from the front of the other deques (FIFO —
-//! stealing the oldest job minimizes contention with the owner). Because
-//! submitted jobs never enqueue new jobs, "every deque is empty" is a
-//! stable exit condition: a worker that observes it can retire while
-//! in-flight jobs finish on their own workers.
+//! [`Pool`] is a worker-count policy: each [`Pool::run`] opens a
+//! [`ResidentPool`] of that many seats — `workers - 1` threads plus the
+//! calling thread — runs one batch on it with the caller helping, and
+//! joins the threads before returning. With one worker nothing is
+//! spawned and every job runs on the calling thread.
 
-use crate::telemetry::{PoolMonitor, PoolTelemetry, RunState};
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::resident::ResidentPool;
+use crate::telemetry::{PoolMonitor, PoolTelemetry};
 
 /// A unit of work: runs once, on some worker thread, producing a `T`.
 pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
-
-/// One worker's deque of `(submission index, job)` pairs.
-type JobDeque<'a, T> = Mutex<VecDeque<(usize, Job<'a, T>)>>;
-
-/// One job's result slot, filled exactly once by whichever worker ran it.
-type ResultSlot<T> = Mutex<Option<TimedResult<T>>>;
 
 /// One job's outcome plus its host-side timing: the wall time is measured
 /// around the job on its worker, so it is recorded **even when the job
@@ -59,7 +47,8 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool with `workers` threads (clamped to at least 1).
+    /// A pool with `workers` workers, the calling thread included
+    /// (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
         Pool {
             workers: workers.max(1),
@@ -79,9 +68,9 @@ impl Pool {
     }
 
     /// Execute every job and return the results **in submission order**,
-    /// regardless of worker count or stealing schedule. Slot `i` holds
-    /// `Ok` with job `i`'s value, or `Err` with its panic payload.
-    pub fn run<'a, T: Send>(&self, jobs: Vec<Job<'a, T>>) -> Vec<Result<T, JobPanic>> {
+    /// regardless of worker count or schedule. Slot `i` holds `Ok` with
+    /// job `i`'s value, or `Err` with its panic payload.
+    pub fn run<T: Send + 'static>(&self, jobs: Vec<Job<'static, T>>) -> Vec<Result<T, JobPanic>> {
         self.run_timed(jobs, None)
             .0
             .into_iter()
@@ -93,58 +82,20 @@ impl Pool {
     /// wall time (panics included) and the pool returns its
     /// [`PoolTelemetry`]. A [`PoolMonitor`] handle, when given, observes
     /// the run live until the pool closes.
-    pub fn run_timed<'a, T: Send>(
+    pub fn run_timed<T: Send + 'static>(
         &self,
-        jobs: Vec<Job<'a, T>>,
+        jobs: Vec<Job<'static, T>>,
         monitor: Option<&PoolMonitor>,
     ) -> (Vec<TimedResult<T>>, PoolTelemetry) {
-        let n = jobs.len();
-        let workers = self.workers.min(n.max(1));
-        let state = RunState::new(n, workers);
-        if n == 0 {
-            return (Vec::new(), state.telemetry(0.0));
-        }
+        let pool = ResidentPool::with_caller(self.workers.min(jobs.len().max(1)));
         if let Some(m) = monitor {
-            m.install(state.clone());
+            m.attach(&pool);
         }
-        let queues: Vec<JobDeque<'a, T>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            queues[i % workers].lock().unwrap().push_back((i, job));
-        }
-        for (w, queue) in queues.iter().enumerate() {
-            state.workers[w]
-                .queue_len
-                .store(queue.lock().unwrap().len(), Relaxed);
-        }
-        let slots: Vec<ResultSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            // The calling thread doubles as worker 0; extra workers are
-            // scoped threads joined before `run_timed` returns.
-            for me in 1..workers {
-                let queues = &queues;
-                let slots = &slots;
-                let state = &state;
-                std::thread::Builder::new()
-                    .name(format!("xp-worker-{me}"))
-                    .spawn_scoped(s, move || worker_loop(me, queues, slots, state))
-                    .expect("spawning a pool worker thread");
-            }
-            worker_loop(0, &queues, &slots, &state);
-        });
-        let telemetry = state.telemetry(state.t0.elapsed().as_secs_f64());
+        let out = pool.run(jobs);
         if let Some(m) = monitor {
-            m.clear();
+            m.detach();
         }
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every submitted job runs exactly once")
-            })
-            .collect();
-        (results, telemetry)
+        out
     }
 }
 
@@ -152,75 +103,6 @@ impl Default for Pool {
     fn default() -> Self {
         Pool::new(Pool::available())
     }
-}
-
-fn worker_loop<T: Send>(
-    me: usize,
-    queues: &[JobDeque<'_, T>],
-    slots: &[ResultSlot<T>],
-    state: &RunState,
-) {
-    let ws = &state.workers[me];
-    loop {
-        let popped = {
-            let mut queue = queues[me].lock().unwrap();
-            let job = queue.pop_back();
-            ws.queue_len.store(queue.len(), Relaxed);
-            job
-        };
-        let job = popped.or_else(|| steal(me, queues, state));
-        let Some((index, job)) = job else { return };
-        // Sample the worker's own queue depth at each job start: the mean
-        // over samples tells whether the round-robin deal left work parked
-        // behind long jobs.
-        let depth = ws.queue_len.load(Relaxed);
-        ws.qdepth_sum.fetch_add(depth as u64, Relaxed);
-        ws.qdepth_samples.fetch_add(1, Relaxed);
-        ws.qdepth_max.fetch_max(depth, Relaxed);
-        state.started.fetch_add(1, Relaxed);
-        ws.busy_since_ns.store(state.now_ns() + 1, Relaxed);
-        let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| JobPanic {
-            index,
-            message: panic_message(payload.as_ref()),
-        });
-        let wall = t0.elapsed();
-        ws.busy_ns.fetch_add(wall.as_nanos() as u64, Relaxed);
-        ws.busy_since_ns.store(0, Relaxed);
-        ws.jobs.fetch_add(1, Relaxed);
-        if result.is_err() {
-            state.failed.fetch_add(1, Relaxed);
-        }
-        state.finished.fetch_add(1, Relaxed);
-        *slots[index].lock().unwrap() = Some(TimedResult {
-            result,
-            wall_secs: wall.as_secs_f64(),
-            worker: me,
-        });
-    }
-}
-
-/// Steal the oldest job from the first non-empty sibling deque, scanning
-/// from the thief's right-hand neighbour around the ring. A hit counts on
-/// the thief; a full empty scan counts one miss (the thief retires).
-fn steal<'a, T>(
-    me: usize,
-    queues: &[JobDeque<'a, T>],
-    state: &RunState,
-) -> Option<(usize, Job<'a, T>)> {
-    let n = queues.len();
-    for d in 1..n {
-        let victim = (me + d) % n;
-        let mut queue = queues[victim].lock().unwrap();
-        if let Some(job) = queue.pop_front() {
-            state.workers[victim].queue_len.store(queue.len(), Relaxed);
-            drop(queue);
-            state.workers[me].steals_ok.fetch_add(1, Relaxed);
-            return Some(job);
-        }
-    }
-    state.workers[me].steals_fail.fetch_add(1, Relaxed);
-    None
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -237,6 +119,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn boxed_jobs(n: usize) -> Vec<Job<'static, usize>> {
         (0..n)
@@ -272,34 +155,31 @@ mod tests {
     }
 
     #[test]
-    fn caller_thread_participates() {
-        // With one worker there is no spawned thread at all: the job runs
-        // on the calling thread.
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        // With one worker there is no spawned thread at all.
         let caller = std::thread::current().id();
-        let out = Pool::new(1).run(vec![
-            Box::new(move || std::thread::current().id() == caller) as Job<'static, bool>,
-        ]);
-        assert_eq!(out, vec![Ok(true)]);
+        let jobs: Vec<Job<'static, bool>> = (0..5)
+            .map(|_| Box::new(move || std::thread::current().id() == caller) as _)
+            .collect();
+        assert_eq!(Pool::new(1).run(jobs), vec![Ok(true); 5]);
     }
 
     #[test]
     fn a_panicking_job_does_not_poison_siblings() {
-        let ran = AtomicUsize::new(0);
-        let jobs: Vec<Job<'_, usize>> = (0..10usize)
+        let ran = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<Job<'static, usize>> = (0..10usize)
             .map(|i| {
-                let ran = &ran;
+                let ran = Arc::clone(&ran);
                 Box::new(move || {
                     ran.fetch_add(1, Ordering::SeqCst);
                     if i == 4 {
                         panic!("cell {i} exploded");
                     }
                     i
-                }) as Job<'_, usize>
+                }) as Job<'static, usize>
             })
             .collect();
         let out = Pool::new(3).run(jobs);
-        // Hide the expected panic's backtrace noise is not worth a global
-        // hook; just check the contract.
         assert_eq!(ran.load(Ordering::SeqCst), 10, "siblings must all run");
         for (i, slot) in out.iter().enumerate() {
             if i == 4 {
@@ -341,13 +221,28 @@ mod tests {
         assert_eq!(telemetry.workers.len(), 3);
         let counted: u64 = telemetry.workers.iter().map(|w| w.jobs).sum();
         assert_eq!(counted, 20);
-        assert!(telemetry.busy_secs() >= 0.0);
         assert!(telemetry.wall_secs > 0.0);
         assert!(telemetry.busy_fraction() <= 1.0);
-        // Every result's worker id is in range and its wall is sane.
+        assert_eq!(telemetry.steals(), (0, 0));
         for t in &out {
             assert!(t.worker < 3);
             assert!(t.wall_secs >= 0.0);
+        }
+    }
+
+    #[test]
+    fn busy_time_is_exactly_the_sum_of_the_results_walls() {
+        // One clock read per job feeds both numbers. With one worker the
+        // two sums also associate the same way, so they are equal, not close...
+        let (out, telemetry) = Pool::new(1).run_timed(boxed_jobs(50), None);
+        let walls: f64 = out.iter().map(|t| t.wall_secs).sum();
+        assert_eq!(telemetry.busy_secs(), walls);
+        // ...and with several, per worker.
+        let (out, telemetry) = Pool::new(4).run_timed(boxed_jobs(50), None);
+        for (w, worker) in telemetry.workers.iter().enumerate() {
+            let mine = out.iter().filter(|t| t.worker == w);
+            let walls: f64 = mine.map(|t| t.wall_secs).sum();
+            assert_eq!(worker.busy_secs, walls, "worker {w}");
         }
     }
 
@@ -363,37 +258,24 @@ mod tests {
     fn monitor_attaches_during_the_run_and_detaches_after() {
         let monitor = crate::PoolMonitor::new();
         assert!(monitor.status().is_none(), "no run attached yet");
-        let seen = Mutex::new(None);
-        let jobs: Vec<Job<'_, ()>> = (0..4)
+        let seen = Arc::new(Mutex::new(None));
+        let jobs: Vec<Job<'static, ()>> = (0..4)
             .map(|_| {
                 let monitor = monitor.clone();
-                let seen = &seen;
+                let seen = Arc::clone(&seen);
                 Box::new(move || {
                     // Sampled from inside a job: the run is in flight.
                     if let Some(status) = monitor.status() {
                         *seen.lock().unwrap() = Some(status);
                     }
-                }) as Job<'_, ()>
+                }) as Job<'static, ()>
             })
             .collect();
         let (_, telemetry) = Pool::new(2).run_timed(jobs, Some(&monitor));
-        let status = seen.into_inner().unwrap().expect("status sampled mid-run");
-        assert_eq!(status.total, 4);
-        assert!(status.started >= 1);
+        let status = seen.lock().unwrap().take().expect("sampled mid-run");
+        assert!(status.busy_workers() >= 1);
+        assert!(status.jobs_done < 4, "the sampling job itself is not done");
         assert_eq!(status.workers.len(), telemetry.workers.len());
         assert!(monitor.status().is_none(), "monitor detaches at close");
-    }
-
-    #[test]
-    fn borrows_from_the_caller_are_allowed() {
-        // The 'a lifetime on Job lets cells capture &data from the caller.
-        let data = [10usize, 20, 30];
-        let jobs: Vec<Job<'_, usize>> = data
-            .iter()
-            .map(|&v| Box::new(move || v + 1) as Job<'_, usize>)
-            .collect();
-        let out = Pool::new(2).run(jobs);
-        let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(values, vec![11, 21, 31]);
     }
 }

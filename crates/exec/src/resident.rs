@@ -1,37 +1,37 @@
-//! The resident pool: long-lived worker threads for a resident service.
+//! The one job queue and the one job runner (see the crate docs for the
+//! contract and the two ways in).
 //!
-//! [`Pool`](crate::Pool) is scoped — workers are born and joined inside
-//! one `run` call, which is exactly right for a single experiment plan
-//! borrowing the caller's data. A *server* has the opposite shape: one
-//! pool that outlives every request, fed batches from many connection
-//! threads concurrently. [`ResidentPool`] serves that shape:
-//!
-//! * Workers are spawned once and live until the pool drops; jobs must
-//!   therefore be `'static` (the server's jobs own their specs).
-//! * [`ResidentPool::submit`] enqueues a batch and returns a
-//!   [`BatchHandle`]; jobs from different batches interleave on the shared
-//!   queue in FIFO submission order, so concurrent clients share the
-//!   workers fairly instead of serializing batch-by-batch.
-//! * [`BatchHandle::wait`] blocks on one slot, enabling *streaming*: the
-//!   submitter can forward cell 3's result the moment it lands while
-//!   cells 4..n are still running.
-//! * Panic isolation matches the scoped pool: a panicking job fills its
-//!   slot with a [`JobPanic`] and its siblings keep running.
+//! Every job — a sweep's cell, a server request's cell, a one-shot
+//! [`Pool`](crate::Pool) batch — travels through one shared FIFO and is
+//! executed by one function, `run_job`. Jobs from different batches
+//! interleave in submission order, so concurrent submitters share the
+//! workers fairly instead of serializing batch-by-batch; each batch's
+//! results land in its own slots, which [`BatchHandle::wait`] claims one
+//! at a time (a server streams cell 3 the moment it lands while cells
+//! 4..n still run) and [`ResidentPool::run`] collects after helping.
 
-use crate::pool::{JobPanic, TimedResult};
+use crate::pool::{panic_message, JobPanic, TimedResult};
+use crate::telemetry::PoolTelemetry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A resident job: owned closure, run once on some resident worker.
-pub type ResidentJob<T> = Box<dyn FnOnce() -> T + Send + 'static>;
+/// A resident job: owned closure, run once on some worker.
+pub type ResidentJob<T> = crate::pool::Job<'static, T>;
+
+/// One result slot of a batch: filled exactly once, claimed exactly once.
+enum Slot<T> {
+    Empty,
+    Filled(TimedResult<T>),
+    Taken,
+}
 
 /// One submitted batch's result slots.
 struct Batch<T> {
-    slots: Mutex<Vec<Option<TimedResult<T>>>>,
+    slots: Mutex<Vec<Slot<T>>>,
     filled: Condvar,
 }
 
@@ -54,15 +54,28 @@ impl<T> BatchHandle<T> {
     }
 
     /// Block until slot `index` is filled and take its result. Each slot
-    /// yields its result exactly once; a second wait on the same slot
-    /// panics (the caller claimed it already).
+    /// yields its result exactly once.
+    ///
+    /// # Panics
+    /// On an `index` outside the batch, and on a second wait on a slot
+    /// that was already claimed (both name the slot).
     pub fn wait(&self, index: usize) -> TimedResult<T> {
-        let mut slots = self.batch.slots.lock().unwrap();
-        loop {
-            if let Some(result) = slots[index].take() {
-                return result;
+        assert!(
+            index < self.len,
+            "slot {index} is out of range: the batch has {} job(s)",
+            self.len
+        );
+        let slots = self.batch.slots.lock().unwrap();
+        let unfilled = |slots: &mut Vec<Slot<T>>| matches!(slots[index], Slot::Empty);
+        let mut slots = self.batch.filled.wait_while(slots, unfilled).unwrap();
+        match std::mem::replace(&mut slots[index], Slot::Taken) {
+            Slot::Filled(result) => result,
+            _ => {
+                // Unlock first: a panic under the guard would poison the
+                // batch for the workers still filling it.
+                drop(slots);
+                panic!("slot {index} was already claimed");
             }
-            slots = self.batch.filled.wait(slots).unwrap();
         }
     }
 
@@ -72,21 +85,35 @@ impl<T> BatchHandle<T> {
     }
 }
 
-/// Work queue shared by the resident workers.
+/// One queued job: its batch, its slot there, the closure.
+type Queued<T> = (Arc<Batch<T>>, usize, ResidentJob<T>);
+
+/// Work queue shared by the workers and the helping caller.
 struct Shared<T> {
     queue: Mutex<QueueState<T>>,
     ready: Condvar,
+    live: Arc<Live>,
+}
+
+struct QueueState<T> {
+    jobs: VecDeque<Queued<T>>,
+    shutdown: bool,
+}
+
+/// A pool's live counters, written by `run_job` and the queue's two ends
+/// and read at any moment by [`ResidentPool::status`] and an attached
+/// [`PoolMonitor`](crate::PoolMonitor). All relaxed atomics: they are
+/// statistics, not synchronization — the batch slots carry the data.
+pub(crate) struct Live {
+    t0: Instant,
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
     batches: AtomicU64,
-    t0: Instant,
-    live: Vec<WorkerLive>,
+    queue_len: AtomicUsize,
+    workers: Vec<WorkerLive>,
 }
 
-/// One resident worker's live counters, updated by the worker itself and
-/// read by [`ResidentPool::status`] at any moment of the pool's life —
-/// the resident-shape analogue of the scoped pool's `WorkerState`
-/// (periodic snapshots instead of one end-of-run telemetry record).
+#[derive(Default)]
 struct WorkerLive {
     busy_ns: AtomicU64,
     jobs: AtomicU64,
@@ -95,131 +122,16 @@ struct WorkerLive {
     busy_since_ns: AtomicU64,
 }
 
-impl WorkerLive {
-    fn new() -> Self {
-        WorkerLive {
-            busy_ns: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            busy_since_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-struct QueueState<T> {
-    jobs: VecDeque<(Arc<Batch<T>>, usize, ResidentJob<T>)>,
-    shutdown: bool,
-}
-
-/// Counters over a resident pool's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidentStats {
-    /// Jobs completed (panicked jobs included).
-    pub jobs_done: u64,
-    /// Jobs that panicked.
-    pub jobs_failed: u64,
-    /// Batches submitted.
-    pub batches: u64,
-}
-
-/// A point-in-time view of one resident worker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResidentWorkerStatus {
-    /// Whether the worker is inside a job right now.
-    pub busy: bool,
-    /// Seconds spent inside jobs so far (the in-flight job included).
-    pub busy_secs: f64,
-    /// Busy seconds over the pool's uptime.
-    pub busy_fraction: f64,
-    /// Jobs this worker completed.
-    pub jobs: u64,
-}
-
-/// A point-in-time view of one resident pool: the periodic-snapshot
-/// counterpart of [`ResidentStats`], cheap enough to publish on every
-/// telemetry scrape instead of only at end of run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResidentStatus {
-    /// Seconds since the pool was created.
-    pub uptime_secs: f64,
-    /// Jobs queued and not yet picked up by a worker.
-    pub queue_len: usize,
-    /// One entry per worker, index = worker id.
-    pub workers: Vec<ResidentWorkerStatus>,
-}
-
-impl ResidentStatus {
-    /// Workers currently inside a job.
-    pub fn busy_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.busy).count()
-    }
-}
-
-/// A pool of long-lived worker threads. Dropping the pool shuts it down:
-/// queued jobs still drain, then the workers retire and are joined.
-pub struct ResidentPool<T: Send + 'static> {
-    shared: Arc<Shared<T>>,
-    handles: Vec<JoinHandle<()>>,
-    workers: usize,
-}
-
-impl<T: Send + 'static> ResidentPool<T> {
-    /// A resident pool with `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-            jobs_done: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            t0: Instant::now(),
-            live: (0..workers).map(|_| WorkerLive::new()).collect(),
-        });
-        let handles = (0..workers)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("svc-worker-{me}"))
-                    .spawn(move || worker_loop(me, &shared))
-                    .expect("spawning a resident worker thread")
-            })
-            .collect();
-        ResidentPool {
-            shared,
-            handles,
-            workers,
-        }
-    }
-
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Lifetime counters so far.
-    pub fn stats(&self) -> ResidentStats {
-        ResidentStats {
-            jobs_done: self.shared.jobs_done.load(Relaxed),
-            jobs_failed: self.shared.jobs_failed.load(Relaxed),
-            batches: self.shared.batches.load(Relaxed),
-        }
-    }
-
-    /// A live snapshot: queue depth and per-worker utilization right now.
-    /// Safe to call from any thread at any cadence — counters are relaxed
-    /// atomics and the queue lock is held only to read its length.
-    pub fn status(&self) -> ResidentStatus {
-        let now_ns = self.shared.t0.elapsed().as_nanos() as u64;
-        let queue_len = self.shared.queue.lock().unwrap().jobs.len();
+impl Live {
+    pub(crate) fn status(&self) -> ResidentStatus {
+        let now_ns = self.t0.elapsed().as_nanos() as u64;
         ResidentStatus {
             uptime_secs: now_ns as f64 * 1e-9,
-            queue_len,
+            queue_len: self.queue_len.load(Relaxed),
+            jobs_done: self.jobs_done.load(Relaxed),
+            jobs_failed: self.jobs_failed.load(Relaxed),
             workers: self
-                .shared
-                .live
+                .workers
                 .iter()
                 .map(|w| {
                     let since = w.busy_since_ns.load(Relaxed);
@@ -241,6 +153,139 @@ impl<T: Send + 'static> ResidentPool<T> {
                 .collect(),
         }
     }
+}
+
+/// Counters over a pool's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidentStats {
+    /// Jobs completed (panicked jobs included).
+    pub jobs_done: u64,
+    /// Jobs that panicked.
+    pub jobs_failed: u64,
+    /// Batches submitted.
+    pub batches: u64,
+}
+
+/// A point-in-time view of one worker.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResidentWorkerStatus {
+    /// Whether the worker is inside a job right now.
+    pub busy: bool,
+    /// Seconds spent inside jobs so far (the in-flight job included).
+    pub busy_secs: f64,
+    /// Busy seconds over the pool's uptime.
+    pub busy_fraction: f64,
+    /// Jobs this worker completed.
+    pub jobs: u64,
+}
+
+/// A point-in-time view of one pool — the one live view: the server
+/// publishes it on every telemetry scrape and the sweep progress line is
+/// rendered from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResidentStatus {
+    /// Seconds since the pool was created.
+    pub uptime_secs: f64,
+    /// Jobs queued and not yet picked up by a worker.
+    pub queue_len: usize,
+    /// Jobs completed so far (panicked jobs included).
+    pub jobs_done: u64,
+    /// Jobs that panicked so far.
+    pub jobs_failed: u64,
+    /// One entry per worker, index = worker id.
+    pub workers: Vec<ResidentWorkerStatus>,
+}
+
+impl ResidentStatus {
+    /// Workers currently inside a job.
+    pub fn busy_workers(&self) -> usize {
+        self.workers.iter().filter(|w| w.busy).count()
+    }
+}
+
+/// A pool of worker threads around the shared queue. Dropping the pool
+/// shuts it down: queued jobs still drain, then the workers retire and
+/// are joined.
+pub struct ResidentPool<T: Send + 'static> {
+    shared: Arc<Shared<T>>,
+    handles: Vec<JoinHandle<()>>,
+    workers: usize,
+}
+
+impl<T: Send + 'static> ResidentPool<T> {
+    /// A pool with `workers` threads (clamped to at least 1), for
+    /// submitters that only wait.
+    pub fn new(workers: usize) -> Self {
+        let workers = workers.max(1);
+        Self::build(workers, workers)
+    }
+
+    /// A pool with `workers` seats (clamped to at least 1) of which the
+    /// last is the caller's: `workers - 1` threads, and [`Self::run`]
+    /// executes jobs on the calling thread too. With one seat nothing but
+    /// `run` makes progress — a bare [`Self::submit`] would wait forever.
+    pub fn with_caller(workers: usize) -> Self {
+        let workers = workers.max(1);
+        Self::build(workers, workers - 1)
+    }
+
+    fn build(workers: usize, threads: usize) -> Self {
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+            live: Arc::new(Live {
+                t0: Instant::now(),
+                jobs_done: AtomicU64::new(0),
+                jobs_failed: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+                queue_len: AtomicUsize::new(0),
+                workers: (0..workers).map(|_| WorkerLive::default()).collect(),
+            }),
+        });
+        let handles = (0..threads)
+            .map(|me| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("xp-worker-{me}"))
+                    .spawn(move || worker_loop(&shared, me, true))
+                    .expect("spawning a pool worker thread")
+            })
+            .collect();
+        ResidentPool {
+            shared,
+            handles,
+            workers,
+        }
+    }
+
+    /// Configured worker count (the caller's seat included).
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    pub(crate) fn live(&self) -> Arc<Live> {
+        Arc::clone(&self.shared.live)
+    }
+
+    /// Lifetime counters so far.
+    pub fn stats(&self) -> ResidentStats {
+        let live = &self.shared.live;
+        ResidentStats {
+            jobs_done: live.jobs_done.load(Relaxed),
+            jobs_failed: live.jobs_failed.load(Relaxed),
+            batches: live.batches.load(Relaxed),
+        }
+    }
+
+    /// A live snapshot: queue depth, done/failed counts and per-worker
+    /// utilization right now. Safe to call from any thread at any
+    /// cadence — it reads relaxed atomics and takes no lock.
+    pub fn status(&self) -> ResidentStatus {
+        self.shared.live.status()
+    }
 
     /// Enqueue a batch. Jobs join the shared FIFO queue immediately (they
     /// interleave with other live batches) and results land in the
@@ -248,19 +293,38 @@ impl<T: Send + 'static> ResidentPool<T> {
     pub fn submit(&self, jobs: Vec<ResidentJob<T>>) -> BatchHandle<T> {
         let len = jobs.len();
         let batch = Arc::new(Batch {
-            slots: Mutex::new((0..len).map(|_| None).collect()),
+            slots: Mutex::new((0..len).map(|_| Slot::Empty).collect()),
             filled: Condvar::new(),
         });
-        self.shared.batches.fetch_add(1, Relaxed);
+        self.shared.live.batches.fetch_add(1, Relaxed);
         if len > 0 {
             let mut state = self.shared.queue.lock().unwrap();
             for (i, job) in jobs.into_iter().enumerate() {
                 state.jobs.push_back((Arc::clone(&batch), i, job));
             }
+            self.shared.live.queue_len.store(state.jobs.len(), Relaxed);
             drop(state);
             self.shared.ready.notify_all();
         }
         BatchHandle { batch, len }
+    }
+
+    /// Submit `jobs`, help run the queue on the calling thread until it is
+    /// empty, and collect this batch **in submission order** with its
+    /// [`PoolTelemetry`]. The caller works from its own seat (see
+    /// [`Self::with_caller`], one `run` at a time); on a pool without one
+    /// it only waits.
+    pub fn run(&self, jobs: Vec<ResidentJob<T>>) -> (Vec<TimedResult<T>>, PoolTelemetry) {
+        let t0 = Instant::now();
+        let batch = self.submit(jobs);
+        let seat = self.handles.len();
+        if seat < self.workers {
+            worker_loop(&self.shared, seat, false);
+        }
+        let results = batch.wait_all();
+        let telemetry =
+            PoolTelemetry::from_results(self.workers, t0.elapsed().as_secs_f64(), &results);
+        (results, telemetry)
     }
 }
 
@@ -274,49 +338,50 @@ impl<T: Send + 'static> Drop for ResidentPool<T> {
     }
 }
 
-fn worker_loop<T: Send + 'static>(me: usize, shared: &Shared<T>) {
+/// Pop and run jobs as worker `me`. A resident worker sleeps on an empty
+/// queue until shutdown; the helping caller returns at the first empty
+/// queue (jobs still in flight finish on their own workers).
+fn worker_loop<T: Send + 'static>(shared: &Shared<T>, me: usize, resident: bool) {
+    let idle = |q: &mut QueueState<T>| resident && q.jobs.is_empty() && !q.shutdown;
     loop {
-        let next = {
-            let mut state = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break Some(job);
-                }
-                if state.shutdown {
-                    break None;
-                }
-                state = shared.ready.wait(state).unwrap();
-            }
-        };
-        let Some((batch, index, job)) = next else {
+        let mut queue = shared.queue.lock().unwrap();
+        queue = shared.ready.wait_while(queue, idle).unwrap();
+        let Some(job) = queue.jobs.pop_front() else {
             return;
         };
-        let live = &shared.live[me];
-        live.busy_since_ns
-            .store(shared.t0.elapsed().as_nanos() as u64 + 1, Relaxed);
-        let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| JobPanic {
-            index,
-            message: crate::pool::panic_message(payload.as_ref()),
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        live.busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
-        live.busy_since_ns.store(0, Relaxed);
-        live.jobs.fetch_add(1, Relaxed);
-        shared.jobs_done.fetch_add(1, Relaxed);
-        if result.is_err() {
-            shared.jobs_failed.fetch_add(1, Relaxed);
-        }
-        let mut slots = batch.slots.lock().unwrap();
-        slots[index] = Some(TimedResult {
-            result,
-            wall_secs: wall,
-            worker: me,
-        });
-        drop(slots);
-        batch.filled.notify_all();
+        shared.live.queue_len.store(queue.jobs.len(), Relaxed);
+        drop(queue);
+        run_job(&shared.live, me, job);
     }
+}
+
+/// Run one job as worker `me`: the only `catch_unwind`, one wall-clock
+/// read feeding both the result's `wall_secs` and the worker's busy time,
+/// then the slot fill that wakes the batch's waiters.
+fn run_job<T>(live: &Live, me: usize, (batch, index, job): Queued<T>) {
+    let worker = &live.workers[me];
+    worker
+        .busy_since_ns
+        .store(live.t0.elapsed().as_nanos() as u64 + 1, Relaxed);
+    let t0 = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| JobPanic {
+        index,
+        message: panic_message(payload.as_ref()),
+    });
+    let wall = t0.elapsed();
+    worker.busy_ns.fetch_add(wall.as_nanos() as u64, Relaxed);
+    worker.busy_since_ns.store(0, Relaxed);
+    worker.jobs.fetch_add(1, Relaxed);
+    live.jobs_done.fetch_add(1, Relaxed);
+    if result.is_err() {
+        live.jobs_failed.fetch_add(1, Relaxed);
+    }
+    batch.slots.lock().unwrap()[index] = Slot::Filled(TimedResult {
+        result,
+        wall_secs: wall.as_secs_f64(),
+        worker: me,
+    });
+    batch.filled.notify_all();
 }
 
 #[cfg(test)]
@@ -405,6 +470,68 @@ mod tests {
         assert_eq!(handle.wait(1).result.unwrap(), 1);
     }
 
+    fn three_done_jobs(pool: &ResidentPool<usize>) -> BatchHandle<usize> {
+        let jobs: Vec<ResidentJob<usize>> = (0..3usize)
+            .map(|i| Box::new(move || i) as ResidentJob<usize>)
+            .collect();
+        pool.submit(jobs)
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 1 was already claimed")]
+    fn a_second_wait_on_a_claimed_slot_panics() {
+        let pool = ResidentPool::new(1);
+        let handle = three_done_jobs(&pool);
+        assert_eq!(handle.wait(1).result.unwrap(), 1);
+        handle.wait(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 3 is out of range")]
+    fn a_wait_outside_the_batch_panics() {
+        let pool = ResidentPool::new(1);
+        three_done_jobs(&pool).wait(3);
+    }
+
+    #[test]
+    fn a_refused_reclaim_leaves_the_batch_usable() {
+        let pool = ResidentPool::new(1);
+        let handle = three_done_jobs(&pool);
+        handle.wait(0);
+        let reclaim = std::thread::scope(|s| s.spawn(|| handle.wait(0)).join());
+        assert!(reclaim.is_err());
+        assert_eq!(handle.wait(2).result.unwrap(), 2);
+    }
+
+    fn thread_id_jobs(n: usize) -> Vec<ResidentJob<std::thread::ThreadId>> {
+        (0..n)
+            .map(|_| Box::new(|| std::thread::current().id()) as _)
+            .collect()
+    }
+
+    #[test]
+    fn run_on_a_one_seat_pool_executes_on_the_caller_alone() {
+        let pool = ResidentPool::with_caller(1);
+        let (out, telemetry) = pool.run(thread_id_jobs(6));
+        let me = std::thread::current().id();
+        assert!(out.iter().all(|t| t.result == Ok(me) && t.worker == 0));
+        assert_eq!(telemetry.workers.len(), 1);
+        assert_eq!(telemetry.workers[0].jobs, 6);
+        assert_eq!(pool.status().workers[0].jobs, 6);
+    }
+
+    #[test]
+    fn waiting_never_runs_a_job_on_the_submitter() {
+        let pool = ResidentPool::new(2);
+        let me = std::thread::current().id();
+        let out = pool.submit(thread_id_jobs(12)).wait_all();
+        assert!(out.iter().all(|t| t.result != Ok(me)));
+        // `run` on a pool without a caller's seat only waits, too.
+        let (out, telemetry) = pool.run(thread_id_jobs(12));
+        assert!(out.iter().all(|t| t.result != Ok(me)));
+        assert_eq!(telemetry.workers.len(), 2);
+    }
+
     #[test]
     fn status_sees_busy_workers_and_queue_depth_live() {
         let pool: ResidentPool<usize> = ResidentPool::new(1);
@@ -446,6 +573,7 @@ mod tests {
         let s = pool.status();
         assert_eq!(s.queue_len, 0);
         assert_eq!(s.busy_workers(), 0);
+        assert_eq!((s.jobs_done, s.jobs_failed), (3, 0));
         assert_eq!(s.workers[0].jobs, 3);
         assert!(s.workers[0].busy_secs >= 0.0);
         assert!(s.workers[0].busy_fraction <= 1.0);

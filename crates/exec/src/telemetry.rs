@@ -1,165 +1,32 @@
-//! Pool telemetry: what every worker actually did during one `run`.
-//!
-//! Two consumers with different lifetimes:
+//! Pool telemetry: what every worker did during one run, and a handle for
+//! watching a pool while it works.
 //!
 //! * **Post-run accounting** — [`PoolTelemetry`], returned by
-//!   [`crate::Pool::run_timed`]: per-worker busy seconds, job counts,
-//!   steal hit/miss counters, and queue-depth statistics (sampled at each
-//!   job start). Report footers are built from this.
-//! * **Live observation** — [`PoolMonitor`], a cloneable handle a caller
-//!   passes into `run_timed`; a dashboard thread polls
-//!   [`PoolMonitor::status`] while the run is in flight and sees
-//!   done/running/failed counts and per-worker utilization. The handle
-//!   reads `None` once the run finishes.
-//!
-//! All counters are relaxed atomics: they are statistics, not
-//! synchronization — the pool's result slots carry the actual data
-//! dependencies.
+//!   [`ResidentPool::run`] (and so by [`crate::Pool::run_timed`]):
+//!   per-worker busy seconds and job counts, built in one place from the
+//!   run's [`TimedResult`]s. Report footers are built from this.
+//! * **Live observation** — [`PoolMonitor`], a cloneable, pool-type-erased
+//!   handle; a progress thread polls [`PoolMonitor::status`] and sees the
+//!   same [`ResidentStatus`] the pool's owner gets from
+//!   [`ResidentPool::status`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::pool::TimedResult;
+use crate::resident::{Live, ResidentPool, ResidentStatus};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-const R: Ordering = Ordering::Relaxed;
-
-/// One worker's live counters for the current run.
-pub(crate) struct WorkerState {
-    pub(crate) busy_ns: AtomicU64,
-    pub(crate) jobs: AtomicU64,
-    pub(crate) steals_ok: AtomicU64,
-    pub(crate) steals_fail: AtomicU64,
-    /// Current length of the worker's own deque.
-    pub(crate) queue_len: AtomicUsize,
-    pub(crate) qdepth_sum: AtomicU64,
-    pub(crate) qdepth_samples: AtomicU64,
-    pub(crate) qdepth_max: AtomicUsize,
-    /// Nanoseconds-since-`t0` **plus one** when the worker is running a
-    /// job, 0 when idle (the +1 keeps 0 unambiguous).
-    pub(crate) busy_since_ns: AtomicU64,
-}
-
-impl WorkerState {
-    fn new() -> Self {
-        WorkerState {
-            busy_ns: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            steals_ok: AtomicU64::new(0),
-            steals_fail: AtomicU64::new(0),
-            queue_len: AtomicUsize::new(0),
-            qdepth_sum: AtomicU64::new(0),
-            qdepth_samples: AtomicU64::new(0),
-            qdepth_max: AtomicUsize::new(0),
-            busy_since_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Shared state of one in-flight `run_timed`.
-pub(crate) struct RunState {
-    pub(crate) t0: Instant,
-    pub(crate) total: usize,
-    pub(crate) started: AtomicUsize,
-    pub(crate) finished: AtomicUsize,
-    pub(crate) failed: AtomicUsize,
-    pub(crate) workers: Vec<WorkerState>,
-}
-
-impl RunState {
-    pub(crate) fn new(total: usize, workers: usize) -> Arc<Self> {
-        Arc::new(RunState {
-            t0: Instant::now(),
-            total,
-            started: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            workers: (0..workers).map(|_| WorkerState::new()).collect(),
-        })
-    }
-
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
-    }
-
-    pub(crate) fn telemetry(&self, wall_secs: f64) -> PoolTelemetry {
-        PoolTelemetry {
-            wall_secs,
-            jobs_total: self.total,
-            jobs_failed: self.failed.load(R),
-            workers: self
-                .workers
-                .iter()
-                .map(|w| {
-                    let samples = w.qdepth_samples.load(R);
-                    WorkerTelemetry {
-                        jobs: w.jobs.load(R),
-                        busy_secs: w.busy_ns.load(R) as f64 * 1e-9,
-                        steals_ok: w.steals_ok.load(R),
-                        steals_fail: w.steals_fail.load(R),
-                        queue_depth_mean: if samples > 0 {
-                            w.qdepth_sum.load(R) as f64 / samples as f64
-                        } else {
-                            0.0
-                        },
-                        queue_depth_max: w.qdepth_max.load(R),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn status(&self) -> PoolStatus {
-        let now_ns = self.now_ns();
-        PoolStatus {
-            total: self.total,
-            started: self.started.load(R),
-            finished: self.finished.load(R),
-            failed: self.failed.load(R),
-            elapsed_secs: now_ns as f64 * 1e-9,
-            workers: self
-                .workers
-                .iter()
-                .map(|w| {
-                    let since = w.busy_since_ns.load(R);
-                    let mut busy_ns = w.busy_ns.load(R);
-                    if since > 0 {
-                        busy_ns += now_ns.saturating_sub(since - 1);
-                    }
-                    WorkerStatus {
-                        busy: since > 0,
-                        busy_fraction: if now_ns > 0 {
-                            (busy_ns as f64 / now_ns as f64).min(1.0)
-                        } else {
-                            0.0
-                        },
-                        queue_len: w.queue_len.load(R),
-                    }
-                })
-                .collect(),
-        }
-    }
-}
 
 /// Per-worker accounting for one finished run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerTelemetry {
-    /// Jobs this worker completed (panicking jobs included).
+    /// Jobs of the run this worker completed (panicking jobs included).
     pub jobs: u64,
-    /// Seconds spent inside jobs.
+    /// Seconds spent inside those jobs.
     pub busy_secs: f64,
-    /// Steals that found a job on a sibling deque.
-    pub steals_ok: u64,
-    /// Full steal scans that found every deque empty.
-    pub steals_fail: u64,
-    /// Mean own-deque depth sampled at each job start.
-    pub queue_depth_mean: f64,
-    /// Max own-deque depth sampled at each job start.
-    pub queue_depth_max: usize,
 }
 
 /// Whole-pool accounting for one finished run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolTelemetry {
-    /// Wall seconds the pool was open (deal to join).
+    /// Wall seconds from submission to the last result collected.
     pub wall_secs: f64,
     /// Jobs submitted.
     pub jobs_total: usize,
@@ -170,13 +37,39 @@ pub struct PoolTelemetry {
 }
 
 impl PoolTelemetry {
-    /// Total seconds all workers spent inside jobs.
+    /// Account one run's results to the `workers` seats that ran them.
+    pub(crate) fn from_results<T>(
+        workers: usize,
+        wall_secs: f64,
+        results: &[TimedResult<T>],
+    ) -> Self {
+        let mut per_worker = vec![
+            WorkerTelemetry {
+                jobs: 0,
+                busy_secs: 0.0,
+            };
+            workers
+        ];
+        for t in results {
+            per_worker[t.worker].jobs += 1;
+            per_worker[t.worker].busy_secs += t.wall_secs;
+        }
+        PoolTelemetry {
+            wall_secs,
+            jobs_total: results.len(),
+            jobs_failed: results.iter().filter(|t| t.result.is_err()).count(),
+            workers: per_worker,
+        }
+    }
+
+    /// Total seconds all workers spent inside the run's jobs: the sum of
+    /// the results' `wall_secs` (each job's clock is read once).
     pub fn busy_secs(&self) -> f64 {
         self.workers.iter().map(|w| w.busy_secs).sum()
     }
 
     /// Busy seconds over worker-seconds available: 1.0 means every worker
-    /// ran jobs the whole time the pool was open.
+    /// ran jobs the whole time the run took.
     pub fn busy_fraction(&self) -> f64 {
         let slots = self.wall_secs * self.workers.len() as f64;
         if slots > 0.0 {
@@ -186,57 +79,21 @@ impl PoolTelemetry {
         }
     }
 
-    /// `(hits, misses)` summed over workers.
+    /// Always `(0, 0)`: the single shared queue has nothing to steal.
+    /// Kept only because the perf ledger's `exec.steals` row still calls
+    /// it; delete it together with that row in the next `benchmark` PR.
     pub fn steals(&self) -> (u64, u64) {
-        self.workers.iter().fold((0, 0), |(ok, fail), w| {
-            (ok + w.steals_ok, fail + w.steals_fail)
-        })
-    }
-
-    /// Max sampled queue depth over workers.
-    pub fn queue_depth_max(&self) -> usize {
-        self.workers
-            .iter()
-            .map(|w| w.queue_depth_max)
-            .max()
-            .unwrap_or(0)
+        (0, 0)
     }
 }
 
-/// A point-in-time view of one worker during a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerStatus {
-    /// Whether the worker is inside a job right now.
-    pub busy: bool,
-    /// Busy time (including the in-flight job) over elapsed time.
-    pub busy_fraction: f64,
-    /// Current own-deque length.
-    pub queue_len: usize,
-}
-
-/// A point-in-time view of one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolStatus {
-    /// Jobs submitted.
-    pub total: usize,
-    /// Jobs a worker has picked up.
-    pub started: usize,
-    /// Jobs finished (ok or panicked).
-    pub finished: usize,
-    /// Jobs that panicked.
-    pub failed: usize,
-    /// Seconds since the pool opened.
-    pub elapsed_secs: f64,
-    /// One entry per worker, index = worker id.
-    pub workers: Vec<WorkerStatus>,
-}
-
-/// A cloneable handle a dashboard polls while a `run_timed` it was passed
-/// to is in flight. Reads `None` before the run installs it and after the
-/// run finishes.
+/// A cloneable handle a progress thread polls while a pool it is attached
+/// to works. Reads `None` while unattached — before
+/// [`PoolMonitor::attach`], and after a [`crate::Pool::run_timed`] it was
+/// passed to has closed its pool.
 #[derive(Clone, Default)]
 pub struct PoolMonitor {
-    inner: Arc<Mutex<Option<Arc<RunState>>>>,
+    inner: Arc<Mutex<Option<Arc<Live>>>>,
 }
 
 impl PoolMonitor {
@@ -245,20 +102,22 @@ impl PoolMonitor {
         Self::default()
     }
 
-    /// The current run's status, or `None` when no run is attached.
-    pub fn status(&self) -> Option<PoolStatus> {
+    /// Watch `pool` from now on (the counters stay readable after the
+    /// pool itself is gone).
+    pub fn attach<T: Send + 'static>(&self, pool: &ResidentPool<T>) {
+        *self.inner.lock().unwrap_or_else(|e| e.into_inner()) = Some(pool.live());
+    }
+
+    /// The attached pool's status, or `None` when unattached.
+    pub fn status(&self) -> Option<ResidentStatus> {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
-            .map(|state| state.status())
+            .map(|live| live.status())
     }
 
-    pub(crate) fn install(&self, state: Arc<RunState>) {
-        *self.inner.lock().unwrap_or_else(|e| e.into_inner()) = Some(state);
-    }
-
-    pub(crate) fn clear(&self) {
+    pub(crate) fn detach(&self) {
         *self.inner.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 }

@@ -3,8 +3,8 @@
 //! An experiment is a grid of independent **cells** — `(benchmark,
 //! placement, engine, scale, seed)` points, each of which builds its own
 //! simulated machine. A [`CellPlan`] is the ordered list of those cells;
-//! [`CellPlan::execute`] fans them out over the [`exec`] work-stealing
-//! pool (`--jobs N` workers, see [`crate::jobs`]) and hands back one
+//! [`CellPlan::execute`] fans them out over an [`exec`] pool (`--jobs N`
+//! workers, see [`crate::jobs`]) and hands back one
 //! [`CellOutput`] per cell **in plan order**, so the report a caller
 //! builds from the outputs is byte-identical whatever the worker count.
 //!
@@ -32,13 +32,14 @@
 //! resident server as one batch ([`crate::remote`]); only the cells
 //! neither source can satisfy are computed here. Resolved cells replay
 //! their side effects at their canonical merge position, so a fully
-//! cached run produces byte-identical artifacts to a cold one. When a
-//! sweep session is open ([`crate::session`]), the residual computation
-//! runs as a batch on the session's shared resident pool instead of a
-//! plan-scoped pool.
+//! cached run produces byte-identical artifacts to a cold one. The
+//! residual computation runs as one batch on a session's pool
+//! ([`crate::session`]): the open sweep session's, or one scoped to the
+//! plan.
 
 use crate::cache::CellCodec;
-use exec::{Job, JobPanic, Pool, PoolMonitor, PoolTelemetry, TimedResult, WorkerTelemetry};
+use crate::session::ErasedResult;
+use exec::{Job, JobPanic, ResidentJob};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -193,27 +194,13 @@ impl<T: Send + 'static> CellPlan<T> {
         self.cells.is_empty()
     }
 
-    /// Execute with the process-wide machinery: cache and client
-    /// resolution first, then the residual cells on the open sweep
-    /// session's shared pool ([`crate::session`]) or, when no session is
-    /// open, a plan-scoped pool sized by [`crate::jobs::get`].
-    pub fn execute(self) -> Vec<CellOutput<T>> {
-        match crate::session::active() {
-            Some(session) => self.run(Executor::Resident(session)),
-            None => self.run(Executor::Scoped(Pool::new(crate::jobs::get()))),
-        }
-    }
-
-    /// Execute every residual cell on `pool` (cache/client resolution
-    /// still applies) and merge: outputs come back in plan order, each
-    /// cell's deferred sim-seconds and trace dumps are replayed in plan
-    /// order, and the plan's wall-clock statistics are credited to
+    /// Execute with the process-wide machinery — cache and client
+    /// resolution first, then the residual cells on a session's pool
+    /// ([`crate::session`]) — and merge: outputs come back in plan order,
+    /// each cell's deferred sim-seconds and trace dumps are replayed in
+    /// plan order, and the plan's wall-clock statistics are credited to
     /// [`crate::summary`].
-    pub fn execute_on(self, pool: &Pool) -> Vec<CellOutput<T>> {
-        self.run(Executor::Scoped(*pool))
-    }
-
-    fn run(self, executor: Executor) -> Vec<CellOutput<T>> {
+    pub fn execute(self) -> Vec<CellOutput<T>> {
         let cache = crate::cache::effective();
         let mut cells = self.cells;
 
@@ -272,37 +259,28 @@ impl<T: Send + 'static> CellPlan<T> {
             }
         }
 
-        // Phase 3 — compute the residue on a worker pool.
-        let sim_done_us = Arc::new(AtomicU64::new(0));
-        let mut pending: Vec<Job<'static, CellRun<T>>> = Vec::new();
+        // Phase 3 — compute the residue as one batch on a session's pool.
+        let mut pending = Vec::new();
         for cell in &mut cells {
             let state = std::mem::replace(&mut cell.job_state, CellState::Dispatched);
             match state {
-                CellState::Pending(job) => {
-                    pending.push(wrap_cell(cell.id.clone(), job, Arc::clone(&sim_done_us)));
-                }
+                CellState::Pending(job) => pending.push((cell.id.clone(), job)),
                 resolved => cell.job_state = resolved,
             }
         }
-        let runs: Vec<TimedResult<CellRun<T>>> = if pending.is_empty() {
+        let runs = if pending.is_empty() {
             Vec::new()
         } else {
-            match &executor {
-                Executor::Scoped(pool) => {
-                    let total = pending.len();
-                    let monitor = PoolMonitor::new();
-                    let dash = crate::dash::spawn(monitor.clone(), total, Arc::clone(&sim_done_us));
-                    let (runs, telemetry) = pool.run_timed(pending, Some(&monitor));
-                    if let Some(dash) = dash {
-                        dash.finish();
-                    }
-                    crate::summary::add_pool_wall(telemetry.wall_secs);
-                    let cell_walls: Vec<f64> = runs.iter().map(|t| t.wall_secs).collect();
-                    crate::telemetry::record_plan(&telemetry, &cell_walls);
-                    runs
-                }
-                Executor::Resident(session) => run_resident(session, pending),
-            }
+            let session = crate::session::for_plan(pending.len());
+            let jobs = pending
+                .into_iter()
+                .map(|(id, job)| wrap_cell(id, job, Arc::clone(session.sim_done_us())))
+                .collect();
+            let (runs, telemetry) = session.run(jobs);
+            crate::summary::add_pool_wall(telemetry.wall_secs);
+            let cell_walls: Vec<f64> = runs.iter().map(|t| t.wall_secs).collect();
+            crate::telemetry::record_plan(&telemetry, &cell_walls);
+            runs
         };
 
         // Phase 4 — merge in plan order. Resolved cells replay their side
@@ -335,11 +313,16 @@ impl<T: Send + 'static> CellPlan<T> {
                     // The wrapper catches the cell's panic itself, so a
                     // pool-level Err means the wrapper died — re-surface
                     // it as a message.
-                    let run = timed.result.unwrap_or_else(|p| CellRun {
-                        value: Err(p.message),
-                        sim_secs: 0.0,
-                        traces: Vec::new(),
-                    });
+                    let run = match timed.result {
+                        Ok(erased) => *erased
+                            .downcast::<CellRun<T>>()
+                            .expect("a plan's batch returns its own cell type"),
+                        Err(p) => CellRun {
+                            value: Err(p.message),
+                            sim_secs: 0.0,
+                            traces: Vec::new(),
+                        },
+                    };
                     crate::summary::add_sim_secs(run.sim_secs);
                     crate::summary::add_cell_wall(wall_secs);
                     for trace in run.traces {
@@ -366,21 +349,14 @@ impl<T> Cell<T> {
     }
 }
 
-/// Which pool machinery executes the residual cells.
-enum Executor {
-    /// A plan-scoped pool: spawn, run this plan's batch, join.
-    Scoped(Pool),
-    /// The open sweep session's shared resident pool.
-    Resident(Arc<crate::session::Session>),
-}
-
 /// Wrap one cell's job with the per-cell machinery: host-profiling root,
-/// cell context for deferred side effects, and `catch_unwind`.
+/// cell context for deferred side effects, `catch_unwind`, and the type
+/// erasure that lets plans of different cell types share one pool.
 fn wrap_cell<T: Send + 'static>(
     id: String,
     job: Job<'static, T>,
     sim_done_us: Arc<AtomicU64>,
-) -> Job<'static, CellRun<T>> {
+) -> ResidentJob<ErasedResult> {
     Box::new(move || {
         // Host-profiling root for this cell: every span the cell opens
         // (ccnuma/vmm/omp/upmlib) nests under `cell:<id>` on this
@@ -393,73 +369,12 @@ fn wrap_cell<T: Send + 'static>(
             .with(|ctx| ctx.borrow_mut().take())
             .expect("cell context installed above");
         sim_done_us.fetch_add((ctx.sim_secs * 1e6) as u64, Ordering::Relaxed);
-        CellRun {
+        Box::new(CellRun {
             value,
             sim_secs: ctx.sim_secs,
             traces: ctx.traces,
-        }
+        })
     })
-}
-
-/// Run one plan's residual cells as a batch on the session's shared
-/// pool: type-erase through `Box<dyn Any + Send>`, downcast on the way
-/// out, and synthesize the per-plan telemetry the scoped path gets from
-/// `run_timed` so the `[pool]` footer still covers session-run plans.
-fn run_resident<T: Send + 'static>(
-    session: &crate::session::Session,
-    pending: Vec<Job<'static, CellRun<T>>>,
-) -> Vec<TimedResult<CellRun<T>>> {
-    let total = pending.len();
-    let t0 = std::time::Instant::now();
-    let erased: Vec<exec::ResidentJob<crate::session::ErasedResult>> = pending
-        .into_iter()
-        .map(|job| {
-            Box::new(move || Box::new(job()) as crate::session::ErasedResult)
-                as exec::ResidentJob<crate::session::ErasedResult>
-        })
-        .collect();
-    let handle = session.submit(erased);
-    let runs: Vec<TimedResult<CellRun<T>>> = handle
-        .wait_all()
-        .into_iter()
-        .map(|t| TimedResult {
-            result: t.result.map(|boxed| {
-                *boxed
-                    .downcast::<CellRun<T>>()
-                    .expect("session batch returns this plan's cell type")
-            }),
-            wall_secs: t.wall_secs,
-            worker: t.worker,
-        })
-        .collect();
-    let wall_secs = t0.elapsed().as_secs_f64();
-    crate::summary::add_pool_wall(wall_secs);
-    let mut workers = vec![
-        WorkerTelemetry {
-            jobs: 0,
-            busy_secs: 0.0,
-            steals_ok: 0,
-            steals_fail: 0,
-            queue_depth_mean: 0.0,
-            queue_depth_max: 0,
-        };
-        session.workers()
-    ];
-    for t in &runs {
-        if let Some(w) = workers.get_mut(t.worker) {
-            w.jobs += 1;
-            w.busy_secs += t.wall_secs;
-        }
-    }
-    let telemetry = PoolTelemetry {
-        wall_secs,
-        jobs_total: total,
-        jobs_failed: runs.iter().filter(|t| t.result.is_err()).count(),
-        workers,
-    };
-    let cell_walls: Vec<f64> = runs.iter().map(|t| t.wall_secs).collect();
-    crate::telemetry::record_plan(&telemetry, &cell_walls);
-    runs
 }
 
 /// Store a freshly computed spec-carrying value back to the cache. A
@@ -499,7 +414,7 @@ mod tests {
             for i in 0..13usize {
                 plan.add(format!("cell-{i}"), move || i * i);
             }
-            let out = plan.execute_on(&Pool::new(workers));
+            let out = crate::jobs::with_pinned(workers, || plan.execute());
             let values: Vec<usize> = out.into_iter().map(|c| c.expect_ok()).collect();
             assert_eq!(values, (0..13).map(|i| i * i).collect::<Vec<_>>());
         }
@@ -517,7 +432,7 @@ mod tests {
                     crate::summary::add_sim_secs(0.1 + (i as f64) * 1e-13);
                 });
             }
-            plan.execute_on(&Pool::new(workers));
+            crate::jobs::with_pinned(workers, || plan.execute());
             crate::summary::take_sim_secs().to_bits()
         };
         assert_eq!(total(1), total(5));
@@ -529,7 +444,7 @@ mod tests {
         plan.add("good-1", || 1usize);
         plan.add("bad", || panic!("boom"));
         plan.add("good-2", || 2usize);
-        let out = plan.execute_on(&Pool::new(2));
+        let out = crate::jobs::with_pinned(2, || plan.execute());
         assert_eq!(out[0].ok(), Some(&1));
         let err = out[1].value.as_ref().unwrap_err();
         assert_eq!(err.index, 1);

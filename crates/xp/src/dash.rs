@@ -1,19 +1,19 @@
-//! Live TTY dashboard for multi-cell sweeps.
+//! The live progress line for multi-cell sweeps — the one renderer.
 //!
-//! While a [`crate::cells::CellPlan`] runs, a background thread polls the
-//! pool's [`exec::PoolMonitor`] and paints one status line on stderr:
+//! While a [`crate::session::Session`]'s pool works, a background thread
+//! polls its [`exec::PoolMonitor`] and paints one status line on stderr:
 //! cells done/running/failed, a per-worker utilization bar, simulated
-//! throughput (sim-secs per host second) and a naive ETA. The line is
-//! redrawn in place with `\r` on a TTY; on a plain pipe (CI logs) it
-//! degrades to a full log line every couple of seconds, and short runs
-//! print nothing at all.
+//! throughput (sim-secs per host second) and a naive ETA over the cells
+//! submitted so far. The line is redrawn in place with `\r` on a TTY; on
+//! a plain pipe (CI logs) it degrades to a full log line every couple of
+//! seconds, and short runs print nothing at all.
 //!
 //! Everything goes to **stderr** and never into a saved report, so the
 //! `--jobs 1` vs `--jobs 4` result trees stay byte-identical. Set
 //! `XP_DASH=0` to silence it entirely, `XP_DASH=tty` to force the TTY
 //! renderer (useful for eyeballing the escape codes through a pipe).
 
-use exec::PoolMonitor;
+use exec::{PoolMonitor, ResidentStatus};
 use std::io::{IsTerminal, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,30 +29,29 @@ const TTY_PERIOD: Duration = Duration::from_millis(100);
 /// length before it says anything).
 const PLAIN_PERIOD: Duration = Duration::from_secs(2);
 
-/// Handle to a running dashboard thread; [`Dash::finish`] stops it.
+/// A running progress thread. Dropping it stops polling, joins the thread
+/// and (on a TTY) clears the status line so subsequent report output
+/// starts on a clean row.
 pub(crate) struct Dash {
     stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
+    handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Dash {
-    /// Stop polling, join the thread, and (on a TTY) clear the status
-    /// line so subsequent report output starts on a clean row.
-    pub(crate) fn finish(self) {
+impl Drop for Dash {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        let _ = self.handle.join();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
-/// Spawn the dashboard for a plan of `total` cells, or `None` when a
-/// dashboard would be noise (single-cell plans, `XP_DASH=0`).
-pub(crate) fn spawn(
-    monitor: PoolMonitor,
-    total: usize,
-    sim_done_us: Arc<AtomicU64>,
-) -> Option<Dash> {
+/// Spawn the progress line for the pool `monitor` watches, or `None` under
+/// `XP_DASH=0`. `sim_done_us` is the simulated time its cells have
+/// finished so far.
+pub(crate) fn spawn(monitor: PoolMonitor, sim_done_us: Arc<AtomicU64>) -> Option<Dash> {
     let mode = std::env::var("XP_DASH").unwrap_or_default();
-    if total < 2 || mode == "0" {
+    if mode == "0" {
         return None;
     }
     let tty = mode == "tty" || std::io::stderr().is_terminal();
@@ -60,29 +59,23 @@ pub(crate) fn spawn(
     let stop_flag = Arc::clone(&stop);
     let handle = std::thread::Builder::new()
         .name("xp-dash".into())
-        .spawn(move || run(monitor, total, sim_done_us, stop_flag, tty))
+        .spawn(move || run(monitor, sim_done_us, stop_flag, tty))
         .ok()?;
-    Some(Dash { stop, handle })
+    Some(Dash {
+        stop,
+        handle: Some(handle),
+    })
 }
 
-fn run(
-    monitor: PoolMonitor,
-    total: usize,
-    sim_done_us: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    tty: bool,
-) {
-    let t0 = Instant::now();
+fn run(monitor: PoolMonitor, sim_done_us: Arc<AtomicU64>, stop: Arc<AtomicBool>, tty: bool) {
     let period = if tty { TTY_PERIOD } else { PLAIN_PERIOD };
-    let mut next = t0 + period;
+    let mut next = Instant::now() + period;
     let mut painted = false;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
+    while !stop.load(Ordering::Relaxed) {
         if Instant::now() >= next {
             next += period;
-            if let Some(line) = render(&monitor, total, &sim_done_us, t0) {
+            let sim_done_secs = sim_done_us.load(Ordering::Relaxed) as f64 / 1e6;
+            if let Some(line) = monitor.status().and_then(|s| render(&s, sim_done_secs)) {
                 if tty {
                     eprint!("\r\x1b[2K{line}");
                     let _ = std::io::stderr().flush();
@@ -100,18 +93,15 @@ fn run(
     }
 }
 
-/// One status line, or `None` when the monitor has no active run.
-fn render(
-    monitor: &PoolMonitor,
-    total: usize,
-    sim_done_us: &AtomicU64,
-    t0: Instant,
-) -> Option<String> {
-    let status = monitor.status()?;
-    let running = status
-        .started
-        .saturating_sub(status.finished + status.failed);
-    let done = status.finished + status.failed;
+/// One status line, or `None` while the pool has nothing to show (idle
+/// between plans, or a lone cell).
+fn render(status: &ResidentStatus, sim_done_secs: f64) -> Option<String> {
+    let running = status.busy_workers();
+    let done = status.jobs_done as usize;
+    let total = done + running + status.queue_len;
+    if total < 2 || done == total {
+        return None;
+    }
     let bars: String = status
         .workers
         .iter()
@@ -120,31 +110,25 @@ fn render(
             BARS[i.min(BARS.len() - 1)] as char
         })
         .collect();
-    let busy: f64 = if status.workers.is_empty() {
-        0.0
-    } else {
-        status.workers.iter().map(|w| w.busy_fraction).sum::<f64>() / status.workers.len() as f64
-    };
-    let elapsed = t0.elapsed().as_secs_f64();
+    let busy = status.workers.iter().map(|w| w.busy_fraction).sum::<f64>()
+        / status.workers.len().max(1) as f64;
+    let elapsed = status.uptime_secs;
     let rate = if elapsed > 0.0 {
-        sim_done_us.load(Ordering::Relaxed) as f64 / 1e6 / elapsed
+        sim_done_secs / elapsed
     } else {
         0.0
     };
-    let eta = if done > 0 && done < total {
-        let per_cell = elapsed / done as f64;
-        fmt_secs(per_cell * (total - done) as f64)
+    let eta = if done > 0 {
+        fmt_secs(elapsed / done as f64 * (total - done) as f64)
     } else {
         "--".to_string()
     };
     let mut line = format!(
         "[xp] {done}/{total} cells ({running} running, {failed} failed) | workers [{bars}] {busy:3.0}% | {rate:.2} sim-s/s | ETA {eta}",
-        failed = status.failed,
+        failed = status.jobs_failed,
         busy = busy * 100.0,
     );
-    if line.len() > 120 {
-        line.truncate(120);
-    }
+    line.truncate(120);
     Some(line)
 }
 
@@ -159,16 +143,41 @@ fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exec::ResidentWorkerStatus;
 
-    #[test]
-    fn single_cell_plans_get_no_dashboard() {
-        assert!(spawn(PoolMonitor::new(), 1, Arc::new(AtomicU64::new(0))).is_none());
+    fn status(done: u64, busy: usize, queued: usize) -> ResidentStatus {
+        ResidentStatus {
+            uptime_secs: 10.0,
+            queue_len: queued,
+            jobs_done: done,
+            jobs_failed: 1,
+            workers: (0..2)
+                .map(|w| ResidentWorkerStatus {
+                    busy: w < busy,
+                    busy_secs: 5.0,
+                    busy_fraction: 0.5,
+                    jobs: done / 2,
+                })
+                .collect(),
+        }
     }
 
     #[test]
-    fn render_without_an_active_run_is_silent() {
-        let monitor = PoolMonitor::new();
-        assert!(render(&monitor, 4, &AtomicU64::new(0), Instant::now()).is_none());
+    fn an_idle_pool_or_a_lone_cell_paints_nothing() {
+        assert!(render(&status(0, 0, 0), 0.0).is_none());
+        assert!(render(&status(0, 1, 0), 0.0).is_none());
+        assert!(render(&status(8, 0, 0), 0.0).is_none(), "between plans");
+    }
+
+    #[test]
+    fn the_line_counts_cells_from_the_one_live_view() {
+        let line = render(&status(4, 2, 2), 20.0).expect("a sweep in flight");
+        assert!(
+            line.starts_with("[xp] 4/8 cells (2 running, 1 failed)"),
+            "{line}"
+        );
+        assert!(line.contains("2.00 sim-s/s"), "{line}");
+        assert!(line.ends_with("ETA 10s"), "{line}");
     }
 
     #[test]

@@ -25,17 +25,26 @@ pub fn get() -> usize {
     }
 }
 
+/// Run `f` with the worker count pinned to `jobs`, serialized against
+/// every other test that pins it (the knob is process-global).
+#[cfg(test)]
+pub(crate) fn with_pinned<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
+    static PIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _pin = PIN.lock().unwrap_or_else(|p| p.into_inner());
+    set(jobs);
+    let out = f();
+    set(0);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_then_set_then_reset() {
-        // Single test so no other jobs test races this one.
         assert!(get() >= 1);
-        set(3);
-        assert_eq!(get(), 3);
-        set(0);
+        with_pinned(3, || assert_eq!(get(), 3));
         assert!(get() >= 1);
     }
 }

@@ -1,42 +1,68 @@
-//! The sweep session: one long-lived worker pool shared by every plan of
-//! a multi-experiment run.
+//! The session: the worker pool every plan runs on.
 //!
-//! Without a session, each [`crate::cells::CellPlan`] execution spins up
-//! and joins its own scoped [`exec::Pool`] — eight spawn/join cycles and
-//! eight separate dashboards across an `xp all` sweep, with workers going
-//! idle at every plan boundary. The `xp` binary opens a session around
-//! multi-experiment runs; plans then submit their cells as batches to one
-//! shared [`exec::ResidentPool`] whose workers live for the whole sweep,
-//! and one progress line spans the sweep instead of one per plan.
+//! A [`crate::cells::CellPlan`] always executes on a session's pool. The
+//! `xp` binary opens one around multi-experiment runs, so the workers
+//! live for the whole sweep — no spawn/join cycle and no idle gap at
+//! every plan boundary — and one progress line spans it; with none open,
+//! the plan gets a session scoped to itself. Either way the pool is an
+//! [`exec::ResidentPool`] with [`crate::jobs::get`] seats, one of them
+//! the calling thread's: the plan's caller helps run its cells, and
+//! `--jobs 1` spawns no worker thread.
 //!
 //! The pool is type-erased (`Box<dyn Any + Send>` results) because
 //! different plans carry different cell types; [`crate::cells`] downcasts
-//! on the way out. Determinism is untouched: batches still merge in plan
-//! order, so outputs and replayed side effects are byte-identical to the
-//! scoped-pool path.
+//! on the way out. Batches merge in plan order, so outputs and replayed
+//! side effects are byte-identical whatever the session or worker count.
 
-use exec::{BatchHandle, ResidentJob, ResidentPool, ResidentStats};
+use crate::dash::Dash;
+use exec::{PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool, ResidentStats, TimedResult};
 use std::any::Any;
-use std::io::{IsTerminal, Write as _};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A type-erased cell result travelling through the shared pool.
 pub(crate) type ErasedResult = Box<dyn Any + Send>;
 
-/// One sweep-wide execution session.
+/// One pool, its progress line, and the simulated time its cells have
+/// finished (what the progress line's sim-s/s is computed from).
 pub struct Session {
     pool: ResidentPool<ErasedResult>,
-    queued: AtomicU64,
-    stop_ticker: AtomicBool,
+    sim_done_us: Arc<AtomicU64>,
+    _dash: Option<Dash>,
 }
 
 impl Session {
-    /// Submit one plan's jobs as a batch on the shared pool.
-    pub(crate) fn submit(&self, jobs: Vec<ResidentJob<ErasedResult>>) -> BatchHandle<ErasedResult> {
-        self.queued.fetch_add(jobs.len() as u64, Relaxed);
-        self.pool.submit(jobs)
+    /// A pool of `seats` workers, with a progress line when `progress` is
+    /// set (and [`crate::dash`] is not silenced).
+    fn open(seats: usize, progress: bool) -> Arc<Session> {
+        let pool = ResidentPool::with_caller(seats);
+        let sim_done_us = Arc::new(AtomicU64::new(0));
+        let dash = if progress {
+            let monitor = PoolMonitor::new();
+            monitor.attach(&pool);
+            crate::dash::spawn(monitor, Arc::clone(&sim_done_us))
+        } else {
+            None
+        };
+        Arc::new(Session {
+            pool,
+            sim_done_us,
+            _dash: dash,
+        })
+    }
+
+    /// Run one plan's jobs as a batch on the pool, the calling thread
+    /// helping; results come back in submission order.
+    pub(crate) fn run(
+        &self,
+        jobs: Vec<ResidentJob<ErasedResult>>,
+    ) -> (Vec<TimedResult<ErasedResult>>, PoolTelemetry) {
+        self.pool.run(jobs)
+    }
+
+    /// Where finished cells credit their simulated microseconds.
+    pub(crate) fn sim_done_us(&self) -> &Arc<AtomicU64> {
+        &self.sim_done_us
     }
 
     /// Configured worker count.
@@ -52,86 +78,43 @@ impl Session {
 
 static ACTIVE: Mutex<Option<Arc<Session>>> = Mutex::new(None);
 
-/// Open a session with [`crate::jobs::get`] workers and install it as the
-/// process-wide executor for subsequent plans. Returns the session (also
-/// reachable via [`active`]).
+/// Open a session and install it as the process-wide executor for
+/// subsequent plans, until [`end`].
 pub fn begin() -> Arc<Session> {
-    let session = Arc::new(Session {
-        pool: ResidentPool::new(crate::jobs::get()),
-        queued: AtomicU64::new(0),
-        stop_ticker: AtomicBool::new(false),
-    });
-    if std::io::stderr().is_terminal() && std::env::var("XP_DASH").unwrap_or_default() != "0" {
-        spawn_ticker(Arc::clone(&session));
-    }
+    let session = Session::open(crate::jobs::get(), true);
     *ACTIVE.lock().unwrap() = Some(Arc::clone(&session));
     session
 }
 
-/// The active session, if one is open.
-pub(crate) fn active() -> Option<Arc<Session>> {
-    ACTIVE.lock().unwrap().clone()
+/// The session a plan of `cells` cells runs on: the open one, or one
+/// scoped to the plan — no more seats than cells, and no progress line
+/// for a lone cell.
+pub(crate) fn for_plan(cells: usize) -> Arc<Session> {
+    let active = ACTIVE.lock().unwrap().clone();
+    active.unwrap_or_else(|| Session::open(crate::jobs::get().min(cells), cells >= 2))
 }
 
-/// Close the active session: stop its progress ticker, print the sweep
-/// summary line, and drop the shared pool (workers drain and join).
+/// Close the active session: drop the shared pool (workers drain and
+/// join, the progress line clears) and print the sweep summary line.
 pub fn end() {
     let Some(session) = ACTIVE.lock().unwrap().take() else {
         return;
     };
-    session.stop_ticker.store(true, Relaxed);
-    let stats = session.stats();
+    let (stats, workers) = (session.stats(), session.workers());
+    // The last Arc drops here: plans only hold the session while
+    // executing.
+    drop(session);
     eprintln!(
         "[session] shared pool: {} cells over {} plan(s) on {} worker(s){}",
         stats.jobs_done,
         stats.batches,
-        session.workers(),
+        workers,
         if stats.jobs_failed > 0 {
             format!(", {} failed", stats.jobs_failed)
         } else {
             String::new()
         }
     );
-    // The last Arc drops here (plans only hold the session while
-    // executing), shutting the resident workers down.
-    drop(session);
-}
-
-/// Sweep-wide progress line on stderr, repainted in place.
-fn spawn_ticker(session: Arc<Session>) {
-    let _ = std::thread::Builder::new()
-        .name("xp-session-dash".into())
-        .spawn(move || {
-            let mut painted = false;
-            loop {
-                std::thread::sleep(Duration::from_millis(250));
-                if session.stop_ticker.load(Relaxed) {
-                    break;
-                }
-                let stats = session.stats();
-                let queued = session.queued.load(Relaxed);
-                if queued == 0 {
-                    continue;
-                }
-                eprint!(
-                    "\r\x1b[2K[session] {}/{} cells, {} plan(s){}",
-                    stats.jobs_done,
-                    queued,
-                    stats.batches,
-                    if stats.jobs_failed > 0 {
-                        format!(", {} failed", stats.jobs_failed)
-                    } else {
-                        String::new()
-                    }
-                );
-                let _ = std::io::stderr().flush();
-                painted = true;
-            }
-            if painted {
-                eprint!("\r\x1b[2K");
-                let _ = std::io::stderr().flush();
-            }
-        });
 }
 
 #[cfg(test)]
@@ -140,23 +123,24 @@ mod tests {
 
     #[test]
     fn session_pools_are_shared_across_plans_and_end_is_idempotent() {
-        // Serialize against other tests that might open sessions: the
-        // ACTIVE slot is process-global.
+        // Sibling tests that execute plans meanwhile land on this session
+        // too (the ACTIVE slot is process-global), so only lower bounds
+        // are asserted on its counters.
         let session = begin();
         let jobs: Vec<ResidentJob<ErasedResult>> = (0..5usize)
             .map(|i| Box::new(move || Box::new(i) as ErasedResult) as ResidentJob<ErasedResult>)
             .collect();
-        let handle = active().expect("session installed").submit(jobs);
-        let out = handle.wait_all();
+        let (out, telemetry) = for_plan(5).run(jobs);
         let values: Vec<usize> = out
             .into_iter()
             .map(|t| *t.result.unwrap().downcast::<usize>().unwrap())
             .collect();
         assert_eq!(values, vec![0, 1, 2, 3, 4]);
-        assert_eq!(session.stats().batches, 1);
+        assert_eq!(telemetry.jobs_total, 5);
+        assert!(session.stats().batches >= 1);
         drop(session);
         end();
-        assert!(active().is_none());
+        assert!(ACTIVE.lock().unwrap().is_none());
         end(); // second end is a no-op
     }
 }

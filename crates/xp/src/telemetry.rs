@@ -25,9 +25,6 @@ struct Agg {
     /// against, robust to plans running with different worker counts.
     worker_secs: f64,
     max_workers: usize,
-    steals_ok: u64,
-    steals_fail: u64,
-    queue_depth_max: usize,
     /// Per-cell wall latency, in microseconds.
     wall_us: Histogram,
 }
@@ -45,10 +42,6 @@ pub(crate) fn record_plan(t: &PoolTelemetry, cell_walls: &[f64]) {
     agg.busy_secs += t.busy_secs();
     agg.worker_secs += t.wall_secs * t.workers.len() as f64;
     agg.max_workers = agg.max_workers.max(t.workers.len());
-    let (ok, fail) = t.steals();
-    agg.steals_ok += ok;
-    agg.steals_fail += fail;
-    agg.queue_depth_max = agg.queue_depth_max.max(t.queue_depth_max());
     for &w in cell_walls {
         agg.wall_us.record((w * 1e6) as u64);
     }
@@ -72,14 +65,8 @@ pub fn take_footer() -> Vec<String> {
         String::new()
     };
     let mut lines = vec![format!(
-        "pool: {} cells{failed} over {} plan(s), {} worker(s) {:.0}% busy, steals {}/{} ok, queue depth <= {}",
-        agg.cells,
-        agg.plans,
-        agg.max_workers,
-        busy_pct,
-        agg.steals_ok,
-        agg.steals_ok + agg.steals_fail,
-        agg.queue_depth_max,
+        "pool: {} cells{failed} over {} plan(s), {} worker(s) {:.0}% busy",
+        agg.cells, agg.plans, agg.max_workers, busy_pct,
     )];
     if agg.wall_us.count() > 0 {
         lines.push(format!(
@@ -120,10 +107,6 @@ mod tests {
             workers: vec![WorkerTelemetry {
                 jobs: 4,
                 busy_secs: 0.8,
-                steals_ok: 2,
-                steals_fail: 1,
-                queue_depth_mean: 1.5,
-                queue_depth_max: 3,
             }],
         };
         record_plan(&t, &[0.1, 0.2, 0.3, 0.4]);
