@@ -224,6 +224,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn bench_names_parse_case_insensitively() {
+        assert_eq!(BenchName::parse("cg"), Some(BenchName::Cg));
+        assert_eq!(BenchName::parse("BT"), Some(BenchName::Bt));
+        assert_eq!(BenchName::parse("nope"), None);
+    }
+
+    #[test]
     fn grid_indexing_is_component_fastest() {
         let g = Grid3::cube(4, 5);
         assert_eq!(g.idx(0, 0, 0, 0), 0);

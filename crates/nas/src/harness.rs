@@ -14,7 +14,7 @@
 //!   iteration 2 followed by `compare_counters`; `replay` at the phase
 //!   points and `undo` at the end of every later iteration.
 
-use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Verification};
+use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
 use ccnuma::{Machine, MachineConfig};
 use omp::Runtime;
 use upmlib::{UpmEngine, UpmOptions, UpmStats};
@@ -161,6 +161,16 @@ impl BenchRun {
         make: impl FnOnce(&mut Runtime) -> B,
         cfg: &RunConfig,
     ) -> Self {
+        Self::boxed(|rt| Box::new(make(rt)), cfg)
+    }
+
+    /// [`BenchRun::new`] for a benchmark chosen by name: the paper's five
+    /// kernels at one of the three problem scales (see [`instantiate`]).
+    pub fn for_bench(bench: BenchName, scale: Scale, cfg: &RunConfig) -> Self {
+        Self::boxed(|rt| instantiate(bench, rt, scale), cfg)
+    }
+
+    fn boxed(make: impl FnOnce(&mut Runtime) -> Box<dyn NasBenchmark>, cfg: &RunConfig) -> Self {
         let mut machine = Machine::new(cfg.machine.clone());
         install_placement(&mut machine, cfg.placement.clone());
         if cfg.trace {
@@ -170,7 +180,7 @@ impl BenchRun {
         if let EngineMode::IrixMig(kcfg) = &cfg.engine {
             rt.set_kernel_migration(KernelMigrationEngine::enabled(*kcfg));
         }
-        let bench: Box<dyn NasBenchmark> = Box::new(make(&mut rt));
+        let bench = make(&mut rt);
         let upm = match &cfg.engine {
             EngineMode::Upmlib(opts) | EngineMode::RecRep(opts) => {
                 let mut engine = UpmEngine::new(rt.machine(), *opts);
@@ -394,6 +404,14 @@ impl BenchRun {
         elapsed
     }
 
+    /// Run every remaining iteration, then [`BenchRun::finish`].
+    pub fn complete(mut self) -> RunResult {
+        while !self.is_done() {
+            self.step();
+        }
+        self.finish()
+    }
+
     /// Finish the run: verification, statistics, trace detachment.
     pub fn finish(mut self) -> RunResult {
         self.ensure_started(); // a zero-iteration run still cold-starts
@@ -426,17 +444,25 @@ impl std::fmt::Debug for BenchRun {
     }
 }
 
+/// Allocate `bench` at `scale` on `rt`'s machine — the one place that maps
+/// a [`BenchName`] to its constructor.
+pub fn instantiate(bench: BenchName, rt: &mut Runtime, scale: Scale) -> Box<dyn NasBenchmark> {
+    match bench {
+        BenchName::Bt => Box::new(crate::bt::Bt::new(rt, scale)),
+        BenchName::Sp => Box::new(crate::sp::Sp::new(rt, scale)),
+        BenchName::Cg => Box::new(crate::cg::Cg::new(rt, scale)),
+        BenchName::Mg => Box::new(crate::mg::Mg::new(rt, scale)),
+        BenchName::Ft => Box::new(crate::ft::Ft::new(rt, scale)),
+    }
+}
+
 /// Run one benchmark under one configuration. `make` allocates the
 /// benchmark's arrays on the freshly configured machine.
 pub fn run_benchmark<B: NasBenchmark + 'static>(
     make: impl FnOnce(&mut Runtime) -> B,
     cfg: &RunConfig,
 ) -> RunResult {
-    let mut run = BenchRun::new(make, cfg);
-    while !run.is_done() {
-        run.step();
-    }
-    run.finish()
+    BenchRun::new(make, cfg).complete()
 }
 
 /// [`run_benchmark`] with the phase fast path forced on or off, overriding
@@ -449,10 +475,7 @@ pub fn run_benchmark_fastpath<B: NasBenchmark + 'static>(
 ) -> RunResult {
     let mut run = BenchRun::new(make, cfg);
     run.set_fastpath(fastpath);
-    while !run.is_done() {
-        run.step();
-    }
-    run.finish()
+    run.complete()
 }
 
 #[cfg(test)]

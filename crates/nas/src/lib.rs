@@ -43,6 +43,6 @@ pub mod proof;
 pub mod sp;
 
 pub use common::{BenchName, NasBenchmark, PhasePoint, Scale, Verification};
-pub use harness::{run_benchmark, BenchRun, EngineMode, RunConfig, RunResult};
+pub use harness::{instantiate, run_benchmark, BenchRun, EngineMode, RunConfig, RunResult};
 pub use model::{KernelModel, LoopKind, LoopModel, PhaseModel};
 pub use proof::{derive_loop_proof, derive_proofs};

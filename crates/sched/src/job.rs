@@ -8,11 +8,6 @@
 //! scheduler multiplexes the *physical* CPUs; a job's grant for a quantum
 //! is the set of physical CPUs its threads are bound to.
 
-use nas::bt::Bt;
-use nas::cg::Cg;
-use nas::ft::Ft;
-use nas::mg::Mg;
-use nas::sp::Sp;
 use nas::{BenchName, BenchRun, RunConfig, Scale};
 
 /// How UPMlib responds when the scheduler migrates a job's threads.
@@ -86,17 +81,6 @@ impl JobSpec {
     }
 }
 
-/// Construct the steppable run for a benchmark by name.
-fn make_run(bench: BenchName, scale: Scale, cfg: &RunConfig) -> BenchRun {
-    match bench {
-        BenchName::Bt => BenchRun::new(|rt| Bt::new(rt, scale), cfg),
-        BenchName::Sp => BenchRun::new(|rt| Sp::new(rt, scale), cfg),
-        BenchName::Cg => BenchRun::new(|rt| Cg::new(rt, scale), cfg),
-        BenchName::Mg => BenchRun::new(|rt| Mg::new(rt, scale), cfg),
-        BenchName::Ft => BenchRun::new(|rt| Ft::new(rt, scale), cfg),
-    }
-}
-
 /// One admitted job: the running benchmark plus the scheduler's
 /// bookkeeping about it.
 pub struct Job {
@@ -139,7 +123,7 @@ pub struct Job {
 
 impl Job {
     pub(crate) fn new(id: usize, spec: JobSpec) -> Self {
-        let run = make_run(spec.bench, spec.scale, &spec.config);
+        let run = BenchRun::for_bench(spec.bench, spec.scale, &spec.config);
         let binding = run.runtime().binding().to_vec();
         Self {
             id,

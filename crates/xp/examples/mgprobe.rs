@@ -12,7 +12,7 @@ fn main() {
     let benches: Vec<nas::BenchName> = if args.len() > 1 {
         args[1..]
             .iter()
-            .filter_map(|s| xp::trace::parse_bench(s))
+            .filter_map(|s| nas::BenchName::parse(s))
             .collect()
     } else {
         vec![nas::BenchName::Cg, nas::BenchName::Mg]
@@ -56,13 +56,7 @@ fn main() {
 /// steps timed. Isolates the steady-state iteration cost from init and
 /// first-sight recording.
 fn run_warm(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig, fast: bool) -> f64 {
-    let mut run = match bench {
-        nas::BenchName::Bt => nas::BenchRun::new(|rt| nas::bt::Bt::new(rt, scale), cfg),
-        nas::BenchName::Sp => nas::BenchRun::new(|rt| nas::sp::Sp::new(rt, scale), cfg),
-        nas::BenchName::Cg => nas::BenchRun::new(|rt| nas::cg::Cg::new(rt, scale), cfg),
-        nas::BenchName::Mg => nas::BenchRun::new(|rt| nas::mg::Mg::new(rt, scale), cfg),
-        nas::BenchName::Ft => nas::BenchRun::new(|rt| nas::ft::Ft::new(rt, scale), cfg),
-    };
+    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
     run.set_fastpath(fast);
     run.step();
     let t = Instant::now();
@@ -76,13 +70,7 @@ fn run_warm(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig, fast
 fn run_floor(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig) -> f64 {
     // Data-plane floor: machine permanently suppressed — pure numerics plus
     // the per-access call overhead. Simulated results are meaningless.
-    let mut run = match bench {
-        nas::BenchName::Bt => nas::BenchRun::new(|rt| nas::bt::Bt::new(rt, scale), cfg),
-        nas::BenchName::Sp => nas::BenchRun::new(|rt| nas::sp::Sp::new(rt, scale), cfg),
-        nas::BenchName::Cg => nas::BenchRun::new(|rt| nas::cg::Cg::new(rt, scale), cfg),
-        nas::BenchName::Mg => nas::BenchRun::new(|rt| nas::mg::Mg::new(rt, scale), cfg),
-        nas::BenchName::Ft => nas::BenchRun::new(|rt| nas::ft::Ft::new(rt, scale), cfg),
-    };
+    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
     run.set_fastpath(false);
     run.step(); // cold start + first iteration on the real machine
     let t = Instant::now();
@@ -100,13 +88,7 @@ fn run_with_stats(
     scale: nas::Scale,
     cfg: &nas::RunConfig,
 ) -> (nas::RunResult, Option<ccnuma::FastpathStats>) {
-    let mut run = match bench {
-        nas::BenchName::Bt => nas::BenchRun::new(|rt| nas::bt::Bt::new(rt, scale), cfg),
-        nas::BenchName::Sp => nas::BenchRun::new(|rt| nas::sp::Sp::new(rt, scale), cfg),
-        nas::BenchName::Cg => nas::BenchRun::new(|rt| nas::cg::Cg::new(rt, scale), cfg),
-        nas::BenchName::Mg => nas::BenchRun::new(|rt| nas::mg::Mg::new(rt, scale), cfg),
-        nas::BenchName::Ft => nas::BenchRun::new(|rt| nas::ft::Ft::new(rt, scale), cfg),
-    };
+    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
     run.set_fastpath(true);
     while !run.is_done() {
         run.step();

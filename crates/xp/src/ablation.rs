@@ -10,17 +10,66 @@
 //!   freezing disabled, page-level false sharing keeps the engine migrating
 //!   forever and burning migration cost.
 //!
-//! The sweeps are [`CellPlan`]s (each sweep point an independent machine);
+//! The run-config sweeps declare [`Cell`]s, the synthetic-kernel ones plain
+//! [`CellPlan`]s (each sweep point an independent machine);
 //! [`scheduler_disruption`] is a single evolving timeline and stays
 //! serial.
 
 use crate::cells::CellPlan;
+use crate::grid::{self, Cell, Problem};
 use crate::report::{pct, secs, Report};
-use crate::run_one::run_one;
 use ccnuma::{LatencyModel, MachineConfig};
-use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
+use nas::{BenchName, EngineMode, RunConfig, Scale};
 use upmlib::{UpmOptions, UpmStats};
 use vmm::PlacementScheme;
+
+/// Every ablation, in report order (`xp ablations`).
+pub fn all(scale: Scale) -> Vec<Report> {
+    vec![
+        latency_ratio(scale),
+        threshold_sweep(scale),
+        freeze_toggle(scale),
+        replication(scale),
+        machine_size(scale),
+        scheduler_disruption(scale),
+    ]
+}
+
+/// The remote:local latency ratios [`latency_ratio`] sweeps.
+pub const RATIOS: [f64; 4] = [1.7, 3.0, 5.0, 8.0];
+
+/// One [`latency_ratio`] sweep point: CG under first-touch, then under
+/// random placement, on a machine with the given remote:local ratio. A
+/// bespoke machine, so a tagged cell: no server rebuilds it, but the
+/// fingerprint still keys it in the offline cache.
+pub fn latency_ratio_cells(scale: Scale, ratio: f64) -> Vec<Cell> {
+    let mut machine = MachineConfig::origin2000_16p_scaled();
+    machine.latency = if ratio <= 1.75 {
+        LatencyModel::origin2000()
+    } else {
+        LatencyModel::with_remote_ratio(ratio)
+    };
+    let placements = [
+        PlacementScheme::FirstTouch,
+        PlacementScheme::Random {
+            seed: crate::seed::get(),
+        },
+    ];
+    let cell = |placement| {
+        let cfg = RunConfig {
+            placement,
+            engine: EngineMode::None,
+            threads: 16,
+            machine: machine.clone(),
+            trace: false,
+        };
+        Cell {
+            tag: format!("-ratio{ratio:.1}"),
+            ..Cell::at_scale(BenchName::Cg, scale, cfg)
+        }
+    };
+    placements.into_iter().map(cell).collect()
+}
 
 /// Balanced-placement slowdown as a function of the remote:local latency
 /// ratio — the paper's §6 claim: "the impact of page placement would be
@@ -40,56 +89,16 @@ pub fn latency_ratio(scale: Scale) -> Report {
             "rand slowdown",
         ],
     );
-    const RATIOS: [f64; 4] = [1.7, 3.0, 5.0, 8.0];
-    let mut plan = CellPlan::new();
-    for ratio in RATIOS {
-        let mut machine = MachineConfig::origin2000_16p_scaled();
-        machine.latency = if ratio <= 1.75 {
-            LatencyModel::origin2000()
-        } else {
-            LatencyModel::with_remote_ratio(ratio)
-        };
-        for placement in [
-            PlacementScheme::FirstTouch,
-            PlacementScheme::Random {
-                seed: crate::seed::get(),
-            },
-        ] {
-            let cfg = RunConfig {
-                placement,
-                engine: EngineMode::None,
-                threads: 16,
-                machine: machine.clone(),
-                trace: false,
-            };
-            // Bespoke machine: a server cannot reconstruct this cell, but
-            // the fingerprint still keys it in the offline cache.
-            let spec = crate::spec::custom(
-                BenchName::Cg,
-                scale,
-                &cfg,
-                &format!("-ratio{ratio:.1}"),
-                &[],
-            );
-            plan.add_cached(spec, move || run_one(BenchName::Cg, scale, &cfg));
-        }
-    }
-    let outputs = plan.execute();
-    for (ratio, pair) in RATIOS.into_iter().zip(outputs.chunks(2)) {
-        match (&pair[0].value, &pair[1].value) {
-            (Ok(ft), Ok(rand)) => report.row(vec![
+    let outputs = grid::execute(RATIOS.map(|r| latency_ratio_cells(scale, r)).to_vec());
+    for (ratio, pair) in RATIOS.into_iter().zip(&outputs) {
+        if let Some(pair) = grid::all_ok(&mut report, pair) {
+            let (ft, rand) = (pair[0], pair[1]);
+            report.row(vec![
                 format!("{ratio:.1}:1"),
                 secs(ft.total_secs),
                 secs(rand.total_secs),
                 pct(rand.total_secs / ft.total_secs),
-            ]),
-            (ft, rand) => {
-                for (cell, value) in pair.iter().zip([ft, rand]) {
-                    if let Err(p) = value {
-                        report.failed_row(&cell.id, &p.message);
-                    }
-                }
-            }
+            ]);
         }
     }
     report.note(
@@ -97,6 +106,28 @@ pub fn latency_ratio(scale: Scale) -> Report {
          aggressive latency optimization is what makes balanced placement schemes viable",
     );
     report
+}
+
+/// The competitive thresholds [`threshold_sweep`] sweeps.
+pub const THRS: [f64; 4] = [1.2, 2.0, 8.0, 32.0];
+
+/// The [`threshold_sweep`] cells: CG under random placement and UPMlib,
+/// one per threshold. Bespoke engine tunables, so tagged cells.
+pub fn threshold_cells(scale: Scale) -> Vec<Cell> {
+    let cell = |thr| {
+        let opts = UpmOptions {
+            thr,
+            ..Default::default()
+        };
+        let placement = PlacementScheme::Random {
+            seed: crate::seed::get(),
+        };
+        Cell {
+            tag: format!("-thr{thr}"),
+            ..Cell::paper(BenchName::Cg, scale, placement, EngineMode::Upmlib(opts))
+        }
+    };
+    THRS.into_iter().map(cell).collect()
 }
 
 /// UPMlib competitive-threshold sweep under random placement. CG is the
@@ -113,24 +144,8 @@ pub fn threshold_sweep(scale: Scale) -> Report {
             "Total migrations",
         ],
     );
-    const THRS: [f64; 4] = [1.2, 2.0, 8.0, 32.0];
-    let mut plan = CellPlan::new();
-    for thr in THRS {
-        let opts = UpmOptions {
-            thr,
-            ..Default::default()
-        };
-        let cfg = RunConfig {
-            placement: PlacementScheme::Random {
-                seed: crate::seed::get(),
-            },
-            engine: EngineMode::Upmlib(opts),
-            ..RunConfig::paper_default()
-        };
-        let spec = crate::spec::custom(BenchName::Cg, scale, &cfg, &format!("-thr{thr}"), &[]);
-        plan.add_cached(spec, move || run_one(BenchName::Cg, scale, &cfg));
-    }
-    for (thr, cell) in THRS.into_iter().zip(plan.execute()) {
+    let outputs = grid::execute(vec![threshold_cells(scale)]).remove(0);
+    for (thr, cell) in THRS.into_iter().zip(outputs) {
         let r = match &cell.value {
             Ok(r) => r,
             Err(p) => {
@@ -325,6 +340,50 @@ pub fn replication(_scale: Scale) -> Report {
     report
 }
 
+/// The machine sizes, in nodes (2 CPUs each), [`machine_size`] sweeps.
+pub const NODES: [usize; 4] = [4, 8, 16, 32];
+
+/// One [`machine_size`] sweep point: weak-scaled CG under first-touch,
+/// random and worst-case placement on a `nodes`-node machine.
+pub fn machine_size_cells(nodes: usize) -> Vec<Cell> {
+    let machine = MachineConfig::origin2000_scaled_nodes(nodes);
+    // Weak scaling: constant per-processor working set, as the paper's
+    // §2.2 extrapolation presumes ("reasonable scaling of the problem
+    // size").
+    let cg_cfg = nas::cg::CgConfig {
+        n: nodes * 2 * 500,
+        nz_per_row: 9,
+        outer: 4,
+        cg_iters: 10,
+        shift: 20.0,
+        seed: 271828,
+    };
+    let placements = [
+        PlacementScheme::FirstTouch,
+        PlacementScheme::Random {
+            seed: crate::seed::get(),
+        },
+        PlacementScheme::WorstCase { node: 0 },
+    ];
+    let cell = |placement| Cell {
+        bench: BenchName::Cg,
+        // The problem size comes entirely from cg_cfg (which feeds the
+        // fingerprint); the scale is pinned so the cache key does not
+        // vary with the ignored --scale flag.
+        scale: Scale::Tiny,
+        cfg: RunConfig {
+            placement,
+            engine: EngineMode::None,
+            threads: nodes * 2,
+            machine: machine.clone(),
+            trace: false,
+        },
+        problem: Problem::Cg(cg_cfg),
+        tag: format!("-{}cpu", nodes * 2),
+    };
+    placements.into_iter().map(cell).collect()
+}
+
 /// Machine-size scale-out — the experiment the paper could not run (§2.2:
 /// "The impact of page placement ... would be also more significant on truly
 /// large-scale Origin2000 systems ... Unfortunately, access to a system of
@@ -333,75 +392,25 @@ pub fn replication(_scale: Scale) -> Report {
 /// deepens, so worst-case hop counts grow past Table 1's three) and measure
 /// the placement sensitivity of CG at each size.
 pub fn machine_size(_scale: Scale) -> Report {
-    use nas::cg::CgConfig;
     let mut report = Report::new(
         "ablation-machine-size",
         "Placement sensitivity vs machine size (CG weak-scaled: 500 rows/CPU; 2 CPUs per node)",
         &["CPUs", "Max hops", "ft (s)", "rand slowdown", "wc slowdown"],
     );
-    const NODES: [usize; 4] = [4, 8, 16, 32];
-    let mut plan = CellPlan::new();
-    for nodes in NODES {
-        let machine = MachineConfig::origin2000_scaled_nodes(nodes);
-        // Weak scaling: constant per-processor working set, as the paper's
-        // §2.2 extrapolation presumes ("reasonable scaling of the problem
-        // size").
-        let cg_cfg = CgConfig {
-            n: nodes * 2 * 500,
-            nz_per_row: 9,
-            outer: 4,
-            cg_iters: 10,
-            shift: 20.0,
-            seed: 271828,
-        };
-        for placement in [
-            PlacementScheme::FirstTouch,
-            PlacementScheme::Random {
-                seed: crate::seed::get(),
-            },
-            PlacementScheme::WorstCase { node: 0 },
-        ] {
-            let cfg = RunConfig {
-                placement,
-                engine: EngineMode::None,
-                threads: nodes * 2,
-                machine: machine.clone(),
-                trace: false,
-            };
-            // The problem size comes entirely from cg_cfg (fed to the
-            // fingerprint via extras); the spec's scale field is pinned so
-            // the cache key does not vary with the ignored --scale flag.
-            let spec = crate::spec::custom(
-                BenchName::Cg,
-                Scale::Tiny,
-                &cfg,
-                &format!("-{}cpu", nodes * 2),
-                &[format!("{cg_cfg:?}")],
-            );
-            plan.add_cached(spec, move || crate::run_one::run_cg_custom(cg_cfg, &cfg));
-        }
-    }
-    let outputs = plan.execute();
-    for (nodes, chunk) in NODES.into_iter().zip(outputs.chunks(3)) {
+    let outputs = grid::execute(NODES.map(machine_size_cells).to_vec());
+    for (nodes, chunk) in NODES.into_iter().zip(&outputs) {
         let diameter = MachineConfig::origin2000_scaled_nodes(nodes)
             .topology
             .diameter();
-        let ok: Vec<Option<&RunResult>> = chunk.iter().map(|c| c.ok()).collect();
-        match (ok[0], ok[1], ok[2]) {
-            (Some(ft), Some(rand), Some(wc)) => report.row(vec![
+        if let Some(ok) = grid::all_ok(&mut report, chunk) {
+            let (ft, rand, wc) = (ok[0], ok[1], ok[2]);
+            report.row(vec![
                 format!("{}", nodes * 2),
                 format!("{diameter}"),
                 secs(ft.total_secs),
                 pct(rand.total_secs / ft.total_secs),
                 pct(wc.total_secs / ft.total_secs),
-            ]),
-            _ => {
-                for cell in chunk {
-                    if let Err(p) = &cell.value {
-                        report.failed_row(&cell.id, &p.message);
-                    }
-                }
-            }
+            ]);
         }
     }
     report.note(
@@ -485,25 +494,8 @@ mod tests {
     fn higher_latency_ratio_hurts_balanced_placement_more() {
         // Compare rand slowdown at the Origin ratio vs a 5x machine.
         let slow = |ratio: f64| {
-            let mut machine = MachineConfig::origin2000_16p_scaled();
-            if ratio > 1.75 {
-                machine.latency = LatencyModel::with_remote_ratio(ratio);
-            }
-            let run = |placement| {
-                run_one(
-                    BenchName::Cg,
-                    Scale::Small,
-                    &RunConfig {
-                        placement,
-                        engine: EngineMode::None,
-                        threads: 16,
-                        machine: machine.clone(),
-                        trace: false,
-                    },
-                )
-                .total_secs
-            };
-            run(PlacementScheme::Random { seed: 20000 }) / run(PlacementScheme::FirstTouch)
+            let pair = grid::run_cells(latency_ratio_cells(Scale::Small, ratio));
+            pair[1].total_secs / pair[0].total_secs
         };
         let at_origin = slow(1.7);
         let at_5x = slow(5.0);

@@ -12,16 +12,18 @@
 //! Experiment cells run on a host-parallel worker pool (`--jobs N`,
 //! default: available parallelism); reports are byte-identical for every
 //! jobs count (see `crates/xp/src/cells.rs`).
+//!
+//! The command line is two tables in `xp::cli`: `EXPERIMENTS` (what `all`
+//! runs and what a bare experiment name dispatches to) and `FLAGS` (every
+//! flag, whether it takes a value, and which commands it applies to).
 
-use nas::Scale;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use nas::{BenchName, Scale};
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
+use xp::cli::{Experiment, Flag, EXPERIMENTS, FLAGS, TOOLS};
 use xp::summary::SummaryEntry;
 use xp::Report;
-
-const COMMANDS: &str = "table1|fig1|fig4|table2|fig5|fig6|ablations|multiprog|staticplace|all|\
-     trace|prof|selfprof|bench|lint|serve|client|cache|top|history";
 
 const USAGE: &str = "\
 xp — experiment driver for the data-distribution study
@@ -143,13 +145,9 @@ options:
   -h, --help                 show this help
 ";
 
-/// Number of lint findings that hit the deny set (set by the lint job,
-/// checked after reports are written so the JSON still lands on disk).
-static LINT_DENIED: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of benchmarks `xp bench --check` found regressed (same pattern:
-/// checked after the comparison report lands on disk).
-static BENCH_REGRESSED: AtomicUsize = AtomicUsize::new(0);
+/// Why the process exits 1 once every report is written: set by the lint
+/// and bench gates, checked last so the JSON still lands on disk.
+static FAILED: Mutex<Option<String>> = Mutex::new(None);
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -157,20 +155,133 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_scale(s: &str) -> Scale {
-    match s {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        other => die(&format!(
-            "unknown scale '{other}' (expected tiny|small|medium)"
-        )),
+/// The parsed command line: flag occurrences in order, and the positionals.
+struct Args {
+    flags: Vec<(&'static Flag, String)>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Scan the command line against [`FLAGS`]; `None` when help was asked
+    /// for.
+    fn parse() -> Option<Args> {
+        let mut args = Args {
+            flags: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut it = std::env::args().skip(1);
+        while let Some(arg) = it.next() {
+            if arg == "-h" || arg == "--help" {
+                return None;
+            }
+            if !arg.starts_with('-') {
+                args.positionals.push(arg);
+                continue;
+            }
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == arg)
+                .unwrap_or_else(|| die(&format!("unknown flag '{arg}'")));
+            let value = flag.value.map(|noun| {
+                it.next()
+                    .unwrap_or_else(|| die(&format!("{} needs {noun}", flag.name)))
+            });
+            args.flags.push((flag, value.unwrap_or_default()));
+        }
+        Some(args)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.name == name)
+    }
+
+    /// The flag's value; the last occurrence wins.
+    fn get(&self, name: &str) -> Option<&str> {
+        let last = self.flags.iter().rev().find(|(f, _)| f.name == name);
+        last.map(|(_, v)| v.as_str())
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.get(name).map(PathBuf::from)
+    }
+
+    /// The flag's value as a number passing `ok`, or exit 2 saying it
+    /// needs `what`.
+    fn num<T: std::str::FromStr>(&self, name: &str, what: &str, ok: fn(&T) -> bool) -> Option<T> {
+        self.get(name).map(|v| {
+            v.parse()
+                .ok()
+                .filter(ok)
+                .unwrap_or_else(|| die(&format!("{name} needs {what}, got '{v}'")))
+        })
+    }
+
+    /// Exit 2 on a flag given to a command outside its `commands` set,
+    /// naming the flags that share the set and the commands in it.
+    fn check_scopes(&self, command: &str, client_mode: bool) {
+        for (flag, _) in &self.flags {
+            if flag.applies_to(command, client_mode) {
+                continue;
+            }
+            let group: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.commands == flag.commands)
+                .map(|f| f.name)
+                .collect();
+            let verb = if group.len() == 1 { "applies" } else { "apply" };
+            let mut commands: Vec<String> =
+                flag.commands.iter().map(|c| format!("`xp {c}`")).collect();
+            let mut list = commands.pop().expect("a scoped flag names its commands");
+            if !commands.is_empty() {
+                list = format!("{} and {list}", commands.join(", "));
+            }
+            die(&format!("{} {verb} to {list}", group.join("/")));
+        }
     }
 }
 
-/// One experiment to run: its summary id plus the closure producing its
-/// reports.
-type Job = (&'static str, Box<dyn FnOnce() -> Vec<Report>>);
+/// Exit 2 on a positional argument at `index`.
+fn no_argument(positionals: &[String], index: usize) {
+    if let Some(extra) = positionals.get(index) {
+        die(&format!("unexpected argument '{extra}'"));
+    }
+}
+
+fn bench_arg(name: &str) -> BenchName {
+    BenchName::parse(name).unwrap_or_else(|| {
+        die(&format!(
+            "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
+        ))
+    })
+}
+
+/// The benchmarks `--bench NAME` selects: that one, or all five.
+fn benches_arg(args: &Args) -> Vec<BenchName> {
+    match args.get("--bench") {
+        Some(name) => vec![bench_arg(name)],
+        None => BenchName::all().to_vec(),
+    }
+}
+
+/// Where `bench` and `history` keep the perf gate's records.
+fn history_dir(args: &Args) -> PathBuf {
+    args.path("--history")
+        .unwrap_or_else(|| "results/history".into())
+}
+
+/// The benchmarks `xp prof|selfprof <bench>|--all` names.
+fn bench_or_all(command: &str, args: &Args) -> Vec<BenchName> {
+    let benches = match (args.positionals.get(1), args.has("--all")) {
+        (Some(_), true) => die(&format!("{command} takes a benchmark or --all, not both")),
+        (None, false) => die(&format!(
+            "{command} needs a benchmark (expected bt|sp|cg|mg|ft) or --all"
+        )),
+        (None, true) => BenchName::all().to_vec(),
+        (Some(name), false) => vec![bench_arg(name)],
+    };
+    no_argument(&args.positionals, 2);
+    benches
+}
 
 /// `xp serve`: bind, announce the bound address on stdout (parseable —
 /// tests and scripts bind `--port 0`), serve until a client shuts us
@@ -179,7 +290,7 @@ type Job = (&'static str, Box<dyn FnOnce() -> Vec<Report>>);
 /// trace for Perfetto) before exiting — every traced request appears as
 /// one `svc.run:<trace_id>` tree with its `svc.compute:<trace_id>`
 /// worker subtree.
-fn serve(addr: &str, cache_root: &std::path::Path, spans_dir: Option<&std::path::Path>) -> ! {
+fn serve(addr: &str, cache_root: &Path, spans_dir: Option<&Path>) -> ! {
     use std::io::Write as _;
     let cache = svc::Cache::new(cache_root);
     let server = svc::Server::bind(
@@ -231,18 +342,12 @@ fn serve(addr: &str, cache_root: &std::path::Path, spans_dir: Option<&std::path:
     }
 }
 
-/// `xp cache stats|verify|gc`.
-fn cache_admin(
-    sub: Option<&str>,
-    extra: Option<&String>,
-    root: &std::path::Path,
-    max_bytes: Option<u64>,
-    max_age: Option<u64>,
-    json: bool,
-) {
-    if let Some(extra) = extra {
-        die(&format!("unexpected argument '{extra}'"));
-    }
+/// `xp cache stats|verify|gc`; `gc` evicts down to the `--max-bytes` and
+/// `--max-age` bounds.
+fn cache_admin(args: &Args, root: &Path, max_bytes: Option<u64>, max_age: Option<u64>) {
+    no_argument(&args.positionals, 2);
+    let sub = args.positionals.get(1).map(String::as_str);
+    let json = args.has("--json");
     if json && sub != Some("stats") {
         die("--json applies to `xp cache stats`");
     }
@@ -303,395 +408,42 @@ fn cache_admin(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positionals: Vec<String> = Vec::new();
-    let mut scale = Scale::Medium;
-    let mut out_dir = PathBuf::from("results");
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut lint_bench: Option<String> = None;
-    let mut lint_all = false;
-    let mut lint_deny: Option<String> = None;
-    let mut lint_allow: Option<PathBuf> = None;
-    let mut lint_emit_placement = false;
-    let mut prof_from: Option<PathBuf> = None;
-    let mut bench_record = false;
-    let mut bench_check = false;
-    let mut bench_threshold: Option<f64> = None;
-    let mut bench_history: Option<PathBuf> = None;
-    let mut use_cache = false;
-    let mut no_cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut addr: Option<String> = None;
-    let mut port: Option<u16> = None;
-    let mut gc_max_bytes: Option<u64> = None;
-    let mut gc_max_age: Option<u64> = None;
-    let mut json_out = false;
-    let mut top_interval_ms: Option<u64> = None;
-    let mut top_once = false;
-    let mut spans_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return;
-            }
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| die("--scale needs a value"));
-                scale = parse_scale(v);
-            }
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| die("--seed needs a value"));
-                let seed = v
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| die(&format!("--seed needs an integer, got '{v}'")));
-                xp::seed::set(seed);
-            }
-            "--jobs" => {
-                let v = it.next().unwrap_or_else(|| die("--jobs needs a value"));
-                let jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die(&format!("--jobs needs a positive integer, got '{v}'")));
-                xp::jobs::set(jobs);
-            }
-            "--out" => {
-                let v = it.next().unwrap_or_else(|| die("--out needs a value"));
-                out_dir = PathBuf::from(v);
-            }
-            "--trace" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--trace needs a directory"));
-                trace_dir = Some(PathBuf::from(v));
-            }
-            "--bench" => {
-                let v = it.next().unwrap_or_else(|| die("--bench needs a value"));
-                lint_bench = Some(v.to_string());
-            }
-            "--all" => lint_all = true,
-            "--deny" => {
-                let v = it.next().unwrap_or_else(|| die("--deny needs a value"));
-                lint_deny = Some(v.to_string());
-            }
-            "--allow" => {
-                let v = it.next().unwrap_or_else(|| die("--allow needs a file"));
-                lint_allow = Some(PathBuf::from(v));
-            }
-            "--emit-placement" => lint_emit_placement = true,
-            "--from" => {
-                let v = it.next().unwrap_or_else(|| die("--from needs a file"));
-                prof_from = Some(PathBuf::from(v));
-            }
-            "--record" => bench_record = true,
-            "--check" => bench_check = true,
-            "--threshold" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--threshold needs a value"));
-                let pct = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|p| *p >= 0.0)
-                    .unwrap_or_else(|| {
-                        die(&format!(
-                            "--threshold needs a non-negative percentage, got '{v}'"
-                        ))
-                    });
-                bench_threshold = Some(pct);
-            }
-            "--history" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--history needs a directory"));
-                bench_history = Some(PathBuf::from(v));
-            }
-            "--cache" => use_cache = true,
-            "--no-cache" => no_cache = true,
-            "--cache-dir" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--cache-dir needs a directory"));
-                cache_dir = Some(PathBuf::from(v));
-            }
-            "--addr" => {
-                let v = it.next().unwrap_or_else(|| die("--addr needs an address"));
-                addr = Some(v.to_string());
-            }
-            "--port" => {
-                let v = it.next().unwrap_or_else(|| die("--port needs a value"));
-                let p = v
-                    .parse::<u16>()
-                    .unwrap_or_else(|_| die(&format!("--port needs a port number, got '{v}'")));
-                port = Some(p);
-            }
-            "--max-bytes" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--max-bytes needs a value"));
-                let n = v
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| die(&format!("--max-bytes needs an integer, got '{v}'")));
-                gc_max_bytes = Some(n);
-            }
-            "--max-age" => {
-                let v = it.next().unwrap_or_else(|| die("--max-age needs a value"));
-                let n = v
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| die(&format!("--max-age needs seconds, got '{v}'")));
-                gc_max_age = Some(n);
-            }
-            "--json" => json_out = true,
-            "--once" => top_once = true,
-            "--interval" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--interval needs milliseconds"));
-                let ms = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        die(&format!(
-                            "--interval needs positive milliseconds, got '{v}'"
-                        ))
-                    });
-                top_interval_ms = Some(ms);
-            }
-            "--spans" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--spans needs a directory"));
-                spans_dir = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with('-') => die(&format!("unknown flag '{flag}'")),
-            other => positionals.push(other.to_string()),
-        }
+/// Print what an admin command rendered, or exit 2 with its error.
+fn print_or_die(rendered: Result<String, String>) {
+    match rendered {
+        Ok(out) => print!("{out}"),
+        Err(e) => die(&e),
     }
-    // Client mode is a prefix: `xp client fig5 ...` runs fig5 with its
-    // cells offered to the resident server first.
-    let client_mode = positionals.first().map(String::as_str) == Some("client");
-    if client_mode {
-        positionals.remove(0);
-    }
-    let command = positionals.first().cloned().unwrap_or_else(|| "all".into());
-    if addr.is_some() && port.is_some() {
-        die("--addr and --port are mutually exclusive");
-    }
-    if !client_mode
-        && !matches!(command.as_str(), "serve" | "top")
-        && (addr.is_some() || port.is_some())
-    {
-        die("--addr/--port apply to `xp serve`, `xp client` and `xp top`");
-    }
-    if command != "cache" && (gc_max_bytes.is_some() || gc_max_age.is_some()) {
-        die("--max-bytes/--max-age apply to `xp cache gc`");
-    }
-    if client_mode
-        && matches!(
-            command.as_str(),
-            "serve" | "cache" | "client" | "top" | "history"
-        )
-    {
-        die(&format!("`xp client {command}` is not a thing"));
-    }
-    if command != "top" && (top_once || top_interval_ms.is_some()) {
-        die("--once/--interval apply to `xp top`");
-    }
-    if command != "serve" && spans_dir.is_some() {
-        die("--spans applies to `xp serve`");
-    }
-    let json_commands = matches!(command.as_str(), "top" | "history" | "cache")
-        || (client_mode && command == "stats");
-    if json_out && !json_commands {
-        die("--json applies to `xp top`, `xp history`, `xp cache stats` and `xp client stats`");
-    }
-    let server_addr = addr
-        .clone()
-        .unwrap_or_else(|| format!("127.0.0.1:{}", port.unwrap_or(svc::DEFAULT_PORT)));
-    let cache_root = cache_dir.clone().unwrap_or_else(|| out_dir.join("cache"));
+}
 
-    if command == "serve" {
-        if let Some(extra) = positionals.get(1) {
-            die(&format!("unexpected argument '{extra}'"));
-        }
-        serve(&server_addr, &cache_root, spans_dir.as_deref());
-    }
-    if command == "cache" {
-        cache_admin(
-            positionals.get(1).map(String::as_str),
-            positionals.get(2),
-            &cache_root,
-            gc_max_bytes,
-            gc_max_age,
-            json_out,
-        );
-        return;
-    }
-    if command == "top" {
-        if let Some(extra) = positionals.get(1) {
-            die(&format!("unexpected argument '{extra}'"));
-        }
-        let interval = std::time::Duration::from_millis(top_interval_ms.unwrap_or(1000));
-        if let Err(e) = xp::top::run(&server_addr, interval, top_once, json_out) {
-            die(&e);
-        }
-        return;
-    }
-    if command == "history" {
-        if let Some(extra) = positionals.get(1) {
-            die(&format!("unexpected argument '{extra}'"));
-        }
-        let history = bench_history
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/history"));
-        let bench = lint_bench.as_deref().inspect(|name| {
-            xp::trace::parse_bench(name).unwrap_or_else(|| {
-                die(&format!(
-                    "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
-                ))
-            });
-        });
-        match xp::history::run(&history, json_out, bench) {
-            Ok(out) => print!("{out}"),
-            Err(e) => die(&e),
-        }
-        return;
-    }
-    if client_mode && command == "stats" {
-        if let Some(extra) = positionals.get(1) {
-            die(&format!("unexpected argument '{extra}'"));
-        }
-        match xp::top::client_stats(&server_addr, json_out) {
-            Ok(out) => print!("{out}"),
-            Err(e) => die(&e),
-        }
-        return;
-    }
-    if use_cache && !no_cache {
-        xp::cache::install(Some(svc::Cache::new(&cache_root)));
-    }
-    if client_mode {
-        xp::remote::install(Some(svc::Client::new(&server_addr, xp::spec::CODE_VERSION)));
-    }
+/// One experiment to run: its summary id plus the closure producing its
+/// reports.
+type Job = (&'static str, Box<dyn FnOnce() -> Vec<Report>>);
 
-    if !matches!(command.as_str(), "lint" | "bench") && lint_bench.is_some() {
-        die("--bench applies to `xp lint` and `xp bench`");
-    }
-    if !matches!(command.as_str(), "lint" | "prof" | "selfprof") && lint_all {
-        die("--all applies to `xp lint`, `xp prof` and `xp selfprof`");
-    }
-    if command != "lint" && (lint_deny.is_some() || lint_allow.is_some() || lint_emit_placement) {
-        die("--deny/--allow/--emit-placement apply to `xp lint`");
-    }
-    if command != "prof" && prof_from.is_some() {
-        die("--from applies to `xp prof`");
-    }
-    if command != "bench"
-        && (bench_record || bench_check || bench_threshold.is_some() || bench_history.is_some())
-    {
-        die("--record/--check/--threshold/--history apply to `xp bench`");
-    }
-    if !matches!(command.as_str(), "trace" | "prof" | "selfprof") {
-        if let Some(extra) = positionals.get(1) {
-            die(&format!("unexpected argument '{extra}'"));
-        }
-        xp::trace::set_dir(trace_dir);
-    } else if trace_dir.is_some() {
-        die(&format!(
-            "--trace applies to the other commands; `xp {command}` manages its own tracing"
-        ));
-    }
-
-    let table1: Job = ("table1", Box::new(|| vec![xp::table1::run()]));
-    let fig1: Job = ("fig1", Box::new(move || vec![xp::fig1::run(scale)]));
-    let fig4: Job = ("fig4", Box::new(move || vec![xp::fig4::run(scale)]));
-    let table2: Job = ("table2", Box::new(move || vec![xp::table2::run(scale)]));
-    let fig5: Job = ("fig5", Box::new(move || vec![xp::fig5::run(scale)]));
-    let fig6: Job = ("fig6", Box::new(move || vec![xp::fig6::run(scale)]));
-    let ablations: Job = (
-        "ablations",
-        Box::new(move || {
-            vec![
-                xp::ablation::latency_ratio(scale),
-                xp::ablation::threshold_sweep(scale),
-                xp::ablation::freeze_toggle(scale),
-                xp::ablation::replication(scale),
-                xp::ablation::machine_size(scale),
-                xp::ablation::scheduler_disruption(scale),
-            ]
-        }),
-    );
-    let multiprog: Job = (
-        "multiprog",
-        Box::new(move || vec![xp::multiprog::run(scale)]),
-    );
-    let staticplace: Job = (
-        "staticplace",
-        Box::new(move || vec![xp::staticplace::run(scale)]),
-    );
-
-    let jobs: Vec<Job> = match command.as_str() {
-        "table1" => vec![table1],
-        "fig1" => vec![fig1],
-        "fig4" => vec![fig4],
-        "table2" => vec![table2],
-        "fig5" => vec![fig5],
-        "fig6" => vec![fig6],
-        "ablations" => vec![ablations],
-        "multiprog" => vec![multiprog],
-        "staticplace" => vec![staticplace],
-        "all" => vec![
-            table1,
-            fig1,
-            fig4,
-            table2,
-            fig5,
-            fig6,
-            ablations,
-            multiprog,
-            staticplace,
-        ],
+/// The job of a command that is not in [`EXPERIMENTS`]; `threshold` is
+/// `bench --check`'s regression threshold as a fraction.
+fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path, threshold: f64) -> Job {
+    let out = out_dir.to_path_buf();
+    match command {
         "trace" => {
-            let name = positionals
+            let name = args
+                .positionals
                 .get(1)
                 .unwrap_or_else(|| die("trace needs a benchmark (expected bt|sp|cg|mg|ft)"));
-            if let Some(extra) = positionals.get(2) {
-                die(&format!("unexpected argument '{extra}'"));
-            }
-            let bench = xp::trace::parse_bench(name).unwrap_or_else(|| {
-                die(&format!(
-                    "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
-                ))
-            });
-            let out = out_dir.clone();
-            vec![(
+            no_argument(&args.positionals, 2);
+            let bench = bench_arg(name);
+            (
                 "trace",
                 Box::new(move || vec![xp::trace::run(bench, scale, &out)]),
-            )]
+            )
         }
         "prof" => {
-            let benches: Vec<nas::BenchName> = match (positionals.get(1), lint_all) {
-                (Some(_), true) => die("prof takes a benchmark or --all, not both"),
-                (None, false) => die("prof needs a benchmark (expected bt|sp|cg|mg|ft) or --all"),
-                (None, true) => nas::BenchName::all().to_vec(),
-                (Some(name), false) => vec![xp::trace::parse_bench(name).unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
-                    ))
-                })],
-            };
-            if let Some(extra) = positionals.get(2) {
-                die(&format!("unexpected argument '{extra}'"));
-            }
-            if prof_from.is_some() && benches.len() != 1 {
+            let benches = bench_or_all(command, args);
+            let from = args.path("--from");
+            if from.is_some() && benches.len() != 1 {
                 die("--from profiles one saved trace; name the benchmark it came from");
             }
-            let out = out_dir.clone();
-            let from = prof_from.clone();
-            vec![(
+            (
                 "prof",
                 Box::new(move || match from {
                     Some(path) => match xp::prof::run_from(&path, benches[0], scale, &out) {
@@ -700,82 +452,52 @@ fn main() {
                     },
                     None => xp::prof::run(&benches, scale, &out),
                 }),
-            )]
+            )
         }
         "selfprof" => {
-            let benches: Vec<nas::BenchName> = match (positionals.get(1), lint_all) {
-                (Some(_), true) => die("selfprof takes a benchmark or --all, not both"),
-                (None, false) => {
-                    die("selfprof needs a benchmark (expected bt|sp|cg|mg|ft) or --all")
-                }
-                (None, true) => nas::BenchName::all().to_vec(),
-                (Some(name), false) => vec![xp::trace::parse_bench(name).unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
-                    ))
-                })],
-            };
-            if let Some(extra) = positionals.get(2) {
-                die(&format!("unexpected argument '{extra}'"));
-            }
-            let out = out_dir.clone();
-            vec![(
+            let benches = bench_or_all(command, args);
+            (
                 "selfprof",
                 Box::new(move || xp::selfprof::run(&benches, scale, &out)),
-            )]
+            )
         }
         "bench" => {
-            if bench_record == bench_check {
+            let record = args.has("--record");
+            if record == args.has("--check") {
                 die("bench needs exactly one of --record or --check");
             }
-            let benches: Vec<nas::BenchName> = match &lint_bench {
-                Some(name) => vec![xp::trace::parse_bench(name).unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
-                    ))
-                })],
-                None => nas::BenchName::all().to_vec(),
-            };
-            let history = bench_history
-                .clone()
-                .unwrap_or_else(|| PathBuf::from("results/history"));
-            let threshold = bench_threshold.unwrap_or(5.0) / 100.0;
-            vec![(
+            let benches = benches_arg(args);
+            let history = history_dir(args);
+            (
                 "bench",
                 Box::new(move || {
-                    if bench_record {
-                        match xp::bench_gate::record(&benches, scale, &history) {
+                    if record {
+                        return match xp::bench_gate::record(&benches, scale, &history) {
                             Ok(report) => vec![report],
                             Err(e) => die(&e),
-                        }
-                    } else {
-                        match xp::bench_gate::check(&benches, scale, &history, threshold) {
-                            Ok(run) => {
-                                BENCH_REGRESSED.store(run.regressions, Ordering::Relaxed);
-                                vec![run.report]
-                            }
-                            Err(e) => die(&e),
-                        }
+                        };
                     }
+                    let run = xp::bench_gate::check(&benches, scale, &history, threshold)
+                        .unwrap_or_else(|e| die(&e));
+                    if run.regressions > 0 {
+                        *FAILED.lock().unwrap() = Some(format!(
+                            "bench: {} benchmark(s) regressed past the threshold",
+                            run.regressions
+                        ));
+                    }
+                    vec![run.report]
                 }),
-            )]
+            )
         }
         "lint" => {
-            if lint_all && lint_bench.is_some() {
+            if args.has("--all") && args.has("--bench") {
                 die("--all and --bench are mutually exclusive");
             }
-            let benches: Vec<nas::BenchName> = match &lint_bench {
-                Some(name) => vec![xp::trace::parse_bench(name).unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown benchmark '{name}' (expected bt|sp|cg|mg|ft)"
-                    ))
-                })],
-                None => nas::BenchName::all().to_vec(),
-            };
+            let benches = benches_arg(args);
             let deny =
-                lint::parse_deny(lint_deny.as_deref().unwrap_or("")).unwrap_or_else(|e| die(&e));
-            let allow_path = lint_allow.clone().or_else(|| {
-                std::path::Path::new("lint.allow")
+                lint::parse_deny(args.get("--deny").unwrap_or("")).unwrap_or_else(|e| die(&e));
+            let allow_path = args.path("--allow").or_else(|| {
+                Path::new("lint.allow")
                     .exists()
                     .then(|| "lint.allow".into())
             });
@@ -787,17 +509,22 @@ fn main() {
             if let Some(p) = &allow_path {
                 eprintln!("[allowlist {} ({} keys)]", p.display(), allow.len());
             }
-            let emit_out = out_dir.clone();
-            vec![(
+            let emit_placement = args.has("--emit-placement");
+            (
                 "lint",
                 Box::new(move || {
                     let run = xp::lint::run(&benches, scale, &deny, &allow);
                     for f in &run.denied {
                         eprintln!("denied: {}", f.render());
                     }
-                    LINT_DENIED.store(run.denied.len(), Ordering::Relaxed);
-                    if lint_emit_placement {
-                        match xp::lint::emit_placement(&benches, scale, &emit_out) {
+                    if !run.denied.is_empty() {
+                        *FAILED.lock().unwrap() = Some(format!(
+                            "lint: {} denied findings (see rows marked `denied`)",
+                            run.denied.len()
+                        ));
+                    }
+                    if emit_placement {
+                        match xp::lint::emit_placement(&benches, scale, &out) {
                             Ok(paths) => {
                                 for p in paths {
                                     eprintln!("[saved {}]", p.display());
@@ -808,9 +535,124 @@ fn main() {
                     }
                     vec![run.report]
                 }),
-            )]
+            )
         }
-        other => die(&format!("unknown command '{other}' (expected {COMMANDS})")),
+        other => {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+            die(&format!(
+                "unknown command '{other}' (expected {}|{})",
+                names.join("|"),
+                TOOLS.join("|")
+            ))
+        }
+    }
+}
+
+fn main() {
+    let Some(mut args) = Args::parse() else {
+        print!("{USAGE}");
+        return;
+    };
+    // Values first, in table order: a malformed value is reported whatever
+    // the command.
+    let scale = match args.get("--scale") {
+        None => Scale::Medium,
+        Some(v) => Scale::parse(v)
+            .unwrap_or_else(|| die(&format!("unknown scale '{v}' (expected tiny|small|medium)"))),
+    };
+    if let Some(seed) = args.num::<u64>("--seed", "an integer", |_| true) {
+        xp::seed::set(seed);
+    }
+    if let Some(jobs) = args.num::<usize>("--jobs", "a positive integer", |&n| n >= 1) {
+        xp::jobs::set(jobs);
+    }
+    let port = args.num::<u16>("--port", "a port number", |_| true);
+    let threshold = args
+        .num::<f64>("--threshold", "a non-negative percentage", |p| *p >= 0.0)
+        .unwrap_or(5.0)
+        / 100.0;
+    let max_bytes = args.num::<u64>("--max-bytes", "an integer", |_| true);
+    let max_age = args.num::<u64>("--max-age", "seconds", |_| true);
+    let interval_ms = args.num::<u64>("--interval", "positive milliseconds", |&n| n >= 1);
+    let out_dir = args.path("--out").unwrap_or_else(|| "results".into());
+
+    // Client mode is a prefix: `xp client fig5 ...` runs fig5 with its
+    // cells offered to the resident server first.
+    let client_mode = args.positionals.first().map(String::as_str) == Some("client");
+    if client_mode {
+        args.positionals.remove(0);
+    }
+    let command = args
+        .positionals
+        .first()
+        .cloned()
+        .unwrap_or_else(|| "all".into());
+    let command = command.as_str();
+    if args.has("--addr") && port.is_some() {
+        die("--addr and --port are mutually exclusive");
+    }
+    args.check_scopes(command, client_mode);
+    if client_mode && matches!(command, "serve" | "cache" | "client" | "top" | "history") {
+        die(&format!("`xp client {command}` is not a thing"));
+    }
+    let server_addr = match args.get("--addr") {
+        Some(addr) => addr.to_string(),
+        None => format!("127.0.0.1:{}", port.unwrap_or(svc::DEFAULT_PORT)),
+    };
+    let cache_root = args
+        .path("--cache-dir")
+        .unwrap_or_else(|| out_dir.join("cache"));
+
+    // The commands that are not runs: serve, inspect, maintain.
+    match command {
+        "cache" => return cache_admin(&args, &cache_root, max_bytes, max_age),
+        "serve" | "top" | "history" => no_argument(&args.positionals, 1),
+        "stats" if client_mode => no_argument(&args.positionals, 1),
+        _ => {}
+    }
+    match command {
+        "serve" => serve(&server_addr, &cache_root, args.path("--spans").as_deref()),
+        "top" => {
+            let interval = std::time::Duration::from_millis(interval_ms.unwrap_or(1000));
+            let json = args.has("--json");
+            if let Err(e) = xp::top::run(&server_addr, interval, args.has("--once"), json) {
+                die(&e);
+            }
+            return;
+        }
+        "history" => {
+            let history = history_dir(&args);
+            let bench = args.get("--bench").inspect(|name| {
+                bench_arg(name);
+            });
+            return print_or_die(xp::history::run(&history, args.has("--json"), bench));
+        }
+        "stats" if client_mode => {
+            return print_or_die(xp::top::client_stats(&server_addr, args.has("--json")));
+        }
+        _ => {}
+    }
+
+    if args.has("--cache") && !args.has("--no-cache") {
+        xp::cache::install(Some(svc::Cache::new(&cache_root)));
+    }
+    if client_mode {
+        xp::remote::install(Some(svc::Client::new(&server_addr, xp::spec::CODE_VERSION)));
+    }
+    if !matches!(command, "trace" | "prof" | "selfprof") {
+        no_argument(&args.positionals, 1);
+        xp::trace::set_dir(args.path("--trace"));
+    } else if args.has("--trace") {
+        die(&format!(
+            "--trace applies to the other commands; `xp {command}` manages its own tracing"
+        ));
+    }
+
+    let experiment = |&(id, run): &Experiment| -> Job { (id, Box::new(move || run(scale))) };
+    let jobs: Vec<Job> = match EXPERIMENTS.iter().find(|(id, _)| *id == command) {
+        Some(row) => vec![experiment(row)],
+        None if command == "all" => EXPERIMENTS.iter().map(experiment).collect(),
+        None => vec![tool_job(command, &args, scale, &out_dir, threshold)],
     };
 
     let mut entries: Vec<SummaryEntry> = Vec::new();
@@ -858,14 +700,9 @@ fn main() {
             println!();
         }
     }
-    let scale_label = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Medium => "medium",
-    };
     match xp::summary::write(
         &out_dir,
-        scale_label,
+        scale.label(),
         xp::seed::get(),
         xp::jobs::get(),
         &entries,
@@ -876,14 +713,8 @@ fn main() {
     if let Some(line) = xp::cache::stats_line() {
         eprintln!("[{line}]");
     }
-    let denied = LINT_DENIED.load(Ordering::Relaxed);
-    if denied > 0 {
-        eprintln!("lint: {denied} denied findings (see rows marked `denied`)");
-        std::process::exit(1);
-    }
-    let regressed = BENCH_REGRESSED.load(Ordering::Relaxed);
-    if regressed > 0 {
-        eprintln!("bench: {regressed} benchmark(s) regressed past the threshold");
+    if let Some(why) = FAILED.lock().unwrap().take() {
+        eprintln!("{why}");
         std::process::exit(1);
     }
 }

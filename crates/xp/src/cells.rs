@@ -24,7 +24,7 @@
 //! surfaces as an `Err` output (a failed *row* in the report), never a
 //! dead run, and never poisons sibling cells.
 //!
-//! Cells added via [`CellPlan::add_cached`] carry a [`svc::CellSpec`] and
+//! Cells added via [`CellPlan::add_cell`] carry a [`svc::CellSpec`] and
 //! participate in the result service on top of the local pipeline.
 //! Before anything is dispatched to a worker pool, `execute` resolves
 //! spec-carrying cells against the installed result cache
@@ -164,22 +164,6 @@ impl<T: Send + 'static> CellPlan<T> {
             id: id.into(),
             spec: None,
             codec: None,
-            job_state: CellState::Pending(Box::new(job)),
-        });
-    }
-
-    /// Append a cell the result service can resolve: the spec is its
-    /// cache key (and its id, via [`svc::CellSpec::cell_id`]), and `job`
-    /// is the local computation of record when no cache or server
-    /// satisfies it.
-    pub fn add_cached(&mut self, spec: svc::CellSpec, job: impl FnOnce() -> T + Send + 'static)
-    where
-        T: crate::cache::CachePayload,
-    {
-        self.cells.push(Cell {
-            id: spec.cell_id(),
-            spec: Some(spec),
-            codec: Some(crate::cache::codec_for::<T>()),
             job_state: CellState::Pending(Box::new(job)),
         });
     }
@@ -340,6 +324,23 @@ impl<T: Send + 'static> CellPlan<T> {
                 CellState::Pending(_) => unreachable!("pending cells were dispatched above"),
             })
             .collect()
+    }
+}
+
+impl CellPlan<nas::RunResult> {
+    /// Append a cell the result service can resolve, both halves derived
+    /// from one [`crate::grid::Cell`] so they cannot disagree: its spec is
+    /// the cache key (and the plan id, via [`svc::CellSpec::cell_id`]),
+    /// its `run` the local computation of record when no cache or server
+    /// satisfies it.
+    pub fn add_cell(&mut self, cell: crate::grid::Cell) {
+        let spec = cell.spec();
+        self.cells.push(Cell {
+            id: spec.cell_id(),
+            spec: Some(spec),
+            codec: Some(crate::cache::codec_for()),
+            job_state: CellState::Pending(Box::new(move || cell.run())),
+        });
     }
 }
 

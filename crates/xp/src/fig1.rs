@@ -9,80 +9,53 @@
 //! recovers part but not all of the gap, is a near-no-op under first-touch,
 //! and *hurts* FT (page-level false sharing).
 //!
-//! Execution model: the benchmark x placement x engine grid is a
-//! [`CellPlan`] — every cell an independent simulated machine — fanned out
-//! over the host pool and merged in plan order (see [`crate::cells`]).
+//! Execution model: the benchmark x placement x engine grid is a list of
+//! [`Cell`]s — every cell an independent simulated machine — executed as
+//! one [`CellPlan`] and rendered by [`grid::report_benches`].
 
-use crate::cells::{CellOutput, CellPlan};
-use crate::report::{pct, secs, Report};
-use crate::run_one::{default_engine_configs, run_one};
-use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
+use crate::cells::CellPlan;
+use crate::grid::{self, Cell};
+use crate::report::{pct, Report};
+use crate::run_one::default_engine_configs;
+use nas::{BenchName, EngineMode, RunResult, Scale};
 use vmm::PlacementScheme;
 
-/// Append one benchmark's placement x engine cells to `plan`, in the
-/// canonical order (placement-major, engine-minor). Adds
-/// [`grid_width`]`(with_upmlib)` cells.
-///
-/// `with_upmlib` additionally plans the four `*-upmlib` configurations
-/// (Figure 4's extra bars). The random placement scheme draws from the
-/// global experiment seed ([`crate::seed`]).
+/// One benchmark's placement x engine cells, in the canonical order
+/// (placement-major, engine-minor): five placement schemes
+/// (ft/rr/rand/wc/static) times two engines, or three when `with_upmlib`
+/// adds the `*-upmlib` configurations (Figure 4's extra bars). The random
+/// placement scheme draws from the global experiment seed
+/// ([`crate::seed`]).
+pub fn cells(bench: BenchName, scale: Scale, with_upmlib: bool) -> Vec<Cell> {
+    let (kcfg, upm_opts) = default_engine_configs();
+    let mut engines = vec![EngineMode::None, EngineMode::IrixMig(kcfg)];
+    if with_upmlib {
+        engines.push(EngineMode::Upmlib(upm_opts));
+    }
+    let mut placements = PlacementScheme::all(crate::seed::get()).to_vec();
+    // Fifth scheme: the lint-synthesized static placement (PlacementMap is
+    // a pure function of bench x scale, so the cell keys stay stable).
+    // Synthesized once here; the benchmark's static cells share the map.
+    placements.push(crate::lint::static_scheme(bench, scale));
+    let mut cells = Vec::new();
+    for placement in &placements {
+        for engine in &engines {
+            cells.push(Cell::paper(bench, scale, placement.clone(), engine.clone()));
+        }
+    }
+    cells
+}
+
+/// Append [`cells`] to `plan`.
 pub fn plan_grid(
     plan: &mut CellPlan<RunResult>,
     bench: BenchName,
     scale: Scale,
     with_upmlib: bool,
 ) {
-    let (kcfg, upm_opts) = default_engine_configs();
-    let mut placements = PlacementScheme::all(crate::seed::get()).to_vec();
-    // Fifth scheme: the lint-synthesized static placement (PlacementMap is
-    // a pure function of bench x scale, so the cell keys stay stable).
-    placements.push(crate::lint::static_scheme(bench, scale));
-    for placement in placements {
-        let mut engines = vec![EngineMode::None, EngineMode::IrixMig(kcfg)];
-        if with_upmlib {
-            engines.push(EngineMode::Upmlib(upm_opts));
-        }
-        for engine in engines {
-            let cfg = RunConfig {
-                placement: placement.clone(),
-                engine,
-                ..RunConfig::paper_default()
-            };
-            let spec = crate::spec::plain(bench, scale, &cfg);
-            plan.add_cached(spec, move || run_one(bench, scale, &cfg));
-        }
+    for cell in cells(bench, scale, with_upmlib) {
+        plan.add_cell(cell);
     }
-}
-
-/// Cells [`plan_grid`] appends per benchmark: five placement schemes
-/// (ft/rr/rand/wc/static) times two or three engines.
-pub fn grid_width(with_upmlib: bool) -> usize {
-    if with_upmlib {
-        15
-    } else {
-        10
-    }
-}
-
-/// Run the full placement x engine grid for one benchmark (host-parallel).
-/// Panics if any cell panicked — callers that want per-cell failure
-/// isolation consume [`plan_grid`] outputs directly.
-pub fn grid(bench: BenchName, scale: Scale, with_upmlib: bool) -> Vec<RunResult> {
-    let mut plan = CellPlan::new();
-    plan_grid(&mut plan, bench, scale, with_upmlib);
-    plan.execute()
-        .into_iter()
-        .map(CellOutput::expect_ok)
-        .collect()
-}
-
-/// The `ft-IRIX` baseline time within a result set.
-pub fn baseline_secs(results: &[RunResult]) -> f64 {
-    results
-        .iter()
-        .find(|r| r.placement == "ft" && r.engine == "IRIX")
-        .expect("grid contains the ft-IRIX baseline")
-        .total_secs
 }
 
 /// Run Figure 1 for all five benchmarks.
@@ -92,69 +65,33 @@ pub fn run(scale: Scale) -> Report {
         "Impact of page placement on the NAS benchmarks (execution time, simulated seconds)",
         &["Benchmark", "Config", "Time (s)", "vs ft-IRIX", "Verified"],
     );
-    let mut plan = CellPlan::new();
-    for bench in BenchName::all() {
-        plan_grid(&mut plan, bench, scale, false);
-    }
-    let outputs = plan.execute();
-    let mut wc_slowdowns = Vec::new();
-    let mut rr_slowdowns = Vec::new();
-    let mut rand_slowdowns = Vec::new();
-    for (bench, chunk) in BenchName::all()
-        .into_iter()
-        .zip(outputs.chunks(grid_width(false)))
-    {
-        let ok: Vec<&RunResult> = chunk.iter().filter_map(CellOutput::ok).collect();
-        let base = ok
-            .iter()
-            .find(|r| r.placement == "ft" && r.engine == "IRIX")
-            .map(|r| r.total_secs);
-        report.chart(
-            &format!("NAS {} (execution time, simulated seconds)", bench.label()),
-            ok.iter()
-                .map(|r| crate::report::Bar {
-                    label: r.label(),
-                    value: r.total_secs,
-                })
-                .collect(),
-        );
-        for cell in chunk {
-            let r = match &cell.value {
-                Ok(r) => r,
-                Err(p) => {
-                    report.failed_row(&cell.id, &p.message);
-                    continue;
-                }
-            };
-            let ratio = base.map(|b| r.total_secs / b);
-            if let (Some(ratio), "IRIX") = (ratio, r.engine.as_str()) {
-                match r.placement.as_str() {
-                    "wc" => wc_slowdowns.push(ratio),
-                    "rr" => rr_slowdowns.push(ratio),
-                    "rand" => rand_slowdowns.push(ratio),
-                    _ => {}
+    // Slowdowns without migration, per non-optimal scheme.
+    let mut slowdowns = [("rr", vec![]), ("rand", vec![]), ("wc", vec![])];
+    grid::report_benches(
+        &mut report,
+        &BenchName::all(),
+        |bench| cells(bench, scale, false),
+        " (execution time, simulated seconds)",
+        |r, base| {
+            if let (Some(base), "IRIX") = (base, r.engine.as_str()) {
+                if let Some((_, v)) = slowdowns.iter_mut().find(|(p, _)| *p == r.placement) {
+                    v.push(r.total_secs / base.total_secs);
                 }
             }
-            report.row(vec![
-                bench.label().into(),
-                r.label(),
-                secs(r.total_secs),
-                ratio.map(pct).unwrap_or_else(|| "-".into()),
-                if r.verification.passed {
-                    "ok".into()
-                } else {
-                    "FAIL".into()
-                },
-            ]);
-        }
-    }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    if !wc_slowdowns.is_empty() && !rr_slowdowns.is_empty() && !rand_slowdowns.is_empty() {
+            vec![grid::vs(r, base)]
+        },
+        |_, _, _| {},
+    );
+    if slowdowns.iter().all(|(_, v)| !v.is_empty()) {
+        let avg = |i: usize| {
+            let v: &Vec<f64> = &slowdowns[i].1;
+            pct(v.iter().sum::<f64>() / v.len() as f64)
+        };
         report.note(format!(
             "average slowdown without migration: rr {}, rand {}, wc {} (paper: 22%, 23%, 90%)",
-            pct(avg(&rr_slowdowns)),
-            pct(avg(&rand_slowdowns)),
-            pct(avg(&wc_slowdowns)),
+            avg(0),
+            avg(1),
+            avg(2),
         ));
     }
     report
@@ -166,8 +103,8 @@ mod tests {
 
     #[test]
     fn grid_covers_all_configs() {
-        let results = grid(BenchName::Mg, Scale::Tiny, true);
-        assert_eq!(results.len(), grid_width(true));
+        let results = grid::run_cells(cells(BenchName::Mg, Scale::Tiny, true));
+        assert_eq!(results.len(), 15);
         let labels: Vec<_> = results.iter().map(|r| r.label()).collect();
         for want in [
             "ft-IRIX",
@@ -186,9 +123,10 @@ mod tests {
 
     #[test]
     fn worst_case_is_slowest_class() {
-        let results = grid(BenchName::Cg, Scale::Small, false);
-        let base = baseline_secs(&results);
-        let wc = results.iter().find(|r| r.label() == "wc-IRIX").unwrap();
+        let results = grid::run_cells(cells(BenchName::Cg, Scale::Small, false));
+        let find = |label: &str| results.iter().find(|r| r.label() == label).unwrap();
+        let base = find("ft-IRIX").total_secs;
+        let wc = find("wc-IRIX");
         assert!(
             wc.total_secs > base,
             "worst-case ({}) must beat first-touch ({base}) for slowness",

@@ -6,10 +6,14 @@
 //! (rand), ~14% (wc) — and under first-touch UPMlib even *gains* 6–22% on
 //! most codes by fixing the pages first-touch put in the wrong place.
 
-use crate::cells::{CellOutput, CellPlan};
-use crate::fig1::{grid_width, plan_grid};
-use crate::report::{pct, secs, Report};
-use nas::{BenchName, RunResult, Scale};
+use crate::grid::{self, Cell};
+use crate::report::{pct, Report};
+use nas::{BenchName, Scale};
+
+/// One benchmark's cells: the Figure 1 grid plus the `*-upmlib` bars.
+pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
+    crate::fig1::cells(bench, scale, true)
+}
 
 /// Run Figure 4 for all five benchmarks.
 pub fn run(scale: Scale) -> Report {
@@ -25,66 +29,22 @@ pub fn run(scale: Scale) -> Report {
             "Verified",
         ],
     );
-    let mut plan = CellPlan::new();
-    for bench in BenchName::all() {
-        plan_grid(&mut plan, bench, scale, true);
-    }
-    let outputs = plan.execute();
     let mut upm_slow: Vec<(String, f64)> = Vec::new();
-    for (bench, chunk) in BenchName::all()
-        .into_iter()
-        .zip(outputs.chunks(grid_width(true)))
-    {
-        let ok: Vec<&RunResult> = chunk.iter().filter_map(CellOutput::ok).collect();
-        let base = ok
-            .iter()
-            .find(|r| r.placement == "ft" && r.engine == "IRIX")
-            .map(|r| r.total_secs);
-        report.chart(
-            &format!(
-                "NAS {} with UPMlib (execution time, simulated seconds)",
-                bench.label()
-            ),
-            ok.iter()
-                .map(|r| crate::report::Bar {
-                    label: r.label(),
-                    value: r.total_secs,
-                })
-                .collect(),
-        );
-        for cell in chunk {
-            let r = match &cell.value {
-                Ok(r) => r,
-                Err(p) => {
-                    report.failed_row(&cell.id, &p.message);
-                    continue;
-                }
-            };
-            let ratio = base.map(|b| r.total_secs / b);
-            if let Some(ratio) = ratio {
-                if r.engine == "upmlib" && r.placement != "ft" {
-                    upm_slow.push((r.placement.clone(), ratio));
+    grid::report_benches(
+        &mut report,
+        &BenchName::all(),
+        |bench| cells(bench, scale),
+        " with UPMlib (execution time, simulated seconds)",
+        |r, base| {
+            if let (Some(base), "upmlib") = (base, r.engine.as_str()) {
+                if r.placement != "ft" {
+                    upm_slow.push((r.placement.clone(), r.total_secs / base.total_secs));
                 }
             }
-            let migrations = r
-                .upm
-                .as_ref()
-                .map(|s| s.total_distribution_migrations().to_string())
-                .unwrap_or_else(|| "-".into());
-            report.row(vec![
-                bench.label().into(),
-                r.label(),
-                secs(r.total_secs),
-                ratio.map(pct).unwrap_or_else(|| "-".into()),
-                migrations,
-                if r.verification.passed {
-                    "ok".into()
-                } else {
-                    "FAIL".into()
-                },
-            ]);
-        }
-    }
+            vec![grid::vs(r, base), grid::upm_migrations(r)]
+        },
+        |_, _, _| {},
+    );
     for scheme in ["rr", "rand", "wc", "static"] {
         let v: Vec<f64> = upm_slow
             .iter()
@@ -112,15 +72,13 @@ pub fn run(scale: Scale) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use crate::fig1;
-    use nas::{BenchName, Scale};
+    use super::*;
 
     #[test]
     fn upmlib_recovers_worst_case() {
         // The paper's headline: wc-upmlib is dramatically better than
         // wc-IRIX and lands near ft-IRIX.
-        let results = fig1::grid(BenchName::Cg, Scale::Small, true);
-        let base = fig1::baseline_secs(&results);
+        let results = grid::run_cells(cells(BenchName::Cg, Scale::Small));
         let find = |label: &str| results.iter().find(|r| r.label() == label).unwrap();
         let wc_plain = find("wc-IRIX");
         let wc_upm = find("wc-upmlib");
@@ -140,6 +98,5 @@ mod tests {
             wc_upm.last75_mean_secs(),
             ft.last75_mean_secs()
         );
-        let _ = base;
     }
 }

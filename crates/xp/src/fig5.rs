@@ -8,45 +8,28 @@
 //! on BT) but its on-critical-path migration overhead outweighs the gain at
 //! normal phase lengths — the total recrep bar is not better than upmlib.
 
-use crate::cells::{CellOutput, CellPlan};
-use crate::report::{pct, secs, Report};
-use crate::run_one::{default_engine_configs, run_one};
-use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
+use crate::grid::{self, Cell};
+use crate::report::{secs, Report};
+use crate::run_one::default_engine_configs;
+use nas::{BenchName, EngineMode, Scale};
 use vmm::PlacementScheme;
 
 /// The benchmarks of the figure.
 pub const BENCHES: [BenchName; 2] = [BenchName::Bt, BenchName::Sp];
 
-/// Cells per benchmark: the four engine modes.
-pub const CELLS_PER_BENCH: usize = 4;
-
-/// Append one benchmark's four Figure 5 cells to `plan`, in bar order.
-pub fn plan_bars(plan: &mut CellPlan<RunResult>, bench: BenchName, scale: Scale) {
+/// One benchmark's cells, in bar order: first-touch under each of the four
+/// engine modes.
+pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
     let (kcfg, upm_opts) = default_engine_configs();
-    for engine in [
+    [
         EngineMode::None,
         EngineMode::IrixMig(kcfg),
         EngineMode::Upmlib(upm_opts),
         EngineMode::RecRep(upm_opts),
-    ] {
-        let cfg = RunConfig {
-            placement: PlacementScheme::FirstTouch,
-            engine,
-            ..RunConfig::paper_default()
-        };
-        let spec = crate::spec::plain(bench, scale, &cfg);
-        plan.add_cached(spec, move || run_one(bench, scale, &cfg));
-    }
-}
-
-/// The four Figure 5 configurations for one benchmark (host-parallel).
-pub fn bars(bench: BenchName, scale: Scale) -> Vec<RunResult> {
-    let mut plan = CellPlan::new();
-    plan_bars(&mut plan, bench, scale);
-    plan.execute()
-        .into_iter()
-        .map(CellOutput::expect_ok)
-        .collect()
+    ]
+    .into_iter()
+    .map(|engine| Cell::paper(bench, scale, PlacementScheme::FirstTouch, engine))
+    .collect()
 }
 
 /// Run Figure 5 (BT and SP).
@@ -63,61 +46,27 @@ pub fn run(scale: Scale) -> Report {
             "Verified",
         ],
     );
-    let mut plan = CellPlan::new();
-    for bench in BENCHES {
-        plan_bars(&mut plan, bench, scale);
-    }
-    let outputs = plan.execute();
-    for (bench, chunk) in BENCHES.into_iter().zip(outputs.chunks(CELLS_PER_BENCH)) {
-        let ok: Vec<&RunResult> = chunk.iter().filter_map(CellOutput::ok).collect();
-        let base = ok.iter().find(|r| r.engine == "IRIX").map(|r| r.total_secs);
-        report.chart(
-            &format!(
-                "NAS {} (execution time; recrep bar includes its overhead)",
-                bench.label()
-            ),
-            ok.iter()
-                .map(|r| crate::report::Bar {
-                    label: r.label(),
-                    value: r.total_secs,
-                })
-                .collect(),
-        );
-        for cell in chunk {
-            let r = match &cell.value {
-                Ok(r) => r,
-                Err(p) => {
-                    report.failed_row(&cell.id, &p.message);
-                    continue;
-                }
-            };
-            report.row(vec![
-                bench.label().into(),
-                r.label(),
-                secs(r.total_secs),
-                secs(r.recrep_overhead_secs),
-                base.map(|b| pct(r.total_secs / b))
-                    .unwrap_or_else(|| "-".into()),
-                if r.verification.passed {
-                    "ok".into()
-                } else {
-                    "FAIL".into()
-                },
-            ]);
-        }
-        let upm = ok.iter().find(|r| r.engine == "upmlib");
-        let recrep = ok.iter().find(|r| r.engine == "recrep");
-        if let (Some(upm), Some(recrep)) = (upm, recrep) {
-            let useful_recrep = recrep.total_secs - recrep.recrep_overhead_secs;
-            report.note(format!(
-                "{}: recrep useful time {} vs upmlib total {} (paper: useful computation up to 10% \
-                 faster on BT, but overhead outweighs it)",
-                bench.label(),
-                secs(useful_recrep),
-                secs(upm.total_secs),
-            ));
-        }
-    }
+    grid::report_benches(
+        &mut report,
+        &BENCHES,
+        |bench| cells(bench, scale),
+        " (execution time; recrep bar includes its overhead)",
+        |r, base| vec![secs(r.recrep_overhead_secs), grid::vs(r, base)],
+        |report, bench, ok| {
+            let upm = ok.iter().find(|r| r.engine == "upmlib");
+            let recrep = ok.iter().find(|r| r.engine == "recrep");
+            if let (Some(upm), Some(recrep)) = (upm, recrep) {
+                let useful_recrep = recrep.total_secs - recrep.recrep_overhead_secs;
+                report.note(format!(
+                    "{}: recrep useful time {} vs upmlib total {} (paper: useful computation up to \
+                     10% faster on BT, but overhead outweighs it)",
+                    bench.label(),
+                    secs(useful_recrep),
+                    secs(upm.total_secs),
+                ));
+            }
+        },
+    );
     report
 }
 
@@ -127,7 +76,7 @@ mod tests {
 
     #[test]
     fn recrep_pays_visible_overhead() {
-        let results = bars(BenchName::Bt, Scale::Tiny);
+        let results = grid::run_cells(cells(BenchName::Bt, Scale::Tiny));
         let recrep = results.iter().find(|r| r.engine == "recrep").unwrap();
         assert!(
             recrep.verification.passed,

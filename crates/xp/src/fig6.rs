@@ -15,33 +15,31 @@
 //! to (and crossing of) break-even; EXPERIMENTS.md discusses the scale
 //! analysis.
 
-use crate::cells::CellPlan;
+use crate::grid::{self, Cell, Problem};
 use crate::report::{pct, secs, Report};
-use crate::run_one::{default_engine_configs, run_bt_custom};
-use nas::bt::BtConfig;
-use nas::{EngineMode, RunConfig, RunResult, Scale};
+use crate::run_one::default_engine_configs;
+use nas::{BenchName, EngineMode, Scale};
 use vmm::PlacementScheme;
 
-/// The phase-scale sweep points.
+/// The phase-scale sweep points — also the only phase scales a server
+/// rebuilds from a spec ([`Cell::from_spec`]).
 pub const PHASE_SCALES: [usize; 3] = [1, 4, 16];
 
-/// Run BT at a given phase scale under one engine mode.
-pub fn run_bt_at(scale: Scale, phase_scale: usize, engine: EngineMode) -> RunResult {
-    let cfg = RunConfig {
-        placement: PlacementScheme::FirstTouch,
-        engine,
-        ..RunConfig::paper_default()
-    };
-    let bt_cfg = BtConfig {
-        phase_scale,
-        ..BtConfig::for_scale(scale)
-    };
-    run_bt_custom(bt_cfg, &cfg)
+/// One sweep point's cells: first-touch BT with `phase_scale`-lengthened
+/// phases under UPMlib, then under record-replay.
+pub fn cells(scale: Scale, phase_scale: usize) -> Vec<Cell> {
+    let (_, upm_opts) = default_engine_configs();
+    [EngineMode::Upmlib(upm_opts), EngineMode::RecRep(upm_opts)]
+        .into_iter()
+        .map(|engine| Cell {
+            problem: Problem::BtPhases(phase_scale),
+            ..Cell::paper(BenchName::Bt, scale, PlacementScheme::FirstTouch, engine)
+        })
+        .collect()
 }
 
 /// Run Figure 6: the paper's 4x experiment plus a wider sweep.
 pub fn run(scale: Scale) -> Report {
-    let (_, upm_opts) = default_engine_configs();
     let mut report = Report::new(
         "fig6",
         "Record-replay on BT with synthetically lengthened phases (paper: 4x)",
@@ -53,32 +51,13 @@ pub fn run(scale: Scale) -> Report {
             "recrep vs upmlib",
         ],
     );
-    let mut plan = CellPlan::new();
-    for phase_scale in PHASE_SCALES {
-        for engine in [EngineMode::Upmlib(upm_opts), EngineMode::RecRep(upm_opts)] {
-            let cfg = RunConfig {
-                placement: PlacementScheme::FirstTouch,
-                engine: engine.clone(),
-                ..RunConfig::paper_default()
-            };
-            let spec = crate::spec::bt_phase_scaled(scale, phase_scale, &cfg);
-            plan.add_cached(spec, move || run_bt_at(scale, phase_scale, engine));
-        }
-    }
-    let outputs = plan.execute();
+    let outputs = grid::execute(PHASE_SCALES.map(|ps| cells(scale, ps)).to_vec());
     let mut ratios = Vec::new();
-    for (phase_scale, pair) in PHASE_SCALES.into_iter().zip(outputs.chunks(2)) {
-        let (upm, rec) = match (&pair[0].value, &pair[1].value) {
-            (Ok(upm), Ok(rec)) => (upm, rec),
-            (upm, rec) => {
-                for (cell, value) in pair.iter().zip([upm, rec]) {
-                    if let Err(p) = value {
-                        report.failed_row(&cell.id, &p.message);
-                    }
-                }
-                continue;
-            }
+    for (phase_scale, pair) in PHASE_SCALES.into_iter().zip(&outputs) {
+        let Some(pair) = grid::all_ok(&mut report, pair) else {
+            continue;
         };
+        let (upm, rec) = (pair[0], pair[1]);
         assert!(
             upm.verification.passed && rec.verification.passed,
             "fig6 runs must verify"
@@ -109,15 +88,12 @@ pub fn run(scale: Scale) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upmlib::UpmOptions;
 
     #[test]
     fn scaling_phases_improves_recreps_relative_position() {
-        let opts = UpmOptions::default();
         let ratio_at = |ps: usize| {
-            let upm = run_bt_at(Scale::Tiny, ps, EngineMode::Upmlib(opts));
-            let rec = run_bt_at(Scale::Tiny, ps, EngineMode::RecRep(opts));
-            rec.total_secs / upm.total_secs
+            let pair = grid::run_cells(cells(Scale::Tiny, ps));
+            pair[1].total_secs / pair[0].total_secs
         };
         let normal = ratio_at(1);
         let scaled = ratio_at(4);

@@ -10,8 +10,7 @@
 
 use ::lint::{Allowlist, Analysis, Code, Finding, LintConfig, PlacementMap};
 use ccnuma::{Machine, MachineConfig};
-use nas::{bt::Bt, cg::Cg, ft::Ft, mg::Mg, sp::Sp};
-use nas::{BenchName, NasBenchmark, Scale};
+use nas::{BenchName, Scale};
 use omp::Runtime;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -34,14 +33,7 @@ pub struct LintRun {
 pub fn model_for(bench: BenchName, scale: Scale) -> nas::KernelModel {
     let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
     let mut rt = Runtime::with_threads(machine, 16);
-    let bench: Box<dyn NasBenchmark> = match bench {
-        BenchName::Bt => Box::new(Bt::new(&mut rt, scale)),
-        BenchName::Sp => Box::new(Sp::new(&mut rt, scale)),
-        BenchName::Cg => Box::new(Cg::new(&mut rt, scale)),
-        BenchName::Mg => Box::new(Mg::new(&mut rt, scale)),
-        BenchName::Ft => Box::new(Ft::new(&mut rt, scale)),
-    };
-    bench
+    nas::instantiate(bench, &mut rt, scale)
         .access_model()
         .expect("all five benchmarks expose access models")
 }
@@ -71,11 +63,7 @@ pub fn run(
     deny: &BTreeSet<Code>,
     allow: &Allowlist,
 ) -> LintRun {
-    let scale_label = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Medium => "medium",
-    };
+    let scale_label = scale.label();
     let mut report = Report::new(
         &format!("lint_{scale_label}"),
         &format!("Static NUMA/race lint ({scale_label}, 16 threads, paper machine)"),

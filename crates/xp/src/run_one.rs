@@ -1,34 +1,17 @@
-//! Dispatcher: run one named benchmark at one scale under one
-//! configuration. Every experiment routes its runs through this module, so
-//! the `--trace DIR` plumbing (see [`crate::trace`]) hooks in here: when a
-//! trace directory is installed each run executes with the `obs` sink
-//! attached and its events are dumped on completion.
+//! Run one named benchmark at one scale under one configuration — the
+//! entry points tests, benches and the perf ledger call. Each is a
+//! [`Cell`] built and run on the spot, so `--trace DIR` and the simulated
+//! seconds accounting hook in at [`Cell::run_with`] for every experiment
+//! alike.
 
-use nas::bt::{Bt, BtConfig};
-use nas::cg::{Cg, CgConfig};
-use nas::ft::Ft;
-use nas::mg::Mg;
-use nas::sp::{Sp, SpConfig};
-use nas::{run_benchmark, BenchName, RunConfig, RunResult, Scale};
+use crate::grid::Cell;
+use nas::{BenchName, RunConfig, RunResult, Scale};
 use upmlib::UpmOptions;
 use vmm::KernelMigrationConfig;
 
-fn finish(result: RunResult) -> RunResult {
-    crate::trace::dump(&result);
-    crate::summary::add_sim_secs(result.total_secs);
-    result
-}
-
 /// Run `bench` at `scale` under `cfg`.
 pub fn run_one(bench: BenchName, scale: Scale, cfg: &RunConfig) -> RunResult {
-    let cfg = crate::trace::arm(cfg);
-    finish(match bench {
-        BenchName::Bt => run_benchmark(|rt| Bt::new(rt, scale), &cfg),
-        BenchName::Sp => run_benchmark(|rt| Sp::new(rt, scale), &cfg),
-        BenchName::Cg => run_benchmark(|rt| Cg::new(rt, scale), &cfg),
-        BenchName::Mg => run_benchmark(|rt| Mg::new(rt, scale), &cfg),
-        BenchName::Ft => run_benchmark(|rt| Ft::new(rt, scale), &cfg),
-    })
+    Cell::at_scale(bench, scale, cfg.clone()).run()
 }
 
 /// [`run_one`] with the phase fast path forced on or off (overriding the
@@ -40,43 +23,7 @@ pub fn run_one_fastpath(
     cfg: &RunConfig,
     fastpath: bool,
 ) -> RunResult {
-    use nas::harness::run_benchmark_fastpath as rbf;
-    let cfg = crate::trace::arm(cfg);
-    finish(match bench {
-        BenchName::Bt => rbf(|rt| Bt::new(rt, scale), &cfg, fastpath),
-        BenchName::Sp => rbf(|rt| Sp::new(rt, scale), &cfg, fastpath),
-        BenchName::Cg => rbf(|rt| Cg::new(rt, scale), &cfg, fastpath),
-        BenchName::Mg => rbf(|rt| Mg::new(rt, scale), &cfg, fastpath),
-        BenchName::Ft => rbf(|rt| Ft::new(rt, scale), &cfg, fastpath),
-    })
-}
-
-/// Run BT with an explicit problem configuration (Figure 6's lengthened
-/// phases).
-pub fn run_bt_custom(bt_cfg: BtConfig, cfg: &RunConfig) -> RunResult {
-    let cfg = crate::trace::arm(cfg);
-    finish(run_benchmark(|rt| Bt::with_config(rt, bt_cfg), &cfg))
-}
-
-/// Run BT with 4x-lengthened phases (the Figure 6 synthetic experiment).
-pub fn run_bt_scaled(scale: Scale, cfg: &RunConfig) -> RunResult {
-    run_bt_custom(BtConfig::for_scale(scale).scaled_phases(), cfg)
-}
-
-/// Run CG with an explicit problem configuration (used by the weak-scaling
-/// machine-size ablation).
-pub fn run_cg_custom(cg_cfg: CgConfig, cfg: &RunConfig) -> RunResult {
-    let cfg = crate::trace::arm(cfg);
-    finish(run_benchmark(|rt| Cg::with_config(rt, cg_cfg), &cfg))
-}
-
-/// Run SP with 4x-lengthened phases.
-pub fn run_sp_scaled(scale: Scale, cfg: &RunConfig) -> RunResult {
-    let cfg = crate::trace::arm(cfg);
-    finish(run_benchmark(
-        |rt| Sp::with_config(rt, SpConfig::for_scale(scale).scaled_phases()),
-        &cfg,
-    ))
+    Cell::at_scale(bench, scale, cfg.clone()).run_with(Some(fastpath))
 }
 
 /// The default engine tunables used across experiments (one place, so every

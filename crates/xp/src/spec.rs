@@ -1,26 +1,12 @@
-//! Building and reconstructing [`svc::CellSpec`]s for the experiment
-//! grids — the domain binding between `xp`'s run configurations and the
-//! domain-agnostic `svc` service/cache layer.
+//! The `xp` side of the result service's contract: the code generation
+//! every spec carries, the run-configuration fingerprint, and the
+//! server-side compute binding.
 //!
-//! Three builders cover the cacheable cell shapes:
-//!
-//! * [`plain`] — the paper-default grids (Figures 1/4/5, Table 2): one
-//!   benchmark under one placement and engine, everything else
-//!   [`RunConfig::paper_default`]. Variant token empty.
-//! * [`bt_phase_scaled`] — Figure 6's lengthened-phase BT runs; variant
-//!   `"{N}x"`.
-//! * [`custom`] — ablation sweep points with bespoke machines or engine
-//!   tunables. The variant token documents the deviation (`-thr2`,
-//!   `-ratio5.0`, `-32cpu`); the config fingerprint carries the truth. A
-//!   server cannot reconstruct these, so it refuses them (fingerprint or
-//!   variant check) and the client computes them locally — they still
-//!   cache *offline*, keyed by the fingerprint.
-//!
-//! [`run_spec`] is the inverse: reconstruct the full run configuration
-//! from a spec, **recompute the fingerprint from the reconstruction and
-//! refuse on mismatch**, then execute. The fingerprint check is what makes
-//! the reconstruction trustworthy: a spec whose configuration this binary
-//! cannot reproduce exactly can never be served a wrong result.
+//! What a spec *says* — and how one is turned back into a run — is
+//! [`crate::grid::Cell`]'s business: [`Cell::spec`] builds it,
+//! [`Cell::from_spec`] rebuilds the cell on a server and refuses anything
+//! it cannot reproduce exactly, so a spec this binary would not have built
+//! itself can never be served a wrong result (DESIGN.md §15).
 //!
 //! [`CODE_VERSION`] folds the simulator's code generation into every
 //! spec. Bump it whenever a change alters any simulated number (machine
@@ -28,11 +14,9 @@
 //! DESIGN.md §15 for the policy. Stale cache entries then miss by key and
 //! age out via `xp cache gc`; stale servers are refused at the handshake.
 
-use crate::run_one::{default_engine_configs, run_bt_custom, run_one};
-use nas::bt::BtConfig;
-use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
+use crate::grid::Cell;
+use nas::{BenchName, RunConfig, Scale};
 use svc::CellSpec;
-use vmm::PlacementScheme;
 
 /// The simulator code generation baked into every spec this binary
 /// builds. Bump on any change that alters simulated results.
@@ -52,304 +36,18 @@ pub fn config_fp(cfg: &RunConfig, extras: &[String]) -> String {
     svc::hash::digest64(text.as_bytes())
 }
 
-/// The seed a spec records: the placement's seed when the placement is
-/// seeded, 0 otherwise — so seed sweeps share their seed-independent
-/// cells instead of recomputing them per seed.
-fn spec_seed(placement: &PlacementScheme) -> u64 {
-    match placement {
-        PlacementScheme::Random { seed } => *seed,
-        _ => 0,
-    }
-}
-
-/// The placement-map fingerprint a spec records: the synthesized map's
-/// content hash for `static` cells, empty for the closed-form schemes.
-fn placement_fp(placement: &PlacementScheme) -> String {
-    match placement {
-        PlacementScheme::Static { map } => map.fingerprint().to_string(),
-        _ => String::new(),
-    }
-}
-
-fn build(
-    bench_label: String,
-    scale: Scale,
-    cfg: &RunConfig,
-    variant: String,
-    extras: &[String],
-) -> CellSpec {
-    CellSpec {
-        bench: bench_label,
-        placement: cfg.placement.label().to_string(),
-        placement_fp: placement_fp(&cfg.placement),
-        engine: cfg.engine.label().to_string(),
-        scale: scale.label().to_string(),
-        seed: spec_seed(&cfg.placement),
-        variant,
-        config_fp: config_fp(cfg, extras),
-        code_version: CODE_VERSION.to_string(),
-    }
-}
-
 /// Spec for a paper-default grid cell: `bench` at `scale` under `cfg`,
 /// where `cfg` deviates from [`RunConfig::paper_default`] only in
 /// placement and engine.
 pub fn plain(bench: BenchName, scale: Scale, cfg: &RunConfig) -> CellSpec {
-    build(
-        bench.label().to_ascii_lowercase(),
-        scale,
-        cfg,
-        String::new(),
-        &[],
-    )
+    Cell::at_scale(bench, scale, cfg.clone()).spec()
 }
 
-/// Spec for a Figure 6 cell: BT with `phase_scale`-lengthened phases.
-pub fn bt_phase_scaled(scale: Scale, phase_scale: usize, cfg: &RunConfig) -> CellSpec {
-    build(
-        "bt".to_string(),
-        scale,
-        cfg,
-        format!("{phase_scale}x"),
-        &[format!("phase_scale={phase_scale}")],
-    )
-}
-
-/// Spec for an ablation sweep point with a bespoke configuration.
-/// `variant` names the deviation in the cell id (it is spliced directly
-/// after the benchmark label, so start it with `-`); `extras` feed any
-/// configuration facts outside `cfg` (e.g. a custom problem config's
-/// `Debug` form) into the fingerprint. Servers refuse these specs; they
-/// cache offline only.
-pub fn custom(
-    bench: BenchName,
-    scale: Scale,
-    cfg: &RunConfig,
-    variant: &str,
-    extras: &[String],
-) -> CellSpec {
-    build(
-        bench.label().to_ascii_lowercase(),
-        scale,
-        cfg,
-        variant.to_string(),
-        extras,
-    )
-}
-
-/// Reconstruct the placement scheme from its spec label, re-seeding the
-/// random scheme from the spec's seed field.
-fn placement_of(spec: &CellSpec) -> Result<PlacementScheme, String> {
-    match spec.placement.as_str() {
-        "ft" => Ok(PlacementScheme::FirstTouch),
-        "rr" => Ok(PlacementScheme::RoundRobin),
-        "rand" => Ok(PlacementScheme::Random { seed: spec.seed }),
-        "wc" => Ok(PlacementScheme::WorstCase { node: 0 }),
-        "static" => {
-            // Re-synthesize the placement map from the benchmark's access
-            // model — the map is a pure function of (bench, scale) under
-            // the paper-default lint configuration — then verify the spec's
-            // recorded fingerprint against the reconstruction, exactly like
-            // `check_fp` does for the run configuration.
-            let bench = BenchName::parse(&spec.bench)
-                .ok_or_else(|| format!("unknown benchmark '{}'", spec.bench))?;
-            let scale = Scale::parse(&spec.scale)
-                .ok_or_else(|| format!("unknown scale '{}'", spec.scale))?;
-            let scheme = crate::lint::static_scheme(bench, scale);
-            let fp = placement_fp(&scheme);
-            if fp != spec.placement_fp {
-                return Err(format!(
-                    "placement map fingerprint mismatch for {spec}: spec {}, \
-                     reconstruction {fp} — this binary synthesizes a different map",
-                    spec.placement_fp
-                ));
-            }
-            Ok(scheme)
-        }
-        other => Err(format!("unknown placement '{other}'")),
-    }
-}
-
-/// Reconstruct the engine mode from its spec label with the shared
-/// default tunables ([`default_engine_configs`]).
-fn engine_of(spec: &CellSpec) -> Result<EngineMode, String> {
-    let (kcfg, upm_opts) = default_engine_configs();
-    match spec.engine.as_str() {
-        "IRIX" => Ok(EngineMode::None),
-        "IRIXmig" => Ok(EngineMode::IrixMig(kcfg)),
-        "upmlib" => Ok(EngineMode::Upmlib(upm_opts)),
-        "recrep" => Ok(EngineMode::RecRep(upm_opts)),
-        other => Err(format!("unknown engine '{other}'")),
-    }
-}
-
-/// Check the reconstructed configuration's fingerprint against the spec's.
-fn check_fp(spec: &CellSpec, cfg: &RunConfig, extras: &[String]) -> Result<(), String> {
-    let fp = config_fp(cfg, extras);
-    if fp != spec.config_fp {
-        return Err(format!(
-            "config fingerprint mismatch for {spec}: spec {}, reconstruction {fp} — this \
-             binary cannot reproduce the cell's exact configuration",
-            spec.config_fp
-        ));
-    }
-    Ok(())
-}
-
-/// Reconstruct and execute the cell a spec names. Refuses (with a clear
-/// error, never a wrong result) when the spec's code version, variant or
-/// configuration fingerprint does not match what this binary would build.
-pub fn run_spec(spec: &CellSpec) -> Result<RunResult, String> {
-    if spec.code_version != CODE_VERSION {
-        return Err(format!(
-            "code version mismatch: spec {}, binary {CODE_VERSION}",
-            spec.code_version
-        ));
-    }
-    let bench = BenchName::parse(&spec.bench)
-        .ok_or_else(|| format!("unknown benchmark '{}'", spec.bench))?;
-    let scale =
-        Scale::parse(&spec.scale).ok_or_else(|| format!("unknown scale '{}'", spec.scale))?;
-    let cfg = RunConfig {
-        placement: placement_of(spec)?,
-        engine: engine_of(spec)?,
-        ..RunConfig::paper_default()
-    };
-    if spec.variant.is_empty() {
-        check_fp(spec, &cfg, &[])?;
-        return Ok(run_one(bench, scale, &cfg));
-    }
-    if let Some(n) = spec.variant.strip_suffix('x').and_then(|n| n.parse().ok()) {
-        if bench != BenchName::Bt {
-            return Err(format!(
-                "phase-scaled variant '{}' is only defined for BT",
-                spec.variant
-            ));
-        }
-        let phase_scale: usize = n;
-        check_fp(spec, &cfg, &[format!("phase_scale={phase_scale}")])?;
-        let bt_cfg = BtConfig {
-            phase_scale,
-            ..BtConfig::for_scale(scale)
-        };
-        return Ok(run_bt_custom(bt_cfg, &cfg));
-    }
-    Err(format!(
-        "variant '{}' is not reconstructible by a server (ablation cells cache offline only)",
-        spec.variant
-    ))
-}
-
-/// The server-side compute binding: reconstruct, verify, run, encode.
+/// The server-side compute binding: rebuild and verify the cell, run it,
+/// encode the result.
 pub fn compute() -> svc::Compute {
-    std::sync::Arc::new(|spec: &CellSpec| run_spec(spec).map(|r| r.to_cache_json()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plain_spec_matches_plan_ids_and_round_trips() {
-        let cfg = RunConfig {
-            placement: PlacementScheme::WorstCase { node: 0 },
-            engine: EngineMode::Upmlib(default_engine_configs().1),
-            ..RunConfig::paper_default()
-        };
-        let spec = plain(BenchName::Cg, Scale::Tiny, &cfg);
-        assert_eq!(spec.cell_id(), "cg:wc-upmlib");
-        assert_eq!(spec.seed, 0, "unseeded placements normalize to seed 0");
-        // The reconstruction reproduces the exact result, byte for byte
-        // through the cache encoding.
-        let reconstructed = run_spec(&spec).unwrap();
-        let direct = run_one(BenchName::Cg, Scale::Tiny, &cfg);
-        assert_eq!(
-            reconstructed.to_cache_json().to_string(),
-            direct.to_cache_json().to_string()
-        );
-    }
-
-    #[test]
-    fn random_placement_seed_feeds_the_spec_and_the_reconstruction() {
-        let cfg = RunConfig {
-            placement: PlacementScheme::Random { seed: 777 },
-            ..RunConfig::paper_default()
-        };
-        let spec = plain(BenchName::Mg, Scale::Tiny, &cfg);
-        assert_eq!(spec.seed, 777);
-        let r = run_spec(&spec).unwrap();
-        assert_eq!(r.placement, "rand");
-        // A different seed is a different cell.
-        let other = plain(
-            BenchName::Mg,
-            Scale::Tiny,
-            &RunConfig {
-                placement: PlacementScheme::Random { seed: 778 },
-                ..RunConfig::paper_default()
-            },
-        );
-        assert_ne!(spec.key(), other.key());
-    }
-
-    #[test]
-    fn phase_scaled_spec_reconstructs_bt_only() {
-        let cfg = RunConfig {
-            engine: EngineMode::RecRep(default_engine_configs().1),
-            ..RunConfig::paper_default()
-        };
-        let spec = bt_phase_scaled(Scale::Tiny, 4, &cfg);
-        assert_eq!(spec.cell_id(), "bt4x:ft-recrep");
-        let r = run_spec(&spec).unwrap();
-        assert!(r.verification.passed);
-        let mut wrong = spec.clone();
-        wrong.bench = "sp".into();
-        let err = run_spec(&wrong).unwrap_err();
-        assert!(err.contains("only defined for BT"), "{err}");
-    }
-
-    #[test]
-    fn static_placement_spec_round_trips_and_pins_the_map() {
-        let cfg = RunConfig {
-            placement: crate::lint::static_scheme(BenchName::Mg, Scale::Tiny),
-            ..RunConfig::paper_default()
-        };
-        let spec = plain(BenchName::Mg, Scale::Tiny, &cfg);
-        assert_eq!(spec.cell_id(), "mg:static-IRIX");
-        assert_eq!(spec.placement_fp.len(), 16, "map fingerprint recorded");
-        // The reconstruction re-synthesizes the same map and reproduces the
-        // exact result through the cache encoding.
-        let reconstructed = run_spec(&spec).unwrap();
-        let direct = run_one(BenchName::Mg, Scale::Tiny, &cfg);
-        assert_eq!(
-            reconstructed.to_cache_json().to_string(),
-            direct.to_cache_json().to_string()
-        );
-        // A tampered map fingerprint is refused, not silently re-mapped.
-        let mut wrong = spec.clone();
-        wrong.placement_fp = "0000000000000000".into();
-        let err = run_spec(&wrong).unwrap_err();
-        assert!(err.contains("placement map fingerprint mismatch"), "{err}");
-    }
-
-    #[test]
-    fn tampered_fingerprint_is_refused() {
-        let cfg = RunConfig::paper_default();
-        let mut spec = plain(BenchName::Cg, Scale::Tiny, &cfg);
-        spec.config_fp = "0000000000000000".into();
-        let err = run_spec(&spec).unwrap_err();
-        assert!(err.contains("fingerprint mismatch"), "{err}");
-    }
-
-    #[test]
-    fn custom_variants_and_stale_code_versions_are_refused() {
-        let cfg = RunConfig::paper_default();
-        let spec = custom(BenchName::Cg, Scale::Tiny, &cfg, "-thr2", &[]);
-        assert_eq!(spec.cell_id(), "cg-thr2:ft-IRIX");
-        let err = run_spec(&spec).unwrap_err();
-        assert!(err.contains("not reconstructible"), "{err}");
-        let mut stale = plain(BenchName::Cg, Scale::Tiny, &cfg);
-        stale.code_version = "older".into();
-        let err = run_spec(&stale).unwrap_err();
-        assert!(err.contains("code version mismatch"), "{err}");
-    }
+    std::sync::Arc::new(|spec: &CellSpec| match Cell::from_spec(spec) {
+        Ok(cell) => Ok(cell.run().to_cache_json()),
+        Err(refusal) => Err(refusal.to_string()),
+    })
 }

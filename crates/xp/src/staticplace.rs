@@ -22,46 +22,26 @@
 //! itself: pages mapped, flip pages (no phase-invariant home), predicted
 //! residual migrations, and the migrations the hybrid actually performed.
 
-use crate::cells::{CellOutput, CellPlan};
-use crate::report::{pct, secs, Report};
-use crate::run_one::{default_engine_configs, run_one};
-use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
+use crate::grid::{self, Cell};
+use crate::report::{pct, Report};
+use crate::run_one::default_engine_configs;
+use nas::{BenchName, EngineMode, Scale};
 use vmm::PlacementScheme;
 
-/// Cells [`plan_for`] appends per benchmark: {ft, static} x {IRIX, upmlib}.
-pub const CELLS_PER_BENCH: usize = 4;
-
-/// Append one benchmark's four head-to-head cells to `plan`, in the
-/// canonical order: ft-IRIX, static-IRIX, ft-upmlib, static-upmlib.
-pub fn plan_for(plan: &mut CellPlan<RunResult>, bench: BenchName, scale: Scale) {
+/// One benchmark's four head-to-head cells, in the canonical order:
+/// ft-IRIX, static-IRIX, ft-upmlib, static-upmlib.
+pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
     let (_, upm_opts) = default_engine_configs();
     let static_placement = crate::lint::static_scheme(bench, scale);
-    let configs = [
+    [
         (PlacementScheme::FirstTouch, EngineMode::None),
         (static_placement.clone(), EngineMode::None),
         (PlacementScheme::FirstTouch, EngineMode::Upmlib(upm_opts)),
         (static_placement, EngineMode::Upmlib(upm_opts)),
-    ];
-    for (placement, engine) in configs {
-        let cfg = RunConfig {
-            placement,
-            engine,
-            ..RunConfig::paper_default()
-        };
-        let spec = crate::spec::plain(bench, scale, &cfg);
-        plan.add_cached(spec, move || run_one(bench, scale, &cfg));
-    }
-}
-
-/// Run the four-way grid for one benchmark (host-parallel; panics on a
-/// failed cell).
-pub fn four_way(bench: BenchName, scale: Scale) -> Vec<RunResult> {
-    let mut plan = CellPlan::new();
-    plan_for(&mut plan, bench, scale);
-    plan.execute()
-        .into_iter()
-        .map(CellOutput::expect_ok)
-        .collect()
+    ]
+    .into_iter()
+    .map(|(placement, engine)| Cell::paper(bench, scale, placement, engine))
+    .collect()
 }
 
 /// Run the four-way head-to-head for all five benchmarks.
@@ -79,87 +59,50 @@ pub fn run(scale: Scale) -> Report {
             "Verified",
         ],
     );
-    let mut plan = CellPlan::new();
-    for bench in BenchName::all() {
-        plan_for(&mut plan, bench, scale);
-    }
-    let outputs = plan.execute();
     let mut static_vs_ft: Vec<f64> = Vec::new();
     let mut hybrid_vs_upm: Vec<f64> = Vec::new();
-    for (bench, chunk) in BenchName::all()
-        .into_iter()
-        .zip(outputs.chunks(CELLS_PER_BENCH))
-    {
-        let ok: Vec<&RunResult> = chunk.iter().filter_map(CellOutput::ok).collect();
-        let find = |placement: &str, engine: &str| {
-            ok.iter()
-                .find(|r| r.placement == placement && r.engine == engine)
-                .copied()
-        };
-        let base = find("ft", "IRIX");
-        report.chart(
-            &format!(
-                "NAS {} four-way (execution time, simulated seconds)",
-                bench.label()
-            ),
-            ok.iter()
-                .map(|r| crate::report::Bar {
-                    label: r.label(),
-                    value: r.total_secs,
-                })
-                .collect(),
-        );
-        for cell in chunk {
-            let r = match &cell.value {
-                Ok(r) => r,
-                Err(p) => {
-                    report.failed_row(&cell.id, &p.message);
-                    continue;
-                }
+    grid::report_benches(
+        &mut report,
+        &BenchName::all(),
+        |bench| cells(bench, scale),
+        " four-way (execution time, simulated seconds)",
+        |r, base| {
+            let last75 = base.map(|b| pct(r.last75_mean_secs() / b.last75_mean_secs()));
+            vec![
+                grid::vs(r, base),
+                last75.unwrap_or_else(|| "-".into()),
+                grid::upm_migrations(r),
+            ]
+        },
+        |report, bench, ok| {
+            let find = |placement: &str, engine: &str| {
+                ok.iter()
+                    .find(|r| r.placement == placement && r.engine == engine)
+                    .copied()
             };
-            let ratio = base.map(|b| r.total_secs / b.total_secs);
-            let last75 = base.map(|b| r.last75_mean_secs() / b.last75_mean_secs());
-            let migrations = r
-                .upm
-                .as_ref()
-                .map(|s| s.total_distribution_migrations().to_string())
-                .unwrap_or_else(|| "-".into());
-            report.row(vec![
-                bench.label().into(),
-                r.label(),
-                secs(r.total_secs),
-                ratio.map(pct).unwrap_or_else(|| "-".into()),
-                last75.map(pct).unwrap_or_else(|| "-".into()),
-                migrations,
-                if r.verification.passed {
-                    "ok".into()
-                } else {
-                    "FAIL".into()
-                },
-            ]);
-        }
-        // Synthesis accounting: what did the offline pass prescribe, and
-        // how much dynamic work was left for the hybrid?
-        let map = crate::lint::placement_map(bench, scale);
-        let hybrid_migrations = find("static", "upmlib")
-            .and_then(|r| r.upm.as_ref())
-            .map(|s| s.total_distribution_migrations())
-            .unwrap_or(0);
-        report.note(format!(
-            "{}: synthesized {} pages ({} flip), predicted residual {} migrations; static+upmlib performed {}",
-            bench.label(),
-            map.pages().len(),
-            map.flip_pages().len(),
-            map.residual_migrations(),
-            hybrid_migrations
-        ));
-        if let (Some(base), Some(st)) = (base, find("static", "IRIX")) {
-            static_vs_ft.push(st.total_secs / base.total_secs);
-        }
-        if let (Some(ft_upm), Some(hy)) = (find("ft", "upmlib"), find("static", "upmlib")) {
-            hybrid_vs_upm.push(hy.total_secs / ft_upm.total_secs);
-        }
-    }
+            // Synthesis accounting: what did the offline pass prescribe, and
+            // how much dynamic work was left for the hybrid?
+            let map = crate::lint::placement_map(bench, scale);
+            let hybrid_migrations = find("static", "upmlib")
+                .and_then(|r| r.upm.as_ref())
+                .map(|s| s.total_distribution_migrations())
+                .unwrap_or(0);
+            report.note(format!(
+                "{}: synthesized {} pages ({} flip), predicted residual {} migrations; static+upmlib performed {}",
+                bench.label(),
+                map.pages().len(),
+                map.flip_pages().len(),
+                map.residual_migrations(),
+                hybrid_migrations
+            ));
+            if let (Some(base), Some(st)) = (find("ft", "IRIX"), find("static", "IRIX")) {
+                static_vs_ft.push(st.total_secs / base.total_secs);
+            }
+            if let (Some(ft_upm), Some(hy)) = (find("ft", "upmlib"), find("static", "upmlib")) {
+                hybrid_vs_upm.push(hy.total_secs / ft_upm.total_secs);
+            }
+        },
+    );
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     if !static_vs_ft.is_empty() {
         report.note(format!(
@@ -186,8 +129,8 @@ mod tests {
         // running it cold (no engine) must not lose to plain first-touch
         // by more than noise, and the hybrid must not add migrations over
         // what ft+upmlib performs (it starts where the engine would end).
-        let results = four_way(BenchName::Mg, Scale::Tiny);
-        assert_eq!(results.len(), CELLS_PER_BENCH);
+        let results = grid::run_cells(cells(BenchName::Mg, Scale::Tiny));
+        assert_eq!(results.len(), 4);
         let find = |label: &str| {
             results
                 .iter()
@@ -204,7 +147,7 @@ mod tests {
         );
         let ft_upm = find("ft-upmlib");
         let hy = find("static-upmlib");
-        let m = |r: &RunResult| {
+        let m = |r: &nas::RunResult| {
             r.upm
                 .as_ref()
                 .map(|s| s.total_distribution_migrations())

@@ -8,43 +8,18 @@
 //! Paper values: residual slowdown always < 2.7%; first-iteration migration
 //! share 100% for CG/FT/MG and >= 78% for BT/SP.
 
-use crate::cells::{CellOutput, CellPlan};
+use crate::grid::{self, Cell};
 use crate::report::{pct, Report};
-use crate::run_one::{default_engine_configs, run_one};
-use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
+use crate::run_one::default_engine_configs;
+use nas::{BenchName, EngineMode, RunResult, Scale};
 use vmm::PlacementScheme;
 
-/// Per-benchmark, per-scheme Table 2 entries.
-#[derive(Debug, Clone)]
-pub struct Table2Row {
-    /// Benchmark.
-    pub bench: BenchName,
-    /// Placement label.
-    pub placement: String,
-    /// Mean per-iteration time over the last 75% of iterations, relative to
-    /// the ft-IRIX run's same statistic.
-    pub last75_slowdown: f64,
-    /// Fraction of distribution migrations in the engine's first
-    /// invocation.
-    pub first_iter_fraction: f64,
-}
-
-/// Cells [`plan_for`] appends per benchmark: the ft-IRIX reference run
-/// plus the three non-optimal schemes and the synthesized static placement
-/// under UPMlib.
-pub const CELLS_PER_BENCH: usize = 5;
-
-/// Append one benchmark's Table 2 cells to `plan`: first the ft-IRIX
-/// reference, then rr/rand/wc/static under UPMlib.
-pub fn plan_for(plan: &mut CellPlan<RunResult>, bench: BenchName, scale: Scale) {
+/// One benchmark's cells: first the ft-IRIX reference run, then the three
+/// non-optimal schemes and the synthesized static placement under UPMlib.
+pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
     let (_, upm_opts) = default_engine_configs();
-    let ft_cfg = RunConfig {
-        placement: PlacementScheme::FirstTouch,
-        ..RunConfig::paper_default()
-    };
-    let ft_spec = crate::spec::plain(bench, scale, &ft_cfg);
-    plan.add_cached(ft_spec, move || run_one(bench, scale, &ft_cfg));
-    let schemes = vec![
+    let ft = Cell::paper(bench, scale, PlacementScheme::FirstTouch, EngineMode::None);
+    let schemes = [
         PlacementScheme::RoundRobin,
         PlacementScheme::Random {
             seed: crate::seed::get(),
@@ -54,45 +29,22 @@ pub fn plan_for(plan: &mut CellPlan<RunResult>, bench: BenchName, scale: Scale) 
         // initial placement is already the synthesized prescription?
         crate::lint::static_scheme(bench, scale),
     ];
-    for placement in schemes {
-        let cfg = RunConfig {
-            placement,
-            engine: EngineMode::Upmlib(upm_opts),
-            ..RunConfig::paper_default()
-        };
-        let spec = crate::spec::plain(bench, scale, &cfg);
-        plan.add_cached(spec, move || run_one(bench, scale, &cfg));
-    }
-}
-
-/// Build one benchmark's rows from its executed cells (ft first).
-fn merge_rows(bench: BenchName, ft: &RunResult, schemes: &[&RunResult]) -> Vec<Table2Row> {
-    let ft_last75 = ft.last75_mean_secs();
-    schemes
-        .iter()
-        .map(|r| {
-            let stats = r.upm.as_ref().expect("upmlib runs carry stats");
-            Table2Row {
-                bench,
-                placement: r.placement.clone(),
-                last75_slowdown: r.last75_mean_secs() / ft_last75,
-                first_iter_fraction: stats.first_invocation_fraction(),
-            }
-        })
-        .collect()
-}
-
-/// Compute Table 2 rows for one benchmark (host-parallel; panics on a
-/// failed cell — `run` consumes the plan with per-cell failure isolation).
-pub fn rows_for(bench: BenchName, scale: Scale) -> Vec<Table2Row> {
-    let mut plan = CellPlan::new();
-    plan_for(&mut plan, bench, scale);
-    let results: Vec<RunResult> = plan
-        .execute()
+    let upm = schemes
         .into_iter()
-        .map(CellOutput::expect_ok)
-        .collect();
-    merge_rows(bench, &results[0], &results[1..].iter().collect::<Vec<_>>())
+        .map(|placement| Cell::paper(bench, scale, placement, EngineMode::Upmlib(upm_opts)));
+    std::iter::once(ft).chain(upm).collect()
+}
+
+/// One scheme's entries, measured against the benchmark's ft-IRIX run:
+/// the mean per-iteration time over the last 75% of iterations relative
+/// to ft's same statistic, and the fraction of distribution migrations in
+/// the engine's first invocation.
+fn stats_vs(ft: &RunResult, r: &RunResult) -> (f64, f64) {
+    let stats = r.upm.as_ref().expect("upmlib runs carry stats");
+    (
+        r.last75_mean_secs() / ft.last75_mean_secs(),
+        stats.first_invocation_fraction(),
+    )
 }
 
 /// Run Table 2 for all five benchmarks.
@@ -107,17 +59,10 @@ pub fn run(scale: Scale) -> Report {
             "Migrations in first invocation",
         ],
     );
-    let mut plan = CellPlan::new();
-    for bench in BenchName::all() {
-        plan_for(&mut plan, bench, scale);
-    }
-    let outputs = plan.execute();
+    let outputs = grid::execute(BenchName::all().map(|b| cells(b, scale)).to_vec());
     let mut worst_res = 0.0f64;
     let mut best_frac = 1.0f64;
-    for (bench, chunk) in BenchName::all()
-        .into_iter()
-        .zip(outputs.chunks(CELLS_PER_BENCH))
-    {
+    for (bench, chunk) in BenchName::all().into_iter().zip(&outputs) {
         let ft = match &chunk[0].value {
             Ok(r) => r,
             Err(p) => {
@@ -137,15 +82,14 @@ pub fn run(scale: Scale) -> Report {
                     continue;
                 }
             };
-            let rows = merge_rows(bench, ft, &[r]);
-            let row = &rows[0];
-            worst_res = worst_res.max(row.last75_slowdown);
-            best_frac = best_frac.min(row.first_iter_fraction);
+            let (last75_slowdown, first_iter_fraction) = stats_vs(ft, r);
+            worst_res = worst_res.max(last75_slowdown);
+            best_frac = best_frac.min(first_iter_fraction);
             report.row(vec![
                 bench.label().into(),
-                row.placement.clone(),
-                pct(row.last75_slowdown),
-                format!("{:.0}%", row.first_iter_fraction * 100.0),
+                r.placement.clone(),
+                pct(last75_slowdown),
+                format!("{:.0}%", first_iter_fraction * 100.0),
             ]);
         }
     }
@@ -165,13 +109,13 @@ mod tests {
     fn residual_slowdown_is_small_once_settled() {
         // MG Tiny under round-robin + upmlib: after the engine settles, the
         // steady-state iterations should be close to first-touch speed.
-        let rows = rows_for(BenchName::Mg, Scale::Tiny);
-        let rr = rows.iter().find(|r| r.placement == "rr").unwrap();
+        let results = grid::run_cells(cells(BenchName::Mg, Scale::Tiny));
+        let rr = results.iter().find(|r| r.placement == "rr").unwrap();
+        let (last75_slowdown, first_iter_fraction) = stats_vs(&results[0], rr);
         assert!(
-            rr.last75_slowdown < 1.35,
-            "residual slowdown too large: {}",
-            rr.last75_slowdown
+            last75_slowdown < 1.35,
+            "residual slowdown too large: {last75_slowdown}"
         );
-        assert!(rr.first_iter_fraction > 0.0);
+        assert!(first_iter_fraction > 0.0);
     }
 }

@@ -8,8 +8,9 @@
 //!   and `trace.chrome.json` (load it in Perfetto or `chrome://tracing`)
 //!   under the output directory and returns a per-iteration metrics table.
 //! * **`--trace DIR` on any other command** — [`set_dir`] installs a trace
-//!   directory; every run dispatched through [`crate::run_one`] then runs
-//!   with the sink attached and dumps its events as
+//!   directory; every [`crate::grid::Cell`] run (a planned cell or a
+//!   [`crate::run_one`] call) then runs with the sink attached and dumps
+//!   its events as
 //!   `trace-<seq>-<bench>-<label>.{jsonl,chrome.json}` (the sequence number
 //!   keeps repeated configurations from overwriting each other).
 
@@ -36,14 +37,12 @@ pub fn dir() -> Option<PathBuf> {
     TRACE_DIR.lock().unwrap().clone()
 }
 
-/// Copy of `cfg` with tracing forced on when a trace directory is
-/// installed (called by every `run_one` dispatcher).
-pub(crate) fn arm(cfg: &RunConfig) -> RunConfig {
-    let mut cfg = cfg.clone();
+/// Force tracing on in `cfg` when a trace directory is installed (called
+/// by [`crate::grid::Cell::run_with`]).
+pub(crate) fn arm(cfg: &mut RunConfig) {
     if dir().is_some() {
         cfg.trace = true;
     }
-    cfg
 }
 
 /// A trace dump captured mid-run but not yet written: the file name's
@@ -112,13 +111,6 @@ pub fn write_files(dir: &Path, stem: &str, tracer: &Tracer) -> std::io::Result<(
     let doc = chrome_trace(tracer.ring.iter(), stem, tracer.dropped_events());
     std::fs::write(&chrome_path, format!("{}\n", doc.to_string_pretty()))?;
     Ok((jsonl_path, chrome_path))
-}
-
-/// Parse a benchmark name (`bt`, `sp`, `cg`, `mg`, `ft`, case-insensitive).
-pub fn parse_bench(s: &str) -> Option<BenchName> {
-    BenchName::all()
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(s))
 }
 
 /// The `xp trace` reference configuration: round-robin placement with the
@@ -215,13 +207,6 @@ pub fn report_for(bench: BenchName, result: &RunResult, tracer: &Tracer) -> Repo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_names_parse_case_insensitively() {
-        assert_eq!(parse_bench("cg"), Some(BenchName::Cg));
-        assert_eq!(parse_bench("BT"), Some(BenchName::Bt));
-        assert_eq!(parse_bench("nope"), None);
-    }
 
     #[test]
     fn traced_run_collects_migration_events() {

@@ -21,7 +21,10 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn check(name: &str, report: Report) {
-    let rendered = report.to_json().to_string_pretty() + "\n";
+    check_text(name, report.to_json().to_string_pretty() + "\n");
+}
+
+fn check_text(name: &str, rendered: String) {
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -56,7 +59,7 @@ fn check(name: &str, report: Report) {
                 )
             });
         panic!(
-            "report {name} drifted from its golden fixture.\n{diff_line}\n\
+            "{name} drifted from its golden fixture.\n{diff_line}\n\
              if the change is intentional, regenerate with \
              `UPDATE_GOLDEN=1 cargo test --test golden_reports` and commit the fixture"
         );
@@ -106,4 +109,40 @@ fn lint_tiny_matches_golden() {
         &lint::Allowlist::empty(),
     );
     check("lint_tiny.json", run.report);
+}
+
+#[test]
+fn cell_keys_tiny_match_the_fixture() {
+    // Every spec-carrying cell's cache key, in plan order, at the default
+    // seed — generated at the commit before `xp::grid` replaced the
+    // per-experiment planners. A diff here means on-disk caches and
+    // resident servers stop matching: that takes a `CODE_VERSION` bump and
+    // a reason, never a refactor.
+    use xp::{ablation, fig1, fig4, fig5, fig6, staticplace, table2};
+    let scale = Scale::Tiny;
+    let benches = nas::BenchName::all();
+    let mut plans: Vec<(&str, Vec<xp::grid::Cell>)> = Vec::new();
+    plans.extend(benches.map(|b| ("fig1", fig1::cells(b, scale, false))));
+    plans.extend(benches.map(|b| ("fig4", fig4::cells(b, scale))));
+    plans.extend(benches.map(|b| ("table2", table2::cells(b, scale))));
+    plans.extend(fig5::BENCHES.map(|b| ("fig5", fig5::cells(b, scale))));
+    plans.extend(fig6::PHASE_SCALES.map(|ps| ("fig6", fig6::cells(scale, ps))));
+    plans.extend(benches.map(|b| ("staticplace", staticplace::cells(b, scale))));
+    plans.extend(ablation::RATIOS.map(|r| {
+        (
+            "ablation-latency-ratio",
+            ablation::latency_ratio_cells(scale, r),
+        )
+    }));
+    plans.push(("ablation-threshold", ablation::threshold_cells(scale)));
+    plans.extend(
+        ablation::NODES.map(|n| ("ablation-machine-size", ablation::machine_size_cells(n))),
+    );
+    let mut rendered = String::new();
+    for (experiment, cells) in plans {
+        for spec in cells.iter().map(xp::grid::Cell::spec) {
+            rendered += &format!("{} {experiment} {}\n", spec.key(), spec.cell_id());
+        }
+    }
+    check_text("cell_keys_tiny.txt", rendered);
 }
