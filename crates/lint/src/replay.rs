@@ -78,9 +78,8 @@ impl UpmReplay {
 
     /// One `migrate_memory` invocation against `counts`. Returns the number
     /// of pages moved. Mirrors `UpmEngine::migrate_memory` decision for
-    /// decision: vpage scan order, the `rmax >= min_accesses` floor, the
-    /// `rmax/local > thr` competitive criterion with `local == 0` treated
-    /// as infinitely remote-dominated, strict-greater remote maximum with
+    /// decision: vpage scan order, the engine's own competitive criterion
+    /// ([`UpmOptions::competitive`]), strict-greater remote maximum with
     /// ties toward the lower node id, freezer veto, and deactivation when
     /// nothing moves.
     pub fn invoke(&mut self, counts: &CountTable) -> usize {
@@ -103,15 +102,7 @@ impl UpmReplay {
                     target = n;
                 }
             }
-            if rmax < self.options.min_accesses as u64 {
-                continue;
-            }
-            let ratio = if local == 0 {
-                f64::INFINITY
-            } else {
-                rmax as f64 / local as f64
-            };
-            if ratio <= self.options.thr {
+            if self.options.competitive(local, rmax).is_none() {
                 continue;
             }
             if target == home {

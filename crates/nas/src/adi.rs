@@ -14,14 +14,13 @@
 //! The arrays `u`, `rhs` and `forcing` are exactly the three hot arrays the
 //! paper's compiler instrumentation registers for BT (its Figure 2).
 
-use crate::common::Grid3;
-use crate::model::LoopModel;
-use ccnuma::{AccessKind, SimArray};
-use omp::{Par, Runtime, Schedule};
-use upmlib::UpmEngine;
+use crate::common::{Grid3, PhaseHook, PhasePoint};
+use crate::model::{Exec, Mem};
+use ccnuma::{ArrayLayout, SimArray};
+use omp::{Runtime, Schedule};
+use std::rc::Rc;
 
-/// Axis of a directional ADI sweep — the access-model mirror of the
-/// private `Axis` enums in `bt`/`sp`.
+/// Axis of a directional ADI sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepAxis {
     /// Line solves along x (parallel over z).
@@ -30,6 +29,37 @@ pub enum SweepAxis {
     Y,
     /// Line solves along z (parallel over y — the slab-crossing phase).
     Z,
+}
+
+impl SweepAxis {
+    /// Name of the sweep's phase and of its loop.
+    pub fn name(self) -> &'static str {
+        match self {
+            SweepAxis::X => "x_solve",
+            SweepAxis::Y => "y_solve",
+            SweepAxis::Z => "z_solve",
+        }
+    }
+
+    /// `(line length, parallel extent, inner extent)`: z_solve parallelizes
+    /// over y (slab-crossing), the x and y solves over z.
+    pub fn extents(self, g: Grid3) -> (usize, usize, usize) {
+        match self {
+            SweepAxis::X => (g.nx, g.nz, g.ny),
+            SweepAxis::Y => (g.ny, g.nz, g.nx),
+            SweepAxis::Z => (g.nz, g.ny, g.nx),
+        }
+    }
+
+    /// Grid coordinates of point `k` on line `(outer, inner)`.
+    #[inline(always)]
+    pub fn coord(self, outer: usize, inner: usize, k: usize) -> (usize, usize, usize) {
+        match self {
+            SweepAxis::X => (k, inner, outer),
+            SweepAxis::Y => (inner, k, outer),
+            SweepAxis::Z => (inner, outer, k),
+        }
+    }
 }
 
 /// Grid state shared by BT and SP.
@@ -105,11 +135,10 @@ impl AdiState {
         }
     }
 
-    /// Register the three hot arrays (the paper's BT instrumentation).
-    pub fn register_hot(&self, upm: &mut UpmEngine) {
-        upm.memrefcnt(&self.u);
-        upm.memrefcnt(&self.rhs);
-        upm.memrefcnt(&self.forcing);
+    /// The three hot arrays (the paper's BT instrumentation), in
+    /// registration order.
+    pub fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        vec![self.u.layout(), self.rhs.layout(), self.forcing.layout()]
     }
 
     /// Reset `u` to its deterministic initial field (host-only, used when
@@ -123,10 +152,10 @@ impl AdiState {
 
     /// `rhs = r * lap(u) + forcing_scale * forcing`, periodic boundaries,
     /// parallel over z-slabs. This is the `compute_rhs` phase of BT/SP.
-    pub fn compute_rhs(&self, rt: &mut Runtime, r: f64, forcing_scale: f64) {
+    pub fn compute_rhs<E: Exec>(self: &Rc<Self>, ex: &mut E, r: f64, forcing_scale: f64) {
         let g = self.grid;
-        let (u, rhs, forcing) = (&self.u, &self.rhs, &self.forcing);
-        rt.parallel_for(g.nz, Schedule::Static, |par, z| {
+        let s = self.clone();
+        ex.for_each("compute_rhs", g.nz, Schedule::Static, move |m, z| {
             let zm = (z + g.nz - 1) % g.nz;
             let zp = (z + 1) % g.nz;
             for y in 0..g.ny {
@@ -136,17 +165,17 @@ impl AdiState {
                     let xm = (x + g.nx - 1) % g.nx;
                     let xp = (x + 1) % g.nx;
                     for c in 0..5 {
-                        let center = par.get(u, g.idx(c, x, y, z));
-                        let lap = par.get(u, g.idx(c, xm, y, z))
-                            + par.get(u, g.idx(c, xp, y, z))
-                            + par.get(u, g.idx(c, x, ym, z))
-                            + par.get(u, g.idx(c, x, yp, z))
-                            + par.get(u, g.idx(c, x, y, zm))
-                            + par.get(u, g.idx(c, x, y, zp))
+                        let center = m.get(&s.u, g.idx(c, x, y, z));
+                        let lap = m.get(&s.u, g.idx(c, xm, y, z))
+                            + m.get(&s.u, g.idx(c, xp, y, z))
+                            + m.get(&s.u, g.idx(c, x, ym, z))
+                            + m.get(&s.u, g.idx(c, x, yp, z))
+                            + m.get(&s.u, g.idx(c, x, y, zm))
+                            + m.get(&s.u, g.idx(c, x, y, zp))
                             - 6.0 * center;
-                        let f = par.get(forcing, g.idx(c, x, y, z));
-                        par.set(rhs, g.idx(c, x, y, z), r * lap + forcing_scale * f);
-                        par.flops(10);
+                        let f = m.get(&s.forcing, g.idx(c, x, y, z));
+                        m.set(&s.rhs, g.idx(c, x, y, z), r * lap + forcing_scale * f);
+                        m.flops(10);
                     }
                 }
             }
@@ -155,158 +184,64 @@ impl AdiState {
 
     /// `u += rhs`, returning the L2 norm of the applied update (the `add`
     /// phase plus the NAS-style rhs-norm diagnostic).
-    pub fn add_and_norm(&self, rt: &mut Runtime) -> f64 {
+    pub fn add_and_norm<E: Exec>(self: &Rc<Self>, ex: &mut E) -> f64 {
         let g = self.grid;
-        let (u, rhs) = (&self.u, &self.rhs);
-        let (sum, _) = rt.parallel_reduce(
-            g.nz,
-            Schedule::Static,
-            0.0,
-            |par, z, acc| {
-                let mut s = 0.0;
-                for y in 0..g.ny {
-                    for x in 0..g.nx {
-                        for c in 0..5 {
-                            let i = g.idx(c, x, y, z);
-                            let d = par.get(rhs, i);
-                            par.update(u, i, |v| v + d);
-                            s += d * d;
-                        }
+        let s = self.clone();
+        let sum = ex.sum("add", g.nz, Schedule::Static, move |m, z| {
+            let mut sq = 0.0;
+            for y in 0..g.ny {
+                for x in 0..g.nx {
+                    for c in 0..5 {
+                        let i = g.idx(c, x, y, z);
+                        let d = m.get(&s.rhs, i);
+                        m.update(&s.u, i, |v| v + d);
+                        sq += d * d;
                     }
                 }
-                par.flops(3 * (g.nx * g.ny * 5) as u64);
-                acc + s
-            },
-            |a, b| a + b,
-        );
+            }
+            m.flops(3 * (g.nx * g.ny * 5) as u64);
+            sq
+        });
         (sum / g.len() as f64).sqrt()
     }
 
     /// Read the 5 components of `u` at a grid point into an array.
     #[inline(always)]
-    pub fn read_u5(&self, par: &mut Par<'_>, x: usize, y: usize, z: usize) -> [f64; 5] {
+    pub fn read_u5<M: Mem>(&self, m: &mut M, x: usize, y: usize, z: usize) -> [f64; 5] {
         let g = self.grid;
-        std::array::from_fn(|c| par.get(&self.u, g.idx(c, x, y, z)))
+        std::array::from_fn(|c| m.get(&self.u, g.idx(c, x, y, z)))
     }
 
-    /// Static access model of [`AdiState::compute_rhs`] (exactly the reads
-    /// and writes the simulated loop body performs per z-plane).
-    pub fn compute_rhs_model(&self) -> LoopModel {
-        let g = self.grid;
-        let (u, rhs, forcing) = (self.u.layout(), self.rhs.layout(), self.forcing.layout());
-        LoopModel::parallel("compute_rhs", g.nz, Schedule::Static, move |z, emit| {
-            let zm = (z + g.nz - 1) % g.nz;
-            let zp = (z + 1) % g.nz;
-            for y in 0..g.ny {
-                let ym = (y + g.ny - 1) % g.ny;
-                let yp = (y + 1) % g.ny;
-                for x in 0..g.nx {
-                    let xm = (x + g.nx - 1) % g.nx;
-                    let xp = (x + 1) % g.nx;
-                    for c in 0..5 {
-                        for i in [
-                            g.idx(c, x, y, z),
-                            g.idx(c, xm, y, z),
-                            g.idx(c, xp, y, z),
-                            g.idx(c, x, ym, z),
-                            g.idx(c, x, yp, z),
-                            g.idx(c, x, y, zm),
-                            g.idx(c, x, y, zp),
-                        ] {
-                            emit(u.vaddr_of(i), AccessKind::Read);
-                        }
-                        emit(forcing.vaddr_of(g.idx(c, x, y, z)), AccessKind::Read);
-                        emit(rhs.vaddr_of(g.idx(c, x, y, z)), AccessKind::Write);
-                    }
-                }
+    /// One BT/SP time step — `compute_rhs`, the three sweeps (the z-sweep
+    /// crossing slabs, bracketed by the phase points), `add` — with every
+    /// phase's loop repeated `phase_scale` times as in the Figure 6
+    /// experiment. `sweep` states one directional solve as one construct
+    /// named [`SweepAxis::name`]. Returns the update norm.
+    pub fn step<E: Exec>(
+        self: &Rc<Self>,
+        ex: &mut E,
+        hook: &mut PhaseHook<'_>,
+        r: f64,
+        phase_scale: usize,
+        sweep: impl Fn(&mut E, SweepAxis),
+    ) -> f64 {
+        ex.phase("compute_rhs");
+        for _ in 0..phase_scale {
+            self.compute_rhs(ex, r, 1.0);
+        }
+        let solve = |ex: &mut E, axis: SweepAxis| {
+            ex.phase(axis.name());
+            for _ in 0..phase_scale {
+                sweep(ex, axis);
             }
-        })
-    }
-
-    /// Static access model of a directional sweep. BT's block solver and
-    /// SP's scalar solver gather and scatter exactly the same element set
-    /// per (outer, inner) line — all 5 components of `u` (read) and `rhs`
-    /// (read, then written back) along the line — so one model serves both.
-    pub fn sweep_model(&self, name: &str, axis: SweepAxis) -> LoopModel {
-        let g = self.grid;
-        let (u, rhs) = (self.u.layout(), self.rhs.layout());
-        let (n, outer_extent, inner_extent) = match axis {
-            SweepAxis::X => (g.nx, g.nz, g.ny),
-            SweepAxis::Y => (g.ny, g.nz, g.nx),
-            SweepAxis::Z => (g.nz, g.ny, g.nx),
         };
-        LoopModel::parallel(name, outer_extent, Schedule::Static, move |outer, emit| {
-            for inner in 0..inner_extent {
-                let coord = |k: usize| -> (usize, usize, usize) {
-                    match axis {
-                        SweepAxis::X => (k, inner, outer),
-                        SweepAxis::Y => (inner, k, outer),
-                        SweepAxis::Z => (inner, outer, k),
-                    }
-                };
-                for k in 0..n {
-                    let (x, y, z) = coord(k);
-                    for c in 0..5 {
-                        emit(u.vaddr_of(g.idx(c, x, y, z)), AccessKind::Read);
-                        emit(rhs.vaddr_of(g.idx(c, x, y, z)), AccessKind::Read);
-                    }
-                }
-                for k in 0..n {
-                    let (x, y, z) = coord(k);
-                    for c in 0..5 {
-                        emit(rhs.vaddr_of(g.idx(c, x, y, z)), AccessKind::Write);
-                    }
-                }
-            }
-        })
-    }
-
-    /// Static access model of [`AdiState::add_and_norm`] (a reduction over
-    /// z-planes: read `rhs`, read-modify-write `u`).
-    pub fn add_and_norm_model(&self) -> LoopModel {
-        let g = self.grid;
-        let (u, rhs) = (self.u.layout(), self.rhs.layout());
-        LoopModel::reduction("add", g.nz, Schedule::Static, move |z, emit| {
-            for y in 0..g.ny {
-                for x in 0..g.nx {
-                    for c in 0..5 {
-                        let i = g.idx(c, x, y, z);
-                        emit(rhs.vaddr_of(i), AccessKind::Read);
-                        emit(u.vaddr_of(i), AccessKind::Read);
-                        emit(u.vaddr_of(i), AccessKind::Write);
-                    }
-                }
-            }
-        })
-    }
-
-    /// The phase sequence of one BT/SP time step (`compute_rhs`, the three
-    /// sweeps with the z-sweep crossing slabs, `add`), with every phase's
-    /// loop repeated `phase_scale` times as in the Figure 6 experiment.
-    pub fn step_phases(&self, phase_scale: usize) -> Vec<crate::model::PhaseModel> {
-        use crate::model::PhaseModel;
-        let rep = |f: &dyn Fn() -> LoopModel| (0..phase_scale).map(|_| f()).collect();
-        vec![
-            PhaseModel::new("compute_rhs", rep(&|| self.compute_rhs_model())),
-            PhaseModel::new(
-                "x_solve",
-                rep(&|| self.sweep_model("x_solve", SweepAxis::X)),
-            ),
-            PhaseModel::new(
-                "y_solve",
-                rep(&|| self.sweep_model("y_solve", SweepAxis::Y)),
-            ),
-            PhaseModel::new(
-                "z_solve",
-                rep(&|| self.sweep_model("z_solve", SweepAxis::Z)),
-            ),
-            PhaseModel::new("add", vec![self.add_and_norm_model()]),
-        ]
-    }
-
-    /// Layouts of the three hot arrays, in `register_hot` order.
-    pub fn array_layouts(&self) -> Vec<ccnuma::ArrayLayout> {
-        vec![self.u.layout(), self.rhs.layout(), self.forcing.layout()]
+        solve(ex, SweepAxis::X);
+        solve(ex, SweepAxis::Y);
+        ex.point(hook, PhasePoint::Before(0));
+        solve(ex, SweepAxis::Z);
+        ex.point(hook, PhasePoint::After(0));
+        ex.phase("add");
+        self.add_and_norm(ex)
     }
 }
 
@@ -322,7 +257,7 @@ mod tests {
     #[test]
     fn constant_field_zero_forcing_gives_zero_rhs() {
         let mut rt = rt();
-        let state = AdiState::new(&mut rt, "t", 6, 6, 6);
+        let state = Rc::new(AdiState::new(&mut rt, "t", 6, 6, 6));
         state.u.fill(3.0);
         state.compute_rhs(&mut rt, 0.2, 0.0);
         for i in 0..state.grid.len() {
@@ -333,7 +268,7 @@ mod tests {
     #[test]
     fn add_applies_update_and_norms() {
         let mut rt = rt();
-        let state = AdiState::new(&mut rt, "t", 4, 4, 4);
+        let state = Rc::new(AdiState::new(&mut rt, "t", 4, 4, 4));
         state.u.fill(1.0);
         state.rhs.fill(0.5);
         let norm = state.add_and_norm(&mut rt);

@@ -20,11 +20,13 @@
 //! in a sequential loop with 4 iterations", lengthening every phase without
 //! changing its access pattern.
 
-use crate::adi::AdiState;
-use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
+use crate::adi::{AdiState, SweepAxis};
+use crate::common::{no_phase_hook, BenchName, NasBenchmark, PhaseHook, Scale, Verification};
 use crate::la::{self, BVec, Block};
+use crate::model::{Describe, Exec, KernelModel, Mem};
+use ccnuma::ArrayLayout;
 use omp::{Runtime, Schedule};
-use upmlib::UpmEngine;
+use std::rc::Rc;
 
 /// BT problem parameters.
 #[derive(Debug, Clone, Copy)]
@@ -75,14 +77,6 @@ impl BtConfig {
     }
 }
 
-/// Sweep direction of a line solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    X,
-    Y,
-    Z,
-}
-
 /// The constant 5x5 coupling matrix added to the diagonal blocks — small
 /// off-diagonal terms that force genuine block (not scalar) solves.
 fn coupling() -> Block {
@@ -97,10 +91,24 @@ fn coupling() -> Block {
     k
 }
 
+/// Diagonal-block contribution from the local field value:
+/// `K + diag(u) * eps_weight` scaled by `scale`.
+fn phi(coupling: &Block, u5: &BVec, scale: f64) -> Block {
+    let mut m = [0.0; 25];
+    for r in 0..la::B {
+        for c in 0..la::B {
+            let base = coupling[r * la::B + c];
+            let diag = if r == c { u5[r] } else { 0.0 };
+            m[r * la::B + c] = scale * (base + 0.05 * diag);
+        }
+    }
+    m
+}
+
 /// The BT benchmark instance.
 pub struct Bt {
     cfg: BtConfig,
-    state: AdiState,
+    state: Rc<AdiState>,
     /// Initial field, kept to reset after the cold-start iteration.
     initial_u: Vec<f64>,
     coupling: Block,
@@ -116,7 +124,7 @@ impl Bt {
 
     /// Allocate with explicit parameters.
     pub fn with_config(rt: &mut Runtime, cfg: BtConfig) -> Self {
-        let state = AdiState::new(rt, "bt", cfg.nx, cfg.ny, cfg.nz);
+        let state = Rc::new(AdiState::new(rt, "bt", cfg.nx, cfg.ny, cfg.nz));
         let initial_u = state.u.to_vec();
         Self {
             cfg,
@@ -137,134 +145,87 @@ impl Bt {
         &self.state
     }
 
-    /// Diagonal-block contribution from the local field value:
-    /// `K + diag(u) * eps_weight` scaled by `scale`.
-    fn phi(&self, u5: &BVec, scale: f64) -> Block {
-        let mut m = [0.0; 25];
-        for r in 0..la::B {
-            for c in 0..la::B {
-                let base = self.coupling[r * la::B + c];
-                let diag = if r == c { u5[r] } else { 0.0 };
-                m[r * la::B + c] = scale * (base + 0.05 * diag);
-            }
-        }
-        m
-    }
-
     /// Solve all lines along `axis`: for each line, assemble the 5x5 block
     /// tridiagonal operator `(I - A_axis)` from `u` and solve it against
     /// the line's `rhs`, writing the result back into `rhs`.
-    fn sweep(&self, rt: &mut Runtime, axis: Axis) {
-        let g = self.state.grid;
-        let r = self.cfg.r;
-        let eps = self.cfg.eps;
-        // Line length, parallel (outer) extent, and inner extent per axis;
-        // z_solve parallelizes over y (slab-crossing), x/y solves over z.
-        let (n, outer_extent, inner_extent) = match axis {
-            Axis::X => (g.nx, g.nz, g.ny),
-            Axis::Y => (g.ny, g.nz, g.nx),
-            Axis::Z => (g.nz, g.ny, g.nx),
-        };
-        rt.parallel_for(outer_extent, Schedule::Static, |par, outer| {
-            let mut sub = vec![[0.0; 25]; n];
-            let mut diag = vec![[0.0; 25]; n];
-            let mut sup = vec![[0.0; 25]; n];
-            let mut line_rhs: Vec<BVec> = vec![[0.0; 5]; n];
-            let mut line_u: Vec<BVec> = vec![[0.0; 5]; n];
-            for inner in 0..inner_extent {
-                // Map (outer, inner, k) to grid coordinates per axis.
-                let coord = |k: usize| -> (usize, usize, usize) {
-                    match axis {
-                        Axis::X => (k, inner, outer),
-                        Axis::Y => (inner, k, outer),
-                        Axis::Z => (inner, outer, k),
+    fn sweep<E: Exec>(&self, ex: &mut E, axis: SweepAxis) {
+        let s = self.state.clone();
+        let g = s.grid;
+        let BtConfig { r, eps, .. } = self.cfg;
+        let coupling = self.coupling;
+        let (n, outer_extent, inner_extent) = axis.extents(g);
+        ex.for_each(
+            axis.name(),
+            outer_extent,
+            Schedule::Static,
+            move |m, outer| {
+                let mut sub = vec![[0.0; 25]; n];
+                let mut diag = vec![[0.0; 25]; n];
+                let mut sup = vec![[0.0; 25]; n];
+                let mut line_rhs: Vec<BVec> = vec![[0.0; 5]; n];
+                let mut line_u: Vec<BVec> = vec![[0.0; 5]; n];
+                for inner in 0..inner_extent {
+                    // Gather the line's field and rhs.
+                    for k in 0..n {
+                        let (x, y, z) = axis.coord(outer, inner, k);
+                        line_u[k] = s.read_u5(m, x, y, z);
+                        for c in 0..5 {
+                            line_rhs[k][c] = m.get(&s.rhs, g.idx(c, x, y, z));
+                        }
                     }
-                };
-                // Gather the line's field and rhs.
-                for k in 0..n {
-                    let (x, y, z) = coord(k);
-                    line_u[k] = self.state.read_u5(par, x, y, z);
-                    for c in 0..5 {
-                        line_rhs[k][c] = par.get(&self.state.rhs, g.idx(c, x, y, z));
-                    }
-                }
-                // Assemble (I - A): A couples neighbours with -r plus the
-                // u-dependent phi blocks (periodic wrap folded into the
-                // first/last off-blocks being dropped — the tridiagonal
-                // solver treats the line as Dirichlet-truncated, a standard
-                // ADI line treatment).
-                for k in 0..n {
-                    let km = (k + n - 1) % n;
-                    let kp = (k + 1) % n;
-                    let mut d = la::scaled_identity5(1.0 + 2.0 * r);
-                    let phi_d = self.phi(&line_u[k], eps);
-                    for i in 0..25 {
-                        d[i] += phi_d[i];
-                    }
-                    diag[k] = d;
-                    let mut s = la::scaled_identity5(-r);
-                    let phi_s = self.phi(&line_u[km], -0.5 * eps);
-                    for i in 0..25 {
-                        s[i] += phi_s[i];
-                    }
-                    sub[k] = s;
-                    let mut p = la::scaled_identity5(-r);
-                    let phi_p = self.phi(&line_u[kp], -0.5 * eps);
-                    for i in 0..25 {
-                        p[i] += phi_p[i];
-                    }
-                    sup[k] = p;
-                }
-                let flops = la::block_tridiag_solve(&sub, &diag, &sup, &mut line_rhs)
-                    .expect("BT blocks are diagonally dominant");
-                // Assembly arithmetic: ~3 block builds of 25 entries each.
-                par.flops(flops + (n as u64) * 150);
-                // Scatter the solved line back.
-                for k in 0..n {
-                    let (x, y, z) = coord(k);
-                    for c in 0..5 {
-                        par.set(&self.state.rhs, g.idx(c, x, y, z), line_rhs[k][c]);
+                    let mut flops = 0;
+                    m.host(|| {
+                        // Assemble (I - A): A couples neighbours with -r plus
+                        // the u-dependent phi blocks (periodic wrap folded into
+                        // the first/last off-blocks being dropped — the
+                        // tridiagonal solver treats the line as
+                        // Dirichlet-truncated, a standard ADI line treatment).
+                        let block = |identity: f64, u5: &BVec, scale: f64| {
+                            let mut b = la::scaled_identity5(identity);
+                            let phi = phi(&coupling, u5, scale);
+                            for i in 0..25 {
+                                b[i] += phi[i];
+                            }
+                            b
+                        };
+                        for k in 0..n {
+                            diag[k] = block(1.0 + 2.0 * r, &line_u[k], eps);
+                            sub[k] = block(-r, &line_u[(k + n - 1) % n], -0.5 * eps);
+                            sup[k] = block(-r, &line_u[(k + 1) % n], -0.5 * eps);
+                        }
+                        flops = la::block_tridiag_solve(&sub, &diag, &sup, &mut line_rhs)
+                            .expect("BT blocks are diagonally dominant");
+                    });
+                    // Assembly arithmetic: ~3 block builds of 25 entries each.
+                    m.flops(flops + (n as u64) * 150);
+                    // Scatter the solved line back.
+                    for k in 0..n {
+                        let (x, y, z) = axis.coord(outer, inner, k);
+                        for c in 0..5 {
+                            m.set(&s.rhs, g.idx(c, x, y, z), line_rhs[k][c]);
+                        }
                     }
                 }
-            }
-        });
-    }
-
-    fn x_solve(&self, rt: &mut Runtime) {
-        self.sweep(rt, Axis::X);
-    }
-
-    fn y_solve(&self, rt: &mut Runtime) {
-        self.sweep(rt, Axis::Y);
-    }
-
-    fn z_solve(&self, rt: &mut Runtime) {
-        self.sweep(rt, Axis::Z);
+            },
+        );
     }
 
     /// Run one z-sweep in isolation (diagnostics/ablation harness).
     pub fn z_solve_public(&self, rt: &mut Runtime) {
-        self.z_solve(rt);
+        self.sweep(rt, SweepAxis::Z);
+    }
+
+    /// The cold start: one full time step, then the field reset.
+    fn cold<E: Exec>(&self, ex: &mut E) {
+        self.step(ex, &mut no_phase_hook());
+        ex.host(|| self.state.reset(&self.initial_u));
     }
 
     /// One full time step (shared by cold start and timed iterations).
-    fn step(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) -> f64 {
-        let ps = self.cfg.phase_scale;
-        for _ in 0..ps {
-            self.state.compute_rhs(rt, self.cfg.r, 1.0);
-        }
-        for _ in 0..ps {
-            self.x_solve(rt);
-        }
-        for _ in 0..ps {
-            self.y_solve(rt);
-        }
-        hook(rt, PhasePoint::Before(0));
-        for _ in 0..ps {
-            self.z_solve(rt);
-        }
-        hook(rt, PhasePoint::After(0));
-        self.state.add_and_norm(rt)
+    fn step<E: Exec>(&self, ex: &mut E, hook: &mut PhaseHook<'_>) -> f64 {
+        let BtConfig { r, phase_scale, .. } = self.cfg;
+        self.state
+            .step(ex, hook, r, phase_scale, |ex, axis| self.sweep(ex, axis))
     }
 
     /// Recorded per-iteration update norms.
@@ -283,10 +244,7 @@ impl NasBenchmark for Bt {
     }
 
     fn cold_start(&mut self, rt: &mut Runtime) {
-        let mut noop = |_: &mut Runtime, _: PhasePoint| {};
-        let _ = self.step(rt, &mut noop);
-        self.state.reset(&self.initial_u);
-        self.norms.clear();
+        self.cold(rt);
     }
 
     fn iterate(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) {
@@ -294,8 +252,8 @@ impl NasBenchmark for Bt {
         self.norms.push(norm);
     }
 
-    fn register_hot(&self, upm: &mut UpmEngine) {
-        self.state.register_hot(upm);
+    fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        self.state.hot_arrays()
     }
 
     fn verify(&self) -> Verification {
@@ -316,15 +274,11 @@ impl NasBenchmark for Bt {
         }
     }
 
-    fn access_model(&self) -> Option<crate::model::KernelModel> {
-        // cold_start runs one full step (the host-side field reset touches
-        // no simulated pages), so the cold phases equal the timed phases.
-        let ps = self.cfg.phase_scale;
-        Some(crate::model::KernelModel::new(
-            BenchName::Bt,
-            self.state.array_layouts(),
-            self.state.step_phases(ps),
-            self.state.step_phases(ps),
+    fn access_model(&self) -> Option<KernelModel> {
+        Some(Describe::kernel(
+            self,
+            |d| self.cold(d),
+            |d| self.step(d, &mut no_phase_hook()),
         ))
     }
 }
@@ -332,7 +286,7 @@ impl NasBenchmark for Bt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::no_phase_hook;
+    use crate::common::PhasePoint;
     use ccnuma::{Machine, MachineConfig};
 
     fn rt() -> Runtime {
@@ -399,9 +353,9 @@ mod tests {
         let mut bt = Bt::new(&mut rt, Scale::Tiny);
         bt.cold_start(&mut rt);
         let remote_before = rt.machine().aggregate_cpu_stats().mem_remote;
-        bt.x_solve(&mut rt);
+        bt.sweep(&mut rt, SweepAxis::X);
         let remote_after_x = rt.machine().aggregate_cpu_stats().mem_remote;
-        bt.z_solve(&mut rt);
+        bt.sweep(&mut rt, SweepAxis::Z);
         let remote_after_z = rt.machine().aggregate_cpu_stats().mem_remote;
         let x_remote = remote_after_x - remote_before;
         let z_remote = remote_after_z - remote_after_x;

@@ -14,11 +14,12 @@
 //! are reductions. CG has no phase change; the phase hook is never invoked.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
-use ccnuma::SimArray;
+use crate::model::{Describe, Exec, KernelModel, Mem};
+use ccnuma::{ArrayLayout, SimArray};
 use omp::{Runtime, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use upmlib::UpmEngine;
+use std::rc::Rc;
 
 /// CG problem parameters.
 #[derive(Debug, Clone, Copy)]
@@ -139,14 +140,10 @@ fn make_matrix(cfg: &CgConfig) -> Csr {
     Csr { rowstr, col, val }
 }
 
-/// The CG benchmark instance.
-pub struct Cg {
-    cfg: CgConfig,
-    /// Host copy of the matrix (row pointers are loop metadata; the column
-    /// and value arrays are also simulated below).
+/// What CG's loop bodies touch: the row pointers (loop metadata) and the
+/// simulated matrix and vectors.
+struct Data {
     rowstr: Vec<usize>,
-    host_col: Vec<u32>,
-    host_val: Vec<f64>,
     a: SimArray<f64>,
     col: SimArray<u32>,
     x: SimArray<f64>,
@@ -154,6 +151,15 @@ pub struct Cg {
     p: SimArray<f64>,
     q: SimArray<f64>,
     r: SimArray<f64>,
+}
+
+/// The CG benchmark instance.
+pub struct Cg {
+    cfg: CgConfig,
+    d: Rc<Data>,
+    /// Host copy of the matrix pattern and values, for verification.
+    host_col: Vec<u32>,
+    host_val: Vec<f64>,
     /// zeta after each timed outer iteration.
     zetas: Vec<f64>,
 }
@@ -179,18 +185,21 @@ impl Cg {
         let p = SimArray::chunk_aligned(m, "cg.p", cfg.n, team, 0.0);
         let q = SimArray::chunk_aligned(m, "cg.q", cfg.n, team, 0.0);
         let r = SimArray::chunk_aligned(m, "cg.r", cfg.n, team, 0.0);
+        let rowstr = csr.rowstr;
         Self {
             cfg,
-            rowstr: csr.rowstr,
+            d: Rc::new(Data {
+                rowstr,
+                a,
+                col,
+                x,
+                z,
+                p,
+                q,
+                r,
+            }),
             host_col: csr.col,
             host_val: csr.val,
-            a,
-            col,
-            x,
-            z,
-            p,
-            q,
-            r,
             zetas: Vec::new(),
         }
     }
@@ -202,127 +211,119 @@ impl Cg {
 
     /// Named simulated ranges of all shared arrays (diagnostics).
     pub fn array_ranges(&self) -> Vec<(&'static str, (u64, u64))> {
+        let d = &self.d;
         vec![
-            ("a", self.a.vrange()),
-            ("col", self.col.vrange()),
-            ("x", self.x.vrange()),
-            ("z", self.z.vrange()),
-            ("p", self.p.vrange()),
-            ("q", self.q.vrange()),
-            ("r", self.r.vrange()),
+            ("a", d.a.vrange()),
+            ("col", d.col.vrange()),
+            ("x", d.x.vrange()),
+            ("z", d.z.vrange()),
+            ("p", d.p.vrange()),
+            ("q", d.q.vrange()),
+            ("r", d.r.vrange()),
         ]
+    }
+
+    /// The cold start: one full outer iteration faults every page through
+    /// the parallel constructs (first-touch distribution); its numeric
+    /// state is then discarded.
+    fn cold<E: Exec>(&self, ex: &mut E) {
+        self.step(ex);
+        ex.host(|| {
+            let d = &self.d;
+            d.x.fill(1.0);
+            for v in [&d.z, &d.p, &d.q, &d.r] {
+                v.fill(0.0);
+            }
+        });
     }
 
     /// One outer iteration: `cg_iters` CG steps plus the eigenvalue update.
     /// Returns zeta.
-    fn outer_iteration(&mut self, rt: &mut Runtime) -> f64 {
+    fn step<E: Exec>(&self, ex: &mut E) -> f64 {
         let n = self.cfg.n;
-        let (a, col, x, z, p, q, r) = (
-            &self.a, &self.col, &self.x, &self.z, &self.p, &self.q, &self.r,
-        );
-        let rowstr = &self.rowstr;
 
         // z = 0, r = x, p = r; rho = r.r
-        rt.parallel_for(n, Schedule::Static, |par, i| {
-            let xi = par.get(x, i);
-            par.set(z, i, 0.0);
-            par.set(r, i, xi);
-            par.set(p, i, xi);
+        ex.phase("init");
+        let d = self.d.clone();
+        ex.for_each("init", n, Schedule::Static, move |m, i| {
+            let xi = m.get(&d.x, i);
+            m.set(&d.z, i, 0.0);
+            m.set(&d.r, i, xi);
+            m.set(&d.p, i, xi);
         });
-        let (mut rho, _) = rt.parallel_reduce(
-            n,
-            Schedule::Static,
-            0.0,
-            |par, i, acc| {
-                let ri = par.get(r, i);
-                par.flops(2);
-                acc + ri * ri
-            },
-            |u, v| u + v,
-        );
+        let d = self.d.clone();
+        let mut rho = ex.sum("rho", n, Schedule::Static, move |m, i| {
+            let ri = m.get(&d.r, i);
+            m.flops(2);
+            ri * ri
+        });
 
+        ex.phase("cg");
         for _ in 0..self.cfg.cg_iters {
             // q = A p
-            rt.parallel_for(n, Schedule::Static, |par, i| {
+            let d = self.d.clone();
+            ex.for_each("spmv", n, Schedule::Static, move |m, i| {
                 let mut sum = 0.0;
-                for k in rowstr[i]..rowstr[i + 1] {
-                    let j = par.get(col, k) as usize;
-                    let v = par.get(a, k);
-                    sum += v * par.get(p, j);
+                for k in d.rowstr[i]..d.rowstr[i + 1] {
+                    let j = m.get(&d.col, k) as usize;
+                    let v = m.get(&d.a, k);
+                    sum += v * m.get(&d.p, j);
                 }
-                par.flops(2 * (rowstr[i + 1] - rowstr[i]) as u64);
-                par.set(q, i, sum);
+                m.flops(2 * (d.rowstr[i + 1] - d.rowstr[i]) as u64);
+                m.set(&d.q, i, sum);
             });
             // alpha = rho / (p.q)
-            let (pq, _) = rt.parallel_reduce(
-                n,
-                Schedule::Static,
-                0.0,
-                |par, i, acc| {
-                    let v = par.get(p, i) * par.get(q, i);
-                    par.flops(2);
-                    acc + v
-                },
-                |u, v| u + v,
-            );
+            let d = self.d.clone();
+            let pq = ex.sum("pq", n, Schedule::Static, move |m, i| {
+                let v = m.get(&d.p, i) * m.get(&d.q, i);
+                m.flops(2);
+                v
+            });
             let alpha = rho / pq;
             // z += alpha p; r -= alpha q; rho' = r.r
-            let (rho_new, _) = rt.parallel_reduce(
-                n,
-                Schedule::Static,
-                0.0,
-                |par, i, acc| {
-                    let pi = par.get(p, i);
-                    par.update(z, i, |zi| zi + alpha * pi);
-                    let qi = par.get(q, i);
-                    let ri = par.get(r, i) - alpha * qi;
-                    par.set(r, i, ri);
-                    par.flops(6);
-                    acc + ri * ri
-                },
-                |u, v| u + v,
-            );
+            let d = self.d.clone();
+            let rho_new = ex.sum("rho_new", n, Schedule::Static, move |m, i| {
+                let pi = m.get(&d.p, i);
+                m.update(&d.z, i, |zi| zi + alpha * pi);
+                let qi = m.get(&d.q, i);
+                let ri = m.get(&d.r, i) - alpha * qi;
+                m.set(&d.r, i, ri);
+                m.flops(6);
+                ri * ri
+            });
             let beta = rho_new / rho;
             rho = rho_new;
             // p = r + beta p
-            rt.parallel_for(n, Schedule::Static, |par, i| {
-                let v = par.get(r, i) + beta * par.get(p, i);
-                par.set(p, i, v);
-                par.flops(2);
+            let d = self.d.clone();
+            ex.for_each("p_update", n, Schedule::Static, move |m, i| {
+                let v = m.get(&d.r, i) + beta * m.get(&d.p, i);
+                m.set(&d.p, i, v);
+                m.flops(2);
             });
         }
 
         // zeta = shift + 1 / (x.z); x = z / ||z||
-        let (xz, _) = rt.parallel_reduce(
-            n,
-            Schedule::Static,
-            0.0,
-            |par, i, acc| {
-                let v = par.get(x, i) * par.get(z, i);
-                par.flops(2);
-                acc + v
-            },
-            |u, v| u + v,
-        );
-        let (zz, _) = rt.parallel_reduce(
-            n,
-            Schedule::Static,
-            0.0,
-            |par, i, acc| {
-                let zi = par.get(z, i);
-                par.flops(2);
-                acc + zi * zi
-            },
-            |u, v| u + v,
-        );
-        let zeta = self.cfg.shift + 1.0 / xz;
-        let inv_norm = 1.0 / zz.sqrt();
-        rt.parallel_for(n, Schedule::Static, |par, i| {
-            let v = par.get(z, i) * inv_norm;
-            par.set(x, i, v);
-            par.flops(1);
+        ex.phase("tail");
+        let d = self.d.clone();
+        let xz = ex.sum("xz", n, Schedule::Static, move |m, i| {
+            let v = m.get(&d.x, i) * m.get(&d.z, i);
+            m.flops(2);
+            v
         });
-        zeta
+        let d = self.d.clone();
+        let zz = ex.sum("zz", n, Schedule::Static, move |m, i| {
+            let zi = m.get(&d.z, i);
+            m.flops(2);
+            zi * zi
+        });
+        let inv_norm = 1.0 / zz.sqrt();
+        let d = self.d.clone();
+        ex.for_each("normalize", n, Schedule::Static, move |m, i| {
+            let v = m.get(&d.z, i) * inv_norm;
+            m.set(&d.x, i, v);
+            m.flops(1);
+        });
+        self.cfg.shift + 1.0 / xz
     }
 
     /// Host-only reference run of the identical algorithm — used by
@@ -362,7 +363,7 @@ impl Cg {
                 let mut q = vec![0.0; n];
                 for i in 0..n {
                     let mut sum = 0.0;
-                    for k in self.rowstr[i]..self.rowstr[i + 1] {
+                    for k in self.d.rowstr[i]..self.d.rowstr[i + 1] {
                         sum += self.host_val[k] * p[self.host_col[k] as usize];
                     }
                     q[i] = sum;
@@ -402,31 +403,19 @@ impl NasBenchmark for Cg {
     }
 
     fn cold_start(&mut self, rt: &mut Runtime) {
-        // Run one full outer iteration to fault every page through the
-        // parallel constructs (first-touch distribution), then discard the
-        // numeric state.
-        let _ = self.outer_iteration(rt);
-        self.x.fill(1.0);
-        self.z.fill(0.0);
-        self.p.fill(0.0);
-        self.q.fill(0.0);
-        self.r.fill(0.0);
-        self.zetas.clear();
+        self.cold(rt);
     }
 
     fn iterate(&mut self, rt: &mut Runtime, _hook: &mut PhaseHook<'_>) {
-        let zeta = self.outer_iteration(rt);
+        let zeta = self.step(rt);
         self.zetas.push(zeta);
     }
 
-    fn register_hot(&self, upm: &mut UpmEngine) {
-        upm.memrefcnt(&self.a);
-        upm.memrefcnt(&self.col);
-        upm.memrefcnt(&self.x);
-        upm.memrefcnt(&self.z);
-        upm.memrefcnt(&self.p);
-        upm.memrefcnt(&self.q);
-        upm.memrefcnt(&self.r);
+    fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        let d = &self.d;
+        let mut arrays = vec![d.a.layout(), d.col.layout()];
+        arrays.extend([&d.x, &d.z, &d.p, &d.q, &d.r].map(|v| v.layout()));
+        arrays
     }
 
     fn verify(&self) -> Verification {
@@ -436,171 +425,8 @@ impl NasBenchmark for Cg {
         Verification::check(value, expect, 1e-10)
     }
 
-    fn access_model(&self) -> Option<crate::model::KernelModel> {
-        use crate::model::{KernelModel, LoopModel, PhaseModel};
-        use ccnuma::AccessKind::{Read, Write};
-        use std::rc::Rc;
-
-        let n = self.cfg.n;
-        let rowstr = Rc::new(self.rowstr.clone());
-        let cols = Rc::new(self.host_col.clone());
-        let (a, col) = (self.a.layout(), self.col.layout());
-        let (x, z, p, q, r) = (
-            self.x.layout(),
-            self.z.layout(),
-            self.p.layout(),
-            self.q.layout(),
-            self.r.layout(),
-        );
-
-        // One closure builder per loop of `outer_iteration`, in program
-        // order. Loop bodies touch only vectors indexed by the iteration
-        // (row) plus, in the sparse product, `p` through the column index.
-        let init = {
-            let (x, z, r, p) = (x.clone(), z.clone(), r.clone(), p.clone());
-            move || {
-                let (x, z, r, p) = (x.clone(), z.clone(), r.clone(), p.clone());
-                LoopModel::parallel("init", n, Schedule::Static, move |i, emit| {
-                    emit(x.vaddr_of(i), Read);
-                    emit(z.vaddr_of(i), Write);
-                    emit(r.vaddr_of(i), Write);
-                    emit(p.vaddr_of(i), Write);
-                })
-            }
-        };
-        let rho = {
-            let r = r.clone();
-            move || {
-                let r = r.clone();
-                LoopModel::reduction("rho", n, Schedule::Static, move |i, emit| {
-                    emit(r.vaddr_of(i), Read);
-                })
-            }
-        };
-        let spmv = {
-            let (rowstr, cols, a, col, p, q) = (
-                rowstr.clone(),
-                cols.clone(),
-                a.clone(),
-                col.clone(),
-                p.clone(),
-                q.clone(),
-            );
-            move || {
-                let (rowstr, cols, a, col, p, q) = (
-                    rowstr.clone(),
-                    cols.clone(),
-                    a.clone(),
-                    col.clone(),
-                    p.clone(),
-                    q.clone(),
-                );
-                LoopModel::parallel("spmv", n, Schedule::Static, move |i, emit| {
-                    for k in rowstr[i]..rowstr[i + 1] {
-                        emit(col.vaddr_of(k), Read);
-                        emit(a.vaddr_of(k), Read);
-                        emit(p.vaddr_of(cols[k] as usize), Read);
-                    }
-                    emit(q.vaddr_of(i), Write);
-                })
-            }
-        };
-        let pq = {
-            let (p, q) = (p.clone(), q.clone());
-            move || {
-                let (p, q) = (p.clone(), q.clone());
-                LoopModel::reduction("pq", n, Schedule::Static, move |i, emit| {
-                    emit(p.vaddr_of(i), Read);
-                    emit(q.vaddr_of(i), Read);
-                })
-            }
-        };
-        let rho_new = {
-            let (p, z, q, r) = (p.clone(), z.clone(), q.clone(), r.clone());
-            move || {
-                let (p, z, q, r) = (p.clone(), z.clone(), q.clone(), r.clone());
-                LoopModel::reduction("rho_new", n, Schedule::Static, move |i, emit| {
-                    emit(p.vaddr_of(i), Read);
-                    emit(z.vaddr_of(i), Read);
-                    emit(z.vaddr_of(i), Write);
-                    emit(q.vaddr_of(i), Read);
-                    emit(r.vaddr_of(i), Read);
-                    emit(r.vaddr_of(i), Write);
-                })
-            }
-        };
-        let p_update = {
-            let (r, p) = (r.clone(), p.clone());
-            move || {
-                let (r, p) = (r.clone(), p.clone());
-                LoopModel::parallel("p_update", n, Schedule::Static, move |i, emit| {
-                    emit(r.vaddr_of(i), Read);
-                    emit(p.vaddr_of(i), Read);
-                    emit(p.vaddr_of(i), Write);
-                })
-            }
-        };
-        let xz = {
-            let (x, z) = (x.clone(), z.clone());
-            move || {
-                let (x, z) = (x.clone(), z.clone());
-                LoopModel::reduction("xz", n, Schedule::Static, move |i, emit| {
-                    emit(x.vaddr_of(i), Read);
-                    emit(z.vaddr_of(i), Read);
-                })
-            }
-        };
-        let zz = {
-            let z = z.clone();
-            move || {
-                let z = z.clone();
-                LoopModel::reduction("zz", n, Schedule::Static, move |i, emit| {
-                    emit(z.vaddr_of(i), Read);
-                })
-            }
-        };
-        let normalize = {
-            let (z, x) = (z.clone(), x.clone());
-            move || {
-                let (z, x) = (z.clone(), x.clone());
-                LoopModel::parallel("normalize", n, Schedule::Static, move |i, emit| {
-                    emit(z.vaddr_of(i), Read);
-                    emit(x.vaddr_of(i), Write);
-                })
-            }
-        };
-
-        let outer = || {
-            let mut cg_loops = Vec::new();
-            for _ in 0..self.cfg.cg_iters {
-                cg_loops.push(spmv());
-                cg_loops.push(pq());
-                cg_loops.push(rho_new());
-                cg_loops.push(p_update());
-            }
-            vec![
-                PhaseModel::new("init", vec![init(), rho()]),
-                PhaseModel::new("cg", cg_loops),
-                PhaseModel::new("tail", vec![xz(), zz(), normalize()]),
-            ]
-        };
-
-        // cold_start runs one full outer iteration; its host-side vector
-        // refills touch no simulated pages.
-        Some(KernelModel::new(
-            BenchName::Cg,
-            vec![
-                self.a.layout(),
-                self.col.layout(),
-                self.x.layout(),
-                self.z.layout(),
-                self.p.layout(),
-                self.q.layout(),
-                self.r.layout(),
-            ],
-            outer(),
-            outer(),
-        ))
+    fn access_model(&self) -> Option<KernelModel> {
+        Some(Describe::kernel(self, |d| self.cold(d), |d| self.step(d)))
     }
 }
 
@@ -670,7 +496,7 @@ mod tests {
         // x is partitioned over 16 threads across 8 nodes; its pages should
         // not all be on one node... for Tiny (192 elements = 1 page) at
         // least the page exists. Check the big matrix array instead.
-        let (base, len) = cg.a.vrange();
+        let (base, len) = cg.d.a.vrange();
         let homes: Vec<_> = (ccnuma::vpage_of(base)..=ccnuma::vpage_of(base + len - 1))
             .filter_map(|vp| rt.machine().node_of_vpage(vp))
             .collect();

@@ -2,6 +2,7 @@
 //! verification results, and 3-D grid index helpers.
 
 use crate::model::KernelModel;
+use ccnuma::ArrayLayout;
 use omp::Runtime;
 use upmlib::UpmEngine;
 
@@ -149,16 +150,29 @@ pub trait NasBenchmark {
     /// One timed iteration. `hook` is called at phase-transition points.
     fn iterate(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>);
 
-    /// Register the benchmark's compiler-identified hot arrays with a
-    /// UPMlib engine (`upmlib_memrefcnt` calls).
-    fn register_hot(&self, upm: &mut UpmEngine);
+    /// The benchmark's compiler-identified hot arrays (the paper's "hot
+    /// memory areas"), in registration order: what [`register_hot`]
+    /// registers and what the access model attributes findings to.
+    ///
+    /// [`register_hot`]: NasBenchmark::register_hot
+    fn hot_arrays(&self) -> Vec<ArrayLayout>;
+
+    /// Register the hot arrays with a UPMlib engine (`upmlib_memrefcnt`
+    /// calls).
+    fn register_hot(&self, upm: &mut UpmEngine) {
+        for array in self.hot_arrays() {
+            let (base, len) = array.vrange();
+            upm.memrefcnt_range(base, len);
+        }
+    }
 
     /// Host-side self-verification after all iterations.
     fn verify(&self) -> Verification;
 
     /// The benchmark's static access model (see [`crate::model`]): the
     /// exact per-iteration element accesses of the cold-start and timed
-    /// iterations, consumed by the `lint` static analyzer. `None` when the
+    /// iterations, described from the same text `cold_start` and `iterate`
+    /// run and consumed by the `lint` static analyzer. `None` when the
     /// benchmark is not modeled; all five NAS kernels return a model.
     fn access_model(&self) -> Option<KernelModel> {
         None

@@ -15,11 +15,12 @@
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
 use crate::la::{fft_inplace, C64};
-use ccnuma::SimArray;
-use omp::{Par, Runtime, Schedule};
+use crate::model::{Arr, Describe, Exec, KernelModel, Mem};
+use ccnuma::{ArrayLayout, SimArray};
+use omp::{Runtime, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use upmlib::UpmEngine;
+use std::rc::Rc;
 
 /// FT problem parameters.
 #[derive(Debug, Clone, Copy)]
@@ -64,9 +65,9 @@ impl FtConfig {
 pub struct Ft {
     cfg: FtConfig,
     /// Frequency-space field (forward transform of the initial conditions).
-    u0: SimArray<C64>,
+    u0: Arr<C64>,
     /// Working field: evolved spectrum, then its inverse transform.
-    u1: SimArray<C64>,
+    u1: Arr<C64>,
     /// Host copy of the initial conditions, for verification.
     host_init: Vec<C64>,
     /// Checksum after each timed iteration.
@@ -94,8 +95,8 @@ impl Ft {
             .collect();
         let m = rt.machine_mut();
         let init = host_init.clone();
-        let u0 = SimArray::from_fn(m, "ft.u0", len, |i| init[i]);
-        let u1 = SimArray::new(m, "ft.u1", len, (0.0, 0.0));
+        let u0 = Rc::new(SimArray::from_fn(m, "ft.u0", len, |i| init[i]));
+        let u1 = Rc::new(SimArray::new(m, "ft.u1", len, (0.0, 0.0)));
         Self {
             cfg,
             u0,
@@ -126,43 +127,41 @@ impl Ft {
         (z * n + y) * n + x
     }
 
-    /// One 1-D FFT pass along `axis` (0 = x, 1 = y, 2 = z) over the whole
-    /// field in `arr`, in place.
-    fn fft_pass(rt: &mut Runtime, arr: &SimArray<C64>, n: usize, axis: usize, inverse: bool) {
-        // Pencil gather/compute/scatter. The x and y passes parallelize over
-        // z (slab-local); the z pass parallelizes over y (slab-crossing).
-        let outer = n; // z for axes 0/1, y for axis 2
-        rt.parallel_for(outer, Schedule::Static, |par, o| {
-            let mut line = vec![(0.0, 0.0); n];
-            for s in 0..n {
-                // (o, s) enumerate the two fixed coordinates of the pencil.
-                for (k, slot) in line.iter_mut().enumerate() {
-                    let i = match axis {
-                        0 => Self::idx(n, k, s, o),
-                        1 => Self::idx(n, s, k, o),
-                        _ => Self::idx(n, s, o, k),
-                    };
-                    *slot = par.get(arr, i);
-                }
-                let flops = fft_inplace(&mut line, inverse);
-                par.flops(flops);
-                for (k, slot) in line.iter().enumerate() {
-                    let i = match axis {
-                        0 => Self::idx(n, k, s, o),
-                        1 => Self::idx(n, s, k, o),
-                        _ => Self::idx(n, s, o, k),
-                    };
-                    par.set(arr, i, *slot);
-                }
-            }
-        });
+    /// Index of point `k` of the pencil along `axis` (0 = x, 1 = y, 2 = z)
+    /// whose two fixed coordinates are `(o, s)`.
+    #[inline(always)]
+    fn pencil(n: usize, axis: usize, o: usize, s: usize, k: usize) -> usize {
+        match axis {
+            0 => Self::idx(n, k, s, o),
+            1 => Self::idx(n, s, k, o),
+            _ => Self::idx(n, s, o, k),
+        }
     }
 
-    /// Full 3-D FFT of `arr` in place.
-    fn fft3d(rt: &mut Runtime, arr: &SimArray<C64>, n: usize, inverse: bool) {
-        Self::fft_pass(rt, arr, n, 0, inverse);
-        Self::fft_pass(rt, arr, n, 1, inverse);
-        Self::fft_pass(rt, arr, n, 2, inverse);
+    /// Full 3-D FFT of `arr` in place: one 1-D pass per axis, the loops
+    /// named `{prefix}_pass{axis}`.
+    fn fft3d<E: Exec>(ex: &mut E, prefix: &str, arr: &Arr<C64>, n: usize, inverse: bool) {
+        for axis in 0..3 {
+            // Pencil gather/compute/scatter. The x and y passes parallelize
+            // over z (slab-local); the z pass parallelizes over y
+            // (slab-crossing).
+            let arr = arr.clone();
+            let name = format!("{prefix}_pass{axis}");
+            ex.for_each(&name, n, Schedule::Static, move |m, o| {
+                let mut line = vec![(0.0, 0.0); n];
+                for s in 0..n {
+                    for (k, slot) in line.iter_mut().enumerate() {
+                        *slot = m.get(&arr, Self::pencil(n, axis, o, s, k));
+                    }
+                    let mut flops = 0;
+                    m.host(|| flops = fft_inplace(&mut line, inverse));
+                    m.flops(flops);
+                    for (k, slot) in line.iter().enumerate() {
+                        m.set(&arr, Self::pencil(n, axis, o, s, k), *slot);
+                    }
+                }
+            });
+        }
     }
 
     /// Squared "wavenumber" of a grid index (symmetric about n/2, as NAS).
@@ -176,116 +175,58 @@ impl Ft {
         (k * k) as f64
     }
 
-    /// `u1 = u0 * exp(-alpha * t * |k|^2)` — the spectral evolution step.
-    fn evolve(&self, rt: &mut Runtime, t: usize) {
+    /// The cold start: the one-time forward transform of the initial
+    /// conditions plus one full evolve/inverse/checksum pass fault every
+    /// page through the real parallel constructs. The spectral field u0 it
+    /// produces is *kept* (it is the benchmark input); the u1 working state
+    /// is overwritten by the first timed iteration.
+    fn cold<E: Exec>(&self, ex: &mut E) {
+        ex.phase("fft_forward");
+        Self::fft3d(ex, "fft", &self.u0, self.cfg.n, false);
+        self.step(ex, 1);
+    }
+
+    /// Timed iteration `t`: evolve the spectrum to time `t`, transform it
+    /// back, checksum the result.
+    fn step<E: Exec>(&self, ex: &mut E, t: usize) -> C64 {
         let n = self.cfg.n;
         let alpha = self.cfg.alpha;
-        let (u0, u1) = (&self.u0, &self.u1);
-        rt.parallel_for(n, Schedule::Static, |par, z| {
+
+        // u1 = u0 * exp(-alpha * t * |k|^2) — the spectral evolution step.
+        ex.phase("evolve");
+        let (u0, u1) = (self.u0.clone(), self.u1.clone());
+        ex.for_each("evolve", n, Schedule::Static, move |m, z| {
             for y in 0..n {
                 for x in 0..n {
                     let k2 = Self::k2(n, x) + Self::k2(n, y) + Self::k2(n, z);
                     let factor = (-alpha * t as f64 * k2).exp();
                     let i = Self::idx(n, x, y, z);
-                    let v = par.get(u0, i);
-                    par.set(u1, i, (v.0 * factor, v.1 * factor));
-                    par.flops(12);
+                    let v = m.get(&u0, i);
+                    m.set(&u1, i, (v.0 * factor, v.1 * factor));
+                    m.flops(12);
                 }
             }
         });
-    }
 
-    /// NAS-style checksum: sum of 1024 scattered elements of `u1`, done by
-    /// the master thread.
-    fn checksum(&self, rt: &mut Runtime) -> C64 {
-        let n = self.cfg.n;
+        ex.phase("fft_inverse");
+        Self::fft3d(ex, "ifft", &self.u1, n, true);
+
+        // NAS-style checksum: sum of 1024 scattered elements of `u1`, done
+        // by the master thread.
+        ex.phase("checksum");
         let len = n * n * n;
-        let u1 = &self.u1;
-        rt.serial(|par: &mut Par<'_>| {
+        let u1 = self.u1.clone();
+        ex.serial("checksum", move |m| {
             let mut sum = (0.0, 0.0);
             for j in 1..=1024u64 {
                 let q = (j.wrapping_mul(j).wrapping_add(j * 5)) as usize % len;
-                let v = par.get(u1, q);
+                let v = m.get(&u1, q);
                 sum.0 += v.0;
                 sum.1 += v.1;
-                par.flops(2);
+                m.flops(2);
             }
             (sum.0 / len as f64, sum.1 / len as f64)
         })
-    }
-
-    /// The one-time forward transform of the initial conditions.
-    fn forward_transform(&mut self, rt: &mut Runtime) {
-        Self::fft3d(rt, &self.u0, self.cfg.n, false);
-        self.transformed = true;
-    }
-
-    /// Model of one `fft_pass` over `arr`: gather + scatter of every
-    /// pencil along `axis` (read then write of the same elements).
-    fn fft_pass_model(
-        name: &str,
-        arr: ccnuma::ArrayLayout,
-        n: usize,
-        axis: usize,
-    ) -> crate::model::LoopModel {
-        use ccnuma::AccessKind::{Read, Write};
-        crate::model::LoopModel::parallel(name, n, Schedule::Static, move |o, emit| {
-            for s in 0..n {
-                for kind in [Read, Write] {
-                    for k in 0..n {
-                        let i = match axis {
-                            0 => Self::idx(n, k, s, o),
-                            1 => Self::idx(n, s, k, o),
-                            _ => Self::idx(n, s, o, k),
-                        };
-                        emit(arr.vaddr_of(i), kind);
-                    }
-                }
-            }
-        })
-    }
-
-    /// Phase sequence of the evolve / inverse-FFT / checksum pipeline run
-    /// by every timed iteration (and by the tail of the cold start).
-    fn pipeline_phases(&self) -> Vec<crate::model::PhaseModel> {
-        use crate::model::{LoopModel, PhaseModel};
-        use ccnuma::AccessKind::{Read, Write};
-        let n = self.cfg.n;
-        let (u0, u1) = (self.u0.layout(), self.u1.layout());
-        let evolve = {
-            let (u0, u1) = (u0.clone(), u1.clone());
-            LoopModel::parallel("evolve", n, Schedule::Static, move |z, emit| {
-                for y in 0..n {
-                    for x in 0..n {
-                        let i = Self::idx(n, x, y, z);
-                        emit(u0.vaddr_of(i), Read);
-                        emit(u1.vaddr_of(i), Write);
-                    }
-                }
-            })
-        };
-        let len = n * n * n;
-        let checksum = {
-            let u1 = u1.clone();
-            LoopModel::serial("checksum", move |_, emit| {
-                for j in 1..=1024u64 {
-                    let q = (j.wrapping_mul(j).wrapping_add(j * 5)) as usize % len;
-                    emit(u1.vaddr_of(q), Read);
-                }
-            })
-        };
-        vec![
-            PhaseModel::new("evolve", vec![evolve]),
-            PhaseModel::new(
-                "fft_inverse",
-                (0..3)
-                    .map(|axis| {
-                        Self::fft_pass_model(&format!("ifft_pass{axis}"), u1.clone(), n, axis)
-                    })
-                    .collect(),
-            ),
-            PhaseModel::new("checksum", vec![checksum]),
-        ]
     }
 
     /// Host-only reference of the full pipeline, for verification.
@@ -329,21 +270,11 @@ fn host_fft3d(data: &mut [C64], n: usize, inverse: bool) {
         for o in 0..n {
             for s in 0..n {
                 for (k, slot) in line.iter_mut().enumerate() {
-                    let i = match axis {
-                        0 => Ft::idx(n, k, s, o),
-                        1 => Ft::idx(n, s, k, o),
-                        _ => Ft::idx(n, s, o, k),
-                    };
-                    *slot = data[i];
+                    *slot = data[Ft::pencil(n, axis, o, s, k)];
                 }
                 fft_inplace(&mut line, inverse);
                 for (k, slot) in line.iter().enumerate() {
-                    let i = match axis {
-                        0 => Ft::idx(n, k, s, o),
-                        1 => Ft::idx(n, s, k, o),
-                        _ => Ft::idx(n, s, o, k),
-                    };
-                    data[i] = *slot;
+                    data[Ft::pencil(n, axis, o, s, k)] = *slot;
                 }
             }
         }
@@ -360,29 +291,18 @@ impl NasBenchmark for Ft {
     }
 
     fn cold_start(&mut self, rt: &mut Runtime) {
-        // The forward transform plus one full evolve/inverse/checksum pass
-        // faults every page through the real parallel constructs; the
-        // spectral field u0 it produces is *kept* (it is the benchmark
-        // input), while the u1 working state is discarded.
-        self.forward_transform(rt);
-        self.evolve(rt, 1);
-        Self::fft3d(rt, &self.u1, self.cfg.n, true);
-        let _ = self.checksum(rt);
-        self.checksums.clear();
+        self.cold(rt);
+        self.transformed = true;
     }
 
     fn iterate(&mut self, rt: &mut Runtime, _hook: &mut PhaseHook<'_>) {
         assert!(self.transformed, "cold_start must run first");
-        let t = self.checksums.len() + 1;
-        self.evolve(rt, t);
-        Self::fft3d(rt, &self.u1, self.cfg.n, true);
-        let sum = self.checksum(rt);
+        let sum = self.step(rt, self.checksums.len() + 1);
         self.checksums.push(sum);
     }
 
-    fn register_hot(&self, upm: &mut UpmEngine) {
-        upm.memrefcnt(&self.u0);
-        upm.memrefcnt(&self.u1);
+    fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        vec![self.u0.layout(), self.u1.layout()]
     }
 
     fn verify(&self) -> Verification {
@@ -404,23 +324,11 @@ impl NasBenchmark for Ft {
         }
     }
 
-    fn access_model(&self) -> Option<crate::model::KernelModel> {
-        // cold_start: the one-time forward transform of u0, then one full
-        // evolve / inverse-FFT / checksum pass.
-        let n = self.cfg.n;
-        let u0 = self.u0.layout();
-        let mut cold = vec![crate::model::PhaseModel::new(
-            "fft_forward",
-            (0..3)
-                .map(|axis| Self::fft_pass_model(&format!("fft_pass{axis}"), u0.clone(), n, axis))
-                .collect(),
-        )];
-        cold.extend(self.pipeline_phases());
-        Some(crate::model::KernelModel::new(
-            BenchName::Ft,
-            vec![self.u0.layout(), self.u1.layout()],
-            cold,
-            self.pipeline_phases(),
+    fn access_model(&self) -> Option<KernelModel> {
+        Some(Describe::kernel(
+            self,
+            |d| self.cold(d),
+            |d| self.step(d, 1),
         ))
     }
 }
@@ -474,8 +382,8 @@ mod tests {
         };
         let ft = Ft::with_config(&mut rt, cfg);
         let before = ft.u0.to_vec();
-        Ft::fft3d(&mut rt, &ft.u0, 8, false);
-        Ft::fft3d(&mut rt, &ft.u0, 8, true);
+        Ft::fft3d(&mut rt, "fft", &ft.u0, 8, false);
+        Ft::fft3d(&mut rt, "ifft", &ft.u0, 8, true);
         let after = ft.u0.to_vec();
         for (b, a) in before.iter().zip(&after) {
             assert!((b.0 - a.0).abs() < 1e-10 && (b.1 - a.1).abs() < 1e-10);

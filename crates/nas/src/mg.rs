@@ -14,11 +14,12 @@
 //! first-touch tuning assumes.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
-use ccnuma::SimArray;
+use crate::model::{Arr, Describe, Exec, KernelModel, Mem};
+use ccnuma::{ArrayLayout, SimArray};
 use omp::{Runtime, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use upmlib::UpmEngine;
+use std::rc::Rc;
 
 /// 27-point stencil weights by neighbour class: `[center, face, edge,
 /// corner]`.
@@ -84,11 +85,11 @@ impl MgConfig {
 pub struct Mg {
     cfg: MgConfig,
     /// Solution grids, one per level (coarsest first).
-    u: Vec<SimArray<f64>>,
+    u: Vec<Arr>,
     /// Residual grids, one per level.
-    r: Vec<SimArray<f64>>,
+    r: Vec<Arr>,
     /// Right-hand side (finest level only).
-    v: SimArray<f64>,
+    v: Arr,
     /// Fine-grid residual norm after each timed iteration.
     rnm2: Vec<f64>,
     /// Residual norm of the initial state (u = 0), for verification.
@@ -120,10 +121,20 @@ impl Mg {
         let mut r = Vec::new();
         for k in 0..cfg.lt {
             let e = cfg.edge(k);
-            u.push(SimArray::new(m, &format!("mg.u{k}"), e * e * e, 0.0));
-            r.push(SimArray::new(m, &format!("mg.r{k}"), e * e * e, 0.0));
+            u.push(Rc::new(SimArray::new(
+                m,
+                &format!("mg.u{k}"),
+                e * e * e,
+                0.0,
+            )));
+            r.push(Rc::new(SimArray::new(
+                m,
+                &format!("mg.r{k}"),
+                e * e * e,
+                0.0,
+            )));
         }
-        let v = SimArray::new(m, "mg.v", cfg.n * cfg.n * cfg.n, 0.0);
+        let v = Rc::new(SimArray::new(m, "mg.v", cfg.n * cfg.n * cfg.n, 0.0));
         // Charges at seeded random sites (NAS zran3 places +1s and -1s at
         // the extrema of a random field).
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
@@ -158,10 +169,10 @@ impl Mg {
     }
 
     /// Apply the 27-point stencil `w` to `src` at `(x, y, z)` with periodic
-    /// wrap, reading through the simulated memory system.
+    /// wrap, reading through the memory system.
     #[inline]
-    fn stencil(
-        par: &mut omp::Par<'_>,
+    fn stencil<M: Mem>(
+        m: &mut M,
         src: &SimArray<f64>,
         n: usize,
         x: usize,
@@ -184,44 +195,42 @@ impl Mg {
                         wrap(y as isize + dy, n),
                         wrap(z as isize + dz, n),
                     );
-                    sum += weight * par.get(src, i);
+                    sum += weight * m.get(src, i);
                 }
             }
         }
-        par.flops(2 * 27);
+        m.flops(2 * 27);
         sum
     }
 
-    /// `r = src - A u` over one level.
-    fn resid(
-        rt: &mut Runtime,
-        u: &SimArray<f64>,
-        src: &SimArray<f64>,
-        r: &SimArray<f64>,
-        n: usize,
-    ) {
-        rt.parallel_for(n, Schedule::Static, |par, z| {
+    /// `r = src - A u` over one level; one phase of one loop, both `name`.
+    fn resid<E: Exec>(ex: &mut E, name: &str, u: &Arr, src: &Arr, r: &Arr, n: usize) {
+        let (u, src, r) = (u.clone(), src.clone(), r.clone());
+        ex.phase(name);
+        ex.for_each(name, n, Schedule::Static, move |m, z| {
             for y in 0..n {
                 for x in 0..n {
-                    let au = Self::stencil(par, u, n, x, y, z, &A_WEIGHTS);
+                    let au = Self::stencil(m, &u, n, x, y, z, &A_WEIGHTS);
                     let i = gidx(n, x, y, z);
-                    let s = par.get(src, i);
-                    par.set(r, i, s - au);
-                    par.flops(1);
+                    let s = m.get(&src, i);
+                    m.set(&r, i, s - au);
+                    m.flops(1);
                 }
             }
         });
     }
 
     /// `u += S r` over one level (the smoother).
-    fn psinv(rt: &mut Runtime, r: &SimArray<f64>, u: &SimArray<f64>, n: usize) {
-        rt.parallel_for(n, Schedule::Static, |par, z| {
+    fn psinv<E: Exec>(ex: &mut E, name: &str, r: &Arr, u: &Arr, n: usize) {
+        let (r, u) = (r.clone(), u.clone());
+        ex.phase(name);
+        ex.for_each(name, n, Schedule::Static, move |m, z| {
             for y in 0..n {
                 for x in 0..n {
-                    let sr = Self::stencil(par, r, n, x, y, z, &S_WEIGHTS);
+                    let sr = Self::stencil(m, &r, n, x, y, z, &S_WEIGHTS);
                     let i = gidx(n, x, y, z);
-                    par.update(u, i, |v| v + sr);
-                    par.flops(1);
+                    m.update(&u, i, |v| v + sr);
+                    m.flops(1);
                 }
             }
         });
@@ -229,10 +238,12 @@ impl Mg {
 
     /// Full-weighting restriction of `fine` (edge `2m`) into `coarse`
     /// (edge `m`), NAS `rprj3`. Distance-class weights 1/2, 1/4, 1/8, 1/16.
-    fn rprj3(rt: &mut Runtime, fine: &SimArray<f64>, coarse: &SimArray<f64>, m: usize) {
+    fn rprj3<E: Exec>(ex: &mut E, name: &str, fine: &Arr, coarse: &Arr, m: usize) {
         const W: StencilWeights = [0.5, 0.25, 0.125, 0.0625];
         let nf = 2 * m;
-        rt.parallel_for(m, Schedule::Static, |par, zc| {
+        let (fine, coarse) = (fine.clone(), coarse.clone());
+        ex.phase(name);
+        ex.for_each(name, m, Schedule::Static, move |mem, zc| {
             for yc in 0..m {
                 for xc in 0..m {
                     let (xf, yf, zf) = (2 * xc, 2 * yc, 2 * zc);
@@ -248,12 +259,12 @@ impl Mg {
                                     wrap(yf as isize + dy, nf),
                                     wrap(zf as isize + dz, nf),
                                 );
-                                sum += W[class] * par.get(fine, i);
+                                sum += W[class] * mem.get(&fine, i);
                             }
                         }
                     }
-                    par.set(coarse, gidx(m, xc, yc, zc), sum / 4.0);
-                    par.flops(2 * 27 + 1);
+                    mem.set(&coarse, gidx(m, xc, yc, zc), sum / 4.0);
+                    mem.flops(2 * 27 + 1);
                 }
             }
         });
@@ -261,9 +272,11 @@ impl Mg {
 
     /// Trilinear prolongation of `coarse` (edge `m`) added into `fine`
     /// (edge `2m`), NAS `interp`.
-    fn interp(rt: &mut Runtime, coarse: &SimArray<f64>, fine: &SimArray<f64>, m: usize) {
+    fn interp<E: Exec>(ex: &mut E, name: &str, coarse: &Arr, fine: &Arr, m: usize) {
         let nf = 2 * m;
-        rt.parallel_for(nf, Schedule::Static, |par, zf| {
+        let (coarse, fine) = (coarse.clone(), fine.clone());
+        ex.phase(name);
+        ex.for_each(name, nf, Schedule::Static, move |mem, zf| {
             for yf in 0..nf {
                 for xf in 0..nf {
                     // Trilinear weights: each fine point sits between up to
@@ -276,329 +289,84 @@ impl Mg {
                                 let xc = wrap(((xf + dx) / 2) as isize, m);
                                 let yc = wrap(((yf + dy) / 2) as isize, m);
                                 let zc = wrap(((zf + dz) / 2) as isize, m);
-                                sum += par.get(coarse, gidx(m, xc, yc, zc));
+                                sum += mem.get(&coarse, gidx(m, xc, yc, zc));
                                 weight_total += 1.0;
                             }
                         }
                     }
                     let i = gidx(nf, xf, yf, zf);
                     let contrib = sum / weight_total;
-                    par.update(fine, i, |v| v + contrib);
-                    par.flops(10);
+                    mem.update(&fine, i, |v| v + contrib);
+                    mem.flops(10);
                 }
             }
         });
     }
 
+    /// The fine-grid residual against the true right-hand side.
+    fn resid_fine<E: Exec>(&self, ex: &mut E, name: &str) {
+        let k = self.cfg.lt - 1;
+        Self::resid(ex, name, &self.u[k], &self.v, &self.r[k], self.cfg.n);
+    }
+
     /// Residual L2 norm on the finest grid.
-    fn fine_rnm2(&self, rt: &mut Runtime) -> f64 {
+    fn fine_rnm2<E: Exec>(&self, ex: &mut E) -> f64 {
         let n = self.cfg.n;
-        let r = &self.r[self.cfg.lt - 1];
-        let (sum, _) = rt.parallel_reduce(
-            n,
-            Schedule::Static,
-            0.0,
-            |par, z, acc| {
-                let mut s = 0.0;
-                for y in 0..n {
-                    for x in 0..n {
-                        let v = par.get(r, gidx(n, x, y, z));
-                        s += v * v;
-                    }
+        let r = self.r[self.cfg.lt - 1].clone();
+        ex.phase("rnm2");
+        let sum = ex.sum("rnm2", n, Schedule::Static, move |m, z| {
+            let mut s = 0.0;
+            for y in 0..n {
+                for x in 0..n {
+                    let v = m.get(&r, gidx(n, x, y, z));
+                    s += v * v;
                 }
-                par.flops(2 * (n * n) as u64);
-                acc + s
-            },
-            |a, b| a + b,
-        );
+            }
+            m.flops(2 * (n * n) as u64);
+            s
+        });
         (sum / (n * n * n) as f64).sqrt()
     }
 
-    /// One V-cycle (NAS `mg3P`) plus the fine-grid residual update.
-    fn cycle(&mut self, rt: &mut Runtime) -> f64 {
+    /// The cold start: the initial residual (r = v on the finest grid, with
+    /// u = 0), one discarded V-cycle to fault every level's pages, then the
+    /// initial residual again on the reset state for the timed run.
+    fn cold<E: Exec>(&self, ex: &mut E) {
+        self.resid_fine(ex, "resid_init");
+        self.step(ex);
+        ex.host(|| self.u.iter().chain(&self.r).for_each(|a| a.fill(0.0)));
+        self.resid_fine(ex, "resid_init");
+    }
+
+    /// One V-cycle (NAS `mg3P`) plus the fine-grid residual update; returns
+    /// the residual norm.
+    fn step<E: Exec>(&self, ex: &mut E) -> f64 {
         let lt = self.cfg.lt;
+        let edge = |k| self.cfg.edge(k);
         // Downward: restrict residuals to the coarsest level.
         for k in (1..lt).rev() {
-            let m = self.cfg.edge(k - 1);
-            Self::rprj3(rt, &self.r[k], &self.r[k - 1], m);
+            let name = format!("rprj3_{k}");
+            Self::rprj3(ex, &name, &self.r[k], &self.r[k - 1], edge(k - 1));
         }
         // Coarsest: u_0 = S r_0 from scratch.
-        let e0 = self.cfg.edge(0);
-        self.u[0].fill(0.0);
-        Self::psinv(rt, &self.r[0], &self.u[0], e0);
+        ex.host(|| self.u[0].fill(0.0));
+        Self::psinv(ex, "psinv_0", &self.r[0], &self.u[0], edge(0));
         // Upward sweep.
         for k in 1..lt {
-            let e = self.cfg.edge(k);
+            let name = |op: &str| format!("{op}_{k}");
             if k < lt - 1 {
-                self.u[k].fill(0.0);
+                ex.host(|| self.u[k].fill(0.0));
             }
-            Self::interp(rt, &self.u[k - 1], &self.u[k], e / 2);
-            if k == lt - 1 {
-                // Finest: residual against the true right-hand side.
-                Self::resid(rt, &self.u[k], &self.v, &self.r[k], e);
-            } else {
-                // Intermediate: re-evaluate residual in place.
-                Self::resid(rt, &self.u[k], &self.r[k], &self.r[k], e);
-            }
-            Self::psinv(rt, &self.r[k], &self.u[k], e);
+            Self::interp(ex, &name("interp"), &self.u[k - 1], &self.u[k], edge(k - 1));
+            // Finest: residual against the true right-hand side;
+            // intermediate: re-evaluate the residual in place.
+            let src = if k == lt - 1 { &self.v } else { &self.r[k] };
+            Self::resid(ex, &name("resid"), &self.u[k], src, &self.r[k], edge(k));
+            Self::psinv(ex, &name("psinv"), &self.r[k], &self.u[k], edge(k));
         }
         // Final residual for the norm.
-        let e = self.cfg.edge(lt - 1);
-        Self::resid(rt, &self.u[lt - 1], &self.v, &self.r[lt - 1], e);
-        self.fine_rnm2(rt)
-    }
-
-    /// Model of a stencil-apply loop (`resid`/`psinv` shape): per point,
-    /// reads of `src` at the nonzero-weight neighbours, plus the
-    /// per-point accesses of `extra` (read of the rhs field and write or
-    /// read-modify-write of the output field).
-    fn stencil_model(
-        name: &str,
-        n: usize,
-        src: ccnuma::ArrayLayout,
-        w: StencilWeights,
-        extra: impl Fn(usize, &mut dyn FnMut(u64, ccnuma::AccessKind)) + 'static,
-    ) -> crate::model::LoopModel {
-        use ccnuma::AccessKind::Read;
-        crate::model::LoopModel::parallel(name, n, Schedule::Static, move |z, emit| {
-            for y in 0..n {
-                for x in 0..n {
-                    for dz in -1isize..=1 {
-                        for dy in -1isize..=1 {
-                            for dx in -1isize..=1 {
-                                let class =
-                                    (dx != 0) as usize + (dy != 0) as usize + (dz != 0) as usize;
-                                if w[class] == 0.0 {
-                                    continue;
-                                }
-                                let i = gidx(
-                                    n,
-                                    wrap(x as isize + dx, n),
-                                    wrap(y as isize + dy, n),
-                                    wrap(z as isize + dz, n),
-                                );
-                                emit(src.vaddr_of(i), Read);
-                            }
-                        }
-                    }
-                    extra(gidx(n, x, y, z), emit);
-                }
-            }
-        })
-    }
-
-    /// Model of `resid(u, src, r, n)`.
-    fn resid_model(
-        name: &str,
-        u: ccnuma::ArrayLayout,
-        src: ccnuma::ArrayLayout,
-        r: ccnuma::ArrayLayout,
-        n: usize,
-    ) -> crate::model::LoopModel {
-        use ccnuma::AccessKind::{Read, Write};
-        Self::stencil_model(name, n, u, A_WEIGHTS, move |i, emit| {
-            emit(src.vaddr_of(i), Read);
-            emit(r.vaddr_of(i), Write);
-        })
-    }
-
-    /// Model of `psinv(r, u, n)`.
-    fn psinv_model(
-        name: &str,
-        r: ccnuma::ArrayLayout,
-        u: ccnuma::ArrayLayout,
-        n: usize,
-    ) -> crate::model::LoopModel {
-        use ccnuma::AccessKind::{Read, Write};
-        Self::stencil_model(name, n, r, S_WEIGHTS, move |i, emit| {
-            emit(u.vaddr_of(i), Read);
-            emit(u.vaddr_of(i), Write);
-        })
-    }
-
-    /// Model of `rprj3(fine, coarse, m)`.
-    fn rprj3_model(
-        name: &str,
-        fine: ccnuma::ArrayLayout,
-        coarse: ccnuma::ArrayLayout,
-        m: usize,
-    ) -> crate::model::LoopModel {
-        use ccnuma::AccessKind::{Read, Write};
-        let nf = 2 * m;
-        crate::model::LoopModel::parallel(name, m, Schedule::Static, move |zc, emit| {
-            for yc in 0..m {
-                for xc in 0..m {
-                    let (xf, yf, zf) = (2 * xc, 2 * yc, 2 * zc);
-                    for dz in -1isize..=1 {
-                        for dy in -1isize..=1 {
-                            for dx in -1isize..=1 {
-                                let i = gidx(
-                                    nf,
-                                    wrap(xf as isize + dx, nf),
-                                    wrap(yf as isize + dy, nf),
-                                    wrap(zf as isize + dz, nf),
-                                );
-                                emit(fine.vaddr_of(i), Read);
-                            }
-                        }
-                    }
-                    emit(coarse.vaddr_of(gidx(m, xc, yc, zc)), Write);
-                }
-            }
-        })
-    }
-
-    /// Model of `interp(coarse, fine, m)`.
-    fn interp_model(
-        name: &str,
-        coarse: ccnuma::ArrayLayout,
-        fine: ccnuma::ArrayLayout,
-        m: usize,
-    ) -> crate::model::LoopModel {
-        use ccnuma::AccessKind::{Read, Write};
-        let nf = 2 * m;
-        crate::model::LoopModel::parallel(name, nf, Schedule::Static, move |zf, emit| {
-            for yf in 0..nf {
-                for xf in 0..nf {
-                    for dz in 0..=(zf % 2) {
-                        for dy in 0..=(yf % 2) {
-                            for dx in 0..=(xf % 2) {
-                                let xc = wrap(((xf + dx) / 2) as isize, m);
-                                let yc = wrap(((yf + dy) / 2) as isize, m);
-                                let zc = wrap(((zf + dz) / 2) as isize, m);
-                                emit(coarse.vaddr_of(gidx(m, xc, yc, zc)), Read);
-                            }
-                        }
-                    }
-                    let i = gidx(nf, xf, yf, zf);
-                    emit(fine.vaddr_of(i), Read);
-                    emit(fine.vaddr_of(i), Write);
-                }
-            }
-        })
-    }
-
-    /// Phase sequence of one V-cycle plus the fine-grid norm, mirroring
-    /// [`Mg::cycle`] (the host-side coarse-grid refills touch no simulated
-    /// pages).
-    fn cycle_phases(&self) -> Vec<crate::model::PhaseModel> {
-        use crate::model::{LoopModel, PhaseModel};
-        use ccnuma::AccessKind::Read;
-        let lt = self.cfg.lt;
-        let mut phases = Vec::new();
-        for k in (1..lt).rev() {
-            let m = self.cfg.edge(k - 1);
-            phases.push(PhaseModel::new(
-                &format!("rprj3_{k}"),
-                vec![Self::rprj3_model(
-                    &format!("rprj3_{k}"),
-                    self.r[k].layout(),
-                    self.r[k - 1].layout(),
-                    m,
-                )],
-            ));
-        }
-        let e0 = self.cfg.edge(0);
-        phases.push(PhaseModel::new(
-            "psinv_0",
-            vec![Self::psinv_model(
-                "psinv_0",
-                self.r[0].layout(),
-                self.u[0].layout(),
-                e0,
-            )],
-        ));
-        for k in 1..lt {
-            let e = self.cfg.edge(k);
-            phases.push(PhaseModel::new(
-                &format!("interp_{k}"),
-                vec![Self::interp_model(
-                    &format!("interp_{k}"),
-                    self.u[k - 1].layout(),
-                    self.u[k].layout(),
-                    e / 2,
-                )],
-            ));
-            let src = if k == lt - 1 {
-                self.v.layout()
-            } else {
-                self.r[k].layout()
-            };
-            phases.push(PhaseModel::new(
-                &format!("resid_{k}"),
-                vec![Self::resid_model(
-                    &format!("resid_{k}"),
-                    self.u[k].layout(),
-                    src,
-                    self.r[k].layout(),
-                    e,
-                )],
-            ));
-            phases.push(PhaseModel::new(
-                &format!("psinv_{k}"),
-                vec![Self::psinv_model(
-                    &format!("psinv_{k}"),
-                    self.r[k].layout(),
-                    self.u[k].layout(),
-                    e,
-                )],
-            ));
-        }
-        let e = self.cfg.edge(lt - 1);
-        phases.push(PhaseModel::new(
-            "resid_fine",
-            vec![Self::resid_model(
-                "resid_fine",
-                self.u[lt - 1].layout(),
-                self.v.layout(),
-                self.r[lt - 1].layout(),
-                e,
-            )],
-        ));
-        let n = self.cfg.n;
-        let r_fine = self.r[lt - 1].layout();
-        phases.push(PhaseModel::new(
-            "rnm2",
-            vec![LoopModel::reduction(
-                "rnm2",
-                n,
-                Schedule::Static,
-                move |z, emit| {
-                    for y in 0..n {
-                        for x in 0..n {
-                            emit(r_fine.vaddr_of(gidx(n, x, y, z)), Read);
-                        }
-                    }
-                },
-            )],
-        ));
-        phases
-    }
-
-    /// The standalone fine-grid residual phase bracketing the cold start.
-    fn resid_init_phase(&self) -> crate::model::PhaseModel {
-        let lt = self.cfg.lt;
-        crate::model::PhaseModel::new(
-            "resid_init",
-            vec![Self::resid_model(
-                "resid_init",
-                self.u[lt - 1].layout(),
-                self.v.layout(),
-                self.r[lt - 1].layout(),
-                self.cfg.edge(lt - 1),
-            )],
-        )
-    }
-
-    /// Reset solution state (between cold start and the timed run).
-    fn reset_state(&mut self) {
-        for u in &self.u {
-            u.fill(0.0);
-        }
-        for r in &self.r {
-            r.fill(0.0);
-        }
-        self.rnm2.clear();
+        self.resid_fine(ex, "resid_fine");
+        self.fine_rnm2(ex)
     }
 }
 
@@ -612,30 +380,17 @@ impl NasBenchmark for Mg {
     }
 
     fn cold_start(&mut self, rt: &mut Runtime) {
-        // Initial residual (r = v on the finest grid, with u = 0), then one
-        // discarded V-cycle to fault every level's pages.
-        let lt = self.cfg.lt;
-        let e = self.cfg.edge(lt - 1);
-        Self::resid(rt, &self.u[lt - 1], &self.v, &self.r[lt - 1], e);
-        let _ = self.cycle(rt);
-        self.reset_state();
-        // Re-establish the initial residual for the timed run.
-        Self::resid(rt, &self.u[lt - 1], &self.v, &self.r[lt - 1], e);
+        self.cold(rt);
     }
 
     fn iterate(&mut self, rt: &mut Runtime, _hook: &mut PhaseHook<'_>) {
-        let norm = self.cycle(rt);
+        let norm = self.step(rt);
         self.rnm2.push(norm);
     }
 
-    fn register_hot(&self, upm: &mut UpmEngine) {
-        for u in &self.u {
-            upm.memrefcnt(u);
-        }
-        for r in &self.r {
-            upm.memrefcnt(r);
-        }
-        upm.memrefcnt(&self.v);
+    fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        let grids = self.u.iter().chain(&self.r).chain([&self.v]);
+        grids.map(|a| a.layout()).collect()
     }
 
     fn verify(&self) -> Verification {
@@ -654,26 +409,8 @@ impl NasBenchmark for Mg {
         }
     }
 
-    fn access_model(&self) -> Option<crate::model::KernelModel> {
-        // cold_start: initial fine residual, one discarded V-cycle, then
-        // (after a host-only state reset) the fine residual again.
-        let mut cold = vec![self.resid_init_phase()];
-        cold.extend(self.cycle_phases());
-        cold.push(self.resid_init_phase());
-        let mut arrays = Vec::new();
-        for u in &self.u {
-            arrays.push(u.layout());
-        }
-        for r in &self.r {
-            arrays.push(r.layout());
-        }
-        arrays.push(self.v.layout());
-        Some(crate::model::KernelModel::new(
-            BenchName::Mg,
-            arrays,
-            cold,
-            self.cycle_phases(),
-        ))
+    fn access_model(&self) -> Option<KernelModel> {
+        Some(Describe::kernel(self, |d| self.cold(d), |d| self.step(d)))
     }
 }
 
@@ -699,10 +436,10 @@ mod tests {
         let mut rt = rt();
         let n = 4;
         let m = rt.machine_mut();
-        let u = SimArray::new(m, "u", n * n * n, 7.5);
-        let v = SimArray::new(m, "v", n * n * n, 2.0);
-        let r = SimArray::new(m, "r", n * n * n, 0.0);
-        Mg::resid(&mut rt, &u, &v, &r, n);
+        let u = Rc::new(SimArray::new(m, "u", n * n * n, 7.5));
+        let v = Rc::new(SimArray::new(m, "v", n * n * n, 2.0));
+        let r = Rc::new(SimArray::new(m, "r", n * n * n, 0.0));
+        Mg::resid(&mut rt, "resid", &u, &v, &r, n);
         for i in 0..n * n * n {
             assert!((r.peek(i) - 2.0).abs() < 1e-12, "A(const) must vanish");
         }
@@ -713,9 +450,14 @@ mod tests {
         let mut rt = rt();
         let m = 4;
         let machine = rt.machine_mut();
-        let fine = SimArray::new(machine, "f", (2 * m) * (2 * m) * (2 * m), 3.0);
-        let coarse = SimArray::new(machine, "c", m * m * m, 0.0);
-        Mg::rprj3(&mut rt, &fine, &coarse, m);
+        let fine = Rc::new(SimArray::new(
+            machine,
+            "f",
+            (2 * m) * (2 * m) * (2 * m),
+            3.0,
+        ));
+        let coarse = Rc::new(SimArray::new(machine, "c", m * m * m, 0.0));
+        Mg::rprj3(&mut rt, "rprj3", &fine, &coarse, m);
         // Weights sum: (0.5 + 6*0.25 + 12*0.125 + 8*0.0625)/4 = 1.
         for i in 0..m * m * m {
             assert!(
@@ -731,9 +473,14 @@ mod tests {
         let mut rt = rt();
         let m = 4;
         let machine = rt.machine_mut();
-        let coarse = SimArray::new(machine, "c", m * m * m, 2.0);
-        let fine = SimArray::new(machine, "f", (2 * m) * (2 * m) * (2 * m), 0.0);
-        Mg::interp(&mut rt, &coarse, &fine, m);
+        let coarse = Rc::new(SimArray::new(machine, "c", m * m * m, 2.0));
+        let fine = Rc::new(SimArray::new(
+            machine,
+            "f",
+            (2 * m) * (2 * m) * (2 * m),
+            0.0,
+        ));
+        Mg::interp(&mut rt, "interp", &coarse, &fine, m);
         for i in 0..(2 * m) * (2 * m) * (2 * m) {
             assert!((fine.peek(i) - 2.0).abs() < 1e-12, "got {}", fine.peek(i));
         }

@@ -9,17 +9,22 @@
 //! (first-touch placement, per-page reference counts, per-line writer sets)
 //! instead of simulating caches, coherence and timing.
 //!
-//! The model is *exact* for these kernels because every loop body's access
-//! pattern depends only on the iteration index and on host-side metadata
-//! fixed at allocation time (grid geometry, the CG sparse-matrix pattern) —
-//! never on simulated floating-point values. Each benchmark builds its
-//! model from the same state that drives the real run ([`ArrayLayout`]
-//! snapshots of its `SimArray`s plus clones of its loop metadata), so model
-//! addresses agree bit-for-bit with the simulated run's addresses.
+//! The model is not written; it is *read off the kernel*. Each benchmark
+//! states its cold start and its time step once, generic over an [`Exec`]
+//! (the worksharing constructs) whose loop bodies are generic over a
+//! [`Mem`] (the element accesses). Run on `omp::Runtime`/`omp::Par` that
+//! text is the simulated benchmark; run on [`Describe`]/[`Probe`] the same
+//! text records one [`LoopModel`] per construct, whose access stream is the
+//! body itself with every load and store turned into an emitted
+//! `(vaddr, kind)`. The model is exact because no body's control flow
+//! depends on a simulated floating-point value — only on the iteration
+//! index, on geometry, and on CG's column-index array, which a probed load
+//! reads from the array's host data.
 
-use crate::common::BenchName;
-use ccnuma::{AccessKind, ArrayLayout};
-use omp::Schedule;
+use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint};
+use ccnuma::{AccessKind, ArrayLayout, SimArray};
+use omp::{Par, Runtime, Schedule};
+use std::rc::Rc;
 
 /// How a modeled loop's iterations are assigned to threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,6 +264,271 @@ impl KernelModel {
     }
 }
 
+/// A simulated array shared between a kernel and its loop bodies. Bodies
+/// outlive the call that states them when they are described (a
+/// [`LoopModel`] owns its access closure), so they hold the arrays they
+/// touch by `Rc`, not by borrow.
+pub type Arr<T = f64> = Rc<SimArray<T>>;
+
+/// What a loop body does to memory: the element accesses and flop charges
+/// of one thread's share of a worksharing construct.
+pub trait Mem {
+    /// Load `array[i]`.
+    fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T;
+    /// Store `array[i] = value`.
+    fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, value: T);
+    /// Read-modify-write of `array[i]` (one load, one store).
+    fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, f: impl FnOnce(T) -> T);
+    /// Charge `flops` floating-point operations.
+    fn flops(&mut self, flops: u64);
+    /// Host arithmetic between a body's loads and its stores (a line solve,
+    /// a pencil FFT). It decides no address, so a description skips it.
+    fn host(&mut self, f: impl FnOnce());
+}
+
+impl Mem for Par<'_> {
+    #[inline(always)]
+    fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T {
+        Par::get(self, array, i)
+    }
+
+    #[inline(always)]
+    fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, value: T) {
+        Par::set(self, array, i, value)
+    }
+
+    #[inline(always)]
+    fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, f: impl FnOnce(T) -> T) {
+        Par::update(self, array, i, f)
+    }
+
+    #[inline(always)]
+    fn flops(&mut self, flops: u64) {
+        Par::flops(self, flops)
+    }
+
+    #[inline(always)]
+    fn host(&mut self, f: impl FnOnce()) {
+        f()
+    }
+}
+
+/// The describing [`Mem`]: every access becomes an emitted `(vaddr, kind)`.
+/// A load returns the array's current host value (index arrays resolve),
+/// stores are dropped, flops and host arithmetic are skipped — probing a
+/// body changes nothing.
+pub struct Probe<'e> {
+    emit: &'e mut dyn FnMut(u64, AccessKind),
+}
+
+impl Mem for Probe<'_> {
+    #[inline]
+    fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T {
+        (self.emit)(array.vaddr_of(i), AccessKind::Read);
+        array.peek(i)
+    }
+
+    #[inline]
+    fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, _value: T) {
+        (self.emit)(array.vaddr_of(i), AccessKind::Write);
+    }
+
+    #[inline]
+    fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, _f: impl FnOnce(T) -> T) {
+        let vaddr = array.vaddr_of(i);
+        (self.emit)(vaddr, AccessKind::Read);
+        (self.emit)(vaddr, AccessKind::Write);
+    }
+
+    #[inline]
+    fn flops(&mut self, _flops: u64) {}
+
+    #[inline]
+    fn host(&mut self, _f: impl FnOnce()) {}
+}
+
+/// What a kernel does between loop bodies: its program order. Every
+/// `for_each`, `sum` and `serial` is exactly one machine region; `phase`
+/// names the group the following constructs belong to. Construct and phase
+/// names are stable identifiers (lint finding keys, `lint.allow` entries,
+/// fast-path memo labels, `prof` rows).
+pub trait Exec {
+    /// The [`Mem`] this executor hands to loop bodies.
+    type Mem<'a>: Mem;
+
+    /// Open the named phase.
+    fn phase(&mut self, name: &str);
+
+    /// `PARALLEL DO`: `body(m, i)` for every `i in 0..n`.
+    fn for_each(
+        &mut self,
+        name: &str,
+        n: usize,
+        schedule: Schedule,
+        body: impl for<'a> Fn(&mut Self::Mem<'a>, usize) + 'static,
+    );
+
+    /// `PARALLEL DO` with a `REDUCTION(+)` clause: the sum of `body(m, i)`
+    /// over `0..n`. A description returns `0.0`.
+    fn sum(
+        &mut self,
+        name: &str,
+        n: usize,
+        schedule: Schedule,
+        body: impl for<'a> Fn(&mut Self::Mem<'a>, usize) -> f64 + 'static,
+    ) -> f64;
+
+    /// Sequential program text on the master thread. A description returns
+    /// `R::default()`.
+    fn serial<R: Default>(
+        &mut self,
+        name: &str,
+        body: impl for<'a> Fn(&mut Self::Mem<'a>) -> R + 'static,
+    ) -> R;
+
+    /// Host-side state change between constructs (refills, resets). It
+    /// touches no simulated page, so a description skips it.
+    fn host(&mut self, f: impl FnOnce());
+
+    /// A phase-transition point (BT/SP's z-sweep brackets): the run invokes
+    /// `hook`, a description does not.
+    fn point(&mut self, hook: &mut PhaseHook<'_>, at: PhasePoint);
+}
+
+impl Exec for Runtime {
+    type Mem<'a> = Par<'a>;
+
+    fn phase(&mut self, _name: &str) {}
+
+    fn for_each(
+        &mut self,
+        _name: &str,
+        n: usize,
+        schedule: Schedule,
+        body: impl for<'a> Fn(&mut Par<'a>, usize) + 'static,
+    ) {
+        self.parallel_for(n, schedule, body);
+    }
+
+    fn sum(
+        &mut self,
+        _name: &str,
+        n: usize,
+        schedule: Schedule,
+        body: impl for<'a> Fn(&mut Par<'a>, usize) -> f64 + 'static,
+    ) -> f64 {
+        let fold = |par: &mut Par<'_>, i: usize, acc: f64| acc + body(par, i);
+        self.parallel_reduce(n, schedule, 0.0, fold, |a, b| a + b).0
+    }
+
+    fn serial<R: Default>(
+        &mut self,
+        _name: &str,
+        body: impl for<'a> Fn(&mut Par<'a>) -> R + 'static,
+    ) -> R {
+        Runtime::serial(self, body)
+    }
+
+    fn host(&mut self, f: impl FnOnce()) {
+        f()
+    }
+
+    fn point(&mut self, hook: &mut PhaseHook<'_>, at: PhasePoint) {
+        hook(self, at)
+    }
+}
+
+/// The describing [`Exec`]: records each construct as a [`LoopModel`] in
+/// the current phase instead of running it.
+#[derive(Default)]
+pub struct Describe {
+    phases: Vec<(String, Vec<LoopModel>)>,
+}
+
+impl Describe {
+    /// The model of `bench`, whose cold start and time step are the texts
+    /// `cold` and `step`.
+    pub fn kernel<R>(
+        bench: &impl NasBenchmark,
+        cold: impl FnOnce(&mut Describe),
+        step: impl FnOnce(&mut Describe) -> R,
+    ) -> KernelModel {
+        KernelModel::new(
+            bench.name(),
+            bench.hot_arrays(),
+            Self::phases(cold),
+            Self::phases(step),
+        )
+    }
+
+    /// The phases `text` executes, in program order (whatever `text`
+    /// computes from the reductions' `0.0`s is discarded).
+    fn phases<R>(text: impl FnOnce(&mut Describe) -> R) -> Vec<PhaseModel> {
+        let mut d = Describe::default();
+        text(&mut d);
+        d.phases
+            .into_iter()
+            .map(|(name, loops)| PhaseModel::new(&name, loops))
+            .collect()
+    }
+
+    fn record(&mut self, l: LoopModel) {
+        let (_, loops) = self
+            .phases
+            .last_mut()
+            .expect("a construct outside any phase");
+        loops.push(l);
+    }
+}
+
+impl Exec for Describe {
+    type Mem<'a> = Probe<'a>;
+
+    fn phase(&mut self, name: &str) {
+        self.phases.push((name.to_string(), Vec::new()));
+    }
+
+    fn for_each(
+        &mut self,
+        name: &str,
+        n: usize,
+        schedule: Schedule,
+        body: impl for<'a> Fn(&mut Probe<'a>, usize) + 'static,
+    ) {
+        self.record(LoopModel::parallel(name, n, schedule, move |i, emit| {
+            body(&mut Probe { emit }, i)
+        }));
+    }
+
+    fn sum(
+        &mut self,
+        name: &str,
+        n: usize,
+        schedule: Schedule,
+        body: impl for<'a> Fn(&mut Probe<'a>, usize) -> f64 + 'static,
+    ) -> f64 {
+        self.record(LoopModel::reduction(name, n, schedule, move |i, emit| {
+            body(&mut Probe { emit }, i);
+        }));
+        0.0
+    }
+
+    fn serial<R: Default>(
+        &mut self,
+        name: &str,
+        body: impl for<'a> Fn(&mut Probe<'a>) -> R + 'static,
+    ) -> R {
+        self.record(LoopModel::serial(name, move |_, emit| {
+            body(&mut Probe { emit });
+        }));
+        R::default()
+    }
+
+    fn host(&mut self, _f: impl FnOnce()) {}
+
+    fn point(&mut self, _hook: &mut PhaseHook<'_>, _at: PhasePoint) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +601,58 @@ mod tests {
             km.iteration_loop_names(),
             vec!["cg/l", "cg/l", "tail/l", "tail/l"]
         );
+    }
+
+    #[test]
+    fn one_text_runs_and_describes() {
+        use ccnuma::{Machine, MachineConfig};
+        // b[i] = 2 * a[idx[i]], then sum(b): an indexed gather, a host
+        // step between load and store, a reduction.
+        fn text<E: Exec>(ex: &mut E, idx: &Arr<u32>, a: &Arr, b: &Arr) -> f64 {
+            ex.phase("scale");
+            let (idx, a2, b2) = (idx.clone(), a.clone(), b.clone());
+            ex.for_each("gather", 4, Schedule::Static, move |m, i| {
+                let j = m.get(&idx, i) as usize;
+                let mut v = m.get(&a2, j);
+                m.host(|| v *= 2.0);
+                m.set(&b2, i, v);
+            });
+            ex.host(|| a.poke(0, -1.0));
+            let b = b.clone();
+            ex.sum("total", 4, Schedule::Static, move |m, i| m.get(&b, i))
+        }
+        let mut rt = Runtime::new(Machine::new(MachineConfig::tiny_test()));
+        let m = rt.machine_mut();
+        let idx = Rc::new(SimArray::from_fn(m, "idx", 4, |i| 3 - i as u32));
+        let a = Rc::new(SimArray::from_fn(m, "a", 4, |i| i as f64));
+        let b = Rc::new(SimArray::new(m, "b", 4, 0.0));
+
+        let phases = Describe::phases(|d| assert_eq!(text(d, &idx, &a, &b), 0.0));
+        assert_eq!(a.to_vec(), [0.0, 1.0, 2.0, 3.0], "host step skipped");
+        assert_eq!(b.to_vec(), [0.0; 4], "stores dropped");
+        assert_eq!(phases.len(), 1);
+        let loops = phases[0].loops();
+        let shape: Vec<_> = loops.iter().map(|l| (l.name(), l.kind(), l.n())).collect();
+        assert_eq!(
+            shape,
+            [
+                ("gather", LoopKind::Parallel, 4),
+                ("total", LoopKind::Reduction, 4)
+            ]
+        );
+        let mut got = Vec::new();
+        loops[0].for_each_access(1, &mut |va, kind| got.push((va, kind)));
+        // idx[1] = 2 resolves through the probe: the gather reads a[2].
+        let want = [
+            (idx.vaddr_of(1), AccessKind::Read),
+            (a.vaddr_of(2), AccessKind::Read),
+            (b.vaddr_of(1), AccessKind::Write),
+        ];
+        assert_eq!(got, want);
+
+        assert_eq!(text(&mut rt, &idx, &a, &b), 12.0);
+        assert_eq!(b.to_vec(), [6.0, 4.0, 2.0, 0.0]);
+        assert_eq!(a.peek(0), -1.0);
     }
 
     #[test]

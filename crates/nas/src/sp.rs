@@ -8,11 +8,13 @@
 //! the factorization method used in the solvers"). The second bands come
 //! from the fourth-difference dissipation term, as in NAS SP.
 
-use crate::adi::AdiState;
-use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
+use crate::adi::{AdiState, SweepAxis};
+use crate::common::{no_phase_hook, BenchName, NasBenchmark, PhaseHook, Scale, Verification};
 use crate::la::penta_solve;
+use crate::model::{Describe, Exec, KernelModel, Mem};
+use ccnuma::ArrayLayout;
 use omp::{Runtime, Schedule};
-use upmlib::UpmEngine;
+use std::rc::Rc;
 
 /// SP problem parameters.
 #[derive(Debug, Clone, Copy)]
@@ -62,18 +64,10 @@ impl SpConfig {
     }
 }
 
-/// Sweep direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    X,
-    Y,
-    Z,
-}
-
 /// The SP benchmark instance.
 pub struct Sp {
     cfg: SpConfig,
-    state: AdiState,
+    state: Rc<AdiState>,
     initial_u: Vec<f64>,
     norms: Vec<f64>,
 }
@@ -86,7 +80,7 @@ impl Sp {
 
     /// Allocate with explicit parameters.
     pub fn with_config(rt: &mut Runtime, cfg: SpConfig) -> Self {
-        let state = AdiState::new(rt, "sp", cfg.nx, cfg.ny, cfg.nz);
+        let state = Rc::new(AdiState::new(rt, "sp", cfg.nx, cfg.ny, cfg.nz));
         let initial_u = state.u.to_vec();
         Self {
             cfg,
@@ -109,96 +103,82 @@ impl Sp {
     /// Solve all lines along `axis`: per line and per component, assemble
     /// the pentadiagonal operator `(I - A_axis)` from `u` and solve against
     /// the line's `rhs` in place.
-    fn sweep(&self, rt: &mut Runtime, axis: Axis) {
-        let g = self.state.grid;
+    fn sweep<E: Exec>(&self, ex: &mut E, axis: SweepAxis) {
+        let s = self.state.clone();
+        let g = s.grid;
         let SpConfig { r, eps, r4, .. } = self.cfg;
-        let (n, outer_extent, inner_extent) = match axis {
-            Axis::X => (g.nx, g.nz, g.ny),
-            Axis::Y => (g.ny, g.nz, g.nx),
-            Axis::Z => (g.nz, g.ny, g.nx),
-        };
-        rt.parallel_for(outer_extent, Schedule::Static, |par, outer| {
-            let mut band_e = vec![0.0; n];
-            let mut band_a = vec![0.0; n];
-            let mut band_d = vec![0.0; n];
-            let mut band_c = vec![0.0; n];
-            let mut band_f = vec![0.0; n];
-            let mut line_u = vec![0.0; n];
-            let mut line_rhs = vec![0.0; n];
-            for inner in 0..inner_extent {
-                let coord = |k: usize| -> (usize, usize, usize) {
-                    match axis {
-                        Axis::X => (k, inner, outer),
-                        Axis::Y => (inner, k, outer),
-                        Axis::Z => (inner, outer, k),
-                    }
-                };
-                for c in 0..5 {
-                    // Gather this component's line.
-                    for k in 0..n {
-                        let (x, y, z) = coord(k);
-                        line_u[k] = par.get(&self.state.u, g.idx(c, x, y, z));
-                        line_rhs[k] = par.get(&self.state.rhs, g.idx(c, x, y, z));
-                    }
-                    // Assemble the five bands (diagonally dominant).
-                    for k in 0..n {
-                        band_d[k] = 1.0 + 2.0 * r + 2.0 * r4 + eps * line_u[k].abs();
-                        band_a[k] = if k >= 1 {
-                            -r - 0.5 * eps * line_u[k - 1]
-                        } else {
-                            0.0
-                        };
-                        band_c[k] = if k + 1 < n {
-                            -r - 0.5 * eps * line_u[k + 1]
-                        } else {
-                            0.0
-                        };
-                        band_e[k] = if k >= 2 { r4 } else { 0.0 };
-                        band_f[k] = if k + 2 < n { r4 } else { 0.0 };
-                    }
-                    let flops =
-                        penta_solve(&band_e, &band_a, &band_d, &band_c, &band_f, &mut line_rhs)
+        let (n, outer_extent, inner_extent) = axis.extents(g);
+        ex.for_each(
+            axis.name(),
+            outer_extent,
+            Schedule::Static,
+            move |m, outer| {
+                let mut band_e = vec![0.0; n];
+                let mut band_a = vec![0.0; n];
+                let mut band_d = vec![0.0; n];
+                let mut band_c = vec![0.0; n];
+                let mut band_f = vec![0.0; n];
+                let mut line_u = vec![0.0; n];
+                let mut line_rhs = vec![0.0; n];
+                for inner in 0..inner_extent {
+                    for c in 0..5 {
+                        // Gather this component's line.
+                        for k in 0..n {
+                            let (x, y, z) = axis.coord(outer, inner, k);
+                            line_u[k] = m.get(&s.u, g.idx(c, x, y, z));
+                            line_rhs[k] = m.get(&s.rhs, g.idx(c, x, y, z));
+                        }
+                        let mut flops = 0;
+                        m.host(|| {
+                            // Assemble the five bands (diagonally dominant).
+                            for k in 0..n {
+                                band_d[k] = 1.0 + 2.0 * r + 2.0 * r4 + eps * line_u[k].abs();
+                                band_a[k] = if k >= 1 {
+                                    -r - 0.5 * eps * line_u[k - 1]
+                                } else {
+                                    0.0
+                                };
+                                band_c[k] = if k + 1 < n {
+                                    -r - 0.5 * eps * line_u[k + 1]
+                                } else {
+                                    0.0
+                                };
+                                band_e[k] = if k >= 2 { r4 } else { 0.0 };
+                                band_f[k] = if k + 2 < n { r4 } else { 0.0 };
+                            }
+                            flops = penta_solve(
+                                &band_e,
+                                &band_a,
+                                &band_d,
+                                &band_c,
+                                &band_f,
+                                &mut line_rhs,
+                            )
                             .expect("SP bands are diagonally dominant");
-                    par.flops(flops + 8 * n as u64);
-                    // Scatter the solution.
-                    for k in 0..n {
-                        let (x, y, z) = coord(k);
-                        par.set(&self.state.rhs, g.idx(c, x, y, z), line_rhs[k]);
+                        });
+                        m.flops(flops + 8 * n as u64);
+                        // Scatter the solution.
+                        for k in 0..n {
+                            let (x, y, z) = axis.coord(outer, inner, k);
+                            m.set(&s.rhs, g.idx(c, x, y, z), line_rhs[k]);
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
     }
 
-    fn x_solve(&self, rt: &mut Runtime) {
-        self.sweep(rt, Axis::X);
+    /// The cold start: one full time step, then the field reset.
+    fn cold<E: Exec>(&self, ex: &mut E) {
+        self.step(ex, &mut no_phase_hook());
+        ex.host(|| self.state.reset(&self.initial_u));
     }
 
-    fn y_solve(&self, rt: &mut Runtime) {
-        self.sweep(rt, Axis::Y);
-    }
-
-    fn z_solve(&self, rt: &mut Runtime) {
-        self.sweep(rt, Axis::Z);
-    }
-
-    fn step(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) -> f64 {
-        let ps = self.cfg.phase_scale;
-        for _ in 0..ps {
-            self.state.compute_rhs(rt, self.cfg.r, 1.0);
-        }
-        for _ in 0..ps {
-            self.x_solve(rt);
-        }
-        for _ in 0..ps {
-            self.y_solve(rt);
-        }
-        hook(rt, PhasePoint::Before(0));
-        for _ in 0..ps {
-            self.z_solve(rt);
-        }
-        hook(rt, PhasePoint::After(0));
-        self.state.add_and_norm(rt)
+    /// One full time step (shared by cold start and timed iterations).
+    fn step<E: Exec>(&self, ex: &mut E, hook: &mut PhaseHook<'_>) -> f64 {
+        let SpConfig { r, phase_scale, .. } = self.cfg;
+        self.state
+            .step(ex, hook, r, phase_scale, |ex, axis| self.sweep(ex, axis))
     }
 
     /// Recorded per-iteration update norms.
@@ -217,10 +197,7 @@ impl NasBenchmark for Sp {
     }
 
     fn cold_start(&mut self, rt: &mut Runtime) {
-        let mut noop = |_: &mut Runtime, _: PhasePoint| {};
-        let _ = self.step(rt, &mut noop);
-        self.state.reset(&self.initial_u);
-        self.norms.clear();
+        self.cold(rt);
     }
 
     fn iterate(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) {
@@ -228,8 +205,8 @@ impl NasBenchmark for Sp {
         self.norms.push(norm);
     }
 
-    fn register_hot(&self, upm: &mut UpmEngine) {
-        self.state.register_hot(upm);
+    fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        self.state.hot_arrays()
     }
 
     fn verify(&self) -> Verification {
@@ -246,16 +223,11 @@ impl NasBenchmark for Sp {
         }
     }
 
-    fn access_model(&self) -> Option<crate::model::KernelModel> {
-        // SP's scalar solver touches exactly the same element set per line
-        // as BT's block solver, so the shared ADI sweep models apply; the
-        // host-side reset in cold_start touches no simulated pages.
-        let ps = self.cfg.phase_scale;
-        Some(crate::model::KernelModel::new(
-            BenchName::Sp,
-            self.state.array_layouts(),
-            self.state.step_phases(ps),
-            self.state.step_phases(ps),
+    fn access_model(&self) -> Option<KernelModel> {
+        Some(Describe::kernel(
+            self,
+            |d| self.cold(d),
+            |d| self.step(d, &mut no_phase_hook()),
         ))
     }
 }
@@ -263,7 +235,7 @@ impl NasBenchmark for Sp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::no_phase_hook;
+    use crate::common::PhasePoint;
     use ccnuma::{Machine, MachineConfig};
 
     fn rt() -> Runtime {
@@ -326,10 +298,10 @@ mod tests {
         let mut sp = Sp::new(&mut rt, Scale::Tiny);
         sp.cold_start(&mut rt);
         let r0 = rt.machine().aggregate_cpu_stats().mem_remote;
-        sp.x_solve(&mut rt);
+        sp.sweep(&mut rt, SweepAxis::X);
         let rx = rt.machine().aggregate_cpu_stats().mem_remote - r0;
         let r1 = rt.machine().aggregate_cpu_stats().mem_remote;
-        sp.z_solve(&mut rt);
+        sp.sweep(&mut rt, SweepAxis::Z);
         let rz = rt.machine().aggregate_cpu_stats().mem_remote - r1;
         assert!(rz > 3 * rx.max(1), "z remote {rz} vs x remote {rx}");
     }

@@ -204,22 +204,11 @@ impl UpmEngine {
         views
     }
 
-    /// The competitive criterion of §3.3: is this page's reference pattern
-    /// remote-dominated enough to justify moving it, and where to?
-    /// Returns `(ratio, target_node)` for eligible pages.
+    /// The competitive criterion of §3.3 ([`UpmOptions::competitive`]) on a
+    /// page's counters: `(ratio, target_node)` for eligible pages.
     pub(crate) fn competitive_candidate(&self, view: &PageView) -> Option<(f64, NodeId)> {
         let (local, rmax, rnode) = view.competitive_view();
-        if rmax < self.options.min_accesses as u64 {
-            return None;
-        }
-        // raccmax / lacc > thr, with lacc == 0 treated as infinitely
-        // remote-dominated.
-        let ratio = if local == 0 {
-            f64::INFINITY
-        } else {
-            rmax as f64 / local as f64
-        };
-        (ratio > self.options.thr).then_some((ratio, rnode))
+        Some((self.options.competitive(local, rmax)?, rnode))
     }
 
     /// Zero the hardware counters of every hot page — called when reference

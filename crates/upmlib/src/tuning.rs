@@ -35,6 +35,23 @@ impl Default for UpmOptions {
 }
 
 impl UpmOptions {
+    /// The competitive criterion of §3.3 on one page's counters — `local`
+    /// accesses from its home node, `rmax` from the most active remote
+    /// node: is the page remote-dominated enough to justify moving it?
+    /// Returns the dominance ratio `rmax / local` of an eligible page
+    /// (`local == 0` is infinitely remote-dominated).
+    pub fn competitive(&self, local: u64, rmax: u64) -> Option<f64> {
+        if rmax < self.min_accesses as u64 {
+            return None;
+        }
+        let ratio = if local == 0 {
+            f64::INFINITY
+        } else {
+            rmax as f64 / local as f64
+        };
+        (ratio > self.thr).then_some(ratio)
+    }
+
     /// The configuration used in the paper's record–replay experiments.
     pub fn paper_recrep() -> Self {
         Self {

@@ -667,21 +667,17 @@ fn main() {
     // JSON, so result trees stay identical across --jobs counts.
     let mut groups: Vec<(Vec<Report>, Vec<String>)> = Vec::new();
     for (id, job) in jobs {
-        xp::summary::take_sim_secs();
-        xp::summary::take_wall();
-        xp::telemetry::take_footer();
+        xp::summary::take();
         let t0 = Instant::now();
         let produced = job();
-        let footer = xp::telemetry::take_footer();
-        let (cells_wall_secs, pool_wall_secs) = xp::summary::take_wall();
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let tally = xp::summary::take();
+        groups.push((produced, tally.footer()));
         entries.push(SummaryEntry {
             id: id.to_string(),
-            sim_secs: xp::summary::take_sim_secs(),
-            wall_secs: t0.elapsed().as_secs_f64(),
-            cells_wall_secs,
-            pool_wall_secs,
+            wall_secs,
+            tally,
         });
-        groups.push((produced, footer));
     }
     xp::session::end();
 

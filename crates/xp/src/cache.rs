@@ -142,9 +142,9 @@ mod tests {
             .to_cache_json(),
         )
         .unwrap();
-        crate::summary::take_sim_secs();
+        crate::summary::take();
         r.replay_side_effects();
-        assert_eq!(crate::summary::take_sim_secs(), 2.5);
+        assert_eq!(crate::summary::take().sim_secs, 2.5);
     }
 
     #[test]

@@ -261,9 +261,8 @@ impl<T: Send + 'static> CellPlan<T> {
                 .map(|(id, job)| wrap_cell(id, job, Arc::clone(session.sim_done_us())))
                 .collect();
             let (runs, telemetry) = session.run(jobs);
-            crate::summary::add_pool_wall(telemetry.wall_secs);
             let cell_walls: Vec<f64> = runs.iter().map(|t| t.wall_secs).collect();
-            crate::telemetry::record_plan(&telemetry, &cell_walls);
+            crate::summary::record_plan(&telemetry, &cell_walls);
             runs
         };
 
@@ -276,6 +275,7 @@ impl<T: Send + 'static> CellPlan<T> {
             .enumerate()
             .map(|(index, cell)| match cell.job_state {
                 CellState::Resolved { value, store } => {
+                    crate::summary::record_resolved_cell();
                     if let Some(codec) = &cell.codec {
                         (codec.replay)(&value);
                     }
@@ -308,7 +308,6 @@ impl<T: Send + 'static> CellPlan<T> {
                         },
                     };
                     crate::summary::add_sim_secs(run.sim_secs);
-                    crate::summary::add_cell_wall(wall_secs);
                     for trace in run.traces {
                         crate::trace::write_pending(trace);
                     }
@@ -426,7 +425,7 @@ mod tests {
         // Whatever order cells finish in, the merged accumulator sees the
         // same fixed-order float sum.
         let total = |workers: usize| {
-            crate::summary::take_sim_secs();
+            crate::summary::take();
             let mut plan = CellPlan::new();
             for i in 0..20usize {
                 plan.add(format!("c{i}"), move || {
@@ -434,7 +433,7 @@ mod tests {
                 });
             }
             crate::jobs::with_pinned(workers, || plan.execute());
-            crate::summary::take_sim_secs().to_bits()
+            crate::summary::take().sim_secs.to_bits()
         };
         assert_eq!(total(1), total(5));
     }

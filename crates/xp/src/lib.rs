@@ -47,7 +47,6 @@ pub mod staticplace;
 pub mod summary;
 pub mod table1;
 pub mod table2;
-pub mod telemetry;
 pub mod top;
 pub mod trace;
 

@@ -3,33 +3,69 @@
 //! host-parallel executor's speedup estimate, so future changes have a
 //! performance trajectory to compare against.
 //!
-//! Simulated seconds accumulate in a process-global counter:
-//! [`crate::run_one`] adds each run's total, and the multiprogramming
-//! experiment adds its schedules' makespans. When the call happens inside
-//! an executing experiment cell, the credit is buffered in the cell's
-//! context and replayed in canonical plan order at merge time (see
+//! Everything an experiment costs on the host accumulates in one
+//! process-global [`Tally`]: [`crate::run_one`] credits each run's
+//! simulated seconds (the multiprogramming experiment its schedules'
+//! makespans) and every executed [`crate::cells::CellPlan`] credits its
+//! pool telemetry and per-cell walls. When a simulated-seconds credit
+//! happens inside an executing cell, it is buffered in the cell's context
+//! and replayed in canonical plan order at merge time (see
 //! [`crate::cells`]), so the accumulated float sum is bit-identical
-//! whatever `--jobs` count ran the cells. The binary snapshots the
-//! counter around each experiment with [`take_sim_secs`] and writes the
-//! collected entries with [`write`].
+//! whatever `--jobs` count ran the cells. The binary drains the tally
+//! around each experiment with [`take`], prints its [`Tally::footer`] and
+//! writes the collected entries with [`write`].
 //!
-//! Wall-clock bookkeeping for the speedup estimate: each cell reports the
-//! wall seconds it spent on its worker ([`add_cell_wall`]) and each plan
-//! reports the wall seconds its pool was open ([`add_pool_wall`]). An
-//! experiment that took `wall_secs` overall would therefore have taken
-//! about `wall_secs - pool_wall + cells_wall` serially, and
-//! `speedup_vs_serial` is that estimate divided by `wall_secs` — ~1.0 for
-//! `--jobs 1` runs, approaching the worker count for cell-dominated
-//! experiments.
+//! The footer goes to **stdout only** — it is never embedded in saved
+//! report JSON, so result trees stay byte-identical across `--jobs`
+//! settings (pool utilization obviously differs between worker counts).
+//!
+//! Wall-clock bookkeeping for the speedup estimate: the tally holds the
+//! wall seconds every computed cell spent on its worker and the wall
+//! seconds every plan's pool was open. An experiment that took
+//! `wall_secs` overall would therefore have taken about
+//! `wall_secs - pool_wall + cells_wall` serially, and `speedup_vs_serial`
+//! is that estimate divided by `wall_secs` — ~1.0 for `--jobs 1` runs,
+//! approaching the worker count for cell-dominated experiments, and
+//! `null` when every cell was resolved from the cache or a server (no
+//! cell ran, so there is nothing to estimate from).
 
+use exec::PoolTelemetry;
 use obs::json::Value;
+use obs::metrics::Histogram;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-static SIM_SECS: Mutex<f64> = Mutex::new(0.0);
-/// `(cells_wall, pool_wall)` accumulated since the last [`take_wall`].
-static WALL: Mutex<(f64, f64)> = Mutex::new((0.0, 0.0));
+/// Host-side cost of the experiment currently running.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Simulated seconds across every run dispatched.
+    pub sim_secs: f64,
+    /// Sum of per-cell on-worker wall seconds (0 when no cell ran).
+    pub cells_wall_secs: f64,
+    /// Wall seconds the plans' pools were open.
+    pub pool_wall_secs: f64,
+    /// Cells computed on a pool.
+    pub cells_computed: usize,
+    /// Cells resolved from the result cache or a server.
+    pub cells_resolved: usize,
+    plans: usize,
+    failed: usize,
+    busy_secs: f64,
+    /// Σ (plan wall × workers): the capacity the busy time is measured
+    /// against, robust to plans running with different worker counts.
+    worker_secs: f64,
+    max_workers: usize,
+    /// Per-cell wall latency, in microseconds.
+    wall_us: Histogram,
+}
+
+static TALLY: Mutex<Option<Tally>> = Mutex::new(None);
+
+fn with_tally<R>(f: impl FnOnce(&mut Tally) -> R) -> R {
+    let mut slot = TALLY.lock().unwrap_or_else(|p| p.into_inner());
+    f(slot.get_or_insert_with(Tally::default))
+}
 
 /// Credit simulated seconds to the experiment currently running. Inside a
 /// cell, the credit is deferred to the cell's merge (canonical order).
@@ -37,27 +73,79 @@ pub fn add_sim_secs(secs: f64) {
     if crate::cells::credit_sim_secs(secs) {
         return;
     }
-    *SIM_SECS.lock().unwrap() += secs;
+    with_tally(|t| t.sim_secs += secs);
 }
 
-/// Snapshot and reset the accumulated simulated seconds.
-pub fn take_sim_secs() -> f64 {
-    std::mem::take(&mut *SIM_SECS.lock().unwrap())
+/// Credit one executed plan: its pool telemetry and the on-worker wall
+/// seconds of the cells it computed, in plan order.
+pub(crate) fn record_plan(t: &PoolTelemetry, cell_walls: &[f64]) {
+    with_tally(|tally| {
+        tally.plans += 1;
+        tally.cells_computed += t.jobs_total;
+        tally.failed += t.jobs_failed;
+        tally.pool_wall_secs += t.wall_secs;
+        tally.busy_secs += t.busy_secs();
+        tally.worker_secs += t.wall_secs * t.workers.len() as f64;
+        tally.max_workers = tally.max_workers.max(t.workers.len());
+        for &w in cell_walls {
+            tally.cells_wall_secs += w;
+            tally.wall_us.record((w * 1e6) as u64);
+        }
+    });
 }
 
-/// Credit one cell's on-worker wall seconds (called at plan merge).
-pub fn add_cell_wall(secs: f64) {
-    WALL.lock().unwrap().0 += secs;
+/// Credit one cell resolved without running (a cache hit, a served result).
+pub(crate) fn record_resolved_cell() {
+    with_tally(|t| t.cells_resolved += 1);
 }
 
-/// Credit one plan's pool-open wall seconds (called at plan merge).
-pub fn add_pool_wall(secs: f64) {
-    WALL.lock().unwrap().1 += secs;
+/// Drain the tally: everything credited since the last call.
+pub fn take() -> Tally {
+    let mut slot = TALLY.lock().unwrap_or_else(|p| p.into_inner());
+    slot.take().unwrap_or_default()
 }
 
-/// Snapshot and reset the `(cells_wall, pool_wall)` accumulators.
-pub fn take_wall() -> (f64, f64) {
-    std::mem::take(&mut *WALL.lock().unwrap())
+impl Tally {
+    /// The `[pool]` footer lines (empty when no cell was computed).
+    pub fn footer(&self) -> Vec<String> {
+        if self.cells_computed == 0 {
+            return Vec::new();
+        }
+        let busy_pct = if self.worker_secs > 0.0 {
+            100.0 * self.busy_secs / self.worker_secs
+        } else {
+            0.0
+        };
+        let failed = if self.failed > 0 {
+            format!(", {} failed", self.failed)
+        } else {
+            String::new()
+        };
+        let mut lines = vec![format!(
+            "pool: {} cells{failed} over {} plan(s), {} worker(s) {:.0}% busy",
+            self.cells_computed, self.plans, self.max_workers, busy_pct,
+        )];
+        if self.wall_us.count() > 0 {
+            lines.push(format!(
+                "cell wall: p50 {} p90 {} max {} (pool wall {:.2}s)",
+                fmt_us(self.wall_us.quantile_floor(0.50)),
+                fmt_us(self.wall_us.quantile_floor(0.90)),
+                fmt_us(self.wall_us.max()),
+                self.pool_wall_secs,
+            ));
+        }
+        lines
+    }
+}
+
+fn fmt_us(us: u64) -> String {
+    if us >= 1_000_000 {
+        format!("{:.2}s", us as f64 / 1e6)
+    } else if us >= 1_000 {
+        format!("{:.1}ms", us as f64 / 1e3)
+    } else {
+        format!("{us}us")
+    }
 }
 
 /// One experiment's timing entry.
@@ -65,30 +153,29 @@ pub fn take_wall() -> (f64, f64) {
 pub struct SummaryEntry {
     /// Experiment id (the report id, e.g. `fig1`).
     pub id: String,
-    /// Simulated seconds across every run the experiment dispatched.
-    pub sim_secs: f64,
     /// Host wall-clock seconds the experiment took.
     pub wall_secs: f64,
-    /// Sum of per-cell on-worker wall seconds (0 for cell-less
-    /// experiments).
-    pub cells_wall_secs: f64,
-    /// Wall seconds the experiment's pools were open.
-    pub pool_wall_secs: f64,
+    /// What the experiment credited while it ran.
+    pub tally: Tally,
 }
 
 impl SummaryEntry {
     /// Estimated serial wall seconds: the non-pool part of the experiment
     /// plus every cell's own wall time.
     pub fn serial_estimate_secs(&self) -> f64 {
-        (self.wall_secs - self.pool_wall_secs).max(0.0) + self.cells_wall_secs
+        (self.wall_secs - self.tally.pool_wall_secs).max(0.0) + self.tally.cells_wall_secs
     }
 
-    /// Estimated wall-clock speedup of this run over a `--jobs 1` run.
-    pub fn speedup_vs_serial(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.serial_estimate_secs() / self.wall_secs
+    /// Estimated wall-clock speedup of this run over a `--jobs 1` run;
+    /// `None` when the experiment had cells and every one of them was
+    /// resolved from the cache or a server, so none ran to estimate from.
+    pub fn speedup_vs_serial(&self) -> Option<f64> {
+        if self.tally.cells_computed == 0 && self.tally.cells_resolved > 0 {
+            None
+        } else if self.wall_secs > 0.0 {
+            Some(self.serial_estimate_secs() / self.wall_secs)
         } else {
-            1.0
+            Some(1.0)
         }
     }
 }
@@ -108,11 +195,14 @@ pub fn write(
             .map(|e| {
                 Value::object(vec![
                     ("id", e.id.as_str().into()),
-                    ("sim_secs", e.sim_secs.into()),
+                    ("sim_secs", e.tally.sim_secs.into()),
                     ("wall_secs", e.wall_secs.into()),
-                    ("cells_wall_secs", e.cells_wall_secs.into()),
+                    ("cells_wall_secs", e.tally.cells_wall_secs.into()),
                     ("serial_estimate_secs", e.serial_estimate_secs().into()),
-                    ("speedup_vs_serial", e.speedup_vs_serial().into()),
+                    (
+                        "speedup_vs_serial",
+                        e.speedup_vs_serial().map_or(Value::Null, Into::into),
+                    ),
                 ])
             })
             .collect(),
@@ -126,7 +216,7 @@ pub fn write(
         ("experiments", experiments),
         (
             "total_sim_secs",
-            entries.iter().map(|e| e.sim_secs).sum::<f64>().into(),
+            entries.iter().map(|e| e.tally.sim_secs).sum::<f64>().into(),
         ),
         ("total_wall_secs", total_wall.into()),
         ("serial_estimate_secs", total_serial.into()),
@@ -149,75 +239,111 @@ pub fn write(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exec::WorkerTelemetry;
 
+    // The tally is process-global and sibling tests execute plans
+    // concurrently, so these tests assert on what they credited being
+    // present (>=) and on shapes, not on exact totals.
     #[test]
-    fn accumulator_takes_and_resets() {
-        take_sim_secs();
+    fn tally_takes_and_resets() {
+        let t = PoolTelemetry {
+            wall_secs: 1.0,
+            jobs_total: 4,
+            jobs_failed: 1,
+            workers: vec![WorkerTelemetry {
+                jobs: 4,
+                busy_secs: 0.8,
+            }],
+        };
         add_sim_secs(1.5);
         add_sim_secs(0.5);
-        assert!((take_sim_secs() - 2.0).abs() < 1e-12);
-        assert_eq!(take_sim_secs(), 0.0);
+        record_plan(&t, &[0.1, 0.2, 0.3, 0.4]);
+        let tally = take();
+        assert!(tally.sim_secs >= 2.0);
+        assert!(tally.cells_wall_secs >= 1.0 - 1e-12);
+        assert!(tally.pool_wall_secs >= 1.0);
+        let footer = tally.footer();
+        assert_eq!(footer.len(), 2, "footer: {footer:?}");
+        assert!(footer[0].starts_with("pool:"), "footer: {}", footer[0]);
+        assert!(footer[0].contains("failed"), "footer: {}", footer[0]);
+        assert!(
+            footer[1].starts_with("cell wall: p50"),
+            "footer: {}",
+            footer[1]
+        );
+        assert!(Tally::default().footer().is_empty());
     }
 
     #[test]
-    fn wall_accumulators_take_and_reset() {
-        take_wall();
-        add_cell_wall(2.0);
-        add_cell_wall(1.0);
-        add_pool_wall(1.5);
-        assert_eq!(take_wall(), (3.0, 1.5));
-        assert_eq!(take_wall(), (0.0, 0.0));
+    fn microsecond_formatting_scales_units() {
+        assert_eq!(fmt_us(250), "250us");
+        assert_eq!(fmt_us(4_200), "4.2ms");
+        assert_eq!(fmt_us(3_500_000), "3.50s");
+    }
+
+    fn entry(id: &str, wall_secs: f64, tally: Tally) -> SummaryEntry {
+        SummaryEntry {
+            id: id.into(),
+            wall_secs,
+            tally,
+        }
+    }
+
+    fn walls(sim_secs: f64, cells_wall_secs: f64, pool_wall_secs: f64) -> Tally {
+        Tally {
+            sim_secs,
+            cells_wall_secs,
+            pool_wall_secs,
+            ..Tally::default()
+        }
     }
 
     #[test]
     fn speedup_estimate_shapes() {
         // Serial run: pool open as long as the cells ran -> ~1x.
-        let serial = SummaryEntry {
-            id: "fig1".into(),
-            sim_secs: 1.0,
-            wall_secs: 10.0,
-            cells_wall_secs: 9.0,
-            pool_wall_secs: 9.0,
+        let speedup = |wall, cells, pool| {
+            entry("fig1", wall, walls(1.0, cells, pool))
+                .speedup_vs_serial()
+                .unwrap()
         };
-        assert!((serial.speedup_vs_serial() - 1.0).abs() < 1e-12);
+        let serial: f64 = speedup(10.0, 9.0, 9.0);
+        assert!((serial - 1.0).abs() < 1e-12);
         // 4 workers, perfectly parallel cells: 36s of cell work in 9s.
-        let parallel = SummaryEntry {
-            id: "fig1".into(),
-            sim_secs: 1.0,
-            wall_secs: 10.0,
-            cells_wall_secs: 36.0,
-            pool_wall_secs: 9.0,
-        };
-        assert!((parallel.speedup_vs_serial() - 3.7).abs() < 1e-12);
+        let parallel: f64 = speedup(10.0, 36.0, 9.0);
+        assert!((parallel - 3.7).abs() < 1e-12);
         // No cells at all (table1): estimate equals the wall -> 1x.
-        let plain = SummaryEntry {
-            id: "table1".into(),
-            sim_secs: 0.0,
-            wall_secs: 0.5,
-            cells_wall_secs: 0.0,
-            pool_wall_secs: 0.0,
+        let plain: f64 = speedup(0.5, 0.0, 0.0);
+        assert!((plain - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_resolved_cells_have_no_speedup() {
+        // A warm-cache or served sweep: cells, but none ran here.
+        let served = Tally {
+            sim_secs: 12.0,
+            cells_resolved: 50,
+            ..Tally::default()
         };
-        assert!((plain.speedup_vs_serial() - 1.0).abs() < 1e-12);
+        let e = entry("fig1", 0.2, served);
+        assert_eq!(e.speedup_vs_serial(), None);
+        let dir = std::env::temp_dir().join("ddnomp-summary-null-test");
+        let text = std::fs::read_to_string(write(&dir, "tiny", 1, 1, &[e]).unwrap()).unwrap();
+        assert!(text.contains("\"speedup_vs_serial\": null"), "{text}");
+        // One computed cell is enough to estimate from.
+        let mixed = Tally {
+            cells_computed: 1,
+            cells_resolved: 49,
+            ..Tally::default()
+        };
+        assert!(entry("fig1", 0.2, mixed).speedup_vs_serial().is_some());
     }
 
     #[test]
     fn summary_file_shape() {
         let dir = std::env::temp_dir().join("ddnomp-summary-test");
         let entries = vec![
-            SummaryEntry {
-                id: "fig1".into(),
-                sim_secs: 12.0,
-                wall_secs: 0.3,
-                cells_wall_secs: 0.9,
-                pool_wall_secs: 0.25,
-            },
-            SummaryEntry {
-                id: "multiprog".into(),
-                sim_secs: 30.0,
-                wall_secs: 1.1,
-                cells_wall_secs: 2.0,
-                pool_wall_secs: 1.0,
-            },
+            entry("fig1", 0.3, walls(12.0, 0.9, 0.25)),
+            entry("multiprog", 1.1, walls(30.0, 2.0, 1.0)),
         ];
         let path = write(&dir, "tiny", 20000, 4, &entries).unwrap();
         let text = std::fs::read_to_string(path).unwrap();

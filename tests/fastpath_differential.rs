@@ -12,7 +12,9 @@
 //! tests here force it per-run via `BenchRun::set_fastpath` /
 //! `run_one_fastpath` so they stay independent of the ambient environment.
 
-use nas::{BenchName, BenchRun, EngineMode, RunConfig, Scale};
+use ccnuma::{Machine, MachineConfig};
+use nas::{BenchName, BenchRun, EngineMode, NasBenchmark, RunConfig, Scale};
+use omp::Runtime;
 use upmlib::UpmOptions;
 use vmm::{KernelMigrationConfig, PlacementScheme};
 use xp::run_one_fastpath;
@@ -132,6 +134,51 @@ fn fast_path_actually_engages() {
             "{}: steady-state iterations should replay far more than they \
              record: {stats:?}",
             bench.label()
+        );
+    }
+}
+
+#[test]
+fn describing_is_invisible() {
+    // The access model is the kernel's own text run on a probe that drops
+    // stores and on a describer that skips host-side state changes. If
+    // either let one through, describing mid-run would perturb the run the
+    // proofs are derived for.
+    fn enumerate(bench: &dyn NasBenchmark) {
+        let model = bench.access_model().expect("all five kernels are modeled");
+        for phase in model.cold().iter().chain(model.iteration()) {
+            for l in phase.loops() {
+                for i in 0..l.n() {
+                    l.for_each_access(i, &mut |_, _| {});
+                }
+            }
+        }
+    }
+    for name in BenchName::all() {
+        let run = |describe: bool| {
+            let mut rt = Runtime::new(Machine::new(MachineConfig::origin2000_16p_scaled()));
+            let mut bench = nas::instantiate(name, &mut rt, Scale::Tiny);
+            let mut hook = nas::common::no_phase_hook();
+            if describe {
+                enumerate(&*bench);
+            }
+            bench.cold_start(&mut rt);
+            bench.iterate(&mut rt, &mut hook);
+            if describe {
+                enumerate(&*bench);
+            }
+            bench.iterate(&mut rt, &mut hook);
+            (
+                bench.verify().value.to_bits(),
+                rt.machine().clock().now_ns().to_bits(),
+                *rt.machine().stats(),
+            )
+        };
+        assert_eq!(
+            run(false),
+            run(true),
+            "{}: describing the kernel disturbed its run",
+            name.label()
         );
     }
 }

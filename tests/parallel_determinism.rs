@@ -20,9 +20,9 @@ static JOBS_GUARD: Mutex<()> = Mutex::new(());
 /// run's credit is observed in isolation.
 fn render_with_jobs(jobs: usize, f: impl Fn() -> Report) -> (String, String, u64) {
     xp::jobs::set(jobs);
-    xp::summary::take_sim_secs();
+    xp::summary::take();
     let report = f();
-    let sim_bits = xp::summary::take_sim_secs().to_bits();
+    let sim_bits = xp::summary::take().sim_secs.to_bits();
     xp::jobs::set(0);
     (
         report.to_json().to_string_pretty(),
