@@ -63,6 +63,7 @@
 //! degrade performance but never correctness.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::cache::{SetAssocCache, INVALID_TAG};
 use crate::coherence::Directory;
@@ -275,12 +276,11 @@ struct CacheFix {
     fixes: Vec<(u32, u8, u64, u64)>,
 }
 
-/// Per-label pool: the proof identity it was built for, per-thread write
-/// claims, and one memo slot per team thread.
+/// Per-label pool: the proof it was built for (shared with the runtime's
+/// installed sequence, not copied), per-thread write claims, and one memo
+/// slot per team thread.
 struct Pool {
-    lines: Vec<u64>,
-    line_writes: Vec<(u64, u32, u32)>,
-    threads: usize,
+    proof: Arc<PhaseProof>,
     /// Dense proof-line membership bitmap (bit `line & 63` of word
     /// `line >> 6`) — match-time tag classification in O(1) instead of a
     /// binary search over the (possibly huge) footprint.
@@ -300,7 +300,7 @@ struct CpuSlot {
 }
 
 impl Pool {
-    fn new(proof: &PhaseProof) -> Self {
+    fn new(proof: Arc<PhaseProof>) -> Self {
         let mut writes_by_thread = vec![Vec::new(); proof.threads];
         for &(line, count, writer) in &proof.line_writes {
             writes_by_thread[writer as usize].push((line, count));
@@ -310,19 +310,25 @@ impl Pool {
         for &l in &proof.lines {
             line_bit[(l >> 6) as usize] |= 1 << (l & 63);
         }
+        let claimed_writes = proof
+            .line_writes
+            .iter()
+            .map(|&(_, c, _)| u64::from(c))
+            .sum();
         Self {
-            lines: proof.lines.clone(),
-            line_writes: proof.line_writes.clone(),
-            threads: proof.threads,
+            proof,
             line_bit,
             writes_by_thread,
-            claimed_writes: proof
-                .line_writes
-                .iter()
-                .map(|&(_, c, _)| u64::from(c))
-                .sum(),
+            claimed_writes,
             slots: Vec::new(),
         }
+    }
+
+    /// Was this pool built for `proof`? The same allocation in the steady
+    /// state ([`FastpathEngine::share`] hands equal proofs one `Arc`), so
+    /// the footprint is compared only when the pointers differ.
+    fn holds(&self, proof: &Arc<PhaseProof>) -> bool {
+        Arc::ptr_eq(&self.proof, proof) || *self.proof == **proof
     }
 
     /// O(1) proof-line membership.
@@ -357,17 +363,48 @@ impl Pool {
 
 /// The memoization engine. One per `omp` runtime (it is tied to one machine's
 /// geometry through its memos).
-#[derive(Default)]
 pub struct FastpathEngine {
     pools: HashMap<String, Pool>,
     use_clock: u64,
     stats: FastpathStats,
+    /// `DDNOMP_FASTPATH_DEBUG` was set when the engine was built: explain
+    /// every CPU miss on stderr.
+    explain_misses: bool,
+}
+
+impl Default for FastpathEngine {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FastpathEngine {
     /// Fresh engine with empty pools.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            pools: HashMap::new(),
+            use_clock: 0,
+            stats: FastpathStats::default(),
+            explain_misses: std::env::var_os("DDNOMP_FASTPATH_DEBUG").is_some(),
+        }
+    }
+
+    /// Take ownership of a proof about to be installed and return the shared
+    /// handle regions must be entered with. A proof equal to the one its
+    /// label's pool already holds — the cold-start and iteration instances
+    /// of a loop, or one loop run several times per iteration — comes back
+    /// as that pool's `Arc`, so the footprint exists once and
+    /// [`FastpathEngine::begin_region_fastpath`] recognises it by pointer.
+    pub fn share(&mut self, proof: PhaseProof) -> Arc<PhaseProof> {
+        if let Some(pool) = self.pools.get(&proof.label) {
+            if *pool.proof == proof {
+                return Arc::clone(&pool.proof);
+            }
+        }
+        let proof = Arc::new(proof);
+        self.pools
+            .insert(proof.label.clone(), Pool::new(Arc::clone(&proof)));
+        proof
     }
 
     /// Engine counters so far.
@@ -382,7 +419,7 @@ impl FastpathEngine {
     pub fn begin_region_fastpath(
         &mut self,
         m: &mut Machine,
-        proof: &PhaseProof,
+        proof: &Arc<PhaseProof>,
         binding: &[CpuId],
     ) -> FastpathOutcome {
         let _hp = hostprof::span_hot("ccnuma.fastpath");
@@ -407,17 +444,16 @@ impl FastpathEngine {
                 }
             }
         }
+        if !self.pools.get(&proof.label).is_some_and(|p| p.holds(proof)) {
+            // First sight of the label, or same label with a different
+            // footprint (e.g. team resize): start over.
+            self.pools
+                .insert(proof.label.clone(), Pool::new(Arc::clone(proof)));
+        }
         let pool = self
             .pools
-            .entry(proof.label.clone())
-            .or_insert_with(|| Pool::new(proof));
-        if pool.threads != proof.threads
-            || pool.lines != proof.lines
-            || pool.line_writes != proof.line_writes
-        {
-            // Same label, different footprint (e.g. team resize): start over.
-            *pool = Pool::new(proof);
-        }
+            .get_mut(&proof.label)
+            .expect("the label's pool was just ensured");
         pool.align_slots(binding);
         self.use_clock += 1;
         let now = self.use_clock;
@@ -467,7 +503,7 @@ impl FastpathEngine {
         };
         let replayed = apply_hitters(m, pool, &hits, now);
         self.stats.cpu_replays += replayed.len() as u64;
-        if std::env::var_os("DDNOMP_FASTPATH_DEBUG").is_some() {
+        if self.explain_misses {
             for (t, hit) in hits.iter().enumerate() {
                 if hit.is_none() {
                     let slot = &pool.slots[t];
@@ -859,18 +895,36 @@ fn build_memos(
         );
         return None;
     }
+    // One pass over the log: every access must land inside the proof's page
+    // footprint, and each live CPU's accesses are counted per proof page
+    // (`hits[slot * pages + page]`). A CPU streams through a page line by
+    // line, so most entries repeat the previous entry's frame.
     let mut frame_page: HashMap<FrameId, u32> = HashMap::with_capacity(token.frames.len());
     for (pi, &(_, frame)) in token.frames.iter().enumerate() {
         frame_page.insert(frame, pi as u32);
     }
-    for &(_, frame) in &rec.mem_log {
-        if !frame_page.contains_key(&frame) {
-            debug_assert!(
-                false,
-                "PhaseProof {:?}: memory access outside the proof footprint (frame {frame})",
-                proof.label,
-            );
-            return None;
+    let pages = token.frames.len();
+    let mut live_slot = vec![usize::MAX; m.cpus.len()];
+    for (slot, lc) in token.live.iter().enumerate() {
+        live_slot[lc.cpu] = slot;
+    }
+    let mut hits = vec![0u64; token.live.len() * pages];
+    let mut last = (u32::MAX, 0usize);
+    for &(cpu, frame) in &rec.mem_log {
+        if frame != last.0 {
+            let Some(&pi) = frame_page.get(&(frame as FrameId)) else {
+                debug_assert!(
+                    false,
+                    "PhaseProof {:?}: memory access outside the proof footprint (frame {frame})",
+                    proof.label,
+                );
+                return None;
+            };
+            last = (frame, pi as usize);
+        }
+        let slot = live_slot[cpu as usize];
+        if slot != usize::MAX {
+            hits[slot * pages + last.1] += 1;
         }
     }
     if cfg!(debug_assertions) {
@@ -878,7 +932,9 @@ fn build_memos(
         let nodes = m.config.topology.nodes();
         let mut logged: BTreeMap<(FrameId, usize), u64> = BTreeMap::new();
         for &(cpu, frame) in &rec.mem_log {
-            *logged.entry((frame, m.cpus[cpu].node)).or_insert(0) += 1;
+            *logged
+                .entry((frame as FrameId, m.cpus[cpu as usize].node))
+                .or_insert(0) += 1;
         }
         for (fi, &(_, frame)) in token.frames.iter().enumerate() {
             for node in 0..nodes {
@@ -917,7 +973,7 @@ fn build_memos(
     }
     let empty: Vec<(u32, usize)> = Vec::new();
     let mut memos = Vec::with_capacity(token.live.len());
-    for lc in &token.live {
+    for (slot, lc) in token.live.iter().enumerate() {
         debug_assert_eq!(pool.slots[lc.thread].cpu, lc.cpu);
         let exit = int_stats(m, lc.cpu);
         let mut stats = [0u64; 5];
@@ -933,20 +989,20 @@ fn build_memos(
         let (l2, l2_fix) = diff_level(
             &ctx.l2, l2_pre, &rec.ways, lc.l2_tick, proof, pool, token, m,
         )?;
-        let mut adds: BTreeMap<FrameId, u64> = BTreeMap::new();
-        for &(cpu, frame) in &rec.mem_log {
-            if cpu == lc.cpu {
-                *adds.entry(frame).or_insert(0) += 1;
-            }
-        }
-        let mut page_idx = Vec::with_capacity(adds.len());
-        let mut frames = Vec::with_capacity(adds.len());
-        let mut counter_adds = Vec::with_capacity(adds.len());
-        for (frame, count) in adds {
-            page_idx.push(frame_page[&frame]);
-            frames.push(frame);
-            counter_adds.push((frame, count));
-        }
+        // This CPU's memory accesses per frame, in frame order.
+        let mut adds: Vec<(FrameId, u32, u64)> = hits[slot * pages..][..pages]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(pi, &count)| (token.frames[pi].1, pi as u32, count))
+            .collect();
+        adds.sort_unstable_by_key(|&(frame, _, _)| frame);
+        let page_idx = adds.iter().map(|&(_, pi, _)| pi).collect();
+        let frames = adds.iter().map(|&(frame, _, _)| frame).collect();
+        let counter_adds = adds
+            .iter()
+            .map(|&(frame, _, count)| (frame, count))
+            .collect();
         memos.push((
             lc.thread,
             CpuMemo {
@@ -1089,10 +1145,15 @@ mod tests {
     use crate::machine::MachineConfig;
     use crate::PAGE_SIZE;
 
-    fn proof() -> PhaseProof {
+    fn proof() -> Arc<PhaseProof> {
         let mut lines: Vec<u64> = (0..8).collect();
         lines.extend(128..132); // page 1's first four lines
-        PhaseProof::new("test/loop".into(), 2, lines, vec![(0, 2, 0)])
+        Arc::new(PhaseProof::new(
+            "test/loop".into(),
+            2,
+            lines,
+            vec![(0, 2, 0)],
+        ))
     }
 
     fn workload(m: &mut Machine) {
@@ -1114,7 +1175,7 @@ mod tests {
         m
     }
 
-    fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>, p: &PhaseProof) {
+    fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>, p: &Arc<PhaseProof>) {
         m.begin_region();
         match engine {
             None => workload(m),
@@ -1178,6 +1239,42 @@ mod tests {
         assert_eq!(s.rejects, 0, "{s:?}");
         assert_eq!(s.cpu_records, 4, "{s:?}");
         assert_eq!(s.cpu_replays, 4, "{s:?}");
+    }
+
+    #[test]
+    fn equal_proofs_share_one_allocation_and_its_memos() {
+        let mut engine = FastpathEngine::new();
+        let first = engine.share((*proof()).clone());
+        let mut m = prepared();
+        for _ in 0..3 {
+            run_region(&mut m, Some(&mut engine), &first);
+        }
+        let before = engine.stats();
+        assert!(before.replays >= 1, "{before:?}");
+        // A second instance of the same loop (its iteration proof after the
+        // cold-start one) is handed the first one's allocation, and the
+        // label's memos with it.
+        let again = engine.share((*proof()).clone());
+        assert!(Arc::ptr_eq(&first, &again));
+        run_region(&mut m, Some(&mut engine), &again);
+        assert_eq!(engine.stats().replays, before.replays + 1);
+        // Same label, different footprint (one more claimed line): a new
+        // allocation and a new pool.
+        let mut lines = first.lines.clone();
+        lines.push(132);
+        let other = engine.share(PhaseProof::new(
+            first.label.clone(),
+            first.threads,
+            lines,
+            first.line_writes.clone(),
+        ));
+        assert!(!Arc::ptr_eq(&first, &other));
+        run_region(&mut m, Some(&mut engine), &other);
+        let s = engine.stats();
+        assert_eq!(
+            (s.replays, s.misses),
+            (before.replays + 1, before.misses + 1)
+        );
     }
 
     #[test]

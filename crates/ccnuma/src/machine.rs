@@ -206,8 +206,10 @@ impl MachineConfig {
 /// records a region (see [`crate::fastpath`]).
 #[derive(Default)]
 pub(crate) struct FpRecording {
-    /// `(cpu, frame)` of every access that reached memory.
-    pub(crate) mem_log: Vec<(CpuId, FrameId)>,
+    /// `(cpu, frame)` of every access that reached memory, 8 bytes an
+    /// entry (a BT medium region logs millions);
+    /// [`Machine::fp_begin_recording`] checks that frame numbers fit.
+    pub(crate) mem_log: Vec<(u32, u32)>,
     /// `(cpu, level 0|1, set)` of every cache set probed, in first-probe
     /// order, deduplicated per recording.
     pub(crate) sets: Vec<(u32, u8, u32)>,
@@ -670,6 +672,10 @@ impl Machine {
     /// Start a fast-path recording: subsequent accesses log memory traffic
     /// and cache-set pre-images until [`Machine::fp_take_recording`].
     pub(crate) fn fp_begin_recording(&mut self) {
+        assert!(
+            self.memory.total_frames() <= u32::MAX as usize,
+            "the recording log stores frame numbers as u32"
+        );
         if self.fp_marks.is_empty() {
             self.fp_marks = vec![0; self.cpus.len() * self.fp_set_span];
         }
@@ -866,7 +872,7 @@ impl Machine {
             }
         }
         if let Some(rec) = self.fp_rec.as_mut() {
-            rec.mem_log.push((cpu, frame));
+            rec.mem_log.push((cpu as u32, frame as u32));
         }
         let home = self.memory.node_of_frame(frame);
         let hops = self.config.topology.hops(cpu_node, home);
@@ -978,6 +984,14 @@ impl Machine {
     /// replay of a region where only some team CPUs hit their memos.
     pub fn set_fastpath_suppressed_cpu(&mut self, cpu: CpuId, on: bool) {
         self.fp_suppressed[cpu] = on;
+    }
+
+    /// Whether the access/compute simulation is suppressed for `cpu`. The
+    /// `omp` runtime reads this once per thread turn to route a replayed
+    /// thread's accesses past the machine altogether; `touch`/`compute_ns`
+    /// still test the flag themselves for callers that hold the machine.
+    pub fn fastpath_suppressed_cpu(&self, cpu: CpuId) -> bool {
+        self.fp_suppressed[cpu]
     }
 
     /// Whether the access/compute simulation is suppressed for any CPU.

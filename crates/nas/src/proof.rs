@@ -21,20 +21,103 @@
 //! region against the claim and discards (loudly, in debug builds) on any
 //! disagreement — see `ccnuma::fastpath`.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ccnuma::fastpath::PhaseProof;
-use ccnuma::{AccessKind, LINE_SHIFT};
+use ccnuma::{AccessKind, LINE_SHIFT, PAGE_SHIFT};
 
 use crate::model::{LoopKind, LoopModel, PhaseModel};
 
-/// Derive the proof for one loop, or `None` if it is ineligible.
-///
-/// `label` must be the flattened `"phase/loop"` name (memo pools are shared
-/// per label). `threads` is the team size of the runtime that will execute
-/// the loop; serial regions run as a one-thread team on the master CPU, so
-/// their proofs are derived for team size 1.
-pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<PhaseProof> {
+/// Cache lines per page: the width of one [`LineTable`] block.
+const PAGE_LINES: usize = 1 << (PAGE_SHIFT - LINE_SHIFT);
+
+/// What one loop does to one line: reader and writer thread-id masks plus
+/// the total write count.
+#[derive(Clone, Copy, Default, PartialEq)]
+struct LineUse {
+    readers: u64,
+    writers: u64,
+    writes: u32,
+}
+
+impl LineUse {
+    /// Count one access by the thread whose mask bit is `bit`.
+    #[inline]
+    fn record(&mut self, bit: u64, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.readers |= bit,
+            AccessKind::Write => {
+                self.writers |= bit;
+                self.writes += 1;
+            }
+        }
+    }
+
+    /// The eligibility rule: at most one writing thread, and a written line
+    /// is accessed by its writer only.
+    fn eligible(&self) -> bool {
+        self.writers.count_ones() <= 1 && (self.writers == 0 || self.readers & !self.writers == 0)
+    }
+}
+
+/// Hasher for page numbers: one multiply. The keys are the model's own
+/// addresses, never outside input, so there is nothing to defend against.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-line access summary of one loop, dense within a page: a page's
+/// [`PAGE_LINES`] entries are allocated the first time the loop reaches the
+/// page, so an access costs one hash probe and an indexed update, and the
+/// table is as large as the loop's page footprint.
+#[derive(Default)]
+struct LineTable {
+    slot_of: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
+    /// `(page, its lines)`, in first-touch order.
+    blocks: Vec<(u64, Box<[LineUse; PAGE_LINES]>)>,
+}
+
+impl LineTable {
+    #[inline]
+    fn line(&mut self, line: u64) -> &mut LineUse {
+        let blocks = &mut self.blocks;
+        let page = line >> (PAGE_SHIFT - LINE_SHIFT);
+        let slot = *self.slot_of.entry(page).or_insert_with(|| {
+            blocks.push((page, Box::new([LineUse::default(); PAGE_LINES])));
+            blocks.len() - 1
+        });
+        &mut blocks[slot].1[line as usize % PAGE_LINES]
+    }
+
+    /// Every touched line with its use, in ascending line order.
+    fn into_sorted(mut self) -> impl Iterator<Item = (u64, LineUse)> {
+        self.blocks.sort_unstable_by_key(|&(page, _)| page);
+        self.blocks.into_iter().flat_map(|(page, lines)| {
+            let first = page << (PAGE_SHIFT - LINE_SHIFT);
+            (0..PAGE_LINES)
+                .map(move |i| (first + i as u64, lines[i]))
+                .filter(|(_, u)| *u != LineUse::default())
+        })
+    }
+}
+
+/// Team size `l` runs with on a runtime of `threads` threads, or `None` when
+/// no proof can be derived whatever the loop touches.
+fn proof_team(l: &LoopModel, threads: usize) -> Option<usize> {
     if l.schedule().is_dynamic() {
         return None;
     }
@@ -43,47 +126,48 @@ pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<P
     } else {
         threads
     };
-    if team > 64 {
-        return None; // reader/writer sets are u64 bitmasks
-    }
-    // line -> (reader tid mask, writer tid mask, total writes)
-    let mut lines: BTreeMap<u64, (u64, u64, u32)> = BTreeMap::new();
+    // Reader/writer sets are u64 bitmasks.
+    (team <= 64).then_some(team)
+}
+
+/// Derive the proof for one loop, or `None` if it is ineligible.
+///
+/// `label` must be the flattened `"phase/loop"` name (memo pools are shared
+/// per label). `threads` is the team size of the runtime that will execute
+/// the loop; serial regions run as a one-thread team on the master CPU, so
+/// their proofs are derived for team size 1.
+///
+/// Cost: one walk of the loop's model plus an O(1) table update per access;
+/// memory: [`PAGE_LINES`] entries per page the loop touches, dropped on
+/// return.
+pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<PhaseProof> {
+    let team = proof_team(l, threads)?;
+    let mut table = LineTable::default();
     for (tid, chunks) in l.ownership(team).iter().enumerate() {
         let bit = 1u64 << tid;
         for &(start, end) in chunks {
             for i in start..end {
                 l.for_each_access(i, &mut |vaddr, kind| {
-                    let e = lines.entry(vaddr >> LINE_SHIFT).or_insert((0, 0, 0));
-                    match kind {
-                        AccessKind::Read => e.0 |= bit,
-                        AccessKind::Write => {
-                            e.1 |= bit;
-                            e.2 += 1;
-                        }
-                    }
+                    table.line(vaddr >> LINE_SHIFT).record(bit, kind)
                 });
             }
         }
     }
-    for &(readers, writers, _) in lines.values() {
-        if writers.count_ones() > 1 || (writers != 0 && readers & !writers != 0) {
+    let mut lines = Vec::new();
+    let mut line_writes = Vec::new();
+    for (line, u) in table.into_sorted() {
+        if !u.eligible() {
             return None;
         }
+        lines.push(line);
+        if u.writes > 0 {
+            // Eligibility guarantees exactly one writer bit; its index is
+            // the writing thread, which partial replays use to attribute
+            // directory bumps per thread.
+            line_writes.push((line, u.writes, u.writers.trailing_zeros()));
+        }
     }
-    let line_writes = lines
-        .iter()
-        .filter(|(_, v)| v.2 > 0)
-        // Eligibility guarantees exactly one writer bit; its index is the
-        // writing thread, which partial replays use to attribute directory
-        // bumps per thread.
-        .map(|(&line, v)| (line, v.2, v.1.trailing_zeros()))
-        .collect();
-    Some(PhaseProof::new(
-        label.to_string(),
-        team,
-        lines.into_keys().collect(),
-        line_writes,
-    ))
+    Some(PhaseProof::new(label.to_string(), team, lines, line_writes))
 }
 
 /// Derive proofs for a phase sequence, flattened to one entry per region in
@@ -103,9 +187,127 @@ pub fn derive_proofs(phases: &[PhaseModel], threads: usize) -> Vec<Option<PhaseP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omp::Schedule;
+    use crate::{instantiate, BenchName, Scale};
+    use ccnuma::{Machine, MachineConfig};
+    use omp::{Runtime, Schedule};
+    use std::collections::BTreeMap;
 
     const LINE: u64 = 1 << LINE_SHIFT;
+
+    /// The oracle for [`derive_loop_proof`]: the same fold through one
+    /// ordered-map entry per access, which needs no page bookkeeping to be
+    /// right and is an order of magnitude slower.
+    fn derive_loop_proof_reference(
+        label: &str,
+        l: &LoopModel,
+        threads: usize,
+    ) -> Option<PhaseProof> {
+        let team = proof_team(l, threads)?;
+        let mut lines: BTreeMap<u64, LineUse> = BTreeMap::new();
+        for (tid, chunks) in l.ownership(team).iter().enumerate() {
+            let bit = 1u64 << tid;
+            for &(start, end) in chunks {
+                for i in start..end {
+                    l.for_each_access(i, &mut |vaddr, kind| {
+                        lines
+                            .entry(vaddr >> LINE_SHIFT)
+                            .or_default()
+                            .record(bit, kind)
+                    });
+                }
+            }
+        }
+        if !lines.values().all(LineUse::eligible) {
+            return None;
+        }
+        let line_writes = lines
+            .iter()
+            .filter(|(_, u)| u.writes > 0)
+            .map(|(&line, u)| (line, u.writes, u.writers.trailing_zeros()))
+            .collect();
+        Some(PhaseProof::new(
+            label.to_string(),
+            team,
+            lines.into_keys().collect(),
+            line_writes,
+        ))
+    }
+
+    #[test]
+    fn every_kernel_loop_derives_what_the_reference_derives() {
+        // Small takes over a minute unoptimized, nearly all of it in the
+        // reference; CI's `fastpath` job runs this test in release.
+        let scales: &[Scale] = if cfg!(debug_assertions) {
+            &[Scale::Tiny]
+        } else {
+            &[Scale::Tiny, Scale::Small]
+        };
+        for &scale in scales {
+            for bench in BenchName::all() {
+                for threads in [1, 4, 16] {
+                    let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+                    let mut rt = Runtime::with_threads(machine, threads);
+                    let model = instantiate(bench, &mut rt, scale)
+                        .access_model()
+                        .expect("all five kernels are modeled");
+                    let mut eligible = 0;
+                    for phase in model.cold().iter().chain(model.iteration()) {
+                        for l in phase.loops() {
+                            let label = format!("{}/{}", phase.name(), l.name());
+                            let got = derive_loop_proof(&label, l, threads);
+                            let want = derive_loop_proof_reference(&label, l, threads);
+                            eligible += usize::from(got.is_some());
+                            assert!(
+                                got == want,
+                                "{} {} x{threads} {label}: {} lines vs reference {}",
+                                bench.label(),
+                                scale.label(),
+                                got.map_or(-1, |p| p.lines.len() as i64),
+                                want.map_or(-1, |p| p.lines.len() as i64),
+                            );
+                        }
+                    }
+                    assert!(eligible > 0, "{} has no eligible loop", bench.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn far_apart_pages_come_out_in_line_order() {
+        // Two arrays a terabyte apart, visited high page first, plus a line
+        // that is only read: the table's first-touch order must not leak.
+        let far = 1u64 << 40;
+        let l = LoopModel::parallel("far", 8, Schedule::Static, move |i, emit| {
+            emit(far + i as u64 * LINE, AccessKind::Write);
+            emit(i as u64 * LINE, AccessKind::Read);
+            emit(far / 2, AccessKind::Read);
+        });
+        let p = derive_loop_proof("ph/far", &l, 4).expect("eligible");
+        assert_eq!(
+            Some(p.clone()),
+            derive_loop_proof_reference("ph/far", &l, 4)
+        );
+        assert!(p.lines.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(p.lines.len(), 17);
+        assert_eq!(p.pages.len(), 3);
+        assert_eq!(p.line_writes[0].0, far >> LINE_SHIFT);
+    }
+
+    #[test]
+    fn teams_up_to_64_prove_and_larger_ones_do_not() {
+        let l = LoopModel::parallel("wide", 128, Schedule::Static, |i, emit| {
+            emit(i as u64 * LINE, AccessKind::Write);
+        });
+        let p = derive_loop_proof("ph/wide", &l, 64).expect("64 threads fit the masks");
+        assert_eq!(
+            Some(p.clone()),
+            derive_loop_proof_reference("ph/wide", &l, 64)
+        );
+        assert_eq!(p.line_writes.last().map(|w| w.2), Some(63));
+        assert!(derive_loop_proof("ph/wide", &l, 65).is_none());
+        assert!(derive_loop_proof_reference("ph/wide", &l, 65).is_none());
+    }
 
     #[test]
     fn disjoint_writes_are_eligible() {

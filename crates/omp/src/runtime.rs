@@ -3,7 +3,8 @@
 use crate::schedule::Schedule;
 use ccnuma::contention::RegionTiming;
 use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof, RecordToken};
-use ccnuma::{CpuId, Machine, SimArray};
+use ccnuma::{AccessKind, CpuId, Machine, SimArray};
+use std::sync::Arc;
 use vmm::KernelMigrationEngine;
 
 /// Timing summary of one parallel construct.
@@ -35,6 +36,11 @@ impl RegionSummary {
 /// `Par` is the simulated analogue of "the code running on one OpenMP
 /// thread": it knows its thread id, its team size, and the CPU it is pinned
 /// to, and it routes array accesses and flop accounting to the machine.
+///
+/// Whether the thread simulates at all is decided once, when its turn
+/// starts: a thread whose region effects the phase fast path has already
+/// applied in bulk runs its body for the data side only, and its accesses
+/// never compute an address or reach the machine.
 pub struct Par<'m> {
     /// The machine (borrowed for the duration of this thread's turn).
     pub machine: &'m mut Machine,
@@ -45,37 +51,77 @@ pub struct Par<'m> {
     pub tid: usize,
     /// Team size.
     pub team: usize,
+    /// The CPU's suppression flag as of the start of this turn (it only
+    /// changes between `fastpath_begin` and `fastpath_end`, never inside a
+    /// region body). Private, so [`Par::turn`] is the only way to build one.
+    data_only: bool,
+}
+
+impl<'m> Par<'m> {
+    /// Thread `tid`'s turn on `cpu`. Call after `fastpath_begin` has set the
+    /// region's suppression flags.
+    fn turn(machine: &'m mut Machine, cpu: CpuId, tid: usize, team: usize) -> Self {
+        let data_only = machine.fastpath_suppressed_cpu(cpu);
+        Self {
+            machine,
+            cpu,
+            tid,
+            team,
+            data_only,
+        }
+    }
 }
 
 impl Par<'_> {
     /// Simulated load of `array[i]`.
     #[inline(always)]
     pub fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T {
-        array.get(self.machine, self.cpu, i)
+        if !self.data_only {
+            self.machine
+                .touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
+        }
+        array.peek(i)
     }
 
     /// Simulated store of `array[i] = value`.
     #[inline(always)]
     pub fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, value: T) {
-        array.set(self.machine, self.cpu, i, value)
+        if !self.data_only {
+            self.machine
+                .touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
+        }
+        array.poke(i, value)
     }
 
-    /// Simulated read-modify-write of `array[i]`.
+    /// Simulated read-modify-write of `array[i]` (one load + one store).
     #[inline(always)]
     pub fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, f: impl FnOnce(T) -> T) {
-        array.update(self.machine, self.cpu, i, f)
+        if !self.data_only {
+            self.machine
+                .touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
+        }
+        let v = f(array.peek(i));
+        if !self.data_only {
+            self.machine
+                .touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
+        }
+        array.poke(i, v)
     }
 
     /// Charge `flops` floating-point operations of simulated compute time.
     #[inline(always)]
     pub fn flops(&mut self, flops: u64) {
-        self.machine.compute(self.cpu, flops);
+        if !self.data_only {
+            self.machine.compute(self.cpu, flops);
+        }
     }
 
     /// Charge raw nanoseconds of simulated compute time.
     #[inline(always)]
     pub fn compute_ns(&mut self, ns: f64) {
-        self.machine.compute_ns(self.cpu, ns);
+        if !self.data_only {
+            self.machine.compute_ns(self.cpu, ns);
+        }
     }
 }
 
@@ -158,7 +204,8 @@ pub struct Runtime {
 /// timed iterations.
 struct FastpathState {
     engine: FastpathEngine,
-    proofs: Vec<Option<PhaseProof>>,
+    /// Shared with the engine's pools (see [`FastpathEngine::share`]).
+    proofs: Vec<Option<Arc<PhaseProof>>>,
     cursor: usize,
 }
 
@@ -208,19 +255,16 @@ impl Runtime {
     /// cold-start proofs, then per-iteration proofs) reuses recordings of
     /// phases with the same label.
     pub fn install_fastpath(&mut self, proofs: Vec<Option<PhaseProof>>) {
-        match self.fastpath.as_mut() {
-            Some(fp) => {
-                fp.proofs = proofs;
-                fp.cursor = 0;
-            }
-            None => {
-                self.fastpath = Some(FastpathState {
-                    engine: FastpathEngine::new(),
-                    proofs,
-                    cursor: 0,
-                })
-            }
-        }
+        let fp = self.fastpath.get_or_insert_with(|| FastpathState {
+            engine: FastpathEngine::new(),
+            proofs: Vec::new(),
+            cursor: 0,
+        });
+        fp.proofs = proofs
+            .into_iter()
+            .map(|p| p.map(|p| fp.engine.share(p)))
+            .collect();
+        fp.cursor = 0;
     }
 
     /// Remove the fast path entirely (memos included).
@@ -464,12 +508,7 @@ impl Runtime {
             } else {
                 let parts = schedule.static_chunks(n, threads);
                 for (tid, chunks) in parts.iter().enumerate() {
-                    let mut par = Par {
-                        machine,
-                        cpu: cpus[tid],
-                        tid,
-                        team: threads,
-                    };
+                    let mut par = Par::turn(machine, cpus[tid], tid, threads);
                     for &(start, end) in chunks {
                         for i in start..end {
                             body(&mut par, i);
@@ -517,12 +556,7 @@ impl Runtime {
                 // iteration range (and memory traffic) is identical to the
                 // plain per-thread static schedule.
                 let (b0, b1) = ownership[tid];
-                let mut par = Par {
-                    machine,
-                    cpu,
-                    tid,
-                    team: threads,
-                };
+                let mut par = Par::turn(machine, cpu, tid, threads);
                 for (b, chunks) in parts.iter().enumerate().take(b1).skip(b0) {
                     let mut acc = identity.clone();
                     for &(start, end) in chunks {
@@ -551,12 +585,7 @@ impl Runtime {
         self.run_region(|machine, threads| {
             for (s, section) in sections.iter_mut().enumerate() {
                 let tid = s % threads;
-                let mut par = Par {
-                    machine,
-                    cpu: cpus[tid],
-                    tid,
-                    team: threads,
-                };
+                let mut par = Par::turn(machine, cpus[tid], tid, threads);
                 section(&mut par);
             }
         })
@@ -575,12 +604,7 @@ impl Runtime {
         self.machine.begin_region();
         let mode = self.fastpath_begin(true);
         let cpu = self.cpu_of_thread[0];
-        let mut par = Par {
-            machine: &mut self.machine,
-            cpu,
-            tid: 0,
-            team: 1,
-        };
+        let mut par = Par::turn(&mut self.machine, cpu, 0, 1);
         let r = body(&mut par);
         self.fastpath_end(mode);
         let timing = self.machine.end_region();
@@ -672,12 +696,7 @@ impl Runtime {
                         .then(a.cmp(&b))
                 })
                 .expect("team is non-empty");
-            let mut par = Par {
-                machine,
-                cpu: cpus[tid],
-                tid,
-                team: threads,
-            };
+            let mut par = Par::turn(machine, cpus[tid], tid, threads);
             for i in next..next + len {
                 body(&mut par, i);
             }
@@ -869,6 +888,162 @@ mod tests {
         let tid = rt.serial(|par| par.tid);
         assert_eq!(tid, 0);
         assert_eq!(rt.regions(), 1);
+    }
+
+    /// f64 elements per cache line.
+    const EPL: usize = ccnuma::LINE_SIZE as usize / 8;
+    /// Iterations (= lines) of the striped loop below.
+    const STRIPES: usize = 8;
+
+    /// A runtime with one page-sized array and, if `fast`, a hand-written
+    /// proof for [`stripe_rep`] installed: iteration `i` owns line `i`.
+    fn striped(threads: usize, fast: bool) -> (Runtime, SimArray<f64>) {
+        let mut m = Machine::new(MachineConfig::tiny_test());
+        let a = SimArray::new(&mut m, "a", 128 * EPL, 1.0f64);
+        let mut rt = Runtime::with_threads(m, threads);
+        if fast {
+            let first = a.vaddr_of(0) >> ccnuma::LINE_SHIFT;
+            let mut writes = Vec::new();
+            let owners = Schedule::Static.static_chunks(STRIPES, threads);
+            for (tid, chunks) in owners.iter().enumerate() {
+                for &(start, end) in chunks {
+                    writes.extend((start..end).map(|i| (first + i as u64, 2, tid as u32)));
+                }
+            }
+            rt.install_fastpath(vec![Some(PhaseProof::new(
+                "t/stripe".into(),
+                threads,
+                (first..first + STRIPES as u64).collect(),
+                writes,
+            ))]);
+        }
+        (rt, a)
+    }
+
+    /// One region of the striped loop: a load, a read-modify-write, a store
+    /// and both kinds of compute charge per iteration. `spy` sees each
+    /// thread's context before its first access of every iteration.
+    fn stripe_rep(rt: &mut Runtime, a: &SimArray<f64>, rep: usize, mut spy: impl FnMut(&mut Par)) {
+        rt.fastpath_reset_cursor();
+        rt.parallel_for(STRIPES, Schedule::Static, |par, i| {
+            spy(par);
+            let v = par.get(a, i * EPL);
+            par.update(a, i * EPL, |x| x + v + rep as f64);
+            par.set(a, i * EPL + 1, v);
+            par.flops(3);
+            par.compute_ns(1.5);
+        });
+    }
+
+    /// Everything a region can change: host data, clock, machine and
+    /// per-CPU statistics.
+    fn observable(rt: &Runtime, a: &SimArray<f64>) -> (Vec<u64>, u64, String) {
+        let m = rt.machine();
+        let per_cpu: Vec<_> = (0..m.cpus()).map(|c| *m.cpu_stats(c)).collect();
+        (
+            a.to_vec().into_iter().map(f64::to_bits).collect(),
+            m.clock().now_ns().to_bits(),
+            format!("{:?} {per_cpu:?}", m.stats()),
+        )
+    }
+
+    #[test]
+    fn replayed_region_matches_its_exact_twin() {
+        let (mut exact, ea) = striped(4, false);
+        let (mut fast, fa) = striped(4, true);
+        let mut data_only_turns = 0;
+        for rep in 0..6 {
+            stripe_rep(&mut exact, &ea, rep, |par| assert!(!par.data_only));
+            stripe_rep(&mut fast, &fa, rep, |par| {
+                data_only_turns += usize::from(par.data_only)
+            });
+            assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
+        }
+        let s = fast.fastpath_stats().expect("installed");
+        assert!(s.replays >= 2, "{s:?}");
+        assert_eq!(
+            data_only_turns,
+            s.replays as usize * STRIPES,
+            "every iteration of a replayed region runs data-only: {s:?}"
+        );
+        assert!(!fast.machine().fastpath_suppressed());
+    }
+
+    #[test]
+    fn partial_replay_simulates_the_live_thread_only() {
+        let (mut exact, ea) = striped(2, false);
+        let (mut fast, fa) = striped(2, true);
+        for rep in 0..4 {
+            stripe_rep(&mut exact, &ea, rep, |_| {});
+            stripe_rep(&mut fast, &fa, rep, |_| {});
+        }
+        let before = fast.fastpath_stats().expect("installed");
+        assert!(before.replays >= 1, "steady state reached: {before:?}");
+        // Drift CPU 0's cache with a non-proof line of the same page, between
+        // regions: thread 0 misses its memo, thread 1 still hits.
+        let junk = ea.vaddr_of(120 * EPL);
+        assert_eq!(junk, fa.vaddr_of(120 * EPL));
+        exact.machine_mut().touch(0, junk, ccnuma::AccessKind::Read);
+        fast.machine_mut().touch(0, junk, ccnuma::AccessKind::Read);
+        let mut lanes = [None; 2];
+        stripe_rep(&mut exact, &ea, 4, |_| {});
+        stripe_rep(&mut fast, &fa, 4, |par| {
+            lanes[par.tid] = Some(par.data_only);
+            if par.data_only {
+                // A caller holding the machine bypasses the lane; the
+                // machine's own check must still swallow the access, even
+                // one the proof never claimed.
+                assert_eq!(
+                    par.machine.touch(par.cpu, junk, ccnuma::AccessKind::Write),
+                    0.0
+                );
+                par.machine.compute(par.cpu, 1000);
+            }
+        });
+        assert_eq!(lanes, [Some(false), Some(true)]);
+        assert_eq!(observable(&exact, &ea), observable(&fast, &fa));
+        let s = fast.fastpath_stats().expect("installed");
+        assert_eq!(s.misses, before.misses + 1, "{s:?}");
+        assert_eq!(s.cpu_replays, before.cpu_replays + 1, "{s:?}");
+        assert_eq!(s.cpu_records, before.cpu_records + 1, "{s:?}");
+        assert_eq!(s.rejects, before.rejects, "{s:?}");
+    }
+
+    #[test]
+    fn every_construct_reads_the_lane_at_the_start_of_the_turn() {
+        for suppressed in [false, true] {
+            let (mut rt, a) = striped(4, false);
+            // Map the page first, so the two passes differ by the lane only.
+            rt.serial(|par| par.get(&a, 0));
+            let before = rt.machine().aggregate_cpu_stats();
+            rt.machine.set_fastpath_suppressed(suppressed);
+            let turns = std::cell::Cell::new(0);
+            let visit = |par: &mut Par, i: usize| {
+                assert_eq!(par.data_only, suppressed);
+                par.update(&a, i * EPL, |x| x + 1.0);
+                par.flops(1);
+                turns.set(turns.get() + 1);
+            };
+            rt.parallel_for(4, Schedule::Static, visit);
+            rt.parallel_for(4, Schedule::Dynamic(1), visit);
+            rt.parallel_reduce(
+                4,
+                Schedule::Static,
+                (),
+                |par, i, ()| visit(par, i),
+                |(), ()| (),
+            );
+            rt.parallel_sections(&mut [&mut |par| visit(par, 0), &mut |par| visit(par, 1)]);
+            rt.serial(|par| visit(par, 2));
+            rt.machine.set_fastpath_suppressed(false);
+            assert_eq!(turns.get(), 15);
+            // The data side ran either way ...
+            let sum: f64 = (0..4).map(|i| a.peek(i * EPL)).sum();
+            assert_eq!(sum, 4.0 + 15.0);
+            // ... the machine side only on the simulated lane.
+            let after = rt.machine().aggregate_cpu_stats();
+            assert_eq!(after == before, suppressed);
+        }
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!   never rejected, for arbitrary sizes, team sizes, and static schedules;
 //!   and every known-local phase of the real NAS models derives a proof.
 
-use ccnuma::{AccessKind, Machine, MachineConfig, SimArray, LINE_SHIFT};
-use nas::{derive_loop_proof, derive_proofs, LoopModel, NasBenchmark, Scale};
+use ccnuma::fastpath::PhaseProof;
+use ccnuma::{AccessKind, Machine, MachineConfig, SimArray, LINE_SHIFT, PAGE_SIZE};
+use nas::{derive_loop_proof, derive_proofs, LoopKind, LoopModel, NasBenchmark, Scale};
 use omp::{Runtime, Schedule};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// f64 elements per cache line.
 const EPL: usize = (1usize << LINE_SHIFT) / 8;
@@ -63,14 +65,80 @@ fn elems(p: Pattern, n: usize) -> usize {
 
 fn loop_model(p: Pattern, n: usize, schedule: Schedule, base: u64) -> LoopModel {
     LoopModel::parallel("loop", n, schedule, move |i, emit| {
-        let (reads, writes) = accesses(p, i, n);
-        for r in reads {
-            emit(base + 8 * r as u64, AccessKind::Read);
-        }
-        for w in writes {
-            emit(base + 8 * w as u64, AccessKind::Write);
-        }
+        emit_pattern(p, i, n, base, emit)
     })
+}
+
+fn emit_pattern(p: Pattern, i: usize, n: usize, base: u64, emit: &mut dyn FnMut(u64, AccessKind)) {
+    let (reads, writes) = accesses(p, i, n);
+    for r in reads {
+        emit(base + 8 * r as u64, AccessKind::Read);
+    }
+    for w in writes {
+        emit(base + 8 * w as u64, AccessKind::Write);
+    }
+}
+
+/// The pattern replicated over several arrays, as a parallel loop or — all
+/// `n` rounds in its single iteration — a serial region.
+fn multi_array_model(
+    p: Pattern,
+    n: usize,
+    schedule: Schedule,
+    bases: Vec<u64>,
+    serial: bool,
+) -> LoopModel {
+    let round = move |i: usize, emit: &mut dyn FnMut(u64, AccessKind)| {
+        for &base in &bases {
+            emit_pattern(p, i, n, base, emit);
+        }
+    };
+    if serial {
+        LoopModel::serial("loop", move |_, emit| (0..n).for_each(|i| round(i, emit)))
+    } else {
+        LoopModel::parallel("loop", n, schedule, round)
+    }
+}
+
+/// The proof contract restated with no table at all: list every access as
+/// `(line, thread, kind)`, sort, and judge each line's run.
+fn sort_and_merge_proof(label: &str, l: &LoopModel, threads: usize) -> Option<PhaseProof> {
+    let team = if l.kind() == LoopKind::Serial {
+        1
+    } else {
+        threads
+    };
+    if l.schedule().is_dynamic() || team > 64 {
+        return None;
+    }
+    let mut log: Vec<(u64, usize, bool)> = Vec::new();
+    for (tid, chunks) in l.ownership(team).iter().enumerate() {
+        for &(start, end) in chunks {
+            for i in start..end {
+                l.for_each_access(i, &mut |vaddr, kind| {
+                    log.push((vaddr >> LINE_SHIFT, tid, kind == AccessKind::Write));
+                });
+            }
+        }
+    }
+    log.sort_unstable();
+    let mut lines = Vec::new();
+    let mut line_writes = Vec::new();
+    for run in log.chunk_by(|a, b| a.0 == b.0) {
+        let line = run[0].0;
+        let writers: BTreeSet<usize> = run.iter().filter(|a| a.2).map(|a| a.1).collect();
+        let foreign = |w: usize| run.iter().any(|a| a.1 != w);
+        match writers.len() {
+            0 => {}
+            1 if !foreign(*writers.first().unwrap()) => {
+                let writes = run.iter().filter(|a| a.2).count();
+                line_writes.push((line, writes as u32, run[0].1 as u32));
+            }
+            _ => return None,
+        }
+        lines.push(line);
+    }
+    Some(PhaseProof::new(label.to_string(), team, lines, line_writes))
 }
 
 /// Full observable state: clock bits, machine stats, per-CPU stats, counters
@@ -186,6 +254,36 @@ proptest! {
     ) {
         let proof = derive_loop_proof("p/loop", &loop_model(pattern, n, schedule, 0), threads);
         prop_assert!(proof.is_some(), "{pattern:?} n={n} threads={threads} rejected");
+    }
+
+    /// The derivation is the contract, whatever the address space looks
+    /// like: arrays scattered over a 2^44-byte space (so the derivation's
+    /// per-page bookkeeping meets pages in any order), teams up to the
+    /// 64-thread mask width and past it, serial regions, dynamic schedules,
+    /// and both ineligible sharing patterns (`AllWrite`: two writers;
+    /// `Neighbor`/`Dense`: a writer plus a foreign reader) come out equal
+    /// to the sort-and-merge restatement — proof for proof, `None` for
+    /// `None`.
+    #[test]
+    fn derivation_equals_sort_and_merge_on_scattered_arrays(
+        pattern in any_pattern(),
+        n in 1usize..150,
+        threads in 1usize..71,
+        schedule in any_schedule(),
+        pages in proptest::collection::vec(0u64..(1 << 30), 1..4),
+        serial in any::<bool>(),
+    ) {
+        let bases: Vec<u64> = pages.iter().map(|p| p * PAGE_SIZE).collect();
+        let l = multi_array_model(pattern, n, schedule, bases, serial);
+        let got = derive_loop_proof("p/loop", &l, threads);
+        let want = sort_and_merge_proof("p/loop", &l, threads);
+        if let Some(p) = &got {
+            prop_assert_eq!(p.threads, if serial { 1 } else { threads });
+        }
+        if !serial && (threads > 64 || schedule.is_dynamic()) {
+            prop_assert!(got.is_none());
+        }
+        prop_assert_eq!(got, want);
     }
 
     /// Eligibility soundness, negative direction: a line written by two or
