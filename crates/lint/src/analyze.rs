@@ -9,10 +9,9 @@
 //!   addresses are attributed to the owning thread via the schedule's chunk
 //!   map; overlapping writes between threads are races, co-located writes
 //!   in one [`ccnuma::LINE_SIZE`]-byte line are false sharing;
-//! * **placement** (`L005`/`L006`/`L007`): first-touch placement is
-//!   replayed symbolically (threads run in tid order, exactly like the
-//!   sequential simulator) and per-page per-node reference counts are
-//!   accumulated per phase;
+//! * **placement** (`L005`/`L006`/`L007`): read off the model's
+//!   [`Footprint`] — first-touch placement replayed symbolically and
+//!   per-page per-node reference counts per phase;
 //! * **migration** (`L004`): the [`UpmReplay`] engine predicts which pages
 //!   the UPMlib competitive mechanism would move and which the ping-pong
 //!   freezer would freeze;
@@ -20,9 +19,10 @@
 //!   fixed-block partial-sum partition varies with the team size.
 
 use crate::finding::{Code, Finding};
-use crate::replay::{CountTable, UpmReplay};
-use ccnuma::{line_of, vpage_of, AccessKind, MachineConfig, NodeId, LINE_SIZE};
-use nas::{KernelModel, LoopKind, PhaseModel};
+use crate::footprint::Footprint;
+use crate::replay::UpmReplay;
+use ccnuma::{line_of, AccessKind, MachineConfig, NodeId, LINE_SIZE};
+use nas::{KernelModel, LoopKind};
 use std::collections::{BTreeMap, BTreeSet};
 use upmlib::UpmOptions;
 
@@ -76,6 +76,18 @@ struct Agg {
 
 /// Run every check against `model`.
 pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
+    let fp = Footprint::build(model, cfg);
+    analyze_footprint(model, cfg, &fp, &fp.replay(cfg))
+}
+
+/// [`analyze`] over a footprint already built from `model` under `cfg` and
+/// the replay [`Footprint::replay`] converged from it.
+pub fn analyze_footprint(
+    model: &KernelModel,
+    cfg: &LintConfig,
+    fp: &Footprint,
+    converged: &UpmReplay,
+) -> Analysis {
     assert!(
         (1..=64).contains(&cfg.threads),
         "thread bitmasks are u64: team size {} out of range",
@@ -83,8 +95,6 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
     );
     let topo = &cfg.machine.topology;
     let nodes = topo.nodes();
-    let cpus = topo.cpus();
-    let node_of_tid = |tid: usize| topo.node_of_cpu(tid % cpus);
     let bench = model.bench().label();
     let subject_of = |va: u64| -> String {
         model
@@ -97,7 +107,8 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
         sink.entry(f.key()).or_insert(f);
     };
 
-    // ---- Pass A: per-loop conflict analysis (L001, L002, L003). ----
+    // ---- Per-loop conflict analysis (L001, L002, L003): element- and
+    // line-granular, which the page-level footprint is not. ----
     let mut seen_loops: BTreeSet<String> = BTreeSet::new();
     for phase in model.cold().iter().chain(model.iteration()) {
         for lp in phase.loops() {
@@ -106,22 +117,16 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
             }
             let mut elems: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // va -> (readers, writers)
             let mut lines: BTreeMap<u64, u64> = BTreeMap::new(); // line -> writers
-            for (tid, chunks) in lp.ownership(cfg.threads).iter().enumerate() {
+            lp.walk(cfg.threads, |tid, va, kind| {
                 let bit = 1u64 << tid;
-                for &(start, end) in chunks {
-                    for i in start..end {
-                        lp.for_each_access(i, &mut |va, kind| {
-                            let entry = elems.entry(va).or_insert((0, 0));
-                            if kind == AccessKind::Write {
-                                entry.1 |= bit;
-                                *lines.entry(line_of(va)).or_insert(0) |= bit;
-                            } else {
-                                entry.0 |= bit;
-                            }
-                        });
-                    }
+                let entry = elems.entry(va).or_insert((0, 0));
+                if kind == AccessKind::Write {
+                    entry.1 |= bit;
+                    *lines.entry(line_of(va)).or_insert(0) |= bit;
+                } else {
+                    entry.0 |= bit;
                 }
-            }
+            });
             let mut aggs: BTreeMap<(Code, String), Agg> = BTreeMap::new();
             for (&va, &(readers, writers)) in &elems {
                 let code = if writers.count_ones() > 1 {
@@ -176,74 +181,24 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
         }
     }
 
-    // ---- Pass B: first-touch replay and per-phase reference counts. ----
-    // Threads execute in tid order in the sequential simulator, so replaying
-    // ownership chunks in tid order reproduces first-touch placement
-    // exactly (under the identity thread→cpu binding of a fresh Runtime).
-    let mut homes: BTreeMap<u64, NodeId> = BTreeMap::new();
-    let mut first_site: BTreeMap<u64, String> = BTreeMap::new();
-    let touch_phase = |phase: &PhaseModel,
-                       homes: &mut BTreeMap<u64, NodeId>,
-                       first_site: &mut BTreeMap<u64, String>,
-                       mut count: Option<&mut CountTable>| {
-        for lp in phase.loops() {
-            for (tid, chunks) in lp.ownership(cfg.threads).iter().enumerate() {
-                let node = node_of_tid(tid);
-                for &(start, end) in chunks {
-                    for i in start..end {
-                        lp.for_each_access(i, &mut |va, _| {
-                            let page = vpage_of(va);
-                            homes.entry(page).or_insert_with(|| {
-                                first_site.insert(page, lp.name().to_string());
-                                node
-                            });
-                            if let Some(table) = count.as_deref_mut() {
-                                table.entry(page).or_insert_with(|| vec![0; nodes])[node] += 1;
-                            }
-                        });
-                    }
-                }
-            }
-        }
-    };
-    for phase in model.cold() {
-        touch_phase(phase, &mut homes, &mut first_site, None);
-    }
-    let mut phase_counts: Vec<(String, CountTable)> = Vec::new();
-    for phase in model.iteration() {
-        let mut table = CountTable::new();
-        touch_phase(phase, &mut homes, &mut first_site, Some(&mut table));
-        phase_counts.push((phase.name().to_string(), table));
-    }
-    let mut totals = CountTable::new();
-    for (_, table) in &phase_counts {
-        for (&page, cnts) in table {
-            let t = totals.entry(page).or_insert_with(|| vec![0; nodes]);
-            for (n, &c) in cnts.iter().enumerate() {
-                t[n] += c;
-            }
-        }
-    }
-    let dominant = |cnts: &[u64]| -> NodeId {
-        let mut best = 0usize;
-        for (n, &c) in cnts.iter().enumerate() {
-            if c > cnts[best] {
-                best = n;
-            }
-        }
-        best
-    };
+    // ---- The page-level checks, read off the footprint. ----
+    let Footprint {
+        homes,
+        first_site,
+        phase_counts,
+        totals,
+        ..
+    } = fp;
 
     // L005: first touch by a thread whose node is not the page's dominant
     // accessor over the timed iterations.
     let min = cfg.upm.min_accesses as u64;
     let mut mismatches: BTreeMap<String, Agg> = BTreeMap::new();
-    for (&page, cnts) in &totals {
+    for (&page, cnts) in totals {
         if cnts.iter().sum::<u64>() < min {
             continue;
         }
-        let dom = dominant(cnts);
-        if homes[&page] != dom {
+        if homes[&page] != Footprint::dominant(cnts) {
             let agg = mismatches
                 .entry(subject_of(page * ccnuma::PAGE_SIZE))
                 .or_default();
@@ -278,7 +233,7 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
     // L006: static upper bound on per-phase migration benefit.
     let lat = &cfg.machine.latency;
     let mig_cost = cfg.machine.migration_cost_ns();
-    for (name, table) in &phase_counts {
+    for (name, table) in phase_counts {
         let mut pages = 0u64;
         let mut benefit_ns = 0.0f64;
         for (&page, cnts) in table {
@@ -321,27 +276,16 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
 
     // L007: dominant accessor flips between consecutive phases — the fuel
     // that makes per-phase migration ping-pong (and the freezer necessary).
-    for pair in phase_counts.windows(2) {
-        let (a_name, a) = &pair[0];
-        let (b_name, b) = &pair[1];
-        if a_name == b_name {
-            continue;
-        }
+    for (a_name, b_name, pages) in fp.flips(min) {
         let mut flips: BTreeMap<String, Agg> = BTreeMap::new();
-        for (&page, ca) in a {
-            let Some(cb) = b.get(&page) else { continue };
-            if ca.iter().sum::<u64>() < min || cb.iter().sum::<u64>() < min {
-                continue;
+        for page in pages {
+            let agg = flips
+                .entry(subject_of(page * ccnuma::PAGE_SIZE))
+                .or_default();
+            if agg.count == 0 {
+                agg.example = page;
             }
-            if dominant(ca) != dominant(cb) {
-                let agg = flips
-                    .entry(subject_of(page * ccnuma::PAGE_SIZE))
-                    .or_default();
-                if agg.count == 0 {
-                    agg.example = page;
-                }
-                agg.count += 1;
-            }
+            agg.count += 1;
         }
         for (subject, agg) in flips {
             let message = format!(
@@ -364,9 +308,7 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
     }
 
     // L004: symbolic UPMlib replay over the per-iteration totals.
-    let mut replay = UpmReplay::new(homes.clone(), nodes, cfg.upm);
-    replay.run_to_fixpoint(&totals, cfg.iterations);
-    let predicted_frozen = replay.frozen_pages();
+    let predicted_frozen = converged.frozen_pages();
     let mut frozen_by_array: BTreeMap<String, Agg> = BTreeMap::new();
     for &page in &predicted_frozen {
         let agg = frozen_by_array
@@ -432,7 +374,7 @@ pub fn analyze(model: &KernelModel, cfg: &LintConfig) -> Analysis {
     Analysis {
         findings: sink.into_values().collect(),
         predicted_frozen,
-        first_touch: homes,
+        first_touch: homes.clone(),
     }
 }
 

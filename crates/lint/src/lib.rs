@@ -40,10 +40,12 @@
 
 pub mod analyze;
 pub mod finding;
+pub mod footprint;
 pub mod replay;
 pub mod synth;
 
-pub use analyze::{analyze, Analysis, LintConfig};
+pub use analyze::{analyze, analyze_footprint, Analysis, LintConfig};
 pub use finding::{parse_deny, Allowlist, Code, Finding, Severity};
+pub use footprint::Footprint;
 pub use replay::{CountTable, UpmReplay};
-pub use synth::{synthesize, Confidence, PlacementMap};
+pub use synth::{synthesize, synthesize_footprint, Confidence, PlacementMap};

@@ -1,13 +1,12 @@
 //! Placement synthesis: turn the analyzer's diagnostics into prescriptions.
 //!
-//! [`synthesize`] walks a [`nas::KernelModel`] exactly like the analyzer's
-//! Pass B — first-touch replay in tid order over `Schedule::static_chunks`
-//! ownership, per-phase per-page per-node reference counts — and emits a
-//! [`PlacementMap`]: a deterministic vpage → node prescription that a run
-//! can install *before* the cold start (`vmm::PlacementScheme::Static`),
-//! answering the question the paper left open: what does dynamic migration
-//! still buy when a static tool already placed every page on its dominant
-//! node?
+//! [`synthesize`] reads the same [`Footprint`] of a [`nas::KernelModel`] the
+//! analyzer does — first-touch homes, per-phase per-page per-node reference
+//! counts — and emits a [`PlacementMap`]: a deterministic vpage → node
+//! prescription that a run can install *before* the cold start
+//! (`vmm::PlacementScheme::Static`), answering the question the paper left
+//! open: what does dynamic migration still buy when a static tool already
+//! placed every page on its dominant node?
 //!
 //! The placement rule has two tiers:
 //!
@@ -31,8 +30,9 @@
 
 use crate::analyze::LintConfig;
 use crate::finding::{Code, Finding};
-use crate::replay::{CountTable, UpmReplay};
-use ccnuma::{vpage_of, AccessKind, NodeId};
+use crate::footprint::Footprint;
+use crate::replay::UpmReplay;
+use ccnuma::{vpage_of, NodeId};
 use nas::KernelModel;
 use obs::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -256,107 +256,33 @@ impl PlacementMap {
 /// team described by `cfg`. Deterministic: same model + config → the same
 /// map, bit for bit.
 pub fn synthesize(model: &KernelModel, cfg: &LintConfig) -> PlacementMap {
-    let topo = &cfg.machine.topology;
-    let nodes = topo.nodes();
-    let cpus = topo.cpus();
-    let node_of_tid = |tid: usize| topo.node_of_cpu(tid % cpus);
+    let fp = Footprint::build(model, cfg);
+    synthesize_footprint(model, cfg, &fp, &fp.replay(cfg))
+}
 
-    // ---- Replay Pass B: first-touch homes + per-phase count tables. ----
-    // Threads execute in tid order in the sequential simulator, so visiting
-    // ownership chunks in tid order reproduces first-touch placement.
-    let mut homes: BTreeMap<u64, NodeId> = BTreeMap::new();
-    let mut weighted: CountTable = CountTable::new();
-    let mut phase_counts: Vec<(String, CountTable)> = Vec::new();
-    let mut totals: CountTable = CountTable::new();
-    for phase in model.cold() {
-        for lp in phase.loops() {
-            for (tid, chunks) in lp.ownership(cfg.threads).iter().enumerate() {
-                let node = node_of_tid(tid);
-                for &(start, end) in chunks {
-                    for i in start..end {
-                        lp.for_each_access(i, &mut |va, _| {
-                            homes.entry(vpage_of(va)).or_insert(node);
-                        });
-                    }
-                }
-            }
-        }
-    }
-    for phase in model.iteration() {
-        let mut table = CountTable::new();
-        for lp in phase.loops() {
-            for (tid, chunks) in lp.ownership(cfg.threads).iter().enumerate() {
-                let node = node_of_tid(tid);
-                for &(start, end) in chunks {
-                    for i in start..end {
-                        lp.for_each_access(i, &mut |va, kind| {
-                            let page = vpage_of(va);
-                            homes.entry(page).or_insert(node);
-                            table.entry(page).or_insert_with(|| vec![0; nodes])[node] += 1;
-                            let w = if kind == AccessKind::Write {
-                                WRITE_WEIGHT
-                            } else {
-                                1
-                            };
-                            weighted.entry(page).or_insert_with(|| vec![0; nodes])[node] += w;
-                        });
-                    }
-                }
-            }
-        }
-        for (&page, cnts) in &table {
-            let t = totals.entry(page).or_insert_with(|| vec![0; nodes]);
-            for (n, &c) in cnts.iter().enumerate() {
-                t[n] += c;
-            }
-        }
-        phase_counts.push((phase.name().to_string(), table));
-    }
+/// [`synthesize`] over a footprint already built from `model` under `cfg`
+/// and the replay [`Footprint::replay`] converged from it.
+pub fn synthesize_footprint(
+    model: &KernelModel,
+    cfg: &LintConfig,
+    fp: &Footprint,
+    converged: &UpmReplay,
+) -> PlacementMap {
+    let nodes = cfg.machine.topology.nodes();
+    let totals = &fp.totals;
 
-    let dominant = |cnts: &[u64]| -> NodeId {
-        let mut best = 0usize;
-        for (n, &c) in cnts.iter().enumerate() {
-            if c > cnts[best] {
-                best = n;
-            }
-        }
-        best
-    };
-
-    // ---- Stable tier: where does the dynamic engine converge? ----
-    let mut replay = UpmReplay::new(homes.clone(), nodes, cfg.upm);
-    replay.run_to_fixpoint(&totals, cfg.iterations);
-    let converged = replay.homes().clone();
-
-    // ---- Flip tier: the L007 predicate, page-granular. ----
-    let min = cfg.upm.min_accesses as u64;
-    let mut flips: BTreeSet<u64> = BTreeSet::new();
-    for pair in phase_counts.windows(2) {
-        let (a_name, a) = &pair[0];
-        let (b_name, b) = &pair[1];
-        if a_name == b_name {
-            continue;
-        }
-        for (&page, ca) in a {
-            let Some(cb) = b.get(&page) else { continue };
-            if ca.iter().sum::<u64>() < min || cb.iter().sum::<u64>() < min {
-                continue;
-            }
-            if dominant(ca) != dominant(cb) {
-                flips.insert(page);
-            }
-        }
-    }
-
-    // ---- Merge: converged homes for stable pages, write-biased weighted
-    // dominance for flip pages. ----
+    // Stable tier: where the dynamic engine converges. Flip tier (the L007
+    // predicate, page-granular): write-biased weighted dominance.
+    let flips: BTreeSet<u64> = fp
+        .flips(cfg.upm.min_accesses as u64)
+        .into_iter()
+        .flat_map(|(_, _, pages)| pages)
+        .collect();
     let mut pages: BTreeMap<u64, PageAssignment> = BTreeMap::new();
-    for (&page, &home) in &converged {
+    for (&page, &home) in converged.homes() {
         let (node, confidence) = if flips.contains(&page) {
-            let cnts = weighted
-                .get(&page)
-                .expect("flip pages have iteration counts");
-            (dominant(cnts), Confidence::Flip)
+            let weighted = fp.write_weighted(page, WRITE_WEIGHT);
+            (Footprint::dominant(&weighted), Confidence::Flip)
         } else {
             (home, Confidence::Stable)
         };
@@ -372,7 +298,7 @@ pub fn synthesize(model: &KernelModel, cfg: &LintConfig) -> PlacementMap {
             break;
         }
         let before = recheck.homes().clone();
-        recheck.invoke(&totals);
+        recheck.invoke(totals);
         for (&p, &n) in recheck.homes() {
             if before.get(&p) != Some(&n) {
                 *residual.entry(p).or_insert(0) += 1;
@@ -445,7 +371,7 @@ pub fn synthesize(model: &KernelModel, cfg: &LintConfig) -> PlacementMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccnuma::{Machine, MachineConfig, SimArray};
+    use ccnuma::{AccessKind, Machine, MachineConfig, SimArray};
     use nas::{BenchName, LoopModel, PhaseModel};
     use omp::Schedule;
 

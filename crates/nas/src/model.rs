@@ -140,6 +140,20 @@ impl LoopModel {
             }
         }
     }
+
+    /// Visit every access of the loop as a team of `team` threads performs
+    /// it in the sequential simulator: threads in tid order, each thread's
+    /// [`ownership`](Self::ownership) chunks in order, each iteration's
+    /// accesses in program order. `visit` receives `(tid, vaddr, kind)`.
+    pub fn walk(&self, team: usize, mut visit: impl FnMut(usize, u64, AccessKind)) {
+        for (tid, chunks) in self.ownership(team).iter().enumerate() {
+            for &(start, end) in chunks {
+                for i in start..end {
+                    self.for_each_access(i, &mut |vaddr, kind| visit(tid, vaddr, kind));
+                }
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for LoopModel {

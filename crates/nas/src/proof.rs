@@ -143,16 +143,9 @@ fn proof_team(l: &LoopModel, threads: usize) -> Option<usize> {
 pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<PhaseProof> {
     let team = proof_team(l, threads)?;
     let mut table = LineTable::default();
-    for (tid, chunks) in l.ownership(team).iter().enumerate() {
-        let bit = 1u64 << tid;
-        for &(start, end) in chunks {
-            for i in start..end {
-                l.for_each_access(i, &mut |vaddr, kind| {
-                    table.line(vaddr >> LINE_SHIFT).record(bit, kind)
-                });
-            }
-        }
-    }
+    l.walk(team, |tid, vaddr, kind| {
+        table.line(vaddr >> LINE_SHIFT).record(1 << tid, kind)
+    });
     let mut lines = Vec::new();
     let mut line_writes = Vec::new();
     for (line, u) in table.into_sorted() {
@@ -204,19 +197,12 @@ mod tests {
     ) -> Option<PhaseProof> {
         let team = proof_team(l, threads)?;
         let mut lines: BTreeMap<u64, LineUse> = BTreeMap::new();
-        for (tid, chunks) in l.ownership(team).iter().enumerate() {
-            let bit = 1u64 << tid;
-            for &(start, end) in chunks {
-                for i in start..end {
-                    l.for_each_access(i, &mut |vaddr, kind| {
-                        lines
-                            .entry(vaddr >> LINE_SHIFT)
-                            .or_default()
-                            .record(bit, kind)
-                    });
-                }
-            }
-        }
+        l.walk(team, |tid, vaddr, kind| {
+            lines
+                .entry(vaddr >> LINE_SHIFT)
+                .or_default()
+                .record(1 << tid, kind)
+        });
         if !lines.values().all(LineUse::eligible) {
             return None;
         }

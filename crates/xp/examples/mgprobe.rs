@@ -17,7 +17,7 @@ fn main() {
     } else {
         vec![nas::BenchName::Cg, nas::BenchName::Mg]
     };
-    let cfg = xp::bench_gate::gate_config();
+    let cfg = xp::selfprof::reference_config();
     for bench in benches {
         let t = Instant::now();
         let slow = xp::run_one_fastpath(bench, scale, &cfg, false);

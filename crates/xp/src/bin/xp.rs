@@ -34,8 +34,6 @@ usage:
   xp prof <bt|sp|cg|mg|ft>|--all [--scale tiny|small|medium] [--out DIR]
           [--from FILE]
   xp selfprof <bt|sp|cg|mg|ft>|--all [--scale tiny|small|medium] [--out DIR]
-  xp bench --record|--check [--bench bt|sp|cg|mg|ft] [--threshold PCT]
-          [--history DIR] [--scale tiny|small|medium] [--out DIR]
   xp lint [--bench bt|sp|cg|mg|ft] [--all] [--deny CODES] [--allow FILE]
           [--emit-placement] [--scale tiny|small|medium] [--out DIR]
   xp serve [--port N|--addr ADDR] [--jobs N] [--cache-dir DIR] [--spans DIR]
@@ -44,7 +42,6 @@ usage:
   xp cache stats|verify|gc [--cache-dir DIR] [--max-bytes N] [--max-age SECS]
           [--json]
   xp top [--addr ADDR|--port N] [--interval MS] [--once] [--json]
-  xp history [--history DIR] [--bench bt|sp|cg|mg|ft] [--json]
 
 commands:
   table1     memory-hierarchy latencies (paper Table 1)
@@ -69,10 +66,6 @@ commands:
   selfprof   host-side self-profile: where the simulator's own host CPU
              time goes (span tree, per-component breakdown); writes
              selfprof-<bench>.{md,jsonl,chrome.json} under the output dir
-  bench      perf-regression gate: --record writes results/history/
-             baseline.json (and appends to history.jsonl); --check re-runs
-             the suite and exits 1 if simulated time or migrations grew
-             past --threshold (default 5%) on any benchmark
   lint       static NUMA/race analysis of the benchmark kernels (no machine
              simulation); exits 1 if a denied finding is not allowlisted
   serve      resident experiment server: owns one long-lived worker pool
@@ -90,9 +83,6 @@ commands:
              the newest request-log lines, one screen per --interval
              (--once for a single plain snapshot, --json for the raw
              metrics + log documents)
-  history    trend report over the perf gate's history.jsonl: per-bench
-             deltas, least-squares slope, step changes and anomalies
-             across recorded runs (--json for dashboards)
 
 options:
   --scale tiny|small|medium  problem scale (default medium)
@@ -104,17 +94,11 @@ options:
   --out DIR                  output directory for reports (default results/)
   --trace DIR                also record an event trace of every run into
                              DIR (commands other than trace)
-  --bench NAME               restrict lint, bench or history to one benchmark
+  --bench NAME               restrict lint to one benchmark
   --all                      all five benchmarks (lint: default; prof and
                              selfprof: instead of a positional benchmark)
   --from FILE                prof: analyse a saved trace.jsonl instead of
                              running the benchmark
-  --record                   bench: record the current suite as baseline
-  --check                    bench: compare HEAD against the baseline
-  --threshold PCT            bench --check: regression threshold percent
-                             (default 5)
-  --history DIR              bench: history directory (default
-                             results/history)
   --deny CODES               comma list of lint categories (races,
                              false-sharing, numa, perf, determinism, all)
                              and/or codes (L001..L009) that fail the run
@@ -136,9 +120,8 @@ options:
                              svc-spans.jsonl and svc-spans.chrome.json
                              (open in Perfetto; one span tree per traced
                              request) under DIR
-  --json                     top/history/cache stats/client stats:
-                             machine-readable output instead of the
-                             human rendering
+  --json                     top/cache stats/client stats: machine-readable
+                             output instead of the human rendering
   --interval MS              top: poll interval in milliseconds
                              (default 1000)
   --once                     top: print one snapshot and exit
@@ -146,7 +129,7 @@ options:
 ";
 
 /// Why the process exits 1 once every report is written: set by the lint
-/// and bench gates, checked last so the JSON still lands on disk.
+/// gate, checked last so the JSON still lands on disk.
 static FAILED: Mutex<Option<String>> = Mutex::new(None);
 
 fn die(msg: &str) -> ! {
@@ -261,12 +244,6 @@ fn benches_arg(args: &Args) -> Vec<BenchName> {
         Some(name) => vec![bench_arg(name)],
         None => BenchName::all().to_vec(),
     }
-}
-
-/// Where `bench` and `history` keep the perf gate's records.
-fn history_dir(args: &Args) -> PathBuf {
-    args.path("--history")
-        .unwrap_or_else(|| "results/history".into())
 }
 
 /// The benchmarks `xp prof|selfprof <bench>|--all` names.
@@ -408,21 +385,12 @@ fn cache_admin(args: &Args, root: &Path, max_bytes: Option<u64>, max_age: Option
     }
 }
 
-/// Print what an admin command rendered, or exit 2 with its error.
-fn print_or_die(rendered: Result<String, String>) {
-    match rendered {
-        Ok(out) => print!("{out}"),
-        Err(e) => die(&e),
-    }
-}
-
 /// One experiment to run: its summary id plus the closure producing its
 /// reports.
 type Job = (&'static str, Box<dyn FnOnce() -> Vec<Report>>);
 
-/// The job of a command that is not in [`EXPERIMENTS`]; `threshold` is
-/// `bench --check`'s regression threshold as a fraction.
-fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path, threshold: f64) -> Job {
+/// The job of a command that is not in [`EXPERIMENTS`].
+fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
     let out = out_dir.to_path_buf();
     match command {
         "trace" => {
@@ -461,34 +429,6 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path, threshold:
                 Box::new(move || xp::selfprof::run(&benches, scale, &out)),
             )
         }
-        "bench" => {
-            let record = args.has("--record");
-            if record == args.has("--check") {
-                die("bench needs exactly one of --record or --check");
-            }
-            let benches = benches_arg(args);
-            let history = history_dir(args);
-            (
-                "bench",
-                Box::new(move || {
-                    if record {
-                        return match xp::bench_gate::record(&benches, scale, &history) {
-                            Ok(report) => vec![report],
-                            Err(e) => die(&e),
-                        };
-                    }
-                    let run = xp::bench_gate::check(&benches, scale, &history, threshold)
-                        .unwrap_or_else(|e| die(&e));
-                    if run.regressions > 0 {
-                        *FAILED.lock().unwrap() = Some(format!(
-                            "bench: {} benchmark(s) regressed past the threshold",
-                            run.regressions
-                        ));
-                    }
-                    vec![run.report]
-                }),
-            )
-        }
         "lint" => {
             if args.has("--all") && args.has("--bench") {
                 die("--all and --bench are mutually exclusive");
@@ -524,7 +464,7 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path, threshold:
                         ));
                     }
                     if emit_placement {
-                        match xp::lint::emit_placement(&benches, scale, &out) {
+                        match xp::lint::emit_placement(&run.maps, scale, &out) {
                             Ok(paths) => {
                                 for p in paths {
                                     eprintln!("[saved {}]", p.display());
@@ -567,10 +507,6 @@ fn main() {
         xp::jobs::set(jobs);
     }
     let port = args.num::<u16>("--port", "a port number", |_| true);
-    let threshold = args
-        .num::<f64>("--threshold", "a non-negative percentage", |p| *p >= 0.0)
-        .unwrap_or(5.0)
-        / 100.0;
     let max_bytes = args.num::<u64>("--max-bytes", "an integer", |_| true);
     let max_age = args.num::<u64>("--max-age", "seconds", |_| true);
     let interval_ms = args.num::<u64>("--interval", "positive milliseconds", |&n| n >= 1);
@@ -592,7 +528,7 @@ fn main() {
         die("--addr and --port are mutually exclusive");
     }
     args.check_scopes(command, client_mode);
-    if client_mode && matches!(command, "serve" | "cache" | "client" | "top" | "history") {
+    if client_mode && matches!(command, "serve" | "cache" | "client" | "top") {
         die(&format!("`xp client {command}` is not a thing"));
     }
     let server_addr = match args.get("--addr") {
@@ -606,7 +542,7 @@ fn main() {
     // The commands that are not runs: serve, inspect, maintain.
     match command {
         "cache" => return cache_admin(&args, &cache_root, max_bytes, max_age),
-        "serve" | "top" | "history" => no_argument(&args.positionals, 1),
+        "serve" | "top" => no_argument(&args.positionals, 1),
         "stats" if client_mode => no_argument(&args.positionals, 1),
         _ => {}
     }
@@ -620,15 +556,12 @@ fn main() {
             }
             return;
         }
-        "history" => {
-            let history = history_dir(&args);
-            let bench = args.get("--bench").inspect(|name| {
-                bench_arg(name);
-            });
-            return print_or_die(xp::history::run(&history, args.has("--json"), bench));
-        }
         "stats" if client_mode => {
-            return print_or_die(xp::top::client_stats(&server_addr, args.has("--json")));
+            match xp::top::client_stats(&server_addr, args.has("--json")) {
+                Ok(out) => print!("{out}"),
+                Err(e) => die(&e),
+            }
+            return;
         }
         _ => {}
     }
@@ -652,7 +585,7 @@ fn main() {
     let jobs: Vec<Job> = match EXPERIMENTS.iter().find(|(id, _)| *id == command) {
         Some(row) => vec![experiment(row)],
         None if command == "all" => EXPERIMENTS.iter().map(experiment).collect(),
-        None => vec![tool_job(command, &args, scale, &out_dir, threshold)],
+        None => vec![tool_job(command, &args, scale, &out_dir)],
     };
 
     let mut entries: Vec<SummaryEntry> = Vec::new();

@@ -22,7 +22,6 @@
 //! `xp` binary writes both to stdout and to `results/*.json`.
 
 pub mod ablation;
-pub mod bench_gate;
 pub mod cache;
 pub mod cells;
 mod dash;
@@ -31,7 +30,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod grid;
-pub mod history;
 pub mod jobs;
 pub mod lint;
 pub mod multiprog;
@@ -79,8 +77,7 @@ pub mod cli {
 
     /// The commands that are not experiments (`all` runs every experiment).
     pub const TOOLS: &[&str] = &[
-        "all", "trace", "prof", "selfprof", "bench", "lint", "serve", "client", "cache", "top",
-        "history",
+        "all", "trace", "prof", "selfprof", "lint", "serve", "client", "cache", "top",
     ];
 
     /// One command-line flag.
@@ -114,7 +111,6 @@ pub mod cli {
 
     const ANY: &[&str] = &[];
     const LINT: &[&str] = &["lint"];
-    const BENCH: &[&str] = &["bench"];
     const SERVER: &[&str] = &["serve", "client", "top"];
     const CACHE_GC: &[&str] = &["cache gc"];
     const TOP: &[&str] = &["top"];
@@ -132,16 +128,12 @@ pub mod cli {
         Flag { name: "--cache", value: None, commands: ANY },
         Flag { name: "--no-cache", value: None, commands: ANY },
         Flag { name: "--cache-dir", value: Some("a directory"), commands: ANY },
-        Flag { name: "--bench", value: Some("a value"), commands: &["lint", "bench", "history"] },
+        Flag { name: "--bench", value: Some("a value"), commands: LINT },
         Flag { name: "--all", value: None, commands: &["lint", "prof", "selfprof"] },
         Flag { name: "--deny", value: Some("a value"), commands: LINT },
         Flag { name: "--allow", value: Some("a file"), commands: LINT },
         Flag { name: "--emit-placement", value: None, commands: LINT },
         Flag { name: "--from", value: Some("a file"), commands: &["prof"] },
-        Flag { name: "--record", value: None, commands: BENCH },
-        Flag { name: "--check", value: None, commands: BENCH },
-        Flag { name: "--threshold", value: Some("a value"), commands: BENCH },
-        Flag { name: "--history", value: Some("a directory"), commands: &["bench", "history"] },
         Flag { name: "--addr", value: Some("an address"), commands: SERVER },
         Flag { name: "--port", value: Some("a value"), commands: SERVER },
         Flag { name: "--max-bytes", value: Some("a value"), commands: CACHE_GC },
@@ -149,6 +141,6 @@ pub mod cli {
         Flag { name: "--once", value: None, commands: TOP },
         Flag { name: "--interval", value: Some("milliseconds"), commands: TOP },
         Flag { name: "--spans", value: Some("a directory"), commands: &["serve"] },
-        Flag { name: "--json", value: None, commands: &["top", "history", "cache stats", "client stats"] },
+        Flag { name: "--json", value: None, commands: &["top", "cache stats", "client stats"] },
     ];
 }

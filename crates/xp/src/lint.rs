@@ -2,14 +2,15 @@
 //!
 //! Builds each benchmark's [`nas::KernelModel`] on the paper's machine
 //! (same allocation sequence as a real run, so virtual addresses match the
-//! simulator bit-for-bit), analyzes it with [`::lint::analyze`], and
-//! renders one report row per finding. Findings whose stable keys appear in
-//! the allowlist are marked `allowed`; findings whose code is in the deny
-//! set and not allowlisted are marked `denied` and make the command exit
-//! non-zero — that is the CI gate.
+//! simulator bit-for-bit), folds it into one [`::lint::Footprint`] that both
+//! the analyzer and the placement synthesizer read, and renders one report
+//! row per finding. Findings whose stable keys appear in the allowlist are
+//! marked `allowed`; findings whose code is in the deny set and not
+//! allowlisted are marked `denied` and make the command exit non-zero —
+//! that is the CI gate.
 
-use ::lint::{Allowlist, Analysis, Code, Finding, LintConfig, PlacementMap};
-use ccnuma::{Machine, MachineConfig};
+use ::lint::{Allowlist, Analysis, Code, Finding, Footprint, LintConfig, PlacementMap};
+use ccnuma::Machine;
 use nas::{BenchName, Scale};
 use omp::Runtime;
 use std::collections::BTreeSet;
@@ -24,36 +25,65 @@ pub struct LintRun {
     pub report: Report,
     /// Findings hit by the deny set and not waived by the allowlist.
     pub denied: Vec<Finding>,
+    /// Each benchmark's synthesized placement, in `benches` order.
+    pub maps: Vec<PlacementMap>,
 }
 
 /// Build `bench`'s access model exactly as a dynamic run would allocate it:
-/// fresh machine, 16-thread runtime, then the benchmark constructor. The
+/// fresh machine, full-team runtime, then the benchmark constructor. The
 /// machine hands out virtual ranges sequentially, so the model's addresses
-/// equal those of a [`nas::BenchRun`] over the same scale.
-pub fn model_for(bench: BenchName, scale: Scale) -> nas::KernelModel {
-    let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
-    let mut rt = Runtime::with_threads(machine, 16);
+/// equal those of a [`nas::BenchRun`] over the same scale. Machine and team
+/// are `cfg`'s, so addresses are laid out for the configuration ownership
+/// is evaluated under.
+fn model_under(cfg: &LintConfig, bench: BenchName, scale: Scale) -> nas::KernelModel {
+    let machine = Machine::new(cfg.machine.clone());
+    let mut rt = Runtime::with_threads(machine, cfg.threads);
     nas::instantiate(bench, &mut rt, scale)
         .access_model()
         .expect("all five benchmarks expose access models")
 }
 
+/// `bench`'s access model under the paper-default lint configuration.
+pub fn model_for(bench: BenchName, scale: Scale) -> nas::KernelModel {
+    model_under(&LintConfig::paper_default(), bench, scale)
+}
+
 /// Analyze one benchmark with the paper-default lint configuration.
 pub fn analyze_bench(bench: BenchName, scale: Scale) -> Analysis {
-    ::lint::analyze(&model_for(bench, scale), &LintConfig::paper_default())
+    let cfg = LintConfig::paper_default();
+    ::lint::analyze(&model_under(&cfg, bench, scale), &cfg)
 }
 
 /// Synthesize `bench`'s static placement prescription with the paper-default
 /// lint configuration. Deterministic: a pure function of (bench, scale).
 pub fn placement_map(bench: BenchName, scale: Scale) -> PlacementMap {
-    ::lint::synthesize(&model_for(bench, scale), &LintConfig::paper_default())
+    let cfg = LintConfig::paper_default();
+    ::lint::synthesize(&model_under(&cfg, bench, scale), &cfg)
+}
+
+/// [`analyze_bench`] and [`placement_map`] off one model, one footprint and
+/// one converged replay.
+fn analyze_and_place(bench: BenchName, scale: Scale) -> (Analysis, PlacementMap) {
+    let cfg = LintConfig::paper_default();
+    let model = model_under(&cfg, bench, scale);
+    let fp = Footprint::build(&model, &cfg);
+    let converged = fp.replay(&cfg);
+    (
+        ::lint::analyze_footprint(&model, &cfg, &fp, &converged),
+        ::lint::synthesize_footprint(&model, &cfg, &fp, &converged),
+    )
+}
+
+/// The installable `static` placement scheme prescribing `map`.
+pub fn scheme_of(map: &PlacementMap) -> PlacementScheme {
+    PlacementScheme::Static {
+        map: Arc::new(map.to_static()),
+    }
 }
 
 /// The installable `static` placement scheme for `bench` at `scale`.
 pub fn static_scheme(bench: BenchName, scale: Scale) -> PlacementScheme {
-    PlacementScheme::Static {
-        map: Arc::new(placement_map(bench, scale).to_static()),
-    }
+    scheme_of(&placement_map(bench, scale))
 }
 
 /// Run the analyzer over `benches` and assemble the `xp` report.
@@ -74,11 +104,13 @@ pub fn run(
     let mut denied = Vec::new();
     let mut total = 0usize;
     let mut waived = 0usize;
+    let mut maps = Vec::new();
     for &bench in benches {
-        let analysis = analyze_bench(bench, scale);
+        let (analysis, map) = analyze_and_place(bench, scale);
         // Synthesis warnings (L009: pages with no phase-invariant home) ride
         // the same report, deny gate and allowlist as the analyzer findings.
-        let synth = placement_map(bench, scale).findings();
+        let synth = map.findings();
+        maps.push(map);
         for f in analysis.findings.into_iter().chain(synth) {
             total += 1;
             let allowed = allow.allows(&f);
@@ -116,24 +148,27 @@ pub fn run(
         let codes: Vec<&str> = deny.iter().map(|c| c.as_str()).collect();
         report.note(format!("deny set: {}", codes.join(",")));
     }
-    LintRun { report, denied }
+    LintRun {
+        report,
+        denied,
+        maps,
+    }
 }
 
-/// `xp lint --emit-placement`: write each benchmark's synthesized
-/// [`PlacementMap`] as deterministic JSON (`placement-{bench}-{scale}.json`
-/// under `out`). Returns the paths written, in bench order.
+/// `xp lint --emit-placement`: write the placement maps [`run`] synthesized
+/// as deterministic JSON (`placement-{bench}-{scale}.json` under `out`).
+/// Returns the paths written, in map order.
 pub fn emit_placement(
-    benches: &[BenchName],
+    maps: &[PlacementMap],
     scale: Scale,
     out: &std::path::Path,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(out)?;
     let mut paths = Vec::new();
-    for &bench in benches {
-        let map = placement_map(bench, scale);
+    for map in maps {
         let path = out.join(format!(
             "placement-{}-{}.json",
-            bench.label().to_ascii_lowercase(),
+            map.bench().to_ascii_lowercase(),
             scale.label()
         ));
         std::fs::write(&path, map.to_json().to_string_pretty())?;

@@ -3,10 +3,9 @@
 //! Where `xp prof` analyses the *simulated* machine on simulated time,
 //! `selfprof` answers the engineering question "where does the **host**
 //! CPU time of a run actually go?". It opens a [`hostprof`] session
-//! around one benchmark cell, runs it under the `xp bench` reference
-//! configuration, and reports the inclusive/exclusive host-time span
-//! tree (`cell:… → omp.region → ccnuma.touch → …`) with per-component
-//! totals.
+//! around one benchmark cell, runs it under [`reference_config`], and
+//! reports the inclusive/exclusive host-time span tree (`cell:… →
+//! omp.region → ccnuma.touch → …`) with per-component totals.
 //!
 //! Three artifacts per benchmark land in the output directory, mirroring
 //! `xp prof`:
@@ -28,8 +27,18 @@
 use crate::report::Report;
 use crate::{CellOutput, CellPlan};
 use hostprof::HostReport;
-use nas::{BenchName, RunResult, Scale};
+use nas::{BenchName, RunConfig, RunResult, Scale};
 use std::path::Path;
+
+/// The configuration host-side measurements run under: the `xp trace`
+/// reference configuration (round-robin placement + UPMlib) with tracing
+/// off — the profile measures the simulator, it doesn't record events.
+pub fn reference_config() -> RunConfig {
+    RunConfig {
+        trace: false,
+        ..crate::trace::traced_config()
+    }
+}
 
 /// Profile one benchmark cell under a hostprof session: the host-time
 /// report plus the cell output it profiled. Sessions are process-wide, so
@@ -38,7 +47,7 @@ pub fn profile_one(bench: BenchName, scale: Scale) -> (HostReport, CellOutput<Ru
     let session = hostprof::start();
     let mut plan: CellPlan<RunResult> = CellPlan::new();
     plan.add(cell_id(bench), move || {
-        crate::run_one(bench, scale, &crate::bench_gate::gate_config())
+        crate::run_one(bench, scale, &reference_config())
     });
     let mut outputs = plan.execute();
     let host = session.finish();

@@ -31,8 +31,12 @@ use vmm::PlacementScheme;
 /// One benchmark's four head-to-head cells, in the canonical order:
 /// ft-IRIX, static-IRIX, ft-upmlib, static-upmlib.
 pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
+    cells_under(bench, scale, crate::lint::static_scheme(bench, scale))
+}
+
+/// [`cells`] with the static placement already synthesized.
+fn cells_under(bench: BenchName, scale: Scale, static_placement: PlacementScheme) -> Vec<Cell> {
     let (_, upm_opts) = default_engine_configs();
-    let static_placement = crate::lint::static_scheme(bench, scale);
     [
         (PlacementScheme::FirstTouch, EngineMode::None),
         (static_placement.clone(), EngineMode::None),
@@ -61,10 +65,18 @@ pub fn run(scale: Scale) -> Report {
     );
     let mut static_vs_ft: Vec<f64> = Vec::new();
     let mut hybrid_vs_upm: Vec<f64> = Vec::new();
+    // Synthesized once per benchmark: the cells install the map, the notes
+    // account for it.
+    let benches = BenchName::all();
+    let maps = benches.map(|bench| crate::lint::placement_map(bench, scale));
+    let map_of = |bench: BenchName| {
+        let at = benches.iter().position(|&b| b == bench);
+        &maps[at.expect("a benchmark of the sweep")]
+    };
     grid::report_benches(
         &mut report,
-        &BenchName::all(),
-        |bench| cells(bench, scale),
+        &benches,
+        |bench| cells_under(bench, scale, crate::lint::scheme_of(map_of(bench))),
         " four-way (execution time, simulated seconds)",
         |r, base| {
             let last75 = base.map(|b| pct(r.last75_mean_secs() / b.last75_mean_secs()));
@@ -82,7 +94,7 @@ pub fn run(scale: Scale) -> Report {
             };
             // Synthesis accounting: what did the offline pass prescribe, and
             // how much dynamic work was left for the hybrid?
-            let map = crate::lint::placement_map(bench, scale);
+            let map = map_of(bench);
             let hybrid_migrations = find("static", "upmlib")
                 .and_then(|r| r.upm.as_ref())
                 .map(|s| s.total_distribution_migrations())

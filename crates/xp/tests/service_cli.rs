@@ -331,19 +331,6 @@ fn telemetry_sees_a_warm_sweep_and_spans_reconstruct_requests() {
 }
 
 #[test]
-fn history_reports_the_committed_log_in_both_renderings() {
-    let history = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/history");
-    let (json, _) = xp_run(&["history", "--json", "--history", history]);
-    let v = obs::json::Value::parse(json.trim()).unwrap();
-    assert_eq!(v["schema"].as_str(), Some("ddnomp-history v1"));
-    assert!(v["runs"].as_u64().unwrap() >= 1);
-    assert!(!v["series"].as_array().unwrap().is_empty());
-    let (md, _) = xp_run(&["history", "--history", history]);
-    assert!(md.contains("Perf history trends"), "{md}");
-    assert!(md.contains("| Scale | Bench |"), "{md}");
-}
-
-#[test]
 fn client_mode_without_a_server_falls_back_to_offline_results() {
     let dir = tmp("svc_client_fallback");
     fig5(&dir.join("offline"), &[]);

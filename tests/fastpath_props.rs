@@ -112,15 +112,9 @@ fn sort_and_merge_proof(label: &str, l: &LoopModel, threads: usize) -> Option<Ph
         return None;
     }
     let mut log: Vec<(u64, usize, bool)> = Vec::new();
-    for (tid, chunks) in l.ownership(team).iter().enumerate() {
-        for &(start, end) in chunks {
-            for i in start..end {
-                l.for_each_access(i, &mut |vaddr, kind| {
-                    log.push((vaddr >> LINE_SHIFT, tid, kind == AccessKind::Write));
-                });
-            }
-        }
-    }
+    l.walk(team, |tid, vaddr, kind| {
+        log.push((vaddr >> LINE_SHIFT, tid, kind == AccessKind::Write));
+    });
     log.sort_unstable();
     let mut lines = Vec::new();
     let mut line_writes = Vec::new();

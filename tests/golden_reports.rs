@@ -77,6 +77,42 @@ fn fig4_tiny_matches_golden() {
 }
 
 #[test]
+fn fig4_tiny_pins_the_reference_and_static_cells_of_every_benchmark() {
+    // This fixture is the only pin on each benchmark's reference cell
+    // (rr-upmlib, what `xp trace`/`selfprof` run) and its static-placement
+    // companion: simulated seconds as the chart bar, migrations as the
+    // row's "UPM migrations". An edit to fig4's grid must not drop either
+    // from the fixture unnoticed.
+    let text = std::fs::read_to_string(golden_path("fig4_tiny.json")).unwrap();
+    let fixture = obs::json::Value::parse(&text).unwrap();
+    let charts = fixture["charts"].as_array().unwrap();
+    let rows = fixture["rows"].as_array().unwrap();
+    for bench in nas::BenchName::all() {
+        let title = format!("NAS {} ", bench.label());
+        let chart = charts
+            .iter()
+            .find(|c| c["title"].as_str().unwrap().starts_with(&title))
+            .unwrap_or_else(|| panic!("no {title}chart"));
+        for config in ["rr-upmlib", "static-upmlib"] {
+            let bar = chart["bars"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|b| b["label"].as_str() == Some(config))
+                .unwrap_or_else(|| panic!("{title}chart has no {config} bar"));
+            assert!(bar["value"].as_f64().unwrap() > 0.0);
+            let row = rows
+                .iter()
+                .find(|r| r[0].as_str() == Some(bench.label()) && r[1].as_str() == Some(config))
+                .unwrap_or_else(|| panic!("no {} {config} row", bench.label()));
+            let migrations = row[4].as_str().unwrap();
+            assert!(migrations.parse::<u64>().is_ok(), "{migrations}");
+        }
+    }
+    assert_eq!(fixture["headers"][4].as_str(), Some("UPM migrations"));
+}
+
+#[test]
 fn table2_tiny_matches_golden() {
     check("table2_tiny.json", xp::table2::run(Scale::Tiny));
 }

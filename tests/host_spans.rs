@@ -131,7 +131,7 @@ fn a_panicking_job_leaves_its_worker_stack_balanced() {
 fn fastpath_cg_spends_less_ccnuma_self_time_than_exact() {
     fn ccnuma_self_secs(fast: bool) -> f64 {
         let session = hostprof::start();
-        let cfg = xp::bench_gate::gate_config();
+        let cfg = xp::selfprof::reference_config();
         let r = xp::run_one_fastpath(nas::BenchName::Cg, nas::Scale::Tiny, &cfg, fast);
         assert!(r.total_secs > 0.0);
         let report = session.finish();

@@ -18,6 +18,9 @@
 //!    must match the machine's page table after a real cold start, page for
 //!    page, which validates the models' addresses and thread ordering
 //!    bit-for-bit;
+//! 4. **analyzer ⇔ synthesizer** — both read one `lint::Footprint`, so an
+//!    array has an `L007` finding exactly when its placement carries flip
+//!    pages, and both see the same converged replay;
 //!
 //! plus the determinism cross-check: real runs must be bit-reproducible
 //! across team sizes exactly when the analyzer reports no `L008`.
@@ -25,7 +28,7 @@
 use ccnuma::{vpage_of, AccessKind, Machine, MachineConfig, NodeId, SimArray, PAGE_SIZE};
 use lint::{Code, CountTable, LintConfig, UpmReplay};
 use nas::{run_benchmark, BenchName, BenchRun, EngineMode, RunConfig, Scale};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use upmlib::{UpmEngine, UpmOptions};
 
 fn tiny_cfg(engine: EngineMode) -> RunConfig {
@@ -199,6 +202,47 @@ fn first_touch_prediction_matches_machine_page_table() {
     for bench in BenchName::all() {
         check_first_touch_fidelity(bench);
     }
+}
+
+#[test]
+fn flip_findings_and_flip_pages_name_the_same_arrays() {
+    let cfg = LintConfig::paper_default();
+    let mut flipping = 0;
+    for bench in BenchName::all() {
+        let model = xp::lint::model_for(bench, Scale::Tiny);
+        let fp = lint::Footprint::build(&model, &cfg);
+        let converged = fp.replay(&cfg);
+        let analysis = lint::analyze(&model, &cfg);
+        let map = lint::synthesize(&model, &cfg);
+        let flagged: BTreeSet<&str> = analysis
+            .findings
+            .iter()
+            .filter(|f| f.code == Code::DominantFlip)
+            .map(|f| f.subject.as_str())
+            .collect();
+        let placed: BTreeSet<&str> = map
+            .arrays()
+            .iter()
+            .filter(|a| a.flip_pages > 0)
+            .map(|a| a.array.as_str())
+            .collect();
+        assert_eq!(flagged, placed, "{}", bench.label());
+        assert_eq!(
+            map.flip_pages().len() as u64,
+            map.arrays().iter().map(|a| a.flip_pages).sum::<u64>(),
+            "{}: every flip page lies in a modelled array",
+            bench.label()
+        );
+        flipping += usize::from(!flagged.is_empty());
+        assert_eq!(analysis.predicted_frozen, converged.frozen_pages());
+        assert_eq!(
+            map,
+            lint::synthesize_footprint(&model, &cfg, &fp, &converged),
+            "{}",
+            bench.label()
+        );
+    }
+    assert!(flipping >= 2, "BT and SP flip at the z-sweep");
 }
 
 #[test]
