@@ -52,12 +52,6 @@ impl CpuContext {
             account: CpuRegionAccount::new(nodes),
         }
     }
-
-    /// Drop all cached lines (e.g. after a context-destroying event).
-    pub fn flush_caches(&mut self) {
-        self.l1.invalidate_all();
-        self.l2.invalidate_all();
-    }
 }
 
 #[cfg(test)]

@@ -335,12 +335,6 @@ impl Machine {
         &self.clock
     }
 
-    /// Advance the global clock directly (sequential sections, charged
-    /// overheads).
-    pub fn advance_clock(&mut self, ns: f64) {
-        self.clock.advance(ns);
-    }
-
     /// Machine-wide statistics.
     pub fn stats(&self) -> &MachineStats {
         &self.stats

@@ -78,12 +78,6 @@ impl Topology {
         cpu / self.cpus_per_node
     }
 
-    /// CPU ids hosted on `node`.
-    pub fn cpus_of_node(&self, node: NodeId) -> impl Iterator<Item = usize> {
-        let base = node * self.cpus_per_node;
-        base..base + self.cpus_per_node
-    }
-
     /// Router that a node hangs off.
     #[inline]
     pub fn router_of_node(&self, node: NodeId) -> usize {

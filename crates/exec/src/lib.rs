@@ -41,8 +41,7 @@ pub mod pool;
 pub mod resident;
 pub mod telemetry;
 
+pub use pool::panic_message;
 pub use pool::{Job, JobPanic, Pool, TimedResult};
-pub use resident::{
-    BatchHandle, ResidentJob, ResidentPool, ResidentStats, ResidentStatus, ResidentWorkerStatus,
-};
+pub use resident::{BatchHandle, ResidentJob, ResidentPool, ResidentStatus, ResidentWorkerStatus};
 pub use telemetry::{PoolMonitor, PoolTelemetry, WorkerTelemetry};

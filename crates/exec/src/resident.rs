@@ -130,6 +130,7 @@ impl Live {
             queue_len: self.queue_len.load(Relaxed),
             jobs_done: self.jobs_done.load(Relaxed),
             jobs_failed: self.jobs_failed.load(Relaxed),
+            batches: self.batches.load(Relaxed),
             workers: self
                 .workers
                 .iter()
@@ -153,17 +154,6 @@ impl Live {
                 .collect(),
         }
     }
-}
-
-/// Counters over a pool's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidentStats {
-    /// Jobs completed (panicked jobs included).
-    pub jobs_done: u64,
-    /// Jobs that panicked.
-    pub jobs_failed: u64,
-    /// Batches submitted.
-    pub batches: u64,
 }
 
 /// A point-in-time view of one worker.
@@ -192,6 +182,8 @@ pub struct ResidentStatus {
     pub jobs_done: u64,
     /// Jobs that panicked so far.
     pub jobs_failed: u64,
+    /// Batches submitted so far.
+    pub batches: u64,
     /// One entry per worker, index = worker id.
     pub workers: Vec<ResidentWorkerStatus>,
 }
@@ -270,18 +262,8 @@ impl<T: Send + 'static> ResidentPool<T> {
         Arc::clone(&self.shared.live)
     }
 
-    /// Lifetime counters so far.
-    pub fn stats(&self) -> ResidentStats {
-        let live = &self.shared.live;
-        ResidentStats {
-            jobs_done: live.jobs_done.load(Relaxed),
-            jobs_failed: live.jobs_failed.load(Relaxed),
-            batches: live.batches.load(Relaxed),
-        }
-    }
-
-    /// A live snapshot: queue depth, done/failed counts and per-worker
-    /// utilization right now. Safe to call from any thread at any
+    /// A live snapshot: queue depth, done/failed/batch counts and
+    /// per-worker utilization right now. Safe to call from any thread at any
     /// cadence — it reads relaxed atomics and takes no lock.
     pub fn status(&self) -> ResidentStatus {
         self.shared.live.status()
@@ -426,9 +408,9 @@ mod tests {
             let values = join.join().unwrap();
             assert_eq!(values, (0..9).map(|i| b * 100 + i).collect::<Vec<_>>());
         }
-        let stats = pool.stats();
-        assert_eq!(stats.jobs_done, 54);
-        assert_eq!(stats.batches, 6);
+        let status = pool.status();
+        assert_eq!(status.jobs_done, 54);
+        assert_eq!(status.batches, 6);
     }
 
     #[test]
@@ -454,7 +436,7 @@ mod tests {
                 assert_eq!(t.result.as_ref().unwrap(), &i);
             }
         }
-        assert_eq!(pool.stats().jobs_failed, 1);
+        assert_eq!(pool.status().jobs_failed, 1);
     }
 
     #[test]

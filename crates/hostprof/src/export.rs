@@ -1,9 +1,11 @@
-//! Exporters for a [`HostReport`]: a markdown self-time table, JSON Lines
-//! (schema-headed, one aggregate node per line), and a Chrome trace-event
-//! document whose timeline is **host** time (`ts` = host microseconds
-//! since the session origin) — the host-side twin of `obs::export`.
+//! Exporters for a [`HostReport`]: JSON Lines (schema-headed, one
+//! aggregate node per line) and a Chrome trace-event document whose
+//! timeline is **host** time (`ts` = host microseconds since the session
+//! origin). Only the `HostReport` → lines/entries mapping lives here; both
+//! formats are `obs::export`'s.
 
-use crate::report::{component_breakdown, HostReport, SpanNode};
+use crate::report::{HostReport, SpanNode};
+use obs::export::{chrome_document, complete_span, jsonl, thread_name};
 use obs::json::Value;
 
 /// Schema identifier carried by the JSON Lines header line.
@@ -12,50 +14,6 @@ pub const HOSTPROF_SCHEMA_NAME: &str = "ddnomp-hostprof";
 pub const HOSTPROF_SCHEMA_MAJOR: u64 = 1;
 /// Minor schema version (additive changes only).
 pub const HOSTPROF_SCHEMA_MINOR: u64 = 0;
-
-fn walk<'a>(nodes: &'a [SpanNode], depth: usize, f: &mut impl FnMut(&'a SpanNode, usize)) {
-    for node in nodes {
-        f(node, depth);
-        walk(&node.children, depth + 1, f);
-    }
-}
-
-/// The merged span tree as a markdown table (`Incl %` is relative to the
-/// profiled root time), followed by the component breakdown.
-pub fn to_markdown(report: &HostReport, title: &str) -> String {
-    let merged = report.merged();
-    let total_ns = report.total_span_ns().max(1);
-    let mut out = format!("## {title}\n\n");
-    out.push_str("| Span | Calls | Incl (ms) | Excl (ms) | Incl % |\n");
-    out.push_str("|---|---|---|---|---|\n");
-    walk(&merged, 0, &mut |node, depth| {
-        out.push_str(&format!(
-            "| {}{} | {} | {:.3} | {:.3} | {:.1}% |\n",
-            "· ".repeat(depth),
-            node.name,
-            node.calls,
-            node.incl_ns as f64 * 1e-6,
-            node.excl_ns() as f64 * 1e-6,
-            node.incl_ns as f64 * 100.0 / total_ns as f64,
-        ));
-    });
-    out.push_str(&format!(
-        "\nSession wall: {:.3} s; profiled root time: {:.3} s; threads: {}; dropped events: {}\n",
-        report.wall_secs,
-        report.total_span_ns() as f64 * 1e-9,
-        report.threads.len(),
-        report.dropped_events(),
-    ));
-    out.push_str("\nExclusive time by component:\n\n");
-    for (component, secs) in component_breakdown(&merged) {
-        out.push_str(&format!(
-            "* {component}: {:.3} ms ({:.1}%)\n",
-            secs * 1e3,
-            secs * 1e9 * 100.0 / total_ns as f64,
-        ));
-    }
-    out
-}
 
 /// The schema header object that leads a JSON Lines export.
 pub fn schema_header(report: &HostReport) -> Value {
@@ -73,79 +31,44 @@ pub fn schema_header(report: &HostReport) -> Value {
 /// (`path` is `/`-joined from the root), then one `thread` line per
 /// registered thread.
 pub fn to_jsonl(report: &HostReport) -> String {
-    let mut out = String::new();
-    out.push_str(&schema_header(report).to_string());
-    out.push('\n');
-    let merged = report.merged();
-    let mut path: Vec<String> = Vec::new();
-    fn emit(out: &mut String, path: &mut Vec<String>, nodes: &[SpanNode]) {
+    fn emit(lines: &mut Vec<Value>, path: &mut Vec<String>, nodes: &[SpanNode]) {
         for node in nodes {
             path.push(node.name.clone());
-            let line = Value::object(vec![
+            lines.push(Value::object(vec![
                 ("path", path.join("/").into()),
                 ("name", node.name.as_str().into()),
                 ("calls", node.calls.into()),
                 ("incl_ns", node.incl_ns.into()),
                 ("excl_ns", node.excl_ns().into()),
-            ]);
-            out.push_str(&line.to_string());
-            out.push('\n');
-            emit(out, path, &node.children);
+            ]));
+            emit(lines, path, &node.children);
             path.pop();
         }
     }
-    emit(&mut out, &mut path, &merged);
-    for thread in &report.threads {
-        let line = Value::object(vec![
+    let mut lines = Vec::new();
+    emit(&mut lines, &mut Vec::new(), &report.merged());
+    lines.extend(report.threads.iter().map(|thread| {
+        Value::object(vec![
             ("thread", thread.label.as_str().into()),
             ("events", (thread.events.len() as u64).into()),
             ("dropped_events", thread.dropped_events.into()),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }));
+    jsonl(schema_header(report), lines)
 }
 
 /// The Chrome trace-event document on host time: per-thread tracks
 /// (`thread_name` metadata from the OS thread names), one `X` complete
 /// event per recorded span occurrence. Open in Perfetto.
 pub fn chrome_trace(report: &HostReport, process_name: &str) -> Value {
-    let mut entries: Vec<Value> = Vec::new();
-    entries.push(Value::object(vec![
-        ("name", "process_name".into()),
-        ("ph", "M".into()),
-        ("pid", 1u64.into()),
-        ("args", Value::object(vec![("name", process_name.into())])),
-    ]));
-    for (tid, thread) in report.threads.iter().enumerate() {
+    let entries = report.threads.iter().enumerate().flat_map(|(tid, thread)| {
         let tid = tid as u64;
-        entries.push(Value::object(vec![
-            ("name", "thread_name".into()),
-            ("ph", "M".into()),
-            ("pid", 1u64.into()),
-            ("tid", tid.into()),
-            (
-                "args",
-                Value::object(vec![("name", thread.label.as_str().into())]),
-            ),
-        ]));
-        for event in &thread.events {
-            entries.push(Value::object(vec![
-                ("name", event.name.as_str().into()),
-                ("ph", "X".into()),
-                ("ts", (event.start_ns as f64 / 1000.0).into()),
-                ("dur", (event.dur_ns as f64 / 1000.0).into()),
-                ("pid", 1u64.into()),
-                ("tid", tid.into()),
-            ]));
-        }
-    }
-    Value::object(vec![
-        ("traceEvents", Value::Array(entries)),
-        ("displayTimeUnit", "ms".into()),
-        ("dropped_events", report.dropped_events().into()),
-    ])
+        let spans = thread.events.iter().map(move |event| {
+            complete_span(&event.name, tid, event.start_ns as f64, event.dur_ns as f64)
+        });
+        std::iter::once(thread_name(tid, &thread.label)).chain(spans)
+    });
+    chrome_document(process_name, entries, report.dropped_events())
 }
 
 #[cfg(test)]
@@ -182,16 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_has_tree_rows_and_breakdown() {
-        let md = to_markdown(&sample(), "selfprof cg");
-        assert!(md.contains("| cell:cg | 1 | 2.000 |"));
-        assert!(md.contains("| · ccnuma.touch | 100 |"));
-        assert!(md.contains("Exclusive time by component"));
-        assert!(md.contains("* ccnuma:"));
-        assert!(md.contains("dropped events: 1"));
-    }
-
-    #[test]
     fn jsonl_is_header_plus_parseable_lines() {
         let text = to_jsonl(&sample());
         let lines: Vec<&str> = text.lines().collect();
@@ -207,17 +120,16 @@ mod tests {
         assert_eq!(thread["thread"], "main");
     }
 
+    /// The mapping only: one track per thread named by its label, one
+    /// complete span per logged event, the report's drop count. What those
+    /// entries look like on disk is `obs::export`'s to pin.
     #[test]
-    fn chrome_trace_uses_complete_events_on_host_microseconds() {
+    fn chrome_trace_is_one_named_track_per_thread_of_complete_spans() {
         let doc = chrome_trace(&sample(), "selfprof");
-        let entries = doc["traceEvents"].as_array().unwrap();
-        // process_name + thread_name + 1 span event
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[1]["args"]["name"], "main");
-        assert_eq!(entries[2]["ph"], "X");
-        assert_eq!(entries[2]["ts"].as_f64(), Some(5.0));
-        assert_eq!(entries[2]["dur"].as_f64(), Some(2000.0));
-        assert_eq!(doc["dropped_events"].as_u64(), Some(1));
-        assert!(Value::parse(&doc.to_string_pretty()).is_ok());
+        let entries = vec![
+            thread_name(0, "main"),
+            complete_span("cell:cg", 0, 5_000.0, 2_000_000.0),
+        ];
+        assert_eq!(doc, chrome_document("selfprof", entries, 1));
     }
 }

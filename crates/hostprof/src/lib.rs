@@ -15,8 +15,8 @@
 //!   [`Session::finish`] collects every thread's spans into a
 //!   [`HostReport`]: an inclusive/exclusive self-time tree with call
 //!   counts, per-thread span event logs, and export helpers
-//!   ([`export::to_markdown`], [`export::to_jsonl`],
-//!   [`export::chrome_trace`] for Perfetto — all on host time).
+//!   ([`export::to_jsonl`], [`export::chrome_trace`] for Perfetto — both
+//!   on host time, both written by `obs::export`).
 //!
 //! Span names use a `component.detail` convention (`ccnuma.touch`,
 //! `vmm.place`, …); [`component_breakdown`] buckets exclusive time by the

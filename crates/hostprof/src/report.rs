@@ -27,11 +27,6 @@ impl SpanNode {
     pub fn incl_secs(&self) -> f64 {
         self.incl_ns as f64 * 1e-9
     }
-
-    /// Exclusive seconds.
-    pub fn excl_secs(&self) -> f64 {
-        self.excl_ns() as f64 * 1e-9
-    }
 }
 
 /// One completed span occurrence (event-log form, feeds the Perfetto

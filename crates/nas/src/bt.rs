@@ -210,11 +210,6 @@ impl Bt {
         );
     }
 
-    /// Run one z-sweep in isolation (diagnostics/ablation harness).
-    pub fn z_solve_public(&self, rt: &mut Runtime) {
-        self.sweep(rt, SweepAxis::Z);
-    }
-
     /// The cold start: one full time step, then the field reset.
     fn cold<E: Exec>(&self, ex: &mut E) {
         self.step(ex, &mut no_phase_hook());

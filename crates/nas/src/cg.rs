@@ -209,20 +209,6 @@ impl Cg {
         &self.cfg
     }
 
-    /// Named simulated ranges of all shared arrays (diagnostics).
-    pub fn array_ranges(&self) -> Vec<(&'static str, (u64, u64))> {
-        let d = &self.d;
-        vec![
-            ("a", d.a.vrange()),
-            ("col", d.col.vrange()),
-            ("x", d.x.vrange()),
-            ("z", d.z.vrange()),
-            ("p", d.p.vrange()),
-            ("q", d.q.vrange()),
-            ("r", d.r.vrange()),
-        ]
-    }
-
     /// The cold start: one full outer iteration faults every page through
     /// the parallel constructs (first-touch distribution); its numeric
     /// state is then discarded.

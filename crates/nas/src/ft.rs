@@ -112,16 +112,6 @@ impl Ft {
         &self.cfg
     }
 
-    /// Simulated range of the spectral field (diagnostics).
-    pub fn u0_range(&self) -> (u64, u64) {
-        self.u0.vrange()
-    }
-
-    /// Simulated range of the working field (diagnostics).
-    pub fn u1_range(&self) -> (u64, u64) {
-        self.u1.vrange()
-    }
-
     #[inline(always)]
     fn idx(n: usize, x: usize, y: usize, z: usize) -> usize {
         (z * n + y) * n + x

@@ -198,10 +198,7 @@ impl BenchRun {
             trace: cfg.trace,
             // Traced runs stay on the exact path: the fast path replays a
             // region without emitting its per-access events.
-            fastpath: !cfg.trace
-                && std::env::var("DDNOMP_FASTPATH")
-                    .map(|v| v != "0")
-                    .unwrap_or(true),
+            fastpath: !cfg.trace,
             placement_label: cfg.placement.label().to_string(),
             engine_label: cfg.engine.label().to_string(),
             started: false,
@@ -214,8 +211,8 @@ impl BenchRun {
         }
     }
 
-    /// Force the phase fast path on or off for this run, overriding the
-    /// `DDNOMP_FASTPATH` environment default. Must be called before the
+    /// Force the phase fast path on or off for this run (it defaults to
+    /// on; a traced run stays exact either way). Must be called before the
     /// first step (the cold start derives and installs the proofs).
     pub fn set_fastpath(&mut self, on: bool) {
         assert!(!self.started, "set_fastpath after the run started");
@@ -275,11 +272,6 @@ impl BenchRun {
     /// Timed iterations completed so far.
     pub fn steps_done(&self) -> usize {
         self.step
-    }
-
-    /// Benchmark identity.
-    pub fn bench_name(&self) -> BenchName {
-        self.bench.name()
     }
 
     /// The runtime (clock, statistics, current binding).
@@ -463,19 +455,6 @@ pub fn run_benchmark<B: NasBenchmark + 'static>(
     cfg: &RunConfig,
 ) -> RunResult {
     BenchRun::new(make, cfg).complete()
-}
-
-/// [`run_benchmark`] with the phase fast path forced on or off, overriding
-/// the `DDNOMP_FASTPATH` environment default — the entry point of the
-/// differential equivalence suite.
-pub fn run_benchmark_fastpath<B: NasBenchmark + 'static>(
-    make: impl FnOnce(&mut Runtime) -> B,
-    cfg: &RunConfig,
-    fastpath: bool,
-) -> RunResult {
-    let mut run = BenchRun::new(make, cfg);
-    run.set_fastpath(fastpath);
-    run.complete()
 }
 
 #[cfg(test)]

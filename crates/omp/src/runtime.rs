@@ -267,21 +267,11 @@ impl Runtime {
         fp.cursor = 0;
     }
 
-    /// Remove the fast path entirely (memos included).
-    pub fn uninstall_fastpath(&mut self) {
-        self.fastpath = None;
-    }
-
     /// Re-align the proof cursor with the next region (iteration boundary).
     pub fn fastpath_reset_cursor(&mut self) {
         if let Some(fp) = self.fastpath.as_mut() {
             fp.cursor = 0;
         }
-    }
-
-    /// Whether a proof sequence is installed.
-    pub fn fastpath_installed(&self) -> bool {
-        self.fastpath.is_some()
     }
 
     /// Fast-path engine counters, if installed.
@@ -475,11 +465,6 @@ impl Runtime {
             "machine_mut inside a parallel region"
         );
         &mut self.machine
-    }
-
-    /// Consume the runtime, returning the machine.
-    pub fn into_machine(self) -> Machine {
-        self.machine
     }
 
     /// Parallel constructs executed so far.

@@ -55,16 +55,4 @@ impl SchedOutcome {
     pub fn job(&self, id: usize) -> &JobOutcome {
         &self.jobs[id]
     }
-
-    /// Mean remote-access fraction across jobs (unweighted).
-    pub fn mean_remote_fraction(&self) -> f64 {
-        if self.jobs.is_empty() {
-            return 0.0;
-        }
-        self.jobs
-            .iter()
-            .map(|j| j.result.remote_fraction)
-            .sum::<f64>()
-            / self.jobs.len() as f64
-    }
 }

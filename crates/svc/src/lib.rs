@@ -48,9 +48,11 @@ pub const DEFAULT_PORT: u16 = 46137;
 /// Protocol schema tag sent in the server's hello event. The major (the
 /// integer before the dot-less `v`..) gates compatibility: a client that
 /// reads a different major falls back to local execution. Minor 1 added
-/// the `metrics`/`log` ops and the per-frame trace context — all
-/// additive, so v1.0 clients interoperate unchanged.
-pub const PROTO_SCHEMA: &str = "ddnomp-svc v1.1";
+/// the `metrics`/`log` ops and the per-frame trace context; minor 2 folded
+/// the `stats` op into `metrics` (which carries every number it did), so
+/// the ops are `run`, `ping`, `metrics`, `log` and `shutdown`. Trace-less
+/// v1.0 frames of those ops interoperate unchanged.
+pub const PROTO_SCHEMA: &str = "ddnomp-svc v1.2";
 
 /// Schema tag of the `metrics` op's JSON response body.
 pub const METRICS_SCHEMA: &str = "ddnomp-metrics v1";

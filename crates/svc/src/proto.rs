@@ -126,19 +126,11 @@ impl Client {
 
     /// True when a compatible server answers at the address.
     pub fn ping(&self) -> bool {
-        self.connect()
-            .and_then(|(mut reader, mut stream)| {
-                send(
-                    &mut stream,
-                    &Value::object(vec![
-                        ("op", "ping".into()),
-                        ("trace", TraceCtx::fresh().to_json()),
-                    ]),
-                )?;
-                let event = read_event(&mut reader)?;
-                Ok(event["event"] == "pong")
-            })
-            .unwrap_or(false)
+        let request = Value::object(vec![
+            ("op", "ping".into()),
+            ("trace", TraceCtx::fresh().to_json()),
+        ]);
+        self.one_shot(request, "pong").is_ok()
     }
 
     /// Run a batch of cells on the server. Returns outcomes in spec
@@ -213,17 +205,6 @@ impl Client {
             .collect()
     }
 
-    /// The server's `stats` event (cache + pool counters, uptime).
-    pub fn stats(&self) -> Result<Value, String> {
-        self.one_shot(
-            Value::object(vec![
-                ("op", "stats".into()),
-                ("trace", TraceCtx::fresh().to_json()),
-            ]),
-            "stats",
-        )
-    }
-
     /// The server's `metrics` event: the full telemetry snapshot, as JSON
     /// (`prometheus = false`) or with the snapshot rendered in the
     /// Prometheus text exposition format under a `text` field.
@@ -263,19 +244,11 @@ impl Client {
 
     /// Ask the server to shut down. `Ok` once the server acknowledged.
     pub fn shutdown(&self) -> Result<(), String> {
-        let (mut reader, mut stream) = self.connect()?;
-        send(
-            &mut stream,
-            &Value::object(vec![
-                ("op", "shutdown".into()),
-                ("trace", TraceCtx::fresh().to_json()),
-            ]),
-        )?;
-        let event = read_event(&mut reader)?;
-        if event["event"] != "bye" {
-            return Err(format!("expected bye, got {event}"));
-        }
-        Ok(())
+        let request = Value::object(vec![
+            ("op", "shutdown".into()),
+            ("trace", TraceCtx::fresh().to_json()),
+        ]);
+        self.one_shot(request, "bye").map(drop)
     }
 }
 
@@ -354,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn ping_run_stats_shutdown_round_trip() {
+    fn ping_run_metrics_shutdown_round_trip() {
         let (client, join, calls) = start("basic");
         assert!(client.ping());
         let specs = vec![spec("cg", 1), spec("mg", 2), spec("cg", 1)];
@@ -373,8 +346,12 @@ mod tests {
         let outcomes = client.run_cells(&specs, |_| {}).unwrap();
         assert_eq!(calls.load(Relaxed), 2, "no recompute on warm cache");
         assert!(outcomes.iter().all(|o| o.source == CellSource::Cache));
-        let stats = client.stats().unwrap();
-        assert!(stats["cache"]["stores"].as_u64().unwrap() >= 2);
+        let metrics = client.metrics(false).unwrap();
+        assert_eq!(metrics["counters"]["svc.cache.stores"].as_u64(), Some(2));
+        // One batch per run request; two of the first run's three cells
+        // were pool jobs (the third joined), none of the warm run's.
+        assert_eq!(metrics["counters"]["svc.pool.batches"].as_u64(), Some(2));
+        assert_eq!(metrics["counters"]["svc.pool.jobs_done"].as_u64(), Some(2));
         client.shutdown().unwrap();
         join.join().unwrap();
         assert!(!client.ping(), "server is gone after shutdown");

@@ -198,9 +198,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
                 continue;
             }
         };
-        // The trace context rides on the frame; frames from older clients
-        // carry none and get a server-minted root so every request still
-        // has exactly one trace id.
+        // The trace context rides on the frame; raw-protocol clients
+        // (`ci/scrape_telemetry.py`) send none and get a server-minted
+        // root so every request still has exactly one trace id.
         let trace = request
             .get("trace")
             .and_then(TraceCtx::from_json)
@@ -226,11 +226,6 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             Some("ping") => {
                 let sent = emit(&mut out, Value::object(vec![("event", "pong".into())]));
                 record(shared, trace, "ping", true, String::new(), t0);
-                sent?;
-            }
-            Some("stats") => {
-                let sent = emit(&mut out, stats_event(shared));
-                record(shared, trace, "stats", true, String::new(), t0);
                 sent?;
             }
             Some("metrics") => {
@@ -367,7 +362,9 @@ fn handle_run(
                 // the flight is ALWAYS resolved — a joiner must never
                 // hang on a dead computation.
                 let result = catch_unwind(AssertUnwindSafe(|| (shared.compute)(&spec)))
-                    .unwrap_or_else(|p| Err(format!("compute panicked: {}", panic_text(&*p))));
+                    .unwrap_or_else(|p| {
+                        Err(format!("compute panicked: {}", exec::panic_message(&*p)))
+                    });
                 shared
                     .telemetry
                     .observe_us("svc.compute_us", t.elapsed().as_micros() as u64);
@@ -488,42 +485,15 @@ fn handle_run(
     Ok((counts.3 == 0, detail))
 }
 
-fn stats_event(shared: &Shared) -> Value {
-    let cache = shared.cache.stats();
-    let pool = shared.pool.stats();
-    Value::object(vec![
-        ("event", "stats".into()),
-        (
-            "cache",
-            Value::object(vec![
-                ("hits", cache.hits.into()),
-                ("misses", cache.misses.into()),
-                ("stores", cache.stores.into()),
-                ("corrupt", cache.corrupt.into()),
-            ]),
-        ),
-        (
-            "pool",
-            Value::object(vec![
-                ("workers", shared.pool.workers().into()),
-                ("jobs_done", pool.jobs_done.into()),
-                ("jobs_failed", pool.jobs_failed.into()),
-                ("batches", pool.batches.into()),
-            ]),
-        ),
-        ("inflight", shared.inflight.lock().unwrap().len().into()),
-        ("runs_failed", shared.runs_failed.load(Relaxed).into()),
-        ("uptime_secs", shared.started.elapsed().as_secs_f64().into()),
-    ])
-}
-
-/// The `metrics` op's response: the telemetry registry merged with
-/// scrape-time counters (cache) and gauges (queue, workers, cache size,
-/// in-flight cells), as JSON or as Prometheus text exposition.
+/// The `metrics` op's response — the server's one window: the telemetry
+/// registry merged with scrape-time counters (cache, pool, failed runs)
+/// and gauges (queue, workers, cache size, in-flight cells), as JSON or as
+/// Prometheus text exposition.
 fn metrics_event(shared: &Shared, format: Option<&str>) -> Value {
     let mut reg = shared.telemetry.registry();
-    // The cache keeps its own counters; copy them into the snapshot so
-    // one scrape carries every number (the clone starts these at 0).
+    // The cache and the pool keep their own counters; copy them into the
+    // snapshot so one scrape carries every number (the clone starts these
+    // at 0).
     let cache = shared.cache.stats();
     reg.inc("svc.cache.hits", cache.hits);
     reg.inc("svc.cache.misses", cache.misses);
@@ -534,6 +504,9 @@ fn metrics_event(shared: &Shared, format: Option<&str>) -> Value {
     reg.set_gauge("svc.cache.bytes", scan.bytes as f64);
     reg.set_gauge("svc.cache.entries", scan.entries as f64);
     let status = shared.pool.status();
+    reg.inc("svc.pool.jobs_done", status.jobs_done);
+    reg.inc("svc.pool.jobs_failed", status.jobs_failed);
+    reg.inc("svc.pool.batches", status.batches);
     reg.set_gauge("svc.queue_depth", status.queue_len as f64);
     reg.set_gauge("svc.workers_busy", status.busy_workers() as f64);
     reg.set_gauge(
@@ -595,14 +568,4 @@ fn error_event(message: &str) -> Value {
 fn emit(out: &mut BufWriter<TcpStream>, event: Value) -> std::io::Result<()> {
     writeln!(out, "{event}")?;
     out.flush()
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }

@@ -1,13 +1,12 @@
 //! Service telemetry: trace contexts on protocol frames, process-lifetime
 //! metrics, and a bounded ring of structured request-log records.
 //!
-//! The server's only window used to be a one-shot `stats` op; this module
-//! is the substrate behind the richer `metrics` and `log` protocol ops.
-//! It layers thread safety over [`obs::MetricsRegistry`] (whose mutating
-//! API is `&mut`): counters and histograms live behind one mutex, taken
-//! once per request — request handling is milliseconds-to-minutes, so a
-//! microsecond of lock traffic is noise (the `svc_telemetry_overhead`
-//! bench pins it down).
+//! This module is the substrate behind the `metrics` and `log` protocol
+//! ops, the server's one window. It layers thread safety over
+//! [`obs::MetricsRegistry`] (whose mutating API is `&mut`): counters and
+//! histograms live behind one mutex, taken once per request — request
+//! handling is milliseconds-to-minutes, so a microsecond of lock traffic
+//! is noise.
 //!
 //! Naming follows the registry's `component.detail` convention:
 //! `svc.requests.<op>.<outcome>` counters, `svc.cells.*` per-cell
@@ -76,7 +75,7 @@ impl TraceCtx {
     }
 
     /// Parse the wire form; `None` when the value is not a trace object
-    /// (frames from older clients simply carry no trace).
+    /// (raw-protocol clients simply send no trace).
     pub fn from_json(v: &Value) -> Option<TraceCtx> {
         Some(TraceCtx {
             trace_id: v.get("trace_id")?.as_str()?.to_string(),
@@ -192,8 +191,6 @@ pub fn op_counter(op: &str, ok: bool) -> &'static str {
         ("run", false) => "svc.requests.run.error",
         ("ping", true) => "svc.requests.ping.ok",
         ("ping", false) => "svc.requests.ping.error",
-        ("stats", true) => "svc.requests.stats.ok",
-        ("stats", false) => "svc.requests.stats.error",
         ("metrics", true) => "svc.requests.metrics.ok",
         ("metrics", false) => "svc.requests.metrics.error",
         ("log", true) => "svc.requests.log.ok",

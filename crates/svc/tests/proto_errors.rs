@@ -4,7 +4,7 @@
 //! a stream truncated mid-`run`, a version-mismatched hello — produces a
 //! *typed* error (an `error` event on the wire, or a typed `Err` on the
 //! client) and never a hang or a silent close; and the telemetry surface
-//! (`stats.runs_failed`, the `metrics` and `log` ops) sees what happened.
+//! (the `metrics` and `log` ops) sees what happened.
 
 use obs::json::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -103,6 +103,21 @@ fn unknown_and_missing_ops_yield_typed_errors() {
     let event = read_event(&mut reader);
     assert_eq!(event["event"].as_str(), Some("error"));
     assert!(event["message"].as_str().unwrap().contains("cells"));
+    // The `stats` op v1.1 servers answered is an unknown op like any other.
+    writeln!(stream, "{{\"op\":\"stats\"}}").unwrap();
+    let event = read_event(&mut reader);
+    assert_eq!(event["event"].as_str(), Some("error"));
+    assert!(event["message"].as_str().unwrap().contains("stats"));
+    // A request is recorded after its reply is sent; the pong orders the
+    // scrape behind the record.
+    writeln!(stream, "{{\"op\":\"ping\"}}").unwrap();
+    assert_eq!(read_event(&mut reader)["event"].as_str(), Some("pong"));
+    let m = client.metrics(false).unwrap();
+    assert_eq!(
+        m["counters"]["svc.requests.unknown.error"].as_u64(),
+        Some(3),
+        "frobnicate, the op-less frame and stats: {m}"
+    );
     drop((reader, stream));
     client.shutdown().unwrap();
     join.join().unwrap();
@@ -149,16 +164,18 @@ fn panicking_cells_are_counted_in_runs_failed() {
     assert!(boom.contains("panicked"), "{boom}");
     let refused = outcomes[2].result.as_ref().unwrap_err();
     assert!(refused.contains("refused"), "{refused}");
-    let stats = client.stats().unwrap();
+    let m = client.metrics(false).unwrap();
+    let counters = &m["counters"];
     assert_eq!(
-        stats["runs_failed"].as_u64(),
+        counters["svc.runs_failed"].as_u64(),
         Some(2),
-        "panicked + refused cells must both be visible: {stats}"
+        "panicked + refused cells must both be visible: {m}"
     );
     // The pool's own jobs_failed stays 0: the flight-resolution wrapper
-    // catches the unwind before the pool sees it — exactly why stats
-    // needs its own counter.
-    assert_eq!(stats["pool"]["jobs_failed"].as_u64(), Some(0));
+    // catches the unwind before the pool sees it — exactly why the
+    // server needs its own counter.
+    assert_eq!(counters["svc.pool.jobs_failed"].as_u64(), Some(0));
+    assert_eq!(counters["svc.pool.jobs_done"].as_u64(), Some(3));
     client.shutdown().unwrap();
     join.join().unwrap();
 }

@@ -38,7 +38,6 @@ usage:
           [--emit-placement] [--scale tiny|small|medium] [--out DIR]
   xp serve [--port N|--addr ADDR] [--jobs N] [--cache-dir DIR] [--spans DIR]
   xp client COMMAND [--addr ADDR|--port N] [other COMMAND options]
-  xp client stats [--addr ADDR|--port N] [--json]
   xp cache stats|verify|gc [--cache-dir DIR] [--max-bytes N] [--max-age SECS]
           [--json]
   xp top [--addr ADDR|--port N] [--interval MS] [--once] [--json]
@@ -108,7 +107,6 @@ options:
                              as placement-<bench>-<scale>.json under --out
   --cache                    resolve experiment cells against the on-disk
                              result cache and store fresh results back
-  --no-cache                 disable the result cache (overrides --cache)
   --cache-dir DIR            cache directory (default: OUT/cache)
   --addr ADDR                serve: address to bind; client: server address
   --port N                   shorthand for --addr 127.0.0.1:N (0 = ephemeral
@@ -120,8 +118,8 @@ options:
                              svc-spans.jsonl and svc-spans.chrome.json
                              (open in Perfetto; one span tree per traced
                              request) under DIR
-  --json                     top/cache stats/client stats: machine-readable
-                             output instead of the human rendering
+  --json                     top/cache stats: machine-readable output
+                             instead of the human rendering
   --interval MS              top: poll interval in milliseconds
                              (default 1000)
   --once                     top: print one snapshot and exit
@@ -294,20 +292,13 @@ fn serve(addr: &str, cache_root: &Path, spans_dir: Option<&Path>) -> ! {
     let outcome = server.run();
     if let (Some(session), Some(dir)) = (session, spans_dir) {
         let report = session.finish();
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("[svc] warn: cannot create {}: {e}", dir.display());
-        } else {
-            let jsonl = dir.join("svc-spans.jsonl");
-            let chrome = dir.join("svc-spans.chrome.json");
-            match std::fs::write(&jsonl, hostprof::export::to_jsonl(&report)) {
-                Ok(()) => eprintln!("[svc] saved {}", jsonl.display()),
-                Err(e) => eprintln!("[svc] warn: cannot write {}: {e}", jsonl.display()),
+        let jsonl = hostprof::export::to_jsonl(&report);
+        let trace = hostprof::export::chrome_trace(&report, "xp serve");
+        match xp::artifacts::write(dir, "svc-spans", None, &jsonl, &trace) {
+            Ok((jsonl, chrome)) => {
+                eprintln!("[svc] saved {} and {}", jsonl.display(), chrome.display())
             }
-            let trace = hostprof::export::chrome_trace(&report, "xp serve");
-            match std::fs::write(&chrome, format!("{trace}\n")) {
-                Ok(()) => eprintln!("[svc] saved {}", chrome.display()),
-                Err(e) => eprintln!("[svc] warn: cannot write {}: {e}", chrome.display()),
-            }
+            Err(e) => eprintln!("[svc] warn: could not write span artifacts: {e}"),
         }
     }
     match outcome {
@@ -540,13 +531,11 @@ fn main() {
         .unwrap_or_else(|| out_dir.join("cache"));
 
     // The commands that are not runs: serve, inspect, maintain.
-    match command {
-        "cache" => return cache_admin(&args, &cache_root, max_bytes, max_age),
-        "serve" | "top" => no_argument(&args.positionals, 1),
-        "stats" if client_mode => no_argument(&args.positionals, 1),
-        _ => {}
+    if matches!(command, "serve" | "top") {
+        no_argument(&args.positionals, 1);
     }
     match command {
+        "cache" => return cache_admin(&args, &cache_root, max_bytes, max_age),
         "serve" => serve(&server_addr, &cache_root, args.path("--spans").as_deref()),
         "top" => {
             let interval = std::time::Duration::from_millis(interval_ms.unwrap_or(1000));
@@ -556,17 +545,10 @@ fn main() {
             }
             return;
         }
-        "stats" if client_mode => {
-            match xp::top::client_stats(&server_addr, args.has("--json")) {
-                Ok(out) => print!("{out}"),
-                Err(e) => die(&e),
-            }
-            return;
-        }
         _ => {}
     }
 
-    if args.has("--cache") && !args.has("--no-cache") {
+    if args.has("--cache") {
         xp::cache::install(Some(svc::Cache::new(&cache_root)));
     }
     if client_mode {

@@ -1,4 +1,4 @@
-//! Result-cache wiring for offline `xp` runs (`--cache`/`--no-cache`).
+//! Result-cache wiring for offline `xp` runs (`--cache`).
 //!
 //! The binary installs an [`svc::Cache`] here at startup; every
 //! [`crate::cells::CellPlan`] execution then resolves its spec-carrying

@@ -364,7 +364,8 @@ fn wrap_cell<T: Send + 'static>(
         // the pool-measured cell wall time.
         let _hp = hostprof::span_named(|| format!("cell:{id}"));
         CTX.with(|ctx| *ctx.borrow_mut() = Some(CellCtx::default()));
-        let value = catch_unwind(AssertUnwindSafe(job)).map_err(|p| panic_message(p.as_ref()));
+        let value =
+            catch_unwind(AssertUnwindSafe(job)).map_err(|p| exec::panic_message(p.as_ref()));
         let ctx = CTX
             .with(|ctx| ctx.borrow_mut().take())
             .expect("cell context installed above");
@@ -390,16 +391,6 @@ fn store_back<T>(
     };
     if let Err(e) = cache.store(spec, &(codec.encode)(value)) {
         eprintln!("[cache] store failed for {spec}: {e}");
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

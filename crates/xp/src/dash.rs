@@ -151,6 +151,7 @@ mod tests {
             queue_len: queued,
             jobs_done: done,
             jobs_failed: 1,
+            batches: 1,
             workers: (0..2)
                 .map(|w| ResidentWorkerStatus {
                     busy: w < busy,

@@ -170,7 +170,7 @@ impl Cell {
     }
 
     /// [`Cell::run`], with the phase fast path forced on or off when
-    /// `fastpath` is given (overriding the `DDNOMP_FASTPATH` default).
+    /// `fastpath` is given (the default is on, except traced).
     pub fn run_with(mut self, fastpath: Option<bool>) -> RunResult {
         crate::trace::arm(&mut self.cfg);
         let mut run = match self.problem {

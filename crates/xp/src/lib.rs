@@ -22,6 +22,7 @@
 //! `xp` binary writes both to stdout and to `results/*.json`.
 
 pub mod ablation;
+pub mod artifacts;
 pub mod cache;
 pub mod cells;
 mod dash;
@@ -98,12 +99,11 @@ pub mod cli {
         /// Whether the flag may be given to `command` (run under the
         /// `client` prefix when `client_mode`). An entry's first word is
         /// the command it admits (`cache gc` admits any `xp cache`), except
-        /// that `client` admits anything in client mode and `client stats`
-        /// only `xp client stats`.
+        /// that `client` admits anything in client mode.
         pub fn applies_to(&self, command: &str, client_mode: bool) -> bool {
-            let admits = |entry: &&str| match entry.strip_prefix("client") {
-                Some(rest) => client_mode && (rest.is_empty() || rest.trim_start() == command),
-                None => entry.split(' ').next() == Some(command),
+            let admits = |entry: &&str| match *entry {
+                "client" => client_mode,
+                _ => entry.split(' ').next() == Some(command),
             };
             self.commands.is_empty() || self.commands.iter().any(admits)
         }
@@ -126,7 +126,6 @@ pub mod cli {
         // tracing; the binary words that refusal itself.
         Flag { name: "--trace", value: Some("a directory"), commands: ANY },
         Flag { name: "--cache", value: None, commands: ANY },
-        Flag { name: "--no-cache", value: None, commands: ANY },
         Flag { name: "--cache-dir", value: Some("a directory"), commands: ANY },
         Flag { name: "--bench", value: Some("a value"), commands: LINT },
         Flag { name: "--all", value: None, commands: &["lint", "prof", "selfprof"] },
@@ -141,6 +140,6 @@ pub mod cli {
         Flag { name: "--once", value: None, commands: TOP },
         Flag { name: "--interval", value: Some("milliseconds"), commands: TOP },
         Flag { name: "--spans", value: Some("a directory"), commands: &["serve"] },
-        Flag { name: "--json", value: None, commands: &["top", "cache stats", "client stats"] },
+        Flag { name: "--json", value: None, commands: &["top", "cache stats"] },
     ];
 }

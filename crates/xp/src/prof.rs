@@ -23,7 +23,7 @@ use crate::report::Report;
 use crate::CellPlan;
 use ::prof::{ArrayHeatmap, ArraySpan, Profile, ProfileContext};
 use nas::{BenchName, RunResult, Scale};
-use obs::export::{chrome_trace_with_extra, to_jsonl};
+use obs::export::{chrome_document, event_entry, to_jsonl};
 use obs::{Event, Tracer};
 use std::path::Path;
 
@@ -152,26 +152,21 @@ pub fn report_for(profile: &Profile) -> Report {
     report
 }
 
-/// Write `prof-<bench>.{md,jsonl,chrome.json}` under `dir`.
-fn write_artifacts(
-    dir: &Path,
-    stem: &str,
-    events: &[Event],
-    dropped: u64,
-    profile: &Profile,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(format!("{stem}.md")), profile.to_markdown())?;
-    std::fs::write(
-        dir.join(format!("{stem}.jsonl")),
-        to_jsonl(events.iter(), dropped),
-    )?;
-    let doc = chrome_trace_with_extra(events.iter(), stem, dropped, profile.counter_tracks.clone());
-    std::fs::write(
-        dir.join(format!("{stem}.chrome.json")),
-        format!("{}\n", doc.to_string_pretty()),
-    )?;
-    Ok(())
+/// Write `prof-<bench>.{md,jsonl,chrome.json}` under `dir`; returns the
+/// report note saying so.
+fn save_artifacts(dir: &Path, events: &[Event], profile: &Profile) -> String {
+    let stem = format!("prof-{}", profile.bench.to_ascii_lowercase());
+    let dropped = profile.dropped_events;
+    let md = profile.to_markdown();
+    let jsonl = to_jsonl(events.iter(), dropped);
+    let entries = events.iter().map(event_entry);
+    let doc = chrome_document(
+        &stem,
+        entries.chain(profile.counter_tracks.clone()),
+        dropped,
+    );
+    let written = crate::artifacts::write(dir, &stem, Some(&md), &jsonl, &doc);
+    crate::artifacts::note(&stem, written)
 }
 
 /// The `xp prof` command: profile every requested benchmark on the cell
@@ -197,14 +192,8 @@ pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
                         "FAILED"
                     }
                 ));
-                let stem = format!("prof-{}", profile.bench.to_ascii_lowercase());
                 let events: Vec<Event> = tracer.ring.iter().cloned().collect();
-                match write_artifacts(out_dir, &stem, &events, tracer.dropped_events(), &profile) {
-                    Ok(()) => report.note(format!(
-                        "artifacts: {stem}.md, {stem}.jsonl, {stem}.chrome.json"
-                    )),
-                    Err(e) => report.note(format!("could not write artifacts: {e}")),
-                }
+                report.note(save_artifacts(out_dir, &events, &profile));
                 reports.push(report);
             }
             Err(panic) => {
@@ -237,19 +226,7 @@ pub fn run_from(
         report.note(format!("import warning: {warning}"));
     }
     report.note(format!("offline profile of {}", from.display()));
-    let stem = format!("prof-{}", profile.bench.to_ascii_lowercase());
-    match write_artifacts(
-        out_dir,
-        &stem,
-        &loaded.events,
-        loaded.dropped_events,
-        &profile,
-    ) {
-        Ok(()) => report.note(format!(
-            "artifacts: {stem}.md, {stem}.jsonl, {stem}.chrome.json"
-        )),
-        Err(e) => report.note(format!("could not write artifacts: {e}")),
-    }
+    report.note(save_artifacts(out_dir, &loaded.events, &profile));
     Ok(report)
 }
 

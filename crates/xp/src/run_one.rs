@@ -14,9 +14,9 @@ pub fn run_one(bench: BenchName, scale: Scale, cfg: &RunConfig) -> RunResult {
     Cell::at_scale(bench, scale, cfg.clone()).run()
 }
 
-/// [`run_one`] with the phase fast path forced on or off (overriding the
-/// `DDNOMP_FASTPATH` environment default) — used by the differential
-/// equivalence suite and the speedup measurement.
+/// [`run_one`] with the phase fast path forced on or off (the default is
+/// on) — used by the differential equivalence suite and the speedup
+/// measurement.
 pub fn run_one_fastpath(
     bench: BenchName,
     scale: Scale,

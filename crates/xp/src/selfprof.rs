@@ -10,7 +10,8 @@
 //! Three artifacts per benchmark land in the output directory, mirroring
 //! `xp prof`:
 //!
-//! * `selfprof-<bench>.md` — the span tree as markdown;
+//! * `selfprof-<bench>.md` — the report below (span tree, reconciliation
+//!   and component notes) as markdown;
 //! * `selfprof-<bench>.jsonl` — schema-versioned aggregates;
 //! * `selfprof-<bench>.chrome.json` — a Perfetto trace on host time.
 //!
@@ -129,27 +130,6 @@ pub fn report_for(
     report
 }
 
-/// Write `selfprof-<bench>.{md,jsonl,chrome.json}` under `dir`.
-fn write_artifacts(dir: &Path, stem: &str, host: &HostReport) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(
-        dir.join(format!("{stem}.md")),
-        hostprof::export::to_markdown(host, stem),
-    )?;
-    std::fs::write(
-        dir.join(format!("{stem}.jsonl")),
-        hostprof::export::to_jsonl(host),
-    )?;
-    std::fs::write(
-        dir.join(format!("{stem}.chrome.json")),
-        format!(
-            "{}\n",
-            hostprof::export::chrome_trace(host, stem).to_string_pretty()
-        ),
-    )?;
-    Ok(())
-}
-
 /// The `xp selfprof` command: profile each requested benchmark in its own
 /// session (sessions are process-wide, so benchmarks run sequentially)
 /// and write the artifacts.
@@ -170,12 +150,14 @@ pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
                     }
                 ));
                 let stem = format!("selfprof-{label}");
-                match write_artifacts(out_dir, &stem, &host) {
-                    Ok(()) => report.note(format!(
-                        "artifacts: {stem}.md, {stem}.jsonl, {stem}.chrome.json"
-                    )),
-                    Err(e) => report.note(format!("could not write artifacts: {e}")),
-                }
+                let written = crate::artifacts::write(
+                    out_dir,
+                    &stem,
+                    Some(&report.to_markdown()),
+                    &hostprof::export::to_jsonl(&host),
+                    &hostprof::export::chrome_trace(&host, &stem),
+                );
+                report.note(crate::artifacts::note(&stem, written));
                 reports.push(report);
             }
             Err(panic) => {

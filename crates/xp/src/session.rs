@@ -15,7 +15,7 @@
 //! side effects are byte-identical whatever the session or worker count.
 
 use crate::dash::Dash;
-use exec::{PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool, ResidentStats, TimedResult};
+use exec::{PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool, TimedResult};
 use std::any::Any;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -64,16 +64,6 @@ impl Session {
     pub(crate) fn sim_done_us(&self) -> &Arc<AtomicU64> {
         &self.sim_done_us
     }
-
-    /// Configured worker count.
-    pub(crate) fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> ResidentStats {
-        self.pool.stats()
-    }
 }
 
 static ACTIVE: Mutex<Option<Arc<Session>>> = Mutex::new(None);
@@ -100,17 +90,17 @@ pub fn end() {
     let Some(session) = ACTIVE.lock().unwrap().take() else {
         return;
     };
-    let (stats, workers) = (session.stats(), session.workers());
+    let status = session.pool.status();
     // The last Arc drops here: plans only hold the session while
     // executing.
     drop(session);
     eprintln!(
         "[session] shared pool: {} cells over {} plan(s) on {} worker(s){}",
-        stats.jobs_done,
-        stats.batches,
-        workers,
-        if stats.jobs_failed > 0 {
-            format!(", {} failed", stats.jobs_failed)
+        status.jobs_done,
+        status.batches,
+        status.workers.len(),
+        if status.jobs_failed > 0 {
+            format!(", {} failed", status.jobs_failed)
         } else {
             String::new()
         }
@@ -137,7 +127,7 @@ mod tests {
             .collect();
         assert_eq!(values, vec![0, 1, 2, 3, 4]);
         assert_eq!(telemetry.jobs_total, 5);
-        assert!(session.stats().batches >= 1);
+        assert!(session.pool.status().batches >= 1);
         drop(session);
         end();
         assert!(ACTIVE.lock().unwrap().is_none());

@@ -1,5 +1,5 @@
-//! `xp top` and `xp client stats`: the live ops console over a resident
-//! server's `metrics` and `log` protocol ops.
+//! `xp top`: the live ops console over a resident server's `metrics` and
+//! `log` protocol ops.
 //!
 //! `xp top --addr HOST:PORT` polls the server and renders one screen per
 //! interval: request rate (from counter deltas between polls), cache hit
@@ -9,11 +9,8 @@
 //! plain snapshot (what CI asserts against); `--json` dumps the raw
 //! metrics + log documents for dashboards.
 //!
-//! The rendering helpers are pure (`Value` in, string out) and shared:
-//! `xp client stats` renders the `stats` op through [`render_stats`],
-//! and `xp cache stats --json` builds its document with
-//! [`cache_scan_json`] — one renderer per surface, no drift between the
-//! human and machine views of the same numbers.
+//! The rendering helpers are pure (`Value` in, string out);
+//! `xp cache stats --json` builds its document with [`cache_scan_json`].
 
 use obs::json::Value;
 use std::time::{Duration, Instant};
@@ -107,12 +104,13 @@ pub fn render_top(addr: &str, metrics: &Value, log: &Value, rate: Option<f64>) -
         Some(r) => format!("{:.1}% hit ratio", r * 100.0),
         None => "no lookups yet".to_string(),
     };
+    let counter = |name: &str| metrics["counters"][name].as_u64().unwrap_or(0);
     out.push_str(&format!(
-        "cache:    {} hits / {} misses ({ratio}); {} entries, {} bytes\n",
-        metrics["counters"]["svc.cache.hits"].as_u64().unwrap_or(0),
-        metrics["counters"]["svc.cache.misses"]
-            .as_u64()
-            .unwrap_or(0),
+        "cache:    {} hits / {} misses ({ratio}), {} stores, {} corrupt; {} entries, {} bytes\n",
+        counter("svc.cache.hits"),
+        counter("svc.cache.misses"),
+        counter("svc.cache.stores"),
+        counter("svc.cache.corrupt"),
         metrics["gauges"]["svc.cache.entries"]
             .as_f64()
             .unwrap_or(0.0) as u64,
@@ -120,17 +118,17 @@ pub fn render_top(addr: &str, metrics: &Value, log: &Value, rate: Option<f64>) -
     ));
     out.push_str(&format!(
         "cells:    {} hit, {} computed, {} joined, {} failed; runs_failed {}\n",
-        metrics["counters"]["svc.cells.hit"].as_u64().unwrap_or(0),
-        metrics["counters"]["svc.cells.computed"]
-            .as_u64()
-            .unwrap_or(0),
-        metrics["counters"]["svc.flight.joins"]
-            .as_u64()
-            .unwrap_or(0),
-        metrics["counters"]["svc.cells.failed"]
-            .as_u64()
-            .unwrap_or(0),
-        metrics["counters"]["svc.runs_failed"].as_u64().unwrap_or(0),
+        counter("svc.cells.hit"),
+        counter("svc.cells.computed"),
+        counter("svc.flight.joins"),
+        counter("svc.cells.failed"),
+        counter("svc.runs_failed"),
+    ));
+    out.push_str(&format!(
+        "pool:     {} jobs done, {} failed, {} batches\n",
+        counter("svc.pool.jobs_done"),
+        counter("svc.pool.jobs_failed"),
+        counter("svc.pool.batches"),
     ));
 
     let lat = &metrics["histograms"]["svc.request_us"];
@@ -196,27 +194,6 @@ fn log_none(v: Option<&Vec<Value>>) -> &[Value] {
     v.map(Vec::as_slice).unwrap_or(&[])
 }
 
-/// Render the `stats` op for humans (`xp client stats`).
-pub fn render_stats(addr: &str, stats: &Value) -> String {
-    format!(
-        "server {addr}: up {:.1}s, {} worker(s)\n\
-         cache: {} hits, {} misses, {} stores, {} corrupt\n\
-         pool:  {} jobs done, {} failed, {} batches\n\
-         runs_failed {}, {} cells in flight\n",
-        stats["uptime_secs"].as_f64().unwrap_or(0.0),
-        stats["pool"]["workers"].as_u64().unwrap_or(0),
-        stats["cache"]["hits"].as_u64().unwrap_or(0),
-        stats["cache"]["misses"].as_u64().unwrap_or(0),
-        stats["cache"]["stores"].as_u64().unwrap_or(0),
-        stats["cache"]["corrupt"].as_u64().unwrap_or(0),
-        stats["pool"]["jobs_done"].as_u64().unwrap_or(0),
-        stats["pool"]["jobs_failed"].as_u64().unwrap_or(0),
-        stats["pool"]["batches"].as_u64().unwrap_or(0),
-        stats["runs_failed"].as_u64().unwrap_or(0),
-        stats["inflight"].as_u64().unwrap_or(0),
-    )
-}
-
 /// `xp cache stats --json`: one scan as a machine-readable document.
 pub fn cache_scan_json(root: &std::path::Path, scan: &svc::ScanReport) -> Value {
     Value::object(vec![
@@ -232,17 +209,6 @@ pub fn cache_scan_json(root: &std::path::Path, scan: &svc::ScanReport) -> Value 
             scan.newest_unix.map(Value::from).unwrap_or(Value::Null),
         ),
     ])
-}
-
-/// `xp client stats [--json]`: one `stats` round trip, rendered.
-pub fn client_stats(addr: &str, json: bool) -> Result<String, String> {
-    let client = Client::new(addr, crate::spec::CODE_VERSION);
-    let stats = client.stats()?;
-    Ok(if json {
-        format!("{}\n", stats.to_string_pretty())
-    } else {
-        render_stats(addr, &stats)
-    })
 }
 
 /// `xp top`: poll the server and render. `once` prints one snapshot and
@@ -295,7 +261,8 @@ mod tests {
             "counters":{
                 "svc.requests.run.ok":4,"svc.requests.ping.ok":2,
                 "svc.requests.run.error":1,
-                "svc.cache.hits":6,"svc.cache.misses":2,
+                "svc.cache.hits":6,"svc.cache.misses":2,"svc.cache.stores":2,
+                "svc.pool.jobs_done":2,"svc.pool.jobs_failed":0,"svc.pool.batches":5,
                 "svc.cells.hit":6,"svc.cells.computed":2,
                 "svc.flight.joins":1,"svc.cells.failed":0,"svc.runs_failed":0
             },
@@ -348,7 +315,11 @@ mod tests {
             text.contains("7 total, 3.2/s request rate, 1 errors"),
             "{text}"
         );
-        assert!(text.contains("75.0% hit ratio"), "{text}");
+        assert!(
+            text.contains("75.0% hit ratio), 2 stores, 0 corrupt"),
+            "{text}"
+        );
+        assert!(text.contains("2 jobs done, 0 failed, 5 batches"), "{text}");
         assert!(text.contains("p50≥8 p90≥64 p99≥512"), "{text}");
         assert!(
             text.contains("1/2 busy, queue 1, 3 cells in flight"),
@@ -362,21 +333,6 @@ mod tests {
         // First poll has no delta to rate from.
         let text = render_top("127.0.0.1:1", &sample_metrics(), &sample_log(), None);
         assert!(text.contains("-/s request rate"), "{text}");
-    }
-
-    #[test]
-    fn stats_renderer_reads_the_stats_event() {
-        let stats = Value::parse(
-            r#"{"event":"stats",
-                "cache":{"hits":3,"misses":1,"stores":1,"corrupt":0},
-                "pool":{"workers":2,"jobs_done":4,"jobs_failed":0,"batches":2},
-                "inflight":0,"runs_failed":1,"uptime_secs":2.0}"#,
-        )
-        .unwrap();
-        let text = render_stats("127.0.0.1:1", &stats);
-        assert!(text.contains("2 worker(s)"), "{text}");
-        assert!(text.contains("3 hits, 1 misses"), "{text}");
-        assert!(text.contains("runs_failed 1"), "{text}");
     }
 
     #[test]

@@ -100,17 +100,11 @@ pub(crate) fn write_pending(pending: PendingTrace) {
 
 /// Write `<dir>/<stem>.jsonl` and `<dir>/<stem>.chrome.json`; returns both
 /// paths.
-pub fn write_files(dir: &Path, stem: &str, tracer: &Tracer) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let jsonl_path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(
-        &jsonl_path,
-        to_jsonl(tracer.ring.iter(), tracer.dropped_events()),
-    )?;
-    let chrome_path = dir.join(format!("{stem}.chrome.json"));
-    let doc = chrome_trace(tracer.ring.iter(), stem, tracer.dropped_events());
-    std::fs::write(&chrome_path, format!("{}\n", doc.to_string_pretty()))?;
-    Ok((jsonl_path, chrome_path))
+fn write_files(dir: &Path, stem: &str, tracer: &Tracer) -> std::io::Result<(PathBuf, PathBuf)> {
+    let dropped = tracer.dropped_events();
+    let jsonl = to_jsonl(tracer.ring.iter(), dropped);
+    let doc = chrome_trace(tracer.ring.iter(), stem, dropped);
+    crate::artifacts::write(dir, stem, None, &jsonl, &doc)
 }
 
 /// The `xp trace` reference configuration: round-robin placement with the

@@ -66,7 +66,7 @@ fn a_flag_outside_its_commands_exits_2_and_is_named() {
         }
     }
     assert!(checked > 200, "only {checked} flag x command pairs walked");
-    // `client <command>` entries hold for that command only.
+    // The `client` prefix widens no scope but the server flags'.
     refused(&["client", "fig1", "--json"], "--json");
     // The one exclusion-shaped scope: commands that manage their own trace.
     for command in ["trace", "prof", "selfprof"] {
@@ -100,14 +100,22 @@ fn an_unknown_command_exits_2_and_lists_every_command() {
     assert_eq!(listed, commands());
 }
 
-/// The perf record is `BENCHMARK.json` + `benchmark/`; `xp` has no second
-/// one to drift from it.
+/// The perf record is `BENCHMARK.json` + `benchmark/` and the server's
+/// window is `xp top`; `xp` has no second one of either to drift from it,
+/// and no flag whose only use is to cancel another.
 #[test]
-fn the_deleted_perf_commands_and_flags_are_unknown() {
+fn the_deleted_commands_and_flags_are_unknown() {
     for command in ["bench", "history"] {
         refused(&[command], &format!("unknown command '{command}'"));
     }
-    for flag in ["--record", "--check", "--threshold", "--history"] {
+    refused(&["client", "stats"], "unknown command 'stats'");
+    for flag in [
+        "--record",
+        "--check",
+        "--threshold",
+        "--history",
+        "--no-cache",
+    ] {
         refused(&["lint", flag], &format!("unknown flag '{flag}'"));
     }
 }

@@ -225,7 +225,7 @@ fn xp_run(args: &[&str]) -> (String, String) {
 
 /// The whole telemetry surface over one live server: a cold + warm sweep
 /// through the client, then the `metrics`/`log` ops, `xp top --once`,
-/// `xp client stats --json`, and — after a graceful shutdown — the span
+/// `xp top --json`, and — after a graceful shutdown — the span
 /// export with one reconstructible trace per request. Saved result JSON
 /// must stay byte-identical to the uninstrumented offline run throughout.
 #[test]
@@ -279,24 +279,32 @@ fn telemetry_sees_a_warm_sweep_and_spans_reconstruct_requests() {
         .collect();
     assert!(trace_ids.iter().all(|t| t.len() == 16), "{trace_ids:?}");
 
-    // The ops console and the stats surfaces read the same numbers.
+    // The ops console reads the same numbers, in both renderings.
     let (top, _) = xp_run(&["top", "--once", "--addr", &server.addr]);
     assert!(top.contains("request rate"), "{top}");
-    assert!(top.contains("hit ratio"), "{top}");
+    assert!(top.contains("8 hits / 8 misses (50.0% hit ratio)"), "{top}");
+    assert!(top.contains("8 jobs done, 0 failed, 2 batches"), "{top}");
     assert!(top.contains("p50≥"), "{top}");
     assert!(top.contains("w0 ["), "{top}");
     let (top_json, _) = xp_run(&["top", "--json", "--addr", &server.addr]);
     let doc = obs::json::Value::parse(top_json.trim()).unwrap();
-    assert_eq!(
-        doc["metrics"]["counters"]["svc.cache.hits"].as_u64(),
-        Some(8)
-    );
-    let (stats_json, _) = xp_run(&["client", "stats", "--json", "--addr", &server.addr]);
-    let stats = obs::json::Value::parse(stats_json.trim()).unwrap();
-    assert_eq!(stats["runs_failed"].as_u64(), Some(0), "{stats}");
-    assert_eq!(stats["cache"]["hits"].as_u64(), Some(8));
-    let (stats_text, _) = xp_run(&["client", "stats", "--addr", &server.addr]);
-    assert!(stats_text.contains("8 hits"), "{stats_text}");
+    let snapshot = &doc["metrics"];
+    assert!(snapshot["uptime_secs"].as_f64().unwrap() > 0.0, "{doc}");
+    assert_eq!(snapshot["workers"].as_array().unwrap().len(), 2);
+    let counters = &snapshot["counters"];
+    for (name, want) in [
+        ("svc.cache.hits", 8),
+        ("svc.cache.misses", 8),
+        ("svc.cache.stores", 8),
+        ("svc.cache.corrupt", 0),
+        ("svc.pool.jobs_done", 8),
+        ("svc.pool.jobs_failed", 0),
+        ("svc.pool.batches", 2),
+        ("svc.runs_failed", 0),
+    ] {
+        assert_eq!(counters[name].as_u64(), Some(want), "{name}: {doc}");
+    }
+    assert_eq!(snapshot["gauges"]["svc.inflight_cells"].as_f64(), Some(0.0));
 
     // Graceful shutdown flushes the span export; each traced run request
     // appears as an `svc.run:<id>` tree with its worker-side

@@ -8,9 +8,8 @@
 //! These tests enforce that contract end to end, on every benchmark and
 //! every engine protocol.
 //!
-//! The fast path is on by default and disabled with `DDNOMP_FASTPATH=0`;
-//! tests here force it per-run via `BenchRun::set_fastpath` /
-//! `run_one_fastpath` so they stay independent of the ambient environment.
+//! The fast path is on by default; tests here force it per run via
+//! `BenchRun::set_fastpath` / `run_one_fastpath` / `Cell::run_with`.
 
 use ccnuma::{Machine, MachineConfig};
 use nas::{BenchName, BenchRun, EngineMode, NasBenchmark, RunConfig, Scale};
@@ -212,40 +211,30 @@ fn traced_runs_force_the_exact_path() {
     assert!(run.fastpath_stats().is_none());
 }
 
-/// Environment-variable semantics and whole-report byte-identity. All
-/// `DDNOMP_FASTPATH` mutation lives in this one test: other tests in this
-/// binary force the mode per-run, so the ambient value never matters to
-/// them and there is no cross-test race.
+/// The default and whole-grid identity: the fast path is on unless a run
+/// says otherwise, and every cell of the figure-1 grid — the grid the
+/// committed `fig1_tiny.json` golden is rendered from on the default path
+/// (`golden_reports::fig1_tiny_matches_golden`) — measures the same bytes
+/// on the exact path.
 #[test]
 fn env_var_semantics_and_golden_report_identity() {
     let cfg = RunConfig::paper_default();
-
-    std::env::set_var("DDNOMP_FASTPATH", "0");
-    let run = BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg);
-    assert!(!run.fastpath_enabled(), "DDNOMP_FASTPATH=0 must disable");
-    // A full figure-1 grid on the exact path…
-    let slow_report = xp::fig1::run(Scale::Tiny).to_json().to_string_pretty();
-
-    std::env::set_var("DDNOMP_FASTPATH", "1");
-    let run = BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg);
-    assert!(run.fastpath_enabled(), "DDNOMP_FASTPATH=1 must enable");
-    // …must match the same grid on the fast path, byte for byte.
-    let fast_report = xp::fig1::run(Scale::Tiny).to_json().to_string_pretty();
-
-    std::env::remove_var("DDNOMP_FASTPATH");
     let run = BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg);
     assert!(run.fastpath_enabled(), "fast path defaults on");
 
-    assert_eq!(slow_report, fast_report, "fig1 tiny report diverged");
-
-    // The committed golden fixture was recorded with the default (fast)
-    // path; the slow-path report matching it closes the loop with the
-    // golden_reports suite.
-    let fixture = std::fs::read_to_string(
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig1_tiny.json"),
-    )
-    .expect("golden fig1 fixture");
-    assert_eq!(slow_report + "\n", fixture, "slow path drifted from golden");
+    for bench in BenchName::all() {
+        for cell in xp::fig1::cells(bench, Scale::Tiny, false) {
+            let exact = cell.clone().run_with(Some(false));
+            let fast = cell.run_with(Some(true));
+            assert_eq!(
+                exact.to_cache_json().to_string(),
+                fast.to_cache_json().to_string(),
+                "{} {} diverged",
+                bench.label(),
+                exact.label()
+            );
+        }
+    }
 }
 
 #[test]

@@ -154,11 +154,9 @@ fn fastpath_cg_spends_less_ccnuma_self_time_than_exact() {
 
 /// The ISSUE's CI guard: with no session open, an instrumented hot path
 /// costs one relaxed atomic load per span — indistinguishable from noise.
-/// Timing asserts are inherently flaky on shared runners, so the check
-/// only arms when CI exports `HOSTPROF_OVERHEAD_ASSERT=1` — and CI arms
-/// it on a `--release` run only, since a debug build doesn't inline the
-/// guard (~35 ns/op debug vs ~1 ns release). Un-armed runs still
-/// exercise the disabled path.
+/// The bound arms in release builds only: a debug build doesn't inline
+/// the guard (~35 ns/op debug vs ~1 ns release, against a 25 ns bound).
+/// Debug runs still exercise the disabled path.
 #[test]
 fn disabled_span_path_stays_within_noise() {
     // Holding the session lock guarantees no sibling test has profiling
@@ -195,7 +193,7 @@ fn disabled_span_path_stays_within_noise() {
 
     let per_op_ns = (with.as_nanos().saturating_sub(base.as_nanos())) as f64 / N as f64;
     eprintln!("disabled span overhead: {per_op_ns:.2} ns/span (base {base:?}, with {with:?})");
-    if std::env::var("HOSTPROF_OVERHEAD_ASSERT").as_deref() == Ok("1") {
+    if !cfg!(debug_assertions) {
         assert!(
             per_op_ns < 25.0,
             "disabled hostprof span costs {per_op_ns:.2} ns/op — the disabled \
