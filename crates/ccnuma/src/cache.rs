@@ -175,15 +175,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Drop every cached line (used when a page migrates and its lines must
-    /// not be served from caches holding pre-copy contents — the simulator's
-    /// analogue of the TLB/ cache shootdown the paper charges to migration).
-    pub fn invalidate_all(&mut self) {
-        for w in &mut self.ways {
-            *w = Way::EMPTY;
-        }
-    }
-
     /// Invalidate one line if present. Returns whether it was present.
     pub fn invalidate_line(&mut self, line: u64) -> bool {
         let range = self.set_range(line);
@@ -318,9 +309,7 @@ mod tests {
         assert!(c.invalidate_line(1));
         assert!(!c.invalidate_line(1));
         assert_eq!(c.probe(1, 0), Probe::Miss);
-        c.invalidate_all();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.probe(2, 0), Probe::Miss);
+        assert_eq!(c.probe(2, 0), Probe::Hit);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! wholesale when every CPU hits; when only some hit (in practice the master
 //! CPU, whose cache carries long-memory junk from serial regions, drifts
 //! while the workers stabilize), the hitters' effects are applied in bulk and
-//! they run suppressed while the drifters execute the exact path and
-//! re-record.
+//! they sit the region out while the drifters execute the exact path and
+//! re-record. The engine only reports who hit ([`FastpathOutcome`]); keeping
+//! a replayed CPU's accesses away from the machine is the caller's job.
 //!
 //! **Keys and cost.** A memo's key covers exactly the cache sets its walk
 //! probed and the frames it reached memory on — untouched state cannot
@@ -53,8 +54,8 @@
 //! thread's lines (or vice versa) by eligibility.
 //!
 //! **Fallback.** Every precondition failure — unmapped proof page, active
-//! replicas, active trace, team mismatch — returns
-//! [`FastpathOutcome::Skip`] and the region runs the exact line-by-line path.
+//! replicas, active trace, team mismatch — returns an empty
+//! [`FastpathOutcome`] and the region runs the exact line-by-line path.
 //! Recording re-validates the proof at region exit (did the directory move
 //! exactly as the full team's claims say? do the reference-counter deltas
 //! match the memory accesses the machine logged? did anything outside the
@@ -168,22 +169,22 @@ pub struct FastpathStats {
     pub cpu_records: u64,
 }
 
-/// What the caller must do with the region after consulting the engine.
-// The `Record` payload dwarfs the unit variants, but tokens are created
-// once per missed region and moved twice — boxing would cost more in
-// call-site noise than the occasional large move costs in cycles.
-#[allow(clippy::large_enum_variant)]
-pub enum FastpathOutcome {
-    /// Every team CPU hit; all effects were applied. Run the region body
-    /// with the machine fully suppressed.
-    Replay,
-    /// At least one CPU missed. Hitters' effects were applied — suppress
-    /// exactly [`RecordToken::replayed_cpus`] — then run the body (the
-    /// misses execute the exact path) and hand the token back via
-    /// [`FastpathEngine::finish_record`] *before* `end_region`.
-    Record(RecordToken),
-    /// Preconditions failed; run the exact path, nothing to report back.
-    Skip,
+/// What the engine did for a region, and what the caller owes it.
+///
+/// The region effects of every CPU in `replayed` have been applied in bulk:
+/// those CPUs must not reach the machine during the region body (their
+/// threads run for the data side only); every other team CPU executes the
+/// exact path. The three cases are values, not variants: all CPUs replayed
+/// and no token (every memo hit), a token (at least one CPU missed and is
+/// being recorded), or neither (a precondition failed).
+#[derive(Default)]
+pub struct FastpathOutcome {
+    /// Team CPUs whose memos hit.
+    pub replayed: Vec<CpuId>,
+    /// Present when some CPU missed: hand it back via
+    /// [`FastpathEngine::finish_record`] after the body, *before*
+    /// `end_region`.
+    pub record: Option<RecordToken>,
 }
 
 /// Entry snapshot carried from `begin_region_fastpath` to `finish_record`.
@@ -208,15 +209,6 @@ pub struct RecordToken {
     key_dir: Vec<u32>,
     entry_counters: Vec<u64>,
     live: Vec<LiveCpu>,
-    replayed: Vec<CpuId>,
-}
-
-impl RecordToken {
-    /// CPUs whose memos were applied; the caller must suppress exactly
-    /// these for the region body and unsuppress them before `finish_record`.
-    pub fn replayed_cpus(&self) -> &[CpuId] {
-        &self.replayed
-    }
 }
 
 /// Entry scalars of one live (recording) team CPU; the cache pre-images come
@@ -430,7 +422,7 @@ impl FastpathEngine {
             || m.cpus[0].l2.assoc() > MAX_ASSOC
         {
             self.stats.rejects += 1;
-            return FastpathOutcome::Skip;
+            return Default::default();
         }
         // Every proof page must already be mapped (a fault mid-region would
         // consult the placement policy, which the replay could not reproduce).
@@ -440,7 +432,7 @@ impl FastpathEngine {
                 Some(f) => frames.push((vp, f)),
                 None => {
                     self.stats.rejects += 1;
-                    return FastpathOutcome::Skip;
+                    return Default::default();
                 }
             }
         }
@@ -460,39 +452,41 @@ impl FastpathEngine {
 
         // Per-CPU lookup — all *before* any effect is applied, so every
         // check reads true region-entry state.
+        let explain = self.explain_misses;
         let mut hits: Vec<Option<usize>> = Vec::with_capacity(binding.len());
-        let mut all_hit = true;
         for t in 0..binding.len() {
-            let hit = {
-                let slot = &pool.slots[t];
-                slot.variants
-                    .iter()
-                    .position(|v| memo_matches(m, slot.cpu, v, pool, &frames))
-            };
+            let slot = &pool.slots[t];
+            let mut why = Vec::new();
+            let hit = slot.variants.iter().position(|v| {
+                let mismatch = memo_mismatch(m, slot.cpu, v, pool, &frames);
+                let hit = mismatch.is_none();
+                if explain {
+                    why.extend(mismatch);
+                }
+                hit
+            });
+            if explain && hit.is_none() {
+                eprintln!(
+                    "fastpath miss {}: thread {t} (cpu {}) vs {why:?}",
+                    proof.label, slot.cpu,
+                );
+            }
             // Keep variants in MRU order: the steady-state variant ends up in
             // front, so lookups stop scanning stale variants (whose keys can
             // share long prefixes with the live state before diverging).
-            let hit = hit.map(|i| {
+            hits.push(hit.map(|i| {
                 if i != 0 {
                     pool.slots[t].variants.swap(0, i);
                 }
                 0
-            });
-            all_hit &= hit.is_some();
-            hits.push(hit);
+            }));
         }
+        let all_hit = hits.iter().all(Option::is_some);
 
-        if all_hit {
-            apply_hitters(m, pool, &hits, now);
-            self.stats.cpu_replays += binding.len() as u64;
-            self.stats.replays += 1;
-            return FastpathOutcome::Replay;
-        }
-        self.stats.misses += 1;
         // Aggregate snapshot *before* the hitters' bumps; debug builds also
         // take the full per-line snapshot the exhaustive check diffs against.
         let entry_dir_writes = m.directory.total_writes();
-        let key_dir: Vec<u32> = if cfg!(debug_assertions) {
+        let key_dir: Vec<u32> = if cfg!(debug_assertions) && !all_hit {
             proof
                 .lines
                 .iter()
@@ -503,22 +497,14 @@ impl FastpathEngine {
         };
         let replayed = apply_hitters(m, pool, &hits, now);
         self.stats.cpu_replays += replayed.len() as u64;
-        if self.explain_misses {
-            for (t, hit) in hits.iter().enumerate() {
-                if hit.is_none() {
-                    let slot = &pool.slots[t];
-                    let why: Vec<String> = slot
-                        .variants
-                        .iter()
-                        .map(|v| miss_reason(m, slot.cpu, v, pool, &frames))
-                        .collect();
-                    eprintln!(
-                        "fastpath miss {}: thread {t} (cpu {}) vs {:?}",
-                        proof.label, slot.cpu, why,
-                    );
-                }
-            }
+        if all_hit {
+            self.stats.replays += 1;
+            return FastpathOutcome {
+                replayed,
+                record: None,
+            };
         }
+        self.stats.misses += 1;
 
         // Counter snapshots *after* the applied effects so the exit diff
         // isolates the live threads (whose accesses the mem log attributes).
@@ -549,33 +535,34 @@ impl FastpathEngine {
             });
         }
         m.fp_begin_recording();
-        FastpathOutcome::Record(RecordToken {
-            label: proof.label.clone(),
-            frames,
-            entry_stats: m.stats,
-            entry_clock_bits: m.clock.now_ns().to_bits(),
-            entry_dir_writes,
-            entry_accesses,
-            key_dir,
-            entry_counters,
-            live,
+        FastpathOutcome {
             replayed,
-        })
+            record: Some(RecordToken {
+                label: proof.label.clone(),
+                frames,
+                entry_stats: m.stats,
+                entry_clock_bits: m.clock.now_ns().to_bits(),
+                entry_dir_writes,
+                entry_accesses,
+                key_dir,
+                entry_counters,
+                live,
+            }),
+        }
     }
 
     /// Finish a recording: validate that the region behaved exactly as the
     /// proof claims and store one memo per live CPU. Must be called *before*
     /// `end_region` (the entry/exit diff needs the still-open region state).
-    pub fn finish_record(&mut self, m: &mut Machine, proof: &PhaseProof, token: RecordToken) {
+    pub fn finish_record(&mut self, m: &mut Machine, token: RecordToken) {
         let _hp = hostprof::span_hot("ccnuma.fastpath");
-        debug_assert_eq!(proof.label, token.label);
         let rec = m.fp_take_recording().unwrap_or_default();
         let Some(pool) = self.pools.get_mut(&token.label) else {
             self.stats.rejects += 1;
             return;
         };
         self.use_clock += 1;
-        let Some(memos) = build_memos(m, proof, pool, &token, &rec, self.use_clock) else {
+        let Some(memos) = build_memos(m, pool, &token, &rec, self.use_clock) else {
             self.stats.rejects += 1;
             return;
         };
@@ -701,13 +688,41 @@ fn norm_ways(
     }
 }
 
-/// Does one cache level of the live machine match a memo's key?
-fn level_matches(cache: &SetAssocCache, lk: &LevelKey, pool: &Pool, dir: &Directory) -> bool {
+/// The first component of a memo's key that the live machine disagrees with
+/// (what `DDNOMP_FASTPATH_DEBUG` prints per variant of a missed CPU).
+#[derive(Debug)]
+#[allow(dead_code)] // the fields are read by that print alone, through `Debug`
+enum Mismatch {
+    /// Proof page `page` (a position in `proof.pages`) changed frames.
+    Frame {
+        page: u32,
+        recorded: FrameId,
+        live: FrameId,
+    },
+    /// The `nth` of the memo's `of` touched sets in cache `level` (1 or 2)
+    /// normalizes to different key words.
+    Set {
+        level: u8,
+        set: u32,
+        nth: usize,
+        of: usize,
+    },
+}
+
+/// Where, if anywhere, one cache level of the live machine departs from a
+/// memo's key.
+fn level_mismatch(
+    level: u8,
+    cache: &SetAssocCache,
+    lk: &LevelKey,
+    pool: &Pool,
+    dir: &Directory,
+) -> Option<Mismatch> {
     let assoc = cache.assoc();
     let w2 = assoc * 2;
     let mut ways = [(0u64, 0u32, 0u64); MAX_ASSOC];
     let mut out = [0u64; 2 * MAX_ASSOC];
-    lk.sets.iter().enumerate().all(|(i, &set)| {
+    for (nth, &set) in lk.sets.iter().enumerate() {
         let base = set as usize * assoc;
         for (w, slot) in ways[..assoc].iter_mut().enumerate() {
             *slot = cache.way(base + w);
@@ -723,74 +738,42 @@ fn level_matches(cache: &SetAssocCache, lk: &LevelKey, pool: &Pool, dir: &Direct
             },
             &mut out,
         );
-        out[..w2] == lk.key[i * w2..][..w2]
-    })
+        if out[..w2] != lk.key[nth * w2..][..w2] {
+            let of = lk.sets.len();
+            return Some(Mismatch::Set {
+                level,
+                set,
+                nth,
+                of,
+            });
+        }
+    }
+    None
 }
 
-/// Does `memo` match the current entry state? Checks only what the memoized
-/// walk can observe: its touched sets and its accessed frames.
-fn memo_matches(
+/// Where, if anywhere, `memo` departs from the current entry state (`None`
+/// is a hit). Checks only what the memoized walk can observe: its accessed
+/// frames and its touched sets.
+fn memo_mismatch(
     m: &Machine,
     cpu: CpuId,
     memo: &CpuMemo,
     pool: &Pool,
     frames: &[(u64, FrameId)],
-) -> bool {
-    memo.page_idx
-        .iter()
-        .zip(&memo.frames)
-        .all(|(&pi, &f)| frames[pi as usize].1 == f)
-        && level_matches(&m.cpus[cpu].l1, &memo.l1, pool, &m.directory)
-        && level_matches(&m.cpus[cpu].l2, &memo.l2, pool, &m.directory)
-}
-
-/// Debug-only: explain why a memo did not match (first failing component).
-fn miss_reason(
-    m: &Machine,
-    cpu: CpuId,
-    memo: &CpuMemo,
-    pool: &Pool,
-    frames: &[(u64, FrameId)],
-) -> String {
-    for (&pi, &f) in memo.page_idx.iter().zip(&memo.frames) {
-        if frames[pi as usize].1 != f {
-            return format!("frame page{pi} {f}->{}", frames[pi as usize].1);
+) -> Option<Mismatch> {
+    for (&page, &recorded) in memo.page_idx.iter().zip(&memo.frames) {
+        let live = frames[page as usize].1;
+        if live != recorded {
+            return Some(Mismatch::Frame {
+                page,
+                recorded,
+                live,
+            });
         }
     }
     let ctx = &m.cpus[cpu];
-    for (level, cache, lk) in [("l1", &ctx.l1, &memo.l1), ("l2", &ctx.l2, &memo.l2)] {
-        let assoc = cache.assoc();
-        let w2 = assoc * 2;
-        let mut ways = [(0u64, 0u32, 0u64); MAX_ASSOC];
-        let mut out = [0u64; 2 * MAX_ASSOC];
-        for (i, &set) in lk.sets.iter().enumerate() {
-            let base = set as usize * assoc;
-            for (w, slot) in ways[..assoc].iter_mut().enumerate() {
-                *slot = cache.way(base + w);
-            }
-            norm_ways(
-                &ways[..assoc],
-                |t, v| {
-                    if pool.is_line(t) {
-                        (t, u64::from(v == m.directory.version(t)))
-                    } else {
-                        (KEY_OTHER, 0)
-                    }
-                },
-                &mut out,
-            );
-            let rec = &lk.key[i * w2..][..w2];
-            if out[..w2] != *rec {
-                return format!(
-                    "{level} set {set} ({}/{} touched) cur {:?} rec {rec:?}",
-                    i,
-                    lk.sets.len(),
-                    &out[..w2],
-                );
-            }
-        }
-    }
-    "match?!".into()
+    level_mismatch(1, &ctx.l1, &memo.l1, pool, &m.directory)
+        .or_else(|| level_mismatch(2, &ctx.l2, &memo.l2, pool, &m.directory))
 }
 
 /// Apply one CPU's memo: caches, integer stats, counters, region account.
@@ -825,12 +808,12 @@ fn int_stats(m: &Machine, cpu: CpuId) -> [u64; 5] {
 /// Diff exit state against the entry token; `None` discards the recording.
 fn build_memos(
     m: &Machine,
-    proof: &PhaseProof,
     pool: &Pool,
     token: &RecordToken,
     rec: &FpRecording,
     now: u64,
 ) -> Option<Vec<(usize, CpuMemo)>> {
+    let proof = &*pool.proof;
     // Environmental checks first (silent discard): these can fail without the
     // proof being wrong — e.g. an explicit mid-region page operation.
     if m.stats != token.entry_stats
@@ -1156,16 +1139,22 @@ mod tests {
         ))
     }
 
-    fn workload(m: &mut Machine) {
-        for i in 0..8 {
-            m.touch(0, i * 128, Read);
+    /// The region body. The lane is the caller's to keep: a CPU in
+    /// `replayed` had its effects applied by the engine and sits out.
+    fn workload(m: &mut Machine, replayed: &[CpuId]) {
+        if !replayed.contains(&0) {
+            for i in 0..8 {
+                m.touch(0, i * 128, Read);
+            }
+            m.touch(0, 0, Write);
+            m.touch(0, 0, Write);
+            m.compute(0, 100);
         }
-        m.touch(0, 0, Write);
-        m.touch(0, 0, Write);
-        for i in 0..4 {
-            m.touch(1, PAGE_SIZE + i * 128, Read);
+        if !replayed.contains(&1) {
+            for i in 0..4 {
+                m.touch(1, PAGE_SIZE + i * 128, Read);
+            }
         }
-        m.compute(0, 100);
     }
 
     fn prepared() -> Machine {
@@ -1178,21 +1167,14 @@ mod tests {
     fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>, p: &Arc<PhaseProof>) {
         m.begin_region();
         match engine {
-            None => workload(m),
-            Some(e) => match e.begin_region_fastpath(m, p, &[0, 1]) {
-                FastpathOutcome::Replay => {} // body suppressed: effects already applied
-                FastpathOutcome::Record(tok) => {
-                    for &c in tok.replayed_cpus().to_vec().iter() {
-                        m.set_fastpath_suppressed_cpu(c, true);
-                    }
-                    workload(m);
-                    for &c in tok.replayed_cpus().to_vec().iter() {
-                        m.set_fastpath_suppressed_cpu(c, false);
-                    }
-                    e.finish_record(m, p, tok);
+            None => workload(m, &[]),
+            Some(e) => {
+                let outcome = e.begin_region_fastpath(m, p, &[0, 1]);
+                workload(m, &outcome.replayed);
+                if let Some(token) = outcome.record {
+                    e.finish_record(m, token);
                 }
-                FastpathOutcome::Skip => workload(m),
-            },
+            }
         }
         m.end_region();
     }
@@ -1314,23 +1296,8 @@ mod tests {
         assert_eq!(engine.stats().replays, s.replays + 1, "full replay resumes");
     }
 
-    #[test]
-    fn suppression_makes_touch_and_compute_no_ops() {
-        let mut m = prepared();
-        m.begin_region();
-        m.set_fastpath_suppressed(true);
-        assert!(m.fastpath_suppressed());
-        assert_eq!(m.touch(0, 0, Read), 0.0);
-        m.compute(0, 100);
-        m.set_fastpath_suppressed(false);
-        m.end_region();
-        let agg = m.aggregate_cpu_stats();
-        assert_eq!(
-            agg.l1_hits + agg.l2_hits + agg.mem_local + agg.mem_remote,
-            0
-        );
-        assert_eq!(agg.compute_ns, 0.0);
-        assert_eq!(m.page_version_sum(0), 0);
+    fn rejected(outcome: FastpathOutcome) -> bool {
+        outcome.replayed.is_empty() && outcome.record.is_none()
     }
 
     #[test]
@@ -1341,29 +1308,20 @@ mod tests {
         // Unmapped proof page.
         let mut m = Machine::new(MachineConfig::tiny_test());
         m.begin_region();
-        assert!(matches!(
-            engine.begin_region_fastpath(&mut m, &p, &[0, 1]),
-            FastpathOutcome::Skip
-        ));
+        assert!(rejected(engine.begin_region_fastpath(&mut m, &p, &[0, 1])));
         m.end_region();
 
         // Replicas present.
         let mut m = prepared();
         m.replicate_page(0, 1).unwrap();
         m.begin_region();
-        assert!(matches!(
-            engine.begin_region_fastpath(&mut m, &p, &[0, 1]),
-            FastpathOutcome::Skip
-        ));
+        assert!(rejected(engine.begin_region_fastpath(&mut m, &p, &[0, 1])));
         m.end_region();
 
         // Team-size mismatch.
         let mut m = prepared();
         m.begin_region();
-        assert!(matches!(
-            engine.begin_region_fastpath(&mut m, &p, &[0]),
-            FastpathOutcome::Skip
-        ));
+        assert!(rejected(engine.begin_region_fastpath(&mut m, &p, &[0])));
         m.end_region();
 
         assert_eq!(engine.stats().rejects, 3);
@@ -1376,14 +1334,14 @@ mod tests {
         let mut engine = FastpathEngine::new();
         let mut m = prepared();
         m.begin_region();
-        let FastpathOutcome::Record(tok) = engine.begin_region_fastpath(&mut m, &p, &[0, 1]) else {
-            panic!("expected Record on first sight");
-        };
-        workload(&mut m);
+        let outcome = engine.begin_region_fastpath(&mut m, &p, &[0, 1]);
+        assert!(outcome.replayed.is_empty());
+        let tok = outcome.record.expect("a recording on first sight");
+        workload(&mut m, &[]);
         // An explicit page operation mid-region: environmental state moved,
         // so the memos must be dropped (silently, even in debug builds).
         m.migrate_page(1, 3).unwrap();
-        engine.finish_record(&mut m, &p, tok);
+        engine.finish_record(&mut m, tok);
         m.end_region();
         let s = engine.stats();
         assert_eq!(s.records, 0, "{s:?}");

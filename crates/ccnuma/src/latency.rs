@@ -81,11 +81,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// Remote-to-local latency ratio at one hop.
-    pub fn remote_local_ratio(&self) -> f64 {
-        self.memory_ns(1) / self.local_ns
-    }
 }
 
 impl Default for LatencyModel {
@@ -121,7 +116,7 @@ mod tests {
         // Paper: "ratio of remote to local memory access latency ranges
         // between 2:1 and 3:1"; at one hop it is < 2:1.
         let m = LatencyModel::origin2000();
-        let r = m.remote_local_ratio();
+        let r = m.memory_ns(1) / m.local_ns;
         assert!(r > 1.5 && r < 2.0, "ratio {r}");
         assert!(m.memory_ns(3) / m.local_ns < 3.0);
     }

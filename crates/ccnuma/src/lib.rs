@@ -27,7 +27,7 @@
 //! // Map one page on node 3 and touch it from CPU 0 (node 0): remote access.
 //! let vaddr = 0x10000;
 //! machine.map_page_for_test(vaddr, 3);
-//! let ns = machine.cpu_mut(0).touch(vaddr, AccessKind::Read);
+//! let ns = machine.touch(0, vaddr, AccessKind::Read);
 //! assert!(ns > 300.0); // memory, not cache
 //! ```
 
@@ -74,6 +74,16 @@ pub fn vpage_of(vaddr: u64) -> u64 {
     vaddr >> PAGE_SHIFT
 }
 
+/// The virtual pages overlapped by the `len` bytes at `base`; empty when
+/// `len == 0`.
+pub fn vpages(base: u64, len: u64) -> std::ops::Range<u64> {
+    let first = vpage_of(base);
+    match len {
+        0 => first..first,
+        _ => first..vpage_of(base + len - 1) + 1,
+    }
+}
+
 /// Cache line number of a virtual address.
 #[inline(always)]
 pub fn line_of(vaddr: u64) -> u64 {
@@ -95,5 +105,14 @@ mod tests {
         assert_eq!(line_of(128), 1);
         // 128 lines per page
         assert_eq!(PAGE_SIZE / LINE_SIZE, 128);
+    }
+
+    #[test]
+    fn byte_ranges_cover_the_pages_they_overlap() {
+        assert_eq!(vpages(PAGE_SIZE, 1), 1..2);
+        assert_eq!(vpages(PAGE_SIZE, PAGE_SIZE), 1..2);
+        assert_eq!(vpages(PAGE_SIZE - 1, 2), 0..2);
+        assert_eq!(vpages(100, 3 * PAGE_SIZE), 0..4);
+        assert!(vpages(PAGE_SIZE, 0).is_empty());
     }
 }

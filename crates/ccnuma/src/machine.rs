@@ -241,13 +241,6 @@ pub struct Machine {
     /// Bump allocator for virtual address space handed to `SimArray`s.
     next_vaddr: u64,
     in_region: bool,
-    /// Per-CPU suppression: when a CPU's flag is set, its `touch`/`compute`
-    /// calls are no-ops — the fast path has already applied that CPU's region
-    /// effects in bulk and the kernel body runs for its data side only (the
-    /// numeric arrays still need their values). Fully-replayed regions set
-    /// every flag; partial replays suppress only the CPUs whose memos hit.
-    /// Set exclusively by the `omp` runtime around replayed regions.
-    fp_suppressed: Box<[bool]>,
     /// When recording a region, the fast path installs a log here; the
     /// access path appends `(cpu, frame)` per memory access (the per-CPU
     /// attribution that the aggregate reference counters cannot provide) and
@@ -298,7 +291,6 @@ impl Machine {
             contention: ContentionModel::new(config.contention),
             next_vaddr: 0,
             in_region: false,
-            fp_suppressed: vec![false; config.topology.cpus()].into_boxed_slice(),
             fp_rec: None,
             fp_marks: Vec::new(),
             fp_epoch: 0,
@@ -376,12 +368,6 @@ impl Machine {
             total.merge(&c.stats);
         }
         total
-    }
-
-    /// Mutable access to a CPU context (used by the doc example and tests;
-    /// the `omp` runtime uses [`Machine::touch`] instead).
-    pub fn cpu_mut(&mut self, cpu: CpuId) -> MachineLane<'_> {
-        MachineLane { machine: self, cpu }
     }
 
     /// Number of simulated CPUs.
@@ -628,9 +614,6 @@ impl Machine {
             .alloc_best_effort(target)
             .ok_or(MemError::OutOfMemory)?;
         let landed = self.memory.node_of_frame(new_frame);
-        if landed != target {
-            // alloc_best_effort already counted the redirect.
-        }
         self.counters.reset_frame(new_frame);
         self.counters.reset_frame(old_frame);
         self.memory.free(old_frame);
@@ -719,9 +702,6 @@ impl Machine {
     /// latency in nanoseconds (also accumulated into the CPU's region
     /// account and statistics).
     pub fn touch(&mut self, cpu: CpuId, vaddr: u64, kind: AccessKind) -> f64 {
-        if self.fp_suppressed[cpu] {
-            return 0.0;
-        }
         let _hp = hostprof::span_hot("ccnuma.touch");
         let line = vaddr >> LINE_SHIFT;
         let version = self.directory.version(line);
@@ -905,9 +885,6 @@ impl Machine {
     /// Charge raw nanoseconds of computation to a CPU.
     #[inline]
     pub fn compute_ns(&mut self, cpu: CpuId, ns: f64) {
-        if self.fp_suppressed[cpu] {
-            return;
-        }
         let ctx = &mut self.cpus[cpu];
         ctx.account.compute_ns += ns;
         if !self.in_region {
@@ -966,33 +943,6 @@ impl Machine {
         self.in_region
     }
 
-    /// Suppress (or re-enable) the access/compute simulation. The `omp`
-    /// runtime sets this around the body of a region whose machine effects
-    /// were already applied in bulk by the phase fast path; the kernel body
-    /// still runs for its numeric side, but `touch`/`compute` become no-ops.
-    pub fn set_fastpath_suppressed(&mut self, on: bool) {
-        self.fp_suppressed.fill(on);
-    }
-
-    /// Suppress (or re-enable) the simulation for one CPU — the partial
-    /// replay of a region where only some team CPUs hit their memos.
-    pub fn set_fastpath_suppressed_cpu(&mut self, cpu: CpuId, on: bool) {
-        self.fp_suppressed[cpu] = on;
-    }
-
-    /// Whether the access/compute simulation is suppressed for `cpu`. The
-    /// `omp` runtime reads this once per thread turn to route a replayed
-    /// thread's accesses past the machine altogether; `touch`/`compute_ns`
-    /// still test the flag themselves for callers that hold the machine.
-    pub fn fastpath_suppressed_cpu(&self, cpu: CpuId) -> bool {
-        self.fp_suppressed[cpu]
-    }
-
-    /// Whether the access/compute simulation is suppressed for any CPU.
-    pub fn fastpath_suppressed(&self) -> bool {
-        self.fp_suppressed.iter().any(|&b| b)
-    }
-
     /// Virtual time a CPU has accumulated in the current region, ns. The
     /// `omp` runtime's dynamic-schedule event loop dispatches each chunk to
     /// the CPU with the least accumulated time — the deterministic
@@ -1025,20 +975,6 @@ impl std::fmt::Debug for Machine {
             .field("placer", &self.placer.name())
             .field("clock_ns", &self.clock.now_ns())
             .finish_non_exhaustive()
-    }
-}
-
-/// A borrowed view of one CPU on the machine — the handle the doc example
-/// and tests use for direct accesses.
-pub struct MachineLane<'m> {
-    machine: &'m mut Machine,
-    cpu: CpuId,
-}
-
-impl MachineLane<'_> {
-    /// Simulate one access; see [`Machine::touch`].
-    pub fn touch(&mut self, vaddr: u64, kind: AccessKind) -> f64 {
-        self.machine.touch(self.cpu, vaddr, kind)
     }
 }
 

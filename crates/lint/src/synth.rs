@@ -32,7 +32,7 @@ use crate::analyze::LintConfig;
 use crate::finding::{Code, Finding};
 use crate::footprint::Footprint;
 use crate::replay::UpmReplay;
-use ccnuma::{vpage_of, NodeId};
+use ccnuma::{vpages, NodeId};
 use nas::KernelModel;
 use obs::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -310,14 +310,11 @@ pub fn synthesize_footprint(
     let mut arrays = Vec::new();
     for layout in model.arrays() {
         let (base, bytes) = layout.vrange();
-        if bytes == 0 {
-            continue;
-        }
-        let (lo, hi) = (vpage_of(base), vpage_of(base + bytes - 1));
+        let span = vpages(base, bytes);
         let mut count = 0u64;
         let mut flip_count = 0u64;
         let mut hist = vec![0u64; nodes];
-        for (_, a) in pages.range(lo..=hi) {
+        for (_, a) in pages.range(span.clone()) {
             count += 1;
             hist[a.node] += 1;
             if a.confidence == Confidence::Flip {
@@ -351,8 +348,8 @@ pub fn synthesize_footprint(
             array: layout.name().to_string(),
             pages: count,
             flip_pages: flip_count,
-            first_vpage: lo,
-            last_vpage: hi,
+            first_vpage: span.start,
+            last_vpage: span.end - 1,
             distribution,
             rationale,
         });

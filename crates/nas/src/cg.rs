@@ -483,7 +483,7 @@ mod tests {
         // not all be on one node... for Tiny (192 elements = 1 page) at
         // least the page exists. Check the big matrix array instead.
         let (base, len) = cg.d.a.vrange();
-        let homes: Vec<_> = (ccnuma::vpage_of(base)..=ccnuma::vpage_of(base + len - 1))
+        let homes: Vec<_> = ccnuma::vpages(base, len)
             .filter_map(|vp| rt.machine().node_of_vpage(vp))
             .collect();
         assert!(!homes.is_empty());

@@ -22,7 +22,7 @@ pub enum BenchName {
 }
 
 impl BenchName {
-    /// Lower-case label as used in the paper's charts.
+    /// Upper-case label as used in the paper's charts.
     pub fn label(&self) -> &'static str {
         match self {
             BenchName::Bt => "BT",
@@ -55,13 +55,14 @@ impl BenchName {
 }
 
 /// Problem-size class. `Tiny` is for unit/integration tests, `Small` for
-/// Criterion benches, `Medium` for the experiment harness (the analogue of
-/// the paper's Class A, scaled to the simulator).
+/// the perf ledger's sweep workloads and the slower differentials, `Medium`
+/// for the experiment harness (the analogue of the paper's Class A, scaled
+/// to the simulator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Smallest correct instance; seconds matter (tests).
     Tiny,
-    /// Small instance for Criterion benches.
+    /// Small instance (ledger sweeps, release-mode differentials).
     Small,
     /// The experiment harness size.
     Medium,

@@ -432,7 +432,7 @@ impl Exec for Runtime {
         body: impl for<'a> Fn(&mut Par<'a>, usize) -> f64 + 'static,
     ) -> f64 {
         let fold = |par: &mut Par<'_>, i: usize, acc: f64| acc + body(par, i);
-        self.parallel_reduce(n, schedule, 0.0, fold, |a, b| a + b).0
+        self.parallel_reduce(n, schedule, 0.0, fold, |a, b| a + b)
     }
 
     fn serial<R: Default>(

@@ -8,7 +8,8 @@
 //! write counts — for every loop whose pattern is safe to memoize:
 //!
 //! * **statically scheduled** — dynamic/guided dispatch depends on simulated
-//!   timing, which a suppressed replay would starve;
+//!   timing, which a replayed thread (it does not simulate) would starve;
+//!   `omp::Runtime` never consults the engine for such a loop either;
 //! * **no cross-thread write sharing** — each line has at most one writing
 //!   thread, and a written line is accessed by its writer only (shared
 //!   *read-only* lines are fine). The simulator executes threads

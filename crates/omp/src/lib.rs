@@ -7,7 +7,6 @@
 //! * [`Runtime::parallel_for`] — the `PARALLEL DO` worksharing construct,
 //!   with `SCHEDULE(STATIC)`, `SCHEDULE(STATIC, chunk)`,
 //!   `SCHEDULE(DYNAMIC, chunk)` and `SCHEDULE(GUIDED)` semantics;
-//! * [`Runtime::parallel_sections`] — the `SECTIONS` construct;
 //! * [`Runtime::parallel_reduce`] — `REDUCTION` clauses;
 //! * [`Runtime::serial`] — sequential program text between constructs.
 //!
@@ -21,12 +20,17 @@
 //! folded into the global simulated clock when the construct completes. The
 //! IRIX kernel migration engine (when enabled) is given its scan at each
 //! region boundary, the granularity at which simulated time advances.
+//!
+//! The runtime also owns the one decision the phase fast path leaves to its
+//! caller: a thread whose CPU the engine replayed (`ccnuma::fastpath`) takes
+//! its turn on a [`Par`] that holds no machine, so its body runs for the
+//! data side only. `ccnuma` simulates whatever reaches it.
 
 pub mod runtime;
 pub mod schedule;
 
 pub use runtime::{
-    reduction_block_count, reduction_block_ownership, reduction_chunks, Par, RegionSummary,
-    Runtime, REDUCTION_BLOCKS,
+    reduction_block_count, reduction_block_ownership, reduction_chunks, Par, Runtime,
+    REDUCTION_BLOCKS,
 };
 pub use schedule::Schedule;

@@ -1,35 +1,10 @@
 //! The fork/join runtime: parallel regions, worksharing, reductions.
 
 use crate::schedule::Schedule;
-use ccnuma::contention::RegionTiming;
-use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof, RecordToken};
+use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof};
 use ccnuma::{AccessKind, CpuId, Machine, SimArray};
 use std::sync::Arc;
 use vmm::KernelMigrationEngine;
-
-/// Timing summary of one parallel construct.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionSummary {
-    /// Wall time of the region after the contention correction, ns.
-    pub wall_ns: f64,
-    /// Wall time before the correction (max per-CPU busy time), ns.
-    pub base_ns: f64,
-    /// Highest per-node memory utilization observed.
-    pub max_utilization: f64,
-    /// Pages the kernel migration engine moved at this region boundary.
-    pub kernel_migrations: usize,
-}
-
-impl RegionSummary {
-    fn from_timing(t: &RegionTiming, kernel_migrations: usize) -> Self {
-        Self {
-            wall_ns: t.wall_ns,
-            base_ns: t.base_ns,
-            max_utilization: t.utilization.iter().copied().fold(0.0, f64::max),
-            kernel_migrations,
-        }
-    }
-}
 
 /// Per-thread execution context handed to worksharing bodies.
 ///
@@ -39,11 +14,12 @@ impl RegionSummary {
 ///
 /// Whether the thread simulates at all is decided once, when its turn
 /// starts: a thread whose region effects the phase fast path has already
-/// applied in bulk runs its body for the data side only, and its accesses
-/// never compute an address or reach the machine.
+/// applied in bulk runs its body for the data side only, and holds no
+/// machine its accesses could reach.
 pub struct Par<'m> {
-    /// The machine (borrowed for the duration of this thread's turn).
-    pub machine: &'m mut Machine,
+    /// The machine, borrowed for this thread's turn; `None` on the data-only
+    /// lane. Private, so [`Par::turn`] is the only way to build one.
+    machine: Option<&'m mut Machine>,
     /// CPU executing this thread (identity binding unless the scheduler
     /// has rebound the team via `Runtime::rebind_threads`).
     pub cpu: CpuId,
@@ -51,23 +27,23 @@ pub struct Par<'m> {
     pub tid: usize,
     /// Team size.
     pub team: usize,
-    /// The CPU's suppression flag as of the start of this turn (it only
-    /// changes between `fastpath_begin` and `fastpath_end`, never inside a
-    /// region body). Private, so [`Par::turn`] is the only way to build one.
-    data_only: bool,
 }
 
 impl<'m> Par<'m> {
-    /// Thread `tid`'s turn on `cpu`. Call after `fastpath_begin` has set the
-    /// region's suppression flags.
-    fn turn(machine: &'m mut Machine, cpu: CpuId, tid: usize, team: usize) -> Self {
-        let data_only = machine.fastpath_suppressed_cpu(cpu);
+    /// Thread `tid`'s turn on `cpu` in the region whose fast-path outcome
+    /// is `lanes`: a replayed CPU's thread gets no machine.
+    fn turn(
+        machine: &'m mut Machine,
+        lanes: &FastpathOutcome,
+        cpu: CpuId,
+        tid: usize,
+        team: usize,
+    ) -> Self {
         Self {
-            machine,
+            machine: (!lanes.replayed.contains(&cpu)).then_some(machine),
             cpu,
             tid,
             team,
-            data_only,
         }
     }
 }
@@ -76,9 +52,8 @@ impl Par<'_> {
     /// Simulated load of `array[i]`.
     #[inline(always)]
     pub fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T {
-        if !self.data_only {
-            self.machine
-                .touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
+        if let Some(machine) = &mut self.machine {
+            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
         }
         array.peek(i)
     }
@@ -86,9 +61,8 @@ impl Par<'_> {
     /// Simulated store of `array[i] = value`.
     #[inline(always)]
     pub fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, value: T) {
-        if !self.data_only {
-            self.machine
-                .touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
+        if let Some(machine) = &mut self.machine {
+            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
         }
         array.poke(i, value)
     }
@@ -96,14 +70,12 @@ impl Par<'_> {
     /// Simulated read-modify-write of `array[i]` (one load + one store).
     #[inline(always)]
     pub fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, f: impl FnOnce(T) -> T) {
-        if !self.data_only {
-            self.machine
-                .touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
+        if let Some(machine) = &mut self.machine {
+            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
         }
         let v = f(array.peek(i));
-        if !self.data_only {
-            self.machine
-                .touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
+        if let Some(machine) = &mut self.machine {
+            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
         }
         array.poke(i, v)
     }
@@ -111,16 +83,8 @@ impl Par<'_> {
     /// Charge `flops` floating-point operations of simulated compute time.
     #[inline(always)]
     pub fn flops(&mut self, flops: u64) {
-        if !self.data_only {
-            self.machine.compute(self.cpu, flops);
-        }
-    }
-
-    /// Charge raw nanoseconds of simulated compute time.
-    #[inline(always)]
-    pub fn compute_ns(&mut self, ns: f64) {
-        if !self.data_only {
-            self.machine.compute_ns(self.cpu, ns);
+        if let Some(machine) = &mut self.machine {
+            machine.compute(self.cpu, flops);
         }
     }
 }
@@ -209,19 +173,6 @@ struct FastpathState {
     cursor: usize,
 }
 
-/// What the fast path decided for the region in flight.
-// One `FpMode` lives on the stack per region; boxing the token here would
-// just re-box what `FastpathOutcome::Record` already handed over by value.
-#[allow(clippy::large_enum_variant)]
-enum FpMode {
-    /// No proof, precondition failure, or fast path not installed.
-    Off,
-    /// Memo applied; the body runs with the machine suppressed.
-    Replay,
-    /// Recording; the token goes back to the engine before `end_region`.
-    Record(RecordToken),
-}
-
 impl Runtime {
     /// A runtime using all CPUs of the machine, kernel migration off
     /// (the IRIX default).
@@ -279,73 +230,27 @@ impl Runtime {
         self.fastpath.as_ref().map(|fp| fp.engine.stats())
     }
 
-    /// Consult the fast path for the region just opened. Advances the proof
-    /// cursor for *every* region while a sequence is installed (even `None`
-    /// proofs and rejected ones) so proofs stay position-aligned.
-    fn fastpath_begin(&mut self, serial: bool) -> FpMode {
+    /// Consult the fast path for the region just opened, on behalf of the
+    /// team's first `proof_team` threads: 1 for a serial section, all of
+    /// them for a static loop, none for a dynamic loop — dispatch there
+    /// follows simulated time, so every thread simulates, and an empty team
+    /// is one no proof speaks for. Advances the proof cursor for *every*
+    /// region while a sequence is installed (even `None` proofs and
+    /// rejected ones) so proofs stay position-aligned.
+    fn fastpath_begin(&mut self, proof_team: usize) -> FastpathOutcome {
         let Some(fp) = self.fastpath.as_mut() else {
-            return FpMode::Off;
+            return Default::default();
         };
-        let FastpathState {
-            engine,
-            proofs,
-            cursor,
-        } = fp;
-        if *cursor >= proofs.len() {
-            return FpMode::Off;
-        }
-        let idx = *cursor;
-        *cursor += 1;
-        let Some(proof) = proofs[idx].as_ref() else {
-            return FpMode::Off;
+        let Some(proof) = fp.proofs.get(fp.cursor) else {
+            return Default::default();
         };
-        let binding: &[CpuId] = if serial {
-            &self.cpu_of_thread[..1]
-        } else {
-            &self.cpu_of_thread
+        fp.cursor += 1;
+        let Some(proof) = proof else {
+            return Default::default();
         };
-        match engine.begin_region_fastpath(&mut self.machine, proof, binding) {
-            FastpathOutcome::Replay => {
-                self.machine.set_fastpath_suppressed(true);
-                FpMode::Replay
-            }
-            FastpathOutcome::Record(token) => {
-                // Partial replay: the CPUs whose memos were applied sit the
-                // region out; the rest run the exact path and re-record.
-                for &cpu in token.replayed_cpus() {
-                    self.machine.set_fastpath_suppressed_cpu(cpu, true);
-                }
-                FpMode::Record(token)
-            }
-            FastpathOutcome::Skip => FpMode::Off,
-        }
-    }
-
-    /// Close out the fast path for the region in flight. Must run after the
-    /// region body but *before* `end_region` (recording diffs the still-open
-    /// region state).
-    fn fastpath_end(&mut self, mode: FpMode) {
-        match mode {
-            FpMode::Off => {}
-            FpMode::Replay => self.machine.set_fastpath_suppressed(false),
-            FpMode::Record(token) => {
-                for &cpu in token.replayed_cpus() {
-                    self.machine.set_fastpath_suppressed_cpu(cpu, false);
-                }
-                let Some(fp) = self.fastpath.as_mut() else {
-                    return;
-                };
-                let FastpathState {
-                    engine,
-                    proofs,
-                    cursor,
-                } = fp;
-                let proof = proofs[*cursor - 1]
-                    .as_ref()
-                    .expect("Record mode implies a proof at cursor - 1");
-                engine.finish_record(&mut self.machine, proof, token);
-            }
-        }
+        let binding = &self.cpu_of_thread[..proof_team];
+        fp.engine
+            .begin_region_fastpath(&mut self.machine, proof, binding)
     }
 
     /// Panic unless `binding` is a set of distinct, valid CPUs.
@@ -484,16 +389,20 @@ impl Runtime {
         n: usize,
         schedule: Schedule,
         mut body: impl FnMut(&mut Par, usize),
-    ) -> RegionSummary {
-        self.apply_pending_rebind();
-        let cpus = self.cpu_of_thread.clone();
-        self.run_region(|machine, threads| {
+    ) {
+        let proof_team = if schedule.is_dynamic() {
+            0
+        } else {
+            self.threads
+        };
+        self.run_region(proof_team, |machine, cpus, lanes| {
+            let threads = cpus.len();
             if schedule.is_dynamic() {
-                Self::run_dynamic(machine, threads, &cpus, n, schedule, &mut body);
+                Self::run_dynamic(machine, cpus, lanes, n, schedule, &mut body);
             } else {
                 let parts = schedule.static_chunks(n, threads);
                 for (tid, chunks) in parts.iter().enumerate() {
-                    let mut par = Par::turn(machine, cpus[tid], tid, threads);
+                    let mut par = Par::turn(machine, lanes, cpus[tid], tid, threads);
                     for &(start, end) in chunks {
                         for i in start..end {
                             body(&mut par, i);
@@ -523,25 +432,24 @@ impl Runtime {
         schedule: Schedule,
         identity: T,
         mut body: impl FnMut(&mut Par, usize, T) -> T,
-        mut combine: impl FnMut(T, T) -> T,
-    ) -> (T, RegionSummary) {
-        self.apply_pending_rebind();
-        let blocks = REDUCTION_BLOCKS.max(self.threads);
+        combine: impl FnMut(T, T) -> T,
+    ) -> T {
+        let blocks = reduction_block_count(self.threads);
         let mut partials: Vec<Option<T>> = vec![None; blocks];
-        let cpus = self.cpu_of_thread.clone();
-        let summary = self.run_region(|machine, threads| {
+        self.run_region(self.threads, |machine, cpus, lanes| {
             assert!(
                 !schedule.is_dynamic(),
                 "reductions are supported on static schedules (as in the NAS codes)"
             );
+            let threads = cpus.len();
             let parts = schedule.static_chunks(n, blocks);
             let ownership = reduction_block_ownership(threads);
-            for (tid, &cpu) in cpus.iter().enumerate().take(threads) {
+            for (tid, &cpu) in cpus.iter().enumerate() {
                 // Thread `tid` owns a contiguous run of blocks, so its
                 // iteration range (and memory traffic) is identical to the
                 // plain per-thread static schedule.
                 let (b0, b1) = ownership[tid];
-                let mut par = Par::turn(machine, cpu, tid, threads);
+                let mut par = Par::turn(machine, lanes, cpu, tid, threads);
                 for (b, chunks) in parts.iter().enumerate().take(b1).skip(b0) {
                     let mut acc = identity.clone();
                     for &(start, end) in chunks {
@@ -553,94 +461,30 @@ impl Runtime {
                 }
             }
         });
-        let mut result = identity;
-        for p in partials.into_iter().flatten() {
-            result = combine(result, p);
-        }
-        (result, summary)
-    }
-
-    /// `SECTIONS`: disjoint blocks of code assigned to threads round-robin.
-    pub fn parallel_sections(
-        &mut self,
-        sections: &mut [&mut dyn FnMut(&mut Par)],
-    ) -> RegionSummary {
-        self.apply_pending_rebind();
-        let cpus = self.cpu_of_thread.clone();
-        self.run_region(|machine, threads| {
-            for (s, section) in sections.iter_mut().enumerate() {
-                let tid = s % threads;
-                let mut par = Par::turn(machine, cpus[tid], tid, threads);
-                section(&mut par);
-            }
-        })
+        partials.into_iter().flatten().fold(identity, combine)
     }
 
     /// Sequential program text between parallel constructs, executed by the
     /// master thread (CPU 0) with full simulation of its accesses.
     pub fn serial<R>(&mut self, body: impl FnOnce(&mut Par) -> R) -> R {
         let _hp = hostprof::span_hot("omp.serial");
-        self.apply_pending_rebind();
-        let before = self
-            .machine
-            .trace_mut()
-            .is_active()
-            .then(|| self.machine.aggregate_cpu_stats());
-        self.machine.begin_region();
-        let mode = self.fastpath_begin(true);
-        let cpu = self.cpu_of_thread[0];
-        let mut par = Par::turn(&mut self.machine, cpu, 0, 1);
-        let r = body(&mut par);
-        self.fastpath_end(mode);
-        let timing = self.machine.end_region();
-        if let Some(before) = before {
-            let after = self.machine.aggregate_cpu_stats();
-            self.emit_region_profile(&before, &after, timing.wall_ns);
-        }
-        self.regions += 1;
-        r
+        self.region(1, |machine, cpus, lanes| {
+            body(&mut Par::turn(machine, lanes, cpus[0], 0, 1))
+        })
+        .0
     }
 
-    /// Emit the [`obs::EventKind::RegionProfile`] record of the region that
-    /// just closed (the machine's region counter has already advanced past
-    /// it). Only called with tracing active.
-    fn emit_region_profile(
+    /// A worksharing region: the bracket, then what only a parallel
+    /// construct has — the region histograms of a traced run and the kernel
+    /// migration engine's scan at the join.
+    fn run_region(
         &mut self,
-        before: &ccnuma::CpuStats,
-        after: &ccnuma::CpuStats,
-        wall_ns: f64,
+        proof_team: usize,
+        work: impl FnOnce(&mut Machine, &[CpuId], &FastpathOutcome),
     ) {
-        let region = self.machine.stats().regions - 1;
-        let local = after.mem_local - before.mem_local;
-        let remote = after.mem_remote - before.mem_remote;
-        let stall_ns = after.stall_ns - before.stall_ns;
-        self.machine.trace_event(|| obs::EventKind::RegionProfile {
-            region,
-            wall_ns,
-            local,
-            remote,
-            stall_ns,
-        });
-    }
-
-    fn run_region(&mut self, work: impl FnOnce(&mut Machine, usize)) -> RegionSummary {
         let _hp = hostprof::span_hot("omp.region");
-        // Snapshot only when tracing: the per-region remote-fraction
-        // histogram needs a stats delta across the region.
-        let before = self
-            .machine
-            .trace_mut()
-            .is_active()
-            .then(|| self.machine.aggregate_cpu_stats());
-        self.machine.begin_region();
-        let mode = self.fastpath_begin(false);
-        work(&mut self.machine, self.threads);
-        self.fastpath_end(mode);
-        let timing = self.machine.end_region();
-        if let Some(before) = before {
-            let after = self.machine.aggregate_cpu_stats();
-            let local = after.mem_local - before.mem_local;
-            let remote = after.mem_remote - before.mem_remote;
+        let ((), traced) = self.region(proof_team, work);
+        if let Some((local, remote, wall_ns)) = traced {
             let total = local + remote;
             let fraction = if total == 0 {
                 0.0
@@ -649,25 +493,70 @@ impl Runtime {
             };
             let trace = self.machine.trace_mut();
             trace.observe("region_remote_permille", (fraction * 1000.0) as u64);
-            trace.observe("region_wall_ns", timing.wall_ns as u64);
+            trace.observe("region_wall_ns", wall_ns as u64);
             trace.set_gauge("last_region_remote_fraction", fraction);
-            self.emit_region_profile(&before, &after, timing.wall_ns);
         }
-        let migrations = self.kernel.scan(&mut self.machine);
+        self.kernel.scan(&mut self.machine);
+    }
+
+    /// The region bracket, stated once for every construct: the yield
+    /// point, `begin_region`, the fast path's verdict on `proof_team` (see
+    /// [`Runtime::fastpath_begin`]), `body` on the machine with the team's
+    /// binding and the region's lanes, the recording handed back (before
+    /// `end_region`: it diffs the still-open region state), `end_region`.
+    /// A traced run also gets the region's [`obs::EventKind::RegionProfile`]
+    /// and, returned beside the body's value, its local and remote memory
+    /// accesses and wall time.
+    fn region<R>(
+        &mut self,
+        proof_team: usize,
+        body: impl FnOnce(&mut Machine, &[CpuId], &FastpathOutcome) -> R,
+    ) -> (R, Option<(u64, u64, f64)>) {
+        self.apply_pending_rebind();
+        // Snapshot only when tracing: the profile is a stats delta.
+        let before = self
+            .machine
+            .trace_mut()
+            .is_active()
+            .then(|| self.machine.aggregate_cpu_stats());
+        self.machine.begin_region();
+        let lanes = self.fastpath_begin(proof_team);
+        let r = body(&mut self.machine, &self.cpu_of_thread, &lanes);
+        if let (Some(token), Some(fp)) = (lanes.record, self.fastpath.as_mut()) {
+            fp.engine.finish_record(&mut self.machine, token);
+        }
+        let wall_ns = self.machine.end_region().wall_ns;
         self.regions += 1;
-        RegionSummary::from_timing(&timing, migrations)
+        let traced = before.map(|before| {
+            let after = self.machine.aggregate_cpu_stats();
+            // The machine's region counter has already advanced past it.
+            let region = self.machine.stats().regions - 1;
+            let local = after.mem_local - before.mem_local;
+            let remote = after.mem_remote - before.mem_remote;
+            let stall_ns = after.stall_ns - before.stall_ns;
+            self.machine.trace_event(|| obs::EventKind::RegionProfile {
+                region,
+                wall_ns,
+                local,
+                remote,
+                stall_ns,
+            });
+            (local, remote, wall_ns)
+        });
+        (r, traced)
     }
 
     /// Deterministic simulation of dynamic/guided dispatch: the next chunk
     /// always goes to the thread with the least accumulated virtual time.
     fn run_dynamic(
         machine: &mut Machine,
-        threads: usize,
         cpus: &[CpuId],
+        lanes: &FastpathOutcome,
         n: usize,
         schedule: Schedule,
         body: &mut impl FnMut(&mut Par, usize),
     ) {
+        let threads = cpus.len();
         let mut next = 0usize;
         while next < n {
             let len = schedule.next_chunk_len(n - next, threads);
@@ -681,7 +570,7 @@ impl Runtime {
                         .then(a.cmp(&b))
                 })
                 .expect("team is non-empty");
-            let mut par = Par::turn(machine, cpus[tid], tid, threads);
+            let mut par = Par::turn(machine, lanes, cpus[tid], tid, threads);
             for i in next..next + len {
                 body(&mut par, i);
             }
@@ -761,14 +650,13 @@ mod tests {
     #[test]
     fn wall_time_is_max_not_sum() {
         let mut rt = runtime();
-        // 8 threads each compute 1000 flops (2 us): region wall should be
-        // ~2 us, not ~16 us.
-        let s = rt.parallel_for(8, Schedule::Static, |par, _| par.flops(1000));
-        assert!(
-            s.base_ns >= 2000.0 && s.base_ns < 4000.0,
-            "base {}",
-            s.base_ns
-        );
+        // 8 threads each compute 1000 flops (2 us): the region should take
+        // ~2 us between fork and barrier, not ~16 us.
+        let t0 = rt.machine().clock().now_ns();
+        rt.parallel_for(8, Schedule::Static, |par, _| par.flops(1000));
+        let cfg = rt.machine().config();
+        let wall_ns = rt.machine().clock().now_ns() - t0 - cfg.fork_ns - cfg.barrier_ns;
+        assert!((2000.0..4000.0).contains(&wall_ns), "wall {wall_ns}");
     }
 
     #[test]
@@ -803,7 +691,7 @@ mod tests {
     fn reduction_sums_correctly() {
         let mut rt = runtime();
         let a = SimArray::from_fn(rt.machine_mut(), "a", 1000, |i| i as f64);
-        let (sum, _) = rt.parallel_reduce(
+        let sum = rt.parallel_reduce(
             1000,
             Schedule::Static,
             0.0f64,
@@ -853,21 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn sections_run_all_blocks() {
-        let mut rt = runtime();
-        let mut flags = [false; 3];
-        {
-            let (f0, rest) = flags.split_at_mut(1);
-            let (f1, f2) = rest.split_at_mut(1);
-            let mut s0 = |_: &mut Par<'_>| f0[0] = true;
-            let mut s1 = |_: &mut Par<'_>| f1[0] = true;
-            let mut s2 = |_: &mut Par<'_>| f2[0] = true;
-            rt.parallel_sections(&mut [&mut s0, &mut s1, &mut s2]);
-        }
-        assert_eq!(flags, [true; 3]);
-    }
-
-    #[test]
     fn serial_runs_on_master() {
         let mut rt = runtime();
         let tid = rt.serial(|par| par.tid);
@@ -880,16 +753,20 @@ mod tests {
     /// Iterations (= lines) of the striped loop below.
     const STRIPES: usize = 8;
 
-    /// A runtime with one page-sized array and, if `fast`, a hand-written
-    /// proof for [`stripe_rep`] installed: iteration `i` owns line `i`.
-    fn striped(threads: usize, fast: bool) -> (Runtime, SimArray<f64>) {
+    /// A runtime with one page-sized array and, if `owners` is given, a
+    /// hand-written proof for one region of [`stripe`]s installed: iteration
+    /// `i` owns line `i`, and thread `t` of a team of `owners.len()` runs
+    /// the iteration chunks `owners[t]`.
+    fn striped_by(
+        threads: usize,
+        owners: Option<Vec<Vec<(usize, usize)>>>,
+    ) -> (Runtime, SimArray<f64>) {
         let mut m = Machine::new(MachineConfig::tiny_test());
         let a = SimArray::new(&mut m, "a", 128 * EPL, 1.0f64);
         let mut rt = Runtime::with_threads(m, threads);
-        if fast {
+        if let Some(owners) = owners {
             let first = a.vaddr_of(0) >> ccnuma::LINE_SHIFT;
             let mut writes = Vec::new();
-            let owners = Schedule::Static.static_chunks(STRIPES, threads);
             for (tid, chunks) in owners.iter().enumerate() {
                 for &(start, end) in chunks {
                     writes.extend((start..end).map(|i| (first + i as u64, 2, tid as u32)));
@@ -897,7 +774,7 @@ mod tests {
             }
             rt.install_fastpath(vec![Some(PhaseProof::new(
                 "t/stripe".into(),
-                threads,
+                owners.len(),
                 (first..first + STRIPES as u64).collect(),
                 writes,
             ))]);
@@ -905,18 +782,30 @@ mod tests {
         (rt, a)
     }
 
-    /// One region of the striped loop: a load, a read-modify-write, a store
-    /// and both kinds of compute charge per iteration. `spy` sees each
-    /// thread's context before its first access of every iteration.
+    /// [`striped_by`] the static schedule of [`stripe_rep`]'s loop.
+    fn striped(threads: usize, fast: bool) -> (Runtime, SimArray<f64>) {
+        striped_by(
+            threads,
+            fast.then(|| Schedule::Static.static_chunks(STRIPES, threads)),
+        )
+    }
+
+    /// Iteration `i` of the striped loop: a load, a read-modify-write, a
+    /// store and a compute charge, all on line `i`.
+    fn stripe(par: &mut Par, a: &SimArray<f64>, i: usize, rep: usize) {
+        let v = par.get(a, i * EPL);
+        par.update(a, i * EPL, |x| x + v + rep as f64);
+        par.set(a, i * EPL + 1, v);
+        par.flops(3);
+    }
+
+    /// One region of the striped loop. `spy` sees each thread's context
+    /// before its first access of every iteration.
     fn stripe_rep(rt: &mut Runtime, a: &SimArray<f64>, rep: usize, mut spy: impl FnMut(&mut Par)) {
         rt.fastpath_reset_cursor();
         rt.parallel_for(STRIPES, Schedule::Static, |par, i| {
             spy(par);
-            let v = par.get(a, i * EPL);
-            par.update(a, i * EPL, |x| x + v + rep as f64);
-            par.set(a, i * EPL + 1, v);
-            par.flops(3);
-            par.compute_ns(1.5);
+            stripe(par, a, i, rep);
         });
     }
 
@@ -938,9 +827,9 @@ mod tests {
         let (mut fast, fa) = striped(4, true);
         let mut data_only_turns = 0;
         for rep in 0..6 {
-            stripe_rep(&mut exact, &ea, rep, |par| assert!(!par.data_only));
+            stripe_rep(&mut exact, &ea, rep, |par| assert!(par.machine.is_some()));
             stripe_rep(&mut fast, &fa, rep, |par| {
-                data_only_turns += usize::from(par.data_only)
+                data_only_turns += usize::from(par.machine.is_none())
             });
             assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
         }
@@ -951,7 +840,6 @@ mod tests {
             s.replays as usize * STRIPES,
             "every iteration of a replayed region runs data-only: {s:?}"
         );
-        assert!(!fast.machine().fastpath_suppressed());
     }
 
     #[test]
@@ -973,17 +861,7 @@ mod tests {
         let mut lanes = [None; 2];
         stripe_rep(&mut exact, &ea, 4, |_| {});
         stripe_rep(&mut fast, &fa, 4, |par| {
-            lanes[par.tid] = Some(par.data_only);
-            if par.data_only {
-                // A caller holding the machine bypasses the lane; the
-                // machine's own check must still swallow the access, even
-                // one the proof never claimed.
-                assert_eq!(
-                    par.machine.touch(par.cpu, junk, ccnuma::AccessKind::Write),
-                    0.0
-                );
-                par.machine.compute(par.cpu, 1000);
-            }
+            lanes[par.tid] = Some(par.machine.is_none())
         });
         assert_eq!(lanes, [Some(false), Some(true)]);
         assert_eq!(observable(&exact, &ea), observable(&fast, &fa));
@@ -994,41 +872,104 @@ mod tests {
         assert_eq!(s.rejects, before.rejects, "{s:?}");
     }
 
+    /// Run `construct` (one region of [`stripe`]s, proven by `owners`) next
+    /// to its exact twin: a replayed region must hand every turn the
+    /// data-only lane, any other region the simulated one, and the two
+    /// machines must stay indistinguishable.
+    fn check_lanes_of(
+        name: &str,
+        owners: Vec<Vec<(usize, usize)>>,
+        construct: impl Fn(&mut Runtime, &mut dyn FnMut(&mut Par, usize)),
+    ) {
+        let (mut exact, ea) = striped_by(4, None);
+        let (mut fast, fa) = striped_by(4, Some(owners));
+        let replays = |rt: &Runtime| rt.fastpath_stats().expect("installed").replays;
+        for rep in 0..5 {
+            construct(&mut exact, &mut |par, i| {
+                assert!(par.machine.is_some());
+                stripe(par, &ea, i, rep)
+            });
+            let before = replays(&fast);
+            let mut data_only = Vec::new();
+            fast.fastpath_reset_cursor();
+            construct(&mut fast, &mut |par, i| {
+                data_only.push(par.machine.is_none());
+                stripe(par, &fa, i, rep)
+            });
+            let replayed = replays(&fast) > before;
+            assert_eq!(data_only, [replayed; STRIPES], "{name} rep {rep}");
+            assert_eq!(
+                observable(&exact, &ea),
+                observable(&fast, &fa),
+                "{name} rep {rep}"
+            );
+        }
+        assert!(replays(&fast) >= 2, "{name} never reached its steady state");
+    }
+
     #[test]
     fn every_construct_reads_the_lane_at_the_start_of_the_turn() {
-        for suppressed in [false, true] {
-            let (mut rt, a) = striped(4, false);
-            // Map the page first, so the two passes differ by the lane only.
-            rt.serial(|par| par.get(&a, 0));
-            let before = rt.machine().aggregate_cpu_stats();
-            rt.machine.set_fastpath_suppressed(suppressed);
-            let turns = std::cell::Cell::new(0);
-            let visit = |par: &mut Par, i: usize| {
-                assert_eq!(par.data_only, suppressed);
-                par.update(&a, i * EPL, |x| x + 1.0);
-                par.flops(1);
-                turns.set(turns.get() + 1);
-            };
-            rt.parallel_for(4, Schedule::Static, visit);
-            rt.parallel_for(4, Schedule::Dynamic(1), visit);
-            rt.parallel_reduce(
-                4,
-                Schedule::Static,
-                (),
-                |par, i, ()| visit(par, i),
-                |(), ()| (),
-            );
-            rt.parallel_sections(&mut [&mut |par| visit(par, 0), &mut |par| visit(par, 1)]);
-            rt.serial(|par| visit(par, 2));
-            rt.machine.set_fastpath_suppressed(false);
-            assert_eq!(turns.get(), 15);
-            // The data side ran either way ...
-            let sum: f64 = (0..4).map(|i| a.peek(i * EPL)).sum();
-            assert_eq!(sum, 4.0 + 15.0);
-            // ... the machine side only on the simulated lane.
-            let after = rt.machine().aggregate_cpu_stats();
-            assert_eq!(after == before, suppressed);
+        check_lanes_of(
+            "parallel_for",
+            Schedule::Static.static_chunks(STRIPES, 4),
+            |rt, body| rt.parallel_for(STRIPES, Schedule::Static, body),
+        );
+        check_lanes_of(
+            "parallel_reduce",
+            reduction_chunks(Schedule::Static, STRIPES, 4),
+            |rt, body| {
+                let fold = |par: &mut Par, i: usize, ()| body(par, i);
+                rt.parallel_reduce(STRIPES, Schedule::Static, (), fold, |(), ()| ())
+            },
+        );
+        check_lanes_of("serial", vec![vec![(0, STRIPES)]], |rt, body| {
+            rt.serial(|par| (0..STRIPES).for_each(|i| body(par, i)))
+        });
+
+        // A dynamic loop hands out chunks by simulated time, so it never
+        // gets a data-only turn: the proof at its position is refused.
+        let (mut exact, ea) = striped(4, false);
+        let (mut fast, fa) = striped(4, true);
+        for rep in 0..4 {
+            exact.parallel_for(STRIPES, Schedule::Dynamic(1), |par, i| {
+                stripe(par, &ea, i, rep)
+            });
+            fast.fastpath_reset_cursor();
+            fast.parallel_for(STRIPES, Schedule::Dynamic(1), |par, i| {
+                assert!(par.machine.is_some());
+                stripe(par, &fa, i, rep)
+            });
+            assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
         }
+        let s = fast.fastpath_stats().expect("installed");
+        assert_eq!(
+            s,
+            FastpathStats {
+                rejects: 4,
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
+    fn serial_regions_neither_scan_nor_feed_the_region_histograms() {
+        let mut rt = runtime();
+        rt.set_kernel_migration(KernelMigrationEngine::enabled(vmm::KernelMigrationConfig {
+            scan_period_ns: 0.0,
+            ..Default::default()
+        }));
+        rt.machine_mut().set_trace(obs::TraceSink::enabled(64));
+        rt.serial(|par| par.flops(1));
+        rt.parallel_for(8, Schedule::Static, |par, _| par.flops(1));
+        assert_eq!(rt.kernel_migration().stats().scans, 1);
+        let tracer = rt.machine_mut().take_trace().expect("tracing is on");
+        let walls = tracer.metrics.histogram("region_wall_ns");
+        assert_eq!(walls.map(obs::Histogram::count), Some(1));
+        let profiles = tracer
+            .ring
+            .iter()
+            .filter(|e| matches!(e.kind, obs::EventKind::RegionProfile { .. }));
+        assert_eq!(profiles.count(), 2);
     }
 
     #[test]

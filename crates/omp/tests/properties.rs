@@ -97,7 +97,7 @@ proptest! {
         let mut rt = runtime();
         let vals = values.clone();
         let a = SimArray::from_fn(rt.machine_mut(), "a", n, |i| vals[i]);
-        let (sum, _) = rt.parallel_reduce(
+        let sum = rt.parallel_reduce(
             n,
             Schedule::Static,
             0.0,
@@ -137,14 +137,13 @@ proptest! {
             rt.resize_team(&binding);
             let vals = values.clone();
             let a = SimArray::from_fn(rt.machine_mut(), "a", n, |i| vals[i]);
-            let (sum, _) = rt.parallel_reduce(
+            rt.parallel_reduce(
                 n,
                 Schedule::Static,
                 0.0,
                 |par, i, acc| acc + par.get(&a, i),
                 |x, y| x + y,
-            );
-            sum
+            )
         };
         prop_assert_eq!(run(threads).to_bits(), run(1).to_bits());
     }

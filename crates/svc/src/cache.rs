@@ -188,13 +188,20 @@ impl Cache {
             std::process::id(),
             &payload as *const _ as usize
         ));
-        {
+        let published = (|| {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(doc.to_string_pretty().as_bytes())?;
             f.write_all(b"\n")?;
             f.sync_all()?;
+            drop(f);
+            std::fs::rename(&tmp, &path)
+        })();
+        if let Err(e) = published {
+            // Nothing else reclaims it: `entry_files` skips tmp names, so
+            // neither `gc` nor `verify` would ever see the leftover.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
-        std::fs::rename(&tmp, &path)?;
         self.stats.stores.fetch_add(1, Relaxed);
         Ok(path)
     }
@@ -419,6 +426,24 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.stores, s.corrupt), (1, 1, 1, 0));
         // A different spec does not hit the same entry.
         assert!(cache.lookup(&spec("mg")).is_none());
+    }
+
+    #[test]
+    fn a_failed_store_leaves_no_tmp_file_behind() {
+        let cache = Cache::new(tmp_root("store-fails"));
+        // Occupy the entry path with a non-empty directory: the write and
+        // the sync succeed, the publishing rename cannot.
+        let path = cache.entry_path(&spec("cg").key());
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        let err = cache.store(&spec("cg"), &payload(1.0)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::IsADirectory, "{err}");
+        let fanout = path.parent().unwrap();
+        let left: Vec<_> = std::fs::read_dir(fanout)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [path.file_name().unwrap()], "only the directory");
+        assert_eq!(cache.stats().stores, 0);
     }
 
     #[test]

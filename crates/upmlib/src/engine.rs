@@ -373,6 +373,21 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_hot_range_covers_no_page() {
+        let mut m = Machine::new(MachineConfig::tiny_test());
+        let a = SimArray::new(&mut m, "a", (PAGE_SIZE / 8) as usize, 0.0f64);
+        let base = a.vrange().0;
+        let mut upm = UpmEngine::new(&m, UpmOptions::default());
+        upm.memrefcnt_range(base, 0);
+        hammer(&mut m, 6, base, 2);
+        assert!(upm.hot_page_views(&m).is_empty());
+        // ... and resetting the hot counters leaves the page's alone.
+        upm.reset_counters(&m);
+        let view = ProcCounters.read(&m, ccnuma::vpage_of(base)).unwrap();
+        assert!(view.total() > 0);
+    }
+
+    #[test]
     fn counters_reset_between_invocations() {
         let mut m = Machine::new(MachineConfig::tiny_test());
         let a = SimArray::new(&mut m, "a", (PAGE_SIZE / 8) as usize, 0.0f64);

@@ -122,9 +122,9 @@ impl KernelMigrationEngine {
     }
 
     /// Evaluate every mapped page and migrate the qualifying ones. Called by
-    /// the runtime after each parallel region; acts only on every
-    /// `scan_interval`-th call (the daemon's period). Returns the number of
-    /// pages migrated.
+    /// the runtime after each parallel region; acts at most once per
+    /// `scan_period_ns` of simulated time (the daemon's period). Returns the
+    /// number of pages migrated.
     pub fn scan(&mut self, machine: &mut Machine) -> usize {
         if !self.enabled {
             return 0;

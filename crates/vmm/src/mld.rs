@@ -97,10 +97,8 @@ impl MldSet {
         len: u64,
         mld: Mld,
     ) -> Result<usize, MemError> {
-        let first = ccnuma::vpage_of(base);
-        let last = ccnuma::vpage_of(base + len.saturating_sub(1));
         let mut moved = 0;
-        for vp in first..=last {
+        for vp in ccnuma::vpages(base, len) {
             match machine.migrate_page(vp, mld.node) {
                 Ok(_) => moved += 1,
                 Err(MemError::Unmapped) => {}
@@ -149,5 +147,16 @@ mod tests {
         assert_eq!(m.node_of_vpage(ccnuma::vpage_of(base)), Some(2));
         assert_eq!(m.node_of_vpage(ccnuma::vpage_of(base) + 1), None);
         assert_eq!(m.node_of_vpage(ccnuma::vpage_of(base) + 2), Some(2));
+    }
+
+    #[test]
+    fn migrate_range_of_zero_bytes_moves_nothing() {
+        let mut m = Machine::new(MachineConfig::tiny_test());
+        let mlds = MldSet::for_machine(&m);
+        let base = m.reserve_vspace(PAGE_SIZE);
+        m.touch(0, base, AccessKind::Read);
+        assert_eq!(mlds.migrate_range(&mut m, base, 0, mlds.mld(2)), Ok(0));
+        assert_eq!(m.node_of_vpage(ccnuma::vpage_of(base)), Some(0));
+        assert_eq!(m.stats().page_migrations, 0);
     }
 }

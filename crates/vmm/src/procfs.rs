@@ -63,9 +63,7 @@ impl ProcCounters {
 
     /// Read every mapped page of a byte range.
     pub fn read_range(&self, machine: &Machine, base: u64, len: u64) -> Vec<PageView> {
-        let first = ccnuma::vpage_of(base);
-        let last = ccnuma::vpage_of(base + len.saturating_sub(1));
-        (first..=last)
+        ccnuma::vpages(base, len)
             .filter_map(|vp| self.read(machine, vp))
             .collect()
     }
@@ -84,9 +82,7 @@ impl ProcCounters {
 
     /// Zero the counters of every mapped page in a byte range.
     pub fn reset_range(&self, machine: &Machine, base: u64, len: u64) {
-        let first = ccnuma::vpage_of(base);
-        let last = ccnuma::vpage_of(base + len.saturating_sub(1));
-        for vp in first..=last {
+        for vp in ccnuma::vpages(base, len) {
             self.reset(machine, vp);
         }
     }

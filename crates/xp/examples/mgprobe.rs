@@ -25,17 +25,15 @@ fn main() {
         let t = Instant::now();
         let (fast, stats) = run_with_stats(bench, scale, &cfg);
         let w_on = t.elapsed().as_secs_f64();
-        let w_floor = run_floor(bench, scale, &cfg);
         let warm_off = run_warm(bench, scale, &cfg, false);
         let warm_on = run_warm(bench, scale, &cfg, true);
         println!(
-            "{} {}: off {:.4}s on {:.4}s speedup {:.2}x floor {:.4}s sim {:.6} identical={} {:?}",
+            "{} {}: off {:.4}s on {:.4}s speedup {:.2}x sim {:.6} identical={} {:?}",
             bench.label(),
             scale.label(),
             w_off,
             w_on,
             w_off / w_on,
-            w_floor,
             fast.total_secs,
             slow.to_cache_json().to_string() == fast.to_cache_json().to_string(),
             stats,
@@ -60,23 +58,6 @@ fn run_warm(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig, fast
     run.set_fastpath(fast);
     run.step();
     let t = Instant::now();
-    while !run.is_done() {
-        run.step();
-    }
-    t.elapsed().as_secs_f64()
-}
-
-#[allow(dead_code)]
-fn run_floor(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig) -> f64 {
-    // Data-plane floor: machine permanently suppressed — pure numerics plus
-    // the per-access call overhead. Simulated results are meaningless.
-    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
-    run.set_fastpath(false);
-    run.step(); // cold start + first iteration on the real machine
-    let t = Instant::now();
-    run.runtime_mut()
-        .machine_mut()
-        .set_fastpath_suppressed(true);
     while !run.is_done() {
         run.step();
     }
