@@ -93,11 +93,13 @@ pub struct SimArray<T> {
     name: String,
     base: u64,
     data: Vec<Cell<T>>,
-    /// Chunk-aligned layout, if any: `(elems_per_chunk, chunk_stride_elems)`.
-    /// The stride is a whole number of pages, so each chunk starts on a page
-    /// boundary — the padding trick the tuned NAS codes use so that
-    /// first-touch distributes each thread's slice onto its own node.
-    chunking: Option<(usize, usize)>,
+    /// Chunk-aligned layout, if any: `(elems_per_chunk, chunk_stride_elems,
+    /// magic)`. The stride is a whole number of pages, so each chunk starts
+    /// on a page boundary — the padding trick the tuned NAS codes use so
+    /// that first-touch distributes each thread's slice onto its own node.
+    /// `magic` is `ceil(2^64 / elems_per_chunk)`, which turns the per-access
+    /// `i / elems_per_chunk` into a multiply (see [`SimArray::vaddr_of`]).
+    chunking: Option<(usize, usize, u64)>,
 }
 
 impl<T: Copy> SimArray<T> {
@@ -131,6 +133,11 @@ impl<T: Copy> SimArray<T> {
         assert!(chunks >= 1);
         let elem = std::mem::size_of::<T>();
         let per_chunk = len.div_ceil(chunks).max(1);
+        // `vaddr_of`'s multiply-and-shift division is exact below 2^32.
+        assert!(
+            len <= u32::MAX as usize && per_chunk <= u32::MAX as usize,
+            "chunk-aligned arrays index with 32 bits"
+        );
         let chunk_bytes = (per_chunk * elem) as u64;
         let stride_bytes = chunk_bytes.div_ceil(crate::PAGE_SIZE) * crate::PAGE_SIZE;
         let stride_elems = (stride_bytes as usize) / elem;
@@ -139,7 +146,12 @@ impl<T: Copy> SimArray<T> {
             name: name.to_string(),
             base,
             data: vec![Cell::new(init); len],
-            chunking: Some((per_chunk, stride_elems)),
+            // Wraps to 0 for `per_chunk == 1`, where `chunk = i`.
+            chunking: Some((
+                per_chunk,
+                stride_elems,
+                (u64::MAX / per_chunk as u64).wrapping_add(1),
+            )),
         }
     }
 
@@ -173,7 +185,9 @@ impl<T: Copy> SimArray<T> {
             base: self.base,
             elem_bytes: std::mem::size_of::<T>(),
             len: self.data.len(),
-            chunking: self.chunking,
+            chunking: self
+                .chunking
+                .map(|(per_chunk, stride, _)| (per_chunk, stride)),
         }
     }
 
@@ -193,9 +207,16 @@ impl<T: Copy> SimArray<T> {
         debug_assert!(i < self.data.len());
         match self.chunking {
             None => self.base + (i * std::mem::size_of::<T>()) as u64,
-            Some((per_chunk, stride)) => {
-                let chunk = i / per_chunk;
-                let offset = i % per_chunk;
+            Some((per_chunk, stride, magic)) => {
+                // `i / per_chunk` without the divide: with `magic =
+                // ceil(2^64 / per_chunk)` the high word of `i * magic` is
+                // the quotient for every `i, per_chunk < 2^32`.
+                let chunk = if magic == 0 {
+                    i
+                } else {
+                    ((i as u128 * magic as u128) >> 64) as usize
+                };
+                let offset = i - chunk * per_chunk;
                 self.base + ((chunk * stride + offset) * std::mem::size_of::<T>()) as u64
             }
         }
@@ -206,7 +227,7 @@ impl<T: Copy> SimArray<T> {
     pub fn vrange(&self) -> (u64, u64) {
         let bytes = match self.chunking {
             None => self.data.len() * std::mem::size_of::<T>(),
-            Some((per_chunk, stride)) => {
+            Some((per_chunk, stride, _)) => {
                 let chunks = self.data.len().div_ceil(per_chunk);
                 chunks * stride * std::mem::size_of::<T>()
             }
@@ -357,6 +378,37 @@ mod tests {
             assert_eq!(l.vrange(), a.vrange());
             for i in 0..a.len() {
                 assert_eq!(l.vaddr_of(i), a.vaddr_of(i), "elem {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_aligned_addresses_match_the_dividing_form() {
+        for per_chunk in [1usize, 2, 3, 5, 7, 2048, 2049, 20480] {
+            let mut cfg = MachineConfig::tiny_test();
+            cfg.max_vpages = 1 << 12;
+            let mut m = Machine::new(cfg);
+            let (chunks, len) = (5, 5 * per_chunk - 2); // a short last chunk
+            let a = SimArray::chunk_aligned(&mut m, "a", len, chunks, 0.0f64);
+            let Some((got_per_chunk, stride, _)) = a.chunking else {
+                panic!("chunk_aligned arrays are chunked");
+            };
+            assert_eq!(got_per_chunk, per_chunk);
+            let layout = a.layout();
+            let (base, _) = a.vrange();
+            // Every index within 2 of a chunk boundary, and the last one.
+            let near = (0..=chunks)
+                .flat_map(|c| (c * per_chunk).saturating_sub(2)..=c * per_chunk + 2)
+                .chain([len - 1])
+                .filter(|&i| i < len);
+            for i in near {
+                let dividing = base + ((i / per_chunk * stride + i % per_chunk) * 8) as u64;
+                assert_eq!(a.vaddr_of(i), dividing, "per_chunk {per_chunk} elem {i}");
+                assert_eq!(
+                    layout.vaddr_of(i),
+                    dividing,
+                    "per_chunk {per_chunk} elem {i}"
+                );
             }
         }
     }

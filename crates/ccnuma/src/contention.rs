@@ -109,10 +109,16 @@ impl ContentionModel {
         Self { config }
     }
 
-    /// Fold per-CPU region accounts into a corrected region time.
-    pub fn close_region(&self, accounts: &[CpuRegionAccount], nodes: usize) -> RegionTiming {
+    /// Fold per-CPU region accounts into a corrected region time. The
+    /// accounts are walked three times, hence `Clone`: the machine lends
+    /// them straight out of its CPUs, once per region.
+    pub fn close_region<'a>(
+        &self,
+        accounts: impl ExactSizeIterator<Item = &'a CpuRegionAccount> + Clone,
+        nodes: usize,
+    ) -> RegionTiming {
         let base_ns = accounts
-            .iter()
+            .clone()
             .map(CpuRegionAccount::base_ns)
             .fold(0.0, f64::max);
         // Idle region (no work at all): nothing to correct.
@@ -125,7 +131,7 @@ impl ContentionModel {
             };
         }
         let mut node_accesses = vec![0u64; nodes];
-        for acct in accounts {
+        for acct in accounts.clone() {
             for (n, &a) in acct.accesses_by_node.iter().enumerate() {
                 node_accesses[n] += a;
             }
@@ -141,7 +147,6 @@ impl ContentionModel {
             .map(|&u| self.config.service_ns * u / (1.0 - u))
             .collect();
         let cpu_ns: Vec<f64> = accounts
-            .iter()
             .map(|acct| {
                 let extra: f64 = acct
                     .accesses_by_node
@@ -183,7 +188,7 @@ mod tests {
     #[test]
     fn empty_region_is_free() {
         let m = ContentionModel::default();
-        let t = m.close_region(&[CpuRegionAccount::new(4)], 4);
+        let t = m.close_region([CpuRegionAccount::new(4)].iter(), 4);
         assert_eq!(t.wall_ns, 0.0);
     }
 
@@ -194,7 +199,7 @@ mod tests {
         let accounts: Vec<_> = (0..4)
             .map(|n| acct(4, 90_000.0, n, 100, 10_000.0))
             .collect();
-        let t = m.close_region(&accounts, 4);
+        let t = m.close_region(accounts.iter(), 4);
         // u = 100*100/100_000 = 0.1 -> extra ~11 ns/access -> ~1.1% inflation.
         assert!(
             t.wall_ns < t.base_ns * 1.03,
@@ -211,7 +216,7 @@ mod tests {
         let accounts: Vec<_> = (0..8)
             .map(|_| acct(8, 50_000.0, 0, 600, 50_000.0))
             .collect();
-        let t = m.close_region(&accounts, 8);
+        let t = m.close_region(accounts.iter(), 8);
         // u = 4800*100/100_000 capped at 0.95 -> extra = 1900 ns/access.
         assert!(t.utilization[0] > 0.9);
         assert!(
@@ -231,8 +236,8 @@ mod tests {
         let spread: Vec<_> = (0..8)
             .map(|c| acct(8, 50_000.0, c, 300, 30_000.0))
             .collect();
-        let t_hot = m.close_region(&hot, 8);
-        let t_spread = m.close_region(&spread, 8);
+        let t_hot = m.close_region(hot.iter(), 8);
+        let t_spread = m.close_region(spread.iter(), 8);
         assert!(t_hot.wall_ns > t_spread.wall_ns);
     }
 
@@ -242,8 +247,8 @@ mod tests {
             service_ns: 100.0,
             max_utilization: 0.9,
         });
-        let accounts = vec![acct(2, 0.0, 0, 1_000_000, 1000.0)];
-        let t = m.close_region(&accounts, 2);
+        let accounts = [acct(2, 0.0, 0, 1_000_000, 1000.0)];
+        let t = m.close_region(accounts.iter(), 2);
         assert!(t.utilization[0] <= 0.9 + 1e-12);
         assert!(t.wall_ns.is_finite());
     }

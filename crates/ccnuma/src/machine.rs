@@ -238,6 +238,11 @@ pub struct Machine {
     pub(crate) clock: GlobalClock,
     pub(crate) stats: MachineStats,
     contention: ContentionModel,
+    /// Memory latency of every `(cpu_node, home)` pair, at
+    /// `cpu_node * nodes + home`: `latency.memory_ns(topology.hops(..))`
+    /// tabulated once (`config` never changes after construction), so the
+    /// memory path indexes instead of dividing and extrapolating.
+    mem_ns: Vec<f64>,
     /// Bump allocator for virtual address space handed to `SimArray`s.
     next_vaddr: u64,
     in_region: bool,
@@ -278,6 +283,12 @@ impl Machine {
             })
             .collect();
         let lines = config.max_vpages << (PAGE_SHIFT - LINE_SHIFT);
+        let mem_ns = (0..nodes * nodes)
+            .map(|i| {
+                let hops = config.topology.hops(i / nodes, i % nodes);
+                config.latency.memory_ns(hops)
+            })
+            .collect();
         Self {
             directory: Directory::new(lines),
             counters: RefCounters::new(nodes * config.frames_per_node, nodes),
@@ -289,6 +300,7 @@ impl Machine {
             clock: GlobalClock::new(),
             stats: MachineStats::default(),
             contention: ContentionModel::new(config.contention),
+            mem_ns,
             next_vaddr: 0,
             in_region: false,
             fp_rec: None,
@@ -849,8 +861,7 @@ impl Machine {
             rec.mem_log.push((cpu as u32, frame as u32));
         }
         let home = self.memory.node_of_frame(frame);
-        let hops = self.config.topology.hops(cpu_node, home);
-        let ns = self.config.latency.memory_ns(hops);
+        let ns = self.mem_ns[cpu_node * self.config.topology.nodes() + home];
         let spilled = {
             let _hp = hostprof::span_hot("ccnuma.counters");
             self.counters.record(frame, cpu_node)
@@ -864,7 +875,8 @@ impl Machine {
             self.trace.inc("counter_overflow_spills", 1);
         }
         let ctx = &mut self.cpus[cpu];
-        if hops == 0 {
+        // `hops` is 0 for no other pair.
+        if cpu_node == home {
             ctx.stats.mem_local += 1;
         } else {
             ctx.stats.mem_remote += 1;
@@ -928,8 +940,8 @@ impl Machine {
             c.stats.compute_ns += c.account.compute_ns;
         }
         let nodes = self.config.topology.nodes();
-        let accounts: Vec<_> = self.cpus.iter().map(|c| c.account.clone()).collect();
-        let timing = self.contention.close_region(&accounts, nodes);
+        let accounts = self.cpus.iter().map(|c| &c.account);
+        let timing = self.contention.close_region(accounts, nodes);
         self.clock.advance(timing.wall_ns + self.config.barrier_ns);
         let region = self.stats.regions;
         self.stats.regions += 1;

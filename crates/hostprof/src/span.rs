@@ -11,6 +11,7 @@
 use crate::report::{HostReport, SpanEvent, SpanNode, ThreadSpans};
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -58,12 +59,20 @@ struct Node {
     children: Vec<usize>,
 }
 
+/// One open span on a thread's stack. The guard that closes it carries
+/// only this frame's depth, so everything the close needs lives here.
+struct Frame {
+    node: usize,
+    start: Instant,
+    record_event: bool,
+}
+
 /// One thread's span state for the current session.
 struct ThreadLog {
     label: String,
     nodes: Vec<Node>,
     roots: Vec<usize>,
-    stack: Vec<usize>,
+    stack: Vec<Frame>,
     events: Vec<SpanEvent>,
     dropped_events: u64,
 }
@@ -81,9 +90,9 @@ impl ThreadLog {
     }
 
     /// Find-or-create the child of the current stack top named `name`,
-    /// push it, and return `(node index, depth)`.
-    fn open(&mut self, name: Cow<'static, str>) -> (usize, u32) {
-        let parent = self.stack.last().copied();
+    /// push its frame, and return the new stack depth (1 = root).
+    fn open(&mut self, name: Cow<'static, str>, record_event: bool) -> u32 {
+        let parent = self.stack.last().map(|f| f.node);
         let siblings: &[usize] = match parent {
             Some(p) => &self.nodes[p].children,
             None => &self.roots,
@@ -92,7 +101,7 @@ impl ThreadLog {
             .iter()
             .copied()
             .find(|&c| self.nodes[c].name == name);
-        let idx = match found {
+        let node = match found {
             Some(idx) => idx,
             None => {
                 let idx = self.nodes.len();
@@ -109,29 +118,40 @@ impl ThreadLog {
                 idx
             }
         };
-        self.stack.push(idx);
-        (idx, (self.stack.len() - 1) as u32)
+        // The clock is read last, so the span's interval excludes its own
+        // open bookkeeping.
+        self.stack.push(Frame {
+            node,
+            record_event,
+            start: Instant::now(),
+        });
+        self.stack.len() as u32
     }
 
-    fn close(&mut self, idx: usize, start_ns: u64, dur_ns: u64, depth: u32, record_event: bool) {
-        // Guards close in LIFO order on a given thread, so the top of the
-        // stack is this span — unless an enable flip perturbed things, in
-        // which case unwind to (and including) the matching frame.
-        if self.stack.last() == Some(&idx) {
-            self.stack.pop();
-        } else if let Some(pos) = self.stack.iter().rposition(|&n| n == idx) {
-            self.stack.truncate(pos);
+    /// Close the frame at `depth`, which ended at `end`. Guards close in
+    /// LIFO order on a thread, so that frame is the stack top — unless an
+    /// inner guard was leaked, whose frames are dropped here with it: they
+    /// can never unbalance their parent. The other way round, a guard
+    /// dropped after its parent finds its frame gone and closes nothing.
+    fn close(&mut self, depth: u32, end: Instant, t0: Instant) {
+        if self.stack.len() < depth as usize {
+            return;
         }
-        let node = &mut self.nodes[idx];
+        self.stack.truncate(depth as usize);
+        let Some(frame) = self.stack.pop() else {
+            return;
+        };
+        let dur_ns = end.saturating_duration_since(frame.start).as_nanos() as u64;
+        let node = &mut self.nodes[frame.node];
         node.calls += 1;
         node.incl_ns += dur_ns;
-        if record_event {
+        if frame.record_event {
             if self.events.len() < EVENT_CAP {
                 self.events.push(SpanEvent {
                     name: node.name.to_string(),
-                    start_ns,
+                    start_ns: frame.start.saturating_duration_since(t0).as_nanos() as u64,
                     dur_ns,
-                    depth,
+                    depth: depth - 1,
                 });
             } else {
                 self.dropped_events += 1;
@@ -168,115 +188,129 @@ thread_local! {
     static TL: RefCell<Option<TlState>> = const { RefCell::new(None) };
 }
 
-/// The calling thread's log for `epoch`, registering it on first use.
-fn tl_log(epoch: u64) -> (SharedLog, Instant) {
-    TL.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if let Some(s) = slot.as_ref() {
-            if s.epoch == epoch {
-                return (s.log.clone(), s.t0);
-            }
-        }
-        let label = std::thread::current()
-            .name()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("thread-{:?}", std::thread::current().id()));
-        let log = Arc::new(Mutex::new(ThreadLog::new(label)));
-        let mut reg = lock_ignoring_poison(registry());
-        reg.logs.push(log.clone());
-        let t0 = reg.t0;
-        drop(reg);
-        *slot = Some(TlState {
-            epoch,
-            log: log.clone(),
-            t0,
-        });
-        (log, t0)
-    })
+/// Register a fresh log for the calling thread in session `epoch`.
+fn register(epoch: u64) -> TlState {
+    let label = std::thread::current()
+        .name()
+        .map(str::to_string)
+        .unwrap_or_else(|| format!("thread-{:?}", std::thread::current().id()));
+    let log = Arc::new(Mutex::new(ThreadLog::new(label)));
+    let mut reg = lock_ignoring_poison(registry());
+    reg.logs.push(log.clone());
+    TlState {
+        epoch,
+        log,
+        t0: reg.t0,
+    }
 }
 
-/// An open span; closing happens on drop. Inert (and cost-free past one
-/// atomic load) when profiling is disabled.
+/// An open span; closing happens on drop. Two words: the session it was
+/// opened in (`epoch == 0` is the inert guard of a disabled profiler) and
+/// the depth of its frame on the opening thread's stack — which is why it
+/// is not `Send`. Disabled, a span costs one relaxed load at open and one
+/// register test at drop; both bodies are out of line.
 pub struct SpanGuard {
-    inner: Option<OpenSpan>,
+    epoch: u64,
+    depth: u32,
+    _on_its_thread: PhantomData<*const ()>,
 }
 
-struct OpenSpan {
-    epoch: u64,
-    node: usize,
-    depth: u32,
-    log: SharedLog,
-    t0: Instant,
-    start: Instant,
-    record_event: bool,
-}
+const INERT: SpanGuard = SpanGuard {
+    epoch: 0,
+    depth: 0,
+    _on_its_thread: PhantomData,
+};
+
+// The structural half of `tests/host_spans.rs`'s disabled-path gate: a guard
+// that fits two registers has no drop glue worth the name.
+const _: () = assert!(std::mem::size_of::<SpanGuard>() <= 16);
+
+// `SpanGuard: !Send`: if it were `Send` both impls would apply and the
+// inferred `_` below would be ambiguous, which fails the build.
+const _: fn() = || {
+    trait AmbiguousIfSend<A> {
+        fn check() {}
+    }
+    impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+    impl<T: ?Sized + Send> AmbiguousIfSend<u8> for T {}
+    let _ = <SpanGuard as AmbiguousIfSend<_>>::check;
+};
 
 impl Drop for SpanGuard {
+    #[inline(always)]
     fn drop(&mut self) {
-        let Some(open) = self.inner.take() else {
-            return;
-        };
-        let dur_ns = open.start.elapsed().as_nanos() as u64;
-        // A guard from a finished session closes as a no-op: its log is
-        // already detached and the next session must not see it.
-        if EPOCH.load(Ordering::Acquire) != open.epoch {
-            return;
+        if self.epoch != 0 {
+            close_cold(self.epoch, self.depth);
         }
-        let start_ns = open.start.saturating_duration_since(open.t0).as_nanos() as u64;
-        lock_ignoring_poison(&open.log).close(
-            open.node,
-            start_ns,
-            dur_ns,
-            open.depth,
-            open.record_event,
-        );
     }
 }
 
-#[inline]
-fn open(name: Cow<'static, str>, record_event: bool) -> SpanGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard { inner: None };
-    }
+#[cold]
+#[inline(never)]
+fn open_cold(name: Cow<'static, str>, record_event: bool) -> SpanGuard {
     let epoch = EPOCH.load(Ordering::Acquire);
-    let (log, t0) = tl_log(epoch);
-    let (node, depth) = lock_ignoring_poison(&log).open(name);
+    let depth = TL.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        let state = match &mut *slot {
+            Some(state) if state.epoch == epoch => state,
+            stale => stale.insert(register(epoch)),
+        };
+        let mut log = lock_ignoring_poison(&state.log);
+        log.open(name, record_event)
+    });
     SpanGuard {
-        inner: Some(OpenSpan {
-            epoch,
-            node,
-            depth,
-            log,
-            t0,
-            start: Instant::now(),
-            record_event,
-        }),
+        epoch,
+        depth,
+        _on_its_thread: PhantomData,
     }
+}
+
+#[cold]
+#[inline(never)]
+fn close_cold(epoch: u64, depth: u32) {
+    let end = Instant::now();
+    // A guard from a finished session closes as a no-op: its log is
+    // already detached and the next session must not see it. So does one
+    // whose thread has no log for its session (or is tearing down).
+    if EPOCH.load(Ordering::Acquire) != epoch {
+        return;
+    }
+    let _ = TL.try_with(|cell| {
+        if let Some(state) = cell.borrow().as_ref().filter(|s| s.epoch == epoch) {
+            lock_ignoring_poison(&state.log).close(depth, end, state.t0);
+        }
+    });
 }
 
 /// Open a span named by a static string, recorded in both the aggregate
 /// tree and the per-thread event log.
-#[inline]
+#[inline(always)]
 pub fn span(name: &'static str) -> SpanGuard {
-    open(Cow::Borrowed(name), true)
+    if !ENABLED.load(Ordering::Relaxed) {
+        return INERT;
+    }
+    open_cold(Cow::Borrowed(name), true)
 }
 
 /// Open a **hot** span: aggregated (calls + time) but kept out of the
 /// event log, so per-access instrumentation does not flood the Perfetto
 /// export or burn the event cap.
-#[inline]
+#[inline(always)]
 pub fn span_hot(name: &'static str) -> SpanGuard {
-    open(Cow::Borrowed(name), false)
+    if !ENABLED.load(Ordering::Relaxed) {
+        return INERT;
+    }
+    open_cold(Cow::Borrowed(name), false)
 }
 
 /// Open a span with a runtime-built name (e.g. `cell:<id>` roots). The
 /// allocation only happens when profiling is enabled.
-#[inline]
+#[inline(always)]
 pub fn span_named(name: impl FnOnce() -> String) -> SpanGuard {
     if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard { inner: None };
+        return INERT;
     }
-    open(Cow::Owned(name()), true)
+    open_cold(Cow::Owned(name()), true)
 }
 
 /// The process-wide session lock: callers that run profiling sessions
@@ -344,8 +378,76 @@ mod tests {
         let _outer = exclusive();
         assert!(!enabled());
         let g = span("never.recorded");
-        assert!(g.inner.is_none());
+        assert_eq!(g.epoch, 0);
         drop(g);
+    }
+
+    #[test]
+    fn a_guard_opened_while_disabled_stays_inert_inside_a_session() {
+        let guard = exclusive();
+        let early = span("opened.before.begin");
+        begin();
+        let a = span("a");
+        drop(early); // inert: must not close `a`'s frame, or anything
+        drop(span_hot("a.b"));
+        drop(a);
+        let report = end();
+        drop(guard);
+        let merged = report.merged();
+        assert_eq!(merged.len(), 1, "{merged:?}");
+        assert_eq!((merged[0].name.as_str(), merged[0].calls), ("a", 1));
+        assert_eq!(merged[0].children.len(), 1);
+        assert_eq!(merged[0].children[0].calls, 1);
+
+        let guard = exclusive();
+        let early = span("opened.before.begin");
+        begin();
+        drop(early);
+        let report = end();
+        drop(guard);
+        assert!(report.merged().is_empty());
+    }
+
+    #[test]
+    fn a_leaked_inner_guard_cannot_unbalance_its_parent() {
+        let guard = exclusive();
+        begin();
+        let a = span("a");
+        std::mem::forget(span("a.b"));
+        drop(a);
+        drop(span("c"));
+        let report = end();
+        drop(guard);
+        assert_eq!(report.merged().len(), 2, "`c` is a root beside `a`");
+        let a = report.root("a").expect("a closed");
+        assert_eq!(a.calls, 1);
+        assert_eq!(a.children.len(), 1);
+        assert_eq!(a.children[0].name, "a.b");
+        assert_eq!(a.children[0].calls, 0);
+        let c = report.root("c").expect("c is a root");
+        assert_eq!(c.calls, 1);
+        assert!(c.children.is_empty());
+    }
+
+    #[test]
+    fn a_guard_dropped_after_its_parent_closes_nothing() {
+        let guard = exclusive();
+        begin();
+        let r = span("r");
+        let a = span("r.a");
+        let b = span("r.a.b");
+        drop(a); // takes `r.a.b`'s frame with it
+        drop(b); // must not pop `r`
+        drop(span("r.c"));
+        drop(r);
+        let report = end();
+        drop(guard);
+        let r = report.root("r").expect("r closed");
+        assert_eq!(r.calls, 1);
+        let child = |name: &str| r.children.iter().find(|n| n.name == name).unwrap();
+        assert_eq!(child("r.a").calls, 1);
+        assert_eq!(child("r.a").children[0].calls, 0);
+        assert_eq!(child("r.c").calls, 1, "`r` was still open for `r.c`");
     }
 
     #[test]
@@ -382,10 +484,16 @@ mod tests {
         let stale = span("stale");
         let _ = end();
         begin();
+        // Same depth as `stale`, live session: the stale close must leave
+        // this frame alone.
+        let live = span("live");
         drop(stale); // closes against a bumped epoch: must not register
+        drop(live);
         let report = end();
         drop(guard);
-        assert!(report.merged().is_empty());
+        let merged = report.merged();
+        assert_eq!(merged.len(), 1);
+        assert_eq!((merged[0].name.as_str(), merged[0].calls), ("live", 1));
     }
 
     #[test]

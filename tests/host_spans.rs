@@ -152,11 +152,12 @@ fn fastpath_cg_spends_less_ccnuma_self_time_than_exact() {
     );
 }
 
-/// The ISSUE's CI guard: with no session open, an instrumented hot path
-/// costs one relaxed atomic load per span — indistinguishable from noise.
-/// The bound arms in release builds only: a debug build doesn't inline
-/// the guard (~35 ns/op debug vs ~1 ns release, against a 25 ns bound).
-/// Debug runs still exercise the disabled path.
+/// The CI guard: with no session open, an instrumented hot path costs one
+/// relaxed atomic load per span and a register test at drop —
+/// indistinguishable from noise. The bound arms in release builds only: a
+/// debug build doesn't optimise the guard (~5 ns/op debug vs ~0.3 ns
+/// release, against a 1.5 ns bound). Debug runs still exercise the
+/// disabled path.
 #[test]
 fn disabled_span_path_stays_within_noise() {
     // Holding the session lock guarantees no sibling test has profiling
@@ -185,17 +186,21 @@ fn disabled_span_path_stays_within_noise() {
         }
         std::hint::black_box(acc);
     };
-    // Warm both paths, then measure.
+    // Warm both paths, then measure: the minimum of 5 base/with pairs, so
+    // a loud neighbour on the box cannot fail the gate.
     work();
     spanned();
-    let base = time(work);
-    let with = time(spanned);
-
-    let per_op_ns = (with.as_nanos().saturating_sub(base.as_nanos())) as f64 / N as f64;
-    eprintln!("disabled span overhead: {per_op_ns:.2} ns/span (base {base:?}, with {with:?})");
+    let per_op_ns = (0..5)
+        .map(|_| {
+            let (base, with) = (time(work), time(spanned));
+            let per_op = with.as_nanos().saturating_sub(base.as_nanos()) as f64 / N as f64;
+            eprintln!("disabled span overhead: {per_op:.2} ns/span (base {base:?}, with {with:?})");
+            per_op
+        })
+        .fold(f64::INFINITY, f64::min);
     if !cfg!(debug_assertions) {
         assert!(
-            per_op_ns < 25.0,
+            per_op_ns < 1.5,
             "disabled hostprof span costs {per_op_ns:.2} ns/op — the disabled \
              path must be a single relaxed load"
         );
