@@ -162,26 +162,29 @@ impl RefCounters {
         self.nodes
     }
 
-    /// `(local, max_remote, argmax_remote_node)` for a frame homed on
-    /// `home`. This is the triple every competitive migration criterion in
-    /// the paper consumes. Ties between remote nodes break toward the lower
-    /// node id, deterministically.
+    /// [`competitive_view`] of a frame homed on `home`.
     pub fn competitive_view(&self, frame: usize, home: NodeId) -> (u64, u64, NodeId) {
-        let local = self.get(frame, home);
-        let mut best = 0u64;
-        let mut best_node = home;
-        for n in 0..self.nodes {
-            if n == home {
-                continue;
-            }
-            let c = self.get(frame, n);
-            if c > best {
-                best = c;
-                best_node = n;
-            }
-        }
-        (local, best, best_node)
+        competitive_view((0..self.nodes).map(|n| self.get(frame, n)), home)
     }
+}
+
+/// `(local, max_remote, argmax_remote_node)` of a page homed on `home` whose
+/// per-node access counts are `counts` (node 0, 1, …). This is the triple
+/// every competitive migration criterion in the paper consumes. A remote
+/// node takes the maximum only by being strictly greater, so ties break
+/// toward the lower node id, deterministically, and a page with no remote
+/// access names its own home.
+pub fn competitive_view(counts: impl IntoIterator<Item = u64>, home: NodeId) -> (u64, u64, NodeId) {
+    let (mut local, mut best, mut best_node) = (0, 0, home);
+    for (n, c) in counts.into_iter().enumerate() {
+        if n == home {
+            local = c;
+        } else if c > best {
+            best = c;
+            best_node = n;
+        }
+    }
+    (local, best, best_node)
 }
 
 #[cfg(test)]

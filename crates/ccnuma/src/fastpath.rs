@@ -53,6 +53,13 @@
 //! fix-up reads versions back, and a live thread can never observe a replayed
 //! thread's lines (or vice versa) by eligibility.
 //!
+//! **Labels.** A region meets its proof by its `"phase/loop"` label and by
+//! nothing else. A label may name several region instances (one loop run
+//! many times per iteration, its cold-start and timed copies); it has a pool
+//! only if every instance derived the same proof
+//! ([`FastpathEngine::install`]), so one instance's memo is never replayed
+//! for another. A label without a pool runs exactly.
+//!
 //! **Fallback.** Every precondition failure — unmapped proof page, active
 //! replicas, active trace, team mismatch — returns an empty
 //! [`FastpathOutcome`] and the region runs the exact line-by-line path.
@@ -64,7 +71,6 @@
 //! degrade performance but never correctness.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use crate::cache::{SetAssocCache, INVALID_TAG};
 use crate::coherence::Directory;
@@ -268,11 +274,10 @@ struct CacheFix {
     fixes: Vec<(u32, u8, u64, u64)>,
 }
 
-/// Per-label pool: the proof it was built for (shared with the runtime's
-/// installed sequence, not copied), per-thread write claims, and one memo
-/// slot per team thread.
+/// Per-label pool: the proof every instance of the label derived, per-thread
+/// write claims, and one memo slot per team thread.
 struct Pool {
-    proof: Arc<PhaseProof>,
+    proof: PhaseProof,
     /// Dense proof-line membership bitmap (bit `line & 63` of word
     /// `line >> 6`) — match-time tag classification in O(1) instead of a
     /// binary search over the (possibly huge) footprint.
@@ -292,7 +297,7 @@ struct CpuSlot {
 }
 
 impl Pool {
-    fn new(proof: Arc<PhaseProof>) -> Self {
+    fn new(proof: PhaseProof) -> Self {
         let mut writes_by_thread = vec![Vec::new(); proof.threads];
         for &(line, count, writer) in &proof.line_writes {
             writes_by_thread[writer as usize].push((line, count));
@@ -314,13 +319,6 @@ impl Pool {
             claimed_writes,
             slots: Vec::new(),
         }
-    }
-
-    /// Was this pool built for `proof`? The same allocation in the steady
-    /// state ([`FastpathEngine::share`] hands equal proofs one `Arc`), so
-    /// the footprint is compared only when the pointers differ.
-    fn holds(&self, proof: &Arc<PhaseProof>) -> bool {
-        Arc::ptr_eq(&self.proof, proof) || *self.proof == **proof
     }
 
     /// O(1) proof-line membership.
@@ -381,22 +379,32 @@ impl FastpathEngine {
         }
     }
 
-    /// Take ownership of a proof about to be installed and return the shared
-    /// handle regions must be entered with. A proof equal to the one its
-    /// label's pool already holds — the cold-start and iteration instances
-    /// of a loop, or one loop run several times per iteration — comes back
-    /// as that pool's `Arc`, so the footprint exists once and
-    /// [`FastpathEngine::begin_region_fastpath`] recognises it by pointer.
-    pub fn share(&mut self, proof: PhaseProof) -> Arc<PhaseProof> {
-        if let Some(pool) = self.pools.get(&proof.label) {
-            if *pool.proof == proof {
-                return Arc::clone(&pool.proof);
+    /// Install the proofs of a program text: one `(label, proof)` per region
+    /// instance, `None` where none could be derived. They fold into the label
+    /// table — a label whose instances did not all derive the same proof has
+    /// none — and the table replaces the pools: a label whose proof equals
+    /// the one its pool already holds keeps its memos (cold-start recordings
+    /// seed the timed iterations), every other pool starts empty or is gone.
+    pub fn install(&mut self, instances: impl IntoIterator<Item = (String, Option<PhaseProof>)>) {
+        let mut table: HashMap<String, Option<PhaseProof>> = HashMap::new();
+        for (label, proof) in instances {
+            if let Some(seen) = table.get_mut(&label) {
+                if *seen != proof {
+                    *seen = None;
+                }
+            } else {
+                table.insert(label, proof);
             }
         }
-        let proof = Arc::new(proof);
-        self.pools
-            .insert(proof.label.clone(), Pool::new(Arc::clone(&proof)));
-        proof
+        let mut old = std::mem::take(&mut self.pools);
+        for (label, proof) in table {
+            let Some(proof) = proof else { continue };
+            let pool = match old.remove(&label) {
+                Some(pool) if pool.proof == proof => pool,
+                _ => Pool::new(proof),
+            };
+            self.pools.insert(label, pool);
+        }
     }
 
     /// Engine counters so far.
@@ -404,18 +412,22 @@ impl FastpathEngine {
         self.stats
     }
 
-    /// Consult the engine for a region about to run under `proof` on the
+    /// Consult the engine for the region named `label`, about to run on the
     /// team `binding` (CPU of thread 0, 1, …). Must be called between
     /// `begin_region` and the region body. See [`FastpathOutcome`] for the
-    /// caller's obligations.
+    /// caller's obligations. A label with no pool is none of the engine's
+    /// business: the region runs exactly and nothing is counted.
     pub fn begin_region_fastpath(
         &mut self,
         m: &mut Machine,
-        proof: &Arc<PhaseProof>,
+        label: &str,
         binding: &[CpuId],
     ) -> FastpathOutcome {
         let _hp = hostprof::span_hot("ccnuma.fastpath");
-        if binding.len() != proof.threads
+        let Some(pool) = self.pools.get_mut(label) else {
+            return Default::default();
+        };
+        if binding.len() != pool.proof.threads
             || !m.replicas.is_empty()
             || m.trace_mut().is_active()
             || m.cpus[0].l1.assoc() > MAX_ASSOC
@@ -426,8 +438,8 @@ impl FastpathEngine {
         }
         // Every proof page must already be mapped (a fault mid-region would
         // consult the placement policy, which the replay could not reproduce).
-        let mut frames = Vec::with_capacity(proof.pages.len());
-        for &vp in &proof.pages {
+        let mut frames = Vec::with_capacity(pool.proof.pages.len());
+        for &vp in &pool.proof.pages {
             match m.page_table.get(vp as usize).copied().flatten() {
                 Some(f) => frames.push((vp, f)),
                 None => {
@@ -436,16 +448,6 @@ impl FastpathEngine {
                 }
             }
         }
-        if !self.pools.get(&proof.label).is_some_and(|p| p.holds(proof)) {
-            // First sight of the label, or same label with a different
-            // footprint (e.g. team resize): start over.
-            self.pools
-                .insert(proof.label.clone(), Pool::new(Arc::clone(proof)));
-        }
-        let pool = self
-            .pools
-            .get_mut(&proof.label)
-            .expect("the label's pool was just ensured");
         pool.align_slots(binding);
         self.use_clock += 1;
         let now = self.use_clock;
@@ -467,8 +469,8 @@ impl FastpathEngine {
             });
             if explain && hit.is_none() {
                 eprintln!(
-                    "fastpath miss {}: thread {t} (cpu {}) vs {why:?}",
-                    proof.label, slot.cpu,
+                    "fastpath miss {label}: thread {t} (cpu {}) vs {why:?}",
+                    slot.cpu,
                 );
             }
             // Keep variants in MRU order: the steady-state variant ends up in
@@ -487,11 +489,8 @@ impl FastpathEngine {
         // take the full per-line snapshot the exhaustive check diffs against.
         let entry_dir_writes = m.directory.total_writes();
         let key_dir: Vec<u32> = if cfg!(debug_assertions) && !all_hit {
-            proof
-                .lines
-                .iter()
-                .map(|&l| m.directory.version(l))
-                .collect()
+            let lines = pool.proof.lines.iter();
+            lines.map(|&l| m.directory.version(l)).collect()
         } else {
             Vec::new()
         };
@@ -538,7 +537,7 @@ impl FastpathEngine {
         FastpathOutcome {
             replayed,
             record: Some(RecordToken {
-                label: proof.label.clone(),
+                label: label.to_string(),
                 frames,
                 entry_stats: m.stats,
                 entry_clock_bits: m.clock.now_ns().to_bits(),
@@ -813,7 +812,7 @@ fn build_memos(
     rec: &FpRecording,
     now: u64,
 ) -> Option<Vec<(usize, CpuMemo)>> {
-    let proof = &*pool.proof;
+    let proof = &pool.proof;
     // Environmental checks first (silent discard): these can fail without the
     // proof being wrong — e.g. an explicit mid-region page operation.
     if m.stats != token.entry_stats
@@ -1128,15 +1127,31 @@ mod tests {
     use crate::machine::MachineConfig;
     use crate::PAGE_SIZE;
 
-    fn proof() -> Arc<PhaseProof> {
+    const LABEL: &str = "test/loop";
+
+    fn proof() -> PhaseProof {
         let mut lines: Vec<u64> = (0..8).collect();
         lines.extend(128..132); // page 1's first four lines
-        Arc::new(PhaseProof::new(
-            "test/loop".into(),
-            2,
-            lines,
-            vec![(0, 2, 0)],
-        ))
+        PhaseProof::new(LABEL.into(), 2, lines, vec![(0, 2, 0)])
+    }
+
+    /// [`proof`] with one more claimed line: same label, another footprint.
+    fn wider_proof() -> PhaseProof {
+        let p = proof();
+        let mut lines = p.lines;
+        lines.push(132);
+        PhaseProof::new(p.label, p.threads, lines, p.line_writes)
+    }
+
+    fn instance(proof: Option<PhaseProof>) -> (String, Option<PhaseProof>) {
+        (LABEL.to_string(), proof)
+    }
+
+    /// An engine whose [`LABEL`] pool holds [`proof`].
+    fn engine() -> FastpathEngine {
+        let mut engine = FastpathEngine::new();
+        engine.install([instance(Some(proof()))]);
+        engine
     }
 
     /// The region body. The lane is the caller's to keep: a CPU in
@@ -1164,12 +1179,12 @@ mod tests {
         m
     }
 
-    fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>, p: &Arc<PhaseProof>) {
+    fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>) {
         m.begin_region();
         match engine {
             None => workload(m, &[]),
             Some(e) => {
-                let outcome = e.begin_region_fastpath(m, p, &[0, 1]);
+                let outcome = e.begin_region_fastpath(m, LABEL, &[0, 1]);
                 workload(m, &outcome.replayed);
                 if let Some(token) = outcome.record {
                     e.finish_record(m, token);
@@ -1204,13 +1219,12 @@ mod tests {
 
     #[test]
     fn replayed_regions_are_bit_identical_to_reference() {
-        let p = proof();
         let mut reference = prepared();
         let mut fast = prepared();
-        let mut engine = FastpathEngine::new();
+        let mut engine = engine();
         for _ in 0..4 {
-            run_region(&mut reference, None, &p);
-            run_region(&mut fast, Some(&mut engine), &p);
+            run_region(&mut reference, None);
+            run_region(&mut fast, Some(&mut engine));
             assert_eq!(fingerprint(&reference), fingerprint(&fast));
         }
         // Iteration 1 records the cold variant, iteration 2 the steady-state
@@ -1224,34 +1238,22 @@ mod tests {
     }
 
     #[test]
-    fn equal_proofs_share_one_allocation_and_its_memos() {
-        let mut engine = FastpathEngine::new();
-        let first = engine.share((*proof()).clone());
+    fn an_equal_proof_keeps_its_memos_and_another_footprint_starts_over() {
+        let mut engine = engine();
         let mut m = prepared();
         for _ in 0..3 {
-            run_region(&mut m, Some(&mut engine), &first);
+            run_region(&mut m, Some(&mut engine));
         }
         let before = engine.stats();
         assert!(before.replays >= 1, "{before:?}");
-        // A second instance of the same loop (its iteration proof after the
-        // cold-start one) is handed the first one's allocation, and the
-        // label's memos with it.
-        let again = engine.share((*proof()).clone());
-        assert!(Arc::ptr_eq(&first, &again));
-        run_region(&mut m, Some(&mut engine), &again);
+        // The same loop installed again (its iteration instances after the
+        // cold-start one, several of them): the label's memos stay.
+        engine.install([instance(Some(proof())), instance(Some(proof()))]);
+        run_region(&mut m, Some(&mut engine));
         assert_eq!(engine.stats().replays, before.replays + 1);
-        // Same label, different footprint (one more claimed line): a new
-        // allocation and a new pool.
-        let mut lines = first.lines.clone();
-        lines.push(132);
-        let other = engine.share(PhaseProof::new(
-            first.label.clone(),
-            first.threads,
-            lines,
-            first.line_writes.clone(),
-        ));
-        assert!(!Arc::ptr_eq(&first, &other));
-        run_region(&mut m, Some(&mut engine), &other);
+        // Same label, different footprint: an empty pool.
+        engine.install([instance(Some(wider_proof()))]);
+        run_region(&mut m, Some(&mut engine));
         let s = engine.stats();
         assert_eq!(
             (s.replays, s.misses),
@@ -1260,15 +1262,48 @@ mod tests {
     }
 
     #[test]
+    fn a_label_whose_instances_disagree_has_no_pool() {
+        let mixed = [
+            vec![instance(Some(proof())), instance(Some(wider_proof()))],
+            vec![instance(Some(proof())), instance(None)],
+            vec![instance(None), instance(Some(proof()))],
+            // Not in the installed text at all.
+            vec![("test/other".to_string(), Some(proof()))],
+        ];
+        for instances in mixed {
+            let mut reference = prepared();
+            let mut fast = prepared();
+            // A pool an earlier install recorded into goes too.
+            let mut engine = engine();
+            for _ in 0..3 {
+                run_region(&mut reference, None);
+                run_region(&mut fast, Some(&mut engine));
+            }
+            let before = engine.stats();
+            assert!(before.replays >= 1, "{before:?}");
+            engine.install(instances);
+            for _ in 0..3 {
+                run_region(&mut reference, None);
+                run_region(&mut fast, Some(&mut engine));
+                assert_eq!(fingerprint(&reference), fingerprint(&fast));
+            }
+            assert_eq!(engine.stats(), before, "exact, and not counted");
+            // Installed consistently again, the label starts from nothing.
+            engine.install([instance(Some(proof()))]);
+            run_region(&mut fast, Some(&mut engine));
+            assert_eq!(engine.stats().misses, before.misses + 1);
+        }
+    }
+
+    #[test]
     fn partial_replay_records_only_the_drifted_cpu() {
-        let p = proof();
         let mut reference = prepared();
         let mut fast = prepared();
-        let mut engine = FastpathEngine::new();
+        let mut engine = engine();
         // Reach steady state on both machines.
         for _ in 0..3 {
-            run_region(&mut reference, None, &p);
-            run_region(&mut fast, Some(&mut engine), &p);
+            run_region(&mut reference, None);
+            run_region(&mut fast, Some(&mut engine));
         }
         let before = engine.stats();
         assert!(before.replays >= 1, "{before:?}");
@@ -1276,8 +1311,8 @@ mod tests {
         // mapped page): its key drifts, CPU 1's does not.
         reference.touch(0, 120 * 128, Read);
         fast.touch(0, 120 * 128, Read);
-        run_region(&mut reference, None, &p);
-        run_region(&mut fast, Some(&mut engine), &p);
+        run_region(&mut reference, None);
+        run_region(&mut fast, Some(&mut engine));
         assert_eq!(fingerprint(&reference), fingerprint(&fast));
         let s = engine.stats();
         assert_eq!(s.misses, before.misses + 1, "CPU 0 must miss: {s:?}");
@@ -1290,8 +1325,8 @@ mod tests {
         // The re-recorded variant serves the perturbed state from now on.
         reference.touch(0, 120 * 128, Read);
         fast.touch(0, 120 * 128, Read);
-        run_region(&mut reference, None, &p);
-        run_region(&mut fast, Some(&mut engine), &p);
+        run_region(&mut reference, None);
+        run_region(&mut fast, Some(&mut engine));
         assert_eq!(fingerprint(&reference), fingerprint(&fast));
         assert_eq!(engine.stats().replays, s.replays + 1, "full replay resumes");
     }
@@ -1302,26 +1337,33 @@ mod tests {
 
     #[test]
     fn preconditions_reject() {
-        let p = proof();
-        let mut engine = FastpathEngine::new();
+        let mut engine = engine();
 
         // Unmapped proof page.
         let mut m = Machine::new(MachineConfig::tiny_test());
         m.begin_region();
-        assert!(rejected(engine.begin_region_fastpath(&mut m, &p, &[0, 1])));
+        assert!(rejected(engine.begin_region_fastpath(
+            &mut m,
+            LABEL,
+            &[0, 1]
+        )));
         m.end_region();
 
         // Replicas present.
         let mut m = prepared();
         m.replicate_page(0, 1).unwrap();
         m.begin_region();
-        assert!(rejected(engine.begin_region_fastpath(&mut m, &p, &[0, 1])));
+        assert!(rejected(engine.begin_region_fastpath(
+            &mut m,
+            LABEL,
+            &[0, 1]
+        )));
         m.end_region();
 
         // Team-size mismatch.
         let mut m = prepared();
         m.begin_region();
-        assert!(rejected(engine.begin_region_fastpath(&mut m, &p, &[0])));
+        assert!(rejected(engine.begin_region_fastpath(&mut m, LABEL, &[0])));
         m.end_region();
 
         assert_eq!(engine.stats().rejects, 3);
@@ -1330,11 +1372,10 @@ mod tests {
 
     #[test]
     fn recording_discarded_when_region_has_side_effects() {
-        let p = proof();
-        let mut engine = FastpathEngine::new();
+        let mut engine = engine();
         let mut m = prepared();
         m.begin_region();
-        let outcome = engine.begin_region_fastpath(&mut m, &p, &[0, 1]);
+        let outcome = engine.begin_region_fastpath(&mut m, LABEL, &[0, 1]);
         assert!(outcome.replayed.is_empty());
         let tok = outcome.record.expect("a recording on first sight");
         workload(&mut m, &[]);

@@ -50,7 +50,7 @@ pub use cache::{CacheConfig, SetAssocCache};
 pub use clock::GlobalClock;
 pub use coherence::Directory;
 pub use contention::{ContentionConfig, ContentionModel};
-pub use counters::{RefCounters, COUNTER_MAX};
+pub use counters::{competitive_view, RefCounters, COUNTER_MAX};
 pub use cpu::{AccessKind, CpuContext, CpuId};
 pub use fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof};
 pub use latency::LatencyModel;

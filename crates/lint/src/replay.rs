@@ -19,9 +19,9 @@
 //!   its counters after every invocation, so each dynamic invocation also
 //!   sees exactly one iteration's worth of references).
 
-use ccnuma::NodeId;
+use ccnuma::{competitive_view, NodeId};
 use std::collections::BTreeMap;
-use upmlib::freeze::FreezeTracker;
+use upmlib::freeze::{FreezeTracker, Verdict};
 use upmlib::UpmOptions;
 
 /// Per-page, per-node access counts for one observation window (one timed
@@ -77,11 +77,10 @@ impl UpmReplay {
     }
 
     /// One `migrate_memory` invocation against `counts`. Returns the number
-    /// of pages moved. Mirrors `UpmEngine::migrate_memory` decision for
-    /// decision: vpage scan order, the engine's own competitive criterion
-    /// ([`UpmOptions::competitive`]), strict-greater remote maximum with
-    /// ties toward the lower node id, freezer veto, and deactivation when
-    /// nothing moves.
+    /// of pages moved. It is `UpmEngine::migrate_memory` over a table: the
+    /// same vpage scan order, the engine's own view of a page's counts
+    /// ([`competitive_view`]) and its own per-page decision
+    /// ([`FreezeTracker::verdict`]), and deactivation when nothing moves.
     pub fn invoke(&mut self, counts: &CountTable) -> usize {
         if !self.active {
             return 0;
@@ -93,28 +92,14 @@ impl UpmReplay {
             let Some(&home) = self.homes.get(&vpage) else {
                 continue;
             };
-            let local = node_counts.get(home).copied().unwrap_or(0);
-            let mut rmax = 0u64;
-            let mut target = home;
-            for (n, &c) in node_counts.iter().enumerate().take(self.nodes) {
-                if n != home && c > rmax {
-                    rmax = c;
-                    target = n;
-                }
-            }
-            if self.options.competitive(local, rmax).is_none() {
-                continue;
-            }
-            if target == home {
-                continue;
-            }
-            if self.options.freeze_ping_pong
-                && !self.freeze.approve(vpage, home, target, invocation)
+            let seen = competitive_view(node_counts.iter().copied().take(self.nodes), home);
+            if let Verdict::Move(target) =
+                self.freeze
+                    .verdict(&self.options, vpage, home, seen, invocation)
             {
-                continue;
+                self.homes.insert(vpage, target);
+                moved += 1;
             }
-            self.homes.insert(vpage, target);
-            moved += 1;
         }
         self.migrations.push(moved as u64);
         if moved == 0 {

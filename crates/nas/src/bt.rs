@@ -69,12 +69,6 @@ impl BtConfig {
             phase_scale: 1,
         }
     }
-
-    /// The Figure 6 variant: every phase repeated four times.
-    pub fn scaled_phases(mut self) -> Self {
-        self.phase_scale = 4;
-        self
-    }
 }
 
 /// The constant 5x5 coupling matrix added to the diagonal blocks — small
@@ -361,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_phases_quadruple_the_work() {
+    fn phase_scale_quadruples_the_work() {
         let run = |ps: usize| {
             let mut rt = rt();
             let mut bt = Bt::with_config(

@@ -15,6 +15,7 @@
 //!   points and `undo` at the end of every later iteration.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
+use crate::proof::derive_proofs;
 use ccnuma::{Machine, MachineConfig};
 use omp::Runtime;
 use upmlib::{UpmEngine, UpmOptions, UpmStats};
@@ -236,23 +237,18 @@ impl BenchRun {
             return;
         }
         self.started = true;
-        let model = if self.fastpath {
-            self.bench.access_model()
-        } else {
-            None
-        };
+        let model = self.fastpath.then(|| self.bench.access_model()).flatten();
+        let threads = self.rt.threads();
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
         if let Some(model) = &model {
             self.rt
-                .install_fastpath(crate::proof::derive_proofs(model.cold(), self.rt.threads()));
+                .install_fastpath(derive_proofs(model.cold(), threads));
         }
         self.bench.cold_start(&mut self.rt);
         if let Some(model) = &model {
-            self.rt.install_fastpath(crate::proof::derive_proofs(
-                model.iteration(),
-                self.rt.threads(),
-            ));
+            self.rt
+                .install_fastpath(derive_proofs(model.iteration(), threads));
         }
         if let Some(engine) = &self.upm {
             // Reference monitoring starts with the timed run (upmlib reads
@@ -324,8 +320,6 @@ impl BenchRun {
     pub fn step_with(&mut self, extra: &mut PhaseHook<'_>) -> f64 {
         self.ensure_started();
         assert!(self.step < self.iters, "stepping a finished run");
-        // Every timed iteration replays the same region sequence.
-        self.rt.fastpath_reset_cursor();
         let t0 = self.rt.machine().clock().now_secs();
         let recrep = self.recrep;
         let step = self.step;

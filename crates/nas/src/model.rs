@@ -365,7 +365,9 @@ impl Mem for Probe<'_> {
 /// `for_each`, `sum` and `serial` is exactly one machine region; `phase`
 /// names the group the following constructs belong to. Construct and phase
 /// names are stable identifiers (lint finding keys, `lint.allow` entries,
-/// fast-path memo labels, `prof` rows).
+/// `prof` rows), and the runtime reads them too: a region finds its
+/// fast-path proof under `"phase/construct"`, so constructs that share a
+/// name and touch different lines all run exactly.
 pub trait Exec {
     /// The [`Mem`] this executor hands to loop bodies.
     type Mem<'a>: Mem;
@@ -412,34 +414,39 @@ pub trait Exec {
 impl Exec for Runtime {
     type Mem<'a> = Par<'a>;
 
-    fn phase(&mut self, _name: &str) {}
+    fn phase(&mut self, name: &str) {
+        Runtime::phase(self, name)
+    }
 
     fn for_each(
         &mut self,
-        _name: &str,
+        name: &str,
         n: usize,
         schedule: Schedule,
         body: impl for<'a> Fn(&mut Par<'a>, usize) + 'static,
     ) {
+        self.name_region(name);
         self.parallel_for(n, schedule, body);
     }
 
     fn sum(
         &mut self,
-        _name: &str,
+        name: &str,
         n: usize,
         schedule: Schedule,
         body: impl for<'a> Fn(&mut Par<'a>, usize) -> f64 + 'static,
     ) -> f64 {
+        self.name_region(name);
         let fold = |par: &mut Par<'_>, i: usize, acc: f64| acc + body(par, i);
         self.parallel_reduce(n, schedule, 0.0, fold, |a, b| a + b)
     }
 
     fn serial<R: Default>(
         &mut self,
-        _name: &str,
+        name: &str,
         body: impl for<'a> Fn(&mut Par<'a>) -> R + 'static,
     ) -> R {
+        self.name_region(name);
         Runtime::serial(self, body)
     }
 

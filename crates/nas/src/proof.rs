@@ -18,9 +18,11 @@
 //!   principle but outside the contract the replay engine validates.
 //!
 //! Ineligible loops get `None` and simply run on the exact line-by-line
-//! path. The proof is re-validated at runtime: recording diffs the real
-//! region against the claim and discards (loudly, in debug builds) on any
-//! disagreement — see `ccnuma::fastpath`.
+//! path, as does every loop of a label whose instances derive different
+//! proofs (a running region finds its proof by label alone —
+//! `FastpathEngine::install`). The proof is re-validated at runtime:
+//! recording diffs the real region against the claim and discards (loudly,
+//! in debug builds) on any disagreement — see `ccnuma::fastpath`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -164,18 +166,21 @@ pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<P
     Some(PhaseProof::new(label.to_string(), team, lines, line_writes))
 }
 
-/// Derive proofs for a phase sequence, flattened to one entry per region in
-/// program order — the shape `omp::Runtime::install_fastpath` expects.
-pub fn derive_proofs(phases: &[PhaseModel], threads: usize) -> Vec<Option<PhaseProof>> {
-    phases
-        .iter()
-        .flat_map(|p| {
-            p.loops().iter().map(move |l| {
-                let label = format!("{}/{}", p.name(), l.name());
-                derive_loop_proof(&label, l, threads)
-            })
+/// Derive proofs for a phase sequence: one `(label, proof)` per region
+/// instance in program order, each derived as it is asked for — the shape
+/// `omp::Runtime::install_fastpath` expects. The label is the text
+/// `impl Exec for Runtime` names the running region with.
+pub fn derive_proofs(
+    phases: &[PhaseModel],
+    threads: usize,
+) -> impl Iterator<Item = (String, Option<PhaseProof>)> + '_ {
+    phases.iter().flat_map(move |p| {
+        p.loops().iter().map(move |l| {
+            let label = format!("{}/{}", p.name(), l.name());
+            let proof = derive_loop_proof(&label, l, threads);
+            (label, proof)
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -373,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn derive_proofs_flattens_in_program_order() {
+    fn derive_proofs_labels_every_instance_in_program_order() {
         let mk = || {
             PhaseModel::new(
                 "ph",
@@ -387,9 +392,12 @@ mod tests {
                 ],
             )
         };
-        let proofs = derive_proofs(&[mk()], 4);
+        let phases = [mk()];
+        let proofs: Vec<_> = derive_proofs(&phases, 4).collect();
         assert_eq!(proofs.len(), 2);
-        assert_eq!(proofs[0].as_ref().unwrap().label, "ph/a");
-        assert!(proofs[1].is_none(), "dynamic loop has no proof");
+        assert_eq!(proofs[0].0, "ph/a");
+        assert_eq!(proofs[0].1.as_ref().unwrap().label, "ph/a");
+        assert_eq!(proofs[1].0, "ph/b");
+        assert!(proofs[1].1.is_none(), "dynamic loop has no proof");
     }
 }

@@ -56,12 +56,6 @@ impl SpConfig {
             phase_scale: 1,
         }
     }
-
-    /// The Figure 6 variant: every phase repeated four times.
-    pub fn scaled_phases(mut self) -> Self {
-        self.phase_scale = 4;
-        self
-    }
 }
 
 /// The SP benchmark instance.

@@ -21,10 +21,13 @@
 //! IRIX kernel migration engine (when enabled) is given its scan at each
 //! region boundary, the granularity at which simulated time advances.
 //!
-//! The runtime also owns the one decision the phase fast path leaves to its
-//! caller: a thread whose CPU the engine replayed (`ccnuma::fastpath`) takes
-//! its turn on a [`Par`] that holds no machine, so its body runs for the
-//! data side only. `ccnuma` simulates whatever reaches it.
+//! The runtime also owns the two things the phase fast path leaves to its
+//! caller. It tells the engine (`ccnuma::fastpath`) which region is opening,
+//! by name: [`Runtime::phase`] and [`Runtime::name_region`] label exactly
+//! the next region `"phase/name"`, the label its proof was installed under,
+//! and a region nobody named runs exactly. And a thread whose CPU the engine
+//! replayed takes its turn on a [`Par`] that holds no machine, so its body
+//! runs for the data side only. `ccnuma` simulates whatever reaches it.
 
 pub mod runtime;
 pub mod schedule;

@@ -3,7 +3,6 @@
 use crate::schedule::Schedule;
 use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof};
 use ccnuma::{AccessKind, CpuId, Machine, SimArray};
-use std::sync::Arc;
 use vmm::KernelMigrationEngine;
 
 /// Per-thread execution context handed to worksharing bodies.
@@ -155,22 +154,13 @@ pub struct Runtime {
     /// immediate `rebind_threads`/`resize_team` calls are not counted).
     rebinds_applied: u64,
     /// Phase fast path: memoized bulk replay of statically proven regions.
-    /// `None` until a proof sequence is installed.
-    fastpath: Option<FastpathState>,
-}
-
-/// Installed proof sequence plus the memo engine.
-///
-/// `proofs[k]` covers the `k`-th region executed since the last cursor reset
-/// (the harness resets the cursor at every iteration boundary); `None`
-/// entries mean "this region has no proof, run it exactly". The engine and
-/// its memo pools survive re-installation so cold-start recordings seed the
-/// timed iterations.
-struct FastpathState {
-    engine: FastpathEngine,
-    /// Shared with the engine's pools (see [`FastpathEngine::share`]).
-    proofs: Vec<Option<Arc<PhaseProof>>>,
-    cursor: usize,
+    /// `None` until proofs are installed; the engine owns them, by label.
+    fastpath: Option<FastpathEngine>,
+    /// The phase the program text is in (see [`Runtime::phase`]).
+    phase: String,
+    /// `"{phase}/{name}"` of the region about to open, empty when it has no
+    /// name (see [`Runtime::name_region`]). Every region bracket clears it.
+    label: String,
 }
 
 impl Runtime {
@@ -196,61 +186,61 @@ impl Runtime {
             pending_binding: None,
             rebinds_applied: 0,
             fastpath: None,
+            phase: String::new(),
+            label: String::new(),
         }
     }
 
-    /// Install a proof sequence for the phase fast path: `proofs[k]` covers
-    /// the `k`-th region from now (or from the next
-    /// [`Runtime::fastpath_reset_cursor`]). An existing engine — and its
-    /// recorded memos — is kept, so re-installing a different sequence (e.g.
-    /// cold-start proofs, then per-iteration proofs) reuses recordings of
-    /// phases with the same label.
-    pub fn install_fastpath(&mut self, proofs: Vec<Option<PhaseProof>>) {
-        let fp = self.fastpath.get_or_insert_with(|| FastpathState {
-            engine: FastpathEngine::new(),
-            proofs: Vec::new(),
-            cursor: 0,
-        });
-        fp.proofs = proofs
-            .into_iter()
-            .map(|p| p.map(|p| fp.engine.share(p)))
-            .collect();
-        fp.cursor = 0;
-    }
-
-    /// Re-align the proof cursor with the next region (iteration boundary).
-    pub fn fastpath_reset_cursor(&mut self) {
-        if let Some(fp) = self.fastpath.as_mut() {
-            fp.cursor = 0;
-        }
+    /// Install the proofs of a program text for the phase fast path, one
+    /// `(label, proof)` per region instance (see [`FastpathEngine::install`]):
+    /// the region named `label` (see [`Runtime::name_region`]) meets that
+    /// proof. An existing engine is kept, and with it the memos of every
+    /// label installed again with an equal proof.
+    pub fn install_fastpath(
+        &mut self,
+        instances: impl IntoIterator<Item = (String, Option<PhaseProof>)>,
+    ) {
+        self.fastpath
+            .get_or_insert_with(FastpathEngine::new)
+            .install(instances);
     }
 
     /// Fast-path engine counters, if installed.
     pub fn fastpath_stats(&self) -> Option<FastpathStats> {
-        self.fastpath.as_ref().map(|fp| fp.engine.stats())
+        self.fastpath.as_ref().map(FastpathEngine::stats)
+    }
+
+    /// Open the named phase: regions named from now on belong to it.
+    pub fn phase(&mut self, name: &str) {
+        name.clone_into(&mut self.phase);
+    }
+
+    /// Name the next region `"{phase}/{name}"`, the label its proof (if any)
+    /// was installed under. That region spends the name, whatever becomes of
+    /// it; an unnamed region runs exactly. Nothing is formatted while no
+    /// fast path is installed.
+    pub fn name_region(&mut self, name: &str) {
+        if self.fastpath.is_some() {
+            self.label.clear();
+            self.label.extend([&self.phase, "/", name]);
+        }
     }
 
     /// Consult the fast path for the region just opened, on behalf of the
     /// team's first `proof_team` threads: 1 for a serial section, all of
     /// them for a static loop, none for a dynamic loop — dispatch there
     /// follows simulated time, so every thread simulates, and an empty team
-    /// is one no proof speaks for. Advances the proof cursor for *every*
-    /// region while a sequence is installed (even `None` proofs and
-    /// rejected ones) so proofs stay position-aligned.
+    /// is one no proof speaks for.
     fn fastpath_begin(&mut self, proof_team: usize) -> FastpathOutcome {
-        let Some(fp) = self.fastpath.as_mut() else {
-            return Default::default();
+        let lanes = match self.fastpath.as_mut() {
+            Some(engine) if !self.label.is_empty() => {
+                let binding = &self.cpu_of_thread[..proof_team];
+                engine.begin_region_fastpath(&mut self.machine, &self.label, binding)
+            }
+            _ => Default::default(),
         };
-        let Some(proof) = fp.proofs.get(fp.cursor) else {
-            return Default::default();
-        };
-        fp.cursor += 1;
-        let Some(proof) = proof else {
-            return Default::default();
-        };
-        let binding = &self.cpu_of_thread[..proof_team];
-        fp.engine
-            .begin_region_fastpath(&mut self.machine, proof, binding)
+        self.label.clear();
+        lanes
     }
 
     /// Panic unless `binding` is a set of distinct, valid CPUs.
@@ -522,8 +512,8 @@ impl Runtime {
         self.machine.begin_region();
         let lanes = self.fastpath_begin(proof_team);
         let r = body(&mut self.machine, &self.cpu_of_thread, &lanes);
-        if let (Some(token), Some(fp)) = (lanes.record, self.fastpath.as_mut()) {
-            fp.engine.finish_record(&mut self.machine, token);
+        if let (Some(token), Some(engine)) = (lanes.record, self.fastpath.as_mut()) {
+            engine.finish_record(&mut self.machine, token);
         }
         let wall_ns = self.machine.end_region().wall_ns;
         self.regions += 1;
@@ -753,10 +743,33 @@ mod tests {
     /// Iterations (= lines) of the striped loop below.
     const STRIPES: usize = 8;
 
-    /// A runtime with one page-sized array and, if `owners` is given, a
-    /// hand-written proof for one region of [`stripe`]s installed: iteration
-    /// `i` owns line `i`, and thread `t` of a team of `owners.len()` runs
-    /// the iteration chunks `owners[t]`.
+    /// The installable instance `t/{name}` of one region of [`stripe`]s over
+    /// lines `at..at + STRIPES` of `a` (iteration `i` owns line `at + i`),
+    /// where thread `t` of a team of `owners.len()` runs the iteration
+    /// chunks `owners[t]`.
+    fn stripe_instance(
+        a: &SimArray<f64>,
+        name: &str,
+        at: usize,
+        owners: &[Vec<(usize, usize)>],
+    ) -> (String, Option<PhaseProof>) {
+        let first = (a.vaddr_of(0) >> ccnuma::LINE_SHIFT) + at as u64;
+        let mut writes = Vec::new();
+        for (tid, chunks) in owners.iter().enumerate() {
+            for &(start, end) in chunks {
+                writes.extend((start..end).map(|i| (first + i as u64, 2, tid as u32)));
+            }
+        }
+        let label = format!("t/{name}");
+        let lines = (first..first + STRIPES as u64).collect();
+        let proof = PhaseProof::new(label.clone(), owners.len(), lines, writes);
+        (label, Some(proof))
+    }
+
+    /// A runtime in phase `t` with one page-sized array and, if `owners` is
+    /// given, a hand-written proof installed for the region `t/stripe`: one
+    /// region of [`stripe`]s over the array's first lines, divided as
+    /// [`stripe_instance`] says.
     fn striped_by(
         threads: usize,
         owners: Option<Vec<Vec<(usize, usize)>>>,
@@ -765,20 +778,9 @@ mod tests {
         let a = SimArray::new(&mut m, "a", 128 * EPL, 1.0f64);
         let mut rt = Runtime::with_threads(m, threads);
         if let Some(owners) = owners {
-            let first = a.vaddr_of(0) >> ccnuma::LINE_SHIFT;
-            let mut writes = Vec::new();
-            for (tid, chunks) in owners.iter().enumerate() {
-                for &(start, end) in chunks {
-                    writes.extend((start..end).map(|i| (first + i as u64, 2, tid as u32)));
-                }
-            }
-            rt.install_fastpath(vec![Some(PhaseProof::new(
-                "t/stripe".into(),
-                owners.len(),
-                (first..first + STRIPES as u64).collect(),
-                writes,
-            ))]);
+            rt.install_fastpath([stripe_instance(&a, "stripe", 0, &owners)]);
         }
+        rt.phase("t");
         (rt, a)
     }
 
@@ -799,10 +801,10 @@ mod tests {
         par.flops(3);
     }
 
-    /// One region of the striped loop. `spy` sees each thread's context
-    /// before its first access of every iteration.
+    /// One region of the striped loop, named `t/stripe`. `spy` sees each
+    /// thread's context before its first access of every iteration.
     fn stripe_rep(rt: &mut Runtime, a: &SimArray<f64>, rep: usize, mut spy: impl FnMut(&mut Par)) {
-        rt.fastpath_reset_cursor();
+        rt.name_region("stripe");
         rt.parallel_for(STRIPES, Schedule::Static, |par, i| {
             spy(par);
             stripe(par, a, i, rep);
@@ -891,7 +893,7 @@ mod tests {
             });
             let before = replays(&fast);
             let mut data_only = Vec::new();
-            fast.fastpath_reset_cursor();
+            fast.name_region("stripe");
             construct(&mut fast, &mut |par, i| {
                 data_only.push(par.machine.is_none());
                 stripe(par, &fa, i, rep)
@@ -927,14 +929,14 @@ mod tests {
         });
 
         // A dynamic loop hands out chunks by simulated time, so it never
-        // gets a data-only turn: the proof at its position is refused.
+        // gets a data-only turn: the proof under its name is refused.
         let (mut exact, ea) = striped(4, false);
         let (mut fast, fa) = striped(4, true);
         for rep in 0..4 {
             exact.parallel_for(STRIPES, Schedule::Dynamic(1), |par, i| {
                 stripe(par, &ea, i, rep)
             });
-            fast.fastpath_reset_cursor();
+            fast.name_region("stripe");
             fast.parallel_for(STRIPES, Schedule::Dynamic(1), |par, i| {
                 assert!(par.machine.is_some());
                 stripe(par, &fa, i, rep)
@@ -949,6 +951,76 @@ mod tests {
                 ..Default::default()
             }
         );
+    }
+
+    /// Six iterations of a two-loop program text — `t/stripe`, then `t/tail`
+    /// sixteen lines on — with or without a region of its own between them
+    /// that the text never named (a phase hook running a loop). Returns what
+    /// the run left behind and how often `t/tail` replayed.
+    fn two_loops(fast: bool, hooked: bool) -> ((Vec<u64>, u64, String), u64) {
+        let (mut rt, a) = striped_by(4, None);
+        let owners = Schedule::Static.static_chunks(STRIPES, 4);
+        if fast {
+            rt.install_fastpath([
+                stripe_instance(&a, "stripe", 0, &owners),
+                stripe_instance(&a, "tail", 16, &owners),
+            ]);
+        }
+        let replays = |rt: &Runtime| rt.fastpath_stats().map_or(0, |s| s.replays);
+        let mut tail_replays = 0;
+        for rep in 0..6 {
+            stripe_rep(&mut rt, &a, rep, |_| {});
+            if hooked {
+                // It inherits nothing from the named region before it.
+                let before = rt.fastpath_stats();
+                rt.parallel_for(STRIPES, Schedule::Static, |par, _| par.flops(7));
+                assert_eq!(rt.fastpath_stats(), before, "rep {rep}");
+            }
+            let before = replays(&rt);
+            rt.name_region("tail");
+            rt.parallel_for(STRIPES, Schedule::Static, |par, i| {
+                stripe(par, &a, 16 + i, rep)
+            });
+            tail_replays += replays(&rt) - before;
+        }
+        (observable(&rt, &a), tail_replays)
+    }
+
+    #[test]
+    fn an_unnamed_region_shifts_no_proof() {
+        let (plain, plain_replays) = two_loops(true, false);
+        let (hooked, hooked_replays) = two_loops(true, true);
+        assert!(plain_replays >= 2, "steady state reached: {plain_replays}");
+        assert_eq!(hooked_replays, plain_replays);
+        assert_eq!(plain, two_loops(false, false).0);
+        assert_eq!(hooked, two_loops(false, true).0);
+    }
+
+    #[test]
+    fn a_named_region_after_resize_team_rejects_on_team_size() {
+        let (mut exact, ea) = striped(4, false);
+        let (mut fast, fa) = striped(4, true);
+        for rep in 0..3 {
+            stripe_rep(&mut exact, &ea, rep, |_| {});
+            stripe_rep(&mut fast, &fa, rep, |_| {});
+        }
+        exact.resize_team(&[0, 1]);
+        fast.resize_team(&[0, 1]);
+        // The label says nothing about the team: proofs armed again as they
+        // were derived, for four threads, are refused by size.
+        let owners = Schedule::Static.static_chunks(STRIPES, 4);
+        fast.install_fastpath([stripe_instance(&fa, "stripe", 0, &owners)]);
+        let before = fast.fastpath_stats().expect("installed");
+        for rep in 3..6 {
+            stripe_rep(&mut exact, &ea, rep, |_| {});
+            stripe_rep(&mut fast, &fa, rep, |par| assert!(par.machine.is_some()));
+            assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
+        }
+        let want = FastpathStats {
+            rejects: before.rejects + 3,
+            ..before
+        };
+        assert_eq!(fast.fastpath_stats(), Some(want));
     }
 
     #[test]

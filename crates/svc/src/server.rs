@@ -32,11 +32,11 @@ use exec::{ResidentJob, ResidentPool};
 use obs::json::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The server's cell evaluator: spec in, result payload (or a refusal
 /// message) out. Must be pure per the determinism guarantee.
@@ -79,6 +79,8 @@ struct Shared {
     pool: ResidentPool<Result<Value, String>>,
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
     code_version: String,
+    /// The bound address: where [`Shared::stop`] wakes the accept loop.
+    addr: SocketAddr,
     stop: AtomicBool,
     started: Instant,
     telemetry: Telemetry,
@@ -87,6 +89,15 @@ struct Shared {
     /// `jobs_failed` can never see (the wrapper catches the unwind before
     /// the pool does).
     runs_failed: AtomicU64,
+}
+
+impl Shared {
+    /// Tell the accept loop to stop. It blocks until its next client, so
+    /// be that client.
+    fn stop(&self) {
+        self.stop.store(true, Relaxed);
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// The resident experiment server. [`Server::bind`] claims the port;
@@ -107,7 +118,7 @@ impl Server {
         code_version: &str,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -116,6 +127,7 @@ impl Server {
                 pool: ResidentPool::new(workers),
                 inflight: Mutex::new(HashMap::new()),
                 code_version: code_version.to_string(),
+                addr,
                 stop: AtomicBool::new(false),
                 started: Instant::now(),
                 telemetry: Telemetry::new(),
@@ -130,29 +142,30 @@ impl Server {
     }
 
     /// Serve until a `shutdown` request arrives. Connection threads are
-    /// joined before returning, so in-flight batches complete.
+    /// joined before returning, so in-flight batches complete; an idle
+    /// peer does not hold the server up.
     pub fn run(&self) -> std::io::Result<()> {
         let mut connections = Vec::new();
-        while !self.shared.stop.load(Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    let handle = std::thread::Builder::new()
-                        .name("svc-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(&shared, stream);
-                        })
-                        .expect("spawning a connection thread");
-                    connections.push(handle);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
+        loop {
+            let (stream, _) = self.listener.accept()?;
+            if self.shared.stop.load(Relaxed) {
+                break; // `Shared::stop` calling, or a client that raced it
             }
-            connections.retain(|h| !h.is_finished());
+            let peer = stream.try_clone()?;
+            let shared = Arc::clone(&self.shared);
+            let handle = std::thread::Builder::new()
+                .name("svc-conn".into())
+                .spawn(move || {
+                    let _ = serve_connection(&shared, stream);
+                })
+                .expect("spawning a connection thread");
+            connections.push((peer, handle));
+            connections.retain(|(_, h)| !h.is_finished());
         }
-        for handle in connections {
+        for (peer, handle) in connections {
+            // The read side only: a thread waiting for its client's next
+            // request returns, one answering a request streams to the end.
+            let _ = peer.shutdown(Shutdown::Read);
             let _ = handle.join();
         }
         Ok(())
@@ -160,7 +173,7 @@ impl Server {
 
     /// Ask the accept loop to stop (same effect as a client `shutdown`).
     pub fn stop(&self) {
-        self.shared.stop.store(true, Relaxed);
+        self.shared.stop();
     }
 }
 
@@ -242,7 +255,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
                 sent?;
             }
             Some("shutdown") => {
-                shared.stop.store(true, Relaxed);
+                shared.stop();
                 let sent = emit(&mut out, Value::object(vec![("event", "bye".into())]));
                 record(shared, trace, "shutdown", true, String::new(), t0);
                 sent?;

@@ -9,7 +9,8 @@
 use obs::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use svc::server::{Compute, Server};
 use svc::{Cache, CellSpec, Client};
 
@@ -35,6 +36,10 @@ fn start(tag: &str) -> (Client, std::thread::JoinHandle<()>) {
         "refuse" => Err("spec refused on purpose".to_string()),
         _ => Ok(Value::object(vec![("seed", spec.seed.into())])),
     });
+    start_with(tag, compute)
+}
+
+fn start_with(tag: &str, compute: Compute) -> (Client, std::thread::JoinHandle<()>) {
     let root =
         std::env::temp_dir().join(format!("ddnomp-proto-errors-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -139,6 +144,47 @@ fn truncated_stream_mid_run_does_not_wedge_the_server() {
     assert!(outcomes[0].result.is_ok());
     client.shutdown().unwrap();
     join.join().unwrap();
+}
+
+#[test]
+fn shutdown_does_not_wait_for_an_idle_peer_and_lets_a_request_finish() {
+    // A cell that tells the test it is running, then waits to be let go.
+    let gate = Arc::new(Barrier::new(2));
+    let cell_gate = Arc::clone(&gate);
+    let (client, join) = start_with(
+        "idlepeer",
+        Arc::new(move |spec: &CellSpec| {
+            cell_gate.wait();
+            cell_gate.wait();
+            Ok(Value::object(vec![("seed", spec.seed.into())]))
+        }),
+    );
+    // Connected, greeted, and silent from here on: its connection thread
+    // sits in a read that only the server can end.
+    let idle = raw_connect(client.addr());
+    let outcomes = std::thread::scope(|s| {
+        let busy = s.spawn(|| client.run_cells(&[spec("cg", 7)], |_| {}));
+        gate.wait(); // the cell is on a worker: ask the server to go,
+        client.shutdown().unwrap();
+        gate.wait(); // and only then let the cell finish
+        let asked = Instant::now();
+        while !join.is_finished() {
+            assert!(
+                asked.elapsed() < Duration::from_secs(2),
+                "run() still waiting on an idle peer"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        busy.join().unwrap()
+    });
+    join.join().unwrap();
+    // The request that was in flight streamed to its end.
+    let outcomes = outcomes.unwrap();
+    assert_eq!(
+        outcomes[0].result.as_ref().unwrap()["seed"].as_u64(),
+        Some(7)
+    );
+    drop(idle);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The UPMlib engine core: hot-area registration and the iterative
 //! competitive-migration mechanism that emulates data distribution.
 
-use crate::freeze::FreezeTracker;
+use crate::freeze::{FreezeTracker, Verdict};
 use crate::stats::UpmStats;
 use crate::tuning::UpmOptions;
 use ccnuma::{Machine, NodeId, SimArray};
@@ -204,13 +204,6 @@ impl UpmEngine {
         views
     }
 
-    /// The competitive criterion of §3.3 ([`UpmOptions::competitive`]) on a
-    /// page's counters: `(ratio, target_node)` for eligible pages.
-    pub(crate) fn competitive_candidate(&self, view: &PageView) -> Option<(f64, NodeId)> {
-        let (local, rmax, rnode) = view.competitive_view();
-        Some((self.options.competitive(local, rmax)?, rnode))
-    }
-
     /// Zero the hardware counters of every hot page — called when reference
     /// monitoring (re)starts, e.g. after the discarded cold-start iteration,
     /// so the first observation window covers exactly one timed iteration.
@@ -257,36 +250,27 @@ impl UpmEngine {
         let mut moved = 0usize;
         let migration_ns_before = machine.stats().migration_ns;
         for view in &views {
-            let Some((_ratio, target)) = self.competitive_candidate(view) else {
-                continue;
-            };
-            if target == view.home {
-                continue;
-            }
-            if self.options.freeze_ping_pong
-                && !self
-                    .freeze
-                    .approve(view.vpage, view.home, target, invocation)
+            let (vpage, from) = (view.vpage, view.home);
+            let seen = view.competitive_view();
+            match self
+                .freeze
+                .verdict(&self.options, vpage, from, seen, invocation)
             {
-                self.stats.vetoed_moves += 1;
-                let (vpage, from) = (view.vpage, view.home);
-                machine.trace_event(|| obs::EventKind::MoveVetoed {
-                    vpage,
-                    from,
-                    to: target,
-                });
-                machine.trace_mut().inc("upm_vetoed_moves", 1);
-                if self.freeze.is_frozen(view.vpage) && self.frozen_traced.insert(view.vpage) {
-                    machine.trace_event(|| obs::EventKind::PageFrozen { vpage });
+                Verdict::Stay => {}
+                Verdict::Vetoed(to) => {
+                    self.stats.vetoed_moves += 1;
+                    machine.trace_event(|| obs::EventKind::MoveVetoed { vpage, from, to });
+                    machine.trace_mut().inc("upm_vetoed_moves", 1);
+                    if self.freeze.is_frozen(vpage) && self.frozen_traced.insert(vpage) {
+                        machine.trace_event(|| obs::EventKind::PageFrozen { vpage });
+                    }
                 }
-                continue;
-            }
-            if self
-                .mlds
-                .migrate_page(machine, view.vpage, self.mlds.mld(target))
-                .is_ok()
-            {
-                moved += 1;
+                Verdict::Move(to) => {
+                    let target = self.mlds.mld(to);
+                    if self.mlds.migrate_page(machine, vpage, target).is_ok() {
+                        moved += 1;
+                    }
+                }
             }
         }
         self.stats.distribution_ns += machine.stats().migration_ns - migration_ns_before;

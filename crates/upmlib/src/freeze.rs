@@ -10,8 +10,20 @@
 //! because two nodes genuinely share it at page grain. Freezing takes it out
 //! of the candidate set permanently.
 
+use crate::tuning::UpmOptions;
 use ccnuma::NodeId;
 use std::collections::{HashMap, HashSet};
+
+/// What one `upmlib_migrate_memory` pass decides for one page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Not remote-dominated enough to move.
+    Stay,
+    /// Eligible for this node, but the ping-pong freezer refused the move.
+    Vetoed(NodeId),
+    /// Move to this node.
+    Move(NodeId),
+}
 
 /// Record of each page's last migration, plus the frozen set.
 #[derive(Debug, Default)]
@@ -64,6 +76,27 @@ impl FreezeTracker {
         }
         self.last_move.insert(vpage, (from, to, invocation));
         true
+    }
+
+    /// The per-page decision of `upmlib_migrate_memory`, shared by the engine
+    /// and the static analyzer's symbolic replay: [`UpmOptions::competitive`]
+    /// on the page's `ccnuma::competitive_view`, a target other than its
+    /// home, then (with `freeze_ping_pong`) [`approve`](Self::approve).
+    pub fn verdict(
+        &mut self,
+        options: &UpmOptions,
+        vpage: u64,
+        home: NodeId,
+        (local, rmax, target): (u64, u64, NodeId),
+        invocation: u64,
+    ) -> Verdict {
+        if options.competitive(local, rmax).is_none() || target == home {
+            Verdict::Stay
+        } else if options.freeze_ping_pong && !self.approve(vpage, home, target, invocation) {
+            Verdict::Vetoed(target)
+        } else {
+            Verdict::Move(target)
+        }
     }
 
     /// Forget all freeze state: every frozen page thaws and the move

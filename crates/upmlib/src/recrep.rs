@@ -58,7 +58,8 @@ impl UpmEngine {
                     continue;
                 };
                 let delta = phase_delta(view_before, view_after);
-                let Some((ratio, target)) = self.competitive_candidate(&delta) else {
+                let (local, rmax, target) = delta.competitive_view();
+                let Some(ratio) = self.options().competitive(local, rmax) else {
                     continue;
                 };
                 if target == delta.home {

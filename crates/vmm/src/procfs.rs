@@ -24,19 +24,10 @@ pub struct PageView {
 }
 
 impl PageView {
-    /// `(local, max_remote, argmax node)` — the competitive-criterion view.
-    /// Remote ties break toward the lower node id.
+    /// `(local, max_remote, argmax node)` — the competitive-criterion view
+    /// ([`ccnuma::competitive_view`]).
     pub fn competitive_view(&self) -> (u64, u64, NodeId) {
-        let local = self.counts[self.home];
-        let mut best = 0u64;
-        let mut best_node = self.home;
-        for (n, &c) in self.counts.iter().enumerate() {
-            if n != self.home && c > best {
-                best = c;
-                best_node = n;
-            }
-        }
-        (local, best, best_node)
+        ccnuma::competitive_view(self.counts.iter().copied(), self.home)
     }
 
     /// Total accesses recorded for the page.

@@ -14,10 +14,10 @@
 
 use ccnuma::fastpath::PhaseProof;
 use ccnuma::{AccessKind, Machine, MachineConfig, SimArray, LINE_SHIFT, PAGE_SIZE};
-use nas::{derive_loop_proof, derive_proofs, LoopKind, LoopModel, NasBenchmark, Scale};
+use nas::{derive_loop_proof, derive_proofs, LoopKind, LoopModel, Scale};
 use omp::{Runtime, Schedule};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// f64 elements per cache line.
 const EPL: usize = (1usize << LINE_SHIFT) / 8;
@@ -171,10 +171,11 @@ fn run_case(
     let proof = derive_loop_proof("p/loop", &loop_model(p, n, schedule, base), threads);
     let eligible = proof.is_some();
     if fast {
-        rt.install_fastpath(vec![proof]);
+        rt.install_fastpath([("p/loop".to_string(), proof)]);
     }
+    rt.phase("p");
     for rep in 0..reps {
-        rt.fastpath_reset_cursor();
+        rt.name_region("loop");
         rt.parallel_for(n, schedule, |par, i| {
             let (reads, writes) = accesses(p, i, n);
             for r in reads {
@@ -303,6 +304,48 @@ proptest! {
     }
 }
 
+/// The access model of `bench` at tiny scale, team of 16.
+fn tiny_model(bench: nas::BenchName) -> (nas::KernelModel, usize) {
+    let mut rt = Runtime::with_threads(Machine::new(MachineConfig::origin2000_16p_scaled()), 16);
+    let model = nas::instantiate(bench, &mut rt, Scale::Tiny)
+        .access_model()
+        .expect("every bench ships an access model");
+    (model, rt.threads())
+}
+
+/// A region finds its proof by its label, so a label must name one proof:
+/// on the real kernels every instance of a label — the cold-start and the
+/// timed copies of a loop, CG's trips through `cg/spmv` — derives the
+/// same proof or none does. A label that broke this would lose its pool
+/// (`FastpathEngine::install`) and quietly run exactly.
+#[test]
+fn every_nas_label_names_one_proof() {
+    for bench in nas::BenchName::all() {
+        let (model, threads) = tiny_model(bench);
+        let mut table: BTreeMap<String, Option<PhaseProof>> = BTreeMap::new();
+        let mut instances = 0;
+        let phases = [model.cold(), model.iteration()];
+        for (label, proof) in phases.iter().flat_map(|p| derive_proofs(p, threads)) {
+            instances += 1;
+            if let Some(first) = table.get(&label) {
+                assert!(
+                    *first == proof,
+                    "{} {label}: instances disagree",
+                    bench.label()
+                );
+            } else {
+                table.insert(label, proof);
+            }
+        }
+        println!(
+            "{}: {instances} instances, {} labels",
+            bench.label(),
+            table.len()
+        );
+        assert!(table.len() < instances, "cold and timed text share labels");
+    }
+}
+
 /// Completeness on the real kernels: every NAS benchmark's access model
 /// derives proofs for its known-local phases. The exact counts are pinned:
 /// a silent drop to zero would quietly disable the fast path for a bench.
@@ -318,18 +361,9 @@ fn nas_iteration_models_derive_the_expected_proofs() {
     ];
     let mut got = Vec::new();
     for &(bench, _, _) in expected {
-        let mut rt =
-            Runtime::with_threads(Machine::new(MachineConfig::origin2000_16p_scaled()), 16);
-        let model = match bench {
-            nas::BenchName::Cg => nas::cg::Cg::new(&mut rt, Scale::Tiny).access_model(),
-            nas::BenchName::Mg => nas::mg::Mg::new(&mut rt, Scale::Tiny).access_model(),
-            nas::BenchName::Bt => nas::bt::Bt::new(&mut rt, Scale::Tiny).access_model(),
-            nas::BenchName::Sp => nas::sp::Sp::new(&mut rt, Scale::Tiny).access_model(),
-            nas::BenchName::Ft => nas::ft::Ft::new(&mut rt, Scale::Tiny).access_model(),
-        }
-        .expect("every bench ships an access model");
-        let proofs = derive_proofs(model.iteration(), rt.threads());
-        let eligible = proofs.iter().filter(|p| p.is_some()).count();
+        let (model, threads) = tiny_model(bench);
+        let proofs: Vec<_> = derive_proofs(model.iteration(), threads).collect();
+        let eligible = proofs.iter().filter(|(_, p)| p.is_some()).count();
         println!("{}: {eligible}/{} eligible", bench.label(), proofs.len());
         got.push((eligible, proofs.len()));
     }

@@ -28,9 +28,9 @@ fn hot_coverage(mut bench: impl NasBenchmark, mut rt: Runtime) -> f64 {
 
     let machine = rt.machine();
     let in_hot = |vpage: u64| {
-        upm.hot_areas().iter().any(|&(base, len)| {
-            len > 0 && vpage >= ccnuma::vpage_of(base) && vpage <= ccnuma::vpage_of(base + len - 1)
-        })
+        upm.hot_areas()
+            .iter()
+            .any(|&(base, len)| ccnuma::vpages(base, len).contains(&vpage))
     };
     let mut total = 0u64;
     let mut hot = 0u64;

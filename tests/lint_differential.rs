@@ -25,7 +25,7 @@
 //! plus the determinism cross-check: real runs must be bit-reproducible
 //! across team sizes exactly when the analyzer reports no `L008`.
 
-use ccnuma::{vpage_of, AccessKind, Machine, MachineConfig, NodeId, SimArray, PAGE_SIZE};
+use ccnuma::{vpage_of, vpages, AccessKind, Machine, MachineConfig, NodeId, SimArray, PAGE_SIZE};
 use lint::{Code, CountTable, LintConfig, UpmReplay};
 use nas::{run_benchmark, BenchName, BenchRun, EngineMode, RunConfig, Scale};
 use std::collections::{BTreeMap, BTreeSet};
@@ -179,10 +179,7 @@ fn check_first_touch_fidelity(bench: BenchName) {
     let mut actual: BTreeMap<u64, NodeId> = BTreeMap::new();
     for layout in model.arrays() {
         let (base, bytes) = layout.vrange();
-        if bytes == 0 {
-            continue;
-        }
-        for page in vpage_of(base)..=vpage_of(base + bytes - 1) {
+        for page in vpages(base, bytes) {
             if let Some(node) = machine.node_of_vpage(page) {
                 actual.insert(page, node);
             }

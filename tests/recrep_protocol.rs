@@ -100,7 +100,7 @@ fn replay_cursor_walks_transitions_and_undo_rewinds() {
 
     let (base, len) = prog.data.vrange();
     let homes = |m: &Machine| -> Vec<usize> {
-        (ccnuma::vpage_of(base)..ccnuma::vpage_of(base + len - 1) + 1)
+        ccnuma::vpages(base, len)
             .map(|vp| m.node_of_vpage(vp).unwrap())
             .collect()
     };
@@ -170,7 +170,7 @@ fn distribution_then_recording_compose() {
     let moved = upm.migrate_memory(rt.machine_mut());
     assert!(moved > 0, "worst-case placement must trigger distribution");
     let (base, len) = prog.data.vrange();
-    let distributed: Vec<_> = (ccnuma::vpage_of(base)..ccnuma::vpage_of(base + len - 1) + 1)
+    let distributed: Vec<_> = ccnuma::vpages(base, len)
         .map(|vp| rt.machine().node_of_vpage(vp).unwrap())
         .collect();
     assert!(
@@ -190,7 +190,7 @@ fn distribution_then_recording_compose() {
     upm.replay(rt.machine_mut());
     prog.phase_b(&mut rt);
     upm.undo(rt.machine_mut());
-    let after: Vec<_> = (ccnuma::vpage_of(base)..ccnuma::vpage_of(base + len - 1) + 1)
+    let after: Vec<_> = ccnuma::vpages(base, len)
         .map(|vp| rt.machine().node_of_vpage(vp).unwrap())
         .collect();
     assert_eq!(after, distributed);

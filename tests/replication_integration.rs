@@ -77,7 +77,7 @@ fn a_late_write_collapses_and_stays_correct() {
         "the table must have been replicated"
     );
     let (tbase, tlen) = table.vrange();
-    let replicated_pages: usize = (ccnuma::vpage_of(tbase)..=ccnuma::vpage_of(tbase + tlen - 1))
+    let replicated_pages: usize = ccnuma::vpages(tbase, tlen)
         .map(|vp| rt.machine().replica_count(vp))
         .sum();
     assert!(replicated_pages > 0);
@@ -89,7 +89,7 @@ fn a_late_write_collapses_and_stays_correct() {
             par.set(&table, i, 2.0 * v);
         }
     });
-    let after: usize = (ccnuma::vpage_of(tbase)..=ccnuma::vpage_of(tbase + tlen - 1))
+    let after: usize = ccnuma::vpages(tbase, tlen)
         .map(|vp| rt.machine().replica_count(vp))
         .sum();
     assert_eq!(after, 0, "writes must collapse every replica");

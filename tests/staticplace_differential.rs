@@ -18,7 +18,7 @@
 //!    `fastpath_props.rs` hold unchanged (proof derivation is placement
 //!    independent by construction; this pins it empirically).
 
-use ccnuma::{vpage_of, NodeId};
+use ccnuma::{vpages, NodeId};
 use lint::Confidence;
 use nas::{derive_proofs, BenchName, BenchRun, EngineMode, RunConfig, Scale};
 use std::collections::BTreeMap;
@@ -52,10 +52,7 @@ fn dynamic_converged(bench: BenchName) -> BTreeMap<u64, NodeId> {
     let mut actual = BTreeMap::new();
     for layout in model.arrays() {
         let (base, bytes) = layout.vrange();
-        if bytes == 0 {
-            continue;
-        }
-        for page in vpage_of(base)..=vpage_of(base + bytes - 1) {
+        for page in vpages(base, bytes) {
             if let Some(node) = machine.node_of_vpage(page) {
                 actual.insert(page, node);
             }
@@ -188,8 +185,8 @@ fn fastpath_eligibility_survives_static_placement() {
     ];
     for &(bench, want_eligible, want_total) in expected {
         let model = xp::lint::model_for(bench, Scale::Tiny);
-        let proofs = derive_proofs(model.iteration(), 16);
-        let eligible = proofs.iter().filter(|p| p.is_some()).count();
+        let proofs: Vec<_> = derive_proofs(model.iteration(), 16).collect();
+        let eligible = proofs.iter().filter(|(_, p)| p.is_some()).count();
         assert_eq!(
             (eligible, proofs.len()),
             (want_eligible, want_total),
