@@ -56,9 +56,11 @@
 //! **Labels.** A region meets its proof by its `"phase/loop"` label and by
 //! nothing else. A label may name several region instances (one loop run
 //! many times per iteration, its cold-start and timed copies); it has a pool
-//! only if every instance derived the same proof
-//! ([`FastpathEngine::install`]), so one instance's memo is never replayed
-//! for another. A label without a pool runs exactly.
+//! only if every instance derived the same proof ([`ProofTable::fold`]), so
+//! one instance's memo is never replayed for another. A label without a
+//! pool runs exactly. A folded table is immutable and its proofs sit behind
+//! `Arc`s: any number of engines install the same table, none copies a
+//! line vector.
 //!
 //! **Fallback.** Every precondition failure — unmapped proof page, active
 //! replicas, active trace, team mismatch — returns an empty
@@ -71,6 +73,7 @@
 //! degrade performance but never correctness.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::cache::{SetAssocCache, INVALID_TAG};
 use crate::coherence::Directory;
@@ -153,6 +156,49 @@ impl PhaseProof {
         match self.line_writes.binary_search_by_key(&line, |e| e.0) {
             Ok(i) => self.line_writes[i].1,
             Err(_) => 0,
+        }
+    }
+}
+
+/// The proofs of one program text by label — what an engine installs.
+///
+/// A label may name several region instances; a running region finds its
+/// proof by label alone, so the label has an entry only when every instance
+/// derived the same proof (see [`ProofTable::fold`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProofTable(HashMap<String, Arc<PhaseProof>>);
+
+impl ProofTable {
+    /// Fold the region instances of a program text — one `(label, proof)`
+    /// each, `None` where none could be derived — into the label table: a
+    /// label any of whose instances is `None` or differs from another gets
+    /// no entry.
+    pub fn fold(instances: impl IntoIterator<Item = (String, Option<PhaseProof>)>) -> Self {
+        let mut table: HashMap<String, Option<PhaseProof>> = HashMap::new();
+        for (label, proof) in instances {
+            if let Some(seen) = table.get_mut(&label) {
+                if *seen != proof {
+                    *seen = None;
+                }
+            } else {
+                table.insert(label, proof);
+            }
+        }
+        let proven = table
+            .into_iter()
+            .filter_map(|(label, proof)| Some((label, Arc::new(proof?))));
+        Self(proven.collect())
+    }
+
+    /// Point every entry that equals `other`'s entry of the same label at
+    /// `other`'s allocation, so the two tables hold one copy of what they
+    /// have in common (a loop's cold-start and timed instances).
+    pub fn share_with(&mut self, other: &ProofTable) {
+        for (label, proof) in &mut self.0 {
+            match other.0.get(label) {
+                Some(theirs) if theirs == proof => *proof = Arc::clone(theirs),
+                _ => {}
+            }
         }
     }
 }
@@ -277,7 +323,7 @@ struct CacheFix {
 /// Per-label pool: the proof every instance of the label derived, per-thread
 /// write claims, and one memo slot per team thread.
 struct Pool {
-    proof: PhaseProof,
+    proof: Arc<PhaseProof>,
     /// Dense proof-line membership bitmap (bit `line & 63` of word
     /// `line >> 6`) — match-time tag classification in O(1) instead of a
     /// binary search over the (possibly huge) footprint.
@@ -297,7 +343,7 @@ struct CpuSlot {
 }
 
 impl Pool {
-    fn new(proof: PhaseProof) -> Self {
+    fn new(proof: Arc<PhaseProof>) -> Self {
         let mut writes_by_thread = vec![Vec::new(); proof.threads];
         for &(line, count, writer) in &proof.line_writes {
             writes_by_thread[writer as usize].push((line, count));
@@ -379,31 +425,18 @@ impl FastpathEngine {
         }
     }
 
-    /// Install the proofs of a program text: one `(label, proof)` per region
-    /// instance, `None` where none could be derived. They fold into the label
-    /// table — a label whose instances did not all derive the same proof has
-    /// none — and the table replaces the pools: a label whose proof equals
-    /// the one its pool already holds keeps its memos (cold-start recordings
-    /// seed the timed iterations), every other pool starts empty or is gone.
-    pub fn install(&mut self, instances: impl IntoIterator<Item = (String, Option<PhaseProof>)>) {
-        let mut table: HashMap<String, Option<PhaseProof>> = HashMap::new();
-        for (label, proof) in instances {
-            if let Some(seen) = table.get_mut(&label) {
-                if *seen != proof {
-                    *seen = None;
-                }
-            } else {
-                table.insert(label, proof);
-            }
-        }
+    /// Install the proofs of a program text. The table replaces the pools: a
+    /// label whose proof equals the one its pool already holds keeps its
+    /// memos (cold-start recordings seed the timed iterations), every other
+    /// pool starts empty or is gone. A pool shares the table's proof.
+    pub fn install(&mut self, table: &ProofTable) {
         let mut old = std::mem::take(&mut self.pools);
-        for (label, proof) in table {
-            let Some(proof) = proof else { continue };
-            let pool = match old.remove(&label) {
-                Some(pool) if pool.proof == proof => pool,
-                _ => Pool::new(proof),
+        for (label, proof) in &table.0 {
+            let pool = match old.remove(label) {
+                Some(pool) if Arc::ptr_eq(&pool.proof, proof) || pool.proof == *proof => pool,
+                _ => Pool::new(Arc::clone(proof)),
             };
-            self.pools.insert(label, pool);
+            self.pools.insert(label.clone(), pool);
         }
     }
 
@@ -812,7 +845,7 @@ fn build_memos(
     rec: &FpRecording,
     now: u64,
 ) -> Option<Vec<(usize, CpuMemo)>> {
-    let proof = &pool.proof;
+    let proof = &*pool.proof;
     // Environmental checks first (silent discard): these can fail without the
     // proof being wrong — e.g. an explicit mid-region page operation.
     if m.stats != token.entry_stats
@@ -1150,7 +1183,7 @@ mod tests {
     /// An engine whose [`LABEL`] pool holds [`proof`].
     fn engine() -> FastpathEngine {
         let mut engine = FastpathEngine::new();
-        engine.install([instance(Some(proof()))]);
+        engine.install(&ProofTable::fold([instance(Some(proof()))]));
         engine
     }
 
@@ -1248,11 +1281,14 @@ mod tests {
         assert!(before.replays >= 1, "{before:?}");
         // The same loop installed again (its iteration instances after the
         // cold-start one, several of them): the label's memos stay.
-        engine.install([instance(Some(proof())), instance(Some(proof()))]);
+        engine.install(&ProofTable::fold([
+            instance(Some(proof())),
+            instance(Some(proof())),
+        ]));
         run_region(&mut m, Some(&mut engine));
         assert_eq!(engine.stats().replays, before.replays + 1);
         // Same label, different footprint: an empty pool.
-        engine.install([instance(Some(wider_proof()))]);
+        engine.install(&ProofTable::fold([instance(Some(wider_proof()))]));
         run_region(&mut m, Some(&mut engine));
         let s = engine.stats();
         assert_eq!(
@@ -1281,7 +1317,7 @@ mod tests {
             }
             let before = engine.stats();
             assert!(before.replays >= 1, "{before:?}");
-            engine.install(instances);
+            engine.install(&ProofTable::fold(instances));
             for _ in 0..3 {
                 run_region(&mut reference, None);
                 run_region(&mut fast, Some(&mut engine));
@@ -1289,7 +1325,7 @@ mod tests {
             }
             assert_eq!(engine.stats(), before, "exact, and not counted");
             // Installed consistently again, the label starts from nothing.
-            engine.install([instance(Some(proof()))]);
+            engine.install(&ProofTable::fold([instance(Some(proof()))]));
             run_region(&mut fast, Some(&mut engine));
             assert_eq!(engine.stats().misses, before.misses + 1);
         }

@@ -58,7 +58,7 @@ impl BenchName {
 /// the perf ledger's sweep workloads and the slower differentials, `Medium`
 /// for the experiment harness (the analogue of the paper's Class A, scaled
 /// to the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Smallest correct instance; seconds matter (tests).
     Tiny,

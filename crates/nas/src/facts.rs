@@ -1,0 +1,330 @@
+//! What is true of a kernel whatever cell runs it, derived once per process.
+//!
+//! A sweep runs the same (benchmark, scale, team) under many placements and
+//! engines, and two analyses of it depend on none of those: the fast path's
+//! proofs and the synthesized static placement. [`Facts`] is the one table
+//! type both live in — a key's value is derived by whoever asks first and
+//! handed to everyone after, for the life of the process. There is nothing
+//! to configure and nothing is ever dropped: the keys are a closed set
+//! (five kernels, three scales, the team sizes a process uses).
+//!
+//! This module owns the table of proof sets ([`proof_set`]);
+//! `xp::lint::static_scheme` owns the table of placements.
+
+use crate::common::{BenchName, Scale};
+use crate::model::KernelModel;
+use crate::proof::derive_proofs;
+use ccnuma::ProofTable;
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+
+/// A once-per-key table. The map lock is held only to fetch a key's cell;
+/// the derivation runs outside it, inside the cell, so a second asker of a
+/// key being derived waits on that cell instead of deriving again, and
+/// askers of other keys are not held up. A derivation that panics leaves
+/// its cell empty — the next asker derives — and the table unharmed.
+pub struct Facts<K, V> {
+    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    derived: AtomicU64,
+    shared: AtomicU64,
+}
+
+/// How often a [`Facts`] table derived a value and how often it handed out
+/// one it already had.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FactsStats {
+    /// Askers that ran their derivation.
+    pub derived: u64,
+    /// Askers that got a value another asker derived.
+    pub shared: u64,
+}
+
+impl<K: Eq + Hash, V: Clone> Facts<K, V> {
+    /// `key`'s value, from `derive` if nobody derived it yet.
+    pub fn get(&self, key: K, derive: impl FnOnce() -> V) -> V {
+        let cell = {
+            let mut cells = self
+                .cells
+                .lock()
+                .expect("no derivation runs under the lock");
+            Arc::clone(cells.entry(key).or_default())
+        };
+        let mut ran = false;
+        let value = cell.get_or_init(|| {
+            ran = true;
+            derive()
+        });
+        // Statistics only: they publish nothing.
+        let count = if ran { &self.derived } else { &self.shared };
+        count.fetch_add(1, Ordering::Relaxed);
+        value.clone()
+    }
+
+    /// Whether `key`'s value has been derived.
+    pub fn holds(&self, key: &K) -> bool {
+        let cells = self
+            .cells
+            .lock()
+            .expect("no derivation runs under the lock");
+        cells.get(key).is_some_and(|cell| cell.get().is_some())
+    }
+
+    /// The table's counters so far.
+    pub fn stats(&self) -> FactsStats {
+        FactsStats {
+            derived: self.derived.load(Ordering::Relaxed),
+            shared: self.shared.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl<K, V> Default for Facts<K, V> {
+    /// An empty table.
+    fn default() -> Self {
+        Self {
+            cells: Mutex::default(),
+            derived: AtomicU64::new(0),
+            shared: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The fast-path proofs of one kernel for one team size: the folded label
+/// table of the cold start and of one timed iteration — what
+/// `omp::Runtime::install_fastpath` takes before each of the two. A loop
+/// both texts run with the same proof is held once.
+#[derive(Debug, PartialEq)]
+pub struct ProofSet {
+    /// The cold-start iteration's proofs.
+    pub cold: ProofTable,
+    /// One timed iteration's proofs.
+    pub iteration: ProofTable,
+}
+
+impl ProofSet {
+    /// Derive and fold the proofs of `model` for a team of `threads`.
+    fn derive(model: &KernelModel, threads: usize) -> Self {
+        let cold = ProofTable::fold(derive_proofs(model.cold(), threads));
+        let mut iteration = ProofTable::fold(derive_proofs(model.iteration(), threads));
+        iteration.share_with(&cold);
+        Self { cold, iteration }
+    }
+}
+
+/// What a proof set is a function of. The proofs follow from the kernel's
+/// text and problem (`bench`, `scale`), from the ownership partition
+/// (`threads`) and from where the arrays lie — so the layout is part of the
+/// key, not a check made after the lookup: a run that laid its arrays out
+/// differently (something allocated first) has an entry of its own.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ProofKey {
+    bench: BenchName,
+    scale: Scale,
+    threads: usize,
+    /// `(name, base, bytes)` of every array of the model.
+    layout: Vec<(String, u64, u64)>,
+}
+
+impl ProofKey {
+    fn of(bench: BenchName, scale: Scale, threads: usize, model: &KernelModel) -> Self {
+        let layout = model.arrays().iter().map(|a| {
+            let (base, bytes) = a.vrange();
+            (a.name().to_string(), base, bytes)
+        });
+        Self {
+            bench,
+            scale,
+            threads,
+            layout: layout.collect(),
+        }
+    }
+}
+
+static PROOFS: LazyLock<Facts<ProofKey, Arc<ProofSet>>> = LazyLock::new(Facts::default);
+
+/// The proof set of `bench` at `scale` for a team of `threads`, where
+/// `model` is that kernel's model as the asking run allocated it. Derived
+/// by the first run of the process to ask, shared by every later one.
+pub fn proof_set(
+    bench: BenchName,
+    scale: Scale,
+    threads: usize,
+    model: &KernelModel,
+) -> Arc<ProofSet> {
+    PROOFS.get(ProofKey::of(bench, scale, threads, model), || {
+        let _hp = hostprof::span("nas.facts.derive");
+        Arc::new(ProofSet::derive(model, threads))
+    })
+}
+
+/// Counters of the proof-set table.
+pub fn stats() -> FactsStats {
+    PROOFS.stats()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{instantiate, BenchRun, RunConfig};
+    use ccnuma::{Machine, MachineConfig, SimArray};
+    use omp::Runtime;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
+    fn model_of(bench: BenchName, scale: Scale, threads: usize) -> KernelModel {
+        let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+        let mut rt = Runtime::with_threads(machine, threads);
+        instantiate(bench, &mut rt, scale)
+            .access_model()
+            .expect("all five kernels are modeled")
+    }
+
+    #[test]
+    fn eight_askers_of_a_fresh_key_make_one_derivation() {
+        let table: Facts<u32, Arc<String>> = Facts::default();
+        let start = Barrier::new(8);
+        let (asking, derivations) = (AtomicU64::new(0), AtomicU64::new(0));
+        let got: Vec<Arc<String>> = std::thread::scope(|s| {
+            let askers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        asking.fetch_add(1, Ordering::SeqCst);
+                        table.get(7, || {
+                            derivations.fetch_add(1, Ordering::SeqCst);
+                            // The value appears only once all eight ask.
+                            while asking.load(Ordering::SeqCst) < 8 {
+                                std::thread::yield_now();
+                            }
+                            Arc::new("seven".to_string())
+                        })
+                    })
+                })
+                .collect();
+            askers.into_iter().map(|a| a.join().unwrap()).collect()
+        });
+        assert_eq!(derivations.load(Ordering::SeqCst), 1);
+        assert!(got.iter().all(|v| Arc::ptr_eq(v, &got[0])));
+        let stats = table.stats();
+        assert_eq!((stats.derived, stats.shared), (1, 7));
+        assert!(table.holds(&7) && !table.holds(&8));
+    }
+
+    #[test]
+    fn a_panicking_derivation_leaves_the_table_servable() {
+        let table: Facts<u32, u32> = Facts::default();
+        assert_eq!(table.get(1, || 10), 10);
+        let boom = catch_unwind(AssertUnwindSafe(|| table.get(2, || panic!("no value"))));
+        assert!(boom.is_err());
+        assert!(!table.holds(&2));
+        // Other keys are served, old and new, and the failed one may be
+        // derived by whoever asks next.
+        assert_eq!(table.get(1, || unreachable!("held")), 10);
+        assert_eq!(table.get(3, || 30), 30);
+        assert_eq!(table.get(2, || 20), 20);
+        assert_eq!(table.stats().derived, 3);
+    }
+
+    #[test]
+    fn the_shared_proof_set_is_the_freshly_derived_one() {
+        // Small derives for seconds unoptimized; CI's `fastpath` job runs
+        // this test in release.
+        let scales: &[Scale] = if cfg!(debug_assertions) {
+            &[Scale::Tiny]
+        } else {
+            &[Scale::Tiny, Scale::Small]
+        };
+        for &scale in scales {
+            for bench in BenchName::all() {
+                for threads in [1, 4, 16] {
+                    let model = model_of(bench, scale, threads);
+                    let shared = proof_set(bench, scale, threads, &model);
+                    let fresh = |text| ProofTable::fold(derive_proofs(text, threads));
+                    let what = format!("{} {} x{threads}", bench.label(), scale.label());
+                    assert!(shared.cold == fresh(model.cold()), "{what}: cold");
+                    assert!(
+                        shared.iteration == fresh(model.iteration()),
+                        "{what}: iteration"
+                    );
+                    assert!(
+                        shared.iteration != ProofTable::default(),
+                        "{what}: nothing proven"
+                    );
+                    let again = proof_set(bench, scale, threads, &model);
+                    assert!(Arc::ptr_eq(&shared, &again), "{what}: derived twice");
+                }
+            }
+        }
+    }
+
+    /// Every observable of a finished run: the cached bytes and the
+    /// engine's counters.
+    fn outcome(run: BenchRun) -> (String, Option<ccnuma::FastpathStats>) {
+        let mut run = run;
+        while !run.is_done() {
+            run.step();
+        }
+        let stats = run.fastpath_stats();
+        (run.finish().to_cache_json().to_string(), stats)
+    }
+
+    #[test]
+    fn a_run_is_the_same_through_either_door() {
+        let cfg = RunConfig::paper_default();
+        for bench in [BenchName::Cg, BenchName::Mg] {
+            let private = outcome(BenchRun::boxed(
+                |rt| instantiate(bench, rt, Scale::Tiny),
+                &cfg,
+                None,
+            ));
+            assert!(private.1.expect("installed").replays > 0);
+            // The first named run may derive; the second is handed the set.
+            for round in ["first", "second"] {
+                let named = outcome(BenchRun::for_bench(bench, Scale::Tiny, &cfg));
+                assert_eq!(named, private, "{} {round} named run", bench.label());
+            }
+        }
+    }
+
+    #[test]
+    fn another_layout_under_the_same_name_has_its_own_entry_and_replays() {
+        // A team size nothing else in this test binary runs CG with.
+        let (bench, scale, threads) = (BenchName::Cg, Scale::Tiny, 5);
+        let cfg = RunConfig {
+            threads,
+            ..RunConfig::paper_default()
+        };
+        let padded = |rt: &mut Runtime| {
+            SimArray::new(rt.machine_mut(), "pad", 3 * 4096, 0.0f64);
+            instantiate(bench, rt, scale)
+        };
+        let named = Some((bench, scale));
+        let plain = outcome(BenchRun::for_bench(bench, scale, &cfg));
+        let shifted = outcome(BenchRun::boxed(padded, &cfg, named));
+        let mut exact = BenchRun::boxed(padded, &cfg, named);
+        exact.set_fastpath(false);
+        assert_eq!(
+            shifted.0,
+            outcome(exact).0,
+            "bit-identical to the exact path"
+        );
+        assert!(shifted.1.expect("installed").replays > 0, "{shifted:?}");
+        assert_eq!(shifted.1, plain.1, "the shift moves no line across a page");
+
+        let plain_model = model_of(bench, scale, threads);
+        let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+        let mut rt = Runtime::with_threads(machine, threads);
+        let shifted_model = padded(&mut rt).access_model().unwrap();
+        let (a, b) = (
+            ProofKey::of(bench, scale, threads, &plain_model),
+            ProofKey::of(bench, scale, threads, &shifted_model),
+        );
+        assert_ne!(a, b);
+        assert!(PROOFS.holds(&a) && PROOFS.holds(&b));
+        let plain_set = proof_set(bench, scale, threads, &plain_model);
+        let shifted_set = proof_set(bench, scale, threads, &shifted_model);
+        assert!(plain_set.iteration != shifted_set.iteration);
+    }
+}

@@ -15,8 +15,10 @@
 //!   points and `undo` at the end of every later iteration.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
+use crate::facts;
+use crate::model::PhaseModel;
 use crate::proof::derive_proofs;
-use ccnuma::{Machine, MachineConfig};
+use ccnuma::{Machine, MachineConfig, ProofTable};
 use omp::Runtime;
 use upmlib::{UpmEngine, UpmOptions, UpmStats};
 use vmm::{install_placement, KernelMigrationConfig, KernelMigrationEngine, PlacementScheme};
@@ -139,6 +141,10 @@ impl RunResult {
 pub struct BenchRun {
     rt: Runtime,
     bench: Box<dyn NasBenchmark>,
+    /// Set by [`BenchRun::for_bench`]: the kernel is the named benchmark's
+    /// own problem at this scale, so its proofs are the process's
+    /// ([`facts::proof_set`]), not this run's to derive.
+    named: Option<(BenchName, Scale)>,
     upm: Option<UpmEngine>,
     recrep: bool,
     trace: bool,
@@ -157,21 +163,31 @@ pub struct BenchRun {
 impl BenchRun {
     /// Build a run: configure the machine, install the placement policy and
     /// the engines, and allocate the benchmark via `make`. No simulated
-    /// work happens until the first [`BenchRun::step`].
+    /// work happens until the first [`BenchRun::step`]. What `make` builds
+    /// is known to this run alone (a custom problem, a test's kernel), so
+    /// the run derives its fast-path proofs itself and shares them with
+    /// nobody.
     pub fn new<B: NasBenchmark + 'static>(
         make: impl FnOnce(&mut Runtime) -> B,
         cfg: &RunConfig,
     ) -> Self {
-        Self::boxed(|rt| Box::new(make(rt)), cfg)
+        Self::boxed(|rt| Box::new(make(rt)), cfg, None)
     }
 
     /// [`BenchRun::new`] for a benchmark chosen by name: the paper's five
     /// kernels at one of the three problem scales (see [`instantiate`]).
+    /// Every such run of a process installs the same proof set, derived by
+    /// the first of them (see [`facts::proof_set`]).
     pub fn for_bench(bench: BenchName, scale: Scale, cfg: &RunConfig) -> Self {
-        Self::boxed(|rt| instantiate(bench, rt, scale), cfg)
+        let named = Some((bench, scale));
+        Self::boxed(|rt| instantiate(bench, rt, scale), cfg, named)
     }
 
-    fn boxed(make: impl FnOnce(&mut Runtime) -> Box<dyn NasBenchmark>, cfg: &RunConfig) -> Self {
+    pub(crate) fn boxed(
+        make: impl FnOnce(&mut Runtime) -> Box<dyn NasBenchmark>,
+        cfg: &RunConfig,
+        named: Option<(BenchName, Scale)>,
+    ) -> Self {
         let mut machine = Machine::new(cfg.machine.clone());
         install_placement(&mut machine, cfg.placement.clone());
         if cfg.trace {
@@ -194,6 +210,7 @@ impl BenchRun {
         Self {
             rt,
             bench,
+            named,
             upm,
             recrep: matches!(cfg.engine, EngineMode::RecRep(_)),
             trace: cfg.trace,
@@ -214,7 +231,7 @@ impl BenchRun {
 
     /// Force the phase fast path on or off for this run (it defaults to
     /// on; a traced run stays exact either way). Must be called before the
-    /// first step (the cold start derives and installs the proofs).
+    /// first step (the cold start installs the proofs).
     pub fn set_fastpath(&mut self, on: bool) {
         assert!(!self.started, "set_fastpath after the run started");
         self.fastpath = on && !self.trace;
@@ -239,16 +256,27 @@ impl BenchRun {
         self.started = true;
         let model = self.fastpath.then(|| self.bench.access_model()).flatten();
         let threads = self.rt.threads();
+        // A named kernel's proofs are the process's. Any other run folds
+        // its own, each text's just before the text runs.
+        let shared = model
+            .as_ref()
+            .zip(self.named)
+            .map(|(model, (bench, scale))| facts::proof_set(bench, scale, threads, model));
+        let install =
+            |rt: &mut Runtime, shared: Option<&ProofTable>, text: &[PhaseModel]| match shared {
+                Some(table) => rt.install_fastpath(table),
+                None => rt.install_fastpath(&ProofTable::fold(derive_proofs(text, threads))),
+            };
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
         if let Some(model) = &model {
-            self.rt
-                .install_fastpath(derive_proofs(model.cold(), threads));
+            let table = shared.as_deref().map(|s| &s.cold);
+            install(&mut self.rt, table, model.cold());
         }
         self.bench.cold_start(&mut self.rt);
         if let Some(model) = &model {
-            self.rt
-                .install_fastpath(derive_proofs(model.iteration(), threads));
+            let table = shared.as_deref().map(|s| &s.iteration);
+            install(&mut self.rt, table, model.iteration());
         }
         if let Some(engine) = &self.upm {
             // Reference monitoring starts with the timed run (upmlib reads

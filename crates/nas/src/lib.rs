@@ -34,6 +34,7 @@ pub mod bt;
 pub mod cg;
 pub mod codec;
 pub mod common;
+pub mod facts;
 pub mod ft;
 pub mod harness;
 pub mod la;
@@ -44,5 +45,5 @@ pub mod sp;
 
 pub use common::{BenchName, NasBenchmark, PhasePoint, Scale, Verification};
 pub use harness::{instantiate, run_benchmark, BenchRun, EngineMode, RunConfig, RunResult};
-pub use model::{KernelModel, LoopKind, LoopModel, PhaseModel};
+pub use model::{KernelModel, LoopKind, LoopModel, PageSlots, PhaseModel};
 pub use proof::{derive_loop_proof, derive_proofs};

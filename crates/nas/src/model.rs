@@ -24,6 +24,8 @@
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint};
 use ccnuma::{AccessKind, ArrayLayout, SimArray};
 use omp::{Par, Runtime, Schedule};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// How a modeled loop's iterations are assigned to threads.
@@ -275,6 +277,55 @@ impl KernelModel {
             let (base, len) = a.vrange();
             vaddr >= base && vaddr < base + len
         })
+    }
+}
+
+/// Hasher for page numbers: one multiply. The keys are a model's own
+/// addresses, never outside input, so there is nothing to defend against.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Page number → dense slot, numbered in first-touch order: what a fold
+/// over a model's access stream indexes its per-page rows by, so an access
+/// costs one hash probe and an indexed update. The proof derivation
+/// (`nas::proof`) and the lint footprint (`lint::Footprint`) both fold
+/// through it. It hashes rather than indexing a `Vec` by page number: the
+/// kernels' pages are dense from the machine's first virtual range, but a
+/// hand-built [`LoopModel`] may name any 64-bit page.
+#[derive(Default)]
+pub struct PageSlots {
+    slot_of: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
+}
+
+impl PageSlots {
+    /// `page`'s slot. A page not seen before gets the next free slot — the
+    /// number of pages seen before the call — so a caller keeping one row
+    /// per slot grows its rows exactly when the result equals their count.
+    #[inline]
+    pub fn slot(&mut self, page: u64) -> usize {
+        let next = self.slot_of.len();
+        *self.slot_of.entry(page).or_insert(next)
+    }
+
+    /// Every `(page, slot)`, in ascending page order.
+    pub fn sorted(&self) -> Vec<(u64, usize)> {
+        let mut by_page: Vec<(u64, usize)> = self.slot_of.iter().map(|(&p, &s)| (p, s)).collect();
+        by_page.sort_unstable();
+        by_page
     }
 }
 

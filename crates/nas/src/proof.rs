@@ -24,13 +24,10 @@
 //! recording diffs the real region against the claim and discards (loudly,
 //! in debug builds) on any disagreement — see `ccnuma::fastpath`.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use ccnuma::fastpath::PhaseProof;
 use ccnuma::{AccessKind, LINE_SHIFT, PAGE_SHIFT};
 
-use crate::model::{LoopKind, LoopModel, PhaseModel};
+use crate::model::{LoopKind, LoopModel, PageSlots, PhaseModel};
 
 /// Cache lines per page: the width of one [`LineTable`] block.
 const PAGE_LINES: usize = 1 << (PAGE_SHIFT - LINE_SHIFT);
@@ -64,57 +61,40 @@ impl LineUse {
     }
 }
 
-/// Hasher for page numbers: one multiply. The keys are the model's own
-/// addresses, never outside input, so there is nothing to defend against.
-#[derive(Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("page numbers hash through write_u64");
-    }
-
-    fn write_u64(&mut self, page: u64) {
-        self.0 = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Per-line access summary of one loop, dense within a page: a page's
 /// [`PAGE_LINES`] entries are allocated the first time the loop reaches the
 /// page, so an access costs one hash probe and an indexed update, and the
 /// table is as large as the loop's page footprint.
 #[derive(Default)]
 struct LineTable {
-    slot_of: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
-    /// `(page, its lines)`, in first-touch order.
-    blocks: Vec<(u64, Box<[LineUse; PAGE_LINES]>)>,
+    slots: PageSlots,
+    /// Each page's lines, by slot.
+    blocks: Vec<[LineUse; PAGE_LINES]>,
 }
 
 impl LineTable {
     #[inline]
     fn line(&mut self, line: u64) -> &mut LineUse {
-        let blocks = &mut self.blocks;
-        let page = line >> (PAGE_SHIFT - LINE_SHIFT);
-        let slot = *self.slot_of.entry(page).or_insert_with(|| {
-            blocks.push((page, Box::new([LineUse::default(); PAGE_LINES])));
-            blocks.len() - 1
-        });
-        &mut blocks[slot].1[line as usize % PAGE_LINES]
+        let slot = self.slots.slot(line >> (PAGE_SHIFT - LINE_SHIFT));
+        if slot == self.blocks.len() {
+            self.blocks.push([LineUse::default(); PAGE_LINES]);
+        }
+        &mut self.blocks[slot][line as usize % PAGE_LINES]
     }
 
     /// Every touched line with its use, in ascending line order.
-    fn into_sorted(mut self) -> impl Iterator<Item = (u64, LineUse)> {
-        self.blocks.sort_unstable_by_key(|&(page, _)| page);
-        self.blocks.into_iter().flat_map(|(page, lines)| {
-            let first = page << (PAGE_SHIFT - LINE_SHIFT);
-            (0..PAGE_LINES)
-                .map(move |i| (first + i as u64, lines[i]))
-                .filter(|(_, u)| *u != LineUse::default())
-        })
+    fn into_sorted(self) -> impl Iterator<Item = (u64, LineUse)> {
+        let blocks = self.blocks;
+        self.slots
+            .sorted()
+            .into_iter()
+            .flat_map(move |(page, slot)| {
+                let first = page << (PAGE_SHIFT - LINE_SHIFT);
+                let lines = blocks[slot];
+                (0..PAGE_LINES)
+                    .map(move |i| (first + i as u64, lines[i]))
+                    .filter(|(_, u)| *u != LineUse::default())
+            })
     }
 }
 
@@ -167,9 +147,9 @@ pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<P
 }
 
 /// Derive proofs for a phase sequence: one `(label, proof)` per region
-/// instance in program order, each derived as it is asked for — the shape
-/// `omp::Runtime::install_fastpath` expects. The label is the text
-/// `impl Exec for Runtime` names the running region with.
+/// instance in program order, each derived as it is asked for — what
+/// `ccnuma::ProofTable::fold` folds into the table a runtime installs. The
+/// label is the text `impl Exec for Runtime` names the running region with.
 pub fn derive_proofs(
     phases: &[PhaseModel],
     threads: usize,

@@ -1,7 +1,7 @@
 //! The fork/join runtime: parallel regions, worksharing, reductions.
 
 use crate::schedule::Schedule;
-use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof};
+use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, ProofTable};
 use ccnuma::{AccessKind, CpuId, Machine, SimArray};
 use vmm::KernelMigrationEngine;
 
@@ -191,18 +191,15 @@ impl Runtime {
         }
     }
 
-    /// Install the proofs of a program text for the phase fast path, one
-    /// `(label, proof)` per region instance (see [`FastpathEngine::install`]):
-    /// the region named `label` (see [`Runtime::name_region`]) meets that
-    /// proof. An existing engine is kept, and with it the memos of every
-    /// label installed again with an equal proof.
-    pub fn install_fastpath(
-        &mut self,
-        instances: impl IntoIterator<Item = (String, Option<PhaseProof>)>,
-    ) {
+    /// Install the proofs of a program text for the phase fast path (see
+    /// [`FastpathEngine::install`]): the region named `label` (see
+    /// [`Runtime::name_region`]) meets the table's proof for `label`. An
+    /// existing engine is kept, and with it the memos of every label
+    /// installed again with an equal proof.
+    pub fn install_fastpath(&mut self, table: &ProofTable) {
         self.fastpath
             .get_or_insert_with(FastpathEngine::new)
-            .install(instances);
+            .install(table);
     }
 
     /// Fast-path engine counters, if installed.
@@ -582,7 +579,7 @@ impl std::fmt::Debug for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccnuma::MachineConfig;
+    use ccnuma::{MachineConfig, PhaseProof};
 
     fn runtime() -> Runtime {
         Runtime::new(Machine::new(MachineConfig::tiny_test()))
@@ -778,7 +775,9 @@ mod tests {
         let a = SimArray::new(&mut m, "a", 128 * EPL, 1.0f64);
         let mut rt = Runtime::with_threads(m, threads);
         if let Some(owners) = owners {
-            rt.install_fastpath([stripe_instance(&a, "stripe", 0, &owners)]);
+            rt.install_fastpath(&ProofTable::fold([stripe_instance(
+                &a, "stripe", 0, &owners,
+            )]));
         }
         rt.phase("t");
         (rt, a)
@@ -961,10 +960,10 @@ mod tests {
         let (mut rt, a) = striped_by(4, None);
         let owners = Schedule::Static.static_chunks(STRIPES, 4);
         if fast {
-            rt.install_fastpath([
+            rt.install_fastpath(&ProofTable::fold([
                 stripe_instance(&a, "stripe", 0, &owners),
                 stripe_instance(&a, "tail", 16, &owners),
-            ]);
+            ]));
         }
         let replays = |rt: &Runtime| rt.fastpath_stats().map_or(0, |s| s.replays);
         let mut tail_replays = 0;
@@ -1009,7 +1008,9 @@ mod tests {
         // The label says nothing about the team: proofs armed again as they
         // were derived, for four threads, are refused by size.
         let owners = Schedule::Static.static_chunks(STRIPES, 4);
-        fast.install_fastpath([stripe_instance(&fa, "stripe", 0, &owners)]);
+        fast.install_fastpath(&ProofTable::fold([stripe_instance(
+            &fa, "stripe", 0, &owners,
+        )]));
         let before = fast.fastpath_stats().expect("installed");
         for rep in 3..6 {
             stripe_rep(&mut exact, &ea, rep, |_| {});

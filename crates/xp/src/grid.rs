@@ -224,17 +224,9 @@ impl Cell {
             Some(Ok(_)) => return refuse("not one of Figure 6's phase scales"),
             _ => return refuse("ablation cells cache offline only"),
         };
-        let placement = match spec.placement.as_str() {
-            "ft" => PlacementScheme::FirstTouch,
-            "rr" => PlacementScheme::RoundRobin,
-            "rand" => PlacementScheme::Random { seed: spec.seed },
-            "wc" => PlacementScheme::WorstCase { node: 0 },
-            // The map is a pure function of (bench, scale) under the
-            // paper-default lint configuration: re-synthesize it; the
-            // derive-back check below compares its fingerprint.
-            "static" => crate::lint::static_scheme(bench, scale),
-            other => return Err(Refusal::Unknown("placement", other.to_string())),
-        };
+        // Every label is parsed before the `static` arm runs: that arm may
+        // synthesize a placement, and a spec refused for a misspelt engine
+        // must not cost a resident worker an analysis first.
         let (kcfg, upm_opts) = crate::default_engine_configs();
         let engine = match spec.engine.as_str() {
             "IRIX" => EngineMode::None,
@@ -242,6 +234,17 @@ impl Cell {
             "upmlib" => EngineMode::Upmlib(upm_opts),
             "recrep" => EngineMode::RecRep(upm_opts),
             other => return Err(Refusal::Unknown("engine", other.to_string())),
+        };
+        let placement = match spec.placement.as_str() {
+            "ft" => PlacementScheme::FirstTouch,
+            "rr" => PlacementScheme::RoundRobin,
+            "rand" => PlacementScheme::Random { seed: spec.seed },
+            "wc" => PlacementScheme::WorstCase { node: 0 },
+            // The map is a pure function of (bench, scale) under the
+            // paper-default lint configuration, held once per process; the
+            // derive-back check below compares its fingerprint.
+            "static" => crate::lint::static_scheme(bench, scale),
+            other => return Err(Refusal::Unknown("placement", other.to_string())),
         };
         let cell = Cell {
             problem,
@@ -489,8 +492,8 @@ mod tests {
         let spec = cell.spec();
         assert_eq!(spec.cell_id(), "mg:static-IRIX");
         assert_eq!(spec.placement_fp.len(), 16, "map fingerprint recorded");
-        // The reconstruction re-synthesizes the same map and reproduces the
-        // exact result through the cache encoding.
+        // The reconstruction names the same map and reproduces the exact
+        // result through the cache encoding.
         let reconstructed = run_spec(&spec).unwrap();
         assert_eq!(cached_bytes(&reconstructed), cached_bytes(&cell.run()));
         // A tampered map fingerprint is refused, not silently re-mapped.
@@ -498,6 +501,24 @@ mod tests {
         wrong.placement_fp = "0000000000000000".into();
         let err = run_spec(&wrong).unwrap_err();
         assert!(err.contains("placement map fingerprint mismatch"), "{err}");
+    }
+
+    #[test]
+    fn a_forged_engine_is_refused_before_any_placement_is_synthesized() {
+        // SP at medium: seconds of synthesis, and a key nothing else in
+        // this test binary asks for.
+        let (bench, scale) = (BenchName::Sp, Scale::Medium);
+        let mut forged = Cell::at_scale(bench, scale, RunConfig::paper_default()).spec();
+        forged.placement = "static".into();
+        forged.engine = "IRIXmig2".into();
+        assert_eq!(
+            Cell::from_spec(&forged).unwrap_err(),
+            Refusal::Unknown("engine", "IRIXmig2".into())
+        );
+        assert!(
+            !crate::lint::static_scheme_held(bench, scale),
+            "the refusal cost a synthesis"
+        );
     }
 
     #[test]

@@ -11,10 +11,11 @@
 
 use ::lint::{Allowlist, Analysis, Code, Finding, Footprint, LintConfig, PlacementMap};
 use ccnuma::Machine;
+use nas::facts::{Facts, FactsStats};
 use nas::{BenchName, Scale};
 use omp::Runtime;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use vmm::PlacementScheme;
 
 use crate::Report;
@@ -55,7 +56,9 @@ pub fn analyze_bench(bench: BenchName, scale: Scale) -> Analysis {
 }
 
 /// Synthesize `bench`'s static placement prescription with the paper-default
-/// lint configuration. Deterministic: a pure function of (bench, scale).
+/// lint configuration. Deterministic: a pure function of (bench, scale), and
+/// derived afresh by every call — what `xp lint` prints and what
+/// [`static_scheme`]'s shared entries are tested against.
 pub fn placement_map(bench: BenchName, scale: Scale) -> PlacementMap {
     let cfg = LintConfig::paper_default();
     ::lint::synthesize(&model_under(&cfg, bench, scale), &cfg)
@@ -81,9 +84,29 @@ pub fn scheme_of(map: &PlacementMap) -> PlacementScheme {
     }
 }
 
-/// The installable `static` placement scheme for `bench` at `scale`.
+/// One scheme per (bench, scale) for the life of the process: every plan
+/// that names a `static` cell, and every server-side rebuild of one, clones
+/// the `Arc` the first asker synthesized.
+static SCHEMES: LazyLock<Facts<(BenchName, Scale), PlacementScheme>> =
+    LazyLock::new(Facts::default);
+
+/// The installable `static` placement scheme for `bench` at `scale`:
+/// [`scheme_of`] [`placement_map`], synthesized once per process.
 pub fn static_scheme(bench: BenchName, scale: Scale) -> PlacementScheme {
-    scheme_of(&placement_map(bench, scale))
+    SCHEMES.get((bench, scale), || {
+        let _hp = hostprof::span("lint.facts.derive");
+        scheme_of(&placement_map(bench, scale))
+    })
+}
+
+/// Whether this process has synthesized [`static_scheme`]`(bench, scale)`.
+pub fn static_scheme_held(bench: BenchName, scale: Scale) -> bool {
+    SCHEMES.holds(&(bench, scale))
+}
+
+/// How often [`static_scheme`] synthesized and how often it shared.
+pub fn static_scheme_stats() -> FactsStats {
+    SCHEMES.stats()
 }
 
 /// Run the analyzer over `benches` and assemble the `xp` report.
@@ -213,6 +236,36 @@ mod tests {
             keys.iter().all(|k| !k.starts_with("L004")),
             "no predicted frozen pages at Tiny: {keys:?}"
         );
+    }
+
+    #[test]
+    fn the_shared_scheme_is_the_freshly_synthesized_one() {
+        // Small synthesizes for seconds unoptimized; CI's `fastpath` job
+        // runs this test in release.
+        let scales: &[Scale] = if cfg!(debug_assertions) {
+            &[Scale::Tiny]
+        } else {
+            &[Scale::Tiny, Scale::Small]
+        };
+        for &scale in scales {
+            for bench in BenchName::all() {
+                let shared = static_scheme(bench, scale);
+                assert!(static_scheme_held(bench, scale));
+                assert_eq!(shared, scheme_of(&placement_map(bench, scale)));
+                let (PlacementScheme::Static { map }, PlacementScheme::Static { map: again }) =
+                    (shared, static_scheme(bench, scale))
+                else {
+                    panic!("static_scheme builds the static scheme");
+                };
+                assert!(Arc::ptr_eq(&map, &again), "one map per (bench, scale)");
+                assert_eq!(
+                    map.fingerprint(),
+                    placement_map(bench, scale).to_static().fingerprint()
+                );
+            }
+        }
+        let stats = static_scheme_stats();
+        assert!(stats.derived >= 1 && stats.shared >= 1, "{stats:?}");
     }
 
     #[test]

@@ -121,6 +121,14 @@ pub fn report_for(
         "exclusive time by component: {}",
         breakdown.join(", ")
     ));
+    // Analysis is its own row (`nas.facts.derive`, `lint.facts.derive`)
+    // only in the cell that paid for it; the counters say who did.
+    let (proofs, schemes) = (nas::facts::stats(), crate::lint::static_scheme_stats());
+    report.note(format!(
+        "analysis tables, process-wide: proof sets {} derived / {} shared, static placements \
+         {} derived / {} shared",
+        proofs.derived, proofs.shared, schemes.derived, schemes.shared
+    ));
     report.note(format!(
         "session wall {:.3}s, {} thread(s), {} span event(s) dropped",
         host.wall_secs,

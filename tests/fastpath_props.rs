@@ -171,7 +171,7 @@ fn run_case(
     let proof = derive_loop_proof("p/loop", &loop_model(p, n, schedule, base), threads);
     let eligible = proof.is_some();
     if fast {
-        rt.install_fastpath([("p/loop".to_string(), proof)]);
+        rt.install_fastpath(&ccnuma::ProofTable::fold([("p/loop".to_string(), proof)]));
     }
     rt.phase("p");
     for rep in 0..reps {

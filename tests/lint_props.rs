@@ -49,8 +49,45 @@ fn analyze_loop(
     lint::analyze(&model, &lint_cfg(threads)).findings
 }
 
+/// The page fold of a single `n`-iteration loop in which iteration `i`
+/// stores to byte `at + 8 * i` of the address space.
+fn fold_loop(n: usize, threads: usize, schedule: Schedule, at: u64) -> lint::Footprint {
+    let lp = LoopModel::parallel("loop", n, schedule, move |i, emit| {
+        emit(at + 8 * i as u64, AccessKind::Write)
+    });
+    let model = KernelModel::new(
+        BenchName::Cg,
+        vec![],
+        vec![],
+        vec![PhaseModel::new("p", vec![lp])],
+    );
+    lint::Footprint::build(&model, &lint_cfg(threads))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The page fold counts every access of a generated loop exactly once,
+    /// on the pages the loop touches and no others, wherever they lie: the
+    /// slot table behind it hashes page numbers, it does not index by them
+    /// (the fold against its ordered-map oracle is `lint`'s own unit test).
+    #[test]
+    fn the_page_fold_counts_every_access_once_wherever_the_pages_lie(
+        n in 1usize..3000,
+        threads in 1usize..9,
+        schedule in static_schedules(),
+        far_page in prop_oneof![Just(0u64), Just(1u64 << 40)],
+    ) {
+        let at = far_page << ccnuma::PAGE_SHIFT;
+        let fp = fold_loop(n, threads, schedule, at);
+        let pages: Vec<u64> = (far_page..=far_page + ((8 * (n as u64 - 1)) >> ccnuma::PAGE_SHIFT)).collect();
+        prop_assert_eq!(fp.homes.keys().copied().collect::<Vec<_>>(), pages.clone());
+        prop_assert_eq!(fp.totals.keys().copied().collect::<Vec<_>>(), pages);
+        let counted: u64 = fp.totals.values().flatten().sum();
+        prop_assert_eq!(counted, n as u64);
+        prop_assert_eq!(&fp.writes, &fp.totals);
+        prop_assert_eq!(&fp.phase_counts[0].1, &fp.totals);
+    }
 
     /// `static_chunks` chunks are pairwise disjoint and cover `0..n`
     /// exactly once, for arbitrary (n, threads, schedule).
