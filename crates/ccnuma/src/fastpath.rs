@@ -14,43 +14,66 @@
 //! caches are private; reference counters are written, never read, in-region;
 //! and the directory versions a CPU observes cannot be moved by another
 //! thread's in-region writes (a written line is accessed by its writer only).
-//! So each CPU independently hits or misses on its own. A region replays
-//! wholesale when every CPU hits; when only some hit (in practice the master
-//! CPU, whose cache carries long-memory junk from serial regions, drifts
-//! while the workers stabilize), the hitters' effects are applied in bulk and
-//! they sit the region out while the drifters execute the exact path and
-//! re-record. The engine only reports who hit ([`FastpathOutcome`]); keeping
-//! a replayed CPU's accesses away from the machine is the caller's job.
+//! So each CPU independently hits, is re-timed, or misses on its own. A
+//! region replays wholesale when no CPU misses; when only some miss (in
+//! practice the master CPU, whose cache carries long-memory junk from serial
+//! regions, drifts while the workers stabilize), the others' effects are
+//! applied in bulk and they sit the region out while the drifters execute the
+//! exact path and re-record. The engine only reports who does what
+//! ([`FastpathOutcome`]); keeping a replayed CPU's accesses away from the
+//! machine is the caller's job.
 //!
-//! **Keys and cost.** A memo's key covers exactly the cache sets its walk
-//! probed and the frames it reached memory on — untouched state cannot
-//! influence the walk, and excluding it makes small regions insensitive to
-//! ambient cache junk. Matching normalizes each touched set of the *live*
-//! cache on the fly (tags classified as proof-line / empty / other, coherence
-//! freshness relative to the directory, LRU as per-set rank permutations —
-//! absolute ticks and versions grow monotonically and would never repeat) and
-//! compares it against the stored key, so a lookup costs what the memoized
-//! walk touched, never what the proof footprint spans. Recording is
+//! **Keys and cost.** A memo is an *image* — everything about one CPU's walk
+//! that is true wherever its pages live — holding one *placement* per frame
+//! assignment the walk has been timed under. The image's key covers exactly
+//! the cache sets the walk probed: untouched state cannot influence the walk,
+//! and excluding it makes small regions insensitive to ambient cache junk.
+//! Matching normalizes each touched set of the *live* cache on the fly (tags
+//! classified as proof-line / empty / other, coherence freshness relative to
+//! the directory, LRU as per-set rank permutations — absolute ticks and
+//! versions grow monotonically and would never repeat) and compares it
+//! against the stored key, so a lookup costs what the memoized walk touched,
+//! never what the proof footprint spans. A placement's key is the frames of
+//! the pages the walk reached memory on; it is compared first, so an
+//! unmoved steady state finds its hit after a handful of word compares. A CPU
+//! with no such hit whose caches match an image all the same — its pages
+//! moved, none of their lines was resident — is **retimed**: the image is
+//! applied at entry on the frames the pages are in now, and the CPU's thread
+//! walks the body against the image's *class stream* (one 2-bit class per
+//! access: L1 hit, L2 hit, memory) instead of the machine, adding up the
+//! latencies the new homes give ([`Retime`]); the result is kept as one more
+//! placement, so a page that ping-pongs hits both ways. Recording is
 //! copy-on-write: the machine logs each probed set's pre-image the first time
 //! the region reaches it (see `Machine::fp_log_set`), and the exit diff runs
 //! over exactly those sets.
 //!
-//! **Soundness.** The simulator is sequential and deterministic. An eligible
-//! CPU's per-access outcomes depend only on the touched sets' way states
-//! (captured up to the exact equivalences the normalization encodes — a
-//! non-proof tag can never match a probed proof line and matters only through
-//! its LRU rank; absolute versions matter only through freshness), the
-//! directory versions of proof lines (freshness bits, evaluated against the
-//! region-entry directory on both the record and the match side), and the
-//! frames of the pages it accesses memory on (in the key verbatim). Counter
-//! bulk adds land exact final values including overflow spills because the
-//! counters are never read in-region. Identical key ⇒ identical per-access
-//! outcomes ⇒ the memo reconstructs the exact machine state line-by-line
-//! execution would have produced — bit-identical f64s included, because
-//! region stall/compute time is staged in per-region accounts and folded into
-//! cumulative stats once per region (see `Machine::end_region`). Apply order
-//! mirrors execution: replayed threads' directory bumps land before any cache
-//! fix-up reads versions back, and a live thread can never observe a replayed
+//! **Soundness.** The simulator is sequential and deterministic. Caches are
+//! virtually tagged, so under the preconditions that gate the engine (no
+//! replicas, every proof page mapped, no trace) an eligible CPU's per-access
+//! outcomes — its class sequence — are a function of the touched sets' way
+//! states (captured up to the exact equivalences the normalization encodes —
+//! a non-proof tag can never match a probed proof line and matters only
+//! through its LRU rank; absolute versions matter only through freshness) and
+//! the directory versions of proof lines (freshness bits, evaluated against
+//! the region-entry directory on both the record and the match side), and of
+//! nothing else: the frames decide only *where* a memory access is counted
+//! and what it costs. Identical image key ⇒ identical class sequence ⇒ the
+//! image reconstructs the exact cache, directory and hit-count state
+//! line-by-line execution would have produced, and its per-page access
+//! counts land on whatever frames the pages are in (counter bulk adds land
+//! exact final values including overflow spills because the counters are
+//! never read in-region). What is left is time. `stall_by_node`,
+//! `accesses_by_node` and local/remote are per-home counts re-bucketed, but
+//! `CpuRegionAccount::stall_ns` is an in-order `f64` sum of cache and memory
+//! latencies whose rounding depends on the order of the addends, so it cannot
+//! be rebuilt from counts: the retime walk performs the same adds in the same
+//! order and therefore lands the same bits — non-integer latencies included —
+//! and a placement stores them for the frames they were summed under.
+//! Bit-identical f64s survive the fold into cumulative stats because region
+//! stall/compute time is staged in per-region accounts and folded once per
+//! region (see `Machine::end_region`). Apply order mirrors execution:
+//! replayed and retimed threads' directory bumps land before any cache fix-up
+//! reads versions back, and a live thread can never observe a replayed
 //! thread's lines (or vice versa) by eligibility.
 //!
 //! **Labels.** A region meets its proof by its `"phase/loop"` label and by
@@ -70,14 +93,15 @@
 //! match the memory accesses the machine logged? did anything outside the
 //! footprint change?); a violated contract discards the memos in release
 //! builds and fires a `debug_assert!` in debug builds, so a lying proof can
-//! degrade performance but never correctness.
+//! degrade performance but never correctness. A retime walk that does not
+//! consume its class stream exactly, or reaches memory more or less often
+//! than its image says, is the engine's own bug and an `assert!`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::cache::{SetAssocCache, INVALID_TAG};
 use crate::coherence::Directory;
-use crate::contention::CpuRegionAccount;
 use crate::cpu::CpuId;
 use crate::machine::{FpRecording, Machine};
 use crate::memory::FrameId;
@@ -207,7 +231,8 @@ impl ProofTable {
 /// experiment harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastpathStats {
-    /// Regions replayed wholesale (every team CPU hit its memo).
+    /// Regions replayed wholesale (no team CPU missed: each hit a memo or
+    /// was retimed).
     pub replays: u64,
     /// Regions that recorded at least one CPU memo.
     pub records: u64,
@@ -219,29 +244,170 @@ pub struct FastpathStats {
     pub cpu_replays: u64,
     /// Individual CPU memos recorded.
     pub cpu_records: u64,
+    /// Individual CPUs whose caches matched a memo but whose pages had
+    /// moved: their walk was re-timed, not re-simulated.
+    pub cpu_retimes: u64,
+    /// Individual CPU misses whose slot held no memo yet.
+    pub cpu_misses_cold: u64,
+    /// Individual CPU misses where some memo was timed on the frames the
+    /// pages are in, and the cache sets disagreed with every memo.
+    pub cpu_misses_sets: u64,
+    /// Individual CPU misses where the pages had moved and the cache sets
+    /// disagreed with every memo too (the move invalidated resident lines).
+    pub cpu_misses_frames: u64,
 }
 
 /// What the engine did for a region, and what the caller owes it.
 ///
 /// The region effects of every CPU in `replayed` have been applied in bulk:
-/// those CPUs must not reach the machine during the region body (their
-/// threads run for the data side only); every other team CPU executes the
-/// exact path. The three cases are values, not variants: all CPUs replayed
-/// and no token (every memo hit), a token (at least one CPU missed and is
-/// being recorded), or neither (a precondition failed).
+/// those CPUs must not reach the machine during the region body. Their
+/// threads run for the data side only — except a CPU that
+/// [`retime_of`](Self::retime_of) has a walk for, whose thread must also
+/// hand that walk every access it makes, in order. Every other team CPU
+/// executes the exact path. After the body and *before* `end_region` the
+/// outcome goes back through [`FastpathEngine::finish_region`]. The cases
+/// are values, not variants: the whole team replayed and no recording (no
+/// CPU missed), a recording (at least one did), or neither (a precondition
+/// failed).
 #[derive(Default)]
 pub struct FastpathOutcome {
-    /// Team CPUs whose memos hit.
+    /// Team CPUs that sit the region out: memo hits and retimed CPUs.
     pub replayed: Vec<CpuId>,
-    /// Present when some CPU missed: hand it back via
-    /// [`FastpathEngine::finish_record`] after the body, *before*
-    /// `end_region`.
-    pub record: Option<RecordToken>,
+    /// The walks of the retimed CPUs.
+    retimed: Vec<Retime>,
+    /// Present when some CPU missed and is being recorded.
+    record: Option<RecordToken>,
+    /// The region's label; set only when there is something to finish.
+    label: String,
 }
 
-/// Entry snapshot carried from `begin_region_fastpath` to `finish_record`.
-pub struct RecordToken {
-    label: String,
+impl FastpathOutcome {
+    /// The walk `cpu`'s thread owes its accesses to, if `cpu` is retimed.
+    pub fn retime_of(&mut self, cpu: CpuId) -> Option<&mut Retime> {
+        self.retimed.iter_mut().find(|r| r.cpu == cpu)
+    }
+}
+
+/// Access classes of a class stream: what `Machine::touch` resolved an
+/// access to.
+pub(crate) const CLASS_L1: u8 = 0;
+pub(crate) const CLASS_L2: u8 = 1;
+pub(crate) const CLASS_MEM: u8 = 2;
+
+/// One 2-bit class per access of one CPU's walk, in walk order, 32 to a
+/// word. Filled through `cur`, so a push touches no heap word but every
+/// 32nd; read only once [`ClassStream::seal`]ed.
+#[derive(Clone, Default)]
+pub(crate) struct ClassStream {
+    words: Vec<u64>,
+    /// The word being filled: classes `len & !31 ..`.
+    cur: u64,
+    len: usize,
+}
+
+impl ClassStream {
+    #[inline]
+    pub(crate) fn push(&mut self, class: u8) {
+        self.cur |= u64::from(class) << ((self.len & 31) * 2);
+        self.len += 1;
+        if self.len & 31 == 0 {
+            self.words.push(std::mem::take(&mut self.cur));
+        }
+    }
+
+    /// Flush the word being filled, if any, into a vector of exactly the
+    /// stream's size: a sealed stream is kept as long as its image, and the
+    /// buffer it grew in (up to twice that) goes back whole, for the next
+    /// recording to grow in.
+    fn seal(&mut self) {
+        if self.words.len() * 32 < self.len {
+            self.words.push(std::mem::take(&mut self.cur));
+        }
+        self.words = self.words.as_slice().to_vec();
+    }
+
+    /// Class of access `i`; past the end it reads [`CLASS_L1`] (the walk's
+    /// exit check compares lengths).
+    #[inline]
+    fn get(&self, i: usize) -> u8 {
+        let word = self.words.get(i >> 5).copied().unwrap_or(0);
+        (word >> ((i & 31) * 2)) as u8 & 3
+    }
+}
+
+/// The frame-dependent numbers of one CPU's walk: what a memory access
+/// costs and where it is counted.
+struct Timing {
+    stall_ns: f64,
+    stall_by_node: Vec<f64>,
+    accesses_by_node: Vec<u64>,
+    mem_local: u64,
+    mem_remote: u64,
+}
+
+/// A retimed CPU's walk: its thread calls [`Retime::touch`] for every access
+/// of the region body, in order, in place of `Machine::touch`. The walk
+/// probes no cache and writes no directory or counter — the image was
+/// applied at entry — it only adds up what `touch` would have returned. It
+/// carries what it reads of the machine (latencies, the homes of its pages
+/// as the page table had them at entry), so the thread holds one pointer.
+pub struct Retime {
+    thread: usize,
+    cpu: CpuId,
+    /// Frames of the image's pages at region entry, in `Image::pages` order.
+    frames: Vec<FrameId>,
+    /// Home node by virtual page, for the image's pages; [`NO_HOME`]
+    /// elsewhere.
+    homes: Vec<u16>,
+    classes: Arc<ClassStream>,
+    pos: usize,
+    l1_ns: f64,
+    l2_ns: f64,
+    /// The CPU's row of the machine's memory-latency table, by home node.
+    mem_ns: Vec<f64>,
+    node: usize,
+    timing: Timing,
+}
+
+/// [`Retime::homes`] of a page the image never reached memory on.
+const NO_HOME: u16 = u16::MAX;
+
+impl Retime {
+    /// Account the next access of the walk, to `vaddr`: the same adds, in
+    /// the same order, as `Machine::touch` makes for an access of that
+    /// class. Out of line and cold: the call sits in every kernel loop
+    /// beside the exact and the data-only lane, and runs for an iteration or
+    /// two after a migration.
+    #[cold]
+    #[inline(never)]
+    pub fn touch(&mut self, vaddr: u64) {
+        let class = self.classes.get(self.pos);
+        self.pos += 1;
+        let t = &mut self.timing;
+        t.stall_ns += match class {
+            CLASS_L1 => self.l1_ns,
+            CLASS_L2 => self.l2_ns,
+            _ => {
+                let home = self.homes.get((vaddr >> PAGE_SHIFT) as usize);
+                let home = usize::from(home.copied().unwrap_or(NO_HOME));
+                let Some(&ns) = self.mem_ns.get(home) else {
+                    panic!("a retime walk reached memory on a page its image never did");
+                };
+                if home == self.node {
+                    t.mem_local += 1;
+                } else {
+                    t.mem_remote += 1;
+                }
+                t.stall_by_node[home] += ns;
+                t.accesses_by_node[home] += 1;
+                ns
+            }
+        };
+    }
+}
+
+/// Entry snapshot carried from `begin_region_fastpath` to `finish_region`.
+struct RecordToken {
     /// `(vpage, frame)` of every proof page at entry.
     frames: Vec<(u64, FrameId)>,
     entry_stats: MachineStats,
@@ -282,23 +448,56 @@ struct LevelKey {
     key: Vec<u64>,
 }
 
-/// One CPU's memoized region delta, keyed on the state it can observe.
-struct CpuMemo {
+/// One CPU's memoized region delta, keyed on the cache state it can
+/// observe: everything that holds wherever its pages live.
+struct Image {
     l1: LevelKey,
     l2: LevelKey,
-    /// Positions (into `proof.pages`) of pages this CPU reached memory on,
-    /// with the frame each was in at record time.
-    page_idx: Vec<u32>,
-    frames: Vec<FrameId>,
-    /// Deltas of the five integer `CpuStats` fields.
-    stats: [u64; 5],
     l1_fix: CacheFix,
     l2_fix: CacheFix,
-    /// Reference-counter increments at this CPU's node, per frame.
-    counter_adds: Vec<(FrameId, u64)>,
-    /// Exit region account (folded by `end_region`).
-    account: CpuRegionAccount,
+    /// `(position in proof.pages, accesses)` of every page this CPU reached
+    /// memory on, ascending: the reference-counter increments at this CPU's
+    /// node, on whatever frame holds the page.
+    pages: Vec<(u32, u64)>,
+    l1_hits: u64,
+    l2_hits: u64,
+    coherence_misses: u64,
+    /// Exit `compute_ns` and `cache_ns` of the region account.
+    compute_ns: f64,
+    cache_ns: f64,
+    /// The walk's class per access; empty when it never reaches memory (its
+    /// one placement, on no frames, always hits).
+    classes: Arc<ClassStream>,
+    /// The walk's timing under each frame assignment seen so far, MRU first.
+    placements: Vec<Placement>,
     last_used: u64,
+}
+
+impl Image {
+    /// Accesses of the walk that reach memory.
+    fn memory_accesses(&self) -> u64 {
+        self.pages.iter().map(|&(_, count)| count).sum()
+    }
+}
+
+/// An [`Image`]'s timing with its pages on `frames` (in `Image::pages`
+/// order).
+struct Placement {
+    frames: Vec<FrameId>,
+    timing: Timing,
+    last_used: u64,
+}
+
+/// Keep `entry` in front of `entries` (MRU first), dropping the least
+/// recently used one when [`MAX_VARIANTS`] are held already.
+fn keep_mru<T>(entries: &mut Vec<T>, entry: T, last_used: impl Fn(&T) -> u64) {
+    if entries.len() >= MAX_VARIANTS {
+        let lru = (0..entries.len())
+            .min_by_key(|&i| last_used(&entries[i]))
+            .expect("MAX_VARIANTS > 0");
+        entries.remove(lru);
+    }
+    entries.insert(0, entry);
 }
 
 /// How to rebuild one cache's touched sets at region exit.
@@ -320,26 +519,53 @@ struct CacheFix {
     fixes: Vec<(u32, u8, u64, u64)>,
 }
 
+/// Dense proof-line membership bitmap (bit `line & 63` of word `line >> 6`)
+/// — match-time tag classification in O(1) instead of a binary search over
+/// the (possibly huge) footprint.
+#[derive(Default)]
+struct LineSet(Vec<u64>);
+
+impl LineSet {
+    /// The set of `lines` (sorted); sized by the last of them.
+    fn of(lines: &[u64]) -> Self {
+        let words = lines.last().map_or(0, |&l| (l >> 6) as usize + 1);
+        let mut bits = vec![0u64; words];
+        for &l in lines {
+            bits[(l >> 6) as usize] |= 1 << (l & 63);
+        }
+        Self(bits)
+    }
+
+    #[inline]
+    fn contains(&self, tag: u64) -> bool {
+        self.0
+            .get((tag >> 6) as usize)
+            .is_some_and(|w| w >> (tag & 63) & 1 != 0)
+    }
+}
+
 /// Per-label pool: the proof every instance of the label derived, per-thread
 /// write claims, and one memo slot per team thread.
 struct Pool {
     proof: Arc<PhaseProof>,
-    /// Dense proof-line membership bitmap (bit `line & 63` of word
-    /// `line >> 6`) — match-time tag classification in O(1) instead of a
-    /// binary search over the (possibly huge) footprint.
-    line_bit: Vec<u64>,
+    /// The proof's lines, built at the first region entry that finds every
+    /// proof page mapped: from then on the bitmap is bounded by the
+    /// machine's virtual address space, not by what the proof claims, and a
+    /// pool that is never admitted never has one.
+    lines: LineSet,
     /// `(line, count)` write claims indexed by thread.
     writes_by_thread: Vec<Vec<(u64, u32)>>,
     /// Sum of all claimed write counts — the full team's directory traffic
     /// per region, validated against [`Directory::total_writes`] in O(1).
     claimed_writes: u64,
-    /// Indexed by thread; holds that thread's bound CPU and its variants.
+    /// Indexed by thread; holds that thread's bound CPU and its images.
     slots: Vec<CpuSlot>,
 }
 
 struct CpuSlot {
     cpu: CpuId,
-    variants: Vec<CpuMemo>,
+    /// MRU first.
+    images: Vec<Image>,
 }
 
 impl Pool {
@@ -348,11 +574,6 @@ impl Pool {
         for &(line, count, writer) in &proof.line_writes {
             writes_by_thread[writer as usize].push((line, count));
         }
-        let words = proof.lines.last().map_or(0, |&l| (l >> 6) as usize + 1);
-        let mut line_bit = vec![0u64; words];
-        for &l in &proof.lines {
-            line_bit[(l >> 6) as usize] |= 1 << (l & 63);
-        }
         let claimed_writes = proof
             .line_writes
             .iter()
@@ -360,30 +581,22 @@ impl Pool {
             .sum();
         Self {
             proof,
-            line_bit,
+            lines: LineSet::default(),
             writes_by_thread,
             claimed_writes,
             slots: Vec::new(),
         }
     }
 
-    /// O(1) proof-line membership.
-    #[inline]
-    fn is_line(&self, tag: u64) -> bool {
-        self.line_bit
-            .get((tag >> 6) as usize)
-            .is_some_and(|w| w >> (tag & 63) & 1 != 0)
-    }
-
     /// Realign the per-thread slots with the current binding; a rebound
-    /// thread drops its variants (they key another CPU's caches).
+    /// thread drops its images (they key another CPU's caches).
     fn align_slots(&mut self, binding: &[CpuId]) {
         if self.slots.len() != binding.len() {
             self.slots = binding
                 .iter()
                 .map(|&cpu| CpuSlot {
                     cpu,
-                    variants: Vec::new(),
+                    images: Vec::new(),
                 })
                 .collect();
             return;
@@ -391,7 +604,7 @@ impl Pool {
         for (slot, &cpu) in self.slots.iter_mut().zip(binding) {
             if slot.cpu != cpu {
                 slot.cpu = cpu;
-                slot.variants.clear();
+                slot.images.clear();
             }
         }
     }
@@ -399,30 +612,29 @@ impl Pool {
 
 /// The memoization engine. One per `omp` runtime (it is tied to one machine's
 /// geometry through its memos).
+#[derive(Default)]
 pub struct FastpathEngine {
     pools: HashMap<String, Pool>,
     use_clock: u64,
     stats: FastpathStats,
-    /// `DDNOMP_FASTPATH_DEBUG` was set when the engine was built: explain
-    /// every CPU miss on stderr.
-    explain_misses: bool,
 }
 
-impl Default for FastpathEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+/// What a team CPU does in a region the engine admitted.
+#[derive(Clone, Copy, PartialEq)]
+enum Lane {
+    /// Its front image hit under its front placement.
+    Hit,
+    /// Its front image's sets match; the pages are on frames it has no
+    /// placement for.
+    Retime,
+    /// No image matches: exact path, recorded.
+    Live,
 }
 
 impl FastpathEngine {
     /// Fresh engine with empty pools.
     pub fn new() -> Self {
-        Self {
-            pools: HashMap::new(),
-            use_clock: 0,
-            stats: FastpathStats::default(),
-            explain_misses: std::env::var_os("DDNOMP_FASTPATH_DEBUG").is_some(),
-        }
+        Self::default()
     }
 
     /// Install the proofs of a program text. The table replaces the pools: a
@@ -481,62 +693,42 @@ impl FastpathEngine {
                 }
             }
         }
+        if pool.lines.0.is_empty() {
+            pool.lines = LineSet::of(&pool.proof.lines);
+        }
         pool.align_slots(binding);
         self.use_clock += 1;
         let now = self.use_clock;
 
         // Per-CPU lookup — all *before* any effect is applied, so every
         // check reads true region-entry state.
-        let explain = self.explain_misses;
-        let mut hits: Vec<Option<usize>> = Vec::with_capacity(binding.len());
-        for t in 0..binding.len() {
-            let slot = &pool.slots[t];
-            let mut why = Vec::new();
-            let hit = slot.variants.iter().position(|v| {
-                let mismatch = memo_mismatch(m, slot.cpu, v, pool, &frames);
-                let hit = mismatch.is_none();
-                if explain {
-                    why.extend(mismatch);
-                }
-                hit
-            });
-            if explain && hit.is_none() {
-                eprintln!(
-                    "fastpath miss {label}: thread {t} (cpu {}) vs {why:?}",
-                    slot.cpu,
-                );
-            }
-            // Keep variants in MRU order: the steady-state variant ends up in
-            // front, so lookups stop scanning stale variants (whose keys can
-            // share long prefixes with the live state before diverging).
-            hits.push(hit.map(|i| {
-                if i != 0 {
-                    pool.slots[t].variants.swap(0, i);
-                }
-                0
-            }));
-        }
-        let all_hit = hits.iter().all(Option::is_some);
+        let stats = &mut self.stats;
+        let lanes: Vec<Lane> = (pool.slots.iter_mut())
+            .map(|slot| lookup(m, slot, &pool.lines, &frames, stats))
+            .collect();
+        let live_cpus = lanes.iter().filter(|&&lane| lane == Lane::Live).count();
 
-        // Aggregate snapshot *before* the hitters' bumps; debug builds also
-        // take the full per-line snapshot the exhaustive check diffs against.
+        // Aggregate snapshot *before* the bumps; debug builds also take the
+        // full per-line snapshot the exhaustive check diffs against.
         let entry_dir_writes = m.directory.total_writes();
-        let key_dir: Vec<u32> = if cfg!(debug_assertions) && !all_hit {
+        let key_dir: Vec<u32> = if cfg!(debug_assertions) && live_cpus > 0 {
             let lines = pool.proof.lines.iter();
             lines.map(|&l| m.directory.version(l)).collect()
         } else {
             Vec::new()
         };
-        let replayed = apply_hitters(m, pool, &hits, now);
-        self.stats.cpu_replays += replayed.len() as u64;
-        if all_hit {
-            self.stats.replays += 1;
-            return FastpathOutcome {
-                replayed,
-                record: None,
-            };
+        let mut outcome = apply_lanes(m, pool, &lanes, &frames, now);
+        let retimes = outcome.retimed.len();
+        stats.cpu_retimes += retimes as u64;
+        stats.cpu_replays += (outcome.replayed.len() - retimes) as u64;
+        if retimes > 0 || live_cpus > 0 {
+            outcome.label = label.to_string();
         }
-        self.stats.misses += 1;
+        if live_cpus == 0 {
+            stats.replays += 1;
+            return outcome;
+        }
+        stats.misses += 1;
 
         // Counter snapshots *after* the applied effects so the exit diff
         // isolates the live threads (whose accesses the mem log attributes).
@@ -551,11 +743,8 @@ impl FastpathEngine {
                 }
             }
         }
-        let mut live = Vec::new();
-        for (t, hit) in hits.iter().enumerate() {
-            if hit.is_some() {
-                continue;
-            }
+        let mut live = Vec::with_capacity(live_cpus);
+        for (t, _) in lanes.iter().enumerate().filter(|(_, &l)| l == Lane::Live) {
             let cpu = binding[t];
             let ctx = &m.cpus[cpu];
             live.push(LiveCpu {
@@ -567,77 +756,184 @@ impl FastpathEngine {
             });
         }
         m.fp_begin_recording();
-        FastpathOutcome {
-            replayed,
-            record: Some(RecordToken {
-                label: label.to_string(),
-                frames,
-                entry_stats: m.stats,
-                entry_clock_bits: m.clock.now_ns().to_bits(),
-                entry_dir_writes,
-                entry_accesses,
-                key_dir,
-                entry_counters,
-                live,
-            }),
-        }
+        outcome.record = Some(RecordToken {
+            frames,
+            entry_stats: m.stats,
+            entry_clock_bits: m.clock.now_ns().to_bits(),
+            entry_dir_writes,
+            entry_accesses,
+            key_dir,
+            entry_counters,
+            live,
+        });
+        outcome
     }
 
-    /// Finish a recording: validate that the region behaved exactly as the
-    /// proof claims and store one memo per live CPU. Must be called *before*
-    /// `end_region` (the entry/exit diff needs the still-open region state).
-    pub fn finish_record(&mut self, m: &mut Machine, token: RecordToken) {
+    /// Finish the region `outcome` came from. Must be called after the body
+    /// and *before* `end_region` (the recording's entry/exit diff needs the
+    /// still-open region state). Every retimed CPU's walk is checked — always
+    /// on — landed in its account and statistics, and kept as one more
+    /// placement of its image; a recording is validated (did the region
+    /// behave exactly as the proof claims?) and stored, one memo per live
+    /// CPU.
+    pub fn finish_region(&mut self, m: &mut Machine, outcome: FastpathOutcome) {
+        if outcome.retimed.is_empty() && outcome.record.is_none() {
+            return;
+        }
         let _hp = hostprof::span_hot("ccnuma.fastpath");
         let rec = m.fp_take_recording().unwrap_or_default();
-        let Some(pool) = self.pools.get_mut(&token.label) else {
-            self.stats.rejects += 1;
-            return;
-        };
+        let pool = self.pools.get_mut(&outcome.label);
+        let pool = pool.expect("no install runs inside a region");
         self.use_clock += 1;
-        let Some(memos) = build_memos(m, pool, &token, &rec, self.use_clock) else {
+        let now = self.use_clock;
+        for walk in outcome.retimed {
+            let image = &mut pool.slots[walk.thread].images[0];
+            assert_eq!(
+                (walk.pos, walk.timing.mem_local + walk.timing.mem_remote),
+                (image.classes.len, image.memory_accesses()),
+                "{}: cpu {}'s retime walk (accesses, of them memory) left its image's",
+                outcome.label,
+                walk.cpu,
+            );
+            land_timing(m, walk.cpu, &walk.timing);
+            let placement = Placement {
+                frames: walk.frames,
+                timing: walk.timing,
+                last_used: now,
+            };
+            keep_mru(&mut image.placements, placement, |p| p.last_used);
+        }
+        let Some(token) = outcome.record else { return };
+        let Some(images) = build_images(m, pool, &token, rec, now) else {
             self.stats.rejects += 1;
             return;
         };
-        let recorded = memos.len() as u64;
-        for (thread, memo) in memos {
-            let variants = &mut pool.slots[thread].variants;
-            if variants.len() >= MAX_VARIANTS {
-                let lru = variants
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, v)| v.last_used)
-                    .map(|(i, _)| i)
-                    .expect("MAX_VARIANTS > 0");
-                variants[lru] = memo;
-            } else {
-                variants.push(memo);
-            }
-        }
         self.stats.records += 1;
-        self.stats.cpu_records += recorded;
+        self.stats.cpu_records += images.len() as u64;
+        for (thread, image) in images {
+            keep_mru(&mut pool.slots[thread].images, image, |i| i.last_used);
+        }
     }
 }
 
-/// Apply every hitter's memo: directory bumps for all of them first (cache
-/// fix-ups read the post-region versions), then per-CPU state. A live thread
-/// cannot observe any of this by eligibility. Returns the replayed CPUs.
-fn apply_hitters(m: &mut Machine, pool: &mut Pool, hits: &[Option<usize>], now: u64) -> Vec<CpuId> {
-    for (t, hit) in hits.iter().enumerate() {
-        if hit.is_some() {
-            for &(line, k) in &pool.writes_by_thread[t] {
-                m.directory.bump(line, k);
-            }
+/// Find what `slot`'s CPU does in the region: an exact hit (frames first —
+/// a few word compares — then the sets of the images timed on them), else
+/// the first image whose sets match wherever the pages are, else a miss,
+/// counted by what disagreed. The image (and placement) found moves to the
+/// front: the steady-state memo ends up there, so lookups stop scanning
+/// stale ones (whose keys can share long prefixes with the live state before
+/// diverging).
+fn lookup(
+    m: &Machine,
+    slot: &mut CpuSlot,
+    lines: &LineSet,
+    frames: &[(u64, FrameId)],
+    stats: &mut FastpathStats,
+) -> Lane {
+    let ctx = &m.cpus[slot.cpu];
+    let sets_match = |image: &Image| {
+        level_matches(&ctx.l1, &image.l1, lines, &m.directory)
+            && level_matches(&ctx.l2, &image.l2, lines, &m.directory)
+    };
+    // Images whose sets were compared (and differ), as a bitmask.
+    const _: () = assert!(MAX_VARIANTS <= 32);
+    let mut sets_differ = 0u32;
+    for i in 0..slot.images.len() {
+        let image = &slot.images[i];
+        let on_frames = |p: &Placement| {
+            let pages = image.pages.iter().zip(&p.frames);
+            pages
+                .into_iter()
+                .all(|(&(page, _), &f)| frames[page as usize].1 == f)
+        };
+        let Some(p) = image.placements.iter().position(on_frames) else {
+            continue;
+        };
+        if sets_match(image) {
+            slot.images[i].placements.swap(0, p);
+            slot.images.swap(0, i);
+            return Lane::Hit;
+        }
+        sets_differ |= 1 << i;
+    }
+    let elsewhere = |i: &usize| sets_differ >> i & 1 == 0 && sets_match(&slot.images[*i]);
+    if let Some(i) = (0..slot.images.len()).find(elsewhere) {
+        slot.images.swap(0, i);
+        return Lane::Retime;
+    }
+    if slot.images.is_empty() {
+        stats.cpu_misses_cold += 1;
+    } else if sets_differ != 0 {
+        stats.cpu_misses_sets += 1;
+    } else {
+        stats.cpu_misses_frames += 1;
+    }
+    Lane::Live
+}
+
+/// Apply the front image of every CPU that sits the region out: directory
+/// bumps for all of them first (cache fix-ups read the post-region
+/// versions), then per-CPU state — a hitter's with its front placement's
+/// timing, a retimed CPU's without (its walk lands that at region exit). A
+/// live thread cannot observe any of this by eligibility.
+fn apply_lanes(
+    m: &mut Machine,
+    pool: &mut Pool,
+    lanes: &[Lane],
+    frames: &[(u64, FrameId)],
+    now: u64,
+) -> FastpathOutcome {
+    for (t, _) in lanes.iter().enumerate().filter(|(_, &l)| l != Lane::Live) {
+        for &(line, k) in &pool.writes_by_thread[t] {
+            m.directory.bump(line, k);
         }
     }
-    let mut replayed = Vec::new();
-    for (t, hit) in hits.iter().enumerate() {
-        let Some(vi) = *hit else { continue };
+    let mut outcome: FastpathOutcome = Default::default();
+    for (t, &lane) in lanes.iter().enumerate() {
+        if lane == Lane::Live {
+            continue;
+        }
         let slot = &mut pool.slots[t];
-        slot.variants[vi].last_used = now;
-        apply_cpu(m, slot.cpu, &slot.variants[vi]);
-        replayed.push(slot.cpu);
+        let image = &mut slot.images[0];
+        image.last_used = now;
+        apply_image(m, slot.cpu, image, frames);
+        outcome.replayed.push(slot.cpu);
+        if lane == Lane::Hit {
+            let placement = &mut image.placements[0];
+            placement.last_used = now;
+            land_timing(m, slot.cpu, &placement.timing);
+            continue;
+        }
+        let nodes = m.config.topology.nodes();
+        let node = m.cpus[slot.cpu].node;
+        let mut homes = vec![NO_HOME; m.page_table.len()];
+        let mut on = Vec::with_capacity(image.pages.len());
+        for &(page, _) in &image.pages {
+            let (vpage, frame) = frames[page as usize];
+            homes[vpage as usize] = m.memory.node_of_frame(frame) as u16;
+            on.push(frame);
+        }
+        outcome.retimed.push(Retime {
+            thread: t,
+            cpu: slot.cpu,
+            frames: on,
+            homes,
+            classes: Arc::clone(&image.classes),
+            pos: 0,
+            l1_ns: m.config.latency.l1_ns,
+            l2_ns: m.config.latency.l2_ns,
+            mem_ns: m.mem_ns[node * nodes..][..nodes].to_vec(),
+            node,
+            timing: Timing {
+                stall_ns: 0.0,
+                stall_by_node: vec![0.0; nodes],
+                accesses_by_node: vec![0; nodes],
+                mem_local: 0,
+                mem_remote: 0,
+            },
+        });
     }
-    replayed
+    outcome
 }
 
 /// LRU rank of each way by `(stamp, way index)` — the exact order the fill
@@ -720,36 +1016,9 @@ fn norm_ways(
     }
 }
 
-/// The first component of a memo's key that the live machine disagrees with
-/// (what `DDNOMP_FASTPATH_DEBUG` prints per variant of a missed CPU).
-#[derive(Debug)]
-#[allow(dead_code)] // the fields are read by that print alone, through `Debug`
-enum Mismatch {
-    /// Proof page `page` (a position in `proof.pages`) changed frames.
-    Frame {
-        page: u32,
-        recorded: FrameId,
-        live: FrameId,
-    },
-    /// The `nth` of the memo's `of` touched sets in cache `level` (1 or 2)
-    /// normalizes to different key words.
-    Set {
-        level: u8,
-        set: u32,
-        nth: usize,
-        of: usize,
-    },
-}
-
-/// Where, if anywhere, one cache level of the live machine departs from a
-/// memo's key.
-fn level_mismatch(
-    level: u8,
-    cache: &SetAssocCache,
-    lk: &LevelKey,
-    pool: &Pool,
-    dir: &Directory,
-) -> Option<Mismatch> {
+/// Whether one cache level of the live machine normalizes to an image's
+/// key on every set the image's walk touched.
+fn level_matches(cache: &SetAssocCache, lk: &LevelKey, lines: &LineSet, dir: &Directory) -> bool {
     let assoc = cache.assoc();
     let w2 = assoc * 2;
     let mut ways = [(0u64, 0u32, 0u64); MAX_ASSOC];
@@ -762,7 +1031,7 @@ fn level_mismatch(
         norm_ways(
             &ways[..assoc],
             |t, v| {
-                if pool.is_line(t) {
+                if lines.contains(t) {
                     (t, u64::from(v == dir.version(t)))
                 } else {
                     (KEY_OTHER, 0)
@@ -771,59 +1040,42 @@ fn level_mismatch(
             &mut out,
         );
         if out[..w2] != lk.key[nth * w2..][..w2] {
-            let of = lk.sets.len();
-            return Some(Mismatch::Set {
-                level,
-                set,
-                nth,
-                of,
-            });
+            return false;
         }
     }
-    None
+    true
 }
 
-/// Where, if anywhere, `memo` departs from the current entry state (`None`
-/// is a hit). Checks only what the memoized walk can observe: its accessed
-/// frames and its touched sets.
-fn memo_mismatch(
-    m: &Machine,
-    cpu: CpuId,
-    memo: &CpuMemo,
-    pool: &Pool,
-    frames: &[(u64, FrameId)],
-) -> Option<Mismatch> {
-    for (&page, &recorded) in memo.page_idx.iter().zip(&memo.frames) {
-        let live = frames[page as usize].1;
-        if live != recorded {
-            return Some(Mismatch::Frame {
-                page,
-                recorded,
-                live,
-            });
-        }
-    }
-    let ctx = &m.cpus[cpu];
-    level_mismatch(1, &ctx.l1, &memo.l1, pool, &m.directory)
-        .or_else(|| level_mismatch(2, &ctx.l2, &memo.l2, pool, &m.directory))
-}
-
-/// Apply one CPU's memo: caches, integer stats, counters, region account.
-/// (Directory bumps are applied by the caller for all hitters first.)
-fn apply_cpu(m: &mut Machine, cpu: CpuId, memo: &CpuMemo) {
+/// Apply what one CPU's image says wherever its pages live: counters (on
+/// the frames the pages are in now), caches, hit counts, compute and cache
+/// time. (Directory bumps are applied by the caller for the whole team
+/// first; the frame-dependent rest is [`land_timing`]'s.)
+fn apply_image(m: &mut Machine, cpu: CpuId, image: &Image, frames: &[(u64, FrameId)]) {
     let node = m.cpus[cpu].node;
-    for &(frame, k) in &memo.counter_adds {
-        m.counters.bulk_add(frame, node, k);
+    for &(page, count) in &image.pages {
+        m.counters.bulk_add(frames[page as usize].1, node, count);
     }
     let ctx = &mut m.cpus[cpu];
-    apply_cache(&mut ctx.l1, &memo.l1_fix, &m.directory);
-    apply_cache(&mut ctx.l2, &memo.l2_fix, &m.directory);
-    ctx.stats.l1_hits += memo.stats[0];
-    ctx.stats.l2_hits += memo.stats[1];
-    ctx.stats.mem_local += memo.stats[2];
-    ctx.stats.mem_remote += memo.stats[3];
-    ctx.stats.coherence_misses += memo.stats[4];
-    ctx.account.clone_from(&memo.account);
+    apply_cache(&mut ctx.l1, &image.l1_fix, &m.directory);
+    apply_cache(&mut ctx.l2, &image.l2_fix, &m.directory);
+    ctx.stats.l1_hits += image.l1_hits;
+    ctx.stats.l2_hits += image.l2_hits;
+    ctx.stats.coherence_misses += image.coherence_misses;
+    ctx.account.compute_ns = image.compute_ns;
+    ctx.account.cache_ns = image.cache_ns;
+}
+
+/// Land the frame-dependent numbers of one CPU's walk in its region account
+/// (folded by `end_region`) and statistics.
+fn land_timing(m: &mut Machine, cpu: CpuId, timing: &Timing) {
+    let ctx = &mut m.cpus[cpu];
+    ctx.stats.mem_local += timing.mem_local;
+    ctx.stats.mem_remote += timing.mem_remote;
+    ctx.account.stall_ns = timing.stall_ns;
+    ctx.account.stall_by_node.clone_from(&timing.stall_by_node);
+    ctx.account
+        .accesses_by_node
+        .clone_from(&timing.accesses_by_node);
 }
 
 fn int_stats(m: &Machine, cpu: CpuId) -> [u64; 5] {
@@ -838,13 +1090,13 @@ fn int_stats(m: &Machine, cpu: CpuId) -> [u64; 5] {
 }
 
 /// Diff exit state against the entry token; `None` discards the recording.
-fn build_memos(
+fn build_images(
     m: &Machine,
     pool: &Pool,
     token: &RecordToken,
-    rec: &FpRecording,
+    mut rec: FpRecording,
     now: u64,
-) -> Option<Vec<(usize, CpuMemo)>> {
+) -> Option<Vec<(usize, Image)>> {
     let proof = &*pool.proof;
     // Environmental checks first (silent discard): these can fail without the
     // proof being wrong — e.g. an explicit mid-region page operation.
@@ -987,7 +1239,7 @@ fn build_memos(
         entries.sort_unstable_by_key(|&(set, _)| set);
     }
     let empty: Vec<(u32, usize)> = Vec::new();
-    let mut memos = Vec::with_capacity(token.live.len());
+    let mut images = Vec::with_capacity(token.live.len());
     for (slot, lc) in token.live.iter().enumerate() {
         debug_assert_eq!(pool.slots[lc.thread].cpu, lc.cpu);
         let exit = int_stats(m, lc.cpu);
@@ -995,6 +1247,7 @@ fn build_memos(
         for k in 0..5 {
             stats[k] = exit[k].checked_sub(lc.stats[k])?;
         }
+        let [l1_hits, l2_hits, mem_local, mem_remote, coherence_misses] = stats;
         let ctx = &m.cpus[lc.cpu];
         let l1_pre = pre.get(&(lc.cpu, 0)).unwrap_or(&empty);
         let l2_pre = pre.get(&(lc.cpu, 1)).unwrap_or(&empty);
@@ -1004,37 +1257,63 @@ fn build_memos(
         let (l2, l2_fix) = diff_level(
             &ctx.l2, l2_pre, &rec.ways, lc.l2_tick, proof, pool, token, m,
         )?;
-        // This CPU's memory accesses per frame, in frame order.
-        let mut adds: Vec<(FrameId, u32, u64)> = hits[slot * pages..][..pages]
+        // This CPU's memory accesses per proof page, in page order.
+        let pages: Vec<(u32, u64)> = hits[slot * pages..][..pages]
             .iter()
             .enumerate()
             .filter(|&(_, &count)| count > 0)
-            .map(|(pi, &count)| (token.frames[pi].1, pi as u32, count))
+            .map(|(pi, &count)| (pi as u32, count))
             .collect();
-        adds.sort_unstable_by_key(|&(frame, _, _)| frame);
-        let page_idx = adds.iter().map(|&(_, pi, _)| pi).collect();
-        let frames = adds.iter().map(|&(frame, _, _)| frame).collect();
-        let counter_adds = adds
-            .iter()
-            .map(|&(frame, _, count)| (frame, count))
-            .collect();
-        memos.push((
+        let frames = pages.iter().map(|&(pi, _)| token.frames[pi as usize].1);
+        let mut classes = std::mem::take(&mut rec.classes[lc.cpu]);
+        classes.seal();
+        assert_eq!(
+            (classes.len as u64, mem_local + mem_remote),
+            (
+                l1_hits + l2_hits + mem_local + mem_remote,
+                pages.iter().map(|&(_, count)| count).sum()
+            ),
+            "{}: cpu {}'s class stream and memory log disagree with its statistics",
+            proof.label,
+            lc.cpu,
+        );
+        let placement = Placement {
+            frames: frames.collect(),
+            timing: Timing {
+                stall_ns: ctx.account.stall_ns,
+                stall_by_node: ctx.account.stall_by_node.clone(),
+                accesses_by_node: ctx.account.accesses_by_node.clone(),
+                mem_local,
+                mem_remote,
+            },
+            last_used: now,
+        };
+        // A walk that never reaches memory is timed the same everywhere.
+        let classes = if pages.is_empty() {
+            Arc::default()
+        } else {
+            Arc::new(classes)
+        };
+        images.push((
             lc.thread,
-            CpuMemo {
+            Image {
                 l1,
                 l2,
-                page_idx,
-                frames,
-                stats,
                 l1_fix,
                 l2_fix,
-                counter_adds,
-                account: ctx.account.clone(),
+                pages,
+                l1_hits,
+                l2_hits,
+                coherence_misses,
+                compute_ns: ctx.account.compute_ns,
+                cache_ns: ctx.account.cache_ns,
+                classes,
+                placements: vec![placement],
                 last_used: now,
             },
         ));
     }
-    Some(memos)
+    Some(images)
 }
 
 /// Build one level's key from the logged pre-images and diff its exit state
@@ -1068,7 +1347,7 @@ fn diff_level(
         norm_ways(
             entry_ways,
             |t, v| {
-                if pool.is_line(t) {
+                if pool.lines.contains(t) {
                     let entry_ver = m.directory.version(t).wrapping_sub(proof.writes_of(t));
                     debug_assert!(
                         token.key_dir.is_empty()
@@ -1097,7 +1376,7 @@ fn diff_level(
             // refreshes its own copy, while eligibility forbids another CPU
             // staling it; (c) be stamped after region entry, or not restamped
             // at all.
-            if !pool.is_line(t) || v != m.directory.version(t) {
+            if !pool.lines.contains(t) || v != m.directory.version(t) {
                 debug_assert!(
                     false,
                     "PhaseProof {:?}: modified way holds line {t} v{v} (directory v{})",
@@ -1156,7 +1435,7 @@ fn apply_cache(cache: &mut SetAssocCache, fix: &CacheFix, dir: &Directory) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::AccessKind::{Read, Write};
+    use crate::cpu::AccessKind::{self, Read, Write};
     use crate::machine::MachineConfig;
     use crate::PAGE_SIZE;
 
@@ -1187,21 +1466,35 @@ mod tests {
         engine
     }
 
-    /// The region body. The lane is the caller's to keep: a CPU in
-    /// `replayed` had its effects applied by the engine and sits out.
-    fn workload(m: &mut Machine, replayed: &[CpuId]) {
-        if !replayed.contains(&0) {
-            for i in 0..8 {
-                m.touch(0, i * 128, Read);
-            }
-            m.touch(0, 0, Write);
-            m.touch(0, 0, Write);
+    /// One access of the region body. The lane is the caller's to keep: a
+    /// CPU in `replayed` had its effects applied by the engine and sits out,
+    /// handing its accesses to its retime walk if it has one.
+    fn access(
+        m: &mut Machine,
+        lanes: &mut FastpathOutcome,
+        cpu: CpuId,
+        vaddr: u64,
+        kind: AccessKind,
+    ) {
+        if let Some(walk) = lanes.retime_of(cpu) {
+            walk.touch(vaddr);
+        } else if !lanes.replayed.contains(&cpu) {
+            m.touch(cpu, vaddr, kind);
+        }
+    }
+
+    /// The region body.
+    fn workload(m: &mut Machine, lanes: &mut FastpathOutcome) {
+        for i in 0..8 {
+            access(m, lanes, 0, i * 128, Read);
+        }
+        access(m, lanes, 0, 0, Write);
+        access(m, lanes, 0, 0, Write);
+        if !lanes.replayed.contains(&0) {
             m.compute(0, 100);
         }
-        if !replayed.contains(&1) {
-            for i in 0..4 {
-                m.touch(1, PAGE_SIZE + i * 128, Read);
-            }
+        for i in 0..4 {
+            access(m, lanes, 1, PAGE_SIZE + i * 128, Read);
         }
     }
 
@@ -1212,19 +1505,27 @@ mod tests {
         m
     }
 
-    fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>) {
+    /// One region of `body` on the team `binding`, under `engine` if given.
+    fn run_body(
+        m: &mut Machine,
+        engine: Option<&mut FastpathEngine>,
+        binding: &[CpuId],
+        body: impl Fn(&mut Machine, &mut FastpathOutcome),
+    ) {
         m.begin_region();
         match engine {
-            None => workload(m, &[]),
+            None => body(m, &mut Default::default()),
             Some(e) => {
-                let outcome = e.begin_region_fastpath(m, LABEL, &[0, 1]);
-                workload(m, &outcome.replayed);
-                if let Some(token) = outcome.record {
-                    e.finish_record(m, token);
-                }
+                let mut outcome = e.begin_region_fastpath(m, LABEL, binding);
+                body(m, &mut outcome);
+                e.finish_region(m, outcome);
             }
         }
         m.end_region();
+    }
+
+    fn run_region(m: &mut Machine, engine: Option<&mut FastpathEngine>) {
+        run_body(m, engine, &[0, 1], workload);
     }
 
     /// Full observable state: clock bits, machine stats, per-CPU stats,
@@ -1248,6 +1549,21 @@ mod tests {
                 m.page_version_sum(1)
             ),
         )
+    }
+
+    #[test]
+    fn a_class_stream_reads_back_what_was_pushed() {
+        // Across a word boundary, with and without a partial last word.
+        for len in [0usize, 1, 31, 32, 33, 64, 70] {
+            let class = |i: usize| [CLASS_MEM, CLASS_L1, CLASS_L2][i % 3];
+            let mut stream = ClassStream::default();
+            (0..len).for_each(|i| stream.push(class(i)));
+            stream.seal();
+            stream.seal(); // sealing twice flushes once
+            assert_eq!((stream.len, stream.words.len()), (len, len.div_ceil(32)));
+            assert!((0..len).all(|i| stream.get(i) == class(i)), "{len}");
+            assert_eq!(stream.get(len + 40), CLASS_L1, "past the end");
+        }
     }
 
     #[test]
@@ -1411,17 +1727,148 @@ mod tests {
         let mut engine = engine();
         let mut m = prepared();
         m.begin_region();
-        let outcome = engine.begin_region_fastpath(&mut m, LABEL, &[0, 1]);
+        let mut outcome = engine.begin_region_fastpath(&mut m, LABEL, &[0, 1]);
         assert!(outcome.replayed.is_empty());
-        let tok = outcome.record.expect("a recording on first sight");
-        workload(&mut m, &[]);
+        assert!(outcome.record.is_some(), "a recording on first sight");
+        workload(&mut m, &mut outcome);
         // An explicit page operation mid-region: environmental state moved,
         // so the memos must be dropped (silently, even in debug builds).
         m.migrate_page(1, 3).unwrap();
-        engine.finish_record(&mut m, tok);
+        engine.finish_region(&mut m, outcome);
         m.end_region();
         let s = engine.stats();
         assert_eq!(s.records, 0, "{s:?}");
         assert_eq!(s.rejects, 1, "{s:?}");
+    }
+
+    /// A one-CPU region that streams four lines through one L1 and one L2
+    /// set (both 2-way): line 128 of page 1, lines 0 and 32 of page 0, line
+    /// 256 of page 2. Every access reaches memory, every time, and between
+    /// two runs lines 32 and 256 are resident, none of page 1's.
+    fn thrash(m: &mut Machine, lanes: &mut FastpathOutcome) {
+        for line in [128, 0, 32, 256] {
+            access(m, lanes, 0, line * 128, Read);
+        }
+    }
+
+    /// The twins `(reference, fast)` of [`thrash`] with its engine, on the
+    /// machine `config`, run to their steady state.
+    fn thrashing(config: MachineConfig) -> (Machine, Machine, FastpathEngine) {
+        let proof = PhaseProof::new(LABEL.into(), 1, vec![0, 32, 128, 256], vec![]);
+        let mut engine = FastpathEngine::new();
+        engine.install(&ProofTable::fold([instance(Some(proof))]));
+        let twin = || {
+            let mut m = Machine::new(config.clone());
+            for page in 0..3 {
+                m.map_page(page, 0).unwrap();
+            }
+            m
+        };
+        let (mut reference, mut fast) = (twin(), twin());
+        for _ in 0..3 {
+            thrash_both(&mut reference, &mut fast, &mut engine);
+        }
+        (reference, fast, engine)
+    }
+
+    /// One more run of [`thrash`] on both twins, which must stay equal.
+    fn thrash_both(reference: &mut Machine, fast: &mut Machine, engine: &mut FastpathEngine) {
+        run_body(reference, None, &[0], thrash);
+        run_body(fast, Some(engine), &[0], thrash);
+        assert_eq!(fingerprint(reference), fingerprint(fast));
+    }
+
+    #[test]
+    fn a_moved_page_is_retimed_unless_its_lines_were_resident() {
+        // Non-integer memory latencies: the order of the walk's adds shows.
+        let mut config = MachineConfig::tiny_test();
+        config.latency = crate::LatencyModel::with_remote_ratio(2.3);
+        let (mut reference, mut fast, mut engine) = thrashing(config);
+        let steady = engine.stats();
+        assert!(steady.replays >= 1, "{steady:?}");
+        assert_eq!(steady.cpu_retimes, 0, "{steady:?}");
+
+        // Page 1 moves; the CPU holds none of its lines, so its caches still
+        // match the memo: the walk is re-timed on the new home.
+        let mut move_page = |page, node, engine: &mut FastpathEngine| {
+            reference.migrate_page(page, node).unwrap();
+            fast.migrate_page(page, node).unwrap();
+            thrash_both(&mut reference, &mut fast, engine);
+            engine.stats()
+        };
+        let moved = move_page(1, 3, &mut engine);
+        let want = FastpathStats {
+            replays: steady.replays + 1,
+            cpu_retimes: 1,
+            ..steady
+        };
+        assert_eq!(moved, want);
+
+        // Moved back — onto the frame it was recorded on — and away again:
+        // the image is timed under both assignments by now, plain hits.
+        let back = move_page(1, 0, &mut engine);
+        let again = move_page(1, 3, &mut engine);
+        let want = FastpathStats {
+            replays: moved.replays + 2,
+            cpu_replays: moved.cpu_replays + 2,
+            ..moved
+        };
+        assert_eq!((back.cpu_retimes, again), (1, want));
+
+        // Page 2 has a resident line: moving it invalidates that, the sets
+        // disagree with every memo, and the region is recorded as ever.
+        let invalidated = move_page(2, 2, &mut engine);
+        let want = FastpathStats {
+            misses: again.misses + 1,
+            records: again.records + 1,
+            cpu_records: again.cpu_records + 1,
+            cpu_misses_frames: again.cpu_misses_frames + 1,
+            ..again
+        };
+        assert_eq!(invalidated, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "retime walk")]
+    fn a_retime_walk_that_leaves_its_stream_is_an_engine_bug() {
+        let (_, mut fast, mut engine) = thrashing(MachineConfig::tiny_test());
+        fast.migrate_page(1, 3).unwrap();
+        // The body makes one access fewer than the image was recorded with.
+        run_body(&mut fast, Some(&mut engine), &[0], |m, lanes| {
+            for line in [128, 0, 32] {
+                access(m, lanes, 0, line * 128, Read);
+            }
+        });
+    }
+
+    #[test]
+    fn a_far_apart_proof_is_rejected_without_a_bitmap() {
+        // A line at 2^37 (an array at 2^44 bytes): a bitmap sized by the
+        // proof's last line would be 16 GiB.
+        let far = 1u64 << 37;
+        let proof = PhaseProof::new(LABEL.into(), 1, vec![0, far], vec![]);
+        let mut engine = FastpathEngine::new();
+        engine.install(&ProofTable::fold([instance(Some(proof))]));
+        let (mut reference, mut fast) = (prepared(), prepared());
+        let near_only = |m: &mut Machine, lanes: &mut FastpathOutcome| {
+            assert!(lanes.replayed.is_empty() && lanes.record.is_none());
+            access(m, lanes, 0, 0, Read);
+        };
+        run_body(&mut reference, None, &[0], near_only);
+        run_body(&mut fast, Some(&mut engine), &[0], near_only);
+        assert_eq!(fingerprint(&reference), fingerprint(&fast));
+        let want = FastpathStats {
+            rejects: 1,
+            ..Default::default()
+        };
+        assert_eq!(engine.stats(), want, "rejected, exact, counted once");
+        // The far page lies beyond the machine: the pool was never admitted.
+        assert!(engine.pools[LABEL].lines.0.is_empty());
+
+        // Admitted, a pool's bitmap spans what the machine can map.
+        let (_, fast, engine) = thrashing(MachineConfig::tiny_test());
+        let span = fast.config.max_vpages << (PAGE_SHIFT - LINE_SHIFT);
+        let words = engine.pools[LABEL].lines.0.len();
+        assert!(0 < words && words <= span / 64, "{words} words");
     }
 }

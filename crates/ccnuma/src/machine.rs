@@ -17,6 +17,7 @@ use crate::coherence::Directory;
 use crate::contention::{ContentionModel, RegionTiming};
 use crate::counters::RefCounters;
 use crate::cpu::{AccessKind, CpuContext, CpuId};
+use crate::fastpath::{ClassStream, CLASS_L1, CLASS_L2, CLASS_MEM};
 use crate::latency::LatencyModel;
 use crate::memory::{FrameId, PhysicalMemory};
 use crate::stats::{CpuStats, MachineStats};
@@ -218,6 +219,10 @@ pub(crate) struct FpRecording {
     /// probe mutates the set, and caches are CPU-private, so this is exactly
     /// the set's region-entry state.
     pub(crate) ways: Vec<(u64, u32, u64)>,
+    /// What every access resolved to (L1 hit, L2 hit, memory), in walk
+    /// order, per CPU: the class stream a memo is re-timed from when its
+    /// pages move.
+    pub(crate) classes: Vec<ClassStream>,
 }
 
 /// The simulated ccNUMA machine.
@@ -242,17 +247,17 @@ pub struct Machine {
     /// `cpu_node * nodes + home`: `latency.memory_ns(topology.hops(..))`
     /// tabulated once (`config` never changes after construction), so the
     /// memory path indexes instead of dividing and extrapolating.
-    mem_ns: Vec<f64>,
+    pub(crate) mem_ns: Vec<f64>,
     /// Bump allocator for virtual address space handed to `SimArray`s.
     next_vaddr: u64,
     in_region: bool,
     /// When recording a region, the fast path installs a log here; the
     /// access path appends `(cpu, frame)` per memory access (the per-CPU
-    /// attribution that the aggregate reference counters cannot provide) and
-    /// snapshots each cache set's pre-image on the first probe that reaches
-    /// it — the copy-on-write entry state the memo keys are built from, so
-    /// recording costs are proportional to what the region touches, not to
-    /// the proof footprint.
+    /// attribution that the aggregate reference counters cannot provide),
+    /// the class every access resolved to, and snapshots each cache set's
+    /// pre-image on the first probe that reaches it — the copy-on-write
+    /// entry state the memo keys are built from, so recording costs are
+    /// proportional to what the region touches, not to the proof footprint.
     pub(crate) fp_rec: Option<FpRecording>,
     /// First-probe dedup marks for the pre-image log: one word per
     /// `(cpu, level, set)`, holding the recording epoch that last logged it.
@@ -380,6 +385,14 @@ impl Machine {
             total.merge(&c.stats);
         }
         total
+    }
+
+    /// LRU clocks of a CPU's `(L1, L2)`: each advances by one per probe and
+    /// per fill, so accesses between two equal readings reached neither
+    /// cache (diagnostics/tests).
+    pub fn cache_ticks(&self, cpu: CpuId) -> (u64, u64) {
+        let ctx = &self.cpus[cpu];
+        (ctx.l1.tick(), ctx.l2.tick())
     }
 
     /// Number of simulated CPUs.
@@ -673,7 +686,10 @@ impl Machine {
             self.fp_marks.fill(0);
             self.fp_epoch = 1;
         }
-        self.fp_rec = Some(FpRecording::default());
+        self.fp_rec = Some(FpRecording {
+            classes: vec![ClassStream::default(); self.cpus.len()],
+            ..Default::default()
+        });
     }
 
     /// Detach the active recording, if any, disabling logging.
@@ -722,13 +738,13 @@ impl Machine {
             self.fp_log_set(cpu, 0, line);
         }
         let l1_probe = self.cpus[cpu].l1.probe(line, version);
-        let cost = match l1_probe {
+        let (class, cost) = match l1_probe {
             Probe::Hit => {
                 let ctx = &mut self.cpus[cpu];
                 ctx.stats.l1_hits += 1;
                 let ns = self.config.latency.l1_ns;
                 ctx.account.cache_ns += ns;
-                ns
+                (CLASS_L1, ns)
             }
             l1_probe => {
                 if recording {
@@ -741,7 +757,7 @@ impl Machine {
                         ctx.l1.fill(line, version);
                         let ns = self.config.latency.l2_ns;
                         ctx.account.cache_ns += ns;
-                        ns
+                        (CLASS_L2, ns)
                     }
                     l2_probe => {
                         // Count at most one coherence miss per access: the
@@ -750,11 +766,18 @@ impl Machine {
                         if l1_probe == Probe::Stale || l2_probe == Probe::Stale {
                             self.cpus[cpu].stats.coherence_misses += 1;
                         }
-                        self.memory_access(cpu, vaddr, line, version, kind)
+                        (
+                            CLASS_MEM,
+                            self.memory_access(cpu, vaddr, line, version, kind),
+                        )
                     }
                 }
             }
         };
+        if recording {
+            let rec = self.fp_rec.as_mut().expect("logging requires a recording");
+            rec.classes[cpu].push(class);
+        }
         if kind == AccessKind::Write {
             let _hp = hostprof::span_hot("ccnuma.directory");
             if recording {

@@ -166,7 +166,8 @@ impl BenchRun {
     /// work happens until the first [`BenchRun::step`]. What `make` builds
     /// is known to this run alone (a custom problem, a test's kernel), so
     /// the run derives its fast-path proofs itself and shares them with
-    /// nobody.
+    /// nobody — and, having no name to ask for another team's proofs under,
+    /// runs exactly once its team is resized.
     pub fn new<B: NasBenchmark + 'static>(
         make: impl FnOnce(&mut Runtime) -> B,
         cfg: &RunConfig,
@@ -177,7 +178,8 @@ impl BenchRun {
     /// [`BenchRun::new`] for a benchmark chosen by name: the paper's five
     /// kernels at one of the three problem scales (see [`instantiate`]).
     /// Every such run of a process installs the same proof set, derived by
-    /// the first of them (see [`facts::proof_set`]).
+    /// the first of them (see [`facts::proof_set`]), and after a resize the
+    /// set of its new team.
     pub fn for_bench(bench: BenchName, scale: Scale, cfg: &RunConfig) -> Self {
         let named = Some((bench, scale));
         Self::boxed(|rt| instantiate(bench, rt, scale), cfg, named)
@@ -288,6 +290,24 @@ impl BenchRun {
         self.prev_cpu = self.rt.machine().aggregate_cpu_stats();
     }
 
+    /// A runtime that lost its engine — `Runtime::resize_team` drops it,
+    /// the proofs being the old team's — gets the timed iteration's proofs
+    /// for the team it has now. Only a named run has them to ask for
+    /// ([`facts::proof_set`] is keyed by team): a [`BenchRun::new`] run stays
+    /// exact after a resize.
+    fn rearm_fastpath(&mut self) {
+        let Some((bench, scale)) = self.named else {
+            return;
+        };
+        if !self.fastpath || self.rt.fastpath_stats().is_some() {
+            return;
+        }
+        if let Some(model) = self.bench.access_model() {
+            let proofs = facts::proof_set(bench, scale, self.rt.threads(), &model);
+            self.rt.install_fastpath(&proofs.iteration);
+        }
+    }
+
     /// Whether every timed iteration has run.
     pub fn is_done(&self) -> bool {
         self.step >= self.iters
@@ -347,6 +367,7 @@ impl BenchRun {
     /// `Runtime::request_rebind`).
     pub fn step_with(&mut self, extra: &mut PhaseHook<'_>) -> f64 {
         self.ensure_started();
+        self.rearm_fastpath();
         assert!(self.step < self.iters, "stepping a finished run");
         let t0 = self.rt.machine().clock().now_secs();
         let recrep = self.recrep;

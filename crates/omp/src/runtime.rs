@@ -1,7 +1,7 @@
 //! The fork/join runtime: parallel regions, worksharing, reductions.
 
 use crate::schedule::Schedule;
-use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, ProofTable};
+use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, ProofTable, Retime};
 use ccnuma::{AccessKind, CpuId, Machine, SimArray};
 use vmm::KernelMigrationEngine;
 
@@ -11,14 +11,19 @@ use vmm::KernelMigrationEngine;
 /// thread": it knows its thread id, its team size, and the CPU it is pinned
 /// to, and it routes array accesses and flop accounting to the machine.
 ///
-/// Whether the thread simulates at all is decided once, when its turn
-/// starts: a thread whose region effects the phase fast path has already
+/// What the thread does with an access is decided once, when its turn
+/// starts. A thread whose region effects the phase fast path has already
 /// applied in bulk runs its body for the data side only, and holds no
-/// machine its accesses could reach.
+/// machine its accesses could reach; if its CPU's pages moved since the memo
+/// was timed, it also hands every access to the engine's retime walk, which
+/// holds no machine either.
 pub struct Par<'m> {
     /// The machine, borrowed for this thread's turn; `None` on the data-only
-    /// lane. Private, so [`Par::turn`] is the only way to build one.
+    /// and retime lanes. Private, so [`Par::turn`] is the only way to build
+    /// one.
     machine: Option<&'m mut Machine>,
+    /// The retime lane: the CPU's walk.
+    retime: Option<&'m mut Retime>,
     /// CPU executing this thread (identity binding unless the scheduler
     /// has rebound the team via `Runtime::rebind_threads`).
     pub cpu: CpuId,
@@ -30,16 +35,18 @@ pub struct Par<'m> {
 
 impl<'m> Par<'m> {
     /// Thread `tid`'s turn on `cpu` in the region whose fast-path outcome
-    /// is `lanes`: a replayed CPU's thread gets no machine.
+    /// is `lanes`: a replayed CPU's thread gets no machine, a retimed one's
+    /// its walk.
     fn turn(
         machine: &'m mut Machine,
-        lanes: &FastpathOutcome,
+        lanes: &'m mut FastpathOutcome,
         cpu: CpuId,
         tid: usize,
         team: usize,
     ) -> Self {
         Self {
             machine: (!lanes.replayed.contains(&cpu)).then_some(machine),
+            retime: lanes.retime_of(cpu),
             cpu,
             tid,
             team,
@@ -53,6 +60,8 @@ impl Par<'_> {
     pub fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T {
         if let Some(machine) = &mut self.machine {
             machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
+        } else if let Some(walk) = &mut self.retime {
+            walk.touch(array.vaddr_of(i));
         }
         array.peek(i)
     }
@@ -62,6 +71,8 @@ impl Par<'_> {
     pub fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, value: T) {
         if let Some(machine) = &mut self.machine {
             machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
+        } else if let Some(walk) = &mut self.retime {
+            walk.touch(array.vaddr_of(i));
         }
         array.poke(i, value)
     }
@@ -71,10 +82,14 @@ impl Par<'_> {
     pub fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, f: impl FnOnce(T) -> T) {
         if let Some(machine) = &mut self.machine {
             machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
+        } else if let Some(walk) = &mut self.retime {
+            walk.touch(array.vaddr_of(i));
         }
         let v = f(array.peek(i));
         if let Some(machine) = &mut self.machine {
             machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
+        } else if let Some(walk) = &mut self.retime {
+            walk.touch(array.vaddr_of(i));
         }
         array.poke(i, v)
     }
@@ -467,7 +482,7 @@ impl Runtime {
     fn run_region(
         &mut self,
         proof_team: usize,
-        work: impl FnOnce(&mut Machine, &[CpuId], &FastpathOutcome),
+        work: impl FnOnce(&mut Machine, &[CpuId], &mut FastpathOutcome),
     ) {
         let _hp = hostprof::span_hot("omp.region");
         let ((), traced) = self.region(proof_team, work);
@@ -489,15 +504,16 @@ impl Runtime {
     /// The region bracket, stated once for every construct: the yield
     /// point, `begin_region`, the fast path's verdict on `proof_team` (see
     /// [`Runtime::fastpath_begin`]), `body` on the machine with the team's
-    /// binding and the region's lanes, the recording handed back (before
-    /// `end_region`: it diffs the still-open region state), `end_region`.
+    /// binding and the region's lanes, the lanes handed back (before
+    /// `end_region`: a recording diffs the still-open region state and a
+    /// retime walk lands in the region account), `end_region`.
     /// A traced run also gets the region's [`obs::EventKind::RegionProfile`]
     /// and, returned beside the body's value, its local and remote memory
     /// accesses and wall time.
     fn region<R>(
         &mut self,
         proof_team: usize,
-        body: impl FnOnce(&mut Machine, &[CpuId], &FastpathOutcome) -> R,
+        body: impl FnOnce(&mut Machine, &[CpuId], &mut FastpathOutcome) -> R,
     ) -> (R, Option<(u64, u64, f64)>) {
         self.apply_pending_rebind();
         // Snapshot only when tracing: the profile is a stats delta.
@@ -507,10 +523,10 @@ impl Runtime {
             .is_active()
             .then(|| self.machine.aggregate_cpu_stats());
         self.machine.begin_region();
-        let lanes = self.fastpath_begin(proof_team);
-        let r = body(&mut self.machine, &self.cpu_of_thread, &lanes);
-        if let (Some(token), Some(engine)) = (lanes.record, self.fastpath.as_mut()) {
-            engine.finish_record(&mut self.machine, token);
+        let mut lanes = self.fastpath_begin(proof_team);
+        let r = body(&mut self.machine, &self.cpu_of_thread, &mut lanes);
+        if let Some(engine) = self.fastpath.as_mut() {
+            engine.finish_region(&mut self.machine, lanes);
         }
         let wall_ns = self.machine.end_region().wall_ns;
         self.regions += 1;
@@ -538,7 +554,7 @@ impl Runtime {
     fn run_dynamic(
         machine: &mut Machine,
         cpus: &[CpuId],
-        lanes: &FastpathOutcome,
+        lanes: &mut FastpathOutcome,
         n: usize,
         schedule: Schedule,
         body: &mut impl FnMut(&mut Par, usize),
@@ -883,7 +899,7 @@ mod tests {
         construct: impl Fn(&mut Runtime, &mut dyn FnMut(&mut Par, usize)),
     ) {
         let (mut exact, ea) = striped_by(4, None);
-        let (mut fast, fa) = striped_by(4, Some(owners));
+        let (mut fast, fa) = striped_by(4, Some(owners.clone()));
         let replays = |rt: &Runtime| rt.fastpath_stats().expect("installed").replays;
         for rep in 0..5 {
             construct(&mut exact, &mut |par, i| {
@@ -906,6 +922,66 @@ mod tests {
             );
         }
         assert!(replays(&fast) >= 2, "{name} never reached its steady state");
+
+        // The retime lane. Before each region every CPU's copies of the
+        // array's lines are pushed out of both caches by two lines per set
+        // of another page; once that has settled the array's page moves,
+        // which then invalidates nothing: every turn of the next region is
+        // handed its CPU's walk, and reaches no cache.
+        let junk = |rt: &mut Runtime| SimArray::new(rt.machine_mut(), "junk", 128 * EPL, 0.0f64);
+        let (ej, fj) = (junk(&mut exact), junk(&mut fast));
+        let page = ccnuma::vpage_of(fa.vaddr_of(0));
+        for rep in 5..10 {
+            let moved = rep == 9;
+            for (rt, junk) in [(&mut exact, &ej), (&mut fast, &fj)] {
+                if moved {
+                    rt.machine_mut().migrate_page(page, 3).unwrap();
+                }
+                for cpu in 0..4 {
+                    for line in (0..STRIPES).chain(32..32 + STRIPES) {
+                        let vaddr = junk.vaddr_of(line * EPL);
+                        rt.machine_mut().touch(cpu, vaddr, AccessKind::Read);
+                    }
+                }
+            }
+            construct(&mut exact, &mut |par, i| stripe(par, &ea, i, rep));
+            let before = fast.fastpath_stats().expect("installed");
+            let mut walked = Vec::new();
+            fast.name_region("stripe");
+            construct(&mut fast, &mut |par, i| {
+                assert_eq!(par.retime.is_some(), moved, "{name} rep {rep}");
+                if par.retime.is_some() {
+                    assert!(par.machine.is_none(), "a walk holds no machine");
+                    walked.push(par.cpu);
+                }
+                stripe(par, &fa, i, rep)
+            });
+            assert_eq!(
+                observable(&exact, &ea),
+                observable(&fast, &fa),
+                "{name} rep {rep}"
+            );
+            if moved {
+                assert_eq!(walked.len(), STRIPES, "{name}");
+                // A thread with no iteration reaches no memory: its memo is
+                // timed the same wherever the page is, a plain hit.
+                walked.dedup();
+                let (team, walked) = (owners.len() as u64, walked.len() as u64);
+                let want = FastpathStats {
+                    replays: before.replays + 1,
+                    cpu_retimes: before.cpu_retimes + walked,
+                    cpu_replays: before.cpu_replays + team - walked,
+                    ..before
+                };
+                assert_eq!(fast.fastpath_stats(), Some(want), "{name}");
+                // The fix-up at entry moved the cache clocks as far as
+                // execution does, and the walks moved them no further.
+                for cpu in 0..4 {
+                    let clocks = |rt: &Runtime| rt.machine().cache_ticks(cpu);
+                    assert_eq!(clocks(&fast), clocks(&exact), "{name} cpu {cpu}");
+                }
+            }
+        }
     }
 
     #[test]

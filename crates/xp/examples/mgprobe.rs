@@ -1,7 +1,35 @@
 //! Ad-hoc probe: wall-time effect of the phase fast path per benchmark.
-//! Usage: mgprobe [tiny|small|medium] [bench...]
+//! Usage: mgprobe [tiny|small|medium] [bench[:placement-engine]...]
+//!
+//! A plain `bench` runs under the `xp trace` reference configuration
+//! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
+//! figures instead. Either way pages move, and the counters show the engine
+//! re-timing memos (`cpu_retimes`) where it used to re-record them.
 
 use std::time::Instant;
+
+/// `bench` or `bench:placement-engine` (the labels of the report bars).
+fn parse(arg: &str) -> Option<(nas::BenchName, nas::RunConfig)> {
+    let reference = xp::selfprof::reference_config();
+    let Some((bench, cell)) = arg.split_once(':') else {
+        return Some((nas::BenchName::parse(arg)?, reference));
+    };
+    let (placement, engine) = cell.split_once('-')?;
+    let (kcfg, upm) = xp::default_engine_configs();
+    let placements = vmm::PlacementScheme::all(xp::seed::get());
+    let engines = [
+        nas::EngineMode::None,
+        nas::EngineMode::IrixMig(kcfg),
+        nas::EngineMode::Upmlib(upm),
+        nas::EngineMode::RecRep(upm),
+    ];
+    let cfg = nas::RunConfig {
+        placement: placements.into_iter().find(|p| p.label() == placement)?,
+        engine: engines.into_iter().find(|e| e.label() == engine)?,
+        ..reference
+    };
+    Some((nas::BenchName::parse(bench)?, cfg))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -9,16 +37,13 @@ fn main() {
         .first()
         .and_then(|s| nas::Scale::parse(s))
         .unwrap_or(nas::Scale::Tiny);
-    let benches: Vec<nas::BenchName> = if args.len() > 1 {
-        args[1..]
-            .iter()
-            .filter_map(|s| nas::BenchName::parse(s))
-            .collect()
+    let cells: Vec<_> = if args.len() > 1 {
+        args[1..].iter().filter_map(|s| parse(s)).collect()
     } else {
-        vec![nas::BenchName::Cg, nas::BenchName::Mg]
+        ["cg", "mg"].into_iter().filter_map(parse).collect()
     };
-    let cfg = xp::selfprof::reference_config();
-    for bench in benches {
+    for (bench, cfg) in cells {
+        let cell = format!("{}-{}", cfg.placement.label(), cfg.engine.label());
         let t = Instant::now();
         let slow = xp::run_one_fastpath(bench, scale, &cfg, false);
         let w_off = t.elapsed().as_secs_f64();
@@ -28,7 +53,7 @@ fn main() {
         let warm_off = run_warm(bench, scale, &cfg, false);
         let warm_on = run_warm(bench, scale, &cfg, true);
         println!(
-            "{} {}: off {:.4}s on {:.4}s speedup {:.2}x sim {:.6} identical={} {:?}",
+            "{} {} {cell}: off {:.4}s on {:.4}s speedup {:.2}x sim {:.6} identical={} {:?}",
             bench.label(),
             scale.label(),
             w_off,
@@ -39,7 +64,7 @@ fn main() {
             stats,
         );
         println!(
-            "{} {}: warm_off {:.4}s warm_on {:.4}s warm_speedup {:.2}x",
+            "{} {} {cell}: warm_off {:.4}s warm_on {:.4}s warm_speedup {:.2}x",
             bench.label(),
             scale.label(),
             warm_off,

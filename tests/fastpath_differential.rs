@@ -137,6 +137,81 @@ fn fast_path_actually_engages() {
     }
 }
 
+/// A named run — what a cell and a `sched` job are — stepped to its end,
+/// with the team resized to `resize.1` before step `resize.0` as the
+/// scheduler does it. Returns the result bytes, and the engine's counters
+/// as they stood before the resize and at the end.
+fn run_named(
+    bench: BenchName,
+    cfg: &RunConfig,
+    fastpath: bool,
+    resize: Option<(usize, &[usize])>,
+) -> (String, [Option<ccnuma::FastpathStats>; 2]) {
+    let mut run = BenchRun::for_bench(bench, Scale::Tiny, cfg);
+    run.set_fastpath(fastpath);
+    let mut before_resize = None;
+    while !run.is_done() {
+        if let Some((_, team)) = resize.filter(|r| r.0 == run.steps_done()) {
+            before_resize = run.fastpath_stats();
+            run.runtime_mut().resize_team(team);
+        }
+        run.step();
+    }
+    let stats = [before_resize, run.fastpath_stats()];
+    (run.finish().to_cache_json().to_string(), stats)
+}
+
+#[test]
+fn moved_pages_are_retimed_under_both_engines() {
+    // The tests above would pass with every moved page's memos re-recorded;
+    // pin that the engines' migrations re-time some instead, on the cells
+    // whose engine finds a page to move at tiny scale (FT and MG under the
+    // kernel engine move none). The kernels stream their data through the
+    // scaled caches, so most CPUs hold no line of a page that moves.
+    let upmlib = EngineMode::Upmlib(UpmOptions::default());
+    let irixmig = EngineMode::IrixMig(KernelMigrationConfig::default());
+    let cells = [
+        (BenchName::Ft, PlacementScheme::Random { seed: 7 }, &upmlib),
+        (BenchName::Mg, PlacementScheme::Random { seed: 7 }, &upmlib),
+        (
+            BenchName::Cg,
+            PlacementScheme::WorstCase { node: 0 },
+            &irixmig,
+        ),
+        (BenchName::Bt, PlacementScheme::RoundRobin, &irixmig),
+    ];
+    for (bench, placement, engine) in cells {
+        let cfg = RunConfig {
+            placement,
+            engine: engine.clone(),
+            ..RunConfig::paper_default()
+        };
+        let (_, [_, stats]) = run_named(bench, &cfg, true, None);
+        let stats = stats.expect("installed");
+        let what = format!("{} {}: {stats:?}", bench.label(), engine.label());
+        assert!(stats.cpu_retimes > 0, "nothing retimed: {what}");
+    }
+}
+
+#[test]
+fn a_resized_job_replays_again_and_stays_bit_identical() {
+    // `Runtime::resize_team` drops the engine with the old team's proofs;
+    // the next step of a named run installs the new team's.
+    let cfg = RunConfig::paper_default();
+    let team: Vec<usize> = (0..8).collect();
+    for bench in [BenchName::Cg, BenchName::Mg] {
+        let resize = Some((1, &team[..]));
+        let (exact, _) = run_named(bench, &cfg, false, resize);
+        let (fast, [before, after]) = run_named(bench, &cfg, true, resize);
+        assert_eq!(exact, fast, "{}", bench.label());
+        let (before, after) = (before.expect("installed"), after.expect("re-installed"));
+        assert!(before.replays > 0, "{}: {before:?}", bench.label());
+        // A new engine, counting from zero, for a team of eight.
+        assert!(after.replays > 0, "{}: {after:?}", bench.label());
+        assert_eq!(after.rejects, 0, "{}: {after:?}", bench.label());
+    }
+}
+
 #[test]
 fn describing_is_invisible() {
     // The access model is the kernel's own text run on a probe that drops

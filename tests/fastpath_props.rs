@@ -153,20 +153,31 @@ fn fingerprint(m: &Machine) -> (u64, String) {
     )
 }
 
-/// Run `reps` regions of the pattern on a fresh `tiny_test` runtime, with
-/// whatever proof the analysis derives installed (or not), and fingerprint
-/// the machine. Also reports the proof's eligibility.
-fn run_case(
+/// A page move between two regions of a run: before region `.0` the array's
+/// page `.1` (wrapping) goes to node `.2` (wrapping) — and, if `.3`, back to
+/// where it was before the region after that.
+type Move = (usize, usize, usize, bool);
+
+/// Run `reps` regions of the pattern on a fresh `config` runtime, with
+/// whatever proof the analysis derives installed (or not) and the array's
+/// pages moved between regions as `moves` say, and fingerprint the machine.
+/// Also reports the proof's eligibility and the engine's counters.
+#[allow(clippy::too_many_arguments)]
+fn run_moving(
+    config: &MachineConfig,
     p: Pattern,
     n: usize,
     threads: usize,
     schedule: Schedule,
     reps: usize,
+    moves: &[Move],
     fast: bool,
-) -> ((u64, String), bool) {
-    let mut m = Machine::new(MachineConfig::tiny_test());
+) -> ((u64, String), bool, ccnuma::FastpathStats) {
+    let mut m = Machine::new(config.clone());
     let arr = SimArray::<f64>::new(&mut m, "p.a", elems(p, n).max(1), 0.0);
-    let base = arr.vrange().0;
+    let (base, bytes) = arr.vrange();
+    let pages = ccnuma::vpages(base, bytes);
+    let nodes = m.topology().nodes();
     let mut rt = Runtime::with_threads(m, threads);
     let proof = derive_loop_proof("p/loop", &loop_model(p, n, schedule, base), threads);
     let eligible = proof.is_some();
@@ -174,7 +185,22 @@ fn run_case(
         rt.install_fastpath(&ccnuma::ProofTable::fold([("p/loop".to_string(), proof)]));
     }
     rt.phase("p");
+    let mut homeward = Vec::new();
     for rep in 0..reps {
+        for (vpage, home) in std::mem::take(&mut homeward) {
+            rt.machine_mut().migrate_page(vpage, home).unwrap();
+        }
+        for &(_, page, node, back) in moves.iter().filter(|mv| mv.0 == rep) {
+            let vpage = pages.start + page as u64 % (pages.end - pages.start);
+            // Nothing moves before its first touch.
+            let Some(home) = rt.machine().node_of_vpage(vpage) else {
+                continue;
+            };
+            rt.machine_mut().migrate_page(vpage, node % nodes).unwrap();
+            if back {
+                homeward.push((vpage, home));
+            }
+        }
         rt.name_region("loop");
         rt.parallel_for(n, schedule, |par, i| {
             let (reads, writes) = accesses(p, i, n);
@@ -186,7 +212,31 @@ fn run_case(
             }
         });
     }
-    (fingerprint(rt.machine()), eligible)
+    let stats = rt.fastpath_stats().unwrap_or_default();
+    (fingerprint(rt.machine()), eligible, stats)
+}
+
+/// [`run_moving`] on `tiny_test` with every page left where it fell.
+fn run_case(
+    p: Pattern,
+    n: usize,
+    threads: usize,
+    schedule: Schedule,
+    reps: usize,
+    fast: bool,
+) -> ((u64, String), bool) {
+    let config = MachineConfig::tiny_test();
+    let (print, eligible, _) = run_moving(&config, p, n, threads, schedule, reps, &[], fast);
+    (print, eligible)
+}
+
+/// `tiny_test` with a remote:local ratio that makes every remote latency a
+/// non-integer: an f64 sum of them depends on the order of its addends.
+fn fractional_latencies() -> MachineConfig {
+    MachineConfig {
+        latency: ccnuma::LatencyModel::with_remote_ratio(2.3),
+        ..MachineConfig::tiny_test()
+    }
 }
 
 fn any_pattern() -> impl Strategy<Value = Pattern> {
@@ -232,6 +282,29 @@ proptest! {
         let (slow, _) = run_case(pattern, n, threads, schedule, reps, false);
         let (fast, _) = run_case(pattern, n, threads, schedule, reps, true);
         prop_assert_eq!(slow, fast);
+    }
+
+    /// Soundness under migration: pages that move between two regions of a
+    /// run — some of them there and back — leave a run with the fast path
+    /// bit-identical to one without, whether a moved page's memos are
+    /// re-timed (none of its lines was resident), re-recorded (some were)
+    /// or hit again (it came back); also where latencies are not integers.
+    #[test]
+    fn moved_pages_replay_bit_identically(
+        pattern in any_pattern(),
+        n in 1usize..400,
+        threads in 1usize..9,
+        schedule in static_schedules(),
+        reps in 3usize..9,
+        moves in proptest::collection::vec(
+            (1usize..9, 0usize..4, 0usize..4, any::<bool>()),
+            0..6,
+        ),
+        fractional in any::<bool>(),
+    ) {
+        let config = if fractional { fractional_latencies() } else { MachineConfig::tiny_test() };
+        let run = |fast| run_moving(&config, pattern, n, threads, schedule, reps, &moves, fast);
+        prop_assert_eq!(run(false).0, run(true).0);
     }
 
     /// Completeness: thread-local shapes — single writer per line, shared
@@ -302,6 +375,35 @@ proptest! {
             prop_assert!(derive_loop_proof("p/loop", &lp, threads).is_none());
         }
     }
+}
+
+/// The property above is not vacuous: a loop that streams three pages
+/// through a 64-line L2 holds none of its first page's lines between two
+/// regions, so moving that page re-times the memo, and moving it back hits
+/// the placement it was recorded under — bit-identically, on latencies whose
+/// sum depends on the order of its addends.
+#[test]
+fn a_streaming_loop_is_retimed_when_its_page_moves() {
+    let config = fractional_latencies();
+    let moves = [(3, 0, 3, true), (6, 0, 2, false)];
+    let run = |fast| {
+        let stripe = Pattern::Stripe;
+        run_moving(&config, stripe, 300, 1, Schedule::Static, 8, &moves, fast)
+    };
+    let (exact, _, _) = run(false);
+    let (fast, eligible, stats) = run(true);
+    assert!(eligible);
+    assert_eq!(exact, fast);
+    // Unmapped, recorded (one pass leaves the stream's steady state), a
+    // hit; then there (retimed), back and once more (hits), elsewhere
+    // (retimed), once more (a hit).
+    let shape = (
+        stats.rejects,
+        stats.records,
+        stats.cpu_retimes,
+        stats.cpu_replays,
+    );
+    assert_eq!(shape, (1, 1, 2, 4), "{stats:?}");
 }
 
 /// The access model of `bench` at tiny scale, team of 16.
