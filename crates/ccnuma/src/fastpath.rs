@@ -33,11 +33,13 @@
 //! the directory, LRU as per-set rank permutations — absolute ticks and
 //! versions grow monotonically and would never repeat) and compares it
 //! against the stored key, so a lookup costs what the memoized walk touched,
-//! never what the proof footprint spans. A placement's key is the frames of
-//! the pages the walk reached memory on; it is compared first, so an
-//! unmoved steady state finds its hit after a handful of word compares. A CPU
-//! with no such hit whose caches match an image all the same — its pages
-//! moved, none of their lines was resident — is **retimed**: the image is
+//! never what the proof footprint spans. At most one image of a CPU can match
+//! (a recording happens only when none did), and images are held in recency
+//! order, so a steady state compares its own image first. A placement's key
+//! is the frames of the pages the walk reached memory on — a handful of word
+//! compares once the image is found. A CPU whose caches match an image with
+//! no placement on the live frames — its pages moved, none of their lines
+//! was resident — is **retimed**: the image is
 //! applied at entry on the frames the pages are in now, and the CPU's thread
 //! walks the body against the image's *class stream* (one 2-bit class per
 //! access: L1 hit, L2 hit, memory) instead of the machine, adding up the
@@ -470,7 +472,6 @@ struct Image {
     classes: Arc<ClassStream>,
     /// The walk's timing under each frame assignment seen so far, MRU first.
     placements: Vec<Placement>,
-    last_used: u64,
 }
 
 impl Image {
@@ -485,18 +486,13 @@ impl Image {
 struct Placement {
     frames: Vec<FrameId>,
     timing: Timing,
-    last_used: u64,
 }
 
-/// Keep `entry` in front of `entries` (MRU first), dropping the least
-/// recently used one when [`MAX_VARIANTS`] are held already.
-fn keep_mru<T>(entries: &mut Vec<T>, entry: T, last_used: impl Fn(&T) -> u64) {
-    if entries.len() >= MAX_VARIANTS {
-        let lru = (0..entries.len())
-            .min_by_key(|&i| last_used(&entries[i]))
-            .expect("MAX_VARIANTS > 0");
-        entries.remove(lru);
-    }
+/// Keep `entry` in front of `entries`. They are held MRU first (a lookup
+/// rotates what it finds to the front), so the last one is the least recently
+/// used: it goes when [`MAX_VARIANTS`] are held already.
+fn keep_mru<T>(entries: &mut Vec<T>, entry: T) {
+    entries.truncate(MAX_VARIANTS - 1);
     entries.insert(0, entry);
 }
 
@@ -615,7 +611,6 @@ impl Pool {
 #[derive(Default)]
 pub struct FastpathEngine {
     pools: HashMap<String, Pool>,
-    use_clock: u64,
     stats: FastpathStats,
 }
 
@@ -697,8 +692,6 @@ impl FastpathEngine {
             pool.lines = LineSet::of(&pool.proof.lines);
         }
         pool.align_slots(binding);
-        self.use_clock += 1;
-        let now = self.use_clock;
 
         // Per-CPU lookup — all *before* any effect is applied, so every
         // check reads true region-entry state.
@@ -717,7 +710,7 @@ impl FastpathEngine {
         } else {
             Vec::new()
         };
-        let mut outcome = apply_lanes(m, pool, &lanes, &frames, now);
+        let mut outcome = apply_lanes(m, pool, &lanes, &frames);
         let retimes = outcome.retimed.len();
         stats.cpu_retimes += retimes as u64;
         stats.cpu_replays += (outcome.replayed.len() - retimes) as u64;
@@ -784,8 +777,6 @@ impl FastpathEngine {
         let rec = m.fp_take_recording().unwrap_or_default();
         let pool = self.pools.get_mut(&outcome.label);
         let pool = pool.expect("no install runs inside a region");
-        self.use_clock += 1;
-        let now = self.use_clock;
         for walk in outcome.retimed {
             let image = &mut pool.slots[walk.thread].images[0];
             assert_eq!(
@@ -799,30 +790,30 @@ impl FastpathEngine {
             let placement = Placement {
                 frames: walk.frames,
                 timing: walk.timing,
-                last_used: now,
             };
-            keep_mru(&mut image.placements, placement, |p| p.last_used);
+            keep_mru(&mut image.placements, placement);
         }
         let Some(token) = outcome.record else { return };
-        let Some(images) = build_images(m, pool, &token, rec, now) else {
+        let Some(images) = build_images(m, pool, &token, rec) else {
             self.stats.rejects += 1;
             return;
         };
         self.stats.records += 1;
         self.stats.cpu_records += images.len() as u64;
         for (thread, image) in images {
-            keep_mru(&mut pool.slots[thread].images, image, |i| i.last_used);
+            keep_mru(&mut pool.slots[thread].images, image);
         }
     }
 }
 
-/// Find what `slot`'s CPU does in the region: an exact hit (frames first —
-/// a few word compares — then the sets of the images timed on them), else
-/// the first image whose sets match wherever the pages are, else a miss,
-/// counted by what disagreed. The image (and placement) found moves to the
-/// front: the steady-state memo ends up there, so lookups stop scanning
-/// stale ones (whose keys can share long prefixes with the live state before
-/// diverging).
+/// Find what `slot`'s CPU does in the region. At most one image can match
+/// the live sets (a recording happens only when none did, so no two images
+/// hold equal keys): with a placement on the live frames it is a hit, without
+/// one it is retimed; no match is a miss, counted by what disagreed. The image
+/// (and placement) found rotates to the front, so images stay in recency
+/// order: the steady-state memo is compared first (stale keys can share long
+/// prefixes with the live state before diverging) and the last one is the
+/// eviction victim.
 fn lookup(
     m: &Machine,
     slot: &mut CpuSlot,
@@ -835,40 +826,31 @@ fn lookup(
         level_matches(&ctx.l1, &image.l1, lines, &m.directory)
             && level_matches(&ctx.l2, &image.l2, lines, &m.directory)
     };
-    // Images whose sets were compared (and differ), as a bitmask.
-    const _: () = assert!(MAX_VARIANTS <= 32);
-    let mut sets_differ = 0u32;
-    for i in 0..slot.images.len() {
-        let image = &slot.images[i];
-        let on_frames = |p: &Placement| {
+    let on_frames = |image: &Image| {
+        image.placements.iter().position(|p| {
             let pages = image.pages.iter().zip(&p.frames);
             pages
                 .into_iter()
                 .all(|(&(page, _), &f)| frames[page as usize].1 == f)
-        };
-        let Some(p) = image.placements.iter().position(on_frames) else {
-            continue;
-        };
-        if sets_match(image) {
-            slot.images[i].placements.swap(0, p);
-            slot.images.swap(0, i);
-            return Lane::Hit;
+        })
+    };
+    let Some(i) = slot.images.iter().position(sets_match) else {
+        if slot.images.is_empty() {
+            stats.cpu_misses_cold += 1;
+        } else if slot.images.iter().any(|image| on_frames(image).is_some()) {
+            stats.cpu_misses_sets += 1;
+        } else {
+            stats.cpu_misses_frames += 1;
         }
-        sets_differ |= 1 << i;
-    }
-    let elsewhere = |i: &usize| sets_differ >> i & 1 == 0 && sets_match(&slot.images[*i]);
-    if let Some(i) = (0..slot.images.len()).find(elsewhere) {
-        slot.images.swap(0, i);
+        return Lane::Live;
+    };
+    slot.images[..=i].rotate_right(1);
+    let image = &mut slot.images[0];
+    let Some(p) = on_frames(image) else {
         return Lane::Retime;
-    }
-    if slot.images.is_empty() {
-        stats.cpu_misses_cold += 1;
-    } else if sets_differ != 0 {
-        stats.cpu_misses_sets += 1;
-    } else {
-        stats.cpu_misses_frames += 1;
-    }
-    Lane::Live
+    };
+    image.placements[..=p].rotate_right(1);
+    Lane::Hit
 }
 
 /// Apply the front image of every CPU that sits the region out: directory
@@ -881,7 +863,6 @@ fn apply_lanes(
     pool: &mut Pool,
     lanes: &[Lane],
     frames: &[(u64, FrameId)],
-    now: u64,
 ) -> FastpathOutcome {
     for (t, _) in lanes.iter().enumerate().filter(|(_, &l)| l != Lane::Live) {
         for &(line, k) in &pool.writes_by_thread[t] {
@@ -894,14 +875,11 @@ fn apply_lanes(
             continue;
         }
         let slot = &mut pool.slots[t];
-        let image = &mut slot.images[0];
-        image.last_used = now;
+        let image = &slot.images[0];
         apply_image(m, slot.cpu, image, frames);
         outcome.replayed.push(slot.cpu);
         if lane == Lane::Hit {
-            let placement = &mut image.placements[0];
-            placement.last_used = now;
-            land_timing(m, slot.cpu, &placement.timing);
+            land_timing(m, slot.cpu, &image.placements[0].timing);
             continue;
         }
         let nodes = m.config.topology.nodes();
@@ -1095,7 +1073,6 @@ fn build_images(
     pool: &Pool,
     token: &RecordToken,
     mut rec: FpRecording,
-    now: u64,
 ) -> Option<Vec<(usize, Image)>> {
     let proof = &*pool.proof;
     // Environmental checks first (silent discard): these can fail without the
@@ -1286,7 +1263,6 @@ fn build_images(
                 mem_local,
                 mem_remote,
             },
-            last_used: now,
         };
         // A walk that never reaches memory is timed the same everywhere.
         let classes = if pages.is_empty() {
@@ -1309,7 +1285,6 @@ fn build_images(
                 cache_ns: ctx.account.cache_ns,
                 classes,
                 placements: vec![placement],
-                last_used: now,
             },
         ));
     }

@@ -20,56 +20,17 @@
 //! in a sequential loop with 4 iterations", lengthening every phase without
 //! changing its access pattern.
 
-use crate::adi::{AdiState, SweepAxis};
-use crate::common::{no_phase_hook, BenchName, NasBenchmark, PhaseHook, Scale, Verification};
+use crate::adi::{Adi, AdiConfig, AdiState, LineSolve, SweepAxis};
+use crate::common::BenchName;
 use crate::la::{self, BVec, Block};
-use crate::model::{Describe, Exec, KernelModel, Mem};
-use ccnuma::ArrayLayout;
-use omp::{Runtime, Schedule};
+use crate::model::{Exec, Mem};
+use omp::Schedule;
 use std::rc::Rc;
 
+/// The BT benchmark: the ADI driver around block-tridiagonal line solves.
+pub type Bt = Adi<BlockTri>;
 /// BT problem parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BtConfig {
-    /// Grid points along x.
-    pub nx: usize,
-    /// Grid points along y.
-    pub ny: usize,
-    /// Grid points along z.
-    pub nz: usize,
-    /// Timed iterations.
-    pub niter: usize,
-    /// Diffusion number (implicit coupling strength).
-    pub r: f64,
-    /// Strength of the u-dependent block coupling.
-    pub eps: f64,
-    /// Repetitions of each phase function (1 = paper's normal runs, 4 =
-    /// the synthetically scaled Figure 6 experiment).
-    pub phase_scale: usize,
-}
-
-impl BtConfig {
-    /// Parameters for a scale class. Class A is 64x64x64; the scaled sizes
-    /// keep the 64x64 plane geometry (which sets the page-to-y-slab ratio
-    /// that the z-sweep and the record–replay mechanism see) and shrink the
-    /// grid along z only.
-    pub fn for_scale(scale: Scale) -> Self {
-        let (nx, ny, nz, niter) = match scale {
-            Scale::Tiny => (8, 8, 8, 3),
-            Scale::Small => (64, 64, 16, 3),
-            Scale::Medium => (64, 64, 16, 10),
-        };
-        Self {
-            nx,
-            ny,
-            nz,
-            niter,
-            r: 0.2,
-            eps: 0.02,
-            phase_scale: 1,
-        }
-    }
-}
+pub type BtConfig = AdiConfig;
 
 /// The constant 5x5 coupling matrix added to the diagonal blocks — small
 /// off-diagonal terms that force genuine block (not scalar) solves.
@@ -99,53 +60,29 @@ fn phi(coupling: &Block, u5: &BVec, scale: f64) -> Block {
     m
 }
 
-/// The BT benchmark instance.
-pub struct Bt {
-    cfg: BtConfig,
-    state: Rc<AdiState>,
-    /// Initial field, kept to reset after the cold-start iteration.
-    initial_u: Vec<f64>,
+/// BT's line solve: one 5x5 block-tridiagonal system per grid line.
+pub struct BlockTri {
     coupling: Block,
-    /// Update norm after each timed iteration.
-    norms: Vec<f64>,
 }
 
-impl Bt {
-    /// Allocate and initialize on the runtime's machine.
-    pub fn new(rt: &mut Runtime, scale: Scale) -> Self {
-        Self::with_config(rt, BtConfig::for_scale(scale))
-    }
-
-    /// Allocate with explicit parameters.
-    pub fn with_config(rt: &mut Runtime, cfg: BtConfig) -> Self {
-        let state = Rc::new(AdiState::new(rt, "bt", cfg.nx, cfg.ny, cfg.nz));
-        let initial_u = state.u.to_vec();
+impl Default for BlockTri {
+    fn default() -> Self {
         Self {
-            cfg,
-            state,
-            initial_u,
             coupling: coupling(),
-            norms: Vec::new(),
         }
     }
+}
 
-    /// Problem parameters.
-    pub fn config(&self) -> &BtConfig {
-        &self.cfg
-    }
-
-    /// The field state (for tests).
-    pub fn state(&self) -> &AdiState {
-        &self.state
-    }
+impl LineSolve for BlockTri {
+    const NAME: BenchName = BenchName::Bt;
 
     /// Solve all lines along `axis`: for each line, assemble the 5x5 block
     /// tridiagonal operator `(I - A_axis)` from `u` and solve it against
     /// the line's `rhs`, writing the result back into `rhs`.
-    fn sweep<E: Exec>(&self, ex: &mut E, axis: SweepAxis) {
-        let s = self.state.clone();
+    fn sweep<E: Exec>(&self, ex: &mut E, state: &Rc<AdiState>, cfg: &AdiConfig, axis: SweepAxis) {
+        let s = state.clone();
         let g = s.grid;
-        let BtConfig { r, eps, .. } = self.cfg;
+        let AdiConfig { r, eps, .. } = *cfg;
         let coupling = self.coupling;
         let (n, outer_extent, inner_extent) = axis.extents(g);
         ex.for_each(
@@ -202,182 +139,5 @@ impl Bt {
                 }
             },
         );
-    }
-
-    /// The cold start: one full time step, then the field reset.
-    fn cold<E: Exec>(&self, ex: &mut E) {
-        self.step(ex, &mut no_phase_hook());
-        ex.host(|| self.state.reset(&self.initial_u));
-    }
-
-    /// One full time step (shared by cold start and timed iterations).
-    fn step<E: Exec>(&self, ex: &mut E, hook: &mut PhaseHook<'_>) -> f64 {
-        let BtConfig { r, phase_scale, .. } = self.cfg;
-        self.state
-            .step(ex, hook, r, phase_scale, |ex, axis| self.sweep(ex, axis))
-    }
-
-    /// Recorded per-iteration update norms.
-    pub fn norms(&self) -> &[f64] {
-        &self.norms
-    }
-}
-
-impl NasBenchmark for Bt {
-    fn name(&self) -> BenchName {
-        BenchName::Bt
-    }
-
-    fn iterations(&self) -> usize {
-        self.cfg.niter
-    }
-
-    fn cold_start(&mut self, rt: &mut Runtime) {
-        self.cold(rt);
-    }
-
-    fn iterate(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) {
-        let norm = self.step(rt, hook);
-        self.norms.push(norm);
-    }
-
-    fn hot_arrays(&self) -> Vec<ArrayLayout> {
-        self.state.hot_arrays()
-    }
-
-    fn verify(&self) -> Verification {
-        let (Some(&first), Some(&last)) = (self.norms.first(), self.norms.last()) else {
-            return Verification::check(f64::NAN, 0.0, 0.0);
-        };
-        // The implicit scheme damps the update toward the steady state:
-        // norms must stay finite and not grow. (With phase_scale > 1 the
-        // repeated solves over-apply the smoother; boundedness is the
-        // invariant, as in the paper's synthetic experiment.)
-        let bounded = self.norms.iter().all(|n| n.is_finite());
-        let damped = self.cfg.phase_scale > 1 || last <= first * 1.0001;
-        Verification {
-            passed: bounded && damped,
-            value: last,
-            reference: first,
-            epsilon: 1.0,
-        }
-    }
-
-    fn access_model(&self) -> Option<KernelModel> {
-        Some(Describe::kernel(
-            self,
-            |d| self.cold(d),
-            |d| self.step(d, &mut no_phase_hook()),
-        ))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::common::PhasePoint;
-    use ccnuma::{Machine, MachineConfig};
-
-    fn rt() -> Runtime {
-        Runtime::new(Machine::new(MachineConfig::origin2000_16p()))
-    }
-
-    #[test]
-    fn constant_field_is_a_fixed_point_with_zero_forcing() {
-        let mut rt = rt();
-        let mut bt = Bt::with_config(
-            &mut rt,
-            BtConfig {
-                nx: 6,
-                ny: 6,
-                nz: 6,
-                niter: 1,
-                r: 0.2,
-                eps: 0.02,
-                phase_scale: 1,
-            },
-        );
-        bt.state.u.fill(1.0);
-        bt.state.forcing.fill(0.0);
-        let before = bt.state.u.to_vec();
-        let mut hook = no_phase_hook();
-        bt.iterate(&mut rt, &mut hook);
-        let after = bt.state.u.to_vec();
-        for (b, a) in before.iter().zip(&after) {
-            assert!((b - a).abs() < 1e-12, "constant field must not move");
-        }
-        assert!(bt.norms[0].abs() < 1e-12);
-    }
-
-    #[test]
-    fn update_norm_decays_toward_steady_state() {
-        let mut rt = rt();
-        let mut bt = Bt::new(&mut rt, Scale::Tiny);
-        bt.cold_start(&mut rt);
-        let mut hook = no_phase_hook();
-        for _ in 0..bt.iterations() {
-            bt.iterate(&mut rt, &mut hook);
-        }
-        let v = bt.verify();
-        assert!(v.passed, "norms {:?}", bt.norms);
-        assert!(bt.norms.last().unwrap() < bt.norms.first().unwrap());
-    }
-
-    #[test]
-    fn phase_hook_brackets_z_solve() {
-        let mut rt = rt();
-        let mut bt = Bt::new(&mut rt, Scale::Tiny);
-        bt.cold_start(&mut rt);
-        let mut points = Vec::new();
-        let mut hook = |_: &mut Runtime, pp: PhasePoint| points.push(pp);
-        bt.iterate(&mut rt, &mut hook);
-        assert_eq!(points, vec![PhasePoint::Before(0), PhasePoint::After(0)]);
-    }
-
-    #[test]
-    fn z_sweep_crosses_slabs_x_sweep_does_not() {
-        // Measure remote accesses of an isolated x-sweep vs z-sweep after
-        // first-touch distribution: the z-sweep must be far more remote.
-        let mut rt = rt();
-        let mut bt = Bt::new(&mut rt, Scale::Tiny);
-        bt.cold_start(&mut rt);
-        let remote_before = rt.machine().aggregate_cpu_stats().mem_remote;
-        bt.sweep(&mut rt, SweepAxis::X);
-        let remote_after_x = rt.machine().aggregate_cpu_stats().mem_remote;
-        bt.sweep(&mut rt, SweepAxis::Z);
-        let remote_after_z = rt.machine().aggregate_cpu_stats().mem_remote;
-        let x_remote = remote_after_x - remote_before;
-        let z_remote = remote_after_z - remote_after_x;
-        assert!(
-            z_remote > 3 * x_remote.max(1),
-            "z-sweep remote {z_remote} vs x-sweep remote {x_remote}"
-        );
-    }
-
-    #[test]
-    fn phase_scale_quadruples_the_work() {
-        let run = |ps: usize| {
-            let mut rt = rt();
-            let mut bt = Bt::with_config(
-                &mut rt,
-                BtConfig {
-                    nx: 8,
-                    ny: 8,
-                    nz: 8,
-                    niter: 1,
-                    r: 0.2,
-                    eps: 0.02,
-                    phase_scale: ps,
-                },
-            );
-            bt.cold_start(&mut rt);
-            let t0 = rt.machine().clock().now_ns();
-            let mut hook = no_phase_hook();
-            bt.iterate(&mut rt, &mut hook);
-            rt.machine().clock().now_ns() - t0
-        };
-        let t1 = run(1);
-        let t4 = run(4);
-        assert!(t4 > 3.0 * t1 && t4 < 5.0 * t1, "t1 {t1} t4 {t4}");
     }
 }

@@ -105,7 +105,7 @@ pub struct ProofSet {
 
 impl ProofSet {
     /// Derive and fold the proofs of `model` for a team of `threads`.
-    fn derive(model: &KernelModel, threads: usize) -> Self {
+    pub(crate) fn derive(model: &KernelModel, threads: usize) -> Self {
         let cold = ProofTable::fold(derive_proofs(model.cold(), threads));
         let mut iteration = ProofTable::fold(derive_proofs(model.iteration(), threads));
         iteration.share_with(&cold);

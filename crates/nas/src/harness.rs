@@ -15,11 +15,10 @@
 //!   points and `undo` at the end of every later iteration.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
-use crate::facts;
-use crate::model::PhaseModel;
-use crate::proof::derive_proofs;
-use ccnuma::{Machine, MachineConfig, ProofTable};
+use crate::facts::{self, ProofSet};
+use ccnuma::{Machine, MachineConfig};
 use omp::Runtime;
+use std::sync::Arc;
 use upmlib::{UpmEngine, UpmOptions, UpmStats};
 use vmm::{install_placement, KernelMigrationConfig, KernelMigrationEngine, PlacementScheme};
 
@@ -258,27 +257,20 @@ impl BenchRun {
         self.started = true;
         let model = self.fastpath.then(|| self.bench.access_model()).flatten();
         let threads = self.rt.threads();
-        // A named kernel's proofs are the process's. Any other run folds
-        // its own, each text's just before the text runs.
-        let shared = model
-            .as_ref()
-            .zip(self.named)
-            .map(|(model, (bench, scale))| facts::proof_set(bench, scale, threads, model));
-        let install =
-            |rt: &mut Runtime, shared: Option<&ProofTable>, text: &[PhaseModel]| match shared {
-                Some(table) => rt.install_fastpath(table),
-                None => rt.install_fastpath(&ProofTable::fold(derive_proofs(text, threads))),
-            };
+        // A named kernel's proofs are the process's; any other run derives
+        // its own and drops them once the timed iteration's are installed.
+        let proofs = model.map(|model| match self.named {
+            Some((bench, scale)) => facts::proof_set(bench, scale, threads, &model),
+            None => Arc::new(ProofSet::derive(&model, threads)),
+        });
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
-        if let Some(model) = &model {
-            let table = shared.as_deref().map(|s| &s.cold);
-            install(&mut self.rt, table, model.cold());
+        if let Some(proofs) = &proofs {
+            self.rt.install_fastpath(&proofs.cold);
         }
         self.bench.cold_start(&mut self.rt);
-        if let Some(model) = &model {
-            let table = shared.as_deref().map(|s| &s.iteration);
-            install(&mut self.rt, table, model.iteration());
+        if let Some(proofs) = proofs {
+            self.rt.install_fastpath(&proofs.iteration);
         }
         if let Some(engine) = &self.upm {
             // Reference monitoring starts with the timed run (upmlib reads

@@ -62,13 +62,7 @@ impl LoopModel {
         schedule: Schedule,
         accesses: impl Fn(usize, &mut dyn FnMut(u64, AccessKind)) + 'static,
     ) -> Self {
-        Self {
-            name: name.to_string(),
-            n,
-            schedule,
-            kind: LoopKind::Parallel,
-            accesses: Box::new(accesses),
-        }
+        Self::new(name, n, schedule, LoopKind::Parallel, accesses)
     }
 
     /// Model of a `parallel_reduce` over `0..n`.
@@ -78,13 +72,7 @@ impl LoopModel {
         schedule: Schedule,
         accesses: impl Fn(usize, &mut dyn FnMut(u64, AccessKind)) + 'static,
     ) -> Self {
-        Self {
-            name: name.to_string(),
-            n,
-            schedule,
-            kind: LoopKind::Reduction,
-            accesses: Box::new(accesses),
-        }
+        Self::new(name, n, schedule, LoopKind::Reduction, accesses)
     }
 
     /// Model of a `serial` region (one iteration, executed by thread 0).
@@ -92,11 +80,21 @@ impl LoopModel {
         name: &str,
         accesses: impl Fn(usize, &mut dyn FnMut(u64, AccessKind)) + 'static,
     ) -> Self {
+        Self::new(name, 1, Schedule::Static, LoopKind::Serial, accesses)
+    }
+
+    fn new(
+        name: &str,
+        n: usize,
+        schedule: Schedule,
+        kind: LoopKind,
+        accesses: impl Fn(usize, &mut dyn FnMut(u64, AccessKind)) + 'static,
+    ) -> Self {
         Self {
             name: name.to_string(),
-            n: 1,
-            schedule: Schedule::Static,
-            kind: LoopKind::Serial,
+            n,
+            schedule,
+            kind,
             accesses: Box::new(accesses),
         }
     }

@@ -130,10 +130,18 @@ options:
 /// gate, checked last so the JSON still lands on disk.
 static FAILED: Mutex<Option<String>> = Mutex::new(None);
 
+/// A usage error: the command line cannot be run as written.
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("run `xp --help` for usage");
     std::process::exit(2);
+}
+
+/// A runtime failure of a well-formed command (no server, a missing file, a
+/// taken port): the usage text would not help.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
 /// The parsed command line: flag occurrences in order, and the positionals.
@@ -275,7 +283,7 @@ fn serve(addr: &str, cache_root: &Path, spans_dir: Option<&Path>) -> ! {
         xp::spec::compute(),
         xp::spec::CODE_VERSION,
     )
-    .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
+    .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));
     let bound = server
         .local_addr()
         .map(|a| a.to_string())
@@ -306,7 +314,7 @@ fn serve(addr: &str, cache_root: &Path, spans_dir: Option<&Path>) -> ! {
             eprintln!("[svc] shutdown");
             std::process::exit(0);
         }
-        Err(e) => die(&format!("server failed: {e}")),
+        Err(e) => fail(&format!("server failed: {e}")),
     }
 }
 
@@ -407,7 +415,7 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
                 Box::new(move || match from {
                     Some(path) => match xp::prof::run_from(&path, benches[0], scale, &out) {
                         Ok(report) => vec![report],
-                        Err(e) => die(&e),
+                        Err(e) => fail(&e),
                     },
                     None => xp::prof::run(&benches, scale, &out),
                 }),
@@ -434,7 +442,7 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
             });
             let allow = match &allow_path {
                 Some(p) => lint::Allowlist::load(p)
-                    .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", p.display()))),
+                    .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", p.display()))),
                 None => lint::Allowlist::empty(),
             };
             if let Some(p) = &allow_path {
@@ -461,7 +469,7 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
                                     eprintln!("[saved {}]", p.display());
                                 }
                             }
-                            Err(e) => die(&format!("cannot write placement maps: {e}")),
+                            Err(e) => fail(&format!("cannot write placement maps: {e}")),
                         }
                     }
                     vec![run.report]
@@ -541,7 +549,7 @@ fn main() {
             let interval = std::time::Duration::from_millis(interval_ms.unwrap_or(1000));
             let json = args.has("--json");
             if let Err(e) = xp::top::run(&server_addr, interval, args.has("--once"), json) {
-                die(&e);
+                fail(&e);
             }
             return;
         }

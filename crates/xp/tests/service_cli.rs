@@ -353,3 +353,27 @@ fn client_mode_without_a_server_falls_back_to_offline_results() {
         fig5_json(&dir.join("fallback"))
     );
 }
+
+/// A well-formed command that fails at run time (no server, no such file)
+/// exits 1 with its message alone: the usage pointer is for argument errors.
+#[test]
+fn a_runtime_failure_is_not_a_usage_error() {
+    let dir = tmp("svc_runtime_failure");
+    let out = dir.to_str().unwrap();
+    for (args, needle) in [
+        (&["top", "--once", "--port", "1"][..], "no server at"),
+        (
+            &["prof", "cg", "--from", "/nonexistent", "--out", out][..],
+            "/nonexistent",
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_xp"))
+            .args(args)
+            .output()
+            .expect("xp binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "xp {args:?}: {stderr}");
+        assert!(stderr.contains(needle), "xp {args:?}: {stderr}");
+        assert!(!stderr.contains("xp --help"), "xp {args:?}: {stderr}");
+    }
+}
