@@ -87,6 +87,19 @@
 //! `Arc`s: any number of engines install the same table, none copies a
 //! line vector.
 //!
+//! **The memo library.** An engine may share memos with the other engines
+//! of its process through a [`MemoLibrary`]: a named run's, keyed by the
+//! proof set it installed and its machine's configuration (compared by
+//! value), and within that by proof, thread and bound CPU. A CPU whose own
+//! images all miss looks there before it records, and an engine publishes
+//! what it records and retimes until its machine's first page migration —
+//! the prefix every run of the key shares, because caches are virtually
+//! tagged and a placement only chooses frames. An image is an immutable
+//! [`Arc`]'d core once built; its placements stay per engine, and the
+//! library's copies behind its lock, which is taken once per region that
+//! misses or publishes. A library lives while an engine holds it, and the
+//! last one an engine released lives on until another is released.
+//!
 //! **Fallback.** Every precondition failure — unmapped proof page, active
 //! replicas, active trace, team mismatch — returns an empty
 //! [`FastpathOutcome`] and the region runs the exact line-by-line path.
@@ -99,13 +112,14 @@
 //! consume its class stream exactly, or reaches memory more or less often
 //! than its image says, is the engine's own bug and an `assert!`.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use crate::cache::{SetAssocCache, INVALID_TAG};
 use crate::coherence::Directory;
 use crate::cpu::CpuId;
-use crate::machine::{FpRecording, Machine};
+use crate::machine::{FpRecording, Machine, MachineConfig};
 use crate::memory::FrameId;
 use crate::stats::MachineStats;
 use crate::{LINE_SHIFT, PAGE_SHIFT};
@@ -114,7 +128,8 @@ use crate::{LINE_SHIFT, PAGE_SHIFT};
 /// buffers are fixed-size; the modeled machines are 2-way).
 const MAX_ASSOC: usize = 8;
 
-/// Memo variants kept per (label, team CPU) before LRU eviction.
+/// Memo variants kept per (label, team CPU) before LRU eviction — in an
+/// engine and in a library alike.
 const MAX_VARIANTS: usize = 8;
 
 /// Key tag for an empty way.
@@ -249,6 +264,10 @@ pub struct FastpathStats {
     /// Individual CPUs whose caches matched a memo but whose pages had
     /// moved: their walk was re-timed, not re-simulated.
     pub cpu_retimes: u64,
+    /// Individual CPU hits and retimes (counted there too) served by the
+    /// memo library after the engine's own memos missed: an image another
+    /// run recorded.
+    pub cpu_borrowed: u64,
     /// Individual CPU misses whose slot held no memo yet.
     pub cpu_misses_cold: u64,
     /// Individual CPU misses where some memo was timed on the frames the
@@ -339,6 +358,7 @@ impl ClassStream {
 
 /// The frame-dependent numbers of one CPU's walk: what a memory access
 /// costs and where it is counted.
+#[derive(Clone)]
 struct Timing {
     stall_ns: f64,
     stall_by_node: Vec<f64>,
@@ -356,12 +376,16 @@ struct Timing {
 pub struct Retime {
     thread: usize,
     cpu: CpuId,
-    /// Frames of the image's pages at region entry, in `Image::pages` order.
+    /// Frames of the image's pages at region entry, in `ImageCore::pages`
+    /// order.
     frames: Vec<FrameId>,
     /// Home node by virtual page, for the image's pages; [`NO_HOME`]
     /// elsewhere.
     homes: Vec<u16>,
-    classes: Arc<ClassStream>,
+    /// The image walked, by identity rather than position: its placement
+    /// lands on this image, in the run's slot and (while it holds the
+    /// image) the library, however other runs reorder or evict.
+    image: Arc<ImageCore>,
     pos: usize,
     l1_ns: f64,
     l2_ns: f64,
@@ -383,7 +407,7 @@ impl Retime {
     #[cold]
     #[inline(never)]
     pub fn touch(&mut self, vaddr: u64) {
-        let class = self.classes.get(self.pos);
+        let class = self.image.classes.get(self.pos);
         self.pos += 1;
         let t = &mut self.timing;
         t.stall_ns += match class {
@@ -445,14 +469,17 @@ struct LiveCpu {
 /// Per-set key: the touched set indices and their normalized entry states
 /// (`assoc × 2` words per set — `(class, rank<<1|fresh)` per way — in
 /// `sets` order, which is sorted).
+#[derive(Clone, PartialEq)]
 struct LevelKey {
     sets: Vec<u32>,
     key: Vec<u64>,
 }
 
 /// One CPU's memoized region delta, keyed on the cache state it can
-/// observe: everything that holds wherever its pages live.
-struct Image {
+/// observe: everything that holds wherever its pages live. Immutable once
+/// built, so engines and libraries share it.
+#[derive(Clone)]
+struct ImageCore {
     l1: LevelKey,
     l2: LevelKey,
     l1_fix: CacheFix,
@@ -469,20 +496,51 @@ struct Image {
     cache_ns: f64,
     /// The walk's class per access; empty when it never reaches memory (its
     /// one placement, on no frames, always hits).
-    classes: Arc<ClassStream>,
-    /// The walk's timing under each frame assignment seen so far, MRU first.
-    placements: Vec<Placement>,
+    classes: ClassStream,
 }
 
-impl Image {
+impl ImageCore {
     /// Accesses of the walk that reach memory.
     fn memory_accesses(&self) -> u64 {
         self.pages.iter().map(|&(_, count)| count).sum()
     }
+
+    /// Whether `other` is keyed on the same cache state — and so, for the
+    /// same proof and CPU, is the same image.
+    fn same_key(&self, other: &ImageCore) -> bool {
+        self.l1 == other.l1 && self.l2 == other.l2
+    }
 }
 
-/// An [`Image`]'s timing with its pages on `frames` (in `Image::pages`
+/// A memo: an image and its timing under each frame assignment seen so
+/// far, MRU first.
+struct Image {
+    core: Arc<ImageCore>,
+    placements: Vec<Placement>,
+}
+
+impl Image {
+    /// Position of the placement on the `frames` a region entered with.
+    fn on_frames(&self, frames: &[(u64, FrameId)]) -> Option<usize> {
+        self.placements.iter().position(|p| {
+            let pages = self.core.pages.iter().zip(&p.frames);
+            pages
+                .into_iter()
+                .all(|(&(page, _), &f)| frames[page as usize].1 == f)
+        })
+    }
+
+    /// Keep `placement` unless one on its frames is held already.
+    fn keep_placement(&mut self, placement: Placement) {
+        if !self.placements.iter().any(|p| p.frames == placement.frames) {
+            keep_mru(&mut self.placements, placement);
+        }
+    }
+}
+
+/// An [`Image`]'s timing with its pages on `frames` (in `ImageCore::pages`
 /// order).
+#[derive(Clone)]
 struct Placement {
     frames: Vec<FrameId>,
     timing: Timing,
@@ -497,7 +555,7 @@ fn keep_mru<T>(entries: &mut Vec<T>, entry: T) {
 }
 
 /// How to rebuild one cache's touched sets at region exit.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct CacheFix {
     tick_delta: u64,
     /// `(set, entry LRU rank, new tag, stamp offset from entry tick)`,
@@ -584,6 +642,20 @@ impl Pool {
         }
     }
 
+    /// The key of `thread`'s slot in a library.
+    fn slot_key(&self, thread: usize) -> (usize, usize, CpuId) {
+        let proof = Arc::as_ptr(&self.proof) as usize;
+        (proof, thread, self.slots[thread].cpu)
+    }
+
+    /// `thread`'s images in a library's `slots`, created empty.
+    fn shelf<'a>(&self, slots: &'a mut Slots, thread: usize) -> &'a mut Vec<Image> {
+        let entry = slots.entry(self.slot_key(thread));
+        &mut entry
+            .or_insert_with(|| (Arc::clone(&self.proof), Vec::new()))
+            .1
+    }
+
     /// Realign the per-thread slots with the current binding; a rebound
     /// thread drops its images (they key another CPU's caches).
     fn align_slots(&mut self, binding: &[CpuId]) {
@@ -606,12 +678,213 @@ impl Pool {
     }
 }
 
+/// A process-wide memo library: the images the engines of one key have
+/// published, and where each has been timed. The key is an *owner* — the
+/// proof set the engines install, compared by identity — and the machine
+/// configuration, compared by value; within a library, images are held per
+/// (proof, thread, bound CPU), at most [`MAX_VARIANTS`] each, MRU first.
+///
+/// A handle is what an engine holds ([`FastpathEngine::install`]). The
+/// library lives while an engine holds it, and the one an engine released
+/// last lives on until another engine releases one: enough for the next
+/// run of a key to find the previous run's memos, and never more than one
+/// library nobody runs. There is no capacity to set.
+#[derive(Clone)]
+pub struct MemoLibrary(Arc<Shelf>);
+
+/// What a [`MemoLibrary`] handle points at.
+struct Shelf {
+    /// Held, so its address names the key for as long as the library lives.
+    owner: Arc<dyn Any + Send + Sync>,
+    config: MachineConfig,
+    slots: Mutex<Slots>,
+}
+
+/// `(proof address, thread, CPU)` → the proof (held, so its address names
+/// it while the entry lives) and its images.
+type Slots = HashMap<(usize, usize, CpuId), (Arc<PhaseProof>, Vec<Image>)>;
+
+/// Every library of the process that some holder keeps alive.
+static LIBRARIES: Mutex<Vec<Weak<Shelf>>> = Mutex::new(Vec::new());
+/// The library an engine released last.
+static RELEASED: Mutex<Option<Arc<Shelf>>> = Mutex::new(None);
+
+/// Every update of a library's state leaves it valid at every step (images
+/// are immutable; a list insert, rotation or truncation is whole), so a lock
+/// a panicking thread poisoned is taken as it stands — and a release runs in
+/// `Drop`, which must not panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What memo libraries hold ([`library_stats`], [`MemoLibrary::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LibraryStats {
+    /// Libraries alive.
+    pub libraries: usize,
+    /// Images held.
+    pub images: usize,
+    /// Bytes of class stream the images hold.
+    pub class_bytes: usize,
+}
+
+impl MemoLibrary {
+    /// The library of the engines that install `owner`'s proofs on a
+    /// machine configured as `config`: the one alive, or a new one.
+    pub fn of<K: Send + Sync + 'static>(owner: &Arc<K>, config: &MachineConfig) -> Self {
+        let mut libraries = lock(&LIBRARIES);
+        libraries.retain(|shelf| shelf.strong_count() > 0);
+        let held = libraries.iter().filter_map(Weak::upgrade).find(|shelf| {
+            std::ptr::addr_eq(Arc::as_ptr(&shelf.owner), Arc::as_ptr(owner))
+                && shelf.config == *config
+        });
+        Self(held.unwrap_or_else(|| {
+            let owner: Arc<dyn Any + Send + Sync> = owner.clone();
+            let shelf = Arc::new(Shelf {
+                owner,
+                config: config.clone(),
+                slots: Mutex::default(),
+            });
+            libraries.push(Arc::downgrade(&shelf));
+            shelf
+        }))
+    }
+
+    /// What this library holds.
+    pub fn stats(&self) -> LibraryStats {
+        let slots = lock(&self.0.slots);
+        let images: Vec<&Image> = slots.values().flat_map(|(_, images)| images).collect();
+        LibraryStats {
+            libraries: 1,
+            images: images.len(),
+            class_bytes: images.iter().map(|i| i.core.classes.words.len() * 8).sum(),
+        }
+    }
+
+    /// Keep this library alive as the one released last; the one that was
+    /// goes, unless an engine holds it. A library the releasing engine was
+    /// the last to hold is first copied into fresh allocations: its images
+    /// were allocated among the runs' own memory, and a library that
+    /// outlives its runs must not pin the heap they freed around it (a
+    /// `sweep-served` pass after a cold pass read +22 % without the copy).
+    fn release(self) {
+        let mut released = lock(&RELEASED);
+        let retained = released.as_ref().is_some_and(|r| Arc::ptr_eq(r, &self.0));
+        if Arc::strong_count(&self.0) == 1 + usize::from(retained) {
+            for (_, images) in lock(&self.0.slots).values_mut() {
+                for image in images {
+                    image.core = Arc::new(ImageCore::clone(&image.core));
+                }
+            }
+        }
+        let previous = released.replace(self.0);
+        drop(released);
+        drop(previous);
+    }
+
+    /// Serve each CPU of `pool` whose `lanes` entry is still open from the
+    /// library's images of its slot, copying what served it into the slot.
+    fn lend(
+        &self,
+        m: &Machine,
+        pool: &mut Pool,
+        lanes: &mut [Option<Lane>],
+        frames: &[(u64, FrameId)],
+        stats: &mut FastpathStats,
+    ) {
+        let mut slots = lock(&self.0.slots);
+        for (t, lane) in lanes.iter_mut().enumerate() {
+            if lane.is_some() {
+                continue;
+            }
+            let Some((_, held)) = slots.get_mut(&pool.slot_key(t)) else {
+                continue;
+            };
+            let slot = &mut pool.slots[t];
+            let Some(found) = find(m, slot.cpu, held, &pool.lines, frames) else {
+                continue;
+            };
+            let image = &held[0];
+            let placements = match found {
+                Lane::Hit => vec![image.placements[0].clone()],
+                _ => Vec::new(),
+            };
+            let core = Arc::clone(&image.core);
+            keep_mru(&mut slot.images, Image { core, placements });
+            *lane = Some(found);
+            stats.cpu_borrowed += 1;
+        }
+    }
+
+    /// Shelve what one region of `pool` timed: the placements of retime
+    /// walks (`(thread, image, placement)`), on their images while the
+    /// library holds them, and the `recorded` images. A recorded image
+    /// keyed like one held keeps the held one, and the engine is handed its
+    /// core to hold instead of its own copy.
+    fn publish(
+        &self,
+        pool: &Pool,
+        timed: &[(usize, Arc<ImageCore>, Placement)],
+        recorded: &mut [(usize, Image)],
+    ) {
+        let mut slots = lock(&self.0.slots);
+        for (thread, core, placement) in timed {
+            let held = pool.shelf(&mut slots, *thread);
+            if let Some(image) = held.iter_mut().find(|h| Arc::ptr_eq(&h.core, core)) {
+                image.keep_placement(placement.clone());
+            }
+        }
+        for (thread, image) in recorded {
+            let held = pool.shelf(&mut slots, *thread);
+            match held.iter_mut().find(|h| h.core.same_key(&image.core)) {
+                Some(twin) => {
+                    debug_assert!(twin.core.pages == image.core.pages, "equal keys, one walk");
+                    twin.keep_placement(image.placements[0].clone());
+                    image.core = Arc::clone(&twin.core);
+                }
+                None => keep_mru(
+                    held,
+                    Image {
+                        core: Arc::clone(&image.core),
+                        placements: image.placements.clone(),
+                    },
+                ),
+            }
+        }
+    }
+}
+
+/// What every memo library of the process holds, summed.
+pub fn library_stats() -> LibraryStats {
+    let libraries: Vec<_> = lock(&LIBRARIES).iter().filter_map(Weak::upgrade).collect();
+    let each = libraries
+        .into_iter()
+        .map(|shelf| MemoLibrary(shelf).stats());
+    each.fold(LibraryStats::default(), |a, b| LibraryStats {
+        libraries: a.libraries + b.libraries,
+        images: a.images + b.images,
+        class_bytes: a.class_bytes + b.class_bytes,
+    })
+}
+
 /// The memoization engine. One per `omp` runtime (it is tied to one machine's
 /// geometry through its memos).
 #[derive(Default)]
 pub struct FastpathEngine {
     pools: HashMap<String, Pool>,
     stats: FastpathStats,
+    /// Where the engine borrows memos from and publishes them to, if it
+    /// shares any.
+    library: Option<MemoLibrary>,
+}
+
+impl Drop for FastpathEngine {
+    /// An engine that goes releases its library.
+    fn drop(&mut self) {
+        if let Some(library) = self.library.take() {
+            library.release();
+        }
+    }
 }
 
 /// What a team CPU does in a region the engine admitted.
@@ -636,7 +909,11 @@ impl FastpathEngine {
     /// label whose proof equals the one its pool already holds keeps its
     /// memos (cold-start recordings seed the timed iterations), every other
     /// pool starts empty or is gone. A pool shares the table's proof.
-    pub fn install(&mut self, table: &ProofTable) {
+    /// `library`, when given, is where the engine borrows and publishes
+    /// memos from now on: the library of the proof set `table` comes from
+    /// (see [`MemoLibrary::of`]).
+    pub fn install(&mut self, table: &ProofTable, library: Option<&MemoLibrary>) {
+        self.library = library.cloned();
         let mut old = std::mem::take(&mut self.pools);
         for (label, proof) in &table.0 {
             let pool = match old.remove(label) {
@@ -694,11 +971,22 @@ impl FastpathEngine {
         pool.align_slots(binding);
 
         // Per-CPU lookup — all *before* any effect is applied, so every
-        // check reads true region-entry state.
+        // check reads true region-entry state: the CPU's own images, then
+        // the library's, then a miss counted by what disagreed.
         let stats = &mut self.stats;
-        let lanes: Vec<Lane> = (pool.slots.iter_mut())
-            .map(|slot| lookup(m, slot, &pool.lines, &frames, stats))
+        let mut found: Vec<Option<Lane>> = (pool.slots.iter_mut())
+            .map(|slot| find(m, slot.cpu, &mut slot.images, &pool.lines, &frames))
             .collect();
+        if let Some(library) = self.library.as_ref().filter(|_| found.contains(&None)) {
+            library.lend(m, pool, &mut found, &frames, stats);
+        }
+        let lanes = found.iter().zip(&pool.slots).map(|(&lane, slot)| {
+            lane.unwrap_or_else(|| {
+                count_miss(slot, &frames, stats);
+                Lane::Live
+            })
+        });
+        let lanes: Vec<Lane> = lanes.collect();
         let live_cpus = lanes.iter().filter(|&&lane| lane == Lane::Live).count();
 
         // Aggregate snapshot *before* the bumps; debug builds also take the
@@ -768,7 +1056,8 @@ impl FastpathEngine {
     /// on — landed in its account and statistics, and kept as one more
     /// placement of its image; a recording is validated (did the region
     /// behave exactly as the proof claims?) and stored, one memo per live
-    /// CPU.
+    /// CPU. Until the machine's first page migration, both are published to
+    /// the engine's library too.
     pub fn finish_region(&mut self, m: &mut Machine, outcome: FastpathOutcome) {
         if outcome.retimed.is_empty() && outcome.record.is_none() {
             return;
@@ -777,11 +1066,11 @@ impl FastpathEngine {
         let rec = m.fp_take_recording().unwrap_or_default();
         let pool = self.pools.get_mut(&outcome.label);
         let pool = pool.expect("no install runs inside a region");
+        let mut timed = Vec::with_capacity(outcome.retimed.len());
         for walk in outcome.retimed {
-            let image = &mut pool.slots[walk.thread].images[0];
             assert_eq!(
                 (walk.pos, walk.timing.mem_local + walk.timing.mem_remote),
-                (image.classes.len, image.memory_accesses()),
+                (walk.image.classes.len, walk.image.memory_accesses()),
                 "{}: cpu {}'s retime walk (accesses, of them memory) left its image's",
                 outcome.label,
                 walk.cpu,
@@ -791,66 +1080,80 @@ impl FastpathEngine {
                 frames: walk.frames,
                 timing: walk.timing,
             };
-            keep_mru(&mut image.placements, placement);
+            timed.push((walk.thread, walk.image, placement));
         }
-        let Some(token) = outcome.record else { return };
-        let Some(images) = build_images(m, pool, &token, rec) else {
-            self.stats.rejects += 1;
-            return;
-        };
-        self.stats.records += 1;
-        self.stats.cpu_records += images.len() as u64;
-        for (thread, image) in images {
+        let mut recorded = Vec::new();
+        if let Some(token) = outcome.record {
+            match build_images(m, pool, &token, rec) {
+                Some(images) => {
+                    self.stats.records += 1;
+                    self.stats.cpu_records += images.len() as u64;
+                    recorded = images;
+                }
+                None => self.stats.rejects += 1,
+            }
+        }
+        // Until the first migration, every run of the key walks this prefix.
+        if let Some(library) = self.library.as_ref() {
+            if m.stats.page_migrations == 0 {
+                library.publish(pool, &timed, &mut recorded);
+            }
+        }
+        for (thread, core, placement) in timed {
+            let images = &mut pool.slots[thread].images;
+            let image = images.iter_mut().find(|i| Arc::ptr_eq(&i.core, &core));
+            let image = image.expect("a retimed image stays in its slot for the region");
+            image.keep_placement(placement);
+        }
+        for (thread, image) in recorded {
             keep_mru(&mut pool.slots[thread].images, image);
         }
     }
 }
 
-/// Find what `slot`'s CPU does in the region. At most one image can match
-/// the live sets (a recording happens only when none did, so no two images
-/// hold equal keys): with a placement on the live frames it is a hit, without
-/// one it is retimed; no match is a miss, counted by what disagreed. The image
-/// (and placement) found rotates to the front, so images stay in recency
-/// order: the steady-state memo is compared first (stale keys can share long
+/// The lane `images` give `cpu` in the region. At most one image can match
+/// the live sets (a recording happens only when none did, and a library
+/// keeps one image per key): with a placement on the live frames it is a
+/// hit, without one it is retimed; `None` when none matches. The image (and
+/// placement) found rotates to the front, so images stay in recency order:
+/// the steady-state memo is compared first (stale keys can share long
 /// prefixes with the live state before diverging) and the last one is the
 /// eviction victim.
-fn lookup(
+fn find(
     m: &Machine,
-    slot: &mut CpuSlot,
+    cpu: CpuId,
+    images: &mut [Image],
     lines: &LineSet,
     frames: &[(u64, FrameId)],
-    stats: &mut FastpathStats,
-) -> Lane {
-    let ctx = &m.cpus[slot.cpu];
-    let sets_match = |image: &Image| {
-        level_matches(&ctx.l1, &image.l1, lines, &m.directory)
-            && level_matches(&ctx.l2, &image.l2, lines, &m.directory)
-    };
-    let on_frames = |image: &Image| {
-        image.placements.iter().position(|p| {
-            let pages = image.pages.iter().zip(&p.frames);
-            pages
-                .into_iter()
-                .all(|(&(page, _), &f)| frames[page as usize].1 == f)
-        })
-    };
-    let Some(i) = slot.images.iter().position(sets_match) else {
-        if slot.images.is_empty() {
-            stats.cpu_misses_cold += 1;
-        } else if slot.images.iter().any(|image| on_frames(image).is_some()) {
-            stats.cpu_misses_sets += 1;
-        } else {
-            stats.cpu_misses_frames += 1;
-        }
-        return Lane::Live;
-    };
-    slot.images[..=i].rotate_right(1);
-    let image = &mut slot.images[0];
-    let Some(p) = on_frames(image) else {
-        return Lane::Retime;
+) -> Option<Lane> {
+    let ctx = &m.cpus[cpu];
+    let i = images.iter().position(|image| {
+        level_matches(&ctx.l1, &image.core.l1, lines, &m.directory)
+            && level_matches(&ctx.l2, &image.core.l2, lines, &m.directory)
+    })?;
+    images[..=i].rotate_right(1);
+    let image = &mut images[0];
+    let Some(p) = image.on_frames(frames) else {
+        return Some(Lane::Retime);
     };
     image.placements[..=p].rotate_right(1);
-    Lane::Hit
+    Some(Lane::Hit)
+}
+
+/// Count a miss of `slot`'s CPU by what disagreed: no image yet, the sets
+/// (some image is timed on the live frames), or the frames as well.
+fn count_miss(slot: &CpuSlot, frames: &[(u64, FrameId)], stats: &mut FastpathStats) {
+    if slot.images.is_empty() {
+        stats.cpu_misses_cold += 1;
+    } else if slot
+        .images
+        .iter()
+        .any(|image| image.on_frames(frames).is_some())
+    {
+        stats.cpu_misses_sets += 1;
+    } else {
+        stats.cpu_misses_frames += 1;
+    }
 }
 
 /// Apply the front image of every CPU that sits the region out: directory
@@ -875,18 +1178,18 @@ fn apply_lanes(
             continue;
         }
         let slot = &mut pool.slots[t];
-        let image = &slot.images[0];
-        apply_image(m, slot.cpu, image, frames);
+        let Image { core, placements } = &slot.images[0];
+        apply_image(m, slot.cpu, core, frames);
         outcome.replayed.push(slot.cpu);
         if lane == Lane::Hit {
-            land_timing(m, slot.cpu, &image.placements[0].timing);
+            land_timing(m, slot.cpu, &placements[0].timing);
             continue;
         }
         let nodes = m.config.topology.nodes();
         let node = m.cpus[slot.cpu].node;
         let mut homes = vec![NO_HOME; m.page_table.len()];
-        let mut on = Vec::with_capacity(image.pages.len());
-        for &(page, _) in &image.pages {
+        let mut on = Vec::with_capacity(core.pages.len());
+        for &(page, _) in &core.pages {
             let (vpage, frame) = frames[page as usize];
             homes[vpage as usize] = m.memory.node_of_frame(frame) as u16;
             on.push(frame);
@@ -896,7 +1199,7 @@ fn apply_lanes(
             cpu: slot.cpu,
             frames: on,
             homes,
-            classes: Arc::clone(&image.classes),
+            image: Arc::clone(core),
             pos: 0,
             l1_ns: m.config.latency.l1_ns,
             l2_ns: m.config.latency.l2_ns,
@@ -1028,7 +1331,7 @@ fn level_matches(cache: &SetAssocCache, lk: &LevelKey, lines: &LineSet, dir: &Di
 /// the frames the pages are in now), caches, hit counts, compute and cache
 /// time. (Directory bumps are applied by the caller for the whole team
 /// first; the frame-dependent rest is [`land_timing`]'s.)
-fn apply_image(m: &mut Machine, cpu: CpuId, image: &Image, frames: &[(u64, FrameId)]) {
+fn apply_image(m: &mut Machine, cpu: CpuId, image: &ImageCore, frames: &[(u64, FrameId)]) {
     let node = m.cpus[cpu].node;
     for &(page, count) in &image.pages {
         m.counters.bulk_add(frames[page as usize].1, node, count);
@@ -1265,25 +1568,26 @@ fn build_images(
             },
         };
         // A walk that never reaches memory is timed the same everywhere.
-        let classes = if pages.is_empty() {
-            Arc::default()
-        } else {
-            Arc::new(classes)
+        if pages.is_empty() {
+            classes = ClassStream::default();
+        }
+        let core = ImageCore {
+            l1,
+            l2,
+            l1_fix,
+            l2_fix,
+            pages,
+            l1_hits,
+            l2_hits,
+            coherence_misses,
+            compute_ns: ctx.account.compute_ns,
+            cache_ns: ctx.account.cache_ns,
+            classes,
         };
         images.push((
             lc.thread,
             Image {
-                l1,
-                l2,
-                l1_fix,
-                l2_fix,
-                pages,
-                l1_hits,
-                l2_hits,
-                coherence_misses,
-                compute_ns: ctx.account.compute_ns,
-                cache_ns: ctx.account.cache_ns,
-                classes,
+                core: Arc::new(core),
                 placements: vec![placement],
             },
         ));
@@ -1437,7 +1741,7 @@ mod tests {
     /// An engine whose [`LABEL`] pool holds [`proof`].
     fn engine() -> FastpathEngine {
         let mut engine = FastpathEngine::new();
-        engine.install(&ProofTable::fold([instance(Some(proof()))]));
+        engine.install(&ProofTable::fold([instance(Some(proof()))]), None);
         engine
     }
 
@@ -1572,14 +1876,14 @@ mod tests {
         assert!(before.replays >= 1, "{before:?}");
         // The same loop installed again (its iteration instances after the
         // cold-start one, several of them): the label's memos stay.
-        engine.install(&ProofTable::fold([
-            instance(Some(proof())),
-            instance(Some(proof())),
-        ]));
+        engine.install(
+            &ProofTable::fold([instance(Some(proof())), instance(Some(proof()))]),
+            None,
+        );
         run_region(&mut m, Some(&mut engine));
         assert_eq!(engine.stats().replays, before.replays + 1);
         // Same label, different footprint: an empty pool.
-        engine.install(&ProofTable::fold([instance(Some(wider_proof()))]));
+        engine.install(&ProofTable::fold([instance(Some(wider_proof()))]), None);
         run_region(&mut m, Some(&mut engine));
         let s = engine.stats();
         assert_eq!(
@@ -1608,7 +1912,7 @@ mod tests {
             }
             let before = engine.stats();
             assert!(before.replays >= 1, "{before:?}");
-            engine.install(&ProofTable::fold(instances));
+            engine.install(&ProofTable::fold(instances), None);
             for _ in 0..3 {
                 run_region(&mut reference, None);
                 run_region(&mut fast, Some(&mut engine));
@@ -1616,7 +1920,7 @@ mod tests {
             }
             assert_eq!(engine.stats(), before, "exact, and not counted");
             // Installed consistently again, the label starts from nothing.
-            engine.install(&ProofTable::fold([instance(Some(proof()))]));
+            engine.install(&ProofTable::fold([instance(Some(proof()))]), None);
             run_region(&mut fast, Some(&mut engine));
             assert_eq!(engine.stats().misses, before.misses + 1);
         }
@@ -1726,20 +2030,31 @@ mod tests {
         }
     }
 
-    /// The twins `(reference, fast)` of [`thrash`] with its engine, on the
-    /// machine `config`, run to their steady state.
-    fn thrashing(config: MachineConfig) -> (Machine, Machine, FastpathEngine) {
+    /// The proofs of [`thrash`].
+    fn thrash_table() -> ProofTable {
         let proof = PhaseProof::new(LABEL.into(), 1, vec![0, 32, 128, 256], vec![]);
-        let mut engine = FastpathEngine::new();
-        engine.install(&ProofTable::fold([instance(Some(proof))]));
+        ProofTable::fold([instance(Some(proof))])
+    }
+
+    /// Twin machines `(reference, fast)` on `config` with [`thrash`]'s pages
+    /// on `node`.
+    fn thrash_twins(config: &MachineConfig, node: usize) -> (Machine, Machine) {
         let twin = || {
             let mut m = Machine::new(config.clone());
             for page in 0..3 {
-                m.map_page(page, 0).unwrap();
+                m.map_page(page, node).unwrap();
             }
             m
         };
-        let (mut reference, mut fast) = (twin(), twin());
+        (twin(), twin())
+    }
+
+    /// The twins `(reference, fast)` of [`thrash`] with its engine, on the
+    /// machine `config`, run to their steady state.
+    fn thrashing(config: MachineConfig) -> (Machine, Machine, FastpathEngine) {
+        let mut engine = FastpathEngine::new();
+        engine.install(&thrash_table(), None);
+        let (mut reference, mut fast) = thrash_twins(&config, 0);
         for _ in 0..3 {
             thrash_both(&mut reference, &mut fast, &mut engine);
         }
@@ -1816,6 +2131,82 @@ mod tests {
         });
     }
 
+    /// [`thrash`]'s table and a library of its own on `config`, and a fresh
+    /// engine sharing them.
+    fn sharing(config: &MachineConfig) -> (MemoLibrary, impl Fn() -> FastpathEngine) {
+        let table = Arc::new(thrash_table());
+        let library = MemoLibrary::of(&table, config);
+        let lent = library.clone();
+        let engine = move || {
+            let mut engine = FastpathEngine::new();
+            engine.install(&table, Some(&lent));
+            engine
+        };
+        (library, engine)
+    }
+
+    #[test]
+    fn a_published_image_is_retimed_on_other_frames_and_hits_on_the_same() {
+        // Non-integer memory latencies: the order of the walk's adds shows.
+        let mut config = MachineConfig::tiny_test();
+        config.latency = crate::LatencyModel::with_remote_ratio(2.3);
+        let (library, engine) = sharing(&config);
+        // The publisher records the cold image, then the steady one, and
+        // replays that; nothing moves, so both are published.
+        let mut first = engine();
+        let (mut reference, mut fast) = thrash_twins(&config, 0);
+        for _ in 0..3 {
+            thrash_both(&mut reference, &mut fast, &mut first);
+        }
+        let recorded = first.stats();
+        assert_eq!((recorded.cpu_records, recorded.cpu_borrowed), (2, 0));
+        assert_eq!(library.stats().images, 2);
+
+        // Later runs start with the caches the first one started with, so
+        // each borrows both images and records nothing. On other frames
+        // the walk is retimed — and published, so the next run on those
+        // frames hits — and on the publisher's frames it hits.
+        for (node, retimes) in [(2, 2), (0, 0), (2, 0)] {
+            let mut later = engine();
+            let (mut reference, mut fast) = thrash_twins(&config, node);
+            for _ in 0..3 {
+                thrash_both(&mut reference, &mut fast, &mut later);
+            }
+            let want = FastpathStats {
+                replays: 3,
+                cpu_replays: 3 - retimes,
+                cpu_retimes: retimes,
+                cpu_borrowed: 2,
+                ..Default::default()
+            };
+            assert_eq!(later.stats(), want, "pages on node {node}");
+        }
+        assert_eq!(library.stats().images, 2, "a borrowed image is held once");
+    }
+
+    #[test]
+    fn an_image_recorded_after_a_migration_is_not_published() {
+        let config = MachineConfig::tiny_test();
+        let (library, engine) = sharing(&config);
+        let mut engine = engine();
+        let (mut reference, mut fast) = thrash_twins(&config, 0);
+        for _ in 0..3 {
+            thrash_both(&mut reference, &mut fast, &mut engine);
+        }
+        let held = library.stats();
+        // Page 2 has a resident line: the move invalidates it, the sets
+        // match no image, and the region is recorded — for this run only.
+        reference.migrate_page(2, 2).unwrap();
+        fast.migrate_page(2, 2).unwrap();
+        let before = engine.stats();
+        thrash_both(&mut reference, &mut fast, &mut engine);
+        assert_eq!(engine.stats().cpu_records, before.cpu_records + 1);
+        assert_eq!(library.stats(), held);
+        // The run keeps its own memo: the next region replays it.
+        thrash_both(&mut reference, &mut fast, &mut engine);
+        assert_eq!(engine.stats().replays, before.replays + 1);
+    }
+
     #[test]
     fn a_far_apart_proof_is_rejected_without_a_bitmap() {
         // A line at 2^37 (an array at 2^44 bytes): a bitmap sized by the
@@ -1823,7 +2214,7 @@ mod tests {
         let far = 1u64 << 37;
         let proof = PhaseProof::new(LABEL.into(), 1, vec![0, far], vec![]);
         let mut engine = FastpathEngine::new();
-        engine.install(&ProofTable::fold([instance(Some(proof))]));
+        engine.install(&ProofTable::fold([instance(Some(proof))]), None);
         let (mut reference, mut fast) = (prepared(), prepared());
         let near_only = |m: &mut Machine, lanes: &mut FastpathOutcome| {
             assert!(lanes.replayed.is_empty() && lanes.record.is_none());

@@ -52,7 +52,9 @@ pub use coherence::Directory;
 pub use contention::{ContentionConfig, ContentionModel};
 pub use counters::{competitive_view, RefCounters, COUNTER_MAX};
 pub use cpu::{AccessKind, CpuContext, CpuId};
-pub use fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, PhaseProof, ProofTable};
+pub use fastpath::{
+    FastpathEngine, FastpathOutcome, FastpathStats, MemoLibrary, PhaseProof, ProofTable,
+};
 pub use latency::LatencyModel;
 pub use machine::{Machine, MachineConfig};
 pub use memory::{FrameId, PhysicalMemory};

@@ -78,7 +78,7 @@ impl std::fmt::Display for MemError {
 impl std::error::Error for MemError {}
 
 /// Full machine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Interconnect topology.
     pub topology: Topology,

@@ -180,6 +180,43 @@ pub trait NasBenchmark {
     }
 }
 
+/// A benchmark chosen by name at run time ([`crate::instantiate`]) is one
+/// too: `BenchRun::new(|rt| instantiate(bench, rt, scale), cfg)` is the
+/// private run of a named kernel.
+impl NasBenchmark for Box<dyn NasBenchmark> {
+    fn name(&self) -> BenchName {
+        (**self).name()
+    }
+
+    fn iterations(&self) -> usize {
+        (**self).iterations()
+    }
+
+    fn cold_start(&mut self, rt: &mut Runtime) {
+        (**self).cold_start(rt)
+    }
+
+    fn iterate(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) {
+        (**self).iterate(rt, hook)
+    }
+
+    fn hot_arrays(&self) -> Vec<ArrayLayout> {
+        (**self).hot_arrays()
+    }
+
+    fn register_hot(&self, upm: &mut UpmEngine) {
+        (**self).register_hot(upm)
+    }
+
+    fn verify(&self) -> Verification {
+        (**self).verify()
+    }
+
+    fn access_model(&self) -> Option<KernelModel> {
+        (**self).access_model()
+    }
+}
+
 /// Index helpers for a 3-D grid of `comps` components stored
 /// component-fastest (the Fortran `u(5, nx, ny, nz)` layout of the NAS
 /// codes, linearized with x fastest after components).

@@ -16,7 +16,8 @@
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
 use crate::facts::{self, ProofSet};
-use ccnuma::{Machine, MachineConfig};
+use crate::model::KernelModel;
+use ccnuma::{Machine, MachineConfig, MemoLibrary};
 use omp::Runtime;
 use std::sync::Arc;
 use upmlib::{UpmEngine, UpmOptions, UpmStats};
@@ -142,7 +143,8 @@ pub struct BenchRun {
     bench: Box<dyn NasBenchmark>,
     /// Set by [`BenchRun::for_bench`]: the kernel is the named benchmark's
     /// own problem at this scale, so its proofs are the process's
-    /// ([`facts::proof_set`]), not this run's to derive.
+    /// ([`facts::proof_set`]), not this run's to derive, and so are its
+    /// memos.
     named: Option<(BenchName, Scale)>,
     upm: Option<UpmEngine>,
     recrep: bool,
@@ -164,9 +166,9 @@ impl BenchRun {
     /// the engines, and allocate the benchmark via `make`. No simulated
     /// work happens until the first [`BenchRun::step`]. What `make` builds
     /// is known to this run alone (a custom problem, a test's kernel), so
-    /// the run derives its fast-path proofs itself and shares them with
-    /// nobody — and, having no name to ask for another team's proofs under,
-    /// runs exactly once its team is resized.
+    /// the run derives its fast-path proofs itself and shares them, and its
+    /// memos, with nobody — and, having no name to ask for another team's
+    /// proofs under, runs exactly once its team is resized.
     pub fn new<B: NasBenchmark + 'static>(
         make: impl FnOnce(&mut Runtime) -> B,
         cfg: &RunConfig,
@@ -178,7 +180,9 @@ impl BenchRun {
     /// kernels at one of the three problem scales (see [`instantiate`]).
     /// Every such run of a process installs the same proof set, derived by
     /// the first of them (see [`facts::proof_set`]), and after a resize the
-    /// set of its new team.
+    /// set of its new team — and shares fast-path memos with every other
+    /// run of that set on an equal machine through their memo library
+    /// (`ccnuma::MemoLibrary`).
     pub fn for_bench(bench: BenchName, scale: Scale, cfg: &RunConfig) -> Self {
         let named = Some((bench, scale));
         Self::boxed(|rt| instantiate(bench, rt, scale), cfg, named)
@@ -256,21 +260,25 @@ impl BenchRun {
         }
         self.started = true;
         let model = self.fastpath.then(|| self.bench.access_model()).flatten();
-        let threads = self.rt.threads();
-        // A named kernel's proofs are the process's; any other run derives
-        // its own and drops them once the timed iteration's are installed.
-        let proofs = model.map(|model| match self.named {
-            Some((bench, scale)) => facts::proof_set(bench, scale, threads, &model),
-            None => Arc::new(ProofSet::derive(&model, threads)),
+        // A named kernel's proofs and memos are the process's; any other run
+        // derives its own proofs, drops them once the timed iteration's are
+        // installed, and shares no memo.
+        let armed = model.map(|model| match self.named {
+            Some((bench, scale)) => {
+                let (proofs, library) = shared(bench, scale, &self.rt, &model);
+                (proofs, Some(library))
+            }
+            None => (Arc::new(ProofSet::derive(&model, self.rt.threads())), None),
         });
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
-        if let Some(proofs) = &proofs {
-            self.rt.install_fastpath(&proofs.cold);
+        if let Some((proofs, library)) = &armed {
+            self.rt.install_fastpath(&proofs.cold, library.as_ref());
         }
         self.bench.cold_start(&mut self.rt);
-        if let Some(proofs) = proofs {
-            self.rt.install_fastpath(&proofs.iteration);
+        if let Some((proofs, library)) = armed {
+            self.rt
+                .install_fastpath(&proofs.iteration, library.as_ref());
         }
         if let Some(engine) = &self.upm {
             // Reference monitoring starts with the timed run (upmlib reads
@@ -284,9 +292,10 @@ impl BenchRun {
 
     /// A runtime that lost its engine — `Runtime::resize_team` drops it,
     /// the proofs being the old team's — gets the timed iteration's proofs
-    /// for the team it has now. Only a named run has them to ask for
-    /// ([`facts::proof_set`] is keyed by team): a [`BenchRun::new`] run stays
-    /// exact after a resize.
+    /// for the team it has now, and that team's memo library: a resize back
+    /// finds the memos its team published while they are held. Only a
+    /// named run has them to ask for ([`facts::proof_set`] is keyed by
+    /// team): a [`BenchRun::new`] run stays exact after a resize.
     fn rearm_fastpath(&mut self) {
         let Some((bench, scale)) = self.named else {
             return;
@@ -295,8 +304,8 @@ impl BenchRun {
             return;
         }
         if let Some(model) = self.bench.access_model() {
-            let proofs = facts::proof_set(bench, scale, self.rt.threads(), &model);
-            self.rt.install_fastpath(&proofs.iteration);
+            let (proofs, library) = shared(bench, scale, &self.rt, &model);
+            self.rt.install_fastpath(&proofs.iteration, Some(&library));
         }
     }
 
@@ -481,6 +490,20 @@ pub fn instantiate(bench: BenchName, rt: &mut Runtime, scale: Scale) -> Box<dyn 
         BenchName::Mg => Box::new(crate::mg::Mg::new(rt, scale)),
         BenchName::Ft => Box::new(crate::ft::Ft::new(rt, scale)),
     }
+}
+
+/// What a named run of `bench` at `scale` installs on `rt`'s team: the
+/// process's proof set for it ([`facts::proof_set`]) and the memo library
+/// of that set on `rt`'s machine, which every such run shares.
+fn shared(
+    bench: BenchName,
+    scale: Scale,
+    rt: &Runtime,
+    model: &KernelModel,
+) -> (Arc<ProofSet>, MemoLibrary) {
+    let proofs = facts::proof_set(bench, scale, rt.threads(), model);
+    let library = MemoLibrary::of(&proofs, rt.machine().config());
+    (proofs, library)
 }
 
 /// Run one benchmark under one configuration. `make` allocates the

@@ -1,7 +1,9 @@
 //! The fork/join runtime: parallel regions, worksharing, reductions.
 
 use crate::schedule::Schedule;
-use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, ProofTable, Retime};
+use ccnuma::fastpath::{
+    FastpathEngine, FastpathOutcome, FastpathStats, MemoLibrary, ProofTable, Retime,
+};
 use ccnuma::{AccessKind, CpuId, Machine, SimArray};
 use vmm::KernelMigrationEngine;
 
@@ -210,11 +212,14 @@ impl Runtime {
     /// [`FastpathEngine::install`]): the region named `label` (see
     /// [`Runtime::name_region`]) meets the table's proof for `label`. An
     /// existing engine is kept, and with it the memos of every label
-    /// installed again with an equal proof.
-    pub fn install_fastpath(&mut self, table: &ProofTable) {
+    /// installed again with an equal proof. `library` is the memo library
+    /// the engine shares with the other runs of the table's proof set, if
+    /// it shares any; the engine holds it until it is dropped — by
+    /// [`Runtime::resize_team`] or with the runtime.
+    pub fn install_fastpath(&mut self, table: &ProofTable, library: Option<&MemoLibrary>) {
         self.fastpath
             .get_or_insert_with(FastpathEngine::new)
-            .install(table);
+            .install(table, library);
     }
 
     /// Fast-path engine counters, if installed.
@@ -791,9 +796,8 @@ mod tests {
         let a = SimArray::new(&mut m, "a", 128 * EPL, 1.0f64);
         let mut rt = Runtime::with_threads(m, threads);
         if let Some(owners) = owners {
-            rt.install_fastpath(&ProofTable::fold([stripe_instance(
-                &a, "stripe", 0, &owners,
-            )]));
+            let table = ProofTable::fold([stripe_instance(&a, "stripe", 0, &owners)]);
+            rt.install_fastpath(&table, None);
         }
         rt.phase("t");
         (rt, a)
@@ -1036,10 +1040,11 @@ mod tests {
         let (mut rt, a) = striped_by(4, None);
         let owners = Schedule::Static.static_chunks(STRIPES, 4);
         if fast {
-            rt.install_fastpath(&ProofTable::fold([
+            let table = ProofTable::fold([
                 stripe_instance(&a, "stripe", 0, &owners),
                 stripe_instance(&a, "tail", 16, &owners),
-            ]));
+            ]);
+            rt.install_fastpath(&table, None);
         }
         let replays = |rt: &Runtime| rt.fastpath_stats().map_or(0, |s| s.replays);
         let mut tail_replays = 0;
@@ -1084,9 +1089,8 @@ mod tests {
         // The label says nothing about the team: proofs armed again as they
         // were derived, for four threads, are refused by size.
         let owners = Schedule::Static.static_chunks(STRIPES, 4);
-        fast.install_fastpath(&ProofTable::fold([stripe_instance(
-            &fa, "stripe", 0, &owners,
-        )]));
+        let table = ProofTable::fold([stripe_instance(&fa, "stripe", 0, &owners)]);
+        fast.install_fastpath(&table, None);
         let before = fast.fastpath_stats().expect("installed");
         for rep in 3..6 {
             stripe_rep(&mut exact, &ea, rep, |_| {});

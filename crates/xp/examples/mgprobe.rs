@@ -1,10 +1,18 @@
 //! Ad-hoc probe: wall-time effect of the phase fast path per benchmark.
 //! Usage: mgprobe [tiny|small|medium] [bench[:placement-engine]...]
+//!        mgprobe [tiny|small|medium] grid <bench>
 //!
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
 //! figures instead. Either way pages move, and the counters show the engine
-//! re-timing memos (`cpu_retimes`) where it used to re-record them.
+//! re-timing memos (`cpu_retimes`) where it used to re-record them. These
+//! runs are private (`BenchRun::new`): no run borrows another's memos, so
+//! on/off and warm compare one run with itself.
+//!
+//! `grid <bench>` runs the bench's `fig1` grid (15 cells) in plan order,
+//! once as named runs — what a sweep runs, sharing memos through the
+//! library — and once as private runs, and prints per cell the first step,
+//! the later steps and the engine's counters of each.
 
 use std::time::Instant;
 
@@ -37,6 +45,11 @@ fn main() {
         .first()
         .and_then(|s| nas::Scale::parse(s))
         .unwrap_or(nas::Scale::Tiny);
+    if args.get(1).map(String::as_str) == Some("grid") {
+        let bench = args.get(2).and_then(|b| nas::BenchName::parse(b));
+        grid(bench.unwrap_or(nas::BenchName::Mg), scale);
+        return;
+    }
     let cells: Vec<_> = if args.len() > 1 {
         args[1..].iter().filter_map(|s| parse(s)).collect()
     } else {
@@ -44,61 +57,119 @@ fn main() {
     };
     for (bench, cfg) in cells {
         let cell = format!("{}-{}", cfg.placement.label(), cfg.engine.label());
-        let t = Instant::now();
-        let slow = xp::run_one_fastpath(bench, scale, &cfg, false);
-        let w_off = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let (fast, stats) = run_with_stats(bench, scale, &cfg);
-        let w_on = t.elapsed().as_secs_f64();
-        let warm_off = run_warm(bench, scale, &cfg, false);
-        let warm_on = run_warm(bench, scale, &cfg, true);
+        let slow = timed(private(bench, scale, &cfg, false));
+        let fast = timed(private(bench, scale, &cfg, true));
         println!(
             "{} {} {cell}: off {:.4}s on {:.4}s speedup {:.2}x sim {:.6} identical={} {:?}",
             bench.label(),
             scale.label(),
-            w_off,
-            w_on,
-            w_off / w_on,
-            fast.total_secs,
-            slow.to_cache_json().to_string() == fast.to_cache_json().to_string(),
-            stats,
+            slow.total(),
+            fast.total(),
+            slow.total() / fast.total(),
+            fast.result.total_secs,
+            slow.bytes() == fast.bytes(),
+            fast.stats,
         );
         println!(
             "{} {} {cell}: warm_off {:.4}s warm_on {:.4}s warm_speedup {:.2}x",
             bench.label(),
             scale.label(),
-            warm_off,
-            warm_on,
-            warm_off / warm_on,
+            slow.later_s,
+            fast.later_s,
+            slow.later_s / fast.later_s,
         );
     }
 }
 
-/// Warm-iteration wall time: cold start plus the first step run untimed (for
-/// the fast path that is where the memos get recorded), then the remaining
-/// steps timed. Isolates the steady-state iteration cost from init and
-/// first-sight recording.
-fn run_warm(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig, fast: bool) -> f64 {
-    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
-    run.set_fastpath(fast);
+/// A private run of `bench` at `scale` under `cfg`, the fast path `on` or
+/// off.
+fn private(
+    bench: nas::BenchName,
+    scale: nas::Scale,
+    cfg: &nas::RunConfig,
+    on: bool,
+) -> nas::BenchRun {
+    let mut run = nas::BenchRun::new(|rt| nas::instantiate(bench, rt, scale), cfg);
+    run.set_fastpath(on);
+    run
+}
+
+/// What one run measured: its first step (cold start and first-sight
+/// recording included) and its later steps, timed apart.
+struct Timed {
+    first_s: f64,
+    later_s: f64,
+    stats: Option<ccnuma::FastpathStats>,
+    result: nas::RunResult,
+}
+
+impl Timed {
+    fn total(&self) -> f64 {
+        self.first_s + self.later_s
+    }
+
+    fn bytes(&self) -> String {
+        self.result.to_cache_json().to_string()
+    }
+}
+
+fn timed(mut run: nas::BenchRun) -> Timed {
+    let t = Instant::now();
     run.step();
+    let first_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
     while !run.is_done() {
         run.step();
     }
-    t.elapsed().as_secs_f64()
+    let later_s = t.elapsed().as_secs_f64();
+    let stats = run.fastpath_stats();
+    Timed {
+        first_s,
+        later_s,
+        stats,
+        result: run.finish(),
+    }
 }
 
-fn run_with_stats(
-    bench: nas::BenchName,
-    scale: nas::Scale,
-    cfg: &nas::RunConfig,
-) -> (nas::RunResult, Option<ccnuma::FastpathStats>) {
-    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
-    run.set_fastpath(true);
-    while !run.is_done() {
-        run.step();
+/// The `fig1` grid of `bench` in plan order: named runs, then private ones.
+fn grid(bench: nas::BenchName, scale: nas::Scale) {
+    let cells = xp::fig1::cells(bench, scale, true);
+    let named: Vec<Timed> = (cells.iter())
+        .map(|c| timed(nas::BenchRun::for_bench(c.bench, c.scale, &c.cfg)))
+        .collect();
+    let held = ccnuma::fastpath::library_stats();
+    let private: Vec<Timed> = (cells.iter())
+        .map(|c| timed(private(c.bench, c.scale, &c.cfg, true)))
+        .collect();
+    let sum = |runs: &[Timed], f: fn(&Timed) -> f64| runs.iter().map(f).sum::<f64>();
+    for ((cell, n), p) in cells.iter().zip(&named).zip(&private) {
+        let label = format!("{}-{}", cell.cfg.placement.label(), cell.cfg.engine.label());
+        println!(
+            "{} {} {label:<15} named first {:.4}s later {:.4}s | private first {:.4}s later \
+             {:.4}s | identical={}",
+            bench.label(),
+            scale.label(),
+            n.first_s,
+            n.later_s,
+            p.first_s,
+            p.later_s,
+            n.bytes() == p.bytes(),
+        );
+        println!("    named   {:?}", n.stats);
+        println!("    private {:?}", p.stats);
     }
-    let stats = run.fastpath_stats();
-    (run.finish(), stats)
+    println!(
+        "{} {} grid: named first {:.3}s later {:.3}s, private first {:.3}s later {:.3}s",
+        bench.label(),
+        scale.label(),
+        sum(&named, |t| t.first_s),
+        sum(&named, |t| t.later_s),
+        sum(&private, |t| t.first_s),
+        sum(&private, |t| t.later_s),
+    );
+    println!(
+        "{} {} grid: named runs left {held:?}",
+        bench.label(),
+        scale.label()
+    );
 }

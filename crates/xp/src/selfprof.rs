@@ -124,10 +124,17 @@ pub fn report_for(
     // Analysis is its own row (`nas.facts.derive`, `lint.facts.derive`)
     // only in the cell that paid for it; the counters say who did.
     let (proofs, schemes) = (nas::facts::stats(), crate::lint::static_scheme_stats());
+    let memos = ccnuma::fastpath::library_stats();
     report.note(format!(
         "analysis tables, process-wide: proof sets {} derived / {} shared, static placements \
-         {} derived / {} shared",
-        proofs.derived, proofs.shared, schemes.derived, schemes.shared
+         {} derived / {} shared, memo libraries {} held ({} images, {} class-stream bytes)",
+        proofs.derived,
+        proofs.shared,
+        schemes.derived,
+        schemes.shared,
+        memos.libraries,
+        memos.images,
+        memos.class_bytes,
     ));
     report.note(format!(
         "session wall {:.3}s, {} thread(s), {} span event(s) dropped",

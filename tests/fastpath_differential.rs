@@ -212,6 +212,126 @@ fn a_resized_job_replays_again_and_stays_bit_identical() {
     }
 }
 
+type Stats = ccnuma::FastpathStats;
+
+/// One named run of `cell` with the fast path on: its bytes and counters.
+fn named_cell(cell: &xp::grid::Cell) -> (String, Stats) {
+    let mut run = BenchRun::for_bench(cell.bench, cell.scale, &cell.cfg);
+    while !run.is_done() {
+        run.step();
+    }
+    let stats = run.fastpath_stats().expect("installed");
+    (run.finish().to_cache_json().to_string(), stats)
+}
+
+/// The memo library the named runs of `cell`'s key share, held for as long
+/// as the handle lives: a library no run holds lasts only until another
+/// run of the process is released, and the other tests of this binary
+/// release theirs at any moment.
+fn hold(cell: &xp::grid::Cell) -> ccnuma::MemoLibrary {
+    let (machine, threads) = (&cell.cfg.machine, cell.cfg.threads);
+    let mut rt = Runtime::with_threads(Machine::new(machine.clone()), threads);
+    let kernel = nas::instantiate(cell.bench, &mut rt, cell.scale);
+    let model = kernel.access_model().expect("all five kernels are modeled");
+    let proofs = nas::facts::proof_set(cell.bench, cell.scale, threads, &model);
+    ccnuma::MemoLibrary::of(&proofs, machine)
+}
+
+/// A private run of `bench` at tiny: what it counted and measured.
+fn private_run(bench: BenchName) -> (String, Option<Stats>) {
+    let cfg = RunConfig::paper_default();
+    let mut run = BenchRun::new(|rt| nas::instantiate(bench, rt, Scale::Tiny), &cfg);
+    while !run.is_done() {
+        run.step();
+    }
+    let stats = run.fastpath_stats();
+    (run.finish().to_cache_json().to_string(), stats)
+}
+
+#[test]
+fn a_grid_shares_memos_and_stays_bit_identical_in_any_order() {
+    // The fig1 grid, run as named cells three ways over one library per
+    // way: in plan order, in reverse, and split between two threads. A
+    // library is keyed by the machine's configuration too, so each way runs
+    // on a machine one virtual page larger than the last — no other test
+    // names these keys, and a page nobody maps moves no simulated byte.
+    for bench in [BenchName::Cg, BenchName::Mg] {
+        let private = private_run(bench);
+        let grid = xp::fig1::cells(bench, Scale::Tiny, true);
+        let exact: Vec<String> = (grid.iter().cloned())
+            .map(|cell| cell.run_with(Some(false)).to_cache_json().to_string())
+            .collect();
+        let on_key = |extra: usize| {
+            let mut cells = grid.clone();
+            for cell in &mut cells {
+                cell.cfg.machine.max_vpages += extra;
+            }
+            cells
+        };
+        let check = |way: &str, order: &[usize], got: &[(String, Stats)]| {
+            for (&i, (bytes, _)) in order.iter().zip(got) {
+                let (placement, engine) = (&grid[i].cfg.placement, &grid[i].cfg.engine);
+                let what = format!(
+                    "{} {way} {}-{}",
+                    bench.label(),
+                    placement.label(),
+                    engine.label()
+                );
+                assert_eq!(*bytes, exact[i], "{what}: diverged from the exact path");
+            }
+        };
+        let first_records_most = |way: &str, firsts: &[Stats], rest: &[Stats]| {
+            let most = firsts.iter().map(|s| s.cpu_records).max().unwrap_or(0);
+            for s in rest {
+                let what = format!("{} {way}: {s:?} after {firsts:?}", bench.label());
+                assert!(
+                    s.cpu_records < most,
+                    "{what}: recorded as much as the first"
+                );
+                assert!(s.cpu_borrowed > 0, "{what}: borrowed nothing");
+            }
+        };
+
+        for (way, extra, reverse) in [("in plan order", 1, false), ("in reverse", 2, true)] {
+            let cells = on_key(extra);
+            let _held = hold(&cells[0]);
+            let mut order: Vec<usize> = (0..cells.len()).collect();
+            if reverse {
+                order.reverse();
+            }
+            let got: Vec<_> = order.iter().map(|&i| named_cell(&cells[i])).collect();
+            check(way, &order, &got);
+            let stats: Vec<_> = got.iter().map(|(_, s)| *s).collect();
+            assert_eq!(
+                stats[0].cpu_borrowed, 0,
+                "{way}: the first cell starts cold"
+            );
+            first_records_most(way, &stats[..1], &stats[1..]);
+        }
+
+        let cells = on_key(3);
+        let _held = hold(&cells[0]);
+        let halves: Vec<Vec<usize>> = (0..2)
+            .map(|h| (h..cells.len()).step_by(2).collect())
+            .collect();
+        let got: Vec<Vec<_>> = std::thread::scope(|s| {
+            let runs: Vec<_> = (halves.iter())
+                .map(|half| s.spawn(|| half.iter().map(|&i| named_cell(&cells[i])).collect()))
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let firsts: Vec<_> = got.iter().map(|half: &Vec<_>| half[0].1).collect();
+        for (half, got) in halves.iter().zip(&got) {
+            check("on two threads", half, got);
+            let rest: Vec<_> = got[1..].iter().map(|(_, s)| *s).collect();
+            first_records_most("on two threads", &firsts, &rest);
+        }
+
+        // A private run shares nothing, before the grids or after them.
+        assert_eq!(private_run(bench), private, "{}", bench.label());
+    }
+}
+
 #[test]
 fn describing_is_invisible() {
     // The access model is the kernel's own text run on a probe that drops

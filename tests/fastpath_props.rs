@@ -182,7 +182,8 @@ fn run_moving(
     let proof = derive_loop_proof("p/loop", &loop_model(p, n, schedule, base), threads);
     let eligible = proof.is_some();
     if fast {
-        rt.install_fastpath(&ccnuma::ProofTable::fold([("p/loop".to_string(), proof)]));
+        let table = ccnuma::ProofTable::fold([("p/loop".to_string(), proof)]);
+        rt.install_fastpath(&table, None);
     }
     rt.phase("p");
     let mut homeward = Vec::new();
