@@ -22,7 +22,7 @@
 
 use crate::adi::{Adi, AdiConfig, AdiState, LineSolve, SweepAxis};
 use crate::common::BenchName;
-use crate::la::{self, BVec, Block};
+use crate::la::{self, Block, LaneBlock, LaneVec, B};
 use crate::model::{Exec, Mem};
 use omp::Schedule;
 use std::rc::Rc;
@@ -32,32 +32,30 @@ pub type Bt = Adi<BlockTri>;
 /// BT problem parameters.
 pub type BtConfig = AdiConfig;
 
+/// Lines one [`la::block_tridiag_lanes`] call solves abreast.
+const LANES: usize = 4;
+
 /// The constant 5x5 coupling matrix added to the diagonal blocks — small
 /// off-diagonal terms that force genuine block (not scalar) solves.
 fn coupling() -> Block {
     let mut k = [0.0; 25];
-    for r in 0..la::B {
-        for c in 0..la::B {
+    for r in 0..B {
+        for c in 0..B {
             if r != c {
-                k[r * la::B + c] = 0.02 / (1.0 + (r as f64 - c as f64).abs());
+                k[r * B + c] = 0.02 / (1.0 + (r as f64 - c as f64).abs());
             }
         }
     }
     k
 }
 
-/// Diagonal-block contribution from the local field value:
-/// `K + diag(u) * eps_weight` scaled by `scale`.
-fn phi(coupling: &Block, u5: &BVec, scale: f64) -> Block {
-    let mut m = [0.0; 25];
-    for r in 0..la::B {
-        for c in 0..la::B {
-            let base = coupling[r * la::B + c];
-            let diag = if r == c { u5[r] } else { 0.0 };
-            m[r * la::B + c] = scale * (base + 0.05 * diag);
-        }
-    }
-    m
+/// Entry `(r, c)` of the block `identity * I + scale * (K + 0.05 * diag(u5))`
+/// (`ur` is `u5[r]`), evaluated as the identity's entry plus the scaled
+/// coupling's. Only a diagonal entry depends on `u`.
+#[inline(always)]
+fn entry(coupling: &Block, r: usize, c: usize, identity: f64, ur: f64, scale: f64) -> f64 {
+    let (id, diag) = if r == c { (identity, ur) } else { (0.0, 0.0) };
+    id + scale * (coupling[r * B + c] + 0.05 * diag)
 }
 
 /// BT's line solve: one 5x5 block-tridiagonal system per grid line.
@@ -79,65 +77,155 @@ impl LineSolve for BlockTri {
     /// Solve all lines along `axis`: for each line, assemble the 5x5 block
     /// tridiagonal operator `(I - A_axis)` from `u` and solve it against
     /// the line's `rhs`, writing the result back into `rhs`.
+    ///
+    /// The inner lines of one outer index are solved [`LANES`] abreast (a
+    /// short group repeats its first line in its spare lanes). The solve
+    /// reads the group's `u` and `rhs` ahead with `peek` — its lines are
+    /// disjoint, so that is what their loads return — and each line then
+    /// issues its loads, its flop charge and its stores in the order a
+    /// line-at-a-time solve would: the simulated access stream, and so the
+    /// described model, is the kernel text's.
     fn sweep<E: Exec>(&self, ex: &mut E, state: &Rc<AdiState>, cfg: &AdiConfig, axis: SweepAxis) {
         let s = state.clone();
         let g = s.grid;
         let AdiConfig { r, eps, .. } = *cfg;
         let coupling = self.coupling;
         let (n, outer_extent, inner_extent) = axis.extents(g);
+        // (I - A): A couples neighbours with -r plus the u-dependent phi
+        // blocks (periodic wrap folded into the first/last off-blocks being
+        // dropped — the tridiagonal solver treats the line as
+        // Dirichlet-truncated, a standard ADI line treatment). The block
+        // built from u[k] is the diagonal of row k, and the off-diagonal
+        // of rows k - 1 and k + 1 alike.
+        let (diag_id, diag_scale, off_id, off_scale) = (1.0 + 2.0 * r, eps, -r, -0.5 * eps);
+        let template = |identity: f64, scale: f64| -> LaneBlock<LANES> {
+            std::array::from_fn(|i| [entry(&coupling, i / B, i % B, identity, 0.0, scale); LANES])
+        };
+        let (diag_template, off_template) =
+            (template(diag_id, diag_scale), template(off_id, off_scale));
         ex.for_each(
             axis.name(),
             outer_extent,
             Schedule::Static,
             move |m, outer| {
-                let mut sub = vec![[0.0; 25]; n];
-                let mut diag = vec![[0.0; 25]; n];
-                let mut sup = vec![[0.0; 25]; n];
-                let mut line_rhs: Vec<BVec> = vec![[0.0; 5]; n];
-                let mut line_u: Vec<BVec> = vec![[0.0; 5]; n];
-                for inner in 0..inner_extent {
-                    // Gather the line's field and rhs.
-                    for k in 0..n {
-                        let (x, y, z) = axis.coord(outer, inner, k);
-                        line_u[k] = s.read_u5(m, x, y, z);
-                        for c in 0..5 {
-                            line_rhs[k][c] = m.get(&s.rhs, g.idx(c, x, y, z));
-                        }
-                    }
+                // Off-diagonal entries are the templates' for the whole sweep;
+                // a group writes the diagonals only.
+                let mut diag = vec![diag_template; n];
+                let mut off = vec![off_template; n];
+                let mut rhs: Vec<LaneVec<LANES>> = vec![[[0.0; LANES]; B]; n];
+                let mut cp: Vec<LaneBlock<LANES>> = vec![[[0.0; LANES]; B * B]; n - 1];
+                for first in (0..inner_extent).step_by(LANES) {
                     let mut flops = 0;
                     m.host(|| {
-                        // Assemble (I - A): A couples neighbours with -r plus
-                        // the u-dependent phi blocks (periodic wrap folded into
-                        // the first/last off-blocks being dropped — the
-                        // tridiagonal solver treats the line as
-                        // Dirichlet-truncated, a standard ADI line treatment).
-                        let block = |identity: f64, u5: &BVec, scale: f64| {
-                            let mut b = la::scaled_identity5(identity);
-                            let phi = phi(&coupling, u5, scale);
-                            for i in 0..25 {
-                                b[i] += phi[i];
+                        let _hp = hostprof::span_hot("nas.line_solve");
+                        for l in 0..LANES {
+                            // A short group's spare lanes repeat its first line.
+                            let inner = if first + l < inner_extent {
+                                first + l
+                            } else {
+                                first
+                            };
+                            for k in 0..n {
+                                let (x, y, z) = axis.coord(outer, inner, k);
+                                for c in 0..B {
+                                    let i = g.idx(c, x, y, z);
+                                    let u = s.u.peek(i);
+                                    diag[k][c * B + c][l] =
+                                        entry(&coupling, c, c, diag_id, u, diag_scale);
+                                    off[k][c * B + c][l] =
+                                        entry(&coupling, c, c, off_id, u, off_scale);
+                                    rhs[k][c][l] = s.rhs.peek(i);
+                                }
                             }
-                            b
-                        };
-                        for k in 0..n {
-                            diag[k] = block(1.0 + 2.0 * r, &line_u[k], eps);
-                            sub[k] = block(-r, &line_u[(k + n - 1) % n], -0.5 * eps);
-                            sup[k] = block(-r, &line_u[(k + 1) % n], -0.5 * eps);
                         }
-                        flops = la::block_tridiag_solve(&sub, &diag, &sup, &mut line_rhs)
-                            .expect("BT blocks are diagonally dominant");
+                        flops = la::block_tridiag_lanes(
+                            &off[..n - 1],
+                            &diag,
+                            &off[1..],
+                            &mut rhs,
+                            &mut cp,
+                        )
+                        .expect("BT blocks are diagonally dominant");
                     });
-                    // Assembly arithmetic: ~3 block builds of 25 entries each.
-                    m.flops(flops + (n as u64) * 150);
-                    // Scatter the solved line back.
-                    for k in 0..n {
-                        let (x, y, z) = axis.coord(outer, inner, k);
-                        for c in 0..5 {
-                            m.set(&s.rhs, g.idx(c, x, y, z), line_rhs[k][c]);
+                    for (l, inner) in (first..inner_extent).take(LANES).enumerate() {
+                        // The line's gathers, whose values the solve read ahead.
+                        for k in 0..n {
+                            let (x, y, z) = axis.coord(outer, inner, k);
+                            s.read_u5(m, x, y, z);
+                            for c in 0..B {
+                                m.get(&s.rhs, g.idx(c, x, y, z));
+                            }
+                        }
+                        // Assembly arithmetic: ~3 block builds of 25 entries each.
+                        m.flops(flops + (n as u64) * 150);
+                        // Scatter the solved line back.
+                        for k in 0..n {
+                            let (x, y, z) = axis.coord(outer, inner, k);
+                            for c in 0..B {
+                                m.set(&s.rhs, g.idx(c, x, y, z), rhs[k][c][l]);
+                            }
                         }
                     }
                 }
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::{NasBenchmark, Scale};
+    use ccnuma::{AccessKind, Machine, MachineConfig};
+    use omp::Runtime;
+
+    /// Each sweep's described stream is, per line of every outer index, the
+    /// line's gathers (`u` then `rhs`, five components per point) followed
+    /// by its scatters — enumerated here independently of the kernel text,
+    /// at tiny scale and on a 6-cube whose last group of lines is short.
+    #[test]
+    fn each_line_is_gathered_then_scattered_in_order() {
+        for cfg in [
+            AdiConfig::for_scale(Scale::Tiny),
+            AdiConfig {
+                nx: 6,
+                ny: 6,
+                nz: 6,
+                ..AdiConfig::for_scale(Scale::Tiny)
+            },
+        ] {
+            let mut rt = Runtime::new(Machine::new(MachineConfig::origin2000_16p()));
+            let bt = Bt::with_config(&mut rt, cfg);
+            let model = bt.access_model().expect("BT describes itself");
+            let s = bt.state();
+            let g = s.grid;
+            for axis in [SweepAxis::X, SweepAxis::Y, SweepAxis::Z] {
+                let phase = model.iteration().iter().find(|p| p.name() == axis.name());
+                let [sweep] = phase.expect("one phase per sweep").loops() else {
+                    panic!("one loop per sweep at phase scale 1");
+                };
+                let (n, outer_extent, inner_extent) = axis.extents(g);
+                assert_eq!(sweep.n(), outer_extent);
+                for outer in 0..outer_extent {
+                    let mut got = Vec::new();
+                    sweep.for_each_access(outer, &mut |vaddr, kind| got.push((vaddr, kind)));
+                    let mut want = Vec::new();
+                    for inner in 0..inner_extent {
+                        let at = |array: &ccnuma::SimArray<f64>, c, k| {
+                            let (x, y, z) = axis.coord(outer, inner, k);
+                            array.vaddr_of(g.idx(c, x, y, z))
+                        };
+                        for k in 0..n {
+                            want.extend((0..5).map(|c| (at(&s.u, c, k), AccessKind::Read)));
+                            want.extend((0..5).map(|c| (at(&s.rhs, c, k), AccessKind::Read)));
+                        }
+                        for k in 0..n {
+                            want.extend((0..5).map(|c| (at(&s.rhs, c, k), AccessKind::Write)));
+                        }
+                    }
+                    assert_eq!(got, want, "{} outer {outer}", axis.name());
+                }
+            }
+        }
     }
 }

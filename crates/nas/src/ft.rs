@@ -14,7 +14,7 @@
 //! (page-level false sharing between pass directions).
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
-use crate::la::{fft_inplace, C64};
+use crate::la::{FftPlan, C64};
 use crate::model::{Arr, Describe, Exec, KernelModel, Mem};
 use ccnuma::{ArrayLayout, SimArray};
 use omp::{Runtime, Schedule};
@@ -131,11 +131,12 @@ impl Ft {
     /// Full 3-D FFT of `arr` in place: one 1-D pass per axis, the loops
     /// named `{prefix}_pass{axis}`.
     fn fft3d<E: Exec>(ex: &mut E, prefix: &str, arr: &Arr<C64>, n: usize, inverse: bool) {
+        let plan = Rc::new(FftPlan::new(n, inverse));
         for axis in 0..3 {
             // Pencil gather/compute/scatter. The x and y passes parallelize
             // over z (slab-local); the z pass parallelizes over y
             // (slab-crossing).
-            let arr = arr.clone();
+            let (arr, plan) = (arr.clone(), plan.clone());
             let name = format!("{prefix}_pass{axis}");
             ex.for_each(&name, n, Schedule::Static, move |m, o| {
                 let mut line = vec![(0.0, 0.0); n];
@@ -144,7 +145,10 @@ impl Ft {
                         *slot = m.get(&arr, Self::pencil(n, axis, o, s, k));
                     }
                     let mut flops = 0;
-                    m.host(|| flops = fft_inplace(&mut line, inverse));
+                    m.host(|| {
+                        let _hp = hostprof::span_hot("nas.line_solve");
+                        flops = plan.run(&mut line);
+                    });
                     m.flops(flops);
                     for (k, slot) in line.iter().enumerate() {
                         m.set(&arr, Self::pencil(n, axis, o, s, k), *slot);
@@ -255,6 +259,7 @@ impl Ft {
 
 /// Host-side 3-D FFT used by verification.
 fn host_fft3d(data: &mut [C64], n: usize, inverse: bool) {
+    let plan = FftPlan::new(n, inverse);
     let mut line = vec![(0.0, 0.0); n];
     for axis in 0..3 {
         for o in 0..n {
@@ -262,7 +267,7 @@ fn host_fft3d(data: &mut [C64], n: usize, inverse: bool) {
                 for (k, slot) in line.iter_mut().enumerate() {
                     *slot = data[Ft::pencil(n, axis, o, s, k)];
                 }
-                fft_inplace(&mut line, inverse);
+                plan.run(&mut line);
                 for (k, slot) in line.iter().enumerate() {
                     data[Ft::pencil(n, axis, o, s, k)] = *slot;
                 }

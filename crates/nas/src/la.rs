@@ -1,6 +1,6 @@
-//! Host-side numerical kernels used by the benchmarks: 5x5 block linear
-//! algebra for BT, pentadiagonal solves for SP, and a radix-2 complex FFT
-//! for FT.
+//! Host-side numerical kernels used by the benchmarks: 5x5 block
+//! tridiagonal solves for BT (several lines abreast), pentadiagonal solves
+//! for SP, and a radix-2 complex FFT for FT.
 //!
 //! These routines run on values the kernels have already read through the
 //! simulated memory system; their arithmetic cost is charged as flops via
@@ -15,6 +15,14 @@ pub type Block = [f64; B * B];
 /// A length-5 block vector.
 pub type BVec = [f64; B];
 
+/// `L` 5x5 blocks side by side, stored element-major: entry `(r, c)` of
+/// lane `l` is `[r * B + c][l]`, so one entry of every lane is one
+/// contiguous `[f64; L]`.
+pub type LaneBlock<const L: usize> = [[f64; L]; B * B];
+
+/// `L` block vectors side by side, element-major.
+pub type LaneVec<const L: usize> = [[f64; L]; B];
+
 /// Approximate flop cost of one 5x5 Gauss-Jordan inversion.
 pub const INV5_FLOPS: u64 = 2 * (B * B * B) as u64;
 /// Approximate flop cost of one 5x5 by 5x5 multiply.
@@ -22,118 +30,230 @@ pub const MATMUL5_FLOPS: u64 = 2 * (B * B * B) as u64;
 /// Approximate flop cost of one 5x5 by 5-vector multiply.
 pub const MATVEC5_FLOPS: u64 = 2 * (B * B) as u64;
 
-/// `out = m * v` for a 5x5 block.
-#[inline]
-pub fn matvec5(m: &Block, v: &BVec) -> BVec {
-    let mut out = [0.0; B];
-    for (r, o) in out.iter_mut().enumerate() {
-        let row = &m[r * B..(r + 1) * B];
-        *o = row.iter().zip(v.iter()).map(|(a, b)| a * b).sum();
+/// `m * v` per lane. Each sum starts from `-0.0`, as `Iterator::sum` does.
+#[inline(always)]
+fn matvec<const L: usize>(m: &LaneBlock<L>, v: &LaneVec<L>) -> LaneVec<L> {
+    let mut out = [[-0.0; L]; B];
+    for (r, acc) in out.iter_mut().enumerate() {
+        for (k, vk) in v.iter().enumerate() {
+            let mk = m[r * B + k];
+            for l in 0..L {
+                acc[l] += mk[l] * vk[l];
+            }
+        }
     }
     out
 }
 
-/// `out = a * b` for 5x5 blocks.
-#[inline]
-pub fn matmul5(a: &Block, b: &Block) -> Block {
-    let mut out = [0.0; B * B];
+/// `x` where `keep`, `+0.0` elsewhere: a bit mask rather than a branch, so
+/// that a skipped term is a per-lane no-op in lockstep code.
+#[inline(always)]
+fn masked(x: f64, keep: bool) -> f64 {
+    f64::from_bits(x.to_bits() & u64::from(keep).wrapping_neg())
+}
+
+/// `a * b` per lane, handing `put` each entry's index and value. Each sum
+/// runs over `k` in order from `0.0`, and a zero factor of `a` is skipped in
+/// its lane only (adding `0 * x` would propagate NaN): its term is `+0.0`
+/// instead, which leaves a sum unchanged because a sum that starts from
+/// `+0.0` is never `-0.0`.
+#[inline(always)]
+fn matmul<const L: usize>(
+    a: &LaneBlock<L>,
+    b: &LaneBlock<L>,
+    mut put: impl FnMut(usize, [f64; L]),
+) {
     for r in 0..B {
+        let mut acc = [[0.0; L]; B];
         for k in 0..B {
             let av = a[r * B + k];
-            if av == 0.0 {
-                continue;
+            for (c, o) in acc.iter_mut().enumerate() {
+                let bv = b[k * B + c];
+                for l in 0..L {
+                    o[l] += masked(av[l] * bv[l], av[l] != 0.0);
+                }
+            }
+        }
+        for (c, o) in acc.into_iter().enumerate() {
+            put(r * B + c, o);
+        }
+    }
+}
+
+/// `a - b` per lane.
+#[inline(always)]
+fn sub<const L: usize>(mut a: [f64; L], b: [f64; L]) -> [f64; L] {
+    for l in 0..L {
+        a[l] -= b[l];
+    }
+    a
+}
+
+/// `a - b` per entry and lane.
+#[inline(always)]
+fn vecsub<const L: usize>(mut a: LaneVec<L>, b: &LaneVec<L>) -> LaneVec<L> {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = sub(*x, *y);
+    }
+    a
+}
+
+/// Invert each lane's block of `a` into `inv` by Gauss-Jordan elimination
+/// with partial pivoting, every lane choosing its own pivot rows; `a` is
+/// consumed. Returns `false` when any lane's block is (numerically)
+/// singular.
+#[inline(always)]
+fn invert<const L: usize>(a: &mut LaneBlock<L>, inv: &mut LaneBlock<L>) -> bool {
+    const { assert!(B == 5) };
+    for (i, e) in inv.iter_mut().enumerate() {
+        *e = [if i % (B + 1) == 0 { 1.0 } else { 0.0 }; L];
+    }
+    // One call per column, so that every bound below is a constant.
+    pivot_column::<0, L>(a, inv)
+        && pivot_column::<1, L>(a, inv)
+        && pivot_column::<2, L>(a, inv)
+        && pivot_column::<3, L>(a, inv)
+        && pivot_column::<4, L>(a, inv)
+}
+
+/// Gauss-Jordan step `COL` of [`invert`]: pivot, scale the pivot row,
+/// eliminate column `COL` from every other row.
+#[inline(always)]
+fn pivot_column<const COL: usize, const L: usize>(
+    a: &mut LaneBlock<L>,
+    inv: &mut LaneBlock<L>,
+) -> bool {
+    // Partial pivot: the first strict maximum wins.
+    let mut pivot_row = [COL; L];
+    let mut pivot_val = a[COL * B + COL].map(f64::abs);
+    for r in COL + 1..B {
+        let v = a[r * B + COL].map(f64::abs);
+        for l in 0..L {
+            if v[l] > pivot_val[l] {
+                pivot_val[l] = v[l];
+                pivot_row[l] = r;
+            }
+        }
+    }
+    if pivot_val.iter().any(|&v| v < 1e-300) {
+        return false;
+    }
+    // Columns of `a` left of `COL` are never read again, so eliminated
+    // columns are neither swapped, scaled nor updated.
+    for (l, &p) in pivot_row.iter().enumerate() {
+        if p != COL {
+            for c in COL..B {
+                let t = a[COL * B + c][l];
+                a[COL * B + c][l] = a[p * B + c][l];
+                a[p * B + c][l] = t;
             }
             for c in 0..B {
-                out[r * B + c] += av * b[k * B + c];
+                let t = inv[COL * B + c][l];
+                inv[COL * B + c][l] = inv[p * B + c][l];
+                inv[p * B + c][l] = t;
             }
         }
     }
-    out
-}
-
-/// `a - b` elementwise.
-#[inline]
-pub fn matsub5(a: &Block, b: &Block) -> Block {
-    let mut out = [0.0; B * B];
-    for i in 0..B * B {
-        out[i] = a[i] - b[i];
-    }
-    out
-}
-
-/// `a - b` for block vectors.
-#[inline]
-pub fn vecsub5(a: &BVec, b: &BVec) -> BVec {
-    let mut out = [0.0; B];
-    for i in 0..B {
-        out[i] = a[i] - b[i];
-    }
-    out
-}
-
-/// Invert a 5x5 block with Gauss-Jordan elimination and partial pivoting.
-/// Returns `None` for (numerically) singular blocks.
-pub fn inv5(m: &Block) -> Option<Block> {
-    let mut a = *m;
-    let mut inv: Block = [0.0; B * B];
-    for i in 0..B {
-        inv[i * B + i] = 1.0;
-    }
-    for col in 0..B {
-        // Partial pivot.
-        let mut pivot_row = col;
-        let mut pivot_val = a[col * B + col].abs();
-        for r in col + 1..B {
-            let v = a[r * B + col].abs();
-            if v > pivot_val {
-                pivot_val = v;
-                pivot_row = r;
-            }
+    let p = a[COL * B + COL];
+    for c in COL + 1..B {
+        for l in 0..L {
+            a[COL * B + c][l] /= p[l];
         }
-        if pivot_val < 1e-300 {
+    }
+    for c in 0..B {
+        for l in 0..L {
+            inv[COL * B + c][l] /= p[l];
+        }
+    }
+    for r in 0..B {
+        if r == COL {
+            continue;
+        }
+        // A zero factor leaves its lane's row as it is: subtracting `+0.0`
+        // is the identity on every value, `-0.0` included.
+        let f = a[r * B + COL];
+        let eliminate = |x: &mut [f64; L], pivot: [f64; L]| {
+            for l in 0..L {
+                x[l] -= masked(f[l] * pivot[l], f[l] != 0.0);
+            }
+        };
+        for c in COL + 1..B {
+            let pivot = a[COL * B + c];
+            eliminate(&mut a[r * B + c], pivot);
+        }
+        for c in 0..B {
+            let pivot = inv[COL * B + c];
+            eliminate(&mut inv[r * B + c], pivot);
+        }
+    }
+    true
+}
+
+/// Solve `L` independent block-tridiagonal systems in lockstep (the Thomas
+/// algorithm with 5x5 blocks), each lane performing exactly the operations
+/// a one-lane solve of its system performs:
+/// `lower[i-1] X[i-1] + diag[i] X[i] + upper[i] X[i+1] = R[i]` for
+/// `i = 0..n`, so `lower` and `upper` hold `n - 1` blocks each. `rhs` is
+/// overwritten with the solutions; `cp` is scratch for at least `n - 1`
+/// blocks. Returns the flops one lane spent, or `None` on a singular pivot
+/// in any lane.
+pub fn block_tridiag_lanes<const L: usize>(
+    lower: &[LaneBlock<L>],
+    diag: &[LaneBlock<L>],
+    upper: &[LaneBlock<L>],
+    rhs: &mut [LaneVec<L>],
+    cp: &mut [LaneBlock<L>],
+) -> Option<u64> {
+    let n = diag.len();
+    let coupled = n.saturating_sub(1);
+    assert!(lower.len() == coupled && upper.len() == coupled && rhs.len() == n);
+    assert!(cp.len() >= coupled);
+    if n == 0 {
+        return Some(0);
+    }
+    // Forward elimination: cp[i] = pivot^-1 * upper[i]; rhs[i] = pivot^-1 * (...).
+    // The first row's `cp` product is charged even when there is no
+    // upper block to multiply.
+    let (mut pivot, mut pivot_inv) = (diag[0], [[0.0; L]; B * B]);
+    if !invert(&mut pivot, &mut pivot_inv) {
+        return None;
+    }
+    let mut flops = INV5_FLOPS + MATMUL5_FLOPS + MATVEC5_FLOPS;
+    if n > 1 {
+        matmul(&pivot_inv, &upper[0], |e, x| cp[0][e] = x);
+    }
+    rhs[0] = matvec(&pivot_inv, &rhs[0]);
+    for i in 1..n {
+        matmul(&lower[i - 1], &cp[i - 1], |e, x| {
+            pivot[e] = sub(diag[i][e], x)
+        });
+        if !invert(&mut pivot, &mut pivot_inv) {
             return None;
         }
-        if pivot_row != col {
-            for c in 0..B {
-                a.swap(col * B + c, pivot_row * B + c);
-                inv.swap(col * B + c, pivot_row * B + c);
-            }
+        flops += MATMUL5_FLOPS + INV5_FLOPS;
+        if i + 1 < n {
+            let cpi = &mut cp[i];
+            matmul(&pivot_inv, &upper[i], |e, x| cpi[e] = x);
+            flops += MATMUL5_FLOPS;
         }
-        let p = a[col * B + col];
-        for c in 0..B {
-            a[col * B + c] /= p;
-            inv[col * B + c] /= p;
-        }
-        for r in 0..B {
-            if r == col {
-                continue;
-            }
-            let f = a[r * B + col];
-            if f == 0.0 {
-                continue;
-            }
-            for c in 0..B {
-                a[r * B + c] -= f * a[col * B + c];
-                inv[r * B + c] -= f * inv[col * B + c];
-            }
-        }
+        let r = vecsub(rhs[i], &matvec(&lower[i - 1], &rhs[i - 1]));
+        rhs[i] = matvec(&pivot_inv, &r);
+        flops += 2 * MATVEC5_FLOPS;
     }
-    Some(inv)
+    // Back substitution.
+    for i in (0..n - 1).rev() {
+        let correction = matvec(&cp[i], &rhs[i + 1]);
+        rhs[i] = vecsub(rhs[i], &correction);
+        flops += MATVEC5_FLOPS;
+    }
+    Some(flops)
 }
 
-/// Identity block scaled by `s`.
-pub fn scaled_identity5(s: f64) -> Block {
-    let mut m = [0.0; B * B];
-    for i in 0..B {
-        m[i * B + i] = s;
-    }
-    m
-}
-
-/// Solve a block-tridiagonal system in place (Thomas algorithm with 5x5
-/// blocks): `A[i] X[i-1] + Bd[i] X[i] + C[i] X[i+1] = R[i]` for
-/// `i = 0..n` (with `A[0]` and `C[n-1]` ignored). `rhs` is overwritten with
-/// the solution. Returns the flops spent, or `None` on a singular pivot.
+/// Solve one block-tridiagonal system in place, the one-lane
+/// [`block_tridiag_lanes`]: `A[i] X[i-1] + Bd[i] X[i] + C[i] X[i+1] = R[i]`
+/// for `i = 0..n` (with `A[0]` and `C[n-1]` ignored). `rhs` is overwritten
+/// with the solution. Returns the flops spent, or `None` on a singular
+/// pivot.
 pub fn block_tridiag_solve(
     a: &[Block],
     bd: &[Block],
@@ -142,34 +262,16 @@ pub fn block_tridiag_solve(
 ) -> Option<u64> {
     let n = bd.len();
     assert!(a.len() == n && c.len() == n && rhs.len() == n);
-    if n == 0 {
-        return Some(0);
-    }
-    let mut flops = 0u64;
-    // Forward elimination: cp[i] = pivot^-1 * c[i]; rhs[i] = pivot^-1 * (...)
-    let mut cp: Vec<Block> = vec![[0.0; B * B]; n];
-    let mut pivot_inv = inv5(&bd[0])?;
-    flops += INV5_FLOPS;
-    cp[0] = matmul5(&pivot_inv, &c[0]);
-    rhs[0] = matvec5(&pivot_inv, &rhs[0]);
-    flops += MATMUL5_FLOPS + MATVEC5_FLOPS;
-    for i in 1..n {
-        let pivot = matsub5(&bd[i], &matmul5(&a[i], &cp[i - 1]));
-        pivot_inv = inv5(&pivot)?;
-        flops += MATMUL5_FLOPS + INV5_FLOPS;
-        if i + 1 < n {
-            cp[i] = matmul5(&pivot_inv, &c[i]);
-            flops += MATMUL5_FLOPS;
-        }
-        let r = vecsub5(&rhs[i], &matvec5(&a[i], &rhs[i - 1]));
-        rhs[i] = matvec5(&pivot_inv, &r);
-        flops += 2 * MATVEC5_FLOPS;
-    }
-    // Back substitution.
-    for i in (0..n - 1).rev() {
-        let correction = matvec5(&cp[i], &rhs[i + 1]);
-        rhs[i] = vecsub5(&rhs[i], &correction);
-        flops += MATVEC5_FLOPS;
+    let coupled = n.saturating_sub(1);
+    let lane = |b: &Block| b.map(|x| [x]);
+    let lower: Vec<LaneBlock<1>> = a.iter().skip(1).map(lane).collect();
+    let diag: Vec<LaneBlock<1>> = bd.iter().map(lane).collect();
+    let upper: Vec<LaneBlock<1>> = c[..coupled].iter().map(lane).collect();
+    let mut x: Vec<LaneVec<1>> = rhs.iter().map(|v| v.map(|e| [e])).collect();
+    let mut cp = vec![[[0.0; 1]; B * B]; coupled];
+    let flops = block_tridiag_lanes(&lower, &diag, &upper, &mut x, &mut cp)?;
+    for (r, v) in rhs.iter_mut().zip(&x) {
+        *r = v.map(|[e]| e);
     }
     Some(flops)
 }
@@ -177,15 +279,16 @@ pub fn block_tridiag_solve(
 /// Solve a scalar pentadiagonal system in place:
 /// `e[i] x[i-2] + a[i] x[i-1] + d[i] x[i] + c[i] x[i+1] + f[i] x[i+2] = r[i]`.
 /// Bands outside the matrix are ignored. `r` is overwritten with the
-/// solution. Returns flops, or `None` on a zero pivot. Plain Gaussian
+/// solution, and `a`, `d` and `c` are the caller's scratch: the elimination
+/// works in them. Returns flops, or `None` on a zero pivot. Plain Gaussian
 /// elimination without pivoting — valid for the diagonally dominant systems
 /// SP assembles.
 #[allow(clippy::many_single_char_names)]
 pub fn penta_solve(
     e: &[f64],
-    a: &[f64],
-    d: &[f64],
-    c: &[f64],
+    a: &mut [f64],
+    d: &mut [f64],
+    c: &mut [f64],
     f: &[f64],
     r: &mut [f64],
 ) -> Option<u64> {
@@ -197,40 +300,36 @@ pub fn penta_solve(
     // Pentadiagonal Gaussian elimination generates no fill-in: eliminating
     // the two sub-band entries of column i with row i (whose nonzeros sit at
     // columns i..i+2) only touches columns i+1 and i+2 of rows i+1 and i+2,
-    // which are inside their bands. Working copies of the mutable bands:
-    let mut aa = a.to_vec();
-    let mut dd = d.to_vec();
-    let mut cc = c.to_vec();
-    let ff = f; // the outermost super-band is never modified
+    // which are inside their bands. The outermost bands are never modified.
     let mut flops = 0u64;
     for i in 0..n {
-        if dd[i].abs() < 1e-300 {
+        if d[i].abs() < 1e-300 {
             return None;
         }
         // Eliminate row i+1's column-i entry (the a band).
         if i + 1 < n {
-            let m1 = aa[i + 1] / dd[i];
-            dd[i + 1] -= m1 * cc[i];
-            cc[i + 1] -= m1 * ff[i]; // row i+1, column i+2
+            let m1 = a[i + 1] / d[i];
+            d[i + 1] -= m1 * c[i];
+            c[i + 1] -= m1 * f[i]; // row i+1, column i+2
             r[i + 1] -= m1 * r[i];
             flops += 7;
         }
         // Eliminate row i+2's column-i entry (the e band).
         if i + 2 < n {
-            let m2 = e[i + 2] / dd[i];
-            aa[i + 2] -= m2 * cc[i]; // row i+2, column i+1
-            dd[i + 2] -= m2 * ff[i]; // row i+2, column i+2
+            let m2 = e[i + 2] / d[i];
+            a[i + 2] -= m2 * c[i]; // row i+2, column i+1
+            d[i + 2] -= m2 * f[i]; // row i+2, column i+2
             r[i + 2] -= m2 * r[i];
             flops += 7;
         }
     }
-    // Back substitution against the upper-triangular band {dd, cc, ff}.
-    r[n - 1] /= dd[n - 1];
+    // Back substitution against the upper-triangular band {d, c, f}.
+    r[n - 1] /= d[n - 1];
     if n >= 2 {
-        r[n - 2] = (r[n - 2] - cc[n - 2] * r[n - 1]) / dd[n - 2];
+        r[n - 2] = (r[n - 2] - c[n - 2] * r[n - 1]) / d[n - 2];
     }
     for i in (0..n.saturating_sub(2)).rev() {
-        r[i] = (r[i] - cc[i] * r[i + 1] - ff[i] * r[i + 2]) / dd[i];
+        r[i] = (r[i] - c[i] * r[i + 1] - f[i] * r[i + 2]) / d[i];
         flops += 5;
     }
     Some(flops)
@@ -254,66 +353,130 @@ fn cmul(a: C64, b: C64) -> C64 {
     (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
 }
 
-/// In-place radix-2 decimation-in-time FFT of a power-of-two-length buffer.
-/// `inverse` selects the inverse transform (including the 1/n scaling).
-/// Returns the flop count.
-pub fn fft_inplace(data: &mut [C64], inverse: bool) -> u64 {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    if n <= 1 {
-        return 0;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    let mut flops = 0u64;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = (ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
+/// A radix-2 decimation-in-time FFT of one power-of-two length and
+/// direction, with its twiddle factors built once: for each stage
+/// `len = 2, 4, …, n`, the factors `w(0) = 1`, `w(k + 1) = w(k) * wlen` for
+/// `k < len / 2`, `wlen = exp(∓2πi / len)` — the recurrence a transform
+/// would otherwise run per butterfly group, so every line transformed with
+/// the plan sees the same factors bit for bit.
+pub struct FftPlan {
+    n: usize,
+    inverse: bool,
+    /// Stage `len`'s factors at `len / 2 - 1 .. len - 1`.
+    twiddles: Vec<C64>,
+}
+
+impl FftPlan {
+    /// The plan for length `n`; `inverse` selects the inverse transform
+    /// (including the 1/n scaling).
+    pub fn new(n: usize, inverse: bool) -> Self {
+        assert!(n.is_power_of_two(), "FFT length must be a power of two");
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = (ang.cos(), ang.sin());
             let mut w = (1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = cmul(data[i + k + len / 2], w);
-                data[i + k] = cadd(u, v);
-                data[i + k + len / 2] = csub(u, v);
+            for _ in 0..len / 2 {
+                twiddles.push(w);
                 w = cmul(w, wlen);
-                flops += 16;
             }
-            i += len;
+            len <<= 1;
         }
-        len <<= 1;
-    }
-    if inverse {
-        let inv_n = 1.0 / n as f64;
-        for d in data.iter_mut() {
-            d.0 *= inv_n;
-            d.1 *= inv_n;
+        Self {
+            n,
+            inverse,
+            twiddles,
         }
-        flops += 2 * n as u64;
     }
-    flops
+
+    /// Every stage's twiddle factors, stage by stage.
+    pub fn twiddles(&self) -> &[C64] {
+        &self.twiddles
+    }
+
+    /// Transform `data` (of the plan's length) in place. Returns the flop
+    /// count, the twiddle recurrence's included.
+    pub fn run(&self, data: &mut [C64]) -> u64 {
+        let n = self.n;
+        assert_eq!(data.len(), n, "FFT plan for another length");
+        if n <= 1 {
+            return 0;
+        }
+        // Bit-reversal permutation.
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        let mut flops = 0u64;
+        while len <= n {
+            let half = len / 2;
+            let w = &self.twiddles[half - 1..len - 1];
+            for group in data.chunks_exact_mut(len) {
+                let (lo, hi) = group.split_at_mut(half);
+                for ((u, v), &wk) in lo.iter_mut().zip(hi.iter_mut()).zip(w) {
+                    let (a, b) = (*u, cmul(*v, wk));
+                    *u = cadd(a, b);
+                    *v = csub(a, b);
+                }
+            }
+            flops += 16 * (n / 2) as u64;
+            len <<= 1;
+        }
+        if self.inverse {
+            let inv_n = 1.0 / n as f64;
+            for d in data.iter_mut() {
+                d.0 *= inv_n;
+                d.1 *= inv_n;
+            }
+            flops += 2 * n as u64;
+        }
+        flops
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn fft_inplace(data: &mut [C64], inverse: bool) -> u64 {
+        FftPlan::new(data.len(), inverse).run(data)
+    }
+
     fn approx(a: f64, b: f64, eps: f64) -> bool {
         (a - b).abs() <= eps * (1.0 + a.abs().max(b.abs()))
+    }
+
+    fn one(b: &Block) -> LaneBlock<1> {
+        b.map(|x| [x])
+    }
+
+    fn scalar<const N: usize>(b: &[[f64; 1]; N]) -> [f64; N] {
+        b.map(|[x]| x)
+    }
+
+    fn matmul5(a: &Block, b: &Block) -> Block {
+        let mut out = [0.0; B * B];
+        matmul(&one(a), &one(b), |e, [x]| out[e] = x);
+        out
+    }
+
+    fn identity(s: f64) -> Block {
+        std::array::from_fn(|i| if i % (B + 1) == 0 { s } else { 0.0 })
+    }
+
+    fn matvec5(m: &Block, v: &BVec) -> BVec {
+        scalar(&matvec(&one(m), &v.map(|x| [x])))
     }
 
     #[test]
@@ -329,8 +492,9 @@ mod tests {
                 };
             }
         }
-        let inv = inv5(&m).unwrap();
-        let prod = matmul5(&m, &inv);
+        let mut inv = [[0.0; 1]; B * B];
+        assert!(invert(&mut one(&m), &mut inv));
+        let prod = matmul5(&m, &scalar(&inv));
         for r in 0..B {
             for c in 0..B {
                 let expect = if r == c { 1.0 } else { 0.0 };
@@ -346,7 +510,7 @@ mod tests {
     #[test]
     fn inv5_detects_singular() {
         let m: Block = [0.0; 25];
-        assert!(inv5(&m).is_none());
+        assert!(!invert(&mut one(&m), &mut [[0.0; 1]; B * B]));
     }
 
     #[test]
@@ -357,8 +521,22 @@ mod tests {
         let v: BVec = [1.0, 2.0, 0.0, 0.0, 0.0];
         let out = matvec5(&a, &v);
         assert_eq!(out, [2.0, 6.0, 0.0, 0.0, 0.0]);
-        let id = scaled_identity5(1.0);
-        assert_eq!(matmul5(&a, &id), a);
+        assert_eq!(matmul5(&a, &identity(1.0)), a);
+    }
+
+    #[test]
+    fn a_zero_factor_is_skipped_in_its_lane_only() {
+        // Lane 0 multiplies an infinity by a zero factor, lane 1 by a
+        // nonzero one: the scalar text skips the first term, so only lane 1
+        // overflows.
+        let mut a = [[1.0; 2]; B * B];
+        a[0] = [0.0, 1.0];
+        let mut b = [[1.0; 2]; B * B];
+        b[0] = [f64::INFINITY; 2];
+        let mut out = [[0.0; 2]; B * B];
+        matmul(&a, &b, |e, x| out[e] = x);
+        assert_eq!(out[0], [4.0, f64::INFINITY]);
+        assert_eq!(out[1], [4.0, 5.0]);
     }
 
     #[test]
@@ -367,7 +545,7 @@ mod tests {
         // multiply a known solution, and recover it.
         let n = 12;
         let mk = |seed: usize| -> Block {
-            let mut m = scaled_identity5(6.0 + (seed % 3) as f64);
+            let mut m = identity(6.0 + (seed % 3) as f64);
             for r in 0..B {
                 for c in 0..B {
                     if r != c {
@@ -426,7 +604,7 @@ mod tests {
 
     #[test]
     fn block_tridiag_n1() {
-        let bd = vec![scaled_identity5(2.0)];
+        let bd = vec![identity(2.0)];
         let a = vec![[0.0; 25]];
         let c = vec![[0.0; 25]];
         let mut rhs = vec![[2.0, 4.0, 6.0, 8.0, 10.0]];
@@ -482,7 +660,8 @@ mod tests {
             }
             r[i] = s;
         }
-        penta_solve(&e, &a, &d, &c, &f, &mut r).unwrap();
+        let (mut a, mut d, mut c) = (a, d, c);
+        penta_solve(&e, &mut a, &mut d, &mut c, &f, &mut r).unwrap();
         for i in 0..n {
             assert!(
                 approx(r[i], x_true[i], 1e-9),
@@ -497,12 +676,12 @@ mod tests {
     fn penta_small_sizes() {
         for n in 1..=4 {
             let e = vec![0.0; n];
-            let a = vec![0.0; n];
-            let d = vec![2.0; n];
-            let c = vec![0.0; n];
+            let mut a = vec![0.0; n];
+            let mut d = vec![2.0; n];
+            let mut c = vec![0.0; n];
             let f = vec![0.0; n];
             let mut r: Vec<f64> = (0..n).map(|i| 2.0 * (i + 1) as f64).collect();
-            penta_solve(&e, &a, &d, &c, &f, &mut r).unwrap();
+            penta_solve(&e, &mut a, &mut d, &mut c, &f, &mut r).unwrap();
             for (i, v) in r.iter().enumerate() {
                 assert!(approx(*v, (i + 1) as f64, 1e-12));
             }

@@ -50,11 +50,13 @@ impl LineSolve for Penta {
             outer_extent,
             Schedule::Static,
             move |m, outer| {
-                let mut band_e = vec![0.0; n];
+                // The second bands are the dissipation's alone; the solve
+                // works in the other three, rebuilt for every line.
+                let band_e: Vec<f64> = (0..n).map(|k| if k >= 2 { r4 } else { 0.0 }).collect();
+                let band_f: Vec<f64> = (0..n).map(|k| if k + 2 < n { r4 } else { 0.0 }).collect();
                 let mut band_a = vec![0.0; n];
                 let mut band_d = vec![0.0; n];
                 let mut band_c = vec![0.0; n];
-                let mut band_f = vec![0.0; n];
                 let mut line_u = vec![0.0; n];
                 let mut line_rhs = vec![0.0; n];
                 for inner in 0..inner_extent {
@@ -67,7 +69,8 @@ impl LineSolve for Penta {
                         }
                         let mut flops = 0;
                         m.host(|| {
-                            // Assemble the five bands (diagonally dominant).
+                            let _hp = hostprof::span_hot("nas.line_solve");
+                            // Assemble the bands (diagonally dominant).
                             for k in 0..n {
                                 band_d[k] = 1.0 + 2.0 * r + 2.0 * r4 + eps * line_u[k].abs();
                                 band_a[k] = if k >= 1 {
@@ -80,14 +83,12 @@ impl LineSolve for Penta {
                                 } else {
                                     0.0
                                 };
-                                band_e[k] = if k >= 2 { r4 } else { 0.0 };
-                                band_f[k] = if k + 2 < n { r4 } else { 0.0 };
                             }
                             flops = penta_solve(
                                 &band_e,
-                                &band_a,
-                                &band_d,
-                                &band_c,
+                                &mut band_a,
+                                &mut band_d,
+                                &mut band_c,
                                 &band_f,
                                 &mut line_rhs,
                             )
