@@ -213,12 +213,20 @@ impl ProofTable {
     /// Fold the region instances of a program text — one `(label, proof)`
     /// each, `None` where none could be derived — into the label table: a
     /// label any of whose instances is `None` or differs from another gets
-    /// no entry.
-    pub fn fold(instances: impl IntoIterator<Item = (String, Option<PhaseProof>)>) -> Self {
-        let mut table: HashMap<String, Option<PhaseProof>> = HashMap::new();
+    /// no entry. Instances handed one allocation (one construct, derived
+    /// once) agree by pointer; others are compared by value.
+    pub fn fold<P: Into<Arc<PhaseProof>>>(
+        instances: impl IntoIterator<Item = (String, Option<P>)>,
+    ) -> Self {
+        let mut table: HashMap<String, Option<Arc<PhaseProof>>> = HashMap::new();
         for (label, proof) in instances {
+            let proof = proof.map(Into::into);
             if let Some(seen) = table.get_mut(&label) {
-                if *seen != proof {
+                let agree = match (&*seen, &proof) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+                    _ => false,
+                };
+                if !agree {
                     *seen = None;
                 }
             } else {
@@ -227,7 +235,7 @@ impl ProofTable {
         }
         let proven = table
             .into_iter()
-            .filter_map(|(label, proof)| Some((label, Arc::new(proof?))));
+            .filter_map(|(label, proof)| Some((label, proof?)));
         Self(proven.collect())
     }
 
@@ -237,7 +245,9 @@ impl ProofTable {
     pub fn share_with(&mut self, other: &ProofTable) {
         for (label, proof) in &mut self.0 {
             match other.0.get(label) {
-                Some(theirs) if theirs == proof => *proof = Arc::clone(theirs),
+                Some(theirs) if Arc::ptr_eq(theirs, proof) || theirs == proof => {
+                    *proof = Arc::clone(theirs)
+                }
                 _ => {}
             }
         }
@@ -876,6 +886,9 @@ pub struct FastpathEngine {
     /// Where the engine borrows memos from and publishes them to, if it
     /// shares any.
     library: Option<MemoLibrary>,
+    /// Working table of the recording exit pass: each frame's proof page
+    /// ([`NO_PAGE`] between recordings), sized to the machine once.
+    frame_page: Vec<u32>,
 }
 
 impl Drop for FastpathEngine {
@@ -1084,7 +1097,7 @@ impl FastpathEngine {
         }
         let mut recorded = Vec::new();
         if let Some(token) = outcome.record {
-            match build_images(m, pool, &token, rec) {
+            match build_images(m, pool, &token, rec, &mut self.frame_page) {
                 Some(images) => {
                     self.stats.records += 1;
                     self.stats.cpu_records += images.len() as u64;
@@ -1370,12 +1383,17 @@ fn int_stats(m: &Machine, cpu: CpuId) -> [u64; 5] {
     ]
 }
 
+/// `frame_page` entry of a frame outside the footprint being recorded.
+const NO_PAGE: u32 = u32::MAX;
+
 /// Diff exit state against the entry token; `None` discards the recording.
+/// `frame_page` is the engine's working table: proof page by frame.
 fn build_images(
     m: &Machine,
     pool: &Pool,
     token: &RecordToken,
     mut rec: FpRecording,
+    frame_page: &mut Vec<u32>,
 ) -> Option<Vec<(usize, Image)>> {
     let proof = &*pool.proof;
     // Environmental checks first (silent discard): these can fail without the
@@ -1445,10 +1463,15 @@ fn build_images(
     // One pass over the log: every access must land inside the proof's page
     // footprint, and each live CPU's accesses are counted per proof page
     // (`hits[slot * pages + page]`). A CPU streams through a page line by
-    // line, so most entries repeat the previous entry's frame.
-    let mut frame_page: HashMap<FrameId, u32> = HashMap::with_capacity(token.frames.len());
+    // line, so most entries repeat the previous entry's frame; a stencil
+    // changes frame on nearly every one, so the frame's page is an index,
+    // not a hash. `frame_page` is all `NO_PAGE` between calls: the
+    // footprint's entries are set here and cleared before any return.
+    if frame_page.len() < m.memory.total_frames() {
+        frame_page.resize(m.memory.total_frames(), NO_PAGE);
+    }
     for (pi, &(_, frame)) in token.frames.iter().enumerate() {
-        frame_page.insert(frame, pi as u32);
+        frame_page[frame] = pi as u32;
     }
     let pages = token.frames.len();
     let mut live_slot = vec![usize::MAX; m.cpus.len()];
@@ -1457,22 +1480,31 @@ fn build_images(
     }
     let mut hits = vec![0u64; token.live.len() * pages];
     let mut last = (u32::MAX, 0usize);
+    let mut outside = None;
     for &(cpu, frame) in &rec.mem_log {
         if frame != last.0 {
-            let Some(&pi) = frame_page.get(&(frame as FrameId)) else {
-                debug_assert!(
-                    false,
-                    "PhaseProof {:?}: memory access outside the proof footprint (frame {frame})",
-                    proof.label,
-                );
-                return None;
-            };
+            let pi = frame_page.get(frame as usize).copied().unwrap_or(NO_PAGE);
+            if pi == NO_PAGE {
+                outside = Some(frame);
+                break;
+            }
             last = (frame, pi as usize);
         }
         let slot = live_slot[cpu as usize];
         if slot != usize::MAX {
             hits[slot * pages + last.1] += 1;
         }
+    }
+    for &(_, frame) in &token.frames {
+        frame_page[frame] = NO_PAGE;
+    }
+    if let Some(frame) = outside {
+        debug_assert!(
+            false,
+            "PhaseProof {:?}: memory access outside the proof footprint (frame {frame})",
+            proof.label,
+        );
+        return None;
     }
     if cfg!(debug_assertions) {
         // Exhaustive per-(frame, node) re-validation of the aggregate check.

@@ -333,27 +333,30 @@ impl<S: LineSolve> Adi<S> {
     /// One full time step (shared by cold start and timed iterations) —
     /// `compute_rhs`, the three sweeps (the z-sweep crossing slabs,
     /// bracketed by the phase points), `add` — with every phase's loop
-    /// repeated `phase_scale` times as in the Figure 6 experiment. Returns
-    /// the update norm.
+    /// repeated `phase_scale` times as in the Figure 6 experiment. The step
+    /// and each repeated loop are blocks, so a description holds five
+    /// constructs at any phase scale. Returns the update norm.
     fn step<E: Exec>(&self, ex: &mut E, hook: &mut PhaseHook<'_>) -> f64 {
         let AdiConfig { r, phase_scale, .. } = self.cfg;
-        ex.phase("compute_rhs");
-        for _ in 0..phase_scale {
-            self.state.compute_rhs(ex, r, 1.0);
-        }
-        let solve = |ex: &mut E, axis: SweepAxis| {
-            ex.phase(axis.name());
+        ex.block("step", |ex| {
+            ex.phase("compute_rhs");
             for _ in 0..phase_scale {
-                self.sweep(ex, axis);
+                ex.block("compute_rhs", |ex| self.state.compute_rhs(ex, r, 1.0));
             }
-        };
-        solve(ex, SweepAxis::X);
-        solve(ex, SweepAxis::Y);
-        ex.point(hook, PhasePoint::Before(0));
-        solve(ex, SweepAxis::Z);
-        ex.point(hook, PhasePoint::After(0));
-        ex.phase("add");
-        self.state.add_and_norm(ex)
+            let solve = |ex: &mut E, axis: SweepAxis| {
+                ex.phase(axis.name());
+                for _ in 0..phase_scale {
+                    ex.block(axis.name(), |ex| self.sweep(ex, axis));
+                }
+            };
+            solve(ex, SweepAxis::X);
+            solve(ex, SweepAxis::Y);
+            ex.point(hook, PhasePoint::Before(0));
+            solve(ex, SweepAxis::Z);
+            ex.point(hook, PhasePoint::After(0));
+            ex.phase("add");
+            self.state.add_and_norm(ex)
+        })
     }
 }
 

@@ -226,6 +226,11 @@ impl Cg {
     /// One outer iteration: `cg_iters` CG steps plus the eigenvalue update.
     /// Returns zeta.
     fn step<E: Exec>(&self, ex: &mut E) -> f64 {
+        ex.block("step", |ex| self.outer(ex))
+    }
+
+    /// The text of [`Cg::step`].
+    fn outer<E: Exec>(&self, ex: &mut E) -> f64 {
         let n = self.cfg.n;
 
         // z = 0, r = x, p = r; rho = r.r
@@ -246,46 +251,7 @@ impl Cg {
 
         ex.phase("cg");
         for _ in 0..self.cfg.cg_iters {
-            // q = A p
-            let d = self.d.clone();
-            ex.for_each("spmv", n, Schedule::Static, move |m, i| {
-                let mut sum = 0.0;
-                for k in d.rowstr[i]..d.rowstr[i + 1] {
-                    let j = m.get(&d.col, k) as usize;
-                    let v = m.get(&d.a, k);
-                    sum += v * m.get(&d.p, j);
-                }
-                m.flops(2 * (d.rowstr[i + 1] - d.rowstr[i]) as u64);
-                m.set(&d.q, i, sum);
-            });
-            // alpha = rho / (p.q)
-            let d = self.d.clone();
-            let pq = ex.sum("pq", n, Schedule::Static, move |m, i| {
-                let v = m.get(&d.p, i) * m.get(&d.q, i);
-                m.flops(2);
-                v
-            });
-            let alpha = rho / pq;
-            // z += alpha p; r -= alpha q; rho' = r.r
-            let d = self.d.clone();
-            let rho_new = ex.sum("rho_new", n, Schedule::Static, move |m, i| {
-                let pi = m.get(&d.p, i);
-                m.update(&d.z, i, |zi| zi + alpha * pi);
-                let qi = m.get(&d.q, i);
-                let ri = m.get(&d.r, i) - alpha * qi;
-                m.set(&d.r, i, ri);
-                m.flops(6);
-                ri * ri
-            });
-            let beta = rho_new / rho;
-            rho = rho_new;
-            // p = r + beta p
-            let d = self.d.clone();
-            ex.for_each("p_update", n, Schedule::Static, move |m, i| {
-                let v = m.get(&d.r, i) + beta * m.get(&d.p, i);
-                m.set(&d.p, i, v);
-                m.flops(2);
-            });
+            rho = ex.block("cg_iter", |ex| self.cg_iter(ex, rho));
         }
 
         // zeta = shift + 1 / (x.z); x = z / ||z||
@@ -310,6 +276,51 @@ impl Cg {
             m.flops(1);
         });
         self.cfg.shift + 1.0 / xz
+    }
+
+    /// One CG step from `rho = r.r`; returns the new `r.r`.
+    fn cg_iter<E: Exec>(&self, ex: &mut E, rho: f64) -> f64 {
+        let n = self.cfg.n;
+        // q = A p
+        let d = self.d.clone();
+        ex.for_each("spmv", n, Schedule::Static, move |m, i| {
+            let mut sum = 0.0;
+            for k in d.rowstr[i]..d.rowstr[i + 1] {
+                let j = m.get(&d.col, k) as usize;
+                let v = m.get(&d.a, k);
+                sum += v * m.get(&d.p, j);
+            }
+            m.flops(2 * (d.rowstr[i + 1] - d.rowstr[i]) as u64);
+            m.set(&d.q, i, sum);
+        });
+        // alpha = rho / (p.q)
+        let d = self.d.clone();
+        let pq = ex.sum("pq", n, Schedule::Static, move |m, i| {
+            let v = m.get(&d.p, i) * m.get(&d.q, i);
+            m.flops(2);
+            v
+        });
+        let alpha = rho / pq;
+        // z += alpha p; r -= alpha q; rho' = r.r
+        let d = self.d.clone();
+        let rho_new = ex.sum("rho_new", n, Schedule::Static, move |m, i| {
+            let pi = m.get(&d.p, i);
+            m.update(&d.z, i, |zi| zi + alpha * pi);
+            let qi = m.get(&d.q, i);
+            let ri = m.get(&d.r, i) - alpha * qi;
+            m.set(&d.r, i, ri);
+            m.flops(6);
+            ri * ri
+        });
+        let beta = rho_new / rho;
+        // p = r + beta p
+        let d = self.d.clone();
+        ex.for_each("p_update", n, Schedule::Static, move |m, i| {
+            let v = m.get(&d.r, i) + beta * m.get(&d.p, i);
+            m.set(&d.p, i, v);
+            m.flops(2);
+        });
+        rho_new
     }
 
     /// Host-only reference run of the identical algorithm — used by

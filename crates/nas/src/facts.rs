@@ -13,7 +13,7 @@
 
 use crate::common::{BenchName, Scale};
 use crate::model::KernelModel;
-use crate::proof::derive_proofs;
+use crate::proof::Deriver;
 use ccnuma::ProofTable;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -95,21 +95,59 @@ impl<K, V> Default for Facts<K, V> {
 /// table of the cold start and of one timed iteration — what
 /// `omp::Runtime::install_fastpath` takes before each of the two. A loop
 /// both texts run with the same proof is held once.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct ProofSet {
     /// The cold-start iteration's proofs.
     pub cold: ProofTable,
     /// One timed iteration's proofs.
     pub iteration: ProofTable,
+    /// Region instances the two texts run.
+    pub instances: usize,
+    /// Distinct constructs derived for them: each once, however many
+    /// instances a block made of it.
+    pub constructs: usize,
 }
 
 impl ProofSet {
-    /// Derive and fold the proofs of `model` for a team of `threads`.
-    pub(crate) fn derive(model: &KernelModel, threads: usize) -> Self {
-        let cold = ProofTable::fold(derive_proofs(model.cold(), threads));
-        let mut iteration = ProofTable::fold(derive_proofs(model.iteration(), threads));
+    /// Derive and fold the proofs of `model` for a team of `threads`, each
+    /// construct once across both texts. Both doors derive here — the
+    /// process's table ([`proof_set`]) and a private run — so the
+    /// `nas.facts.derive` span and [`derivations`] count them all.
+    pub fn derive(model: &KernelModel, threads: usize) -> Self {
+        let _hp = hostprof::span("nas.facts.derive");
+        let mut deriver = Deriver::new(threads);
+        let cold = ProofTable::fold(deriver.text(model.cold()));
+        let mut iteration = ProofTable::fold(deriver.text(model.iteration()));
         iteration.share_with(&cold);
-        Self { cold, iteration }
+        let (instances, constructs) = deriver.counts();
+        INSTANCES.fetch_add(instances as u64, Ordering::Relaxed);
+        CONSTRUCTS.fetch_add(constructs as u64, Ordering::Relaxed);
+        Self {
+            cold,
+            iteration,
+            instances,
+            constructs,
+        }
+    }
+}
+
+/// What [`ProofSet::derive`] did in this process, through either door.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Derivations {
+    /// Region instances the derived proof sets cover.
+    pub instances: u64,
+    /// Constructs derived for those instances.
+    pub constructs: u64,
+}
+
+static INSTANCES: AtomicU64 = AtomicU64::new(0);
+static CONSTRUCTS: AtomicU64 = AtomicU64::new(0);
+
+/// Every proof derivation of the process so far (statistics only).
+pub fn derivations() -> Derivations {
+    Derivations {
+        instances: INSTANCES.load(Ordering::Relaxed),
+        constructs: CONSTRUCTS.load(Ordering::Relaxed),
     }
 }
 
@@ -154,7 +192,6 @@ pub fn proof_set(
     model: &KernelModel,
 ) -> Arc<ProofSet> {
     PROOFS.get(ProofKey::of(bench, scale, threads, model), || {
-        let _hp = hostprof::span("nas.facts.derive");
         Arc::new(ProofSet::derive(model, threads))
     })
 }
@@ -167,7 +204,11 @@ pub fn stats() -> FactsStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adi::AdiConfig;
+    use crate::common::NasBenchmark;
     use crate::harness::{instantiate, BenchRun, RunConfig};
+    use crate::model::{redescribed, LoopModel};
+    use crate::proof::derive_proofs;
     use ccnuma::{Machine, MachineConfig, SimArray};
     use omp::Runtime;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,6 +220,108 @@ mod tests {
         instantiate(bench, &mut rt, scale)
             .access_model()
             .expect("all five kernels are modeled")
+    }
+
+    /// `bench` at `scale` for a team of `threads`, BT and SP with every
+    /// phase repeated `phase_scale` times (Figure 6's problem).
+    fn kernel_of(
+        bench: BenchName,
+        scale: Scale,
+        threads: usize,
+        phase_scale: usize,
+    ) -> Box<dyn NasBenchmark> {
+        let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+        let mut rt = Runtime::with_threads(machine, threads);
+        let cfg = AdiConfig {
+            phase_scale,
+            ..AdiConfig::for_scale(scale)
+        };
+        match bench {
+            BenchName::Bt => Box::new(crate::bt::Bt::with_config(&mut rt, cfg)),
+            BenchName::Sp => Box::new(crate::sp::Sp::with_config(&mut rt, cfg)),
+            _ => instantiate(bench, &mut rt, scale),
+        }
+    }
+
+    /// Every loop of a model in program order, cold start first.
+    fn loops(model: &KernelModel) -> Vec<(String, &LoopModel)> {
+        let phases = model.cold().iter().chain(model.iteration());
+        let each = phases.flat_map(|p| p.loops().iter().map(move |l| (p.name(), l)));
+        each.map(|(phase, l)| (format!("{phase}/{}", l.name()), &**l))
+            .collect()
+    }
+
+    /// Whether two instances are the same construct: shape and, iteration
+    /// by iteration, the access stream (walk order follows from the shape).
+    fn same_walk(a: &LoopModel, b: &LoopModel) -> bool {
+        let shape = |l: &LoopModel| (l.n(), l.schedule(), l.kind());
+        let stream = |l: &LoopModel, i| {
+            let mut got = Vec::new();
+            l.for_each_access(i, &mut |vaddr, kind| got.push((vaddr, kind)));
+            got
+        };
+        shape(a) == shape(b) && (0..a.n()).all(|i| stream(a, i) == stream(b, i))
+    }
+
+    #[test]
+    fn a_shared_description_proves_and_walks_what_a_redescription_does() {
+        // Small derives for seconds unoptimized; CI's `fastpath` job runs
+        // this test in release.
+        let mut cases = vec![(Scale::Tiny, 16)];
+        if !cfg!(debug_assertions) {
+            cases.push((Scale::Small, 4));
+        }
+        for (scale, top_phase_scale) in cases {
+            for bench in BenchName::all() {
+                let adi = matches!(bench, BenchName::Bt | BenchName::Sp);
+                let phase_scales = if adi { &[1, 4, 16][..] } else { &[1] };
+                for &phase_scale in phase_scales.iter().filter(|&&p| p <= top_phase_scale) {
+                    for threads in [1, 4, 16] {
+                        let what = format!(
+                            "{} {} x{threads} phases x{phase_scale}",
+                            bench.label(),
+                            scale.label()
+                        );
+                        let kernel = kernel_of(bench, scale, threads, phase_scale);
+                        let shared = kernel.access_model().expect("modeled");
+                        let fresh = redescribed(|| kernel.access_model()).expect("modeled");
+                        let (a, b) = (
+                            ProofSet::derive(&shared, threads),
+                            ProofSet::derive(&fresh, threads),
+                        );
+                        assert!(a.cold == b.cold, "{what}: cold proofs");
+                        assert!(a.iteration == b.iteration, "{what}: iteration proofs");
+                        assert_eq!(a.instances, b.instances, "{what}");
+                        assert_eq!(b.constructs, b.instances, "{what}: nothing shared");
+                        assert!(a.constructs < a.instances, "{what}: nothing repeated");
+                        // The team decides the layout, so each team's model
+                        // is walked.
+                        let (a, b) = (loops(&shared), loops(&fresh));
+                        assert_eq!(a.len(), b.len(), "{what}");
+                        for ((label, l), (fresh_label, f)) in a.iter().zip(&b) {
+                            assert_eq!(label, fresh_label, "{what}");
+                            assert!(same_walk(l, f), "{what}: {label} walks apart");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_construct_is_derived_once_per_model() {
+        let bt = kernel_of(BenchName::Bt, Scale::Tiny, 16, 16);
+        let set = ProofSet::derive(&bt.access_model().unwrap(), 16);
+        assert_eq!((set.instances, set.constructs), (130, 5), "BT phases x16");
+        let cg = model_of(BenchName::Cg, Scale::Medium, 16);
+        let set = ProofSet::derive(&cg, 16);
+        assert_eq!((set.instances, set.constructs), (106, 9), "CG medium");
+        // Tests derive concurrently: others may add to the process's counts.
+        let before = derivations();
+        ProofSet::derive(&cg, 16);
+        let after = derivations();
+        assert!(after.instances >= before.instances + 106);
+        assert!(after.constructs >= before.constructs + 9);
     }
 
     #[test]

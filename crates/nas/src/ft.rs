@@ -183,6 +183,11 @@ impl Ft {
     /// Timed iteration `t`: evolve the spectrum to time `t`, transform it
     /// back, checksum the result.
     fn step<E: Exec>(&self, ex: &mut E, t: usize) -> C64 {
+        ex.block("step", |ex| self.evolve_and_invert(ex, t))
+    }
+
+    /// The text of [`Ft::step`]: `t` scales the evolution factors only.
+    fn evolve_and_invert<E: Exec>(&self, ex: &mut E, t: usize) -> C64 {
         let n = self.cfg.n;
         let alpha = self.cfg.alpha;
 

@@ -332,15 +332,22 @@ impl Mg {
     /// u = 0), one discarded V-cycle to fault every level's pages, then the
     /// initial residual again on the reset state for the timed run.
     fn cold<E: Exec>(&self, ex: &mut E) {
-        self.resid_fine(ex, "resid_init");
+        let resid_init =
+            |ex: &mut E| ex.block("resid_init", |ex| self.resid_fine(ex, "resid_init"));
+        resid_init(ex);
         self.step(ex);
         ex.host(|| self.u.iter().chain(&self.r).for_each(|a| a.fill(0.0)));
-        self.resid_fine(ex, "resid_init");
+        resid_init(ex);
     }
 
     /// One V-cycle (NAS `mg3P`) plus the fine-grid residual update; returns
     /// the residual norm.
     fn step<E: Exec>(&self, ex: &mut E) -> f64 {
+        ex.block("step", |ex| self.v_cycle(ex))
+    }
+
+    /// The text of [`Mg::step`].
+    fn v_cycle<E: Exec>(&self, ex: &mut E) -> f64 {
         let lt = self.cfg.lt;
         let edge = |k| self.cfg.edge(k);
         // Downward: restrict residuals to the coarsest level.

@@ -16,10 +16,13 @@
 //! text is the simulated benchmark; run on [`Describe`]/[`Probe`] the same
 //! text records one [`LoopModel`] per construct, whose access stream is the
 //! body itself with every load and store turned into an emitted
-//! `(vaddr, kind)`. The model is exact because no body's control flow
-//! depends on a simulated floating-point value — only on the iteration
-//! index, on geometry, and on CG's column-index array, which a probed load
-//! reads from the array's host data.
+//! `(vaddr, kind)`. Text a kernel repeats — its time step, which the cold
+//! start runs too, a repeated phase, an inner trip — is stated once as an
+//! [`Exec::block`], so its constructs are described once and every later
+//! instance is the same object. The model is exact because no body's
+//! control flow depends on a simulated floating-point value — only on the
+//! iteration index, on geometry, and on CG's column-index array, which a
+//! probed load reads from the array's host data.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint};
 use ccnuma::{AccessKind, ArrayLayout, SimArray};
@@ -170,18 +173,22 @@ impl std::fmt::Debug for LoopModel {
 /// A named program phase: a sequence of loops executed back to back. For
 /// BT/SP the phases are the paper's Figure 2/3 phases (`compute_rhs`, the
 /// three sweeps, `add`); other benchmarks phase at operator granularity.
+///
+/// A loop is held by `Rc`: every instance of a construct a [`Exec::block`]
+/// repeats is the one object its first entry described, so whoever walks
+/// the instances can tell by `Rc::ptr_eq` which of them it has walked.
 #[derive(Debug)]
 pub struct PhaseModel {
     name: String,
-    loops: Vec<LoopModel>,
+    loops: Vec<Rc<LoopModel>>,
 }
 
 impl PhaseModel {
     /// A phase from its loops, in program order.
-    pub fn new(name: &str, loops: Vec<LoopModel>) -> Self {
+    pub fn new(name: &str, loops: impl IntoIterator<Item = impl Into<Rc<LoopModel>>>) -> Self {
         Self {
             name: name.to_string(),
-            loops,
+            loops: loops.into_iter().map(Into::into).collect(),
         }
     }
 
@@ -190,8 +197,8 @@ impl PhaseModel {
         &self.name
     }
 
-    /// The phase's loops in program order.
-    pub fn loops(&self) -> &[LoopModel] {
+    /// The phase's loops in program order, one per region instance.
+    pub fn loops(&self) -> &[Rc<LoopModel>] {
         &self.loops
     }
 }
@@ -458,6 +465,22 @@ pub trait Exec {
     /// A phase-transition point (BT/SP's z-sweep brackets): the run invokes
     /// `hook`, a description does not.
     fn point(&mut self, hook: &mut PhaseHook<'_>, at: PhasePoint);
+
+    /// Text whose phases and constructs are the same on every entry (a time
+    /// step, a repeated phase, one trip of an inner iteration): `body`,
+    /// stated under `key`. The run runs `body`. A description describes
+    /// `body` on the first entry under `key` and, on every later one,
+    /// issues the same phase openings and the same [`LoopModel`] objects
+    /// again without running it — so the constructs are described, and
+    /// proved, once. Keys are scoped to one [`Describe::kernel`]: its cold
+    /// start and its time step share them. What `body` does besides issuing
+    /// phases and constructs (host steps, points, its result) a description
+    /// skips anyway: it returns `R::default()`.
+    ///
+    /// The contract is the caller's: a key names one text, and no access
+    /// of its constructs depends on anything that differs between entries
+    /// but values (a trip's `alpha`, an iteration's time `t`).
+    fn block<R: Default>(&mut self, key: &'static str, body: impl FnOnce(&mut Self) -> R) -> R;
 }
 
 impl Exec for Runtime {
@@ -506,56 +529,105 @@ impl Exec for Runtime {
     fn point(&mut self, hook: &mut PhaseHook<'_>, at: PhasePoint) {
         hook(self, at)
     }
+
+    // Always inlined: a block is nothing to the run, and a call boundary
+    // here changes how the regions inside it are compiled (BT's replayed
+    // step measured 15 % slower behind one).
+    #[inline(always)]
+    fn block<R: Default>(&mut self, _key: &'static str, body: impl FnOnce(&mut Self) -> R) -> R {
+        body(self)
+    }
+}
+
+/// What a text issues, in program order: a phase opening or a construct.
+#[derive(Clone)]
+enum Issued {
+    Phase(String),
+    Construct(Rc<LoopModel>),
 }
 
 /// The describing [`Exec`]: records each construct as a [`LoopModel`] in
-/// the current phase instead of running it.
+/// the current phase instead of running it, and each [`Exec::block`] once.
 #[derive(Default)]
 pub struct Describe {
-    phases: Vec<(String, Vec<LoopModel>)>,
+    issued: Vec<Issued>,
+    /// What each block's first entry issued, by key.
+    blocks: HashMap<&'static str, Vec<Issued>>,
 }
 
 impl Describe {
     /// The model of `bench`, whose cold start and time step are the texts
-    /// `cold` and `step`.
+    /// `cold` and `step` (whatever `step` computes from the reductions'
+    /// `0.0`s is discarded). The two texts share their blocks.
     pub fn kernel<R>(
         bench: &impl NasBenchmark,
         cold: impl FnOnce(&mut Describe),
         step: impl FnOnce(&mut Describe) -> R,
     ) -> KernelModel {
-        KernelModel::new(
-            bench.name(),
-            bench.hot_arrays(),
-            Self::phases(cold),
-            Self::phases(step),
-        )
+        let mut d = Describe::default();
+        cold(&mut d);
+        let cold = d.take_phases();
+        step(&mut d);
+        KernelModel::new(bench.name(), bench.hot_arrays(), cold, d.take_phases())
     }
 
-    /// The phases `text` executes, in program order (whatever `text`
-    /// computes from the reductions' `0.0`s is discarded).
-    fn phases<R>(text: impl FnOnce(&mut Describe) -> R) -> Vec<PhaseModel> {
-        let mut d = Describe::default();
-        text(&mut d);
-        d.phases
-            .into_iter()
-            .map(|(name, loops)| PhaseModel::new(&name, loops))
-            .collect()
+    /// The phases issued since the last call, in program order.
+    fn take_phases(&mut self) -> Vec<PhaseModel> {
+        let mut phases: Vec<PhaseModel> = Vec::new();
+        for issued in self.issued.drain(..) {
+            match issued {
+                Issued::Phase(name) => phases.push(PhaseModel {
+                    name,
+                    loops: Vec::new(),
+                }),
+                Issued::Construct(l) => {
+                    let phase = phases.last_mut().expect("a construct outside any phase");
+                    phase.loops.push(l);
+                }
+            }
+        }
+        phases
     }
 
     fn record(&mut self, l: LoopModel) {
-        let (_, loops) = self
-            .phases
-            .last_mut()
-            .expect("a construct outside any phase");
-        loops.push(l);
+        self.issued.push(Issued::Construct(Rc::new(l)));
     }
+}
+
+/// Whether a block's later entries re-issue its first entry's constructs.
+#[cfg(not(test))]
+fn sharing() -> bool {
+    true
+}
+
+#[cfg(test)]
+thread_local! {
+    static REDESCRIBE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether a block's later entries re-issue its first entry's constructs:
+/// not inside [`redescribed`].
+#[cfg(test)]
+fn sharing() -> bool {
+    !REDESCRIBE.get()
+}
+
+/// `f` with every block entry of every description on this thread
+/// described afresh, as if no text were a block: the oracle a shared
+/// description is checked against.
+#[cfg(test)]
+pub(crate) fn redescribed<T>(f: impl FnOnce() -> T) -> T {
+    REDESCRIBE.set(true);
+    let out = f();
+    REDESCRIBE.set(false);
+    out
 }
 
 impl Exec for Describe {
     type Mem<'a> = Probe<'a>;
 
     fn phase(&mut self, name: &str) {
-        self.phases.push((name.to_string(), Vec::new()));
+        self.issued.push(Issued::Phase(name.to_string()));
     }
 
     fn for_each(
@@ -597,6 +669,18 @@ impl Exec for Describe {
     fn host(&mut self, _f: impl FnOnce()) {}
 
     fn point(&mut self, _hook: &mut PhaseHook<'_>, _at: PhasePoint) {}
+
+    fn block<R: Default>(&mut self, key: &'static str, body: impl FnOnce(&mut Self) -> R) -> R {
+        match self.blocks.get(key) {
+            Some(first) if sharing() => self.issued.extend_from_slice(first),
+            _ => {
+                let start = self.issued.len();
+                body(self);
+                (self.blocks.entry(key)).or_insert_with(|| self.issued[start..].to_vec());
+            }
+        }
+        R::default()
+    }
 }
 
 #[cfg(test)]
@@ -697,7 +781,9 @@ mod tests {
         let a = Rc::new(SimArray::from_fn(m, "a", 4, |i| i as f64));
         let b = Rc::new(SimArray::new(m, "b", 4, 0.0));
 
-        let phases = Describe::phases(|d| assert_eq!(text(d, &idx, &a, &b), 0.0));
+        let mut d = Describe::default();
+        assert_eq!(text(&mut d, &idx, &a, &b), 0.0);
+        let phases = d.take_phases();
         assert_eq!(a.to_vec(), [0.0, 1.0, 2.0, 3.0], "host step skipped");
         assert_eq!(b.to_vec(), [0.0; 4], "stores dropped");
         assert_eq!(phases.len(), 1);
@@ -723,6 +809,100 @@ mod tests {
         assert_eq!(text(&mut rt, &idx, &a, &b), 12.0);
         assert_eq!(b.to_vec(), [6.0, 4.0, 2.0, 0.0]);
         assert_eq!(a.peek(0), -1.0);
+    }
+
+    /// What [`Describe::kernel`] needs of a benchmark, and nothing to run.
+    struct Toy;
+
+    impl NasBenchmark for Toy {
+        fn name(&self) -> BenchName {
+            BenchName::Cg
+        }
+        fn iterations(&self) -> usize {
+            0
+        }
+        fn cold_start(&mut self, _: &mut Runtime) {}
+        fn iterate(&mut self, _: &mut Runtime, _: &mut PhaseHook<'_>) {}
+        fn hot_arrays(&self) -> Vec<ArrayLayout> {
+            Vec::new()
+        }
+        fn verify(&self) -> crate::common::Verification {
+            crate::common::Verification::check(0.0, 0.0, 0.0)
+        }
+    }
+
+    /// Three entries of block `k` — two phases, a loop of `n` iterations
+    /// and a reduction — whose body counts its runs in `ran`.
+    fn thrice<E: Exec>(ex: &mut E, n: usize, ran: &std::cell::Cell<usize>) -> Vec<u32> {
+        let entry = |ex: &mut E| {
+            ex.block("k", |ex| {
+                ran.set(ran.get() + 1);
+                ex.phase("p");
+                ex.for_each("l", n, Schedule::Static, |_, _| {});
+                ex.phase("q");
+                ex.sum("s", n, Schedule::Static, |_, _| 1.0);
+                7
+            })
+        };
+        (0..3).map(|_| entry(ex)).collect()
+    }
+
+    fn all_loops(km: &KernelModel) -> Vec<Rc<LoopModel>> {
+        let phases = km.cold().iter().chain(km.iteration());
+        phases.flat_map(|p| p.loops().iter().cloned()).collect()
+    }
+
+    #[test]
+    fn a_reentered_block_reissues_its_first_entry() {
+        let ran = std::cell::Cell::new(0);
+        let text = |d: &mut Describe| {
+            assert_eq!(
+                thrice(d, 4, &ran),
+                [0; 3],
+                "a description returns R::default()"
+            );
+        };
+        let km = Describe::kernel(&Toy, text, text);
+        assert_eq!(ran.get(), 1, "described once, cold start and step alike");
+        let entry = ["p/l", "q/s"];
+        assert_eq!(km.cold_loop_names(), entry.repeat(3), "phases re-issued");
+        assert_eq!(km.iteration_loop_names(), entry.repeat(3));
+        let loops = all_loops(&km);
+        for (i, l) in loops.iter().enumerate() {
+            assert!(
+                Rc::ptr_eq(l, &loops[i % 2]),
+                "instance {i} is its construct"
+            );
+        }
+        assert!(!Rc::ptr_eq(&loops[0], &loops[1]));
+
+        let mut rt = Runtime::new(ccnuma::Machine::new(ccnuma::MachineConfig::tiny_test()));
+        assert_eq!(thrice(&mut rt, 4, &ran), [7; 3], "the run runs every entry");
+        assert_eq!(ran.get(), 4);
+    }
+
+    #[test]
+    fn block_keys_belong_to_one_kernel() {
+        let ran = std::cell::Cell::new(0);
+        let of = |n| Describe::kernel(&Toy, |d| drop(thrice(d, n, &ran)), |_| {});
+        let (two, five) = (of(2), of(5));
+        assert_eq!(ran.get(), 2, "each kernel describes its own block");
+        assert!(all_loops(&two).iter().all(|l| l.n() == 2));
+        assert!(all_loops(&five).iter().all(|l| l.n() == 5));
+    }
+
+    #[test]
+    fn a_redescription_describes_every_entry() {
+        let ran = std::cell::Cell::new(0);
+        let text = |d: &mut Describe| drop(thrice(d, 4, &ran));
+        let km = redescribed(|| Describe::kernel(&Toy, text, text));
+        assert_eq!(ran.get(), 6);
+        let loops = all_loops(&km);
+        assert_eq!(loops.len(), 12);
+        assert!(!Rc::ptr_eq(&loops[0], &loops[2]));
+        let shared = Describe::kernel(&Toy, text, text);
+        assert_eq!(shared.cold_loop_names(), km.cold_loop_names());
+        assert_eq!(shared.iteration_loop_names(), km.iteration_loop_names());
     }
 
     #[test]

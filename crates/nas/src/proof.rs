@@ -20,9 +20,17 @@
 //! Ineligible loops get `None` and simply run on the exact line-by-line
 //! path, as does every loop of a label whose instances derive different
 //! proofs (a running region finds its proof by label alone —
-//! `FastpathEngine::install`). The proof is re-validated at runtime:
-//! recording diffs the real region against the claim and discards (loudly,
-//! in debug builds) on any disagreement — see `ccnuma::fastpath`.
+//! `FastpathEngine::install`). A construct is derived once however many
+//! instances of it a model holds: the instances an `Exec::block` repeats
+//! are one object, and share one proof ([`derive_proofs`]). The proof is
+//! re-validated at runtime: recording diffs the real region against the
+//! claim and discards (loudly, in debug builds) on any disagreement — see
+//! `ccnuma::fastpath`.
+
+use std::collections::HashMap;
+use std::marker::PhantomData;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use ccnuma::fastpath::PhaseProof;
 use ccnuma::{AccessKind, LINE_SHIFT, PAGE_SHIFT};
@@ -146,21 +154,71 @@ pub fn derive_loop_proof(label: &str, l: &LoopModel, threads: usize) -> Option<P
     Some(PhaseProof::new(label.to_string(), team, lines, line_writes))
 }
 
-/// Derive proofs for a phase sequence: one `(label, proof)` per region
-/// instance in program order, each derived as it is asked for — what
-/// `ccnuma::ProofTable::fold` folds into the table a runtime installs. The
-/// label is the text `impl Exec for Runtime` names the running region with.
-pub fn derive_proofs(
-    phases: &[PhaseModel],
+/// One region instance's label and proof.
+pub type Instance = (String, Option<Arc<PhaseProof>>);
+
+/// Derives the proofs of region instances, each construct once: the
+/// instances of one [`LoopModel`] object (the entries of an
+/// `Exec::block`) under one label get one `Arc`'d proof, derived by the
+/// first of them. Instances that are different objects are derived apart
+/// however alike they look. The objects are the phases' (`'m`), alive for
+/// as long as their addresses are keys here.
+pub(crate) struct Deriver<'m> {
     threads: usize,
-) -> impl Iterator<Item = (String, Option<PhaseProof>)> + '_ {
-    phases.iter().flat_map(move |p| {
-        p.loops().iter().map(move |l| {
-            let label = format!("{}/{}", p.name(), l.name());
-            let proof = derive_loop_proof(&label, l, threads);
-            (label, proof)
-        })
-    })
+    derived: HashMap<(*const LoopModel, String), Option<Arc<PhaseProof>>>,
+    instances: usize,
+    models: PhantomData<&'m PhaseModel>,
+}
+
+impl<'m> Deriver<'m> {
+    /// A deriver for a team of `threads`.
+    pub(crate) fn new(threads: usize) -> Self {
+        Self {
+            threads,
+            derived: HashMap::new(),
+            instances: 0,
+            models: PhantomData,
+        }
+    }
+
+    /// The instances of `phases` in program order (see [`derive_proofs`]).
+    pub(crate) fn text<'a>(
+        &'a mut self,
+        phases: &'m [PhaseModel],
+    ) -> impl Iterator<Item = Instance> + use<'a, 'm> {
+        instances(phases).map(|(phase, l)| self.instance(phase, l))
+    }
+
+    fn instance(&mut self, phase: &str, l: &'m Rc<LoopModel>) -> Instance {
+        self.instances += 1;
+        let label = format!("{phase}/{}", l.name());
+        let key = (Rc::as_ptr(l), label.clone());
+        let proof = self
+            .derived
+            .entry(key)
+            .or_insert_with(|| derive_loop_proof(&label, l, self.threads).map(Arc::new));
+        (label, proof.clone())
+    }
+
+    /// `(region instances asked for, constructs derived)` so far.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        (self.instances, self.derived.len())
+    }
+}
+
+/// Every loop of `phases` in program order, with its phase's name.
+fn instances(phases: &[PhaseModel]) -> impl Iterator<Item = (&str, &Rc<LoopModel>)> {
+    (phases.iter()).flat_map(|p| p.loops().iter().map(move |l| (p.name(), l)))
+}
+
+/// Derive proofs for a phase sequence: one `(label, proof)` per region
+/// instance in program order, each construct derived once, as it is first
+/// asked for — what `ccnuma::ProofTable::fold` folds into the table a
+/// runtime installs. The label is the text `impl Exec for Runtime` names
+/// the running region with.
+pub fn derive_proofs(phases: &[PhaseModel], threads: usize) -> impl Iterator<Item = Instance> + '_ {
+    let mut deriver = Deriver::new(threads);
+    instances(phases).map(move |(phase, l)| deriver.instance(phase, l))
 }
 
 #[cfg(test)]

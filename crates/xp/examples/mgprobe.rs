@@ -1,6 +1,7 @@
 //! Ad-hoc probe: wall-time effect of the phase fast path per benchmark.
 //! Usage: mgprobe [tiny|small|medium] [bench[:placement-engine]...]
 //!        mgprobe [tiny|small|medium] grid <bench>
+//!        mgprobe [tiny|small|medium] derive
 //!
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
@@ -13,6 +14,10 @@
 //! once as named runs — what a sweep runs, sharing memos through the
 //! library — and once as private runs, and prints per cell the first step,
 //! the later steps and the engine's counters of each.
+//!
+//! `derive` prints per kernel, and for BT at Figure 6's phase scales, the
+//! region instances of its model, the constructs proved for them and the
+//! describe and derive times of one private run's first step.
 
 use std::time::Instant;
 
@@ -45,10 +50,14 @@ fn main() {
         .first()
         .and_then(|s| nas::Scale::parse(s))
         .unwrap_or(nas::Scale::Tiny);
-    if args.get(1).map(String::as_str) == Some("grid") {
-        let bench = args.get(2).and_then(|b| nas::BenchName::parse(b));
-        grid(bench.unwrap_or(nas::BenchName::Mg), scale);
-        return;
+    match args.get(1).map(String::as_str) {
+        Some("grid") => {
+            let bench = args.get(2).and_then(|b| nas::BenchName::parse(b));
+            grid(bench.unwrap_or(nas::BenchName::Mg), scale);
+            return;
+        }
+        Some("derive") => return derive(scale),
+        _ => {}
     }
     let cells: Vec<_> = if args.len() > 1 {
         args[1..].iter().filter_map(|s| parse(s)).collect()
@@ -128,6 +137,45 @@ fn timed(mut run: nas::BenchRun) -> Timed {
         later_s,
         stats,
         result: run.finish(),
+    }
+}
+
+/// Per kernel at `scale` (team of 16), and BT with Figure 6's lengthened
+/// phases: the region instances a run's model holds, the distinct
+/// constructs proved for them, and what describing and deriving cost.
+fn derive(scale: nas::Scale) {
+    let kernels = nas::BenchName::all().into_iter().map(|b| (b, 1));
+    let fig6 = [4, 16].map(|phase_scale| (nas::BenchName::Bt, phase_scale));
+    for (bench, phase_scale) in kernels.chain(fig6) {
+        let mut rt = omp::Runtime::with_threads(
+            ccnuma::Machine::new(ccnuma::MachineConfig::origin2000_16p_scaled()),
+            16,
+        );
+        let kernel: Box<dyn nas::NasBenchmark> = if phase_scale > 1 {
+            let cfg = nas::bt::BtConfig {
+                phase_scale,
+                ..nas::bt::BtConfig::for_scale(scale)
+            };
+            Box::new(nas::bt::Bt::with_config(&mut rt, cfg))
+        } else {
+            nas::instantiate(bench, &mut rt, scale)
+        };
+        let t = Instant::now();
+        let model = kernel.access_model().expect("every kernel is modeled");
+        let describe_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let set = nas::facts::ProofSet::derive(&model, rt.threads());
+        let derive_s = t.elapsed().as_secs_f64();
+        println!(
+            "{} {} phases x{phase_scale}: {} instances, {} constructs, describe {:.2} ms derive \
+             {:.1} ms",
+            bench.label(),
+            scale.label(),
+            set.instances,
+            set.constructs,
+            describe_s * 1e3,
+            derive_s * 1e3,
+        );
     }
 }
 

@@ -124,12 +124,16 @@ pub fn report_for(
     // Analysis is its own row (`nas.facts.derive`, `lint.facts.derive`)
     // only in the cell that paid for it; the counters say who did.
     let (proofs, schemes) = (nas::facts::stats(), crate::lint::static_scheme_stats());
+    let derived = nas::facts::derivations();
     let memos = ccnuma::fastpath::library_stats();
     report.note(format!(
-        "analysis tables, process-wide: proof sets {} derived / {} shared, static placements \
+        "analysis tables, process-wide: proof sets {} derived / {} shared (all derivations, \
+         named or private: {} region instances proved from {} constructs), static placements \
          {} derived / {} shared, memo libraries {} held ({} images, {} class-stream bytes)",
         proofs.derived,
         proofs.shared,
+        derived.instances,
+        derived.constructs,
         schemes.derived,
         schemes.shared,
         memos.libraries,

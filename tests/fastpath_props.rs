@@ -425,7 +425,7 @@ fn tiny_model(bench: nas::BenchName) -> (nas::KernelModel, usize) {
 fn every_nas_label_names_one_proof() {
     for bench in nas::BenchName::all() {
         let (model, threads) = tiny_model(bench);
-        let mut table: BTreeMap<String, Option<PhaseProof>> = BTreeMap::new();
+        let mut table: BTreeMap<String, Option<std::sync::Arc<PhaseProof>>> = BTreeMap::new();
         let mut instances = 0;
         let phases = [model.cold(), model.iteration()];
         for (label, proof) in phases.iter().flat_map(|p| derive_proofs(p, threads)) {
