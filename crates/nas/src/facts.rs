@@ -9,16 +9,20 @@
 //! (five kernels, three scales, the team sizes a process uses).
 //!
 //! This module owns the table of proof sets ([`proof_set`]);
-//! `xp::lint::static_scheme` owns the table of placements.
+//! `xp::lint::static_scheme` owns the table of placements. A third fact
+//! lives in each proof set: the memos its runs record before their first
+//! page migration, one `ccnuma::MemoLibrary` per machine configuration
+//! ([`ProofSet::library`]), kept as long as the set.
 
 use crate::common::{BenchName, Scale};
 use crate::model::KernelModel;
 use crate::proof::Deriver;
-use ccnuma::ProofTable;
+use ccnuma::fastpath::LibraryStats;
+use ccnuma::{MachineConfig, MemoLibrary, ProofTable};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
 
 /// A once-per-key table. The map lock is held only to fetch a key's cell;
 /// the derivation runs outside it, inside the cell, so a second asker of a
@@ -71,6 +75,18 @@ impl<K: Eq + Hash, V: Clone> Facts<K, V> {
         cells.get(key).is_some_and(|cell| cell.get().is_some())
     }
 
+    /// Every value derived so far.
+    pub fn values(&self) -> Vec<V> {
+        let cells = self
+            .cells
+            .lock()
+            .expect("no derivation runs under the lock");
+        cells
+            .values()
+            .filter_map(|cell| cell.get().cloned())
+            .collect()
+    }
+
     /// The table's counters so far.
     pub fn stats(&self) -> FactsStats {
         FactsStats {
@@ -95,7 +111,6 @@ impl<K, V> Default for Facts<K, V> {
 /// table of the cold start and of one timed iteration — what
 /// `omp::Runtime::install_fastpath` takes before each of the two. A loop
 /// both texts run with the same proof is held once.
-#[derive(Debug)]
 pub struct ProofSet {
     /// The cold-start iteration's proofs.
     pub cold: ProofTable,
@@ -106,6 +121,8 @@ pub struct ProofSet {
     /// Distinct constructs derived for them: each once, however many
     /// instances a block made of it.
     pub constructs: usize,
+    /// The memo library of each machine configuration asked for.
+    libraries: Mutex<Vec<(MachineConfig, MemoLibrary)>>,
 }
 
 impl ProofSet {
@@ -127,7 +144,28 @@ impl ProofSet {
             iteration,
             instances,
             constructs,
+            libraries: Mutex::default(),
         }
+    }
+
+    /// The memo library the runs that install this set share on machines
+    /// configured as `config`: made by the first to ask and kept as long as
+    /// the set, so each run of the key finds what the earlier ones
+    /// published. A private run's set is never asked.
+    pub fn library(&self, config: &MachineConfig) -> MemoLibrary {
+        let mut libraries = self.libraries();
+        if let Some((_, library)) = libraries.iter().find(|(made_for, _)| made_for == config) {
+            return library.clone();
+        }
+        let library = MemoLibrary::default();
+        libraries.push((config.clone(), library.clone()));
+        library
+    }
+
+    fn libraries(&self) -> MutexGuard<'_, Vec<(MachineConfig, MemoLibrary)>> {
+        self.libraries
+            .lock()
+            .expect("nothing panics under the lock")
     }
 }
 
@@ -199,6 +237,20 @@ pub fn proof_set(
 /// Counters of the proof-set table.
 pub fn stats() -> FactsStats {
     PROOFS.stats()
+}
+
+/// What the memo libraries of the process's proof sets hold, summed.
+pub fn library_stats() -> LibraryStats {
+    let mut total = LibraryStats::default();
+    for set in PROOFS.values() {
+        for (_, library) in set.libraries().iter() {
+            let held = library.stats();
+            total.libraries += held.libraries;
+            total.images += held.images;
+            total.class_bytes += held.class_bytes;
+        }
+    }
+    total
 }
 
 #[cfg(test)]
@@ -430,11 +482,11 @@ mod tests {
             let private = stats.expect("installed");
             assert!(private.replays > 0);
             // The first named run may derive; the second is handed the set.
-            // Either may borrow memos another run of the key published (the
-            // other tests of this binary share the process), so what the
-            // engine counts depends on history — but not the bytes, nor
-            // how many regions it saw, and a borrowed memo is never
-            // recorded again.
+            // Each borrows what earlier runs of the key published — the set
+            // keeps its library as long as the process, which the other
+            // tests of this binary share — so what the engine counts depends
+            // on history, but not the bytes, nor how many regions it saw,
+            // and a borrowed memo is never recorded again.
             for round in ["first", "second"] {
                 let what = format!("{} {round} named run", bench.label());
                 let (named_bytes, stats) = outcome(BenchRun::for_bench(bench, Scale::Tiny, &cfg));
@@ -452,8 +504,10 @@ mod tests {
     #[test]
     fn another_layout_under_the_same_name_has_its_own_entry_and_replays() {
         // A team size nothing else in this test binary runs CG with: each
-        // named run below is the first of its key, so no memo library holds
-        // anything for it and it counts what a private run would.
+        // named run below is the first of its key — the shift gives the
+        // second a proof set, and so a library, of its own — so nothing was
+        // published to its library before it and it counts what a private
+        // run would.
         let (bench, scale, threads) = (BenchName::Cg, Scale::Tiny, 5);
         let cfg = RunConfig {
             threads,

@@ -181,8 +181,8 @@ impl BenchRun {
     /// Every such run of a process installs the same proof set, derived by
     /// the first of them (see [`facts::proof_set`]), and after a resize the
     /// set of its new team — and shares fast-path memos with every other
-    /// run of that set on an equal machine through their memo library
-    /// (`ccnuma::MemoLibrary`).
+    /// run of that set on an equal machine through the set's memo library
+    /// ([`ProofSet::library`]).
     pub fn for_bench(bench: BenchName, scale: Scale, cfg: &RunConfig) -> Self {
         let named = Some((bench, scale));
         Self::boxed(|rt| instantiate(bench, rt, scale), cfg, named)
@@ -293,9 +293,9 @@ impl BenchRun {
     /// A runtime that lost its engine — `Runtime::resize_team` drops it,
     /// the proofs being the old team's — gets the timed iteration's proofs
     /// for the team it has now, and that team's memo library: a resize back
-    /// finds the memos its team published while they are held. Only a
-    /// named run has them to ask for ([`facts::proof_set`] is keyed by
-    /// team): a [`BenchRun::new`] run stays exact after a resize.
+    /// finds the memos its team published. Only a named run has them to ask
+    /// for ([`facts::proof_set`] is keyed by team): a [`BenchRun::new`] run
+    /// stays exact after a resize.
     fn rearm_fastpath(&mut self) {
         let Some((bench, scale)) = self.named else {
             return;
@@ -493,8 +493,9 @@ pub fn instantiate(bench: BenchName, rt: &mut Runtime, scale: Scale) -> Box<dyn 
 }
 
 /// What a named run of `bench` at `scale` installs on `rt`'s team: the
-/// process's proof set for it ([`facts::proof_set`]) and the memo library
-/// of that set on `rt`'s machine, which every such run shares.
+/// process's proof set for it ([`facts::proof_set`]) and the set's memo
+/// library for `rt`'s machine ([`ProofSet::library`]), which every such
+/// run shares.
 fn shared(
     bench: BenchName,
     scale: Scale,
@@ -502,7 +503,7 @@ fn shared(
     model: &KernelModel,
 ) -> (Arc<ProofSet>, MemoLibrary) {
     let proofs = facts::proof_set(bench, scale, rt.threads(), model);
-    let library = MemoLibrary::of(&proofs, rt.machine().config());
+    let library = proofs.library(rt.machine().config());
     (proofs, library)
 }
 

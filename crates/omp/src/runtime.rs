@@ -214,8 +214,8 @@ impl Runtime {
     /// existing engine is kept, and with it the memos of every label
     /// installed again with an equal proof. `library` is the memo library
     /// the engine shares with the other runs of the table's proof set, if
-    /// it shares any; the engine holds it until it is dropped — by
-    /// [`Runtime::resize_team`] or with the runtime.
+    /// it shares any. Its owner (for a named run, the proof set) keeps it;
+    /// the engine only borrows from it and publishes to it.
     pub fn install_fastpath(&mut self, table: &ProofTable, library: Option<&MemoLibrary>) {
         self.fastpath
             .get_or_insert_with(FastpathEngine::new)

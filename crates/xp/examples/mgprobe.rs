@@ -185,7 +185,7 @@ fn grid(bench: nas::BenchName, scale: nas::Scale) {
     let named: Vec<Timed> = (cells.iter())
         .map(|c| timed(nas::BenchRun::for_bench(c.bench, c.scale, &c.cfg)))
         .collect();
-    let held = ccnuma::fastpath::library_stats();
+    let held = nas::facts::library_stats();
     let private: Vec<Timed> = (cells.iter())
         .map(|c| timed(private(c.bench, c.scale, &c.cfg, true)))
         .collect();

@@ -125,7 +125,7 @@ pub fn report_for(
     // only in the cell that paid for it; the counters say who did.
     let (proofs, schemes) = (nas::facts::stats(), crate::lint::static_scheme_stats());
     let derived = nas::facts::derivations();
-    let memos = ccnuma::fastpath::library_stats();
+    let memos = nas::facts::library_stats();
     report.note(format!(
         "analysis tables, process-wide: proof sets {} derived / {} shared (all derivations, \
          named or private: {} region instances proved from {} constructs), static placements \

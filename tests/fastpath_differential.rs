@@ -224,19 +224,6 @@ fn named_cell(cell: &xp::grid::Cell) -> (String, Stats) {
     (run.finish().to_cache_json().to_string(), stats)
 }
 
-/// The memo library the named runs of `cell`'s key share, held for as long
-/// as the handle lives: a library no run holds lasts only until another
-/// run of the process is released, and the other tests of this binary
-/// release theirs at any moment.
-fn hold(cell: &xp::grid::Cell) -> ccnuma::MemoLibrary {
-    let (machine, threads) = (&cell.cfg.machine, cell.cfg.threads);
-    let mut rt = Runtime::with_threads(Machine::new(machine.clone()), threads);
-    let kernel = nas::instantiate(cell.bench, &mut rt, cell.scale);
-    let model = kernel.access_model().expect("all five kernels are modeled");
-    let proofs = nas::facts::proof_set(cell.bench, cell.scale, threads, &model);
-    ccnuma::MemoLibrary::of(&proofs, machine)
-}
-
 /// A private run of `bench` at tiny: what it counted and measured.
 fn private_run(bench: BenchName) -> (String, Option<Stats>) {
     let cfg = RunConfig::paper_default();
@@ -294,7 +281,6 @@ fn a_grid_shares_memos_and_stays_bit_identical_in_any_order() {
 
         for (way, extra, reverse) in [("in plan order", 1, false), ("in reverse", 2, true)] {
             let cells = on_key(extra);
-            let _held = hold(&cells[0]);
             let mut order: Vec<usize> = (0..cells.len()).collect();
             if reverse {
                 order.reverse();
@@ -310,7 +296,6 @@ fn a_grid_shares_memos_and_stays_bit_identical_in_any_order() {
         }
 
         let cells = on_key(3);
-        let _held = hold(&cells[0]);
         let halves: Vec<Vec<usize>> = (0..2)
             .map(|h| (h..cells.len()).step_by(2).collect())
             .collect();
@@ -330,6 +315,27 @@ fn a_grid_shares_memos_and_stays_bit_identical_in_any_order() {
         // A private run shares nothing, before the grids or after them.
         assert_eq!(private_run(bench), private, "{}", bench.label());
     }
+}
+
+#[test]
+fn a_key_keeps_its_memos_while_other_keys_run() {
+    // A machine four virtual pages larger than the paper's is a key no
+    // other test runs (the grid test above takes one to three larger). A
+    // run of another kernel comes between two runs of CG, and nothing but
+    // CG's proof set keeps CG's library: the second CG run still finds
+    // what the first published.
+    let mut cfg = RunConfig::paper_default();
+    cfg.machine.max_vpages += 4;
+    let (first, [_, cold]) = run_named(BenchName::Cg, &cfg, true, None);
+    run_named(BenchName::Mg, &cfg, true, None);
+    let (again, [_, warm]) = run_named(BenchName::Cg, &cfg, true, None);
+    let (cold, warm) = (cold.expect("installed"), warm.expect("installed"));
+    assert_eq!(again, first, "a borrowed memo moved a byte");
+    assert!(warm.cpu_borrowed > 0, "borrowed nothing: {warm:?}");
+    assert!(
+        warm.cpu_records < cold.cpu_records,
+        "recorded as much as the first run: {warm:?} after {cold:?}"
+    );
 }
 
 #[test]
