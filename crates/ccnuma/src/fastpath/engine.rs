@@ -95,10 +95,11 @@ struct RecordToken {
     /// [`RefCounters::total_recorded`] after the hitters' bulk adds; the
     /// exit delta must equal the live threads' logged accesses.
     entry_accesses: u64,
-    /// Debug builds only (empty in release): per-proof-line entry versions
-    /// and per-(frame, node) counter totals, for the exhaustive footprint
-    /// re-validation backing the aggregate checks above.
-    key_dir: Vec<u32>,
+    /// Debug builds only (empty in release): `(line, entry version)` of
+    /// every proof line and per-(frame, node) counter totals, for the
+    /// exhaustive footprint re-validation backing the aggregate checks
+    /// above.
+    key_dir: Vec<(u64, u32)>,
     entry_counters: Vec<u64>,
     live: Vec<LiveCpu>,
 }
@@ -141,14 +142,11 @@ pub(super) struct CpuSlot {
 impl Pool {
     fn new(proof: Arc<PhaseProof>) -> Self {
         let mut writes_by_thread = vec![Vec::new(); proof.threads];
-        for &(line, count, writer) in &proof.line_writes {
+        let mut claimed_writes = 0;
+        for (line, count, writer) in proof.line_writes() {
             writes_by_thread[writer as usize].push((line, count));
+            claimed_writes += u64::from(count);
         }
-        let claimed_writes = proof
-            .line_writes
-            .iter()
-            .map(|&(_, c, _)| u64::from(c))
-            .sum();
         Self {
             proof,
             lines: LineSet::default(),
@@ -200,9 +198,8 @@ impl Pool {
 pub struct FastpathEngine {
     pools: HashMap<String, Pool>,
     stats: FastpathStats,
-    /// Where the engine borrows memos from and publishes them to, if it
-    /// shares any.
-    library: Option<MemoLibrary>,
+    /// Where the engine borrows memos from and publishes them to.
+    library: MemoLibrary,
     /// Working table of the recording exit pass: each frame's proof page
     /// ([`NO_PAGE`] between recordings), sized to the machine once.
     frame_page: Vec<u32>,
@@ -230,11 +227,11 @@ impl FastpathEngine {
     /// label whose proof equals the one its pool already holds keeps its
     /// memos (cold-start recordings seed the timed iterations), every other
     /// pool starts empty or is gone. A pool shares the table's proof.
-    /// `library`, when given, is where the engine borrows and publishes
-    /// memos from now on: the library of the proof set `table` comes from,
-    /// on machines configured like this engine's.
-    pub fn install(&mut self, table: &ProofTable, library: Option<&MemoLibrary>) {
-        self.library = library.cloned();
+    /// `library` is where the engine borrows and publishes memos from now
+    /// on: the library of the proof set `table` comes from, on machines
+    /// configured like this engine's.
+    pub fn install(&mut self, table: &ProofTable, library: &MemoLibrary) {
+        self.library = library.clone();
         let mut old = std::mem::take(&mut self.pools);
         for (label, proof) in &table.0 {
             let pool = match old.remove(label) {
@@ -276,8 +273,8 @@ impl FastpathEngine {
         }
         // Every proof page must already be mapped (a fault mid-region would
         // consult the placement policy, which the replay could not reproduce).
-        let mut frames = Vec::with_capacity(pool.proof.pages.len());
-        for &vp in &pool.proof.pages {
+        let mut frames = Vec::new();
+        for vp in pool.proof.pages() {
             match m.page_table.get(vp as usize).copied().flatten() {
                 Some(f) => frames.push((vp, f)),
                 None => {
@@ -287,7 +284,7 @@ impl FastpathEngine {
             }
         }
         if pool.lines.0.is_empty() {
-            pool.lines = LineSet::of(&pool.proof.lines);
+            pool.lines = LineSet::of(&pool.proof);
         }
         pool.align_slots(binding);
 
@@ -298,8 +295,8 @@ impl FastpathEngine {
         let mut found: Vec<Option<Lane>> = (pool.slots.iter_mut())
             .map(|slot| find(m, slot.cpu, &mut slot.images, &pool.lines, &frames))
             .collect();
-        if let Some(library) = self.library.as_ref().filter(|_| found.contains(&None)) {
-            library.lend(m, pool, &mut found, &frames, stats);
+        if found.contains(&None) {
+            self.library.lend(m, pool, &mut found, &frames, stats);
         }
         let lanes = found.iter().zip(&pool.slots).map(|(&lane, slot)| {
             lane.unwrap_or_else(|| {
@@ -313,9 +310,9 @@ impl FastpathEngine {
         // Aggregate snapshot *before* the bumps; debug builds also take the
         // full per-line snapshot the exhaustive check diffs against.
         let entry_dir_writes = m.directory.total_writes();
-        let key_dir: Vec<u32> = if cfg!(debug_assertions) && live_cpus > 0 {
-            let lines = pool.proof.lines.iter();
-            lines.map(|&l| m.directory.version(l)).collect()
+        let key_dir = if cfg!(debug_assertions) && live_cpus > 0 {
+            let lines = pool.proof.lines();
+            lines.map(|l| (l, m.directory.version(l))).collect()
         } else {
             Vec::new()
         };
@@ -415,10 +412,8 @@ impl FastpathEngine {
             }
         }
         // Until the first migration, every run of the key walks this prefix.
-        if let Some(library) = self.library.as_ref() {
-            if m.stats.page_migrations == 0 {
-                library.publish(pool, &timed, &mut recorded);
-            }
+        if m.stats.page_migrations == 0 {
+            self.library.publish(pool, &timed, &mut recorded);
         }
         for (thread, core, placement) in timed {
             let images = &mut pool.slots[thread].images;
@@ -600,8 +595,8 @@ fn build_images(
         return None;
     }
     if cfg!(debug_assertions) {
-        for (i, &line) in proof.lines.iter().enumerate() {
-            let delta = m.directory.version(line).wrapping_sub(token.key_dir[i]);
+        for &(line, entry) in &token.key_dir {
+            let delta = m.directory.version(line).wrapping_sub(entry);
             let claimed = proof.writes_of(line);
             debug_assert!(
                 delta == claimed,
@@ -828,7 +823,8 @@ fn diff_level(
                     let entry_ver = m.directory.version(t).wrapping_sub(proof.writes_of(t));
                     debug_assert!(
                         token.key_dir.is_empty()
-                            || token.key_dir[proof.lines.binary_search(&t).unwrap()] == entry_ver,
+                            || (token.key_dir.binary_search_by_key(&t, |&(l, _)| l))
+                                .is_ok_and(|i| token.key_dir[i].1 == entry_ver),
                         "arithmetic entry version disagrees with the snapshot"
                     );
                     (t, u64::from(v == entry_ver))
@@ -898,9 +894,9 @@ mod tests {
     /// [`proof`] with one more claimed line: same label, another footprint.
     fn wider_proof() -> PhaseProof {
         let p = proof();
-        let mut lines = p.lines;
+        let mut lines: Vec<u64> = p.lines().collect();
         lines.push(132);
-        PhaseProof::new(p.label, p.threads, lines, p.line_writes)
+        PhaseProof::new(p.label.clone(), p.threads, lines, p.line_writes().collect())
     }
 
     fn instance(proof: Option<PhaseProof>) -> (String, Option<PhaseProof>) {
@@ -910,7 +906,10 @@ mod tests {
     /// An engine whose [`LABEL`] pool holds [`proof`].
     fn engine() -> FastpathEngine {
         let mut engine = FastpathEngine::new();
-        engine.install(&ProofTable::fold([instance(Some(proof()))]), None);
+        engine.install(
+            &ProofTable::fold([instance(Some(proof()))]),
+            &MemoLibrary::default(),
+        );
         engine
     }
 
@@ -1032,12 +1031,15 @@ mod tests {
         // cold-start one, several of them): the label's memos stay.
         engine.install(
             &ProofTable::fold([instance(Some(proof())), instance(Some(proof()))]),
-            None,
+            &MemoLibrary::default(),
         );
         run_region(&mut m, Some(&mut engine));
         assert_eq!(engine.stats().replays, before.replays + 1);
         // Same label, different footprint: an empty pool.
-        engine.install(&ProofTable::fold([instance(Some(wider_proof()))]), None);
+        engine.install(
+            &ProofTable::fold([instance(Some(wider_proof()))]),
+            &MemoLibrary::default(),
+        );
         run_region(&mut m, Some(&mut engine));
         let s = engine.stats();
         assert_eq!(
@@ -1066,7 +1068,7 @@ mod tests {
             }
             let before = engine.stats();
             assert!(before.replays >= 1, "{before:?}");
-            engine.install(&ProofTable::fold(instances), None);
+            engine.install(&ProofTable::fold(instances), &MemoLibrary::default());
             for _ in 0..3 {
                 run_region(&mut reference, None);
                 run_region(&mut fast, Some(&mut engine));
@@ -1074,7 +1076,10 @@ mod tests {
             }
             assert_eq!(engine.stats(), before, "exact, and not counted");
             // Installed consistently again, the label starts from nothing.
-            engine.install(&ProofTable::fold([instance(Some(proof()))]), None);
+            engine.install(
+                &ProofTable::fold([instance(Some(proof()))]),
+                &MemoLibrary::default(),
+            );
             run_region(&mut fast, Some(&mut engine));
             assert_eq!(engine.stats().misses, before.misses + 1);
         }
@@ -1207,7 +1212,7 @@ mod tests {
     /// machine `config`, run to their steady state.
     fn thrashing(config: MachineConfig) -> (Machine, Machine, FastpathEngine) {
         let mut engine = FastpathEngine::new();
-        engine.install(&thrash_table(), None);
+        engine.install(&thrash_table(), &MemoLibrary::default());
         let (mut reference, mut fast) = thrash_twins(&config, 0);
         for _ in 0..3 {
             thrash_both(&mut reference, &mut fast, &mut engine);
@@ -1292,7 +1297,7 @@ mod tests {
         let lent = library.clone();
         let engine = move || {
             let mut engine = FastpathEngine::new();
-            engine.install(&table, Some(&lent));
+            engine.install(&table, &lent);
             engine
         };
         (library, engine)
@@ -1367,7 +1372,10 @@ mod tests {
         let far = 1u64 << 37;
         let proof = PhaseProof::new(LABEL.into(), 1, vec![0, far], vec![]);
         let mut engine = FastpathEngine::new();
-        engine.install(&ProofTable::fold([instance(Some(proof))]), None);
+        engine.install(
+            &ProofTable::fold([instance(Some(proof))]),
+            &MemoLibrary::default(),
+        );
         let (mut reference, mut fast) = (prepared(), prepared());
         let near_only = |m: &mut Machine, lanes: &mut FastpathOutcome| {
             assert!(lanes.replayed.is_empty() && lanes.record.is_none());

@@ -1,5 +1,6 @@
 use std::sync::Arc;
 
+use super::proof::PhaseProof;
 use super::retime::{ClassStream, Timing};
 use super::{KEY_EMPTY, KEY_OTHER, MAX_ASSOC, MAX_VARIANTS};
 use crate::cache::{SetAssocCache, INVALID_TAG};
@@ -122,11 +123,11 @@ pub(super) struct CacheFix {
 pub(super) struct LineSet(pub(super) Vec<u64>);
 
 impl LineSet {
-    /// The set of `lines` (sorted); sized by the last of them.
-    pub(super) fn of(lines: &[u64]) -> Self {
-        let words = lines.last().map_or(0, |&l| (l >> 6) as usize + 1);
-        let mut bits = vec![0u64; words];
-        for &l in lines {
+    /// The set of `proof`'s lines; sized by the last of them.
+    pub(super) fn of(proof: &PhaseProof) -> Self {
+        let last = proof.lines().next_back();
+        let mut bits = vec![0u64; last.map_or(0, |l| (l >> 6) as usize + 1)];
+        for l in proof.lines() {
             bits[(l >> 6) as usize] |= 1 << (l & 63);
         }
         Self(bits)

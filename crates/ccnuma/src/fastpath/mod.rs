@@ -85,14 +85,13 @@
 //! one instance's memo is never replayed for another. A label without a
 //! pool runs exactly. A folded table is immutable and its proofs sit behind
 //! `Arc`s: any number of engines install the same table, none copies a
-//! line vector.
+//! proof.
 //!
-//! **The memo library.** An engine may share memos with the other engines
-//! of its process through a [`MemoLibrary`]: a named run's, the one its
-//! caller keeps for the proof set it installed and its machine's
-//! configuration, and within that by proof, thread and bound CPU. A CPU
-//! whose own images all miss looks there before it records, and an engine
-//! publishes what it records and retimes until its machine's first page
+//! **The memo library.** An engine shares memos with the other engines of
+//! its process through a [`MemoLibrary`]: the one its caller keeps for the
+//! proof set it installed and its machine's configuration, and within that
+//! by proof, thread and bound CPU. A CPU whose own images all miss looks
+//! there before it records, and an engine publishes what it records and retimes until its machine's first page
 //! migration — the prefix every run of the key shares, because caches are
 //! virtually tagged and a placement only chooses frames. An image is an
 //! immutable [`Arc`]'d core once built; its placements stay per engine, and

@@ -4,9 +4,15 @@ use std::sync::Arc;
 use crate::{LINE_SHIFT, PAGE_SHIFT};
 
 /// The `nas`→`ccnuma` contract: a static guarantee, derived from lint's
-/// KernelModel, that one parallel region touches exactly `lines` (writing
+/// KernelModel, that one parallel region touches exactly its lines (writing
 /// each line the claimed number of times, from the claimed thread) and
 /// nothing else, with no line written by one CPU and accessed by another.
+///
+/// A loop sweeps its arrays, so its footprint is a few runs of consecutive
+/// lines however many lines it spans: the proof holds its lines, and its
+/// write claims, as maximal runs, and hands them out line by line
+/// ([`lines`](Self::lines), [`line_writes`](Self::line_writes),
+/// [`writes_of`](Self::writes_of)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProof {
     /// Phase label (`"phase/loop"`); memo pools are shared per label, so the
@@ -15,19 +21,18 @@ pub struct PhaseProof {
     pub label: String,
     /// Team size the proof was derived for.
     pub threads: usize,
-    /// Every line the region touches, sorted and deduplicated.
-    pub lines: Vec<u64>,
-    /// `(line, write count, writer thread)`, sorted by line, zero-count
-    /// entries omitted. Eligibility guarantees the writer is unique per line.
-    pub line_writes: Vec<(u64, u32, u32)>,
-    /// Every page the region touches, sorted (derived from `lines`).
-    pub pages: Vec<u64>,
+    /// `first..end` of every maximal run of consecutive lines the region
+    /// touches, ascending.
+    lines: Vec<(u64, u64)>,
+    /// `(first..end, write count, writer thread)` of every maximal run of
+    /// consecutive written lines with one count and one writer, ascending.
+    writes: Vec<(u64, u64, u32, u32)>,
 }
 
 impl PhaseProof {
     /// Assemble a proof; `lines` must be sorted and unique, `line_writes`
-    /// sorted with nonzero counts over a subset of `lines` and writer
-    /// threads below `threads`.
+    /// — `(line, write count, writer thread)` — sorted with nonzero counts
+    /// over a subset of `lines` and writer threads below `threads`.
     pub fn new(
         label: String,
         threads: usize,
@@ -40,26 +45,59 @@ impl PhaseProof {
         debug_assert!(line_writes
             .iter()
             .all(|&(l, c, t)| c > 0 && (t as usize) < threads && lines.binary_search(&l).is_ok()));
-        let mut pages: Vec<u64> = lines
-            .iter()
-            .map(|&l| l >> (PAGE_SHIFT - LINE_SHIFT))
-            .collect();
-        pages.dedup(); // lines sorted => page list sorted
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for line in lines {
+            match runs.last_mut() {
+                Some(run) if run.1 == line => run.1 += 1,
+                _ => runs.push((line, line + 1)),
+            }
+        }
+        let mut writes: Vec<(u64, u64, u32, u32)> = Vec::new();
+        for (line, count, writer) in line_writes {
+            match writes.last_mut() {
+                Some(run) if (run.1, run.2, run.3) == (line, count, writer) => run.1 += 1,
+                _ => writes.push((line, line + 1, count, writer)),
+            }
+        }
+        runs.shrink_to_fit();
+        writes.shrink_to_fit();
         Self {
             label,
             threads,
-            lines,
-            line_writes,
-            pages,
+            lines: runs,
+            writes,
         }
     }
 
+    /// Every line the region touches, ascending.
+    pub fn lines(&self) -> impl DoubleEndedIterator<Item = u64> + '_ {
+        self.lines.iter().flat_map(|&(first, end)| first..end)
+    }
+
+    /// `(line, write count, writer thread)` of every line the region
+    /// writes, ascending.
+    pub fn line_writes(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+        (self.writes.iter()).flat_map(|&(first, end, count, writer)| {
+            (first..end).map(move |line| (line, count, writer))
+        })
+    }
+
     /// Claimed total write count of `line` (0 when never written).
-    pub(super) fn writes_of(&self, line: u64) -> u32 {
-        match self.line_writes.binary_search_by_key(&line, |e| e.0) {
-            Ok(i) => self.line_writes[i].1,
-            Err(_) => 0,
+    pub fn writes_of(&self, line: u64) -> u32 {
+        let after = self.writes.partition_point(|run| run.0 <= line);
+        match after.checked_sub(1).map(|i| self.writes[i]) {
+            Some((_, end, count, _)) if line < end => count,
+            _ => 0,
         }
+    }
+
+    /// Every page the region touches, ascending.
+    pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
+        let page = |line: u64| line >> (PAGE_SHIFT - LINE_SHIFT);
+        let mut last = None;
+        (self.lines.iter())
+            .flat_map(move |&(first, end)| page(first)..=page(end - 1))
+            .filter(move |&p| last.replace(p) != Some(p))
     }
 }
 

@@ -365,6 +365,10 @@ impl<S: LineSolve> NasBenchmark for Adi<S> {
         S::NAME
     }
 
+    fn problem(&self) -> String {
+        format!("{:?}", self.cfg)
+    }
+
     fn iterations(&self) -> usize {
         self.cfg.niter
     }

@@ -395,6 +395,10 @@ impl NasBenchmark for Cg {
         BenchName::Cg
     }
 
+    fn problem(&self) -> String {
+        format!("{:?}", self.cfg)
+    }
+
     fn iterations(&self) -> usize {
         self.cfg.outer
     }

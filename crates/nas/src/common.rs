@@ -138,6 +138,12 @@ pub trait NasBenchmark {
     /// Which benchmark this is.
     fn name(&self) -> BenchName;
 
+    /// The problem this instance solves, as a key: what its text depends
+    /// on besides the team and where its arrays lie (its configuration).
+    /// Instances of one name and problem run one text, so a process
+    /// derives their fast-path proofs once (`facts::proof_set`).
+    fn problem(&self) -> String;
+
     /// Number of timed iterations this instance runs (the paper: BT 200,
     /// SP 400 [sic: 15 in the NAS A config used for upmlib runs], CG 15,
     /// FT 6, MG 4; scaled here).
@@ -181,11 +187,14 @@ pub trait NasBenchmark {
 }
 
 /// A benchmark chosen by name at run time ([`crate::instantiate`]) is one
-/// too: `BenchRun::new(|rt| instantiate(bench, rt, scale), cfg)` is the
-/// private run of a named kernel.
+/// too.
 impl NasBenchmark for Box<dyn NasBenchmark> {
     fn name(&self) -> BenchName {
         (**self).name()
+    }
+
+    fn problem(&self) -> String {
+        (**self).problem()
     }
 
     fn iterations(&self) -> usize {

@@ -5,8 +5,9 @@
 //! proofs and the synthesized static placement. [`Facts`] is the one table
 //! type both live in — a key's value is derived by whoever asks first and
 //! handed to everyone after, for the life of the process. There is nothing
-//! to configure and nothing is ever dropped: the keys are a closed set
-//! (five kernels, three scales, the team sizes a process uses).
+//! to configure and nothing is ever dropped: the keys are the problems, teams
+//! and layouts a process runs, a handful per experiment, and what a key
+//! holds is small (a proof keeps its lines as runs).
 //!
 //! This module owns the table of proof sets ([`proof_set`]);
 //! `xp::lint::static_scheme` owns the table of placements. A third fact
@@ -14,7 +15,7 @@
 //! page migration, one `ccnuma::MemoLibrary` per machine configuration
 //! ([`ProofSet::library`]), kept as long as the set.
 
-use crate::common::{BenchName, Scale};
+use crate::common::{BenchName, NasBenchmark};
 use crate::model::KernelModel;
 use crate::proof::Deriver;
 use ccnuma::fastpath::LibraryStats;
@@ -127,9 +128,8 @@ pub struct ProofSet {
 
 impl ProofSet {
     /// Derive and fold the proofs of `model` for a team of `threads`, each
-    /// construct once across both texts. Both doors derive here — the
-    /// process's table ([`proof_set`]) and a private run — so the
-    /// `nas.facts.derive` span and [`derivations`] count them all.
+    /// construct once across both texts: what the process's table
+    /// ([`proof_set`]) holds, under the `nas.facts.derive` span.
     pub fn derive(model: &KernelModel, threads: usize) -> Self {
         let _hp = hostprof::span("nas.facts.derive");
         let mut deriver = Deriver::new(threads);
@@ -137,8 +137,6 @@ impl ProofSet {
         let mut iteration = ProofTable::fold(deriver.text(model.iteration()));
         iteration.share_with(&cold);
         let (instances, constructs) = deriver.counts();
-        INSTANCES.fetch_add(instances as u64, Ordering::Relaxed);
-        CONSTRUCTS.fetch_add(constructs as u64, Ordering::Relaxed);
         Self {
             cold,
             iteration,
@@ -151,7 +149,7 @@ impl ProofSet {
     /// The memo library the runs that install this set share on machines
     /// configured as `config`: made by the first to ask and kept as long as
     /// the set, so each run of the key finds what the earlier ones
-    /// published. A private run's set is never asked.
+    /// published.
     pub fn library(&self, config: &MachineConfig) -> MemoLibrary {
         let mut libraries = self.libraries();
         if let Some((_, library)) = libraries.iter().find(|(made_for, _)| made_for == config) {
@@ -169,7 +167,7 @@ impl ProofSet {
     }
 }
 
-/// What [`ProofSet::derive`] did in this process, through either door.
+/// What the proof sets of the process's table cover.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Derivations {
     /// Region instances the derived proof sets cover.
@@ -178,40 +176,41 @@ pub struct Derivations {
     pub constructs: u64,
 }
 
-static INSTANCES: AtomicU64 = AtomicU64::new(0);
-static CONSTRUCTS: AtomicU64 = AtomicU64::new(0);
-
-/// Every proof derivation of the process so far (statistics only).
+/// Every proof set derived in this process so far, summed (statistics
+/// only).
 pub fn derivations() -> Derivations {
-    Derivations {
-        instances: INSTANCES.load(Ordering::Relaxed),
-        constructs: CONSTRUCTS.load(Ordering::Relaxed),
+    let mut total = Derivations::default();
+    for set in PROOFS.values() {
+        total.instances += set.instances as u64;
+        total.constructs += set.constructs as u64;
     }
+    total
 }
 
 /// What a proof set is a function of. The proofs follow from the kernel's
-/// text and problem (`bench`, `scale`), from the ownership partition
-/// (`threads`) and from where the arrays lie — so the layout is part of the
-/// key, not a check made after the lookup: a run that laid its arrays out
-/// differently (something allocated first) has an entry of its own.
+/// text, which its name and problem decide (`bench`, `problem`: see
+/// [`NasBenchmark::problem`]), from the ownership partition (`threads`) and
+/// from where the arrays lie — so the layout is part of the key, not a
+/// check made after the lookup: a run that laid its arrays out differently
+/// (something allocated first) has an entry of its own.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ProofKey {
     bench: BenchName,
-    scale: Scale,
+    problem: String,
     threads: usize,
     /// `(name, base, bytes)` of every array of the model.
     layout: Vec<(String, u64, u64)>,
 }
 
 impl ProofKey {
-    fn of(bench: BenchName, scale: Scale, threads: usize, model: &KernelModel) -> Self {
+    fn of(bench: &dyn NasBenchmark, threads: usize, model: &KernelModel) -> Self {
         let layout = model.arrays().iter().map(|a| {
             let (base, bytes) = a.vrange();
             (a.name().to_string(), base, bytes)
         });
         Self {
-            bench,
-            scale,
+            bench: bench.name(),
+            problem: bench.problem(),
             threads,
             layout: layout.collect(),
         }
@@ -220,16 +219,11 @@ impl ProofKey {
 
 static PROOFS: LazyLock<Facts<ProofKey, Arc<ProofSet>>> = LazyLock::new(Facts::default);
 
-/// The proof set of `bench` at `scale` for a team of `threads`, where
-/// `model` is that kernel's model as the asking run allocated it. Derived
-/// by the first run of the process to ask, shared by every later one.
-pub fn proof_set(
-    bench: BenchName,
-    scale: Scale,
-    threads: usize,
-    model: &KernelModel,
-) -> Arc<ProofSet> {
-    PROOFS.get(ProofKey::of(bench, scale, threads, model), || {
+/// The proof set of the kernel `bench` for a team of `threads`, where
+/// `model` is its model as the asking run allocated it. Derived by the
+/// first run of the process to ask, shared by every later one.
+pub fn proof_set(bench: &dyn NasBenchmark, threads: usize, model: &KernelModel) -> Arc<ProofSet> {
+    PROOFS.get(ProofKey::of(bench, threads, model), || {
         Arc::new(ProofSet::derive(model, threads))
     })
 }
@@ -257,7 +251,7 @@ pub fn library_stats() -> LibraryStats {
 mod tests {
     use super::*;
     use crate::adi::AdiConfig;
-    use crate::common::NasBenchmark;
+    use crate::common::Scale;
     use crate::harness::{instantiate, BenchRun, RunConfig};
     use crate::model::{redescribed, LoopModel};
     use crate::proof::derive_proofs;
@@ -368,12 +362,16 @@ mod tests {
         let cg = model_of(BenchName::Cg, Scale::Medium, 16);
         let set = ProofSet::derive(&cg, 16);
         assert_eq!((set.instances, set.constructs), (106, 9), "CG medium");
-        // Tests derive concurrently: others may add to the process's counts.
+        // The table's totals grow by what a key new to it derives. No other
+        // test asks for a team of three; tests derive concurrently, so
+        // others may add to the totals too.
         let before = derivations();
-        ProofSet::derive(&cg, 16);
+        let kernel = kernel_of(BenchName::Cg, Scale::Tiny, 3, 1);
+        let set = proof_set(&*kernel, 3, &kernel.access_model().unwrap());
         let after = derivations();
-        assert!(after.instances >= before.instances + 106);
-        assert!(after.constructs >= before.constructs + 9);
+        assert!(set.constructs < set.instances, "{}", set.instances);
+        assert!(after.instances >= before.instances + set.instances as u64);
+        assert!(after.constructs >= before.constructs + set.constructs as u64);
     }
 
     #[test]
@@ -434,8 +432,9 @@ mod tests {
         for &scale in scales {
             for bench in BenchName::all() {
                 for threads in [1, 4, 16] {
-                    let model = model_of(bench, scale, threads);
-                    let shared = proof_set(bench, scale, threads, &model);
+                    let kernel = kernel_of(bench, scale, threads, 1);
+                    let model = kernel.access_model().expect("modeled");
+                    let shared = proof_set(&*kernel, threads, &model);
                     let fresh = |text| ProofTable::fold(derive_proofs(text, threads));
                     let what = format!("{} {} x{threads}", bench.label(), scale.label());
                     assert!(shared.cold == fresh(model.cold()), "{what}: cold");
@@ -447,7 +446,7 @@ mod tests {
                         shared.iteration != ProofTable::default(),
                         "{what}: nothing proven"
                     );
-                    let again = proof_set(bench, scale, threads, &model);
+                    let again = proof_set(&*kernel, threads, &model);
                     assert!(Arc::ptr_eq(&shared, &again), "{what}: derived twice");
                 }
             }
@@ -472,31 +471,42 @@ mod tests {
 
     #[test]
     fn a_run_is_the_same_through_either_door() {
-        let cfg = RunConfig::paper_default();
+        // A machine one virtual page larger than the paper's is a key no
+        // other test of this binary runs: the run of the kernel's own type
+        // is the first of its library, and records what a run alone would.
+        let mut cfg = RunConfig::paper_default();
+        cfg.machine.max_vpages += 1;
+        let own_type = |bench, rt: &mut Runtime| -> Box<dyn NasBenchmark> {
+            match bench {
+                BenchName::Cg => Box::new(crate::cg::Cg::new(rt, Scale::Tiny)),
+                _ => Box::new(crate::mg::Mg::new(rt, Scale::Tiny)),
+            }
+        };
         for bench in [BenchName::Cg, BenchName::Mg] {
-            let (bytes, stats) = outcome(BenchRun::boxed(
-                |rt| instantiate(bench, rt, Scale::Tiny),
-                &cfg,
-                None,
-            ));
-            let private = stats.expect("installed");
-            assert!(private.replays > 0);
-            // The first named run may derive; the second is handed the set.
-            // Each borrows what earlier runs of the key published — the set
-            // keeps its library as long as the process, which the other
-            // tests of this binary share — so what the engine counts depends
-            // on history, but not the bytes, nor how many regions it saw,
-            // and a borrowed memo is never recorded again.
+            let (bytes, stats) = outcome(BenchRun::new(|rt| own_type(bench, rt), &cfg));
+            let first = stats.expect("installed");
+            assert!(first.replays > 0);
+            // The kernel by its type and by its name is one problem: both
+            // doors ask for one proof set.
+            let fresh = || Runtime::with_threads(Machine::new(cfg.machine.clone()), 16);
+            let by_type = own_type(bench, &mut fresh());
+            let by_name = instantiate(bench, &mut fresh(), Scale::Tiny);
+            let set = |kernel: &dyn NasBenchmark| {
+                proof_set(kernel, 16, &kernel.access_model().expect("modeled"))
+            };
+            assert!(Arc::ptr_eq(&set(&*by_type), &set(&*by_name)));
+            // Each run by name borrows what the earlier runs of the key
+            // published, so what the engine counts depends on history, but
+            // not the bytes, nor how many regions it saw, and a borrowed
+            // memo is never recorded again.
             for round in ["first", "second"] {
-                let what = format!("{} {round} named run", bench.label());
+                let what = format!("{} {round} run by name", bench.label());
                 let (named_bytes, stats) = outcome(BenchRun::for_bench(bench, Scale::Tiny, &cfg));
                 let named = stats.expect("installed");
                 assert_eq!(named_bytes, bytes, "{what}");
-                assert_eq!(regions(named), regions(private), "{what}: {named:?}");
-                assert!(
-                    named.cpu_records <= private.cpu_records,
-                    "{what}: {named:?}"
-                );
+                assert_eq!(regions(named), regions(first), "{what}: {named:?}");
+                assert!(named.cpu_borrowed > 0, "{what}: {named:?}");
+                assert!(named.cpu_records < first.cpu_records, "{what}: {named:?}");
             }
         }
     }
@@ -504,10 +514,9 @@ mod tests {
     #[test]
     fn another_layout_under_the_same_name_has_its_own_entry_and_replays() {
         // A team size nothing else in this test binary runs CG with: each
-        // named run below is the first of its key — the shift gives the
-        // second a proof set, and so a library, of its own — so nothing was
-        // published to its library before it and it counts what a private
-        // run would.
+        // run below is the first of its key — the shift gives the second a
+        // proof set, and so a library, of its own — so nothing was
+        // published to its library before it.
         let (bench, scale, threads) = (BenchName::Cg, Scale::Tiny, 5);
         let cfg = RunConfig {
             threads,
@@ -517,10 +526,9 @@ mod tests {
             SimArray::new(rt.machine_mut(), "pad", 3 * 4096, 0.0f64);
             instantiate(bench, rt, scale)
         };
-        let named = Some((bench, scale));
         let plain = outcome(BenchRun::for_bench(bench, scale, &cfg));
-        let shifted = outcome(BenchRun::boxed(padded, &cfg, named));
-        let mut exact = BenchRun::boxed(padded, &cfg, named);
+        let shifted = outcome(BenchRun::new(padded, &cfg));
+        let mut exact = BenchRun::new(padded, &cfg);
         exact.set_fastpath(false);
         assert_eq!(
             shifted.0,
@@ -530,18 +538,19 @@ mod tests {
         assert!(shifted.1.expect("installed").replays > 0, "{shifted:?}");
         assert_eq!(shifted.1, plain.1, "the shift moves no line across a page");
 
-        let plain_model = model_of(bench, scale, threads);
+        let plain_kernel = kernel_of(bench, scale, threads, 1);
+        let plain_model = plain_kernel.access_model().unwrap();
         let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
-        let mut rt = Runtime::with_threads(machine, threads);
-        let shifted_model = padded(&mut rt).access_model().unwrap();
+        let shifted_kernel = padded(&mut Runtime::with_threads(machine, threads));
+        let shifted_model = shifted_kernel.access_model().unwrap();
         let (a, b) = (
-            ProofKey::of(bench, scale, threads, &plain_model),
-            ProofKey::of(bench, scale, threads, &shifted_model),
+            ProofKey::of(&*plain_kernel, threads, &plain_model),
+            ProofKey::of(&*shifted_kernel, threads, &shifted_model),
         );
         assert_ne!(a, b);
         assert!(PROOFS.holds(&a) && PROOFS.holds(&b));
-        let plain_set = proof_set(bench, scale, threads, &plain_model);
-        let shifted_set = proof_set(bench, scale, threads, &shifted_model);
+        let plain_set = proof_set(&*plain_kernel, threads, &plain_model);
+        let shifted_set = proof_set(&*shifted_kernel, threads, &shifted_model);
         assert!(plain_set.iteration != shifted_set.iteration);
     }
 }

@@ -286,6 +286,10 @@ impl NasBenchmark for Ft {
         BenchName::Ft
     }
 
+    fn problem(&self) -> String {
+        format!("{:?}", self.cfg)
+    }
+
     fn iterations(&self) -> usize {
         self.cfg.niter
     }

@@ -141,11 +141,6 @@ impl RunResult {
 pub struct BenchRun {
     rt: Runtime,
     bench: Box<dyn NasBenchmark>,
-    /// Set by [`BenchRun::for_bench`]: the kernel is the named benchmark's
-    /// own problem at this scale, so its proofs are the process's
-    /// ([`facts::proof_set`]), not this run's to derive, and so are its
-    /// memos.
-    named: Option<(BenchName, Scale)>,
     upm: Option<UpmEngine>,
     recrep: bool,
     trace: bool,
@@ -164,35 +159,27 @@ pub struct BenchRun {
 impl BenchRun {
     /// Build a run: configure the machine, install the placement policy and
     /// the engines, and allocate the benchmark via `make`. No simulated
-    /// work happens until the first [`BenchRun::step`]. What `make` builds
-    /// is known to this run alone (a custom problem, a test's kernel), so
-    /// the run derives its fast-path proofs itself and shares them, and its
-    /// memos, with nobody — and, having no name to ask for another team's
-    /// proofs under, runs exactly once its team is resized.
+    /// work happens until the first [`BenchRun::step`]. The runs of a
+    /// process whose kernels have one name, problem and array layout
+    /// install one proof set for their team, derived by the first of them
+    /// ([`facts::proof_set`]), and after a resize the set of the new team —
+    /// and share fast-path memos with every other run of that set on an
+    /// equal machine through the set's memo library
+    /// ([`ProofSet::library`]).
     pub fn new<B: NasBenchmark + 'static>(
         make: impl FnOnce(&mut Runtime) -> B,
         cfg: &RunConfig,
     ) -> Self {
-        Self::boxed(|rt| Box::new(make(rt)), cfg, None)
+        Self::boxed(|rt| Box::new(make(rt)), cfg)
     }
 
     /// [`BenchRun::new`] for a benchmark chosen by name: the paper's five
     /// kernels at one of the three problem scales (see [`instantiate`]).
-    /// Every such run of a process installs the same proof set, derived by
-    /// the first of them (see [`facts::proof_set`]), and after a resize the
-    /// set of its new team — and shares fast-path memos with every other
-    /// run of that set on an equal machine through the set's memo library
-    /// ([`ProofSet::library`]).
     pub fn for_bench(bench: BenchName, scale: Scale, cfg: &RunConfig) -> Self {
-        let named = Some((bench, scale));
-        Self::boxed(|rt| instantiate(bench, rt, scale), cfg, named)
+        Self::boxed(|rt| instantiate(bench, rt, scale), cfg)
     }
 
-    pub(crate) fn boxed(
-        make: impl FnOnce(&mut Runtime) -> Box<dyn NasBenchmark>,
-        cfg: &RunConfig,
-        named: Option<(BenchName, Scale)>,
-    ) -> Self {
+    fn boxed(make: impl FnOnce(&mut Runtime) -> Box<dyn NasBenchmark>, cfg: &RunConfig) -> Self {
         let mut machine = Machine::new(cfg.machine.clone());
         install_placement(&mut machine, cfg.placement.clone());
         if cfg.trace {
@@ -215,7 +202,6 @@ impl BenchRun {
         Self {
             rt,
             bench,
-            named,
             upm,
             recrep: matches!(cfg.engine, EngineMode::RecRep(_)),
             trace: cfg.trace,
@@ -260,25 +246,15 @@ impl BenchRun {
         }
         self.started = true;
         let model = self.fastpath.then(|| self.bench.access_model()).flatten();
-        // A named kernel's proofs and memos are the process's; any other run
-        // derives its own proofs, drops them once the timed iteration's are
-        // installed, and shares no memo.
-        let armed = model.map(|model| match self.named {
-            Some((bench, scale)) => {
-                let (proofs, library) = shared(bench, scale, &self.rt, &model);
-                (proofs, Some(library))
-            }
-            None => (Arc::new(ProofSet::derive(&model, self.rt.threads())), None),
-        });
+        let armed = model.map(|model| shared(&*self.bench, &self.rt, &model));
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
         if let Some((proofs, library)) = &armed {
-            self.rt.install_fastpath(&proofs.cold, library.as_ref());
+            self.rt.install_fastpath(&proofs.cold, library);
         }
         self.bench.cold_start(&mut self.rt);
-        if let Some((proofs, library)) = armed {
-            self.rt
-                .install_fastpath(&proofs.iteration, library.as_ref());
+        if let Some((proofs, library)) = &armed {
+            self.rt.install_fastpath(&proofs.iteration, library);
         }
         if let Some(engine) = &self.upm {
             // Reference monitoring starts with the timed run (upmlib reads
@@ -292,20 +268,16 @@ impl BenchRun {
 
     /// A runtime that lost its engine — `Runtime::resize_team` drops it,
     /// the proofs being the old team's — gets the timed iteration's proofs
-    /// for the team it has now, and that team's memo library: a resize back
-    /// finds the memos its team published. Only a named run has them to ask
-    /// for ([`facts::proof_set`] is keyed by team): a [`BenchRun::new`] run
-    /// stays exact after a resize.
+    /// for the team it has now ([`facts::proof_set`] is keyed by team), and
+    /// that team's memo library: a resize back finds the memos its team
+    /// published.
     fn rearm_fastpath(&mut self) {
-        let Some((bench, scale)) = self.named else {
-            return;
-        };
         if !self.fastpath || self.rt.fastpath_stats().is_some() {
             return;
         }
         if let Some(model) = self.bench.access_model() {
-            let (proofs, library) = shared(bench, scale, &self.rt, &model);
-            self.rt.install_fastpath(&proofs.iteration, Some(&library));
+            let (proofs, library) = shared(&*self.bench, &self.rt, &model);
+            self.rt.install_fastpath(&proofs.iteration, &library);
         }
     }
 
@@ -492,17 +464,15 @@ pub fn instantiate(bench: BenchName, rt: &mut Runtime, scale: Scale) -> Box<dyn 
     }
 }
 
-/// What a named run of `bench` at `scale` installs on `rt`'s team: the
-/// process's proof set for it ([`facts::proof_set`]) and the set's memo
-/// library for `rt`'s machine ([`ProofSet::library`]), which every such
-/// run shares.
+/// What a run of `bench` installs on `rt`'s team: the process's proof set
+/// for it ([`facts::proof_set`]) and the set's memo library for `rt`'s
+/// machine ([`ProofSet::library`]), which every such run shares.
 fn shared(
-    bench: BenchName,
-    scale: Scale,
+    bench: &dyn NasBenchmark,
     rt: &Runtime,
     model: &KernelModel,
 ) -> (Arc<ProofSet>, MemoLibrary) {
-    let proofs = facts::proof_set(bench, scale, rt.threads(), model);
+    let proofs = facts::proof_set(bench, rt.threads(), model);
     let library = proofs.library(rt.machine().config());
     (proofs, library)
 }

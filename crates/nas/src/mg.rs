@@ -382,6 +382,10 @@ impl NasBenchmark for Mg {
         BenchName::Mg
     }
 
+    fn problem(&self) -> String {
+        format!("{:?}", self.cfg)
+    }
+
     fn iterations(&self) -> usize {
         self.cfg.niter
     }

@@ -818,6 +818,9 @@ mod tests {
         fn name(&self) -> BenchName {
             BenchName::Cg
         }
+        fn problem(&self) -> String {
+            "toy".to_string()
+        }
         fn iterations(&self) -> usize {
             0
         }

@@ -292,8 +292,8 @@ mod tests {
                                 "{} {} x{threads} {label}: {} lines vs reference {}",
                                 bench.label(),
                                 scale.label(),
-                                got.map_or(-1, |p| p.lines.len() as i64),
-                                want.map_or(-1, |p| p.lines.len() as i64),
+                                got.map_or(-1, |p| p.lines().count() as i64),
+                                want.map_or(-1, |p| p.lines().count() as i64),
                             );
                         }
                     }
@@ -318,10 +318,11 @@ mod tests {
             Some(p.clone()),
             derive_loop_proof_reference("ph/far", &l, 4)
         );
-        assert!(p.lines.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(p.lines.len(), 17);
-        assert_eq!(p.pages.len(), 3);
-        assert_eq!(p.line_writes[0].0, far >> LINE_SHIFT);
+        let lines: Vec<u64> = p.lines().collect();
+        assert!(lines.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(lines.len(), 17);
+        assert_eq!(p.pages().count(), 3);
+        assert_eq!(p.line_writes().next().map(|w| w.0), Some(far >> LINE_SHIFT));
     }
 
     #[test]
@@ -334,7 +335,7 @@ mod tests {
             Some(p.clone()),
             derive_loop_proof_reference("ph/wide", &l, 64)
         );
-        assert_eq!(p.line_writes.last().map(|w| w.2), Some(63));
+        assert_eq!(p.line_writes().last().map(|w| w.2), Some(63));
         assert!(derive_loop_proof("ph/wide", &l, 65).is_none());
         assert!(derive_loop_proof_reference("ph/wide", &l, 65).is_none());
     }
@@ -348,18 +349,18 @@ mod tests {
         });
         let p = derive_loop_proof("ph/stripe", &l, 8).expect("eligible");
         assert_eq!(p.threads, 8);
-        assert_eq!(p.lines.len(), 64);
-        assert_eq!(p.line_writes.len(), 64);
-        assert!(p.line_writes.iter().all(|&(_, c, _)| c == 1));
+        assert_eq!(p.lines().count(), 64);
+        assert_eq!(p.line_writes().count(), 64);
+        assert!(p.line_writes().all(|(_, c, _)| c == 1));
         // Static chunks of 64 iterations over 8 threads: 8 lines per thread.
         for t in 0..8u32 {
             assert_eq!(
-                p.line_writes.iter().filter(|&&(_, _, w)| w == t).count(),
+                p.line_writes().filter(|&(_, _, w)| w == t).count(),
                 8,
                 "thread {t} writes its own stripe"
             );
         }
-        assert_eq!(p.pages, vec![0]); // 64 lines < 128 lines/page
+        assert!(p.pages().eq([0])); // 64 lines < 128 lines/page
     }
 
     #[test]
@@ -369,10 +370,7 @@ mod tests {
             emit((1 + i as u64) * LINE, AccessKind::Write);
         });
         let p = derive_loop_proof("ph/bcast", &l, 8).expect("eligible");
-        assert_eq!(
-            p.line_writes.iter().map(|&(_, c, _)| c as u64).sum::<u64>(),
-            64
-        );
+        assert_eq!(p.line_writes().map(|(_, c, _)| c as u64).sum::<u64>(), 64);
     }
 
     #[test]
@@ -412,7 +410,7 @@ mod tests {
         });
         let p = derive_loop_proof("ph/s", &l, 16).expect("eligible");
         assert_eq!(p.threads, 1, "serial regions run as a one-thread team");
-        assert_eq!(p.line_writes, vec![(0, 2, 0)]);
+        assert!(p.line_writes().eq([(0, 2, 0)]));
     }
 
     #[test]

@@ -213,10 +213,10 @@ impl Runtime {
     /// [`Runtime::name_region`]) meets the table's proof for `label`. An
     /// existing engine is kept, and with it the memos of every label
     /// installed again with an equal proof. `library` is the memo library
-    /// the engine shares with the other runs of the table's proof set, if
-    /// it shares any. Its owner (for a named run, the proof set) keeps it;
-    /// the engine only borrows from it and publishes to it.
-    pub fn install_fastpath(&mut self, table: &ProofTable, library: Option<&MemoLibrary>) {
+    /// the engine shares with the other runs of the table's proof set. Its
+    /// owner (the proof set) keeps it; the engine only borrows from it and
+    /// publishes to it.
+    pub fn install_fastpath(&mut self, table: &ProofTable, library: &MemoLibrary) {
         self.fastpath
             .get_or_insert_with(FastpathEngine::new)
             .install(table, library);
@@ -797,7 +797,7 @@ mod tests {
         let mut rt = Runtime::with_threads(m, threads);
         if let Some(owners) = owners {
             let table = ProofTable::fold([stripe_instance(&a, "stripe", 0, &owners)]);
-            rt.install_fastpath(&table, None);
+            rt.install_fastpath(&table, &MemoLibrary::default());
         }
         rt.phase("t");
         (rt, a)
@@ -1044,7 +1044,7 @@ mod tests {
                 stripe_instance(&a, "stripe", 0, &owners),
                 stripe_instance(&a, "tail", 16, &owners),
             ]);
-            rt.install_fastpath(&table, None);
+            rt.install_fastpath(&table, &MemoLibrary::default());
         }
         let replays = |rt: &Runtime| rt.fastpath_stats().map_or(0, |s| s.replays);
         let mut tail_replays = 0;
@@ -1090,7 +1090,7 @@ mod tests {
         // were derived, for four threads, are refused by size.
         let owners = Schedule::Static.static_chunks(STRIPES, 4);
         let table = ProofTable::fold([stripe_instance(&fa, "stripe", 0, &owners)]);
-        fast.install_fastpath(&table, None);
+        fast.install_fastpath(&table, &MemoLibrary::default());
         let before = fast.fastpath_stats().expect("installed");
         for rep in 3..6 {
             stripe_rep(&mut exact, &ea, rep, |_| {});

@@ -6,18 +6,21 @@
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
 //! figures instead. Either way pages move, and the counters show the engine
-//! re-timing memos (`cpu_retimes`) where it used to re-record them. These
-//! runs are private (`BenchRun::new`): no run borrows another's memos, so
-//! on/off and warm compare one run with itself.
+//! re-timing memos (`cpu_retimes`) where it used to re-record them. Each
+//! cell runs on a key of its own (a machine a few virtual pages larger than
+//! the cell's, which moves no simulated byte): its run is the first of its
+//! memo library and borrows nothing, so on/off and warm compare one run
+//! with itself.
 //!
 //! `grid <bench>` runs the bench's `fig1` grid (15 cells) in plan order,
-//! once as named runs — what a sweep runs, sharing memos through the
-//! library — and once as private runs, and prints per cell the first step,
-//! the later steps and the engine's counters of each.
+//! once sharing one key — what a sweep runs, later cells borrowing what
+//! earlier ones published — and once each cell first on a key of its own,
+//! and prints per cell the first step, the later steps and the engine's
+//! counters of each.
 //!
 //! `derive` prints per kernel, and for BT at Figure 6's phase scales, the
 //! region instances of its model, the constructs proved for them and the
-//! describe and derive times of one private run's first step.
+//! describe and derive times of one run's first step.
 
 use std::time::Instant;
 
@@ -64,10 +67,11 @@ fn main() {
     } else {
         ["cg", "mg"].into_iter().filter_map(parse).collect()
     };
-    for (bench, cfg) in cells {
+    for (i, (bench, cfg)) in cells.into_iter().enumerate() {
         let cell = format!("{}-{}", cfg.placement.label(), cfg.engine.label());
-        let slow = timed(private(bench, scale, &cfg, false));
-        let fast = timed(private(bench, scale, &cfg, true));
+        let cfg = own_key(&cfg, i);
+        let slow = timed(run(bench, scale, &cfg, false));
+        let fast = timed(run(bench, scale, &cfg, true));
         println!(
             "{} {} {cell}: off {:.4}s on {:.4}s speedup {:.2}x sim {:.6} identical={} {:?}",
             bench.label(),
@@ -90,17 +94,19 @@ fn main() {
     }
 }
 
-/// A private run of `bench` at `scale` under `cfg`, the fast path `on` or
-/// off.
-fn private(
-    bench: nas::BenchName,
-    scale: nas::Scale,
-    cfg: &nas::RunConfig,
-    on: bool,
-) -> nas::BenchRun {
-    let mut run = nas::BenchRun::new(|rt| nas::instantiate(bench, rt, scale), cfg);
+/// A run of `bench` at `scale` under `cfg`, the fast path `on` or off.
+fn run(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig, on: bool) -> nas::BenchRun {
+    let mut run = nas::BenchRun::for_bench(bench, scale, cfg);
     run.set_fastpath(on);
     run
+}
+
+/// `cfg` on the `i`th key of the probe's own: a machine `i + 1` virtual
+/// pages larger, whose memo library nothing else in the process uses.
+fn own_key(cfg: &nas::RunConfig, i: usize) -> nas::RunConfig {
+    let mut cfg = cfg.clone();
+    cfg.machine.max_vpages += i + 1;
+    cfg
 }
 
 /// What one run measured: its first step (cold start and first-sight
@@ -179,21 +185,22 @@ fn derive(scale: nas::Scale) {
     }
 }
 
-/// The `fig1` grid of `bench` in plan order: named runs, then private ones.
+/// The `fig1` grid of `bench` in plan order: sharing one key, then each
+/// cell first on a key of its own.
 fn grid(bench: nas::BenchName, scale: nas::Scale) {
     let cells = xp::fig1::cells(bench, scale, true);
-    let named: Vec<Timed> = (cells.iter())
-        .map(|c| timed(nas::BenchRun::for_bench(c.bench, c.scale, &c.cfg)))
+    let shared: Vec<Timed> = (cells.iter())
+        .map(|c| timed(run(c.bench, c.scale, &c.cfg, true)))
         .collect();
     let held = nas::facts::library_stats();
-    let private: Vec<Timed> = (cells.iter())
-        .map(|c| timed(private(c.bench, c.scale, &c.cfg, true)))
+    let alone: Vec<Timed> = (cells.iter().enumerate())
+        .map(|(i, c)| timed(run(c.bench, c.scale, &own_key(&c.cfg, i), true)))
         .collect();
     let sum = |runs: &[Timed], f: fn(&Timed) -> f64| runs.iter().map(f).sum::<f64>();
-    for ((cell, n), p) in cells.iter().zip(&named).zip(&private) {
+    for ((cell, n), p) in cells.iter().zip(&shared).zip(&alone) {
         let label = format!("{}-{}", cell.cfg.placement.label(), cell.cfg.engine.label());
         println!(
-            "{} {} {label:<15} named first {:.4}s later {:.4}s | private first {:.4}s later \
+            "{} {} {label:<15} shared first {:.4}s later {:.4}s | alone first {:.4}s later \
              {:.4}s | identical={}",
             bench.label(),
             scale.label(),
@@ -203,20 +210,20 @@ fn grid(bench: nas::BenchName, scale: nas::Scale) {
             p.later_s,
             n.bytes() == p.bytes(),
         );
-        println!("    named   {:?}", n.stats);
-        println!("    private {:?}", p.stats);
+        println!("    shared {:?}", n.stats);
+        println!("    alone  {:?}", p.stats);
     }
     println!(
-        "{} {} grid: named first {:.3}s later {:.3}s, private first {:.3}s later {:.3}s",
+        "{} {} grid: shared first {:.3}s later {:.3}s, alone first {:.3}s later {:.3}s",
         bench.label(),
         scale.label(),
-        sum(&named, |t| t.first_s),
-        sum(&named, |t| t.later_s),
-        sum(&private, |t| t.first_s),
-        sum(&private, |t| t.later_s),
+        sum(&shared, |t| t.first_s),
+        sum(&shared, |t| t.later_s),
+        sum(&alone, |t| t.first_s),
+        sum(&alone, |t| t.later_s),
     );
     println!(
-        "{} {} grid: named runs left {held:?}",
+        "{} {} grid: the shared runs left {held:?}",
         bench.label(),
         scale.label()
     );

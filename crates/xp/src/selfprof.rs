@@ -127,8 +127,8 @@ pub fn report_for(
     let derived = nas::facts::derivations();
     let memos = nas::facts::library_stats();
     report.note(format!(
-        "analysis tables, process-wide: proof sets {} derived / {} shared (all derivations, \
-         named or private: {} region instances proved from {} constructs), static placements \
+        "analysis tables, process-wide: proof sets {} derived / {} shared ({} region instances \
+         proved from {} constructs), static placements \
          {} derived / {} shared, memo libraries {} held ({} images, {} class-stream bytes)",
         proofs.derived,
         proofs.shared,

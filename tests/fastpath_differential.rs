@@ -109,9 +109,13 @@ fn upm_stats_bit_identical() {
 #[test]
 fn fast_path_actually_engages() {
     // The equivalence tests above are vacuous if the fast path never
-    // fires; pin that CG and MG replay most of their timed regions.
+    // fires; pin that CG and MG replay most of their timed regions. A run
+    // records only what no earlier run of its key published, so these run
+    // on a machine six virtual pages larger than the paper's, a key no
+    // other test runs.
+    let mut cfg = RunConfig::paper_default();
+    cfg.machine.max_vpages += 6;
     for bench in [BenchName::Cg, BenchName::Mg] {
-        let cfg = RunConfig::paper_default();
         let mut run = match bench {
             BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
             _ => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
@@ -137,7 +141,7 @@ fn fast_path_actually_engages() {
     }
 }
 
-/// A named run — what a cell and a `sched` job are — stepped to its end,
+/// A run by name — what a cell and a `sched` job are — stepped to its end,
 /// with the team resized to `resize.1` before step `resize.0` as the
 /// scheduler does it. Returns the result bytes, and the engine's counters
 /// as they stood before the resize and at the end.
@@ -196,7 +200,7 @@ fn moved_pages_are_retimed_under_both_engines() {
 #[test]
 fn a_resized_job_replays_again_and_stays_bit_identical() {
     // `Runtime::resize_team` drops the engine with the old team's proofs;
-    // the next step of a named run installs the new team's.
+    // the next step of the run installs the new team's.
     let cfg = RunConfig::paper_default();
     let team: Vec<usize> = (0..8).collect();
     for bench in [BenchName::Cg, BenchName::Mg] {
@@ -214,7 +218,7 @@ fn a_resized_job_replays_again_and_stays_bit_identical() {
 
 type Stats = ccnuma::FastpathStats;
 
-/// One named run of `cell` with the fast path on: its bytes and counters.
+/// One run of `cell` with the fast path on: its bytes and counters.
 fn named_cell(cell: &xp::grid::Cell) -> (String, Stats) {
     let mut run = BenchRun::for_bench(cell.bench, cell.scale, &cell.cfg);
     while !run.is_done() {
@@ -224,15 +228,11 @@ fn named_cell(cell: &xp::grid::Cell) -> (String, Stats) {
     (run.finish().to_cache_json().to_string(), stats)
 }
 
-/// A private run of `bench` at tiny: what it counted and measured.
-fn private_run(bench: BenchName) -> (String, Option<Stats>) {
+/// The bytes of a [`BenchRun::new`] run of `bench` at tiny.
+fn private_run(bench: BenchName) -> String {
     let cfg = RunConfig::paper_default();
-    let mut run = BenchRun::new(|rt| nas::instantiate(bench, rt, Scale::Tiny), &cfg);
-    while !run.is_done() {
-        run.step();
-    }
-    let stats = run.fastpath_stats();
-    (run.finish().to_cache_json().to_string(), stats)
+    let run = BenchRun::new(|rt| nas::instantiate(bench, rt, Scale::Tiny), &cfg);
+    run.complete().to_cache_json().to_string()
 }
 
 #[test]
@@ -312,9 +312,62 @@ fn a_grid_shares_memos_and_stays_bit_identical_in_any_order() {
             first_records_most("on two threads", &firsts, &rest);
         }
 
-        // A private run shares nothing, before the grids or after them.
+        // What the grids published moves no byte of a later run.
         assert_eq!(private_run(bench), private, "{}", bench.label());
     }
+}
+
+#[test]
+fn a_phase_scaled_bt_shares_with_its_sibling() {
+    // Figure 6's BT at four times the phases, first under UPMlib and then
+    // under record–replay, each built by `BenchRun::new` as `xp::grid`
+    // builds it. The two are one problem, so the second installs the
+    // first's proof set and borrows what it published — on a machine five
+    // virtual pages larger than the paper's, a key no other test runs.
+    let bt = nas::bt::BtConfig {
+        phase_scale: 4,
+        ..nas::bt::BtConfig::for_scale(Scale::Tiny)
+    };
+    let run = |cell: &xp::grid::Cell, fastpath: bool| {
+        let mut cfg = cell.cfg.clone();
+        cfg.machine.max_vpages += 5;
+        let mut run = BenchRun::new(|rt| nas::bt::Bt::with_config(rt, bt), &cfg);
+        run.set_fastpath(fastpath);
+        while !run.is_done() {
+            run.step();
+        }
+        let stats = run.fastpath_stats();
+        (run.finish().to_cache_json().to_string(), stats)
+    };
+    let cells = xp::fig6::cells(Scale::Tiny, 4);
+    let (upmlib, recrep) = (&cells[0], &cells[1]);
+    assert_eq!(recrep.cfg.engine.label(), "recrep");
+    let (first, _) = run(upmlib, true);
+    let (second, stats) = run(recrep, true);
+    let stats = stats.expect("installed");
+    assert!(stats.cpu_borrowed > 0, "borrowed nothing: {stats:?}");
+    assert_eq!(second, run(recrep, false).0, "recrep diverged from exact");
+    assert_eq!(first, run(upmlib, false).0, "upmlib diverged from exact");
+
+    // The phase scale is part of the problem: the same arrays, laid out
+    // alike, under another text get a proof set of their own.
+    let kernel = |phase_scale| {
+        let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+        let cfg = nas::bt::BtConfig { phase_scale, ..bt };
+        nas::bt::Bt::with_config(&mut Runtime::with_threads(machine, 16), cfg)
+    };
+    let (one, four) = (kernel(1), kernel(4));
+    let (one_model, four_model) = (one.access_model().unwrap(), four.access_model().unwrap());
+    let layout = |model: &nas::KernelModel| -> Vec<(String, (u64, u64))> {
+        let arrays = model.arrays().iter();
+        arrays.map(|a| (a.name().to_string(), a.vrange())).collect()
+    };
+    assert_eq!(layout(&one_model), layout(&four_model));
+    let (one, four) = (
+        nas::facts::proof_set(&one, 16, &one_model),
+        nas::facts::proof_set(&four, 16, &four_model),
+    );
+    assert!(!std::sync::Arc::ptr_eq(&one, &four));
 }
 
 #[test]

@@ -11,9 +11,14 @@
 //!   (each line written by at most one thread, shared data read-only) are
 //!   never rejected, for arbitrary sizes, team sizes, and static schedules;
 //!   and every known-local phase of the real NAS models derives a proof.
+//!
+//! And the proof's own format: it holds its lines and claims as runs and
+//! gives back, line by line, exactly what it was built from.
 
 use ccnuma::fastpath::PhaseProof;
-use ccnuma::{AccessKind, Machine, MachineConfig, SimArray, LINE_SHIFT, PAGE_SIZE};
+use ccnuma::{
+    AccessKind, Machine, MachineConfig, MemoLibrary, SimArray, LINE_SHIFT, PAGE_SHIFT, PAGE_SIZE,
+};
 use nas::{derive_loop_proof, derive_proofs, LoopKind, LoopModel, Scale};
 use omp::{Runtime, Schedule};
 use proptest::prelude::*;
@@ -183,7 +188,7 @@ fn run_moving(
     let eligible = proof.is_some();
     if fast {
         let table = ccnuma::ProofTable::fold([("p/loop".to_string(), proof)]);
-        rt.install_fastpath(&table, None);
+        rt.install_fastpath(&table, &MemoLibrary::default());
     }
     rt.phase("p");
     let mut homeward = Vec::new();
@@ -264,6 +269,41 @@ fn static_schedules() -> impl Strategy<Value = Schedule> {
         Just(Schedule::Static),
         (1usize..9).prop_map(Schedule::StaticChunk),
     ]
+}
+
+/// `(gap, lines, claim)` of one stretch of a proof's lines, in order.
+type Stretch = (u32, usize, u32);
+
+/// The per-line inputs of [`PhaseProof::new`] for a team of two, stretch
+/// by stretch. A gap of 0 continues the last stretch, 1 and 2 skip a line
+/// or a few, 3 jumps ~2^40 bytes ahead (a dozen jumps stay inside a
+/// 2^44-byte space). A claim of 0 leaves the stretch unwritten; 1 writes
+/// each line once from thread 0, 2 twice from thread 0, 3 once from thread
+/// 1 — so two adjacent written stretches differ only in count or only in
+/// writer, or not at all.
+fn proof_inputs(stretches: &[Stretch]) -> (Vec<u64>, Vec<(u64, u32, u32)>) {
+    let (mut lines, mut writes) = (Vec::new(), Vec::new());
+    let mut next = 0u64;
+    for &(gap, len, claim) in stretches {
+        next += [0, 1, 5, 1 << 33][gap as usize];
+        for line in next..next + len as u64 {
+            lines.push(line);
+            if claim > 0 {
+                let (count, writer) = [(1, 0), (2, 0), (1, 1)][claim as usize - 1];
+                writes.push((line, count, writer));
+            }
+        }
+        next += len as u64;
+    }
+    (lines, writes)
+}
+
+fn any_stretches() -> impl Strategy<Value = Vec<Stretch>> {
+    proptest::collection::vec((0u32..4, 1usize..6, 0u32..4), 1..12)
+}
+
+fn proof_of(inputs: &(Vec<u64>, Vec<(u64, u32, u32)>)) -> PhaseProof {
+    PhaseProof::new("p/loop".to_string(), 2, inputs.0.clone(), inputs.1.clone())
 }
 
 proptest! {
@@ -353,6 +393,46 @@ proptest! {
             prop_assert!(got.is_none());
         }
         prop_assert_eq!(got, want);
+    }
+
+    /// The run format holds what it was given: `lines`, `line_writes` and
+    /// `writes_of` give back exactly the per-line inputs — 0 for every line
+    /// the proof does not claim — and `pages` every page of them, once; a
+    /// proof equals another exactly when their inputs are equal.
+    #[test]
+    fn a_proof_gives_back_exactly_its_lines_and_claims(
+        a in any_stretches(),
+        b in any_stretches(),
+        pick in 0usize..1000,
+    ) {
+        let inputs = proof_inputs(&a);
+        let proof = proof_of(&inputs);
+        let (lines, writes) = &inputs;
+        prop_assert_eq!(&proof.lines().collect::<Vec<_>>(), lines);
+        prop_assert_eq!(&proof.line_writes().collect::<Vec<_>>(), writes);
+        let claims: BTreeMap<u64, u32> = writes.iter().map(|&(l, c, _)| (l, c)).collect();
+        let near = lines.iter().flat_map(|&l| [l.wrapping_sub(1), l, l + 1]);
+        for line in near.chain([u64::MAX, 1 << 37]) {
+            let want = claims.get(&line).copied().unwrap_or(0);
+            prop_assert_eq!(proof.writes_of(line), want, "line {}", line);
+        }
+        let mut pages: Vec<u64> = lines.iter().map(|l| l >> (PAGE_SHIFT - LINE_SHIFT)).collect();
+        pages.dedup();
+        prop_assert_eq!(proof.pages().collect::<Vec<_>>(), pages);
+
+        prop_assert!(proof_of(&inputs) == proof, "equal inputs, unequal proofs");
+        let other = proof_inputs(&b);
+        prop_assert_eq!(proof_of(&other) == proof, other == inputs);
+        // One line fewer, or one claim one write heavier: another proof.
+        let mut fewer = inputs.clone();
+        let gone = fewer.0.remove(pick % lines.len());
+        fewer.1.retain(|w| w.0 != gone);
+        prop_assert!(proof_of(&fewer) != proof, "line {} dropped", gone);
+        if !writes.is_empty() {
+            let mut heavier = inputs.clone();
+            heavier.1[pick % writes.len()].1 += 1;
+            prop_assert!(proof_of(&heavier) != proof, "a claim raised");
+        }
     }
 
     /// Eligibility soundness, negative direction: a line written by two or

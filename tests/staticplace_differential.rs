@@ -195,10 +195,13 @@ fn fastpath_eligibility_survives_static_placement() {
         );
     }
     for bench in [BenchName::Cg, BenchName::Mg] {
-        let cfg = RunConfig {
+        let mut cfg = RunConfig {
             placement: xp::lint::static_scheme(bench, Scale::Tiny),
             ..RunConfig::paper_default()
         };
+        // A run records only what no earlier run of its key published: a
+        // machine one virtual page larger is a key no other test here runs.
+        cfg.machine.max_vpages += 1;
         let mut run = match bench {
             BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
             _ => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
