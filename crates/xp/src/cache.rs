@@ -2,22 +2,21 @@
 //!
 //! The binary installs an [`svc::Cache`] here at startup; every
 //! [`crate::cells::CellPlan`] execution then resolves its spec-carrying
-//! cells against it before dispatching anything to the worker pool, and
-//! stores freshly computed payloads back at merge time. The cache is
-//! bypassed entirely while a `--trace DIR` is installed: traced runs must
-//! actually execute (and their results carry tracers the cache encoding
-//! deliberately drops).
+//! cells against it — after the open session's table, before the server
+//! and the worker pool — and stores freshly computed payloads back at
+//! merge time. The cache is bypassed entirely while a `--trace DIR` is
+//! installed: traced runs must actually execute (and their results carry
+//! tracers the cache encoding deliberately drops).
 //!
 //! A cache hit must be indistinguishable from a recompute in every saved
 //! artifact. Two properties deliver that:
 //!
 //! * the payload codec is **exact** (`nas::codec`: every `f64` round-trips
-//!   bit-identically), and
-//! * [`CachePayload::replay_side_effects`] re-credits whatever the
-//!   computed run credited to the process-global accumulators — for a
-//!   [`RunResult`], the run's simulated seconds — at the cell's canonical
-//!   merge position, so `bench_summary.json` totals stay the same fixed-
-//!   order float sum.
+//!   bit-identically) — the session's cell table keeps the same encoding;
+//! * a run has no effects of its own on the process-globals: every spec
+//!   cell, computed or resolved, has them in one merge step,
+//!   [`CachePayload::on_merge`], at its canonical plan position, so
+//!   `bench_summary.json` totals stay the same fixed-order float sum.
 
 use nas::RunResult;
 use obs::json::Value;
@@ -72,9 +71,9 @@ pub trait CachePayload: Sized {
     fn to_cache(&self) -> Value;
     /// Decode a cached payload.
     fn from_cache(v: &Value) -> Result<Self, String>;
-    /// Re-credit the process-global side effects the computed run would
-    /// have credited (called at the cell's merge position on a hit).
-    fn replay_side_effects(&self);
+    /// The cell's effects on the process-globals, had at its merge
+    /// position whichever source produced the value.
+    fn on_merge(&self);
 }
 
 impl CachePayload for RunResult {
@@ -86,10 +85,11 @@ impl CachePayload for RunResult {
         RunResult::from_cache_json(v)
     }
 
-    fn replay_side_effects(&self) {
-        // The exact credit `run_one`'s finish path adds for a computed
-        // run; replaying it at merge keeps summary totals bit-identical.
+    fn on_merge(&self) {
         crate::summary::add_sim_secs(self.total_secs);
+        // Only a computed traced run carries a tracer: every other source
+        // is bypassed under `--trace`.
+        crate::trace::write(self);
     }
 }
 
@@ -99,7 +99,7 @@ impl CachePayload for RunResult {
 pub(crate) struct CellCodec<T> {
     pub(crate) encode: fn(&T) -> Value,
     pub(crate) decode: fn(&Value) -> Result<T, String>,
-    pub(crate) replay: fn(&T),
+    pub(crate) on_merge: fn(&T),
 }
 
 impl<T> Clone for CellCodec<T> {
@@ -115,7 +115,7 @@ pub(crate) fn codec_for<T: CachePayload>() -> CellCodec<T> {
     CellCodec {
         encode: T::to_cache,
         decode: T::from_cache,
-        replay: T::replay_side_effects,
+        on_merge: T::on_merge,
     }
 }
 
@@ -124,7 +124,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn replay_credits_the_runs_simulated_seconds() {
+    fn on_merge_credits_the_runs_simulated_seconds() {
+        let _gate = crate::summary::gate::exact();
         let r = RunResult::from_cache_json(
             &nas::RunResult {
                 bench: nas::BenchName::Cg,
@@ -143,7 +144,7 @@ mod tests {
         )
         .unwrap();
         crate::summary::take();
-        r.replay_side_effects();
+        r.on_merge();
         assert_eq!(crate::summary::take().sim_secs, 2.5);
     }
 

@@ -8,88 +8,27 @@
 //! [`CellOutput`] per cell **in plan order**, so the report a caller
 //! builds from the outputs is byte-identical whatever the worker count.
 //!
-//! The pipeline preserves the two process-global side channels that used
-//! to be updated mid-run, by making them cell-local and re-playing them
-//! at merge time in plan order:
+//! A cell's job only computes its value. Cells added via
+//! [`CellPlan::add_cell`] carry a [`svc::CellSpec`], and their value may
+//! come from any of four sources, asked in this order: the open session's
+//! cell table ([`crate::session`]), the result cache ([`crate::cache`]),
+//! the resident server in client mode ([`crate::remote`]), and — for the
+//! residue — the session's pool. Whichever source produced it, a spec
+//! cell has its effects in one place, the **merge**, in plan order:
+//! [`crate::cache::CachePayload::on_merge`] credits its simulated seconds
+//! and writes its `--trace DIR` dump, and the merge stores it back to the
+//! cache and records it in the session. So the accumulated float sum and
+//! the trace file sequence follow plan order, and a fully resolved run
+//! produces byte-identical artifacts to a cold one.
 //!
-//! * **Simulated seconds** ([`crate::summary`]): `add_sim_secs` calls made
-//!   while a cell runs are credited to that cell's context and added to
-//!   the global accumulator at merge, so the final sum is a fixed-order
-//!   float reduction — bit-identical across worker counts.
-//! * **Trace dumps** ([`crate::trace`]): `--trace DIR` dumps are buffered
-//!   per cell and written at merge, so trace file sequence numbers follow
-//!   plan order, not scheduling order.
-//!
-//! Each cell additionally runs under `catch_unwind`: a panicking cell
-//! surfaces as an `Err` output (a failed *row* in the report), never a
+//! A panicking cell is caught once, by the pool ([`exec`]'s job runner):
+//! it surfaces as an `Err` output (a failed *row* in the report), never a
 //! dead run, and never poisons sibling cells.
-//!
-//! Cells added via [`CellPlan::add_cell`] carry a [`svc::CellSpec`] and
-//! participate in the result service on top of the local pipeline.
-//! Before anything is dispatched to a worker pool, `execute` resolves
-//! spec-carrying cells against the installed result cache
-//! ([`crate::cache`]) and, in client mode, offers the remainder to the
-//! resident server as one batch ([`crate::remote`]); only the cells
-//! neither source can satisfy are computed here. Resolved cells replay
-//! their side effects at their canonical merge position, so a fully
-//! cached run produces byte-identical artifacts to a cold one. The
-//! residual computation runs as one batch on a session's pool
-//! ([`crate::session`]): the open sweep session's, or one scoped to the
-//! plan.
 
 use crate::cache::CellCodec;
-use crate::session::ErasedResult;
+use crate::session::{ErasedResult, Session};
 use exec::{Job, JobPanic, ResidentJob};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Per-cell context, installed on the worker thread for the duration of
-/// one cell: collects what the cell's runs credit to the process-globals.
-#[derive(Default)]
-struct CellCtx {
-    sim_secs: f64,
-    traces: Vec<crate::trace::PendingTrace>,
-}
-
-thread_local! {
-    static CTX: RefCell<Option<CellCtx>> = const { RefCell::new(None) };
-}
-
-/// Credit simulated seconds to the active cell, if any. Returns `false`
-/// when no cell is active (caller falls back to the process-global).
-pub(crate) fn credit_sim_secs(secs: f64) -> bool {
-    CTX.with(|ctx| match ctx.borrow_mut().as_mut() {
-        Some(c) => {
-            c.sim_secs += secs;
-            true
-        }
-        None => false,
-    })
-}
-
-/// Defer a trace dump to the active cell's buffer, if any. Returns the
-/// trace back when no cell is active (caller writes it immediately).
-pub(crate) fn defer_trace(trace: crate::trace::PendingTrace) -> Option<crate::trace::PendingTrace> {
-    CTX.with(|ctx| match ctx.borrow_mut().as_mut() {
-        Some(c) => {
-            c.traces.push(trace);
-            None
-        }
-        None => Some(trace),
-    })
-}
-
-/// What one executed cell produced, before the merge replays its side
-/// effects. The cell's wall time is **not** here: the pool measures it
-/// around the whole job ([`exec::TimedResult`]), so it exists even when
-/// the wrapper itself dies.
-struct CellRun<T> {
-    value: Result<T, String>,
-    sim_secs: f64,
-    traces: Vec<crate::trace::PendingTrace>,
-}
 
 /// One merged cell result, in plan order.
 #[derive(Debug)]
@@ -99,7 +38,7 @@ pub struct CellOutput<T> {
     /// The cell's value, or the panic that killed it.
     pub value: Result<T, JobPanic>,
     /// Host wall-clock seconds the cell took on its worker (0 for cells
-    /// resolved from the cache or a server).
+    /// resolved without running here).
     pub wall_secs: f64,
 }
 
@@ -131,13 +70,22 @@ struct Cell<T> {
 
 /// Where one cell's value will come from, decided during resolution.
 enum CellState<T> {
-    /// Resolved without local computation (cache hit or server result).
-    /// `store` marks server-computed values the local cache should keep.
-    Resolved { value: T, store: bool },
+    /// Resolved without running here, by the source named.
+    Resolved(T, Source),
     /// Still needs local computation.
     Pending(Job<'static, T>),
     /// The pending job has been moved to the worker pool.
     Dispatched,
+}
+
+/// Which source produced a spec cell's value: what its merge still owes
+/// the cache and the session.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Session,
+    Cache,
+    Server,
+    Computed,
 }
 
 /// An ordered list of independent experiment cells.
@@ -178,27 +126,32 @@ impl<T: Send + 'static> CellPlan<T> {
         self.cells.is_empty()
     }
 
-    /// Execute with the process-wide machinery — cache and client
-    /// resolution first, then the residual cells on a session's pool
-    /// ([`crate::session`]) — and merge: outputs come back in plan order,
-    /// each cell's deferred sim-seconds and trace dumps are replayed in
-    /// plan order, and the plan's wall-clock statistics are credited to
+    /// Execute with the process-wide machinery — the session's table, the
+    /// cache and the server first, then the residual cells on a session's
+    /// pool ([`crate::session`]) — and merge in plan order: outputs come
+    /// back in plan order, each spec cell has its one merge step there,
+    /// and the plan's wall-clock statistics are credited to
     /// [`crate::summary`].
     pub fn execute(self) -> Vec<CellOutput<T>> {
         let cache = crate::cache::effective();
+        let table = crate::session::remembering();
         let mut cells = self.cells;
 
-        // Phase 1 — cache resolution. A lookup that decodes cleanly is a
-        // hit; an undecodable payload is treated as a miss (the recompute
-        // overwrites the entry at merge).
-        if let Some(cache) = &cache {
-            for cell in &mut cells {
-                let (Some(spec), Some(codec)) = (&cell.spec, &cell.codec) else {
-                    continue;
-                };
-                if let Some(value) = cache.lookup(spec).and_then(|p| (codec.decode)(&p).ok()) {
-                    cell.state_resolve(value, false);
-                }
+        // Phase 1 — the session's table, then the cache. A payload that
+        // does not decode is a miss (the recompute overwrites a cache
+        // entry at merge).
+        for cell in &mut cells {
+            let (Some(spec), Some(codec)) = (&cell.spec, &cell.codec) else {
+                continue;
+            };
+            let decode = |payload: obs::json::Value| (codec.decode)(&payload).ok();
+            let recalled = table.as_ref().and_then(|s| s.recall(spec)).and_then(decode);
+            let resolved = recalled.map(|v| (v, Source::Session)).or_else(|| {
+                let hit = cache.as_ref()?.lookup(spec).and_then(decode)?;
+                Some((hit, Source::Cache))
+            });
+            if let Some((value, source)) = resolved {
+                cell.job_state = CellState::Resolved(value, source);
             }
         }
 
@@ -228,9 +181,7 @@ impl<T: Send + 'static> CellPlan<T> {
                             let codec = cells[i].codec.expect("spec cells carry a codec");
                             match outcome.result.and_then(|p| (codec.decode)(&p)) {
                                 Ok(value) => {
-                                    // Keep server-computed values in the
-                                    // local cache too (when one is on).
-                                    cells[i].state_resolve(value, cache.is_some());
+                                    cells[i].job_state = CellState::Resolved(value, Source::Server)
                                 }
                                 Err(e) => {
                                     eprintln!("[svc] cell {}: {e}; computing locally", cells[i].id)
@@ -244,83 +195,60 @@ impl<T: Send + 'static> CellPlan<T> {
         }
 
         // Phase 3 — compute the residue as one batch on a session's pool.
-        let mut pending = Vec::new();
+        let mut jobs = Vec::new();
         for cell in &mut cells {
-            let state = std::mem::replace(&mut cell.job_state, CellState::Dispatched);
-            match state {
-                CellState::Pending(job) => pending.push((cell.id.clone(), job)),
+            match std::mem::replace(&mut cell.job_state, CellState::Dispatched) {
+                CellState::Pending(job) => jobs.push(wrap_cell(cell.id.clone(), job)),
                 resolved => cell.job_state = resolved,
             }
         }
-        let runs = if pending.is_empty() {
+        let runs = if jobs.is_empty() {
             Vec::new()
         } else {
-            let session = crate::session::for_plan(pending.len());
-            let jobs = pending
-                .into_iter()
-                .map(|(id, job)| wrap_cell(id, job, Arc::clone(session.sim_done_us())))
-                .collect();
-            let (runs, telemetry) = session.run(jobs);
+            let (runs, telemetry) = crate::session::for_plan(jobs.len()).run(jobs);
             let cell_walls: Vec<f64> = runs.iter().map(|t| t.wall_secs).collect();
             crate::summary::record_plan(&telemetry, &cell_walls);
             runs
         };
 
-        // Phase 4 — merge in plan order. Resolved cells replay their side
-        // effects here, at the exact position a computed run would have;
-        // freshly computed spec-carrying cells are stored back.
+        // Phase 4 — merge in plan order: every spec cell that has a value
+        // has its one merge step here, whichever source produced it.
         let mut runs = runs.into_iter();
         cells
             .into_iter()
             .enumerate()
-            .map(|(index, cell)| match cell.job_state {
-                CellState::Resolved { value, store } => {
-                    crate::summary::record_resolved_cell();
-                    if let Some(codec) = &cell.codec {
-                        (codec.replay)(&value);
+            .map(|(index, cell)| {
+                let (value, source, wall_secs) = match cell.job_state {
+                    CellState::Resolved(value, source) => {
+                        crate::summary::record_resolved_cell();
+                        (Ok(value), source, 0.0)
                     }
-                    if store {
-                        store_back(&cache, &cell.spec, &cell.codec, &value);
+                    CellState::Dispatched => {
+                        // The pool measured the wall time around the whole
+                        // job, so a panicking cell still reports how long
+                        // it ran; its panic names the batch position, the
+                        // output the plan position.
+                        let timed = runs.next().expect("one pool result per pending cell");
+                        let value = timed
+                            .result
+                            .map(|erased| {
+                                *erased
+                                    .downcast::<T>()
+                                    .expect("a plan's batch returns its own cell type")
+                            })
+                            .map_err(|p| JobPanic { index, ..p });
+                        (value, Source::Computed, timed.wall_secs)
                     }
-                    CellOutput {
-                        id: cell.id,
-                        value: Ok(value),
-                        wall_secs: 0.0,
-                    }
+                    CellState::Pending(_) => unreachable!("pending cells were dispatched above"),
+                };
+                if let (Ok(value), Some(spec), Some(codec)) = (&value, &cell.spec, &cell.codec) {
+                    merge(value, source, spec, codec, &cache, &table);
                 }
-                CellState::Dispatched => {
-                    let timed = runs.next().expect("one pool result per pending cell");
-                    // The pool measured the wall time around the whole
-                    // job, so a panicking cell — even a dead *wrapper* —
-                    // still reports how long it ran before dying.
-                    let wall_secs = timed.wall_secs;
-                    // The wrapper catches the cell's panic itself, so a
-                    // pool-level Err means the wrapper died — re-surface
-                    // it as a message.
-                    let run = match timed.result {
-                        Ok(erased) => *erased
-                            .downcast::<CellRun<T>>()
-                            .expect("a plan's batch returns its own cell type"),
-                        Err(p) => CellRun {
-                            value: Err(p.message),
-                            sim_secs: 0.0,
-                            traces: Vec::new(),
-                        },
-                    };
-                    crate::summary::add_sim_secs(run.sim_secs);
-                    for trace in run.traces {
-                        crate::trace::write_pending(trace);
-                    }
-                    if let Ok(value) = &run.value {
-                        store_back(&cache, &cell.spec, &cell.codec, value);
-                    }
-                    CellOutput {
-                        id: cell.id,
-                        value: run.value.map_err(|message| JobPanic { index, message }),
-                        wall_secs,
-                    }
+                CellOutput {
+                    id: cell.id,
+                    value,
+                    wall_secs,
                 }
-                CellState::Pending(_) => unreachable!("pending cells were dispatched above"),
             })
             .collect()
     }
@@ -330,7 +258,7 @@ impl CellPlan<nas::RunResult> {
     /// Append a cell the result service can resolve, both halves derived
     /// from one [`crate::grid::Cell`] so they cannot disagree: its spec is
     /// the cache key (and the plan id, via [`svc::CellSpec::cell_id`]),
-    /// its `run` the local computation of record when no cache or server
+    /// its `run` the local computation of record when no other source
     /// satisfies it.
     pub fn add_cell(&mut self, cell: crate::grid::Cell) {
         let spec = cell.spec();
@@ -343,54 +271,47 @@ impl CellPlan<nas::RunResult> {
     }
 }
 
-impl<T> Cell<T> {
-    fn state_resolve(&mut self, value: T, store: bool) {
-        self.job_state = CellState::Resolved { value, store };
-    }
-}
-
-/// Wrap one cell's job with the per-cell machinery: host-profiling root,
-/// cell context for deferred side effects, `catch_unwind`, and the type
-/// erasure that lets plans of different cell types share one pool.
-fn wrap_cell<T: Send + 'static>(
-    id: String,
-    job: Job<'static, T>,
-    sim_done_us: Arc<AtomicU64>,
-) -> ResidentJob<ErasedResult> {
+/// Wrap one cell's job for the shared pool: the host-profiling root
+/// `cell:<id>` — every span the cell opens (ccnuma/vmm/omp/upmlib) nests
+/// under it on this worker's stack, and its inclusive time reconciles with
+/// the pool-measured cell wall time — and the type erasure that lets plans
+/// of different cell types share one pool.
+fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob<ErasedResult> {
     Box::new(move || {
-        // Host-profiling root for this cell: every span the cell opens
-        // (ccnuma/vmm/omp/upmlib) nests under `cell:<id>` on this
-        // worker's stack, and the root's inclusive time reconciles with
-        // the pool-measured cell wall time.
         let _hp = hostprof::span_named(|| format!("cell:{id}"));
-        CTX.with(|ctx| *ctx.borrow_mut() = Some(CellCtx::default()));
-        let value =
-            catch_unwind(AssertUnwindSafe(job)).map_err(|p| exec::panic_message(p.as_ref()));
-        let ctx = CTX
-            .with(|ctx| ctx.borrow_mut().take())
-            .expect("cell context installed above");
-        sim_done_us.fetch_add((ctx.sim_secs * 1e6) as u64, Ordering::Relaxed);
-        Box::new(CellRun {
-            value,
-            sim_secs: ctx.sim_secs,
-            traces: ctx.traces,
-        })
+        Box::new(job()) as ErasedResult
     })
 }
 
-/// Store a freshly computed spec-carrying value back to the cache. A
-/// store failure degrades the cache, not the run.
-fn store_back<T>(
-    cache: &Option<svc::Cache>,
-    spec: &Option<svc::CellSpec>,
-    codec: &Option<CellCodec<T>>,
+/// The merge step of one spec cell, at its plan position: its effects
+/// ([`crate::cache::CachePayload::on_merge`]), then what keeps it — the
+/// cache when it was computed (here or by a server), the session's table
+/// when it did not come from there. A store failure degrades the cache,
+/// not the run.
+fn merge<T>(
     value: &T,
+    source: Source,
+    spec: &svc::CellSpec,
+    codec: &CellCodec<T>,
+    cache: &Option<svc::Cache>,
+    table: &Option<Arc<Session>>,
 ) {
-    let (Some(cache), Some(spec), Some(codec)) = (cache, spec, codec) else {
+    (codec.on_merge)(value);
+    let store = cache
+        .as_ref()
+        .filter(|_| matches!(source, Source::Computed | Source::Server));
+    let remember = table.as_ref().filter(|_| source != Source::Session);
+    if store.is_none() && remember.is_none() {
         return;
-    };
-    if let Err(e) = cache.store(spec, &(codec.encode)(value)) {
-        eprintln!("[cache] store failed for {spec}: {e}");
+    }
+    let payload = (codec.encode)(value);
+    if let Some(cache) = store {
+        if let Err(e) = cache.store(spec, &payload) {
+            eprintln!("[cache] store failed for {spec}: {e}");
+        }
+    }
+    if let Some(session) = remember {
+        session.remember(spec, payload);
     }
 }
 
@@ -413,18 +334,20 @@ mod tests {
 
     #[test]
     fn sim_secs_are_replayed_in_plan_order() {
+        let _gate = crate::summary::gate::exact();
         // Whatever order cells finish in, the merged accumulator sees the
-        // same fixed-order float sum.
+        // same fixed-order float sum: the outputs' own, in plan order.
         let total = |workers: usize| {
             crate::summary::take();
             let mut plan = CellPlan::new();
-            for i in 0..20usize {
-                plan.add(format!("c{i}"), move || {
-                    crate::summary::add_sim_secs(0.1 + (i as f64) * 1e-13);
-                });
+            for cell in crate::fig1::cells(nas::BenchName::Mg, nas::Scale::Tiny, false) {
+                plan.add_cell(cell);
             }
-            crate::jobs::with_pinned(workers, || plan.execute());
-            crate::summary::take().sim_secs.to_bits()
+            let out = crate::jobs::with_pinned(workers, || plan.execute());
+            let credited = crate::summary::take().sim_secs.to_bits();
+            let in_order = out.iter().map(|c| c.ok().unwrap().total_secs);
+            assert_eq!(credited, in_order.fold(0.0, |sum, s| sum + s).to_bits());
+            credited
         };
         assert_eq!(total(1), total(5));
     }

@@ -4,9 +4,13 @@
 //! polls its [`exec::PoolMonitor`] and paints one status line on stderr:
 //! cells done/running/failed, a per-worker utilization bar, simulated
 //! throughput (sim-secs per host second) and a naive ETA over the cells
-//! submitted so far. The line is redrawn in place with `\r` on a TTY; on
-//! a plain pipe (CI logs) it degrades to a full log line every couple of
-//! seconds, and short runs print nothing at all.
+//! submitted so far. Throughput reads one process-wide counter of finished
+//! simulated microseconds, which every finished run adds to
+//! ([`add_sim_done`]); an integer sum has no order, so nothing defers it,
+//! and each line subtracts the value it started from. The line is redrawn
+//! in place with `\r` on a TTY; on a plain pipe (CI logs) it degrades to a
+//! full log line every couple of seconds, and short runs print nothing at
+//! all.
 //!
 //! Everything goes to **stderr** and never into a saved report, so the
 //! `--jobs 1` vs `--jobs 4` result trees stay byte-identical. Set
@@ -29,6 +33,15 @@ const TTY_PERIOD: Duration = Duration::from_millis(100);
 /// length before it says anything).
 const PLAIN_PERIOD: Duration = Duration::from_secs(2);
 
+/// Simulated microseconds finished by every run in the process (display
+/// only).
+static SIM_DONE_US: AtomicU64 = AtomicU64::new(0);
+
+/// Count `secs` of finished simulated time toward the live line.
+pub(crate) fn add_sim_done(secs: f64) {
+    SIM_DONE_US.fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
+}
+
 /// A running progress thread. Dropping it stops polling, joins the thread
 /// and (on a TTY) clears the status line so subsequent report output
 /// starts on a clean row.
@@ -47,9 +60,8 @@ impl Drop for Dash {
 }
 
 /// Spawn the progress line for the pool `monitor` watches, or `None` under
-/// `XP_DASH=0`. `sim_done_us` is the simulated time its cells have
-/// finished so far.
-pub(crate) fn spawn(monitor: PoolMonitor, sim_done_us: Arc<AtomicU64>) -> Option<Dash> {
+/// `XP_DASH=0`.
+pub(crate) fn spawn(monitor: PoolMonitor) -> Option<Dash> {
     let mode = std::env::var("XP_DASH").unwrap_or_default();
     if mode == "0" {
         return None;
@@ -59,7 +71,7 @@ pub(crate) fn spawn(monitor: PoolMonitor, sim_done_us: Arc<AtomicU64>) -> Option
     let stop_flag = Arc::clone(&stop);
     let handle = std::thread::Builder::new()
         .name("xp-dash".into())
-        .spawn(move || run(monitor, sim_done_us, stop_flag, tty))
+        .spawn(move || run(monitor, stop_flag, tty))
         .ok()?;
     Some(Dash {
         stop,
@@ -67,14 +79,15 @@ pub(crate) fn spawn(monitor: PoolMonitor, sim_done_us: Arc<AtomicU64>) -> Option
     })
 }
 
-fn run(monitor: PoolMonitor, sim_done_us: Arc<AtomicU64>, stop: Arc<AtomicBool>, tty: bool) {
+fn run(monitor: PoolMonitor, stop: Arc<AtomicBool>, tty: bool) {
     let period = if tty { TTY_PERIOD } else { PLAIN_PERIOD };
+    let start_us = SIM_DONE_US.load(Ordering::Relaxed);
     let mut next = Instant::now() + period;
     let mut painted = false;
     while !stop.load(Ordering::Relaxed) {
         if Instant::now() >= next {
             next += period;
-            let sim_done_secs = sim_done_us.load(Ordering::Relaxed) as f64 / 1e6;
+            let sim_done_secs = (SIM_DONE_US.load(Ordering::Relaxed) - start_us) as f64 / 1e6;
             if let Some(line) = monitor.status().and_then(|s| render(&s, sim_done_secs)) {
                 if tty {
                     eprint!("\r\x1b[2K{line}");

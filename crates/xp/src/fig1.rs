@@ -103,6 +103,7 @@ mod tests {
 
     #[test]
     fn grid_covers_all_configs() {
+        let _gate = crate::summary::gate::crediting();
         let results = grid::run_cells(cells(BenchName::Mg, Scale::Tiny, true));
         assert_eq!(results.len(), 15);
         let labels: Vec<_> = results.iter().map(|r| r.label()).collect();
@@ -123,6 +124,7 @@ mod tests {
 
     #[test]
     fn worst_case_is_slowest_class() {
+        let _gate = crate::summary::gate::crediting();
         let results = grid::run_cells(cells(BenchName::Cg, Scale::Small, false));
         let find = |label: &str| results.iter().find(|r| r.label() == label).unwrap();
         let base = find("ft-IRIX").total_secs;

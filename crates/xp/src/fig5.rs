@@ -76,6 +76,7 @@ mod tests {
 
     #[test]
     fn recrep_pays_visible_overhead() {
+        let _gate = crate::summary::gate::crediting();
         let results = grid::run_cells(cells(BenchName::Bt, Scale::Tiny));
         let recrep = results.iter().find(|r| r.engine == "recrep").unwrap();
         assert!(

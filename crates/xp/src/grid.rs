@@ -162,9 +162,10 @@ impl Cell {
         }
     }
 
-    /// Run the cell. This is where `--trace DIR` hooks in (see
-    /// [`crate::trace`]): with a trace directory installed the run
-    /// executes with the `obs` sink attached and dumps its events.
+    /// Run the cell: it only computes. With a `--trace DIR` installed the
+    /// run executes with the `obs` sink attached; its planned cell's merge
+    /// step writes the events and credits its simulated seconds (see
+    /// [`crate::cells`]).
     pub fn run(self) -> RunResult {
         self.run_with(None)
     }
@@ -192,8 +193,7 @@ impl Cell {
             run.set_fastpath(on);
         }
         let result = run.complete();
-        crate::trace::dump(&result);
-        crate::summary::add_sim_secs(result.total_secs);
+        crate::dash::add_sim_done(result.total_secs);
         result
     }
 
@@ -548,6 +548,7 @@ mod tests {
 
     #[test]
     fn execute_hands_outputs_back_group_by_group() {
+        let _gate = crate::summary::gate::crediting();
         let ft = || Cell::at_scale(BenchName::Cg, Scale::Tiny, RunConfig::paper_default());
         let groups = execute(vec![vec![ft()], vec![], vec![ft(), ft()]]);
         let widths: Vec<usize> = groups.iter().map(Vec::len).collect();

@@ -10,7 +10,7 @@
 //! | `fig5` | Record–replay on BT and SP | Figure 5 | [`fig5::run`] | [`fig5::cells`], served |
 //! | `fig6` | Record–replay with 1x/4x/16x-scaled phases | Figure 6 | [`fig6::run`] | [`fig6::cells`], served |
 //! | `ablations` | Latency-ratio, threshold and machine-size sweeps; freezing, replication, scheduler disruption | beyond the paper | [`ablation::all`] | tagged cells (offline cache only) and synthetic kernels |
-//! | `multiprog` | Job mixes under the kernel scheduler | beyond the paper | [`multiprog::run`] | uncached mixes |
+//! | `multiprog` | Job mixes under the kernel scheduler | beyond the paper | [`multiprog::run`] | baselines served; mixes uncached |
 //! | `staticplace` | Static distribution vs first-touch, ± UPMlib (four-way) | beyond the paper | [`staticplace::run`] | [`staticplace::cells`], served |
 //!
 //! The command column is [`cli::EXPERIMENTS`], the table the binary

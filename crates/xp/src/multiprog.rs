@@ -11,14 +11,16 @@
 //! comparison from the locality-friendly side.
 
 use crate::cells::CellPlan;
+use crate::grid::Cell;
 use crate::report::{pct, secs, Report};
-use crate::run_one::{default_engine_configs, run_one};
+use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, RunConfig, Scale};
 use sched::{
     Gang, JobSpec, Policy, SchedConfig, SchedOutcome, Scheduler, SpaceSharing, TimeSharing,
     UpmResponse,
 };
 use std::collections::BTreeMap;
+use vmm::PlacementScheme;
 
 /// One job mix.
 #[derive(Debug, Clone, Copy)]
@@ -205,7 +207,8 @@ pub fn variant_config(variant: &EngineVariant, bench: BenchName, scale: Scale) -
     cfg
 }
 
-/// Run one mix under one policy and engine variant.
+/// Run one mix under one policy and engine variant. It only computes: the
+/// report loop credits the makespan, in plan order.
 pub fn run_schedule(
     mix: &Mix,
     kind: PolicyKind,
@@ -226,7 +229,7 @@ pub fn run_schedule(
         );
     }
     let outcome = s.run_to_completion();
-    crate::summary::add_sim_secs(outcome.makespan_secs);
+    crate::dash::add_sim_done(outcome.makespan_secs);
     outcome
 }
 
@@ -252,10 +255,11 @@ pub fn run(scale: Scale) -> Report {
     // multiprogramming cost this strategy?", not "how far is it from its
     // own (engine-tuned) dedicated run", which would penalize UPMlib for
     // being faster than first-touch when dedicated.
-    // Phase 1: the dedicated baselines, one cell per distinct benchmark.
-    // A missing baseline makes every slowdown of that benchmark
-    // uncomputable, so a baseline failure is fatal (`expect_ok`), unlike
-    // the per-schedule cells below.
+    // Phase 1: the dedicated baselines, one ft-IRIX grid cell per distinct
+    // benchmark — keyed, so cached, served, and in `xp all` recalled from
+    // Figure 1's. A missing baseline makes every slowdown of that
+    // benchmark uncomputable, so a baseline failure is fatal
+    // (`run_cells`), unlike the per-schedule cells below.
     let mut bench_order: Vec<BenchName> = Vec::new();
     for mix in mixes() {
         for &bench in mix.benches {
@@ -264,17 +268,17 @@ pub fn run(scale: Scale) -> Report {
             }
         }
     }
-    let mut base_plan = CellPlan::new();
-    for &bench in &bench_order {
-        base_plan.add(
-            format!("dedicated:{}", bench.label().to_ascii_lowercase()),
-            move || run_one(bench, scale, &job_config(&EngineMode::None)).total_secs,
-        );
-    }
-    let mut dedicated: BTreeMap<String, f64> = BTreeMap::new();
-    for (bench, cell) in bench_order.iter().zip(base_plan.execute()) {
-        dedicated.insert(bench.label().to_string(), cell.expect_ok());
-    }
+    let baselines = crate::grid::run_cells(
+        bench_order
+            .iter()
+            .map(|&b| Cell::paper(b, scale, PlacementScheme::FirstTouch, EngineMode::None))
+            .collect(),
+    );
+    let dedicated: BTreeMap<&str, f64> = bench_order
+        .iter()
+        .zip(baselines)
+        .map(|(bench, r)| (bench.label(), r.total_secs))
+        .collect();
     // Phase 2: one cell per (mix, policy, engine variant) schedule.
     let variants = engine_variants();
     let mut plan = CellPlan::new();
@@ -302,6 +306,7 @@ pub fn run(scale: Scale) -> Report {
                         continue;
                     }
                 };
+                crate::summary::add_sim_secs(outcome.makespan_secs);
                 let mut slowdowns = Vec::new();
                 for j in &outcome.jobs {
                     let base = dedicated[j.bench.label()];

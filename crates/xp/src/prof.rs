@@ -170,7 +170,8 @@ fn save_artifacts(dir: &Path, events: &[Event], profile: &Profile) -> String {
 }
 
 /// The `xp prof` command: profile every requested benchmark on the cell
-/// pool and write the artifacts in plan order.
+/// pool, then credit each run's simulated seconds and write its artifacts
+/// in plan order.
 pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
     let mut plan: CellPlan<(RunResult, Box<Tracer>, Profile)> = CellPlan::new();
     for &bench in benches {
@@ -183,6 +184,7 @@ pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
         let id = output.id.clone();
         match output.value {
             Ok((result, tracer, profile)) => {
+                crate::summary::add_sim_secs(result.total_secs);
                 let mut report = report_for(&profile);
                 report.note(format!(
                     "verification: {}",

@@ -1,8 +1,8 @@
 //! Run one named benchmark at one scale under one configuration — the
 //! entry points tests, benches and the perf ledger call. Each is a
-//! [`Cell`] built and run on the spot, so `--trace DIR` and the simulated
-//! seconds accounting hook in at [`Cell::run_with`] for every experiment
-//! alike.
+//! [`Cell`] built and run on the spot, and like every run it only
+//! computes: crediting simulated seconds and writing a `--trace DIR` dump
+//! are a planned cell's merge step (see [`crate::cells`]).
 
 use crate::grid::Cell;
 use nas::{BenchName, RunConfig, RunResult, Scale};

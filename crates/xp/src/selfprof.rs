@@ -150,8 +150,8 @@ pub fn report_for(
 }
 
 /// The `xp selfprof` command: profile each requested benchmark in its own
-/// session (sessions are process-wide, so benchmarks run sequentially)
-/// and write the artifacts.
+/// session (sessions are process-wide, so benchmarks run sequentially),
+/// credit its run's simulated seconds and write the artifacts.
 pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
     let mut reports = Vec::new();
     for &bench in benches {
@@ -159,6 +159,7 @@ pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
         let (host, output) = profile_one(bench, scale);
         match output.value {
             Ok(result) => {
+                crate::summary::add_sim_secs(result.total_secs);
                 let mut report = report_for(&host, bench, scale, output.wall_secs);
                 report.note(format!(
                     "verification: {}",

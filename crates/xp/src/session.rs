@@ -1,4 +1,5 @@
-//! The session: the worker pool every plan runs on.
+//! The session: the worker pool every plan runs on, and the cells a sweep
+//! has already merged.
 //!
 //! A [`crate::cells::CellPlan`] always executes on a session's pool. The
 //! `xp` binary opens one around multi-experiment runs, so the workers
@@ -9,44 +10,57 @@
 //! the calling thread's: the plan's caller helps run its cells, and
 //! `--jobs 1` spawns no worker thread.
 //!
+//! The open session also remembers: its table holds the cache encoding of
+//! every spec cell a plan merged, keyed by [`svc::CellSpec::canonical`],
+//! and a later plan asks it before the cache and the server — so `xp all`
+//! computes each distinct cell once, in memory. The encoding is the
+//! cache's exact codec, so a recalled cell is indistinguishable from a
+//! recompute. A plan-scoped session keeps no table, since no later plan
+//! could ask it, and traced runs bypass the table as they bypass the
+//! cache. Nothing waits in flight: `xp` runs its plans one after another
+//! and no plan repeats a key, so at worst two concurrent plans (a test
+//! harness) both compute a key, to equal bytes.
+//!
 //! The pool is type-erased (`Box<dyn Any + Send>` results) because
 //! different plans carry different cell types; [`crate::cells`] downcasts
-//! on the way out. Batches merge in plan order, so outputs and replayed
-//! side effects are byte-identical whatever the session or worker count.
+//! on the way out. Batches merge in plan order, so outputs and merge
+//! effects are byte-identical whatever the session or worker count.
 
 use crate::dash::Dash;
 use exec::{PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool, TimedResult};
+use obs::json::Value;
 use std::any::Any;
-use std::sync::atomic::AtomicU64;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// A type-erased cell result travelling through the shared pool.
 pub(crate) type ErasedResult = Box<dyn Any + Send>;
 
-/// One pool, its progress line, and the simulated time its cells have
-/// finished (what the progress line's sim-s/s is computed from).
+/// One pool, its progress line, and — for the open session — its table
+/// of merged cells.
 pub struct Session {
     pool: ResidentPool<ErasedResult>,
-    sim_done_us: Arc<AtomicU64>,
+    /// Cache encodings by canonical spec; `None` for a plan-scoped session.
+    table: Option<Mutex<HashMap<String, Value>>>,
     _dash: Option<Dash>,
 }
 
 impl Session {
     /// A pool of `seats` workers, with a progress line when `progress` is
-    /// set (and [`crate::dash`] is not silenced).
-    fn open(seats: usize, progress: bool) -> Arc<Session> {
+    /// set (and [`crate::dash`] is not silenced), and a table of merged
+    /// cells when `remembers` is.
+    fn open(seats: usize, progress: bool, remembers: bool) -> Arc<Session> {
         let pool = ResidentPool::with_caller(seats);
-        let sim_done_us = Arc::new(AtomicU64::new(0));
         let dash = if progress {
             let monitor = PoolMonitor::new();
             monitor.attach(&pool);
-            crate::dash::spawn(monitor, Arc::clone(&sim_done_us))
+            crate::dash::spawn(monitor)
         } else {
             None
         };
         Arc::new(Session {
             pool,
-            sim_done_us,
+            table: remembers.then(Mutex::default),
             _dash: dash,
         })
     }
@@ -60,9 +74,17 @@ impl Session {
         self.pool.run(jobs)
     }
 
-    /// Where finished cells credit their simulated microseconds.
-    pub(crate) fn sim_done_us(&self) -> &Arc<AtomicU64> {
-        &self.sim_done_us
+    /// The encoding of `spec`'s cell, if a plan merged it.
+    pub(crate) fn recall(&self, spec: &svc::CellSpec) -> Option<Value> {
+        let table = self.table.as_ref()?.lock().unwrap();
+        table.get(&spec.canonical()).cloned()
+    }
+
+    /// Keep a merged cell's encoding for later plans.
+    pub(crate) fn remember(&self, spec: &svc::CellSpec, payload: Value) {
+        if let Some(table) = &self.table {
+            table.lock().unwrap().insert(spec.canonical(), payload);
+        }
     }
 }
 
@@ -71,7 +93,7 @@ static ACTIVE: Mutex<Option<Arc<Session>>> = Mutex::new(None);
 /// Open a session and install it as the process-wide executor for
 /// subsequent plans, until [`end`].
 pub fn begin() -> Arc<Session> {
-    let session = Session::open(crate::jobs::get(), true);
+    let session = Session::open(crate::jobs::get(), true, true);
     *ACTIVE.lock().unwrap() = Some(Arc::clone(&session));
     session
 }
@@ -81,7 +103,16 @@ pub fn begin() -> Arc<Session> {
 /// for a lone cell.
 pub(crate) fn for_plan(cells: usize) -> Arc<Session> {
     let active = ACTIVE.lock().unwrap().clone();
-    active.unwrap_or_else(|| Session::open(crate::jobs::get().min(cells), cells >= 2))
+    active.unwrap_or_else(|| Session::open(crate::jobs::get().min(cells), cells >= 2, false))
+}
+
+/// The open session, for a plan to ask and extend its table — `None`
+/// when no session is open or a trace directory forces real execution.
+pub(crate) fn remembering() -> Option<Arc<Session>> {
+    if crate::trace::dir().is_some() {
+        return None;
+    }
+    ACTIVE.lock().unwrap().clone()
 }
 
 /// Close the active session: drop the shared pool (workers drain and

@@ -137,6 +137,7 @@ mod tests {
 
     #[test]
     fn static_placement_matches_or_beats_first_touch() {
+        let _gate = crate::summary::gate::crediting();
         // The synthesized map reproduces UPMlib's converged placement, so
         // running it cold (no engine) must not lose to plain first-touch
         // by more than noise, and the hybrid must not add migrations over

@@ -4,16 +4,16 @@
 //! performance trajectory to compare against.
 //!
 //! Everything an experiment costs on the host accumulates in one
-//! process-global [`Tally`]: [`crate::run_one`] credits each run's
-//! simulated seconds (the multiprogramming experiment its schedules'
-//! makespans) and every executed [`crate::cells::CellPlan`] credits its
-//! pool telemetry and per-cell walls. When a simulated-seconds credit
-//! happens inside an executing cell, it is buffered in the cell's context
-//! and replayed in canonical plan order at merge time (see
-//! [`crate::cells`]), so the accumulated float sum is bit-identical
-//! whatever `--jobs` count ran the cells. The binary drains the tally
-//! around each experiment with [`take`], prints its [`Tally::footer`] and
-//! writes the collected entries with [`write`].
+//! process-global [`Tally`]. Simulated seconds are credited on the calling
+//! thread, never inside a running cell: each spec cell's merge step credits
+//! its run (see [`crate::cells`]), multiprog its schedules' makespans in
+//! its report loop, and `xp trace`/`prof`/`selfprof` their runs once their
+//! plans merge — all in plan order, so the accumulated float sum is
+//! bit-identical whatever `--jobs` count ran the cells. Every executed
+//! [`crate::cells::CellPlan`] credits its pool telemetry and per-cell
+//! walls. The binary drains the tally around each experiment with
+//! [`take`], prints its [`Tally::footer`] and writes the collected entries
+//! with [`write`].
 //!
 //! The footer goes to **stdout only** — it is never embedded in saved
 //! report JSON, so result trees stay byte-identical across `--jobs`
@@ -26,8 +26,8 @@
 //! `wall_secs - pool_wall + cells_wall` serially, and `speedup_vs_serial`
 //! is that estimate divided by `wall_secs` — ~1.0 for `--jobs 1` runs,
 //! approaching the worker count for cell-dominated experiments, and
-//! `null` when every cell was resolved from the cache or a server (no
-//! cell ran, so there is nothing to estimate from).
+//! `null` when every cell was resolved without running — recalled from
+//! the session, cached or served — so there is nothing to estimate from.
 
 use exec::PoolTelemetry;
 use obs::json::Value;
@@ -47,7 +47,8 @@ pub struct Tally {
     pub pool_wall_secs: f64,
     /// Cells computed on a pool.
     pub cells_computed: usize,
-    /// Cells resolved from the result cache or a server.
+    /// Cells resolved from the session's table, the result cache or a
+    /// server.
     pub cells_resolved: usize,
     plans: usize,
     failed: usize,
@@ -67,12 +68,9 @@ fn with_tally<R>(f: impl FnOnce(&mut Tally) -> R) -> R {
     f(slot.get_or_insert_with(Tally::default))
 }
 
-/// Credit simulated seconds to the experiment currently running. Inside a
-/// cell, the credit is deferred to the cell's merge (canonical order).
+/// Credit simulated seconds to the experiment currently running. Call it
+/// in plan order from the thread that merges, never from a running cell.
 pub fn add_sim_secs(secs: f64) {
-    if crate::cells::credit_sim_secs(secs) {
-        return;
-    }
     with_tally(|t| t.sim_secs += secs);
 }
 
@@ -94,7 +92,7 @@ pub(crate) fn record_plan(t: &PoolTelemetry, cell_walls: &[f64]) {
     });
 }
 
-/// Credit one cell resolved without running (a cache hit, a served result).
+/// Credit one cell resolved without running (recalled, a cache hit, served).
 pub(crate) fn record_resolved_cell() {
     with_tally(|t| t.cells_resolved += 1);
 }
@@ -168,7 +166,7 @@ impl SummaryEntry {
 
     /// Estimated wall-clock speedup of this run over a `--jobs 1` run;
     /// `None` when the experiment had cells and every one of them was
-    /// resolved from the cache or a server, so none ran to estimate from.
+    /// resolved without running, so none ran to estimate from.
     pub fn speedup_vs_serial(&self) -> Option<f64> {
         if self.tally.cells_computed == 0 && self.tally.cells_resolved > 0 {
             None
@@ -236,6 +234,24 @@ pub fn write(
     Ok(path)
 }
 
+/// The unit tests' gate on the process-global tally: a test that credits
+/// it (runs a plan of spec cells) holds [`crediting`], one that reads a
+/// total exactly holds [`exact`], so no credit lands inside its window.
+#[cfg(test)]
+pub(crate) mod gate {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static GATE: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn crediting() -> RwLockReadGuard<'static, ()> {
+        GATE.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    pub(crate) fn exact() -> RwLockWriteGuard<'static, ()> {
+        GATE.write().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +262,7 @@ mod tests {
     // present (>=) and on shapes, not on exact totals.
     #[test]
     fn tally_takes_and_resets() {
+        let _gate = gate::exact();
         let t = PoolTelemetry {
             wall_secs: 1.0,
             jobs_total: 4,

@@ -107,6 +107,7 @@ mod tests {
 
     #[test]
     fn residual_slowdown_is_small_once_settled() {
+        let _gate = crate::summary::gate::crediting();
         // MG Tiny under round-robin + upmlib: after the engine settles, the
         // steady-state iterations should be close to first-touch speed.
         let results = grid::run_cells(cells(BenchName::Mg, Scale::Tiny));

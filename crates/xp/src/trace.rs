@@ -8,11 +8,11 @@
 //!   and `trace.chrome.json` (load it in Perfetto or `chrome://tracing`)
 //!   under the output directory and returns a per-iteration metrics table.
 //! * **`--trace DIR` on any other command** — [`set_dir`] installs a trace
-//!   directory; every [`crate::grid::Cell`] run (a planned cell or a
-//!   [`crate::run_one`] call) then runs with the sink attached and dumps
-//!   its events as
-//!   `trace-<seq>-<bench>-<label>.{jsonl,chrome.json}` (the sequence number
-//!   keeps repeated configurations from overwriting each other).
+//!   directory; every [`crate::grid::Cell`] run then runs with the sink
+//!   attached, and each planned cell's merge step writes its events as
+//!   `trace-<seq>-<bench>-<label>.{jsonl,chrome.json}` from the result's
+//!   own tracer (the sequence number, taken at merge, follows plan order
+//!   and keeps repeated configurations from overwriting each other).
 
 use crate::report::Report;
 use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
@@ -45,54 +45,18 @@ pub(crate) fn arm(cfg: &mut RunConfig) {
     }
 }
 
-/// A trace dump captured mid-run but not yet written: the file name's
-/// sequence number is assigned at write time, so dumps deferred by the
-/// cell executor land on disk in canonical plan order whatever the worker
-/// count (see [`crate::cells`]).
-pub(crate) struct PendingTrace {
-    bench: String,
-    label: String,
-    tracer: Box<Tracer>,
-}
-
-impl std::fmt::Debug for PendingTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingTrace")
-            .field("bench", &self.bench)
-            .field("label", &self.label)
-            .finish_non_exhaustive()
-    }
-}
-
-/// If a trace directory is installed and the run collected a trace, stage
-/// it for writing: deferred to the merge when a cell is executing,
-/// written immediately otherwise. The tracer stays on the result so
-/// callers that requested tracing themselves keep access to it.
-pub(crate) fn dump(result: &RunResult) {
-    if dir().is_none() {
-        return;
-    }
-    let Some(tracer) = result.trace.as_deref() else {
+/// Write a traced run's events under the installed directory, taking the
+/// next file sequence number — called from the run's cell merge step
+/// ([`crate::cache::CachePayload::on_merge`]), so file numbers follow plan
+/// order whatever the worker count. No-op without a directory or a tracer.
+pub(crate) fn write(result: &RunResult) {
+    let (Some(dir), Some(tracer)) = (dir(), result.trace.as_deref()) else {
         return;
     };
-    let pending = PendingTrace {
-        bench: result.bench.label().to_ascii_lowercase(),
-        label: result.label(),
-        tracer: Box::new(tracer.clone()),
-    };
-    if let Some(pending) = crate::cells::defer_trace(pending) {
-        write_pending(pending);
-    }
-}
-
-/// Write a staged trace under the installed directory, taking the next
-/// file sequence number. No-op when the directory was uninstalled in the
-/// meantime.
-pub(crate) fn write_pending(pending: PendingTrace) {
-    let Some(dir) = dir() else { return };
     let seq = TRACE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let stem = format!("trace-{seq:03}-{}-{}", pending.bench, pending.label);
-    match write_files(&dir, &stem, &pending.tracer) {
+    let bench = result.bench.label().to_ascii_lowercase();
+    let stem = format!("trace-{seq:03}-{bench}-{}", result.label());
+    match write_files(&dir, &stem, tracer) {
         Ok((jsonl, _)) => eprintln!("[trace {}]", jsonl.display()),
         Err(e) => eprintln!("[warn: could not write trace {stem}: {e}]"),
     }
@@ -125,10 +89,11 @@ pub fn run_traced(bench: BenchName, scale: Scale) -> (RunResult, Box<Tracer>) {
     (result, tracer)
 }
 
-/// The `xp trace <bench>` command: run, export, and build the
-/// per-iteration metrics table.
+/// The `xp trace <bench>` command: run, credit its simulated seconds,
+/// export, and build the per-iteration metrics table.
 pub fn run(bench: BenchName, scale: Scale, out_dir: &Path) -> Report {
     let (result, tracer) = run_traced(bench, scale);
+    crate::summary::add_sim_secs(result.total_secs);
     let mut report = report_for(bench, &result, &tracer);
     match write_files(out_dir, "trace", &tracer) {
         Ok((jsonl, chrome)) => {

@@ -3,8 +3,9 @@
 //! markdown reports, and credit bit-identical simulated seconds.
 //!
 //! This is the executor's core contract (see `crates/xp/src/cells.rs`):
-//! cell results merge in plan order, deferred side effects replay in plan
-//! order, so the worker count is invisible in every artifact.
+//! cell results merge in plan order, and each spec cell's one merge step
+//! has its effects there, so the worker count is invisible in every
+//! artifact.
 
 use nas::Scale;
 use std::sync::Mutex;
