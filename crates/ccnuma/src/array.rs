@@ -102,6 +102,19 @@ pub struct SimArray<T> {
     chunking: Option<(usize, usize, u64)>,
 }
 
+/// A copy of the data at the same simulated addresses: what a forked run's
+/// benchmark computes on while the original computes on its own.
+impl<T: Copy> Clone for SimArray<T> {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            base: self.base,
+            data: self.data.clone(),
+            chunking: self.chunking,
+        }
+    }
+}
+
 impl<T: Copy> SimArray<T> {
     /// Allocate an array of `len` elements filled with `init`, reserving a
     /// page-aligned simulated virtual range on `machine`.

@@ -17,6 +17,13 @@
 //! lets the phase fast path (see [`crate::fastpath`]) apply a region's worth
 //! of write traffic to a line in one add.
 
+/// Versions a copy allocates room for at least: 32 MiB of them. The C
+/// allocator maps a request that large fresh from the system, whose pages
+/// are zero and cost nothing until written. A smaller one made mid-sweep
+/// is recycled heap memory that `calloc` zeroes, and so makes resident, in
+/// full (a machine's 8 MB table, once one was freed).
+const FRESH_VERSIONS: usize = (32 << 20) / std::mem::size_of::<u32>();
+
 /// Per-line version table covering the simulated virtual address space.
 #[derive(Debug)]
 pub struct Directory {
@@ -33,6 +40,20 @@ impl Directory {
         Self {
             versions: vec![0; lines],
             writes: 0,
+        }
+    }
+
+    /// A copy of the first `lines` lines' versions, reading 0 above them,
+    /// for a caller that knows no line above was ever written. The table
+    /// is mapped fresh ([`FRESH_VERSIONS`]) and only those lines are
+    /// copied, so the rest costs no resident memory until a run writes it.
+    pub fn clone_below(&self, lines: usize) -> Self {
+        let mut versions = vec![0; self.versions.len().max(FRESH_VERSIONS)];
+        versions.truncate(self.versions.len());
+        versions[..lines].copy_from_slice(&self.versions[..lines]);
+        Self {
+            versions,
+            writes: self.writes,
         }
     }
 

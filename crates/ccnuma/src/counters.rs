@@ -16,12 +16,25 @@
 //! simulator reproduces that split: [`RefCounters::record`] drives the
 //! 11-bit hardware counter and spills full blocks into a 64-bit extension;
 //! [`RefCounters::get`] returns the combined (kernel-visible) value.
+//!
+//! Only a counter that overflowed ever holds an extended value, so the
+//! extension is sparse: it is allocated in blocks of [`EXT_BLOCK`]
+//! counters, each on the first spill that lands in it. A machine costs the
+//! 2 bytes of its hardware counters per (frame, node), and 8 more only
+//! where a run overflowed one.
 
 use crate::topology::NodeId;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Saturation value of the Origin2000's 11-bit hardware counters.
 pub const COUNTER_MAX: u16 = (1 << 11) - 1;
+
+/// Counters per block of the sparse extension: one 4 KB page of `u64`s.
+const EXT_BLOCK: usize = 512;
+
+/// One block of extended counters, allocated on its first spill.
+type ExtBlock = OnceLock<Box<[AtomicU64]>>;
 
 /// Counter banks for every frame in the machine, one counter per node.
 #[derive(Debug)]
@@ -29,8 +42,10 @@ pub struct RefCounters {
     nodes: usize,
     /// 11-bit hardware counters, flat `[frame][node]` layout.
     hw: Vec<AtomicU16>,
-    /// Kernel-extended counters: completed 2047-blocks spilled on overflow.
-    extended: Vec<AtomicU64>,
+    /// Kernel-extended counters: completed 2047-blocks spilled on overflow,
+    /// laid out as `hw` in blocks of [`EXT_BLOCK`]; a block no spill
+    /// reached is unallocated and reads 0.
+    extended: Vec<ExtBlock>,
     /// Total accesses ever recorded (monotone; unaffected by per-frame
     /// resets/decay). The phase fast path validates a recorded region's
     /// aggregate counter traffic against this in O(1).
@@ -42,8 +57,8 @@ impl RefCounters {
     pub fn new(frames: usize, nodes: usize) -> Self {
         let mut hw = Vec::with_capacity(frames * nodes);
         hw.resize_with(frames * nodes, || AtomicU16::new(0));
-        let mut extended = Vec::with_capacity(frames * nodes);
-        extended.resize_with(frames * nodes, || AtomicU64::new(0));
+        let mut extended = Vec::new();
+        extended.resize_with((frames * nodes).div_ceil(EXT_BLOCK), ExtBlock::new);
         Self {
             nodes,
             hw,
@@ -66,6 +81,24 @@ impl RefCounters {
         frame * self.nodes + node
     }
 
+    /// Extended counter `i`, when its block has been allocated.
+    #[inline]
+    fn ext(&self, i: usize) -> Option<&AtomicU64> {
+        self.extended[i / EXT_BLOCK]
+            .get()
+            .map(|b| &b[i % EXT_BLOCK])
+    }
+
+    /// Fold `count` accesses into extended counter `i`, allocating its
+    /// block on the first spill that reaches it.
+    #[cold]
+    #[inline(never)]
+    fn spill(&self, i: usize, count: u64) {
+        let block = self.extended[i / EXT_BLOCK]
+            .get_or_init(|| (0..EXT_BLOCK).map(|_| AtomicU64::new(0)).collect());
+        block[i % EXT_BLOCK].fetch_add(count, Ordering::Relaxed);
+    }
+
     /// Record one memory access to `frame` from `node`. On hardware-counter
     /// overflow the block is folded into the kernel's extended counter (the
     /// IRIX overflow-interrupt path). Returns `true` when this access
@@ -83,7 +116,7 @@ impl RefCounters {
             // access) into the kernel's extended counter and restart the
             // hardware counter.
             hw.store(0, Ordering::Relaxed);
-            self.extended[i].fetch_add(cur as u64 + 1, Ordering::Relaxed);
+            self.spill(i, cur as u64 + 1);
             true
         } else {
             hw.store(cur + 1, Ordering::Relaxed);
@@ -112,7 +145,7 @@ impl RefCounters {
         self.hw[i].store((total % block) as u16, Ordering::Relaxed);
         let blocks = total / block;
         if blocks > 0 {
-            self.extended[i].fetch_add(blocks * block, Ordering::Relaxed);
+            self.spill(i, blocks * block);
         }
     }
 
@@ -120,7 +153,8 @@ impl RefCounters {
     #[inline]
     pub fn get(&self, frame: usize, node: NodeId) -> u64 {
         let i = self.idx(frame, node);
-        self.extended[i].load(Ordering::Relaxed) + self.hw[i].load(Ordering::Relaxed) as u64
+        let ext = self.ext(i).map_or(0, |e| e.load(Ordering::Relaxed));
+        ext + self.hw[i].load(Ordering::Relaxed) as u64
     }
 
     /// Raw 11-bit hardware counter value (diagnostics/tests).
@@ -140,7 +174,9 @@ impl RefCounters {
         for n in 0..self.nodes {
             let i = self.idx(frame, n);
             self.hw[i].store(0, Ordering::Relaxed);
-            self.extended[i].store(0, Ordering::Relaxed);
+            if let Some(ext) = self.ext(i) {
+                ext.store(0, Ordering::Relaxed);
+            }
         }
     }
 
@@ -152,8 +188,9 @@ impl RefCounters {
             let i = self.idx(frame, n);
             let hw = &self.hw[i];
             hw.store(hw.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-            let ext = &self.extended[i];
-            ext.store(ext.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
+            if let Some(ext) = self.ext(i) {
+                ext.store(ext.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
+            }
         }
     }
 
@@ -165,6 +202,26 @@ impl RefCounters {
     /// [`competitive_view`] of a frame homed on `home`.
     pub fn competitive_view(&self, frame: usize, home: NodeId) -> (u64, u64, NodeId) {
         competitive_view((0..self.nodes).map(|n| self.get(frame, n)), home)
+    }
+}
+
+/// Every counter copied; the copy holds extension blocks where this one
+/// does.
+impl Clone for RefCounters {
+    fn clone(&self) -> Self {
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        let extended = self.extended.iter().map(|block| match block.get() {
+            Some(b) => ExtBlock::from(b.iter().map(copy).collect::<Box<[_]>>()),
+            None => ExtBlock::new(),
+        });
+        Self {
+            nodes: self.nodes,
+            hw: (self.hw.iter())
+                .map(|h| AtomicU16::new(h.load(Ordering::Relaxed)))
+                .collect(),
+            extended: extended.collect(),
+            recorded: copy(&self.recorded),
+        }
     }
 }
 
@@ -340,6 +397,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_clone_holds_every_count_and_counts_on_alone() {
+        let c = RefCounters::new(EXT_BLOCK, 2);
+        for _ in 0..5000 {
+            c.record(7, 1);
+        }
+        c.record(3, 0);
+        let d = c.clone();
+        for frame in 0..EXT_BLOCK {
+            assert_eq!(d.snapshot(frame), c.snapshot(frame));
+        }
+        assert_eq!(d.total_recorded(), c.total_recorded());
+        d.record(7, 1);
+        assert_eq!(d.get(7, 1), 5001);
+        assert_eq!(c.get(7, 1), 5000);
     }
 
     #[test]

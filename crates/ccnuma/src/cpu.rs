@@ -24,7 +24,7 @@ pub enum AccessKind {
 }
 
 /// One simulated processor: private caches plus accounting.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CpuContext {
     /// This CPU's id.
     pub id: CpuId,

@@ -117,6 +117,7 @@ struct LiveCpu {
 
 /// Per-label pool: the proof every instance of the label derived, per-thread
 /// write claims, and one memo slot per team thread.
+#[derive(Clone)]
 pub(super) struct Pool {
     proof: Arc<PhaseProof>,
     /// The proof's lines, built at the first region entry that finds every
@@ -133,6 +134,7 @@ pub(super) struct Pool {
     pub(super) slots: Vec<CpuSlot>,
 }
 
+#[derive(Clone)]
 pub(super) struct CpuSlot {
     pub(super) cpu: CpuId,
     /// MRU first.
@@ -193,8 +195,10 @@ impl Pool {
 }
 
 /// The memoization engine. One per `omp` runtime (it is tied to one machine's
-/// geometry through its memos).
-#[derive(Default)]
+/// geometry through its memos). A clone holds the same memos (their images
+/// are shared) and the same library handle, and counts on from the same
+/// statistics.
+#[derive(Clone, Default)]
 pub struct FastpathEngine {
     pools: HashMap<String, Pool>,
     stats: FastpathStats,

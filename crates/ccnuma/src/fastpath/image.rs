@@ -57,6 +57,7 @@ impl ImageCore {
 
 /// A memo: an image and its timing under each frame assignment seen so
 /// far, MRU first.
+#[derive(Clone)]
 pub(super) struct Image {
     pub(super) core: Arc<ImageCore>,
     pub(super) placements: Vec<Placement>,
@@ -119,7 +120,7 @@ pub(super) struct CacheFix {
 /// Dense proof-line membership bitmap (bit `line & 63` of word `line >> 6`)
 /// — match-time tag classification in O(1) instead of a binary search over
 /// the (possibly huge) footprint.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(super) struct LineSet(pub(super) Vec<u64>);
 
 impl LineSet {

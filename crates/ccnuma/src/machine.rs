@@ -38,6 +38,10 @@ pub trait Placer: Send {
 
     /// Human-readable policy name (experiment labels).
     fn name(&self) -> &'static str;
+
+    /// A copy in this policy's current state, for a cloned machine: it
+    /// places the clone's later faults as this one places its own.
+    fn boxed_clone(&self) -> Box<dyn Placer>;
 }
 
 /// The built-in default policy: first-touch, as in IRIX.
@@ -51,6 +55,10 @@ impl Placer for FirstTouchPlacer {
 
     fn name(&self) -> &'static str {
         "first-touch"
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Placer> {
+        Box::new(*self)
     }
 }
 
@@ -205,7 +213,7 @@ impl MachineConfig {
 
 /// Region-recording log filled by the access path while the phase fast path
 /// records a region (see [`crate::fastpath`]).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct FpRecording {
     /// `(cpu, frame)` of every access that reached memory, 8 bytes an
     /// entry (a BT medium region logs millions);
@@ -250,6 +258,10 @@ pub struct Machine {
     pub(crate) mem_ns: Vec<f64>,
     /// Bump allocator for virtual address space handed to `SimArray`s.
     next_vaddr: u64,
+    /// One past the highest virtual page reserved or ever mapped. A line
+    /// is written only on a page that was mapped, so every directory
+    /// version above this page's first line is 0 (what a clone copies).
+    vpage_top: u64,
     in_region: bool,
     /// When recording a region, the fast path installs a log here; the
     /// access path appends `(cpu, frame)` per memory access (the per-CPU
@@ -307,6 +319,7 @@ impl Machine {
             contention: ContentionModel::new(config.contention),
             mem_ns,
             next_vaddr: 0,
+            vpage_top: 0,
             in_region: false,
             fp_rec: None,
             fp_marks: Vec::new(),
@@ -426,6 +439,7 @@ impl Machine {
             "simulated virtual address space exhausted ({} pages)",
             self.config.max_vpages
         );
+        self.vpage_top = self.vpage_top.max(crate::vpage_of(self.next_vaddr));
         base
     }
 
@@ -453,6 +467,7 @@ impl Machine {
             .ok_or(MemError::OutOfMemory)?;
         self.counters.reset_frame(frame);
         self.page_table[vpage as usize] = Some(frame);
+        self.vpage_top = self.vpage_top.max(vpage + 1);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         let node = self.memory.node_of_frame(frame);
         self.trace_event(|| EventKind::PageMapped { vpage, node });
@@ -843,6 +858,7 @@ impl Machine {
                     .expect("simulated machine out of physical memory");
                 self.counters.reset_frame(frame);
                 self.page_table[vpage as usize] = Some(frame);
+                self.vpage_top = self.vpage_top.max(vpage + 1);
                 self.stats.page_faults += 1;
                 self.cpus[cpu].account.cache_ns += self.config.fault_ns;
                 frame
@@ -1002,6 +1018,41 @@ impl Machine {
     }
 }
 
+/// An exact copy: the clone continues as this machine would, op for op.
+/// Its directory copies only the lines below the highest page ever
+/// reserved or mapped, the rest allocated zeroed, so a clone is resident
+/// for what its run touched. A traced machine is not cloned: its events
+/// belong to one run.
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        assert!(!self.trace.is_active(), "a traced machine is not cloned");
+        let lines = (self.vpage_top as usize) << (PAGE_SHIFT - LINE_SHIFT);
+        Self {
+            config: self.config.clone(),
+            directory: self.directory.clone_below(lines),
+            counters: self.counters.clone(),
+            memory: self.memory.clone(),
+            page_table: self.page_table.clone(),
+            replicas: self.replicas.clone(),
+            placer: self.placer.boxed_clone(),
+            cpus: self.cpus.clone(),
+            clock: self.clock,
+            stats: self.stats,
+            contention: self.contention,
+            mem_ns: self.mem_ns.clone(),
+            next_vaddr: self.next_vaddr,
+            vpage_top: self.vpage_top,
+            in_region: self.in_region,
+            fp_rec: self.fp_rec.clone(),
+            fp_marks: self.fp_marks.clone(),
+            fp_epoch: self.fp_epoch,
+            fp_l1_sets: self.fp_l1_sets,
+            fp_set_span: self.fp_set_span,
+            trace: TraceSink::Null,
+        }
+    }
+}
+
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
@@ -1016,6 +1067,7 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::COUNTER_MAX;
     use crate::AccessKind::{Read, Write};
 
     fn machine() -> Machine {
@@ -1285,6 +1337,129 @@ mod tests {
         m.memory.free(dup);
 
         assert_eq!(m.check_invariants(), Ok(()));
+    }
+
+    /// Everything a run can observe of a machine: clock bits, machine and
+    /// per-CPU statistics, cache clocks, free frames per node, and for every
+    /// mapped page its frame, replicas, per-node counters and line versions.
+    fn fingerprint(m: &Machine) -> String {
+        let mut out = format!("{} {:?}\n", m.clock().now_ns().to_bits(), m.stats());
+        for cpu in 0..m.cpus() {
+            out += &format!("{:?} {:?}\n", m.cpu_stats(cpu), m.cache_ticks(cpu));
+        }
+        let nodes = m.topology().nodes();
+        out += &format!(
+            "{:?}\n",
+            (0..nodes)
+                .map(|n| m.memory().free_on(n))
+                .collect::<Vec<_>>()
+        );
+        for (vp, frame) in m.mapped_pages() {
+            out += &format!(
+                "{vp} {frame} {} {:?} {}\n",
+                m.replica_count(vp),
+                m.counters().snapshot(frame),
+                m.page_version_sum(vp)
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn a_clone_continues_as_the_original_would() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let ops: Vec<(u8, usize, u64, usize)> = (0..1500)
+                .map(|_| {
+                    let op = rng.gen_range(0..20u8);
+                    (
+                        op,
+                        rng.gen_range(0..8),
+                        rng.gen_range(0..6),
+                        rng.gen_range(0..128),
+                    )
+                })
+                .collect();
+            let fork_at = rng.gen_range(0..ops.len());
+            let mut m = machine();
+            let base = m.reserve_vspace(6 * crate::PAGE_SIZE);
+            let apply = |m: &mut Machine, &(op, cpu, page, line): &(u8, usize, u64, usize)| {
+                let vpage = crate::vpage_of(base) + page;
+                let node = cpu % m.topology().nodes();
+                let addr = base + page * crate::PAGE_SIZE + line as u64 * 128;
+                match op {
+                    0 => {
+                        let _ = m.migrate_page(vpage, node);
+                    }
+                    1 => {
+                        let _ = m.replicate_page(vpage, node);
+                    }
+                    2 => {
+                        m.collapse_page(vpage);
+                    }
+                    3 => {
+                        let _ = m.unmap_page(vpage);
+                    }
+                    4 => {
+                        if let Some(frame) = m.frame_of(vpage) {
+                            // Enough traffic to spill the hardware counter.
+                            for _ in 0..=COUNTER_MAX {
+                                m.counters().record(frame, node);
+                            }
+                            m.counters().decay_frame(frame);
+                        }
+                    }
+                    5 if !m.in_region() => m.begin_region(),
+                    6 if m.in_region() => {
+                        m.end_region();
+                    }
+                    7..=11 => {
+                        m.touch(cpu, addr, Write);
+                    }
+                    _ => {
+                        m.touch(cpu, addr, Read);
+                    }
+                }
+            };
+            for op in &ops[..fork_at] {
+                apply(&mut m, op);
+            }
+            let mut clone = m.clone();
+            assert_eq!(
+                fingerprint(&clone),
+                fingerprint(&m),
+                "seed {seed}: the clone"
+            );
+            for op in &ops[fork_at..] {
+                apply(&mut m, op);
+                apply(&mut clone, op);
+            }
+            assert_eq!(fingerprint(&clone), fingerprint(&m), "seed {seed}: after");
+            assert_eq!(clone.check_invariants(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_cloned_directory_reads_zero_above_the_reserved_space() {
+        let mut m = machine();
+        let base = m.reserve_vspace(3 * crate::PAGE_SIZE);
+        for line in 0..3 * 128u64 {
+            m.touch(line as usize % 8, base + line * 128, Write);
+        }
+        let clone = m.clone();
+        let top = m.next_vaddr >> LINE_SHIFT;
+        for line in 0..clone.directory.lines() as u64 {
+            let want = if line < top {
+                m.directory.version(line)
+            } else {
+                0
+            };
+            assert_eq!(clone.directory.version(line), want, "line {line}");
+        }
+        assert_eq!(clone.directory.version(top - 1), 1);
+        assert_eq!(clone.directory.total_writes(), m.directory.total_writes());
     }
 
     #[test]

@@ -12,14 +12,25 @@ use std::collections::BTreeSet;
 /// Identifier of a physical page frame.
 pub type FrameId = usize;
 
+/// One node's free frames: every frame from `cursor` to the node's end,
+/// which no one has allocated yet, and the frames below it given back.
+/// The lowest free frame is the first freed one if any, else `cursor`, so
+/// a pool costs what its node handed out, not what it holds.
+#[derive(Debug, Clone)]
+struct NodePool {
+    cursor: FrameId,
+    end: FrameId,
+    freed: BTreeSet<FrameId>,
+}
+
 /// Per-node physical frame pools.
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
     frames_per_node: usize,
     nodes: usize,
-    /// Free frames per node. `BTreeSet` keeps allocation order deterministic
-    /// (lowest frame first) and makes free/alloc O(log n).
-    free: Vec<BTreeSet<FrameId>>,
+    /// Free frames per node, handed out lowest first (deterministic) in
+    /// O(log n).
+    free: Vec<NodePool>,
 }
 
 impl PhysicalMemory {
@@ -27,7 +38,11 @@ impl PhysicalMemory {
     pub fn new(nodes: usize, frames_per_node: usize) -> Self {
         assert!(nodes > 0 && frames_per_node > 0);
         let free = (0..nodes)
-            .map(|n| (n * frames_per_node..(n + 1) * frames_per_node).collect())
+            .map(|n| NodePool {
+                cursor: n * frames_per_node,
+                end: (n + 1) * frames_per_node,
+                freed: BTreeSet::new(),
+            })
             .collect();
         Self {
             frames_per_node,
@@ -50,19 +65,25 @@ impl PhysicalMemory {
 
     /// Frames currently free on `node`.
     pub fn free_on(&self, node: NodeId) -> usize {
-        self.free[node].len()
+        let pool = &self.free[node];
+        pool.end - pool.cursor + pool.freed.len()
     }
 
     /// Total free frames.
     pub fn total_free(&self) -> usize {
-        self.free.iter().map(|s| s.len()).sum()
+        (0..self.nodes).map(|n| self.free_on(n)).sum()
     }
 
     /// Allocate a frame on exactly `node`; `None` if that node is full.
     pub fn alloc_on(&mut self, node: NodeId) -> Option<FrameId> {
-        let first = *self.free[node].iter().next()?;
-        self.free[node].remove(&first);
-        Some(first)
+        let pool = &mut self.free[node];
+        if let Some(first) = pool.freed.pop_first() {
+            return Some(first);
+        }
+        (pool.cursor < pool.end).then(|| {
+            pool.cursor += 1;
+            pool.cursor - 1
+        })
     }
 
     /// Return a frame to its node's pool.
@@ -70,14 +91,15 @@ impl PhysicalMemory {
     /// # Panics
     /// Panics if the frame was already free (double free).
     pub fn free(&mut self, frame: FrameId) {
+        assert!(self.is_allocated(frame), "double free of frame {frame}");
         let node = self.node_of_frame(frame);
-        let inserted = self.free[node].insert(frame);
-        assert!(inserted, "double free of frame {frame}");
+        self.free[node].freed.insert(frame);
     }
 
     /// Whether a frame is currently allocated.
     pub fn is_allocated(&self, frame: FrameId) -> bool {
-        !self.free[self.node_of_frame(frame)].contains(&frame)
+        let pool = &self.free[self.node_of_frame(frame)];
+        frame < pool.cursor && !pool.freed.contains(&frame)
     }
 }
 

@@ -67,6 +67,7 @@ impl SweepAxis {
 }
 
 /// Grid state shared by BT and SP.
+#[derive(Clone)]
 pub struct AdiState {
     /// Grid geometry (5 components).
     pub grid: Grid3,
@@ -262,7 +263,7 @@ impl AdiConfig {
 
 /// The one thing BT and SP do differently: the factorization that solves
 /// the lines of a directional sweep.
-pub trait LineSolve: Default {
+pub trait LineSolve: Clone + Default + 'static {
     /// Which benchmark the solver makes of the driver; its lower-case label
     /// prefixes the array names.
     const NAME: BenchName;
@@ -363,6 +364,16 @@ impl<S: LineSolve> Adi<S> {
 impl<S: LineSolve> NasBenchmark for Adi<S> {
     fn name(&self) -> BenchName {
         S::NAME
+    }
+
+    fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
+        Box::new(Adi {
+            cfg: self.cfg,
+            state: Rc::new((*self.state).clone()),
+            initial_u: self.initial_u.clone(),
+            solver: self.solver.clone(),
+            norms: self.norms.clone(),
+        })
     }
 
     fn problem(&self) -> String {

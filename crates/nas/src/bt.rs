@@ -59,6 +59,7 @@ fn entry(coupling: &Block, r: usize, c: usize, identity: f64, ur: f64, scale: f6
 }
 
 /// BT's line solve: one 5x5 block-tridiagonal system per grid line.
+#[derive(Clone)]
 pub struct BlockTri {
     coupling: Block,
 }

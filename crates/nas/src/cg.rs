@@ -142,6 +142,7 @@ fn make_matrix(cfg: &CgConfig) -> Csr {
 
 /// What CG's loop bodies touch: the row pointers (loop metadata) and the
 /// simulated matrix and vectors.
+#[derive(Clone)]
 struct Data {
     rowstr: Vec<usize>,
     a: SimArray<f64>,
@@ -393,6 +394,16 @@ impl Cg {
 impl NasBenchmark for Cg {
     fn name(&self) -> BenchName {
         BenchName::Cg
+    }
+
+    fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
+        Box::new(Cg {
+            cfg: self.cfg,
+            d: Rc::new((*self.d).clone()),
+            host_col: self.host_col.clone(),
+            host_val: self.host_val.clone(),
+            zetas: self.zetas.clone(),
+        })
     }
 
     fn problem(&self) -> String {

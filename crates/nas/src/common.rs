@@ -184,6 +184,11 @@ pub trait NasBenchmark {
     fn access_model(&self) -> Option<KernelModel> {
         None
     }
+
+    /// A copy in this instance's current state that owns copies of its
+    /// arrays: the benchmark a forked run ([`crate::BenchRun::fork`])
+    /// steps on, while this one steps on.
+    fn boxed_clone(&self) -> Box<dyn NasBenchmark>;
 }
 
 /// A benchmark chosen by name at run time ([`crate::instantiate`]) is one
@@ -223,6 +228,10 @@ impl NasBenchmark for Box<dyn NasBenchmark> {
 
     fn access_model(&self) -> Option<KernelModel> {
         (**self).access_model()
+    }
+
+    fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
+        (**self).boxed_clone()
     }
 }
 

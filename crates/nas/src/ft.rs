@@ -286,6 +286,17 @@ impl NasBenchmark for Ft {
         BenchName::Ft
     }
 
+    fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
+        Box::new(Ft {
+            cfg: self.cfg,
+            u0: Rc::new((*self.u0).clone()),
+            u1: Rc::new((*self.u1).clone()),
+            host_init: self.host_init.clone(),
+            checksums: self.checksums.clone(),
+            transformed: self.transformed,
+        })
+    }
+
     fn problem(&self) -> String {
         format!("{:?}", self.cfg)
     }

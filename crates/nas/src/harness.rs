@@ -13,6 +13,16 @@
 //!   `migrate_memory` after iteration 1; `record` at the phase points of
 //!   iteration 2 followed by `compare_counters`; `replay` at the phase
 //!   points and `undo` at the end of every later iteration.
+//!
+//! Under these protocols the IRIX, UPMlib and record–replay runs of one
+//! problem and placement are one simulation until the first timed
+//! iteration ends, except that UPMlib resets its hot ranges' counters at
+//! the timed start, which nothing in an IRIX run reads. So a run can fork
+//! there ([`BenchRun::fork`]): an IRIX run prepared with
+//! [`BenchRun::prepare_fork`] forks UPMlib and record–replay children
+//! after its first `iterate`, and a UPMlib run forks a record–replay child
+//! after its first `migrate_memory`. A child equals a fresh run of its
+//! configuration in every result byte.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
 use crate::facts::{self, ProofSet};
@@ -142,6 +152,10 @@ pub struct BenchRun {
     rt: Runtime,
     bench: Box<dyn NasBenchmark>,
     upm: Option<UpmEngine>,
+    /// The engine this run's UPMlib and record–replay children start from
+    /// ([`BenchRun::prepare_fork`]); it resets its hot ranges' counters at
+    /// the timed start and does nothing else here.
+    heir: Option<UpmEngine>,
     recrep: bool,
     trace: bool,
     fastpath: bool,
@@ -152,6 +166,8 @@ pub struct BenchRun {
     iters: usize,
     per_iter_secs: Vec<f64>,
     t_start: f64,
+    /// Simulated time at which the current (or last) timed iteration began.
+    t_step: f64,
     prev_migrations: u64,
     prev_cpu: ccnuma::CpuStats,
 }
@@ -192,9 +208,7 @@ impl BenchRun {
         let bench = make(&mut rt);
         let upm = match &cfg.engine {
             EngineMode::Upmlib(opts) | EngineMode::RecRep(opts) => {
-                let mut engine = UpmEngine::new(rt.machine(), *opts);
-                bench.register_hot(&mut engine);
-                Some(engine)
+                Some(upm_engine(&*bench, rt.machine(), *opts))
             }
             _ => None,
         };
@@ -203,6 +217,7 @@ impl BenchRun {
             rt,
             bench,
             upm,
+            heir: None,
             recrep: matches!(cfg.engine, EngineMode::RecRep(_)),
             trace: cfg.trace,
             // Traced runs stay on the exact path: the fast path replays a
@@ -215,6 +230,7 @@ impl BenchRun {
             iters,
             per_iter_secs: Vec::with_capacity(iters),
             t_start: 0.0,
+            t_step: 0.0,
             prev_migrations: 0,
             prev_cpu: ccnuma::CpuStats::default(),
         }
@@ -256,7 +272,7 @@ impl BenchRun {
         if let Some((proofs, library)) = &armed {
             self.rt.install_fastpath(&proofs.iteration, library);
         }
-        if let Some(engine) = &self.upm {
+        if let Some(engine) = self.upm.as_ref().or(self.heir.as_ref()) {
             // Reference monitoring starts with the timed run (upmlib reads
             // and resets the counters per observation window).
             engine.reset_counters(self.rt.machine());
@@ -342,24 +358,9 @@ impl BenchRun {
         self.ensure_started();
         self.rearm_fastpath();
         assert!(self.step < self.iters, "stepping a finished run");
-        let t0 = self.rt.machine().clock().now_secs();
-        let recrep = self.recrep;
-        let step = self.step;
+        self.t_step = self.rt.machine().clock().now_secs();
         let Self { rt, bench, upm, .. } = self;
-        match (upm.as_mut(), recrep, step) {
-            // Figure 2 protocol: migrate after iteration 1 and while the
-            // engine keeps finding work.
-            (Some(engine), false, _) => {
-                bench.iterate(rt, extra);
-                if engine.is_active() {
-                    engine.migrate_memory(rt.machine_mut());
-                }
-            }
-            // Figure 3 protocol, first iteration: distribution pass.
-            (Some(engine), true, 0) => {
-                bench.iterate(rt, extra);
-                engine.migrate_memory(rt.machine_mut());
-            }
+        match (upm.as_mut(), self.recrep, self.step) {
             // Figure 3 protocol, second iteration: record phases.
             (Some(engine), true, 1) => {
                 let mut hook = |rt: &mut Runtime, pp: PhasePoint| {
@@ -367,10 +368,9 @@ impl BenchRun {
                     extra(rt, pp);
                 };
                 bench.iterate(rt, &mut hook);
-                engine.compare_counters();
             }
-            // Figure 3 protocol, later iterations: replay + undo.
-            (Some(engine), true, _) => {
+            // Figure 3 protocol, later iterations: replay at the phases.
+            (Some(engine), true, 2..) => {
                 let mut hook = |rt: &mut Runtime, pp: PhasePoint| {
                     if matches!(pp, PhasePoint::Before(_)) {
                         engine.replay(rt.machine_mut());
@@ -378,12 +378,47 @@ impl BenchRun {
                     extra(rt, pp);
                 };
                 bench.iterate(rt, &mut hook);
-                engine.undo(rt.machine_mut());
             }
-            // Plain / IRIXmig runs.
-            (None, _, _) => bench.iterate(rt, extra),
+            _ => bench.iterate(rt, extra),
         }
-        let elapsed = self.rt.machine().clock().now_secs() - t0;
+        self.after_iterate();
+        self.close_step()
+    }
+
+    /// The engine's work after the current step's iteration.
+    fn after_iterate(&mut self) {
+        let Some(engine) = &mut self.upm else {
+            return; // plain and IRIXmig runs
+        };
+        let m = self.rt.machine_mut();
+        match (self.recrep, self.step) {
+            // Figure 2 protocol: migrate after iteration 1 and while the
+            // engine keeps finding work.
+            (false, _) => {
+                if engine.is_active() {
+                    engine.migrate_memory(m);
+                }
+            }
+            // Figure 3 protocol: distribution pass after iteration 1, the
+            // recorded phases compared after iteration 2, and every later
+            // iteration's replays undone.
+            (true, 0) => {
+                engine.migrate_memory(m);
+            }
+            (true, 1) => {
+                engine.compare_counters();
+            }
+            (true, _) => {
+                engine.undo(m);
+            }
+        }
+    }
+
+    /// Account the current step as done: its simulated seconds, and its
+    /// iteration-boundary event when traced.
+    fn close_step(&mut self) -> f64 {
+        let step = self.step;
+        let elapsed = self.rt.machine().clock().now_secs() - self.t_step;
         self.per_iter_secs.push(elapsed);
         if self.trace {
             let migrations = self.rt.machine().stats().page_migrations - self.prev_migrations;
@@ -410,6 +445,77 @@ impl BenchRun {
         }
         self.step += 1;
         elapsed
+    }
+
+    /// Prepare this run, which has no UPMlib engine and has not started, to
+    /// fork UPMlib and record–replay children with `opts`: build their
+    /// engine now, as [`BenchRun::new`] builds a UPMlib run's, so that it
+    /// resets its hot ranges' counters at the timed start as theirs does.
+    /// This run's result is unchanged, because without UPMlib nothing it
+    /// simulates or reports reads the per-frame counters. The kernel
+    /// migration engine does, and a traced run reports counter spills, so
+    /// neither kind is prepared.
+    pub fn prepare_fork(&mut self, opts: UpmOptions) {
+        assert!(!self.started, "prepare_fork after the run started");
+        assert!(
+            self.upm.is_none() && !self.trace && !self.rt.kernel_migration().is_enabled(),
+            "only an untraced IRIX run forks UPMlib children"
+        );
+        self.heir = Some(upm_engine(&*self.bench, self.rt.machine(), opts));
+    }
+
+    /// A run of `engine` that has done what this one did: the fork of a
+    /// run after its first timed iteration. An IRIX run prepared with
+    /// [`BenchRun::prepare_fork`] forks UPMlib and record–replay children,
+    /// which finish that iteration with their engine's first
+    /// `migrate_memory`; a UPMlib run forks record–replay children. The
+    /// child owns copies of the machine, runtime and benchmark, shares the
+    /// fast-path memos, and equals a fresh run of its configuration in
+    /// every byte of its result.
+    pub fn fork(&self, engine: &EngineMode) -> BenchRun {
+        assert_eq!(self.step, 1, "a run forks after its first timed iteration");
+        let (EngineMode::Upmlib(opts) | EngineMode::RecRep(opts)) = engine else {
+            panic!("only UPMlib and record–replay runs are forked");
+        };
+        let recrep = matches!(engine, EngineMode::RecRep(_));
+        let start = match (&self.upm, &self.heir) {
+            (None, Some(heir)) => heir,
+            (Some(upm), _) if !self.recrep && recrep => upm,
+            _ => panic!(
+                "a {} run does not fork a {} run",
+                self.engine_label,
+                engine.label()
+            ),
+        };
+        assert_eq!(start.options(), opts, "a fork keeps the engine's options");
+        let mut child = BenchRun {
+            rt: self.rt.clone(),
+            bench: self.bench.boxed_clone(),
+            upm: Some(start.clone()),
+            heir: None,
+            recrep,
+            trace: self.trace,
+            fastpath: self.fastpath,
+            placement_label: self.placement_label.clone(),
+            engine_label: engine.label().to_string(),
+            started: self.started,
+            step: self.step,
+            iters: self.iters,
+            per_iter_secs: self.per_iter_secs.clone(),
+            t_start: self.t_start,
+            t_step: self.t_step,
+            prev_migrations: self.prev_migrations,
+            prev_cpu: self.prev_cpu,
+        };
+        if self.upm.is_none() {
+            // The first iteration is the child's too; its engine's work
+            // after it is not done yet.
+            child.step = 0;
+            child.per_iter_secs.pop();
+            child.after_iterate();
+            child.close_step();
+        }
+        child
     }
 
     /// Run every remaining iteration, then [`BenchRun::finish`].
@@ -450,6 +556,14 @@ impl std::fmt::Debug for BenchRun {
             .field("iters", &self.iters)
             .finish_non_exhaustive()
     }
+}
+
+/// The UPMlib engine of a run of `bench` on `machine`, its hot arrays
+/// registered.
+fn upm_engine(bench: &dyn NasBenchmark, machine: &Machine, opts: UpmOptions) -> UpmEngine {
+    let mut engine = UpmEngine::new(machine, opts);
+    bench.register_hot(&mut engine);
+    engine
 }
 
 /// Allocate `bench` at `scale` on `rt`'s machine — the one place that maps

@@ -382,6 +382,18 @@ impl NasBenchmark for Mg {
         BenchName::Mg
     }
 
+    fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
+        let copy = |grids: &[Arr]| grids.iter().map(|g| Rc::new((**g).clone())).collect();
+        Box::new(Mg {
+            cfg: self.cfg,
+            u: copy(&self.u),
+            r: copy(&self.r),
+            v: Rc::new((*self.v).clone()),
+            rnm2: self.rnm2.clone(),
+            initial_rnm2: self.initial_rnm2,
+        })
+    }
+
     fn problem(&self) -> String {
         format!("{:?}", self.cfg)
     }

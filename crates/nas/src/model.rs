@@ -832,6 +832,9 @@ mod tests {
         fn verify(&self) -> crate::common::Verification {
             crate::common::Verification::check(0.0, 0.0, 0.0)
         }
+        fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
+            Box::new(Toy)
+        }
     }
 
     /// Three entries of block `k` — two phases, a loop of `n` iterations

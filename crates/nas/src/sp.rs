@@ -22,6 +22,7 @@ pub type SpConfig = AdiConfig;
 
 /// SP's line solve: one scalar pentadiagonal system per component per grid
 /// line.
+#[derive(Clone)]
 pub struct Penta {
     /// Fourth-difference dissipation band strength.
     r4: f64,

@@ -153,7 +153,9 @@ pub fn reduction_chunks(schedule: Schedule, n: usize, threads: usize) -> Vec<Vec
 }
 
 /// The OpenMP-like runtime: a machine plus a thread team plus the kernel
-/// migration engine hook.
+/// migration engine hook. A clone continues as this runtime would; its
+/// fast-path engine shares this one's memos and library.
+#[derive(Clone)]
 pub struct Runtime {
     machine: Machine,
     kernel: KernelMigrationEngine,

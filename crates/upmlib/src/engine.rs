@@ -13,6 +13,7 @@ use vmm::{MldSet, ProcCounters};
 /// Construction, hot-area registration and the distribution mechanism live
 /// here; the record–replay redistribution mechanism is in
 /// [`crate::recrep`] (same type, second `impl` block).
+#[derive(Clone)]
 pub struct UpmEngine {
     pub(crate) options: UpmOptions,
     /// Hot memory areas `(base, byte_len)` registered by `memrefcnt` — the

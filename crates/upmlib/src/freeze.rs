@@ -26,7 +26,7 @@ pub enum Verdict {
 }
 
 /// Record of each page's last migration, plus the frozen set.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FreezeTracker {
     /// vpage -> (from, to, invocation index of the move).
     last_move: HashMap<u64, (NodeId, NodeId, u64)>,

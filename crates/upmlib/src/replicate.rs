@@ -22,7 +22,7 @@ use ccnuma::Machine;
 use std::collections::HashMap;
 
 /// State of the replication mechanism (owned by [`UpmEngine`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicationState {
     /// vpage -> version fingerprint at the previous invocation.
     fingerprints: HashMap<u64, u64>,

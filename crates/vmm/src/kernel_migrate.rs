@@ -81,7 +81,7 @@ pub struct KernelMigrationStats {
 
 /// The engine itself. One instance per run; driven by the runtime at region
 /// boundaries via [`KernelMigrationEngine::scan`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KernelMigrationEngine {
     config: KernelMigrationConfig,
     enabled: bool,

@@ -191,6 +191,10 @@ impl Placer for FirstTouch {
     fn name(&self) -> &'static str {
         "first-touch"
     }
+
+    fn boxed_clone(&self) -> Box<dyn Placer> {
+        Box::new(*self)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -209,8 +213,13 @@ impl Placer for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin"
     }
+
+    fn boxed_clone(&self) -> Box<dyn Placer> {
+        Box::new(*self)
+    }
 }
 
+#[derive(Clone)]
 struct RandomPlace {
     rng: SmallRng,
     nodes: usize,
@@ -223,6 +232,10 @@ impl Placer for RandomPlace {
 
     fn name(&self) -> &'static str {
         "random"
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Placer> {
+        Box::new(self.clone())
     }
 }
 
@@ -239,9 +252,13 @@ impl Placer for WorstCase {
     fn name(&self) -> &'static str {
         "worst-case"
     }
+
+    fn boxed_clone(&self) -> Box<dyn Placer> {
+        Box::new(*self)
+    }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StaticPlace {
     map: Arc<StaticMap>,
 }
@@ -255,6 +272,10 @@ impl Placer for StaticPlace {
 
     fn name(&self) -> &'static str {
         "static"
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Placer> {
+        Box::new(self.clone())
     }
 }
 

@@ -2,6 +2,7 @@
 //! Usage: mgprobe [tiny|small|medium] [bench[:placement-engine]...]
 //!        mgprobe [tiny|small|medium] grid <bench>
 //!        mgprobe [tiny|small|medium] derive
+//!        mgprobe [tiny|small|medium] fork <bench>
 //!
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
@@ -21,6 +22,13 @@
 //! `derive` prints per kernel, and for BT at Figure 6's phase scales, the
 //! region instances of its model, the constructs proved for them and the
 //! describe and derive times of one run's first step.
+//!
+//! `fork <bench>` prints the resident memory (VmRSS) of a bare
+//! `Machine::new` and of one run held after its first step, then per
+//! placement of the bench's Figure 4 grid, per fork edge (IRIX→UPMlib,
+//! and for BT and SP IRIX→record–replay and UPMlib→record–replay), the
+//! child's wall run fresh and forked from its parent after the first
+//! timed iteration, each on a key of its own.
 
 use std::time::Instant;
 
@@ -60,6 +68,10 @@ fn main() {
             return;
         }
         Some("derive") => return derive(scale),
+        Some("fork") => {
+            let bench = args.get(2).and_then(|b| nas::BenchName::parse(b));
+            return fork(bench.unwrap_or(nas::BenchName::Mg), scale);
+        }
         _ => {}
     }
     let cells: Vec<_> = if args.len() > 1 {
@@ -227,4 +239,86 @@ fn grid(bench: nas::BenchName, scale: nas::Scale) {
         bench.label(),
         scale.label()
     );
+}
+
+/// This process's resident memory, MB (`VmRSS` of `/proc/self/status`).
+fn vm_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    kb.unwrap_or(0.0) / 1024.0
+}
+
+/// What a bare machine and a held run cost resident, then each fork edge
+/// of `bench`'s Figure 4 grid: the child fresh and forked.
+fn fork(bench: nas::BenchName, scale: nas::Scale) {
+    use nas::EngineMode;
+    let paper = nas::RunConfig::paper_default();
+    let before = vm_rss_mb();
+    let machine = ccnuma::Machine::new(paper.machine.clone());
+    let bare = vm_rss_mb() - before;
+    drop(machine);
+    let before = vm_rss_mb();
+    let mut held = nas::BenchRun::for_bench(bench, scale, &own_key(&paper, 0));
+    held.step();
+    let stepped = vm_rss_mb() - before;
+    drop(held);
+    println!(
+        "{} {}: bare Machine::new {bare:.2} MB resident, one run held after its first step \
+         {stepped:.2} MB",
+        bench.label(),
+        scale.label()
+    );
+    let (_, opts) = xp::default_engine_configs();
+    let (irix, upmlib, recrep) = (
+        EngineMode::None,
+        EngineMode::Upmlib(opts),
+        EngineMode::RecRep(opts),
+    );
+    let mut edges = vec![(&irix, &upmlib)];
+    if matches!(bench, nas::BenchName::Bt | nas::BenchName::Sp) {
+        edges.extend([(&irix, &recrep), (&upmlib, &recrep)]);
+    }
+    let mut placements = vmm::PlacementScheme::all(xp::seed::get()).to_vec();
+    placements.push(xp::lint::static_scheme(bench, scale));
+    let mut key = 1;
+    let mut cfg = |placement: &vmm::PlacementScheme, engine: &EngineMode| {
+        key += 1;
+        let cfg = nas::RunConfig {
+            placement: placement.clone(),
+            engine: engine.clone(),
+            ..paper.clone()
+        };
+        own_key(&cfg, key)
+    };
+    for placement in &placements {
+        for &(parent, child) in &edges {
+            let mut run = nas::BenchRun::for_bench(bench, scale, &cfg(placement, parent));
+            if *parent == EngineMode::None {
+                run.prepare_fork(opts);
+            }
+            run.step();
+            let t = Instant::now();
+            let forked = run.fork(child).complete();
+            let forked_s = t.elapsed().as_secs_f64();
+            drop(run);
+            let t = Instant::now();
+            let fresh = nas::BenchRun::for_bench(bench, scale, &cfg(placement, child)).complete();
+            let fresh_s = t.elapsed().as_secs_f64();
+            let bytes = |r: &nas::RunResult| r.to_cache_json().to_string();
+            println!(
+                "{} {} {}-{}→{}: fresh {fresh_s:.4}s forked {forked_s:.4}s saved {:.0}% \
+                 identical={}",
+                bench.label(),
+                scale.label(),
+                placement.label(),
+                parent.label(),
+                child.label(),
+                100.0 * (1.0 - forked_s / fresh_s),
+                bytes(&forked) == bytes(&fresh),
+            );
+        }
+    }
 }

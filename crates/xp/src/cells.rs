@@ -21,14 +21,31 @@
 //! the trace file sequence follow plan order, and a fully resolved run
 //! produces byte-identical artifacts to a cold one.
 //!
+//! The residue runs as **fork chains**. Under the paper's protocols the
+//! IRIX, UPMlib and record–replay cells of one problem and placement are
+//! one simulation until the first timed iteration ends
+//! ([`nas::BenchRun::fork`]), so the pending grid cells that differ only in
+//! those engines ([`crate::grid::fork_chains`]) are one pool job: the
+//! first cell's run is built and stepped once, and each later cell's run
+//! is forked from the one before it. A chain of one is a cell's own run,
+//! and every cell is one when the plan has fewer than [`CHAIN_SPREAD`]
+//! jobs per worker.
+//! The job times each cell's share of its work, and the merge gives the
+//! chain's first cell the rest of the job's wall, so the cells' walls sum
+//! to the pool's.
+//!
 //! A panicking cell is caught once, by the pool ([`exec`]'s job runner):
 //! it surfaces as an `Err` output (a failed *row* in the report), never a
-//! dead run, and never poisons sibling cells.
+//! dead run, and never poisons sibling cells — except the cells of its
+//! own chain, which fail with it.
 
 use crate::cache::CellCodec;
+use crate::grid;
 use crate::session::{ErasedResult, Session};
 use exec::{Job, JobPanic, ResidentJob};
+use nas::EngineMode;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One merged cell result, in plan order.
 #[derive(Debug)]
@@ -74,6 +91,8 @@ enum CellState<T> {
     Resolved(T, Source),
     /// Still needs local computation.
     Pending(Job<'static, T>),
+    /// A grid cell that still needs local computation, in a fork chain.
+    Run(Box<grid::Cell>),
     /// The pending job has been moved to the worker pool.
     Dispatched,
 }
@@ -165,7 +184,7 @@ impl<T: Send + 'static> CellPlan<T> {
             let indices: Vec<usize> = cells
                 .iter()
                 .enumerate()
-                .filter(|(_, c)| matches!(c.job_state, CellState::Pending(_)) && c.spec.is_some())
+                .filter(|(_, c)| c.is_pending() && c.spec.is_some())
                 .map(|(i, _)| i)
                 .collect();
             if !indices.is_empty() {
@@ -194,52 +213,96 @@ impl<T: Send + 'static> CellPlan<T> {
             }
         }
 
-        // Phase 3 — compute the residue as one batch on a session's pool.
-        let mut jobs = Vec::new();
-        for cell in &mut cells {
-            match std::mem::replace(&mut cell.job_state, CellState::Dispatched) {
-                CellState::Pending(job) => jobs.push(wrap_cell(cell.id.clone(), job)),
-                resolved => cell.job_state = resolved,
-            }
+        // Phase 3 — compute the residue as one batch on a session's pool:
+        // one job per fork chain of grid cells and per other cell, in the
+        // plan order of their first cells.
+        let grid_cells: Vec<(usize, &grid::Cell)> = (cells.iter().enumerate())
+            .filter_map(|(i, c)| match &c.job_state {
+                CellState::Run(cell) => Some((i, &**cell)),
+                _ => None,
+            })
+            .collect();
+        let mut members = grid::fork_chains(&grid_cells);
+        let others: Vec<usize> = (0..cells.len())
+            .filter(|&i| matches!(cells[i].job_state, CellState::Pending(_)))
+            .collect();
+        let workers = crate::jobs::get();
+        if workers > 1 && members.len() + others.len() < CHAIN_SPREAD * workers {
+            members = grid_cells.iter().map(|&(i, _)| vec![i]).collect();
         }
-        let runs = if jobs.is_empty() {
-            Vec::new()
-        } else {
+        members.extend(others.into_iter().map(|i| vec![i]));
+        members.sort_by_key(|m| m.iter().min().copied());
+        let jobs: Vec<_> = (members.iter())
+            .map(|m| {
+                let mut take = |i: usize| {
+                    let state = std::mem::replace(&mut cells[i].job_state, CellState::Dispatched);
+                    (cells[i].id.clone(), state)
+                };
+                match take(m[0]) {
+                    (id, CellState::Pending(job)) => wrap_cell(id, job),
+                    first => {
+                        chain_job(std::iter::once(first).chain(m[1..].iter().map(|&i| take(i))))
+                    }
+                }
+            })
+            .collect();
+        let mut outcomes: Vec<Option<(Result<ErasedResult, JobPanic>, f64)>> =
+            (0..cells.len()).map(|_| None).collect();
+        if !jobs.is_empty() {
             let (runs, telemetry) = crate::session::for_plan(jobs.len()).run(jobs);
-            let cell_walls: Vec<f64> = runs.iter().map(|t| t.wall_secs).collect();
-            crate::summary::record_plan(&telemetry, &cell_walls);
-            runs
-        };
+            for (timed, m) in runs.into_iter().zip(&members) {
+                // The pool measured the wall time around the whole job, so a
+                // panicking chain still reports how long it ran, split among
+                // its cells; its panic names the batch position, each
+                // output its plan position.
+                match timed.result {
+                    Ok(erased) => {
+                        let done = *erased
+                            .downcast::<Members>()
+                            .expect("a job returns its members");
+                        let rest: f64 = done[1..].iter().map(|(_, secs)| secs).sum();
+                        for (k, ((value, secs), &i)) in done.into_iter().zip(m).enumerate() {
+                            let wall = if k == 0 { timed.wall_secs - rest } else { secs };
+                            outcomes[i] = Some((Ok(value), wall));
+                        }
+                    }
+                    Err(p) => {
+                        for &i in m {
+                            let p = JobPanic {
+                                index: i,
+                                ..p.clone()
+                            };
+                            outcomes[i] = Some((Err(p), timed.wall_secs / m.len() as f64));
+                        }
+                    }
+                }
+            }
+            let computed = outcomes.iter().flatten();
+            let cell_walls: Vec<f64> = computed.clone().map(|(_, wall)| *wall).collect();
+            let failed = computed.filter(|(value, _)| value.is_err()).count();
+            crate::summary::record_plan(&telemetry, &cell_walls, failed);
+        }
 
         // Phase 4 — merge in plan order: every spec cell that has a value
         // has its one merge step here, whichever source produced it.
-        let mut runs = runs.into_iter();
         cells
             .into_iter()
-            .enumerate()
-            .map(|(index, cell)| {
-                let (value, source, wall_secs) = match cell.job_state {
-                    CellState::Resolved(value, source) => {
+            .zip(outcomes)
+            .map(|(cell, outcome)| {
+                let (value, source, wall_secs) = match (cell.job_state, outcome) {
+                    (CellState::Resolved(value, source), _) => {
                         crate::summary::record_resolved_cell();
                         (Ok(value), source, 0.0)
                     }
-                    CellState::Dispatched => {
-                        // The pool measured the wall time around the whole
-                        // job, so a panicking cell still reports how long
-                        // it ran; its panic names the batch position, the
-                        // output the plan position.
-                        let timed = runs.next().expect("one pool result per pending cell");
-                        let value = timed
-                            .result
-                            .map(|erased| {
-                                *erased
-                                    .downcast::<T>()
-                                    .expect("a plan's batch returns its own cell type")
-                            })
-                            .map_err(|p| JobPanic { index, ..p });
-                        (value, Source::Computed, timed.wall_secs)
+                    (CellState::Dispatched, Some((value, wall))) => {
+                        let value = value.map(|erased| {
+                            *erased
+                                .downcast::<T>()
+                                .expect("a plan's batch returns its own cell type")
+                        });
+                        (value, Source::Computed, wall)
                     }
-                    CellState::Pending(_) => unreachable!("pending cells were dispatched above"),
+                    _ => unreachable!("pending cells were dispatched above"),
                 };
                 if let (Ok(value), Some(spec), Some(codec)) = (&value, &cell.spec, &cell.codec) {
                     merge(value, source, spec, codec, &cache, &table);
@@ -266,20 +329,88 @@ impl CellPlan<nas::RunResult> {
             id: spec.cell_id(),
             spec: Some(spec),
             codec: Some(crate::cache::codec_for()),
-            job_state: CellState::Pending(Box::new(move || cell.run())),
+            job_state: CellState::Run(Box::new(cell)),
         });
     }
 }
 
-/// Wrap one cell's job for the shared pool: the host-profiling root
-/// `cell:<id>` — every span the cell opens (ccnuma/vmm/omp/upmlib) nests
+impl<T> Cell<T> {
+    /// Whether the cell still needs local computation.
+    fn is_pending(&self) -> bool {
+        matches!(self.job_state, CellState::Pending(_) | CellState::Run(_))
+    }
+}
+
+/// What one pool job returns: the value of each of its cells, in its
+/// order, with the on-worker seconds spent on that cell.
+type Members = Vec<(ErasedResult, f64)>;
+
+/// Pool jobs per worker a plan needs for its cells to run in fork chains.
+/// A chain runs its cells one after another on one worker, so a plan of
+/// few jobs idles workers that would otherwise overlap them: Figure 6's
+/// six medium cells as three chains took 25–30 % longer on two workers.
+const CHAIN_SPREAD: usize = 4;
+
+/// Run `work` for the cell `id`, timed, under the host-profiling root
+/// `cell:<id>`: every span the cell opens (ccnuma/vmm/omp/upmlib) nests
 /// under it on this worker's stack, and its inclusive time reconciles with
-/// the pool-measured cell wall time — and the type erasure that lets plans
-/// of different cell types share one pool.
+/// the cell's wall time.
+fn on_cell<R>(id: &str, work: impl FnOnce() -> R) -> (R, f64) {
+    let t = Instant::now();
+    let _hp = hostprof::span_named(|| format!("cell:{id}"));
+    let r = work();
+    (r, t.elapsed().as_secs_f64())
+}
+
+/// Wrap one cell's job for the shared pool, with the type erasure that
+/// lets plans of different cell types share one pool.
 fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob<ErasedResult> {
     Box::new(move || {
-        let _hp = hostprof::span_named(|| format!("cell:{id}"));
-        Box::new(job()) as ErasedResult
+        let (value, secs) = on_cell(&id, job);
+        Box::new(vec![(Box::new(value) as ErasedResult, secs)] as Members) as ErasedResult
+    })
+}
+
+/// The job of a fork chain ([`grid::fork_chains`]), given as its cells'
+/// ids and states: the first cell's run is built and stepped through its
+/// first timed iteration, and each later cell's run is forked from the one
+/// before it. A run finishes before its child steps on, so the worker
+/// holds at most two.
+fn chain_job<T>(chain: impl Iterator<Item = (String, CellState<T>)>) -> ResidentJob<ErasedResult> {
+    let chain: Vec<(String, grid::Cell)> = chain
+        .map(|(id, state)| match state {
+            CellState::Run(cell) => (id, *cell),
+            _ => unreachable!("a fork chain holds grid cells"),
+        })
+        .collect();
+    Box::new(move || {
+        let mut chain = chain.into_iter();
+        let (mut id, mut root) = chain.next().expect("a chain has a cell");
+        let mut children = chain.peekable();
+        let (mut run, mut wall) = on_cell(&id, || {
+            let mut run = root.build();
+            if let Some((_, child)) = children.peek() {
+                let opts = match &child.cfg.engine {
+                    EngineMode::Upmlib(opts) | EngineMode::RecRep(opts) => *opts,
+                    _ => unreachable!("a chain forks UPMlib engines"),
+                };
+                if root.cfg.engine == EngineMode::None {
+                    run.prepare_fork(opts);
+                }
+                run.step();
+            }
+            run
+        });
+        let mut done = Members::new();
+        for (child_id, child) in children {
+            let (forked, secs) = on_cell(&child_id, || run.fork(&child.cfg.engine));
+            let (result, rest) = on_cell(&id, || grid::complete(run));
+            done.push((Box::new(result), wall + rest));
+            (id, run, wall) = (child_id, forked, secs);
+        }
+        let (result, rest) = on_cell(&id, || grid::complete(run));
+        done.push((Box::new(result), wall + rest));
+        Box::new(done) as ErasedResult
     })
 }
 

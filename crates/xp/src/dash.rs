@@ -137,7 +137,7 @@ fn render(status: &ResidentStatus, sim_done_secs: f64) -> Option<String> {
         "--".to_string()
     };
     let mut line = format!(
-        "[xp] {done}/{total} cells ({running} running, {failed} failed) | workers [{bars}] {busy:3.0}% | {rate:.2} sim-s/s | ETA {eta}",
+        "[xp] {done}/{total} jobs ({running} running, {failed} failed) | workers [{bars}] {busy:3.0}% | {rate:.2} sim-s/s | ETA {eta}",
         failed = status.jobs_failed,
         busy = busy * 100.0,
     );
@@ -184,10 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn the_line_counts_cells_from_the_one_live_view() {
+    fn the_line_counts_jobs_from_the_one_live_view() {
         let line = render(&status(4, 2, 2), 20.0).expect("a sweep in flight");
         assert!(
-            line.starts_with("[xp] 4/8 cells (2 running, 1 failed)"),
+            line.starts_with("[xp] 4/8 jobs (2 running, 1 failed)"),
             "{line}"
         );
         assert!(line.contains("2.00 sim-s/s"), "{line}");

@@ -173,8 +173,18 @@ impl Cell {
     /// [`Cell::run`], with the phase fast path forced on or off when
     /// `fastpath` is given (the default is on, except traced).
     pub fn run_with(mut self, fastpath: Option<bool>) -> RunResult {
+        let mut run = self.build();
+        if let Some(on) = fastpath {
+            run.set_fastpath(on);
+        }
+        complete(run)
+    }
+
+    /// The cell's run, not started, traced when a `--trace DIR` is
+    /// installed.
+    pub(crate) fn build(&mut self) -> BenchRun {
         crate::trace::arm(&mut self.cfg);
-        let mut run = match self.problem {
+        match self.problem {
             Problem::AtScale => BenchRun::for_bench(self.bench, self.scale, &self.cfg),
             Problem::BtPhases(phase_scale) => {
                 assert_eq!(self.bench, BenchName::Bt, "phase scaling is BT's");
@@ -188,13 +198,30 @@ impl Cell {
                 assert_eq!(self.bench, BenchName::Cg, "a CgConfig is CG's problem");
                 BenchRun::new(|rt| Cg::with_config(rt, cg), &self.cfg)
             }
-        };
-        if let Some(on) = fastpath {
-            run.set_fastpath(on);
         }
-        let result = run.complete();
-        crate::dash::add_sim_done(result.total_secs);
-        result
+    }
+
+    /// What the cells this one forks with share: the canonical spec of its
+    /// IRIX sibling. `None` for a cell that never forks: a traced one, or
+    /// one under the kernel engine, which reads the counters from the cold
+    /// start on.
+    fn fork_key(&self) -> Option<String> {
+        let traced = self.cfg.trace || crate::trace::dir().is_some();
+        if traced || matches!(self.cfg.engine, EngineMode::IrixMig(_)) {
+            return None;
+        }
+        let cfg = RunConfig {
+            engine: EngineMode::None,
+            ..self.cfg.clone()
+        };
+        Some(
+            Cell {
+                cfg,
+                ..self.clone()
+            }
+            .spec()
+            .canonical(),
+        )
     }
 
     /// Rebuild the cell a spec names — the server side of [`Cell::spec`].
@@ -271,6 +298,61 @@ impl Cell {
         }
         Ok(cell)
     }
+}
+
+/// Finish `run`, a cell's run: every remaining iteration, then its result.
+pub(crate) fn complete(run: BenchRun) -> RunResult {
+    let result = run.complete();
+    crate::dash::add_sim_done(result.total_secs);
+    result
+}
+
+/// Split `cells` (plan index, cell) into fork chains, each computed by
+/// one job ([`crate::cells`]): the cells of one fork key, at most one per
+/// engine, ordered IRIX, UPMlib, record–replay, whose UPMlib engines take
+/// one set of options. A cell that fits no chain of its key starts one of
+/// its own. Chains come in the plan order of their first cells.
+pub(crate) fn fork_chains(cells: &[(usize, &Cell)]) -> Vec<Vec<usize>> {
+    let rank = |cell: &Cell| match &cell.cfg.engine {
+        EngineMode::None => 0,
+        EngineMode::Upmlib(_) => 1,
+        _ => 2,
+    };
+    let opts = |cell: &Cell| match &cell.cfg.engine {
+        EngineMode::Upmlib(o) | EngineMode::RecRep(o) => Some(*o),
+        _ => None,
+    };
+    let mut chains: Vec<Vec<(usize, &Cell)>> = Vec::new();
+    let mut open: std::collections::HashMap<String, usize> = Default::default();
+    for &(index, cell) in cells {
+        let key = cell.fork_key();
+        let fits = |chain: &Vec<(usize, &Cell)>| {
+            chain.iter().all(|(_, c)| {
+                rank(c) != rank(cell)
+                    && (opts(c).is_none() || opts(cell).is_none() || opts(c) == opts(cell))
+            })
+        };
+        match key
+            .as_ref()
+            .and_then(|k| open.get(k))
+            .filter(|&&c| fits(&chains[c]))
+        {
+            Some(&c) => chains[c].push((index, cell)),
+            None => {
+                if let Some(key) = key {
+                    open.insert(key, chains.len());
+                }
+                chains.push(vec![(index, cell)]);
+            }
+        }
+    }
+    chains
+        .into_iter()
+        .map(|mut chain| {
+            chain.sort_by_key(|(_, cell)| rank(cell));
+            chain.into_iter().map(|(index, _)| index).collect()
+        })
+        .collect()
 }
 
 /// Execute groups of cells as one plan (cache, server and pool all see one
@@ -375,6 +457,52 @@ pub fn report_benches(
 mod tests {
     use super::*;
     use crate::default_engine_configs;
+
+    #[test]
+    fn fork_chains_join_the_engines_of_one_placement() {
+        let cells = crate::fig1::cells(BenchName::Cg, Scale::Tiny, true);
+        let (kcfg, opts) = default_engine_configs();
+        let mut fig6 = crate::fig6::cells(Scale::Tiny, 4);
+        let mut other = fig6[0].clone();
+        other.cfg.engine = EngineMode::Upmlib(upmlib::UpmOptions {
+            critical_pages: 3,
+            ..opts
+        });
+        fig6.push(other);
+        let labels = |cells: &[Cell], pending: &dyn Fn(&Cell) -> bool| -> Vec<Vec<String>> {
+            let pending: Vec<(usize, &Cell)> = cells
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| pending(c))
+                .collect();
+            let label = |i: usize| {
+                format!(
+                    "{}-{}",
+                    cells[i].cfg.placement.label(),
+                    cells[i].cfg.engine.label()
+                )
+            };
+            let chains = fork_chains(&pending);
+            chains
+                .into_iter()
+                .map(|c| c.into_iter().map(label).collect())
+                .collect()
+        };
+        let all = labels(&cells, &|_| true);
+        assert_eq!(all.len(), 10);
+        assert_eq!(all[0], ["ft-IRIX", "ft-upmlib"]);
+        assert_eq!(all[1], ["ft-IRIXmig"]);
+        // An IRIX cell recalled elsewhere leaves its UPMlib sibling alone.
+        let no_irix = labels(&cells, &|c| c.cfg.engine != EngineMode::None);
+        assert!(no_irix.iter().all(|c| c.len() == 1), "{no_irix:?}");
+        assert_eq!(no_irix.len(), 10);
+        // Figure 6's UPMlib cell forks its record–replay sibling; a UPMlib
+        // cell of other options starts a chain of its own.
+        let chains = labels(&fig6, &|_| true);
+        assert_eq!(chains, [vec!["ft-upmlib", "ft-recrep"], vec!["ft-upmlib"]]);
+        // Under the kernel engine nothing forks.
+        assert_eq!(cells[1].cfg.engine, EngineMode::IrixMig(kcfg));
+    }
 
     fn run_spec(spec: &CellSpec) -> Result<RunResult, String> {
         Cell::from_spec(spec)

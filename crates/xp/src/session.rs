@@ -126,7 +126,7 @@ pub fn end() {
     // executing.
     drop(session);
     eprintln!(
-        "[session] shared pool: {} cells over {} plan(s) on {} worker(s){}",
+        "[session] shared pool: {} jobs over {} plan(s) on {} worker(s){}",
         status.jobs_done,
         status.batches,
         status.workers.len(),

@@ -52,7 +52,9 @@ pub struct Tally {
     pub cells_resolved: usize,
     plans: usize,
     failed: usize,
-    busy_secs: f64,
+    /// Σ on-worker seconds of the plans' pool jobs; equal to
+    /// `cells_wall_secs`, because a job's wall is split among its cells.
+    pub busy_secs: f64,
     /// Σ (plan wall × workers): the capacity the busy time is measured
     /// against, robust to plans running with different worker counts.
     worker_secs: f64,
@@ -74,13 +76,14 @@ pub fn add_sim_secs(secs: f64) {
     with_tally(|t| t.sim_secs += secs);
 }
 
-/// Credit one executed plan: its pool telemetry and the on-worker wall
-/// seconds of the cells it computed, in plan order.
-pub(crate) fn record_plan(t: &PoolTelemetry, cell_walls: &[f64]) {
+/// Credit one executed plan: its pool telemetry, the on-worker wall
+/// seconds of the cells it computed, in plan order, and how many of those
+/// failed.
+pub(crate) fn record_plan(t: &PoolTelemetry, cell_walls: &[f64], failed: usize) {
     with_tally(|tally| {
         tally.plans += 1;
-        tally.cells_computed += t.jobs_total;
-        tally.failed += t.jobs_failed;
+        tally.cells_computed += cell_walls.len();
+        tally.failed += failed;
         tally.pool_wall_secs += t.wall_secs;
         tally.busy_secs += t.busy_secs();
         tally.worker_secs += t.wall_secs * t.workers.len() as f64;
@@ -274,7 +277,7 @@ mod tests {
         };
         add_sim_secs(1.5);
         add_sim_secs(0.5);
-        record_plan(&t, &[0.1, 0.2, 0.3, 0.4]);
+        record_plan(&t, &[0.1, 0.2, 0.3, 0.4], 1);
         let tally = take();
         assert!(tally.sim_secs >= 2.0);
         assert!(tally.cells_wall_secs >= 1.0 - 1e-12);
