@@ -17,7 +17,8 @@
 //! paper's compiler instrumentation registers for BT (its Figure 2).
 
 use crate::common::{
-    no_phase_hook, BenchName, Grid3, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification,
+    no_phase_hook, periodic, BenchName, Grid3, NasBenchmark, PhaseHook, PhasePoint, Scale,
+    Verification,
 };
 use crate::model::{Describe, Exec, KernelModel, Mem};
 use ccnuma::{ArrayLayout, SimArray};
@@ -161,14 +162,11 @@ impl AdiState {
         let g = self.grid;
         let s = self.clone();
         ex.for_each("compute_rhs", g.nz, Schedule::Static, move |m, z| {
-            let zm = (z + g.nz - 1) % g.nz;
-            let zp = (z + 1) % g.nz;
+            let [zm, _, zp] = periodic(z, g.nz);
             for y in 0..g.ny {
-                let ym = (y + g.ny - 1) % g.ny;
-                let yp = (y + 1) % g.ny;
+                let [ym, _, yp] = periodic(y, g.ny);
                 for x in 0..g.nx {
-                    let xm = (x + g.nx - 1) % g.nx;
-                    let xp = (x + 1) % g.nx;
+                    let [xm, _, xp] = periodic(x, g.nx);
                     for c in 0..5 {
                         let center = m.get(&s.u, g.idx(c, x, y, z));
                         let lap = m.get(&s.u, g.idx(c, xm, y, z))

@@ -14,6 +14,7 @@
 //! are reductions. CG has no phase change; the phase hook is never invoked.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
+use crate::facts;
 use crate::model::{Describe, Exec, KernelModel, Mem};
 use ccnuma::{ArrayLayout, SimArray};
 use omp::{Runtime, Schedule};
@@ -431,7 +432,8 @@ impl NasBenchmark for Cg {
     }
 
     fn verify(&self) -> Verification {
-        let reference = self.host_reference_zetas(self.zetas.len());
+        let outer = self.zetas.len();
+        let reference = facts::reference(self, outer, || self.host_reference_zetas(outer));
         let value = self.zetas.last().copied().unwrap_or(f64::NAN);
         let expect = reference.last().copied().unwrap_or(f64::NAN);
         Verification::check(value, expect, 1e-10)
@@ -498,6 +500,23 @@ mod tests {
         let d1 = (z[1] - z[0]).abs();
         let d2 = (z[z.len() - 1] - z[z.len() - 2]).abs();
         assert!(d2 <= d1, "zeta not settling: {z:?}");
+    }
+
+    #[test]
+    fn a_perturbed_zeta_fails_against_the_shared_reference() {
+        let mut rt = tiny_rt();
+        let mut cg = Cg::new(&mut rt, Scale::Tiny);
+        cg.cold_start(&mut rt);
+        let mut hook = no_phase_hook();
+        for _ in 0..cg.iterations() {
+            cg.iterate(&mut rt, &mut hook);
+        }
+        assert!(cg.verify().passed);
+        let held = facts::reference(&cg, cg.zetas.len(), || unreachable!("verify derived it"));
+        *cg.zetas.last_mut().expect("iterated") += 1e-6;
+        let v = cg.verify();
+        assert!(!v.passed, "zeta {} passed against {}", v.value, v.reference);
+        assert_eq!(v.reference, held[held.len() - 1]);
     }
 
     #[test]

@@ -289,6 +289,17 @@ impl Grid3 {
     }
 }
 
+/// The periodic neighbours of `i` on an edge of `n` points: `[i - 1, i,
+/// i + 1]`, each wrapped into `0..n` by compare rather than division, the
+/// one idiom of every periodic stencil.
+#[inline(always)]
+pub fn periodic(i: usize, n: usize) -> [usize; 3] {
+    debug_assert!(i < n);
+    let below = if i == 0 { n - 1 } else { i - 1 };
+    let above = if i + 1 == n { 0 } else { i + 1 };
+    [below, i, above]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,6 +343,16 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn periodic_neighbours_are_the_euclidean_remainders() {
+        for n in 1..=64usize {
+            for i in 0..n {
+                let wrap = |d: isize| (i as isize + d).rem_euclid(n as isize) as usize;
+                assert_eq!(periodic(i, n), [wrap(-1), wrap(0), wrap(1)], "{i} on {n}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! and layouts a process runs, a handful per experiment, and what a key
 //! holds is small (a proof keeps its lines as runs).
 //!
-//! This module owns the table of proof sets ([`proof_set`]);
+//! This module owns the table of proof sets ([`proof_set`]) and the table
+//! of the host references the kernels verify against ([`reference`]);
 //! `xp::lint::static_scheme` owns the table of placements. A third fact
 //! lives in each proof set: the memos its runs record before their first
 //! page migration, one `ccnuma::MemoLibrary` per machine configuration
@@ -231,6 +232,26 @@ pub fn proof_set(bench: &dyn NasBenchmark, threads: usize, model: &KernelModel) 
 /// Counters of the proof-set table.
 pub fn stats() -> FactsStats {
     PROOFS.stats()
+}
+
+/// What a verification reference is a function of: the kernel and its
+/// problem ([`NasBenchmark::problem`]), and the iterations it covers.
+type ReferenceKey = (BenchName, String, usize);
+
+static REFERENCES: LazyLock<Facts<ReferenceKey, Arc<[f64]>>> = LazyLock::new(Facts::default);
+
+/// The host reference `bench`'s `verify` compares a run of `iterations`
+/// timed iterations with, from `derive` (a host-only replay of the
+/// kernel's arithmetic) if no run of the process verified that many
+/// iterations of the problem yet. Only the reference is shared: each run
+/// still compares its own values with it.
+pub fn reference(
+    bench: &dyn NasBenchmark,
+    iterations: usize,
+    derive: impl FnOnce() -> Vec<f64>,
+) -> Arc<[f64]> {
+    let key = (bench.name(), bench.problem(), iterations);
+    REFERENCES.get(key, || derive().into())
 }
 
 /// What the memo libraries of the process's proof sets hold, summed.

@@ -14,6 +14,7 @@
 //! (page-level false sharing between pass directions).
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
+use crate::facts;
 use crate::la::{FftPlan, C64};
 use crate::model::{Arr, Describe, Exec, KernelModel, Mem};
 use ccnuma::{ArrayLayout, SimArray};
@@ -321,9 +322,13 @@ impl NasBenchmark for Ft {
     }
 
     fn verify(&self) -> Verification {
-        let reference = self.host_reference_checksums(self.checksums.len());
-        match (self.checksums.last(), reference.last()) {
-            (Some(&(vr, vi)), Some(&(rr, ri))) => {
+        let iters = self.checksums.len();
+        let reference = facts::reference(self, iters, || {
+            let sums = self.host_reference_checksums(iters);
+            sums.into_iter().flat_map(|(re, im)| [re, im]).collect()
+        });
+        match (self.checksums.last(), reference.last_chunk()) {
+            (Some(&(vr, vi)), Some(&[rr, ri])) => {
                 let value = (vr * vr + vi * vi).sqrt();
                 let expect = (rr * rr + ri * ri).sqrt();
                 let mut v = Verification::check(value, expect, 1e-9);
@@ -373,6 +378,29 @@ mod tests {
             "checksum {} vs reference {}",
             v.value, v.reference
         );
+    }
+
+    #[test]
+    fn a_perturbed_checksum_fails_against_the_shared_reference() {
+        let mut rt = rt();
+        let mut ft = Ft::new(&mut rt, Scale::Tiny);
+        ft.cold_start(&mut rt);
+        let mut hook = no_phase_hook();
+        for _ in 0..ft.iterations() {
+            ft.iterate(&mut rt, &mut hook);
+        }
+        assert!(ft.verify().passed);
+        let held = facts::reference(&ft, ft.checksums.len(), || {
+            unreachable!("verify derived it")
+        });
+        ft.checksums.last_mut().expect("iterated").1 += 1e-6;
+        let v = ft.verify();
+        assert!(
+            !v.passed,
+            "checksum {} passed against {}",
+            v.value, v.reference
+        );
+        assert_eq!(held.len(), 2 * ft.checksums.len());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! z-planes of its level, so threads own z-slabs — the layout the paper's
 //! first-touch tuning assumes.
 
-use crate::common::{BenchName, NasBenchmark, PhaseHook, Scale, Verification};
+use crate::common::{periodic, BenchName, NasBenchmark, PhaseHook, Scale, Verification};
 use crate::model::{Arr, Describe, Exec, KernelModel, Mem};
 use ccnuma::{ArrayLayout, SimArray};
 use omp::{Runtime, Schedule};
@@ -97,13 +97,44 @@ pub struct Mg {
 }
 
 #[inline(always)]
-fn wrap(i: isize, n: usize) -> usize {
-    i.rem_euclid(n as isize) as usize
-}
-
-#[inline(always)]
 fn gidx(n: usize, x: usize, y: usize, z: usize) -> usize {
     (z * n + y) * n + x
+}
+
+/// The bases of the nine rows around row `(y, z)` of an edge-`n` grid with
+/// periodic wrap, indexed `[dz + 1][dy + 1]`: a neighbour's index is its
+/// row's base plus its wrapped `x`.
+#[inline(always)]
+fn neighbour_rows(n: usize, y: usize, z: usize) -> [[usize; 3]; 3] {
+    let ys = periodic(y, n);
+    periodic(z, n).map(|z| ys.map(|y| gidx(n, 0, y, z)))
+}
+
+/// The 27-point stencil `w` of `src` at the point with neighbour rows
+/// `rows` and wrapped `x` neighbours `xs`, reading through the memory
+/// system in dz, dy, dx order and skipping zero-weight classes.
+#[inline(always)]
+fn stencil<M: Mem>(
+    m: &mut M,
+    src: &SimArray<f64>,
+    rows: &[[usize; 3]; 3],
+    xs: [usize; 3],
+    w: &StencilWeights,
+) -> f64 {
+    let mut sum = 0.0;
+    for (dz, row) in rows.iter().enumerate() {
+        for (dy, &base) in row.iter().enumerate() {
+            for (dx, &x) in xs.iter().enumerate() {
+                let class = (dx != 1) as usize + (dy != 1) as usize + (dz != 1) as usize;
+                let weight = w[class];
+                if weight == 0.0 {
+                    continue;
+                }
+                sum += weight * m.get(src, base + x);
+            }
+        }
+    }
+    sum
 }
 
 impl Mg {
@@ -168,50 +199,17 @@ impl Mg {
         &self.cfg
     }
 
-    /// Apply the 27-point stencil `w` to `src` at `(x, y, z)` with periodic
-    /// wrap, reading through the memory system.
-    #[inline]
-    fn stencil<M: Mem>(
-        m: &mut M,
-        src: &SimArray<f64>,
-        n: usize,
-        x: usize,
-        y: usize,
-        z: usize,
-        w: &StencilWeights,
-    ) -> f64 {
-        let mut sum = 0.0;
-        for dz in -1isize..=1 {
-            for dy in -1isize..=1 {
-                for dx in -1isize..=1 {
-                    let class = (dx != 0) as usize + (dy != 0) as usize + (dz != 0) as usize;
-                    let weight = w[class];
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let i = gidx(
-                        n,
-                        wrap(x as isize + dx, n),
-                        wrap(y as isize + dy, n),
-                        wrap(z as isize + dz, n),
-                    );
-                    sum += weight * m.get(src, i);
-                }
-            }
-        }
-        m.flops(2 * 27);
-        sum
-    }
-
     /// `r = src - A u` over one level; one phase of one loop, both `name`.
     fn resid<E: Exec>(ex: &mut E, name: &str, u: &Arr, src: &Arr, r: &Arr, n: usize) {
         let (u, src, r) = (u.clone(), src.clone(), r.clone());
         ex.phase(name);
         ex.for_each(name, n, Schedule::Static, move |m, z| {
             for y in 0..n {
+                let rows = neighbour_rows(n, y, z);
                 for x in 0..n {
-                    let au = Self::stencil(m, &u, n, x, y, z, &A_WEIGHTS);
-                    let i = gidx(n, x, y, z);
+                    let au = stencil(m, &u, &rows, periodic(x, n), &A_WEIGHTS);
+                    m.flops(2 * 27);
+                    let i = rows[1][1] + x;
                     let s = m.get(&src, i);
                     m.set(&r, i, s - au);
                     m.flops(1);
@@ -226,9 +224,11 @@ impl Mg {
         ex.phase(name);
         ex.for_each(name, n, Schedule::Static, move |m, z| {
             for y in 0..n {
+                let rows = neighbour_rows(n, y, z);
                 for x in 0..n {
-                    let sr = Self::stencil(m, &r, n, x, y, z, &S_WEIGHTS);
-                    let i = gidx(n, x, y, z);
+                    let sr = stencil(m, &r, &rows, periodic(x, n), &S_WEIGHTS);
+                    m.flops(2 * 27);
+                    let i = rows[1][1] + x;
                     m.update(&u, i, |v| v + sr);
                     m.flops(1);
                 }
@@ -245,24 +245,9 @@ impl Mg {
         ex.phase(name);
         ex.for_each(name, m, Schedule::Static, move |mem, zc| {
             for yc in 0..m {
+                let rows = neighbour_rows(nf, 2 * yc, 2 * zc);
                 for xc in 0..m {
-                    let (xf, yf, zf) = (2 * xc, 2 * yc, 2 * zc);
-                    let mut sum = 0.0;
-                    for dz in -1isize..=1 {
-                        for dy in -1isize..=1 {
-                            for dx in -1isize..=1 {
-                                let class =
-                                    (dx != 0) as usize + (dy != 0) as usize + (dz != 0) as usize;
-                                let i = gidx(
-                                    nf,
-                                    wrap(xf as isize + dx, nf),
-                                    wrap(yf as isize + dy, nf),
-                                    wrap(zf as isize + dz, nf),
-                                );
-                                sum += W[class] * mem.get(&fine, i);
-                            }
-                        }
-                    }
+                    let sum = stencil(mem, &fine, &rows, periodic(2 * xc, nf), &W);
                     mem.set(&coarse, gidx(m, xc, yc, zc), sum / 4.0);
                     mem.flops(2 * 27 + 1);
                 }
@@ -277,19 +262,20 @@ impl Mg {
         let (coarse, fine) = (coarse.clone(), fine.clone());
         ex.phase(name);
         ex.for_each(name, nf, Schedule::Static, move |mem, zf| {
+            // Trilinear weights: each fine point sits between up to 8 coarse
+            // points depending on parity, its coarse point and the next.
+            let zs = periodic(zf / 2, m);
             for yf in 0..nf {
+                let ys = periodic(yf / 2, m);
                 for xf in 0..nf {
-                    // Trilinear weights: each fine point sits between up to
-                    // 8 coarse points depending on parity.
+                    let xs = periodic(xf / 2, m);
                     let mut sum = 0.0;
                     let mut weight_total = 0.0;
                     for dz in 0..=(zf % 2) {
                         for dy in 0..=(yf % 2) {
                             for dx in 0..=(xf % 2) {
-                                let xc = wrap(((xf + dx) / 2) as isize, m);
-                                let yc = wrap(((yf + dy) / 2) as isize, m);
-                                let zc = wrap(((zf + dz) / 2) as isize, m);
-                                sum += mem.get(&coarse, gidx(m, xc, yc, zc));
+                                let i = gidx(m, xs[1 + dx], ys[1 + dy], zs[1 + dz]);
+                                sum += mem.get(&coarse, i);
                                 weight_total += 1.0;
                             }
                         }

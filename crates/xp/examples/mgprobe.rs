@@ -3,6 +3,7 @@
 //!        mgprobe [tiny|small|medium] grid <bench>
 //!        mgprobe [tiny|small|medium] derive
 //!        mgprobe [tiny|small|medium] fork <bench>
+//!        mgprobe [tiny|small|medium] side <bench[:placement-engine]>
 //!
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
@@ -29,6 +30,12 @@
 //! and for BT and SP IRIX→record–replay and UPMlib→record–replay), the
 //! child's wall run fresh and forked from its parent after the first
 //! timed iteration, each on a key of its own.
+//!
+//! `side <bench>` runs the cell once to warm its memo library, then again
+//! with a host profile of its later steps: their wall, what `omp.region`
+//! spends itself (the kernel text's data side: loop bodies and their index
+//! arithmetic) against what it spends in `ccnuma.fastpath` and in
+//! `nas.line_solve` (the host numerics of BT, SP and FT).
 
 use std::time::Instant;
 
@@ -71,6 +78,11 @@ fn main() {
         Some("fork") => {
             let bench = args.get(2).and_then(|b| nas::BenchName::parse(b));
             return fork(bench.unwrap_or(nas::BenchName::Mg), scale);
+        }
+        Some("side") => {
+            let cell = args.get(2).and_then(|c| parse(c));
+            let (bench, cfg) = cell.unwrap_or_else(|| parse("mg").expect("mg parses"));
+            return side(bench, scale, &cfg);
         }
         _ => {}
     }
@@ -321,4 +333,57 @@ fn fork(bench: nas::BenchName, scale: nas::Scale) {
             );
         }
     }
+}
+
+/// Self and inclusive nanoseconds of every node named `name` in `nodes`'
+/// trees, summed.
+fn span_ns(nodes: &[hostprof::SpanNode], name: &str) -> (u64, u64) {
+    let mut total = (0, 0);
+    for node in nodes {
+        if node.name == name {
+            total.0 += node.excl_ns();
+            total.1 += node.incl_ns;
+        }
+        let (excl, incl) = span_ns(&node.children, name);
+        total = (total.0 + excl, total.1 + incl);
+    }
+    total
+}
+
+/// One warm run of the cell, then a second whose later steps run under a
+/// host profile: where a replayed region's time goes.
+fn side(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig) {
+    run(bench, scale, cfg, true).complete();
+    let mut warm = run(bench, scale, cfg, true);
+    warm.step();
+    let session = hostprof::start();
+    let t = std::time::Instant::now();
+    while !warm.is_done() {
+        warm.step();
+    }
+    let later_s = t.elapsed().as_secs_f64();
+    let report = session.finish();
+    let stats = warm.fastpath_stats();
+    let roots = report.merged();
+    let secs = |ns: u64| ns as f64 * 1e-9;
+    let (region_self, region) = span_ns(&roots, "omp.region");
+    let (_, fastpath) = span_ns(&roots, "ccnuma.fastpath");
+    let (_, line_solve) = span_ns(&roots, "nas.line_solve");
+    let share = |ns: u64| 100.0 * ns as f64 / region.max(1) as f64;
+    println!(
+        "{} {} {}-{} later steps: wall {later_s:.4}s, omp.region {:.4}s: self {:.4}s \
+         ({:.1}%), ccnuma.fastpath {:.4}s ({:.1}%), nas.line_solve {:.4}s ({:.1}%)",
+        bench.label(),
+        scale.label(),
+        cfg.placement.label(),
+        cfg.engine.label(),
+        secs(region),
+        secs(region_self),
+        share(region_self),
+        secs(fastpath),
+        share(fastpath),
+        secs(line_solve),
+        share(line_solve),
+    );
+    println!("    {stats:?}");
 }
