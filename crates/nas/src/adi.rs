@@ -413,12 +413,12 @@ impl<S: LineSolve> NasBenchmark for Adi<S> {
         }
     }
 
-    fn access_model(&self) -> Option<KernelModel> {
-        Some(Describe::kernel(
+    fn access_model(&self) -> KernelModel {
+        Describe::kernel(
             self,
             |d| self.cold(d),
             |d| self.step(d, &mut no_phase_hook()),
-        ))
+        )
     }
 }
 

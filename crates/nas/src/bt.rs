@@ -197,7 +197,7 @@ mod tests {
         ] {
             let mut rt = Runtime::new(Machine::new(MachineConfig::origin2000_16p()));
             let bt = Bt::with_config(&mut rt, cfg);
-            let model = bt.access_model().expect("BT describes itself");
+            let model = bt.access_model();
             let s = bt.state();
             let g = s.grid;
             for axis in [SweepAxis::X, SweepAxis::Y, SweepAxis::Z] {

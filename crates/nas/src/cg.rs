@@ -439,8 +439,8 @@ impl NasBenchmark for Cg {
         Verification::check(value, expect, 1e-10)
     }
 
-    fn access_model(&self) -> Option<KernelModel> {
-        Some(Describe::kernel(self, |d| self.cold(d), |d| self.step(d)))
+    fn access_model(&self) -> KernelModel {
+        Describe::kernel(self, |d| self.cold(d), |d| self.step(d))
     }
 }
 

@@ -179,11 +179,8 @@ pub trait NasBenchmark {
     /// The benchmark's static access model (see [`crate::model`]): the
     /// exact per-iteration element accesses of the cold-start and timed
     /// iterations, described from the same text `cold_start` and `iterate`
-    /// run and consumed by the `lint` static analyzer. `None` when the
-    /// benchmark is not modeled; all five NAS kernels return a model.
-    fn access_model(&self) -> Option<KernelModel> {
-        None
-    }
+    /// run and consumed by the `lint` static analyzer.
+    fn access_model(&self) -> KernelModel;
 
     /// A copy in this instance's current state that owns copies of its
     /// arrays: the benchmark a forked run ([`crate::BenchRun::fork`])
@@ -191,47 +188,11 @@ pub trait NasBenchmark {
     fn boxed_clone(&self) -> Box<dyn NasBenchmark>;
 }
 
-/// A benchmark chosen by name at run time ([`crate::instantiate`]) is one
-/// too.
-impl NasBenchmark for Box<dyn NasBenchmark> {
-    fn name(&self) -> BenchName {
-        (**self).name()
-    }
-
-    fn problem(&self) -> String {
-        (**self).problem()
-    }
-
-    fn iterations(&self) -> usize {
-        (**self).iterations()
-    }
-
-    fn cold_start(&mut self, rt: &mut Runtime) {
-        (**self).cold_start(rt)
-    }
-
-    fn iterate(&mut self, rt: &mut Runtime, hook: &mut PhaseHook<'_>) {
-        (**self).iterate(rt, hook)
-    }
-
-    fn hot_arrays(&self) -> Vec<ArrayLayout> {
-        (**self).hot_arrays()
-    }
-
-    fn register_hot(&self, upm: &mut UpmEngine) {
-        (**self).register_hot(upm)
-    }
-
-    fn verify(&self) -> Verification {
-        (**self).verify()
-    }
-
-    fn access_model(&self) -> Option<KernelModel> {
-        (**self).access_model()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
-        (**self).boxed_clone()
+/// A benchmark chosen by name ([`crate::instantiate`]) clones as the
+/// kernel it boxes, so a forked run ([`crate::BenchRun::fork`]) is a clone.
+impl Clone for Box<dyn NasBenchmark> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
     }
 }
 

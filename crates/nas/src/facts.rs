@@ -284,9 +284,7 @@ mod tests {
     fn model_of(bench: BenchName, scale: Scale, threads: usize) -> KernelModel {
         let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
         let mut rt = Runtime::with_threads(machine, threads);
-        instantiate(bench, &mut rt, scale)
-            .access_model()
-            .expect("all five kernels are modeled")
+        instantiate(bench, &mut rt, scale).access_model()
     }
 
     /// `bench` at `scale` for a team of `threads`, BT and SP with every
@@ -350,8 +348,8 @@ mod tests {
                             scale.label()
                         );
                         let kernel = kernel_of(bench, scale, threads, phase_scale);
-                        let shared = kernel.access_model().expect("modeled");
-                        let fresh = redescribed(|| kernel.access_model()).expect("modeled");
+                        let shared = kernel.access_model();
+                        let fresh = redescribed(|| kernel.access_model());
                         let (a, b) = (
                             ProofSet::derive(&shared, threads),
                             ProofSet::derive(&fresh, threads),
@@ -378,7 +376,7 @@ mod tests {
     #[test]
     fn a_construct_is_derived_once_per_model() {
         let bt = kernel_of(BenchName::Bt, Scale::Tiny, 16, 16);
-        let set = ProofSet::derive(&bt.access_model().unwrap(), 16);
+        let set = ProofSet::derive(&bt.access_model(), 16);
         assert_eq!((set.instances, set.constructs), (130, 5), "BT phases x16");
         let cg = model_of(BenchName::Cg, Scale::Medium, 16);
         let set = ProofSet::derive(&cg, 16);
@@ -388,7 +386,7 @@ mod tests {
         // others may add to the totals too.
         let before = derivations();
         let kernel = kernel_of(BenchName::Cg, Scale::Tiny, 3, 1);
-        let set = proof_set(&*kernel, 3, &kernel.access_model().unwrap());
+        let set = proof_set(&*kernel, 3, &kernel.access_model());
         let after = derivations();
         assert!(set.constructs < set.instances, "{}", set.instances);
         assert!(after.instances >= before.instances + set.instances as u64);
@@ -454,7 +452,7 @@ mod tests {
             for bench in BenchName::all() {
                 for threads in [1, 4, 16] {
                     let kernel = kernel_of(bench, scale, threads, 1);
-                    let model = kernel.access_model().expect("modeled");
+                    let model = kernel.access_model();
                     let shared = proof_set(&*kernel, threads, &model);
                     let fresh = |text| ProofTable::fold(derive_proofs(text, threads));
                     let what = format!("{} {} x{threads}", bench.label(), scale.label());
@@ -504,7 +502,11 @@ mod tests {
             }
         };
         for bench in [BenchName::Cg, BenchName::Mg] {
-            let (bytes, stats) = outcome(BenchRun::new(|rt| own_type(bench, rt), &cfg));
+            let by_type_run = match bench {
+                BenchName::Cg => BenchRun::new(|rt| crate::cg::Cg::new(rt, Scale::Tiny), &cfg),
+                _ => BenchRun::new(|rt| crate::mg::Mg::new(rt, Scale::Tiny), &cfg),
+            };
+            let (bytes, stats) = outcome(by_type_run);
             let first = stats.expect("installed");
             assert!(first.replays > 0);
             // The kernel by its type and by its name is one problem: both
@@ -512,9 +514,7 @@ mod tests {
             let fresh = || Runtime::with_threads(Machine::new(cfg.machine.clone()), 16);
             let by_type = own_type(bench, &mut fresh());
             let by_name = instantiate(bench, &mut fresh(), Scale::Tiny);
-            let set = |kernel: &dyn NasBenchmark| {
-                proof_set(kernel, 16, &kernel.access_model().expect("modeled"))
-            };
+            let set = |kernel: &dyn NasBenchmark| proof_set(kernel, 16, &kernel.access_model());
             assert!(Arc::ptr_eq(&set(&*by_type), &set(&*by_name)));
             // Each run by name borrows what the earlier runs of the key
             // published, so what the engine counts depends on history, but
@@ -545,7 +545,7 @@ mod tests {
         };
         let padded = |rt: &mut Runtime| {
             SimArray::new(rt.machine_mut(), "pad", 3 * 4096, 0.0f64);
-            instantiate(bench, rt, scale)
+            crate::cg::Cg::new(rt, scale)
         };
         let plain = outcome(BenchRun::for_bench(bench, scale, &cfg));
         let shifted = outcome(BenchRun::new(padded, &cfg));
@@ -560,18 +560,18 @@ mod tests {
         assert_eq!(shifted.1, plain.1, "the shift moves no line across a page");
 
         let plain_kernel = kernel_of(bench, scale, threads, 1);
-        let plain_model = plain_kernel.access_model().unwrap();
+        let plain_model = plain_kernel.access_model();
         let machine = Machine::new(MachineConfig::origin2000_16p_scaled());
         let shifted_kernel = padded(&mut Runtime::with_threads(machine, threads));
-        let shifted_model = shifted_kernel.access_model().unwrap();
+        let shifted_model = shifted_kernel.access_model();
         let (a, b) = (
             ProofKey::of(&*plain_kernel, threads, &plain_model),
-            ProofKey::of(&*shifted_kernel, threads, &shifted_model),
+            ProofKey::of(&shifted_kernel, threads, &shifted_model),
         );
         assert_ne!(a, b);
         assert!(PROOFS.holds(&a) && PROOFS.holds(&b));
         let plain_set = proof_set(&*plain_kernel, threads, &plain_model);
-        let shifted_set = proof_set(&*shifted_kernel, threads, &shifted_model);
+        let shifted_set = proof_set(&shifted_kernel, threads, &shifted_model);
         assert!(plain_set.iteration != shifted_set.iteration);
     }
 }

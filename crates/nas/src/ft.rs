@@ -344,12 +344,8 @@ impl NasBenchmark for Ft {
         }
     }
 
-    fn access_model(&self) -> Option<KernelModel> {
-        Some(Describe::kernel(
-            self,
-            |d| self.cold(d),
-            |d| self.step(d, 1),
-        ))
+    fn access_model(&self) -> KernelModel {
+        Describe::kernel(self, |d| self.cold(d), |d| self.step(d, 1))
     }
 }
 

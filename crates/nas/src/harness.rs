@@ -14,14 +14,14 @@
 //!   iteration 2 followed by `compare_counters`; `replay` at the phase
 //!   points and `undo` at the end of every later iteration.
 //!
-//! Under these protocols the IRIX, UPMlib and record–replay runs of one
-//! problem and placement are one simulation until the first timed
-//! iteration ends, except that UPMlib resets its hot ranges' counters at
-//! the timed start, which nothing in an IRIX run reads. So a run can fork
-//! there ([`BenchRun::fork`]): an IRIX run prepared with
-//! [`BenchRun::prepare_fork`] forks UPMlib and record–replay children
-//! after its first `iterate`, and a UPMlib run forks a record–replay child
-//! after its first `migrate_memory`. A child equals a fresh run of its
+//! Under these protocols no engine works before the first timed
+//! iteration's kernel text ends, except that UPMlib resets its hot ranges'
+//! counters at the timed start. Every run that can fork — untraced, without
+//! the kernel engine — does that reset too, since nothing else it simulates
+//! or reports reads per-frame counters. So at that one **fork point** the
+//! IRIX, UPMlib and record–replay runs of one problem and placement are in
+//! one state, and [`BenchRun::fork`] turns any of them into any other: the
+//! child does its own engine work from there, and equals a fresh run of its
 //! configuration in every result byte.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
@@ -148,20 +148,20 @@ impl RunResult {
 /// [`BenchRun::step`], after the scheduler has installed the job's initial
 /// CPU binding, so a space-shared job first-touches its pages inside its
 /// partition rather than across the whole machine.
+#[derive(Clone)]
 pub struct BenchRun {
     rt: Runtime,
     bench: Box<dyn NasBenchmark>,
     upm: Option<UpmEngine>,
-    /// The engine this run's UPMlib and record–replay children start from
-    /// ([`BenchRun::prepare_fork`]); it resets its hot ranges' counters at
-    /// the timed start and does nothing else here.
-    heir: Option<UpmEngine>,
     recrep: bool,
     trace: bool,
     fastpath: bool,
     placement_label: String,
     engine_label: String,
     started: bool,
+    /// Step 0's kernel text has run and its engine work has not: the run
+    /// is at its fork point ([`BenchRun::fork`]).
+    at_fork: bool,
     step: usize,
     iters: usize,
     per_iter_secs: Vec<f64>,
@@ -217,7 +217,6 @@ impl BenchRun {
             rt,
             bench,
             upm,
-            heir: None,
             recrep: matches!(cfg.engine, EngineMode::RecRep(_)),
             trace: cfg.trace,
             // Traced runs stay on the exact path: the fast path replays a
@@ -226,6 +225,7 @@ impl BenchRun {
             placement_label: cfg.placement.label().to_string(),
             engine_label: cfg.engine.label().to_string(),
             started: false,
+            at_fork: false,
             step: 0,
             iters,
             per_iter_secs: Vec::with_capacity(iters),
@@ -261,7 +261,7 @@ impl BenchRun {
             return;
         }
         self.started = true;
-        let model = self.fastpath.then(|| self.bench.access_model()).flatten();
+        let model = self.fastpath.then(|| self.bench.access_model());
         let armed = model.map(|model| shared(&*self.bench, &self.rt, &model));
         // Arm the fast path for the cold start too: cold and timed phases
         // share loop labels, so cold recordings seed the iteration memos.
@@ -272,10 +272,13 @@ impl BenchRun {
         if let Some((proofs, library)) = &armed {
             self.rt.install_fastpath(&proofs.iteration, library);
         }
-        if let Some(engine) = self.upm.as_ref().or(self.heir.as_ref()) {
+        if self.upm.is_some() || self.forks() {
             // Reference monitoring starts with the timed run (upmlib reads
-            // and resets the counters per observation window).
-            engine.reset_counters(self.rt.machine());
+            // and resets the counters per observation window). A run that
+            // can fork resets them too, so that every engine's run is in
+            // one state at the fork point.
+            let m = self.rt.machine();
+            upm_engine(&*self.bench, m, UpmOptions::default()).reset_counters(m);
         }
         self.t_start = self.rt.machine().clock().now_secs();
         self.prev_migrations = self.rt.machine().stats().page_migrations;
@@ -291,10 +294,8 @@ impl BenchRun {
         if !self.fastpath || self.rt.fastpath_stats().is_some() {
             return;
         }
-        if let Some(model) = self.bench.access_model() {
-            let (proofs, library) = shared(&*self.bench, &self.rt, &model);
-            self.rt.install_fastpath(&proofs.iteration, &library);
-        }
+        let (proofs, library) = shared(&*self.bench, &self.rt, &self.bench.access_model());
+        self.rt.install_fastpath(&proofs.iteration, &library);
     }
 
     /// Whether every timed iteration has run.
@@ -343,7 +344,8 @@ impl BenchRun {
     }
 
     /// Run one timed iteration (running the cold start first if this is
-    /// the first step). Returns the iteration's simulated seconds.
+    /// the first step; a run at its fork point finishes that step). Returns
+    /// the iteration's simulated seconds.
     pub fn step(&mut self) -> f64 {
         let mut noop = |_: &mut Runtime, _: PhasePoint| {};
         self.step_with(&mut noop)
@@ -355,6 +357,16 @@ impl BenchRun {
     /// quantum expiring mid-iteration stages its rebinding here via
     /// `Runtime::request_rebind`).
     pub fn step_with(&mut self, extra: &mut PhaseHook<'_>) -> f64 {
+        if !std::mem::take(&mut self.at_fork) {
+            self.iterate(extra);
+        }
+        self.after_iterate();
+        self.close_step()
+    }
+
+    /// The current step's kernel text, with the engine's phase hooks and
+    /// `extra` at its phase points.
+    fn iterate(&mut self, extra: &mut PhaseHook<'_>) {
         self.ensure_started();
         self.rearm_fastpath();
         assert!(self.step < self.iters, "stepping a finished run");
@@ -381,8 +393,6 @@ impl BenchRun {
             }
             _ => bench.iterate(rt, extra),
         }
-        self.after_iterate();
-        self.close_step()
     }
 
     /// The engine's work after the current step's iteration.
@@ -447,75 +457,47 @@ impl BenchRun {
         elapsed
     }
 
-    /// Prepare this run, which has no UPMlib engine and has not started, to
-    /// fork UPMlib and record–replay children with `opts`: build their
-    /// engine now, as [`BenchRun::new`] builds a UPMlib run's, so that it
-    /// resets its hot ranges' counters at the timed start as theirs does.
-    /// This run's result is unchanged, because without UPMlib nothing it
-    /// simulates or reports reads the per-frame counters. The kernel
-    /// migration engine does, and a traced run reports counter spills, so
-    /// neither kind is prepared.
-    pub fn prepare_fork(&mut self, opts: UpmOptions) {
-        assert!(!self.started, "prepare_fork after the run started");
-        assert!(
-            self.upm.is_none() && !self.trace && !self.rt.kernel_migration().is_enabled(),
-            "only an untraced IRIX run forks UPMlib children"
-        );
-        self.heir = Some(upm_engine(&*self.bench, self.rt.machine(), opts));
+    /// Whether this run can fork: it is untraced (a traced run reports
+    /// counter spills) and has no kernel engine (which reads the counters
+    /// from the cold start on).
+    fn forks(&self) -> bool {
+        !self.trace && !self.rt.kernel_migration().is_enabled()
     }
 
-    /// A run of `engine` that has done what this one did: the fork of a
-    /// run after its first timed iteration. An IRIX run prepared with
-    /// [`BenchRun::prepare_fork`] forks UPMlib and record–replay children,
-    /// which finish that iteration with their engine's first
-    /// `migrate_memory`; a UPMlib run forks record–replay children. The
-    /// child owns copies of the machine, runtime and benchmark, shares the
-    /// fast-path memos, and equals a fresh run of its configuration in
-    /// every byte of its result.
-    pub fn fork(&self, engine: &EngineMode) -> BenchRun {
-        assert_eq!(self.step, 1, "a run forks after its first timed iteration");
-        let (EngineMode::Upmlib(opts) | EngineMode::RecRep(opts)) = engine else {
-            panic!("only UPMlib and record–replay runs are forked");
-        };
-        let recrep = matches!(engine, EngineMode::RecRep(_));
-        let start = match (&self.upm, &self.heir) {
-            (None, Some(heir)) => heir,
-            (Some(upm), _) if !self.recrep && recrep => upm,
-            _ => panic!(
-                "a {} run does not fork a {} run",
-                self.engine_label,
-                engine.label()
-            ),
-        };
-        assert_eq!(start.options(), opts, "a fork keeps the engine's options");
-        let mut child = BenchRun {
-            rt: self.rt.clone(),
-            bench: self.bench.boxed_clone(),
-            upm: Some(start.clone()),
-            heir: None,
-            recrep,
-            trace: self.trace,
-            fastpath: self.fastpath,
-            placement_label: self.placement_label.clone(),
-            engine_label: engine.label().to_string(),
-            started: self.started,
-            step: self.step,
-            iters: self.iters,
-            per_iter_secs: self.per_iter_secs.clone(),
-            t_start: self.t_start,
-            t_step: self.t_step,
-            prev_migrations: self.prev_migrations,
-            prev_cpu: self.prev_cpu,
-        };
-        if self.upm.is_none() {
-            // The first iteration is the child's too; its engine's work
-            // after it is not done yet.
-            child.step = 0;
-            child.per_iter_secs.pop();
-            child.after_iterate();
-            child.close_step();
+    /// A run of `engine` that has done what this one did, forked at the
+    /// fork point: the end of the first timed iteration's kernel text,
+    /// before the engine's work after it. An unstarted run is brought
+    /// there first. The child owns copies of the machine, runtime and
+    /// benchmark, shares the fast-path memos, does its engine's work from
+    /// there on (a UPMlib engine is built fresh, with `engine`'s options),
+    /// and equals a fresh run of its configuration in every byte of its
+    /// result. Only untraced runs without the kernel engine fork, and only
+    /// into such runs.
+    pub fn fork(&mut self, engine: &EngineMode) -> BenchRun {
+        assert!(
+            self.forks() && !matches!(engine, EngineMode::IrixMig(_)),
+            "traced and kernel-engine runs do not fork"
+        );
+        if !self.at_fork {
+            assert_eq!(
+                self.step, 0,
+                "a run forks after its first timed iteration's kernel text"
+            );
+            self.iterate(&mut |_: &mut Runtime, _: PhasePoint| {});
+            self.at_fork = true;
         }
-        child
+        let upm = match engine {
+            EngineMode::Upmlib(opts) | EngineMode::RecRep(opts) => {
+                Some(upm_engine(&*self.bench, self.rt.machine(), *opts))
+            }
+            _ => None,
+        };
+        BenchRun {
+            upm,
+            recrep: matches!(engine, EngineMode::RecRep(_)),
+            engine_label: engine.label().to_string(),
+            ..self.clone()
+        }
     }
 
     /// Run every remaining iteration, then [`BenchRun::finish`].

@@ -418,8 +418,8 @@ impl NasBenchmark for Mg {
         }
     }
 
-    fn access_model(&self) -> Option<KernelModel> {
-        Some(Describe::kernel(self, |d| self.cold(d), |d| self.step(d)))
+    fn access_model(&self) -> KernelModel {
+        Describe::kernel(self, |d| self.cold(d), |d| self.step(d))
     }
 }
 

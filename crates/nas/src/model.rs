@@ -832,6 +832,9 @@ mod tests {
         fn verify(&self) -> crate::common::Verification {
             crate::common::Verification::check(0.0, 0.0, 0.0)
         }
+        fn access_model(&self) -> KernelModel {
+            Describe::kernel(self, |_| {}, |_| {})
+        }
         fn boxed_clone(&self) -> Box<dyn NasBenchmark> {
             Box::new(Toy)
         }

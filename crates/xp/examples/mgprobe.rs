@@ -27,9 +27,10 @@
 //! `fork <bench>` prints the resident memory (VmRSS) of a bare
 //! `Machine::new` and of one run held after its first step, then per
 //! placement of the bench's Figure 4 grid, per fork edge (IRIX→UPMlib,
-//! and for BT and SP IRIX→record–replay and UPMlib→record–replay), the
-//! child's wall run fresh and forked from its parent after the first
-//! timed iteration, each on a key of its own.
+//! UPMlib→IRIX, UPMlib→UPMlib of other options, and for BT and SP every
+//! other ordered pair of IRIX, UPMlib and record–replay), the child's wall
+//! run fresh and forked at its parent's fork point, each on a key of its
+//! own.
 //!
 //! `side <bench>` runs the cell once to warm its memo library, then again
 //! with a host profile of its later steps: their wall, what `omp.region`
@@ -191,7 +192,7 @@ fn derive(scale: nas::Scale) {
             nas::instantiate(bench, &mut rt, scale)
         };
         let t = Instant::now();
-        let model = kernel.access_model().expect("every kernel is modeled");
+        let model = kernel.access_model();
         let describe_s = t.elapsed().as_secs_f64();
         let t = Instant::now();
         let set = nas::facts::ProofSet::derive(&model, rt.threads());
@@ -289,9 +290,18 @@ fn fork(bench: nas::BenchName, scale: nas::Scale) {
         EngineMode::Upmlib(opts),
         EngineMode::RecRep(opts),
     );
-    let mut edges = vec![(&irix, &upmlib)];
+    let other = EngineMode::Upmlib(upmlib::UpmOptions {
+        critical_pages: 3,
+        ..opts
+    });
+    let mut edges = vec![(&irix, &upmlib), (&upmlib, &irix), (&upmlib, &other)];
     if matches!(bench, nas::BenchName::Bt | nas::BenchName::Sp) {
-        edges.extend([(&irix, &recrep), (&upmlib, &recrep)]);
+        edges.extend([
+            (&irix, &recrep),
+            (&upmlib, &recrep),
+            (&recrep, &irix),
+            (&recrep, &upmlib),
+        ]);
     }
     let mut placements = vmm::PlacementScheme::all(xp::seed::get()).to_vec();
     placements.push(xp::lint::static_scheme(bench, scale));
@@ -308,10 +318,9 @@ fn fork(bench: nas::BenchName, scale: nas::Scale) {
     for placement in &placements {
         for &(parent, child) in &edges {
             let mut run = nas::BenchRun::for_bench(bench, scale, &cfg(placement, parent));
-            if *parent == EngineMode::None {
-                run.prepare_fork(opts);
-            }
-            run.step();
+            // The first fork brings the parent to its fork point, so that
+            // only the child's own work is timed; its copy is dropped.
+            drop(run.fork(parent));
             let t = Instant::now();
             let forked = run.fork(child).complete();
             let forked_s = t.elapsed().as_secs_f64();
@@ -320,14 +329,15 @@ fn fork(bench: nas::BenchName, scale: nas::Scale) {
             let fresh = nas::BenchRun::for_bench(bench, scale, &cfg(placement, child)).complete();
             let fresh_s = t.elapsed().as_secs_f64();
             let bytes = |r: &nas::RunResult| r.to_cache_json().to_string();
+            let label = |e: &EngineMode| if e == &other { "upmlib'" } else { e.label() };
             println!(
                 "{} {} {}-{}→{}: fresh {fresh_s:.4}s forked {forked_s:.4}s saved {:.0}% \
                  identical={}",
                 bench.label(),
                 scale.label(),
                 placement.label(),
-                parent.label(),
-                child.label(),
+                label(parent),
+                label(child),
                 100.0 * (1.0 - forked_s / fresh_s),
                 bytes(&forked) == bytes(&fresh),
             );

@@ -31,16 +31,7 @@ pub fn install(cache: Option<svc::Cache>) {
     *CACHE.lock().unwrap() = cache;
 }
 
-/// The installed cache, if caching is effective right now (a cache is
-/// installed and no trace directory forces real execution).
-pub(crate) fn effective() -> Option<svc::Cache> {
-    if crate::trace::dir().is_some() {
-        return None;
-    }
-    CACHE.lock().unwrap().clone()
-}
-
-/// The installed cache regardless of trace state (for the stats line).
+/// The installed cache.
 pub fn installed() -> Option<svc::Cache> {
     CACHE.lock().unwrap().clone()
 }

@@ -22,14 +22,13 @@
 //! produces byte-identical artifacts to a cold one.
 //!
 //! The residue runs as **fork chains**. Under the paper's protocols the
-//! IRIX, UPMlib and record–replay cells of one problem and placement are
-//! one simulation until the first timed iteration ends
-//! ([`nas::BenchRun::fork`]), so the pending grid cells that differ only in
-//! those engines ([`crate::grid::fork_chains`]) are one pool job: the
-//! first cell's run is built and stepped once, and each later cell's run
-//! is forked from the one before it. A chain of one is a cell's own run,
-//! and every cell is one when the plan has fewer than [`CHAIN_SPREAD`]
-//! jobs per worker.
+//! IRIX, UPMlib and record–replay runs of one problem and placement are in
+//! one state at their fork point ([`nas::BenchRun::fork`]), so the pending
+//! grid cells that differ only in those engines
+//! ([`crate::grid::fork_chains`]) are one pool job: each cell's run is
+//! forked from the one before it. A chain of one is a cell's own run, and
+//! every cell is one when the plan is traced or has fewer than
+//! [`CHAIN_SPREAD`] jobs per worker.
 //! The job times each cell's share of its work, and the merge gives the
 //! chain's first cell the rest of the job's wall, so the cells' walls sum
 //! to the pool's.
@@ -43,7 +42,6 @@ use crate::cache::CellCodec;
 use crate::grid;
 use crate::session::{ErasedResult, Session};
 use exec::{Job, JobPanic, ResidentJob};
-use nas::EngineMode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -152,8 +150,19 @@ impl<T: Send + 'static> CellPlan<T> {
     /// and the plan's wall-clock statistics are credited to
     /// [`crate::summary`].
     pub fn execute(self) -> Vec<CellOutput<T>> {
-        let cache = crate::cache::effective();
-        let table = crate::session::remembering();
+        // A traced run must execute, and its result carries a tracer that
+        // the cache encoding drops: a traced plan asks no table, cache or
+        // server and forms no chain.
+        let traced = crate::trace::dir().is_some();
+        let (cache, table, client) = if traced {
+            (None, None, None)
+        } else {
+            (
+                crate::cache::installed(),
+                crate::session::remembering(),
+                crate::remote::installed(),
+            )
+        };
         let mut cells = self.cells;
 
         // Phase 1 — the session's table, then the cache. A payload that
@@ -177,10 +186,8 @@ impl<T: Send + 'static> CellPlan<T> {
         // Phase 2 — client dispatch: offer every still-pending
         // spec-carrying cell to the server as one batch. Failure is never
         // fatal at either granularity — a dead batch or a refused cell
-        // just stays pending and computes locally. Traced runs never
-        // dispatch: server results carry no tracer (same reason the cache
-        // is bypassed).
-        if let Some(client) = crate::remote::installed().filter(|_| crate::trace::dir().is_none()) {
+        // just stays pending and computes locally.
+        if let Some(client) = client {
             let indices: Vec<usize> = cells
                 .iter()
                 .enumerate()
@@ -227,7 +234,7 @@ impl<T: Send + 'static> CellPlan<T> {
             .filter(|&i| matches!(cells[i].job_state, CellState::Pending(_)))
             .collect();
         let workers = crate::jobs::get();
-        if workers > 1 && members.len() + others.len() < CHAIN_SPREAD * workers {
+        if traced || workers > 1 && members.len() + others.len() < CHAIN_SPREAD * workers {
             members = grid_cells.iter().map(|&(i, _)| vec![i]).collect();
         }
         members.extend(others.into_iter().map(|i| vec![i]));
@@ -372,10 +379,10 @@ fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob
 }
 
 /// The job of a fork chain ([`grid::fork_chains`]), given as its cells'
-/// ids and states: the first cell's run is built and stepped through its
-/// first timed iteration, and each later cell's run is forked from the one
-/// before it. A run finishes before its child steps on, so the worker
-/// holds at most two.
+/// ids and states: the first cell's run is built, and each later cell's
+/// run is forked from the one before it ([`nas::BenchRun::fork`] brings
+/// an unstarted run to its fork point). A run finishes before its child
+/// steps on, so the worker holds at most two.
 fn chain_job<T>(chain: impl Iterator<Item = (String, CellState<T>)>) -> ResidentJob<ErasedResult> {
     let chain: Vec<(String, grid::Cell)> = chain
         .map(|(id, state)| match state {
@@ -386,27 +393,16 @@ fn chain_job<T>(chain: impl Iterator<Item = (String, CellState<T>)>) -> Resident
     Box::new(move || {
         let mut chain = chain.into_iter();
         let (mut id, mut root) = chain.next().expect("a chain has a cell");
-        let mut children = chain.peekable();
-        let (mut run, mut wall) = on_cell(&id, || {
-            let mut run = root.build();
-            if let Some((_, child)) = children.peek() {
-                let opts = match &child.cfg.engine {
-                    EngineMode::Upmlib(opts) | EngineMode::RecRep(opts) => *opts,
-                    _ => unreachable!("a chain forks UPMlib engines"),
-                };
-                if root.cfg.engine == EngineMode::None {
-                    run.prepare_fork(opts);
-                }
-                run.step();
-            }
-            run
-        });
+        let (mut run, mut wall) = on_cell(&id, || root.build());
         let mut done = Members::new();
-        for (child_id, child) in children {
-            let (forked, secs) = on_cell(&child_id, || run.fork(&child.cfg.engine));
-            let (result, rest) = on_cell(&id, || grid::complete(run));
-            done.push((Box::new(result), wall + rest));
-            (id, run, wall) = (child_id, forked, secs);
+        for (child_id, child) in chain {
+            // The prefix the child shares is its parent's work.
+            let ((forked, result), secs) = on_cell(&id, || {
+                let forked = run.fork(&child.cfg.engine);
+                (forked, grid::complete(run))
+            });
+            done.push((Box::new(result), wall + secs));
+            (id, run, wall) = (child_id, forked, 0.0);
         }
         let (result, rest) = on_cell(&id, || grid::complete(run));
         done.push((Box::new(result), wall + rest));

@@ -202,12 +202,10 @@ impl Cell {
     }
 
     /// What the cells this one forks with share: the canonical spec of its
-    /// IRIX sibling. `None` for a cell that never forks: a traced one, or
-    /// one under the kernel engine, which reads the counters from the cold
-    /// start on.
+    /// IRIX sibling. `None` for a cell whose run never forks
+    /// ([`BenchRun::fork`]): a traced one, or one under the kernel engine.
     fn fork_key(&self) -> Option<String> {
-        let traced = self.cfg.trace || crate::trace::dir().is_some();
-        if traced || matches!(self.cfg.engine, EngineMode::IrixMig(_)) {
+        if self.cfg.trace || matches!(self.cfg.engine, EngineMode::IrixMig(_)) {
             return None;
         }
         let cfg = RunConfig {
@@ -308,51 +306,23 @@ pub(crate) fn complete(run: BenchRun) -> RunResult {
 }
 
 /// Split `cells` (plan index, cell) into fork chains, each computed by
-/// one job ([`crate::cells`]): the cells of one fork key, at most one per
-/// engine, ordered IRIX, UPMlib, record–replay, whose UPMlib engines take
-/// one set of options. A cell that fits no chain of its key starts one of
-/// its own. Chains come in the plan order of their first cells.
+/// one job ([`crate::cells`]): the cells of one fork key, in plan order. A
+/// cell without a key is a chain of its own. Chains come in the plan order
+/// of their first cells.
 pub(crate) fn fork_chains(cells: &[(usize, &Cell)]) -> Vec<Vec<usize>> {
-    let rank = |cell: &Cell| match &cell.cfg.engine {
-        EngineMode::None => 0,
-        EngineMode::Upmlib(_) => 1,
-        _ => 2,
-    };
-    let opts = |cell: &Cell| match &cell.cfg.engine {
-        EngineMode::Upmlib(o) | EngineMode::RecRep(o) => Some(*o),
-        _ => None,
-    };
-    let mut chains: Vec<Vec<(usize, &Cell)>> = Vec::new();
+    let mut chains: Vec<Vec<usize>> = Vec::new();
     let mut open: std::collections::HashMap<String, usize> = Default::default();
     for &(index, cell) in cells {
-        let key = cell.fork_key();
-        let fits = |chain: &Vec<(usize, &Cell)>| {
-            chain.iter().all(|(_, c)| {
-                rank(c) != rank(cell)
-                    && (opts(c).is_none() || opts(cell).is_none() || opts(c) == opts(cell))
-            })
-        };
-        match key
-            .as_ref()
-            .and_then(|k| open.get(k))
-            .filter(|&&c| fits(&chains[c]))
-        {
-            Some(&c) => chains[c].push((index, cell)),
-            None => {
-                if let Some(key) = key {
-                    open.insert(key, chains.len());
-                }
-                chains.push(vec![(index, cell)]);
-            }
+        // A key new to `open` names the chain its cell is about to start.
+        let chain = cell
+            .fork_key()
+            .map(|key| *open.entry(key).or_insert(chains.len()));
+        match chain.filter(|&c| c < chains.len()) {
+            Some(c) => chains[c].push(index),
+            None => chains.push(vec![index]),
         }
     }
     chains
-        .into_iter()
-        .map(|mut chain| {
-            chain.sort_by_key(|(_, cell)| rank(cell));
-            chain.into_iter().map(|(index, _)| index).collect()
-        })
-        .collect()
 }
 
 /// Execute groups of cells as one plan (cache, server and pool all see one
@@ -496,10 +466,10 @@ mod tests {
         let no_irix = labels(&cells, &|c| c.cfg.engine != EngineMode::None);
         assert!(no_irix.iter().all(|c| c.len() == 1), "{no_irix:?}");
         assert_eq!(no_irix.len(), 10);
-        // Figure 6's UPMlib cell forks its record–replay sibling; a UPMlib
-        // cell of other options starts a chain of its own.
+        // Figure 6's UPMlib cell forks its record–replay sibling, and a
+        // UPMlib cell of other options joins them: any engine follows any.
         let chains = labels(&fig6, &|_| true);
-        assert_eq!(chains, [vec!["ft-upmlib", "ft-recrep"], vec!["ft-upmlib"]]);
+        assert_eq!(chains, [vec!["ft-upmlib", "ft-recrep", "ft-upmlib"]]);
         // Under the kernel engine nothing forks.
         assert_eq!(cells[1].cfg.engine, EngineMode::IrixMig(kcfg));
     }

@@ -39,9 +39,7 @@ pub struct LintRun {
 fn model_under(cfg: &LintConfig, bench: BenchName, scale: Scale) -> nas::KernelModel {
     let machine = Machine::new(cfg.machine.clone());
     let mut rt = Runtime::with_threads(machine, cfg.threads);
-    nas::instantiate(bench, &mut rt, scale)
-        .access_model()
-        .expect("all five benchmarks expose access models")
+    nas::instantiate(bench, &mut rt, scale).access_model()
 }
 
 /// `bench`'s access model under the paper-default lint configuration.

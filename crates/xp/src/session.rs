@@ -107,11 +107,8 @@ pub(crate) fn for_plan(cells: usize) -> Arc<Session> {
 }
 
 /// The open session, for a plan to ask and extend its table — `None`
-/// when no session is open or a trace directory forces real execution.
+/// when no session is open.
 pub(crate) fn remembering() -> Option<Arc<Session>> {
-    if crate::trace::dir().is_some() {
-        return None;
-    }
     ACTIVE.lock().unwrap().clone()
 }
 

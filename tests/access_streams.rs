@@ -21,9 +21,7 @@ const TEAM: usize = 16;
 fn stream_digest(bench: BenchName, scale: Scale) -> (u64, u64) {
     let machine = Machine::new(MachineConfig::origin2000_16p());
     let mut rt = Runtime::with_threads(machine, TEAM);
-    let model = instantiate(bench, &mut rt, scale)
-        .access_model()
-        .expect("the grid kernels are modeled");
+    let model = instantiate(bench, &mut rt, scale).access_model();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut accesses = 0u64;
     let mut fold = |bytes: &[u8]| {

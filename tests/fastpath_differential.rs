@@ -116,10 +116,7 @@ fn fast_path_actually_engages() {
     let mut cfg = RunConfig::paper_default();
     cfg.machine.max_vpages += 6;
     for bench in [BenchName::Cg, BenchName::Mg] {
-        let mut run = match bench {
-            BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
-            _ => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
-        };
+        let mut run = BenchRun::for_bench(bench, Scale::Tiny, &cfg);
         run.set_fastpath(true);
         while !run.is_done() {
             run.step();
@@ -228,10 +225,10 @@ fn named_cell(cell: &xp::grid::Cell) -> (String, Stats) {
     (run.finish().to_cache_json().to_string(), stats)
 }
 
-/// The bytes of a [`BenchRun::new`] run of `bench` at tiny.
+/// The bytes of a run of `bench` at tiny.
 fn private_run(bench: BenchName) -> String {
     let cfg = RunConfig::paper_default();
-    let run = BenchRun::new(|rt| nas::instantiate(bench, rt, Scale::Tiny), &cfg);
+    let run = BenchRun::for_bench(bench, Scale::Tiny, &cfg);
     run.complete().to_cache_json().to_string()
 }
 
@@ -357,7 +354,7 @@ fn a_phase_scaled_bt_shares_with_its_sibling() {
         nas::bt::Bt::with_config(&mut Runtime::with_threads(machine, 16), cfg)
     };
     let (one, four) = (kernel(1), kernel(4));
-    let (one_model, four_model) = (one.access_model().unwrap(), four.access_model().unwrap());
+    let (one_model, four_model) = (one.access_model(), four.access_model());
     let layout = |model: &nas::KernelModel| -> Vec<(String, (u64, u64))> {
         let arrays = model.arrays().iter();
         arrays.map(|a| (a.name().to_string(), a.vrange())).collect()
@@ -398,7 +395,7 @@ fn describing_is_invisible() {
     // either let one through, describing mid-run would perturb the run the
     // proofs are derived for.
     fn enumerate(bench: &dyn NasBenchmark) {
-        let model = bench.access_model().expect("all five kernels are modeled");
+        let model = bench.access_model();
         for phase in model.cold().iter().chain(model.iteration()) {
             for l in phase.loops() {
                 for i in 0..l.n() {

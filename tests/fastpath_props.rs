@@ -490,9 +490,7 @@ fn a_streaming_loop_is_retimed_when_its_page_moves() {
 /// The access model of `bench` at tiny scale, team of 16.
 fn tiny_model(bench: nas::BenchName) -> (nas::KernelModel, usize) {
     let mut rt = Runtime::with_threads(Machine::new(MachineConfig::origin2000_16p_scaled()), 16);
-    let model = nas::instantiate(bench, &mut rt, Scale::Tiny)
-        .access_model()
-        .expect("every bench ships an access model");
+    let model = nas::instantiate(bench, &mut rt, Scale::Tiny).access_model();
     (model, rt.threads())
 }
 

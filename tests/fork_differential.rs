@@ -1,19 +1,18 @@
-//! Fork differential suite: a run forked from its parent after the first
-//! timed iteration (`BenchRun::fork`) is the run a fresh start of its
-//! configuration makes.
+//! Fork differential suite: a run forked at its parent's fork point
+//! (`BenchRun::fork`) is the run a fresh start of its configuration makes.
 //!
-//! Under the paper's protocols the IRIX, UPMlib and record–replay runs of
-//! one problem and placement are one simulation until the first timed
-//! iteration ends, so a grid runs that prefix once and forks: IRIX forks
-//! UPMlib and record–replay children after its first `iterate`, UPMlib
-//! forks record–replay after its first `migrate_memory`. For every
-//! benchmark and placement and each of those edges, the child must equal
-//! its fresh twin in every result byte and every fast-path counter, and
-//! the parent must equal a parent that never forked in every result byte
-//! and in the regions its fast path saw (it may borrow what the child
-//! published, and so record less). Record–replay needs
-//! phase points to record at, which BT and SP have and CG, MG and FT do
-//! not, so those three are checked on the IRIX→UPMlib edge.
+//! Under the paper's protocols no engine works before the first timed
+//! iteration's kernel text ends, and every run that can fork resets its
+//! hot ranges' counters at the timed start as UPMlib does, so there the
+//! IRIX, UPMlib and record–replay runs of one problem and placement are in
+//! one state and any of them forks any other. For every benchmark and
+//! placement and the edges IRIX→UPMlib, UPMlib→IRIX and UPMlib→UPMlib of
+//! other options — and for BT and SP, which have phase points to record
+//! at, every ordered pair of IRIX, UPMlib and record–replay — the child
+//! must equal its fresh twin in every result byte and every fast-path
+//! counter, and the parent must equal a parent that never forked in every
+//! result byte and in the regions its fast path saw (it may borrow what
+//! the child published, and so record less).
 //!
 //! Every run is on a machine key of its own (`max_vpages` grown by a
 //! process-unique amount), so its memo library starts empty: a fresh twin
@@ -75,9 +74,9 @@ fn finish(mut run: BenchRun) -> Outcome {
     (run.finish().to_cache_json().to_string(), stats)
 }
 
-/// Fork `child` off a `parent` run after its first timed iteration, finish
-/// the child and then the parent, and hold each to its fresh twin's
-/// outcome in `twins`.
+/// Fork `child` off a `parent` run at its fork point, finish the child
+/// and then the parent, and hold each to its fresh twin's outcome in
+/// `twins`.
 fn check_edge(
     problem: Problem,
     placement: &PlacementScheme,
@@ -89,14 +88,10 @@ fn check_edge(
         "{} {} {}→{}",
         problem.label(),
         placement.label(),
-        parent.label(),
-        child.label()
+        label(parent),
+        label(child)
     );
     let mut run = problem.run(placement, parent.clone());
-    if *parent == EngineMode::None {
-        run.prepare_fork(UpmOptions::default());
-    }
-    run.step();
     let forked = finish(run.fork(child));
     assert!(forked.1.is_some(), "{what}: no fast path installed");
     assert_eq!(
@@ -123,23 +118,48 @@ fn check_edge(
     );
 }
 
-/// Every fork edge of `problem` under every placement of `placements`;
-/// the record–replay edges when `phased`.
-fn check_problem(problem: Problem, placements: &[PlacementScheme], phased: bool) {
+/// An engine's label, marking UPMlib of other options than the default.
+fn label(engine: &EngineMode) -> String {
+    match engine {
+        EngineMode::Upmlib(opts) if *opts != UpmOptions::default() => "upmlib'".to_string(),
+        _ => engine.label().to_string(),
+    }
+}
+
+/// The engines a fork joins: IRIX, UPMlib, UPMlib of other options, and
+/// record–replay.
+fn engines() -> [EngineMode; 4] {
     let opts = UpmOptions::default();
-    let (irix, upmlib, recrep) = (
+    let other = UpmOptions {
+        critical_pages: 3,
+        ..opts
+    };
+    [
         EngineMode::None,
         EngineMode::Upmlib(opts),
+        EngineMode::Upmlib(other),
         EngineMode::RecRep(opts),
-    );
-    let mut engines = vec![&irix, &upmlib];
-    let mut edges = vec![(&irix, &upmlib)];
+    ]
+}
+
+/// Every fork edge of `problem` under every placement of `placements`:
+/// IRIX→UPMlib, UPMlib→IRIX and UPMlib→UPMlib of other options, and when
+/// `phased` every other ordered pair of IRIX, UPMlib and record–replay.
+fn check_problem(problem: Problem, placements: &[PlacementScheme], phased: bool) {
+    let [irix, upmlib, other, recrep] = engines();
+    let mut twins = vec![&irix, &upmlib, &other];
+    let mut edges = vec![(&irix, &upmlib), (&upmlib, &irix), (&upmlib, &other)];
     if phased {
-        engines.push(&recrep);
-        edges.extend([(&irix, &recrep), (&upmlib, &recrep)]);
+        twins.push(&recrep);
+        edges.extend([
+            (&irix, &recrep),
+            (&upmlib, &recrep),
+            (&recrep, &irix),
+            (&recrep, &upmlib),
+        ]);
     }
     for placement in placements {
-        let twins: Vec<(EngineMode, Outcome)> = (engines.iter())
+        let twins: Vec<(EngineMode, Outcome)> = (twins.iter())
             .map(|&engine| {
                 (
                     engine.clone(),
@@ -152,7 +172,6 @@ fn check_problem(problem: Problem, placements: &[PlacementScheme], phased: bool)
         }
     }
 }
-
 /// The five placements of Figure 4's grid for `bench` at tiny.
 fn placements(bench: BenchName) -> Vec<PlacementScheme> {
     let mut all = PlacementScheme::all(7).to_vec();
@@ -211,13 +230,42 @@ fn phase_scaled_bt_forks_equal_fresh_runs() {
 }
 
 #[test]
+fn a_chain_forks_each_run_from_the_one_before() {
+    // As a grid's fork chain runs them: each run forks the next at its
+    // fork point and then finishes, so every later fork is of a run that
+    // is itself a fork. Each run's bytes are its fresh twin's.
+    let problem = Problem::AtScale(BenchName::Bt);
+    let placement = PlacementScheme::RoundRobin;
+    let [irix, upmlib, other, recrep] = engines();
+    let chain = [&upmlib, &recrep, &irix, &other];
+    let mut run = problem.run(&placement, chain[0].clone());
+    for (k, &engine) in chain.iter().enumerate() {
+        let next = chain.get(k + 1).map(|&child| run.fork(child));
+        let fresh = finish(problem.run(&placement, engine.clone())).0;
+        assert_eq!(finish(run).0, fresh, "BT rr chain: {}", label(engine));
+        let Some(next) = next else { break };
+        run = next;
+    }
+}
+
+#[test]
 #[should_panic(expected = "forks after its first timed iteration")]
 fn a_run_forks_only_after_its_first_iteration() {
+    // The fork point is inside the first step: a run past it is too late.
     let mut run = Problem::AtScale(BenchName::Bt).run(
         &PlacementScheme::FirstTouch,
         EngineMode::Upmlib(UpmOptions::default()),
     );
     run.step();
-    run.step();
     run.fork(&EngineMode::RecRep(UpmOptions::default()));
+}
+
+#[test]
+#[should_panic(expected = "do not fork")]
+fn a_traced_run_does_not_fork() {
+    let cfg = RunConfig {
+        trace: true,
+        ..RunConfig::paper_default()
+    };
+    BenchRun::for_bench(BenchName::Cg, Scale::Tiny, &cfg).fork(&EngineMode::None);
 }

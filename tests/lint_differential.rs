@@ -40,13 +40,7 @@ fn tiny_cfg(engine: EngineMode) -> RunConfig {
 /// Drive a full dynamic run of `bench` and return the engine's frozen set.
 fn dynamic_frozen(bench: BenchName) -> Vec<u64> {
     let cfg = tiny_cfg(EngineMode::Upmlib(UpmOptions::default()));
-    let mut run = match bench {
-        BenchName::Bt => BenchRun::new(|rt| nas::bt::Bt::new(rt, Scale::Tiny), &cfg),
-        BenchName::Sp => BenchRun::new(|rt| nas::sp::Sp::new(rt, Scale::Tiny), &cfg),
-        BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
-        BenchName::Mg => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
-        BenchName::Ft => BenchRun::new(|rt| nas::ft::Ft::new(rt, Scale::Tiny), &cfg),
-    };
+    let mut run = BenchRun::for_bench(bench, Scale::Tiny, &cfg);
     while !run.is_done() {
         run.step();
     }
@@ -167,13 +161,7 @@ fn check_first_touch_fidelity(bench: BenchName) {
     let model = xp::lint::model_for(bench, Scale::Tiny);
     let analysis = lint::analyze(&model, &LintConfig::paper_default());
     let cfg = tiny_cfg(EngineMode::None);
-    let mut run = match bench {
-        BenchName::Bt => BenchRun::new(|rt| nas::bt::Bt::new(rt, Scale::Tiny), &cfg),
-        BenchName::Sp => BenchRun::new(|rt| nas::sp::Sp::new(rt, Scale::Tiny), &cfg),
-        BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
-        BenchName::Mg => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
-        BenchName::Ft => BenchRun::new(|rt| nas::ft::Ft::new(rt, Scale::Tiny), &cfg),
-    };
+    let mut run = BenchRun::for_bench(bench, Scale::Tiny, &cfg);
     run.step(); // cold start + one timed iteration, no migration engine
     let machine = run.runtime().machine();
     let mut actual: BTreeMap<u64, NodeId> = BTreeMap::new();

@@ -32,13 +32,7 @@ fn dynamic_converged(bench: BenchName) -> BTreeMap<u64, NodeId> {
         engine: EngineMode::Upmlib(UpmOptions::default()),
         ..RunConfig::paper_default()
     };
-    let mut run = match bench {
-        BenchName::Bt => BenchRun::new(|rt| nas::bt::Bt::new(rt, Scale::Tiny), &cfg),
-        BenchName::Sp => BenchRun::new(|rt| nas::sp::Sp::new(rt, Scale::Tiny), &cfg),
-        BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
-        BenchName::Mg => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
-        BenchName::Ft => BenchRun::new(|rt| nas::ft::Ft::new(rt, Scale::Tiny), &cfg),
-    };
+    let mut run = BenchRun::for_bench(bench, Scale::Tiny, &cfg);
     while !run.is_done() {
         run.step();
     }
@@ -202,10 +196,7 @@ fn fastpath_eligibility_survives_static_placement() {
         // A run records only what no earlier run of its key published: a
         // machine one virtual page larger is a key no other test here runs.
         cfg.machine.max_vpages += 1;
-        let mut run = match bench {
-            BenchName::Cg => BenchRun::new(|rt| nas::cg::Cg::new(rt, Scale::Tiny), &cfg),
-            _ => BenchRun::new(|rt| nas::mg::Mg::new(rt, Scale::Tiny), &cfg),
-        };
+        let mut run = BenchRun::for_bench(bench, Scale::Tiny, &cfg);
         run.set_fastpath(true);
         while !run.is_done() {
             run.step();
