@@ -100,6 +100,18 @@ pub struct Verification {
 }
 
 impl Verification {
+    /// What a timing-only run reports ([`crate::BenchRun::set_timing_only`]):
+    /// it computed no value to verify. Not a pass, and NaN, so a borrowed
+    /// result that never takes its owner's verification fails as a row.
+    pub fn borrowed() -> Self {
+        Self {
+            passed: false,
+            value: f64::NAN,
+            reference: f64::NAN,
+            epsilon: 0.0,
+        }
+    }
+
     /// Compare `value` against `reference` at relative tolerance `epsilon`.
     pub fn check(value: f64, reference: f64, epsilon: f64) -> Self {
         let denom = reference.abs().max(1e-300);

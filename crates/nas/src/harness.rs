@@ -23,6 +23,14 @@
 //! one state, and [`BenchRun::fork`] turns any of them into any other: the
 //! child does its own engine work from there, and equals a fresh run of its
 //! configuration in every result byte.
+//!
+//! A **timing-only** run ([`BenchRun::set_timing_only`]) relies on the
+//! premise stated in [`crate::model`]: no address, flop charge or control
+//! decision of a kernel depends on a simulated value. So a turn the fast
+//! path has already applied in bulk, whose body would compute values only,
+//! is skipped, and the run equals its full twin in every result byte but
+//! its verification, which it borrows: a plan's later cells of one problem
+//! take their owner's (`xp::cells`).
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint, Scale, Verification};
 use crate::facts::{self, ProofSet};
@@ -242,6 +250,15 @@ impl BenchRun {
     pub fn set_fastpath(&mut self, on: bool) {
         assert!(!self.started, "set_fastpath after the run started");
         self.fastpath = on && !self.trace;
+    }
+
+    /// Make this run timing-only: from now on a turn the fast path has
+    /// already applied in bulk is skipped (`omp::Runtime::set_timing_only`),
+    /// and [`BenchRun::finish`] reports [`Verification::borrowed`] instead
+    /// of verifying. Call it on a fresh run or on a forked child; a child
+    /// forked from a timing-only run is timing-only too.
+    pub fn set_timing_only(&mut self) {
+        self.rt.set_timing_only();
     }
 
     /// Whether the phase fast path is enabled for this run.
@@ -508,7 +525,8 @@ impl BenchRun {
         self.finish()
     }
 
-    /// Finish the run: verification, statistics, trace detachment.
+    /// Finish the run: verification (borrowed by a timing-only run),
+    /// statistics, trace detachment.
     pub fn finish(mut self) -> RunResult {
         self.ensure_started(); // a zero-iteration run still cold-starts
         let total_secs = self.rt.machine().clock().now_secs() - self.t_start;
@@ -520,7 +538,11 @@ impl BenchRun {
             engine: self.engine_label,
             total_secs,
             per_iter_secs: self.per_iter_secs,
-            verification: self.bench.verify(),
+            verification: if self.rt.timing_only() {
+                Verification::borrowed()
+            } else {
+                self.bench.verify()
+            },
             upm: upm_stats.clone(),
             kernel_migrations: self.rt.kernel_migration().stats().migrations,
             remote_fraction: agg.remote_fraction(),

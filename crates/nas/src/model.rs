@@ -23,6 +23,15 @@
 //! control flow depends on a simulated floating-point value — only on the
 //! iteration index, on geometry, and on CG's column-index array, which a
 //! probed load reads from the array's host data.
+//!
+//! The same premise carries a plan's **borrowers**: timing-only runs
+//! (`BenchRun::set_timing_only`) that skip every turn the fast path
+//! applied in bulk and take their verification from the plan's owner of
+//! their problem (`xp::cells`). Their arrays then hold stale values, so no
+//! address, flop charge or control decision may depend on one — a flop
+//! charge a line solve returns counts its structure, not its values, and
+//! CG's column array is read-only after setup. `tests/numerics_borrow.rs`
+//! holds every kernel's timing-only run to its full twin.
 
 use crate::common::{BenchName, NasBenchmark, PhaseHook, PhasePoint};
 use ccnuma::{AccessKind, ArrayLayout, SimArray};

@@ -27,7 +27,9 @@
 //! the next region `"phase/name"`, the label its proof was installed under,
 //! and a region nobody named runs exactly. And a thread whose CPU the engine
 //! replayed takes its turn on a [`Par`] that holds no machine, so its body
-//! runs for the data side only. `ccnuma` simulates whatever reaches it.
+//! runs for the data side only — or, on a timing-only runtime
+//! ([`Runtime::set_timing_only`]), takes no turn at all. `ccnuma` simulates
+//! whatever reaches it.
 
 pub mod runtime;
 pub mod schedule;

@@ -18,7 +18,8 @@ use vmm::KernelMigrationEngine;
 /// applied in bulk runs its body for the data side only, and holds no
 /// machine its accesses could reach; if its CPU's pages moved since the memo
 /// was timed, it also hands every access to the engine's retime walk, which
-/// holds no machine either.
+/// holds no machine either. On a timing-only runtime
+/// ([`Runtime::set_timing_only`]) the data-only turn is not taken at all.
 pub struct Par<'m> {
     /// The machine, borrowed for this thread's turn; `None` on the data-only
     /// and retime lanes. Private, so [`Par::turn`] is the only way to build
@@ -36,24 +37,35 @@ pub struct Par<'m> {
 }
 
 impl<'m> Par<'m> {
-    /// Thread `tid`'s turn on `cpu` in the region whose fast-path outcome
-    /// is `lanes`: a replayed CPU's thread gets no machine, a retimed one's
-    /// its walk.
-    fn turn(
-        machine: &'m mut Machine,
-        lanes: &'m mut FastpathOutcome,
-        cpu: CpuId,
-        tid: usize,
-        team: usize,
-    ) -> Self {
-        Self {
-            machine: (!lanes.replayed.contains(&cpu)).then_some(machine),
-            retime: lanes.retime_of(cpu),
+    /// Thread `tid`'s turn in the region `team` is running: a replayed
+    /// CPU's thread gets no machine, a retimed one's its walk — and on a
+    /// timing-only runtime a replayed, unretimed CPU's thread gets no turn
+    /// (`None`): its body would compute values only.
+    fn turn(team: &'m mut Team<'_>, tid: usize) -> Option<Self> {
+        let cpu = team.cpus[tid];
+        let replayed = team.lanes.replayed.contains(&cpu);
+        let retime = team.lanes.retime_of(cpu);
+        if replayed && retime.is_none() && team.timing_only {
+            return None;
+        }
+        Some(Self {
+            machine: (!replayed).then_some(&mut *team.machine),
+            retime,
             cpu,
             tid,
-            team,
-        }
+            team: team.cpus.len(),
+        })
     }
+}
+
+/// A region as its construct sees it between the bracket's halves: the
+/// machine, the team's binding, the fast path's lanes for the region, and
+/// whether the runtime is timing-only. [`Par::turn`] hands out its turns.
+struct Team<'r> {
+    machine: &'r mut Machine,
+    cpus: &'r [CpuId],
+    lanes: &'r mut FastpathOutcome,
+    timing_only: bool,
 }
 
 impl Par<'_> {
@@ -180,6 +192,9 @@ pub struct Runtime {
     /// `"{phase}/{name}"` of the region about to open, empty when it has no
     /// name (see [`Runtime::name_region`]). Every region bracket clears it.
     label: String,
+    /// Skip the turns whose effects the fast path applied in bulk (see
+    /// [`Runtime::set_timing_only`]).
+    timing_only: bool,
 }
 
 impl Runtime {
@@ -207,6 +222,7 @@ impl Runtime {
             fastpath: None,
             phase: String::new(),
             label: String::new(),
+            timing_only: false,
         }
     }
 
@@ -222,6 +238,23 @@ impl Runtime {
         self.fastpath
             .get_or_insert_with(FastpathEngine::new)
             .install(table, library);
+    }
+
+    /// Make this runtime timing-only, and every clone of it: a thread whose
+    /// turn the fast path has already applied in bulk does not run its body
+    /// at all. Simulated time, placement and statistics are those of a full
+    /// runtime, since such a body reaches no machine and no address, flop
+    /// charge or control decision of a body depends on a simulated value;
+    /// what is lost is the values. Live, retimed and dynamic-loop turns run
+    /// as ever; a skipped reduction block contributes nothing to the
+    /// reduction, a skipped serial section returns `R::default()`.
+    pub fn set_timing_only(&mut self) {
+        self.timing_only = true;
+    }
+
+    /// Whether the runtime is timing-only ([`Runtime::set_timing_only`]).
+    pub fn timing_only(&self) -> bool {
+        self.timing_only
     }
 
     /// Fast-path engine counters, if installed.
@@ -404,14 +437,15 @@ impl Runtime {
         } else {
             self.threads
         };
-        self.run_region(proof_team, |machine, cpus, lanes| {
-            let threads = cpus.len();
+        self.run_region(proof_team, |team| {
             if schedule.is_dynamic() {
-                Self::run_dynamic(machine, cpus, lanes, n, schedule, &mut body);
+                Self::run_dynamic(team, n, schedule, &mut body);
             } else {
-                let parts = schedule.static_chunks(n, threads);
+                let parts = schedule.static_chunks(n, team.cpus.len());
                 for (tid, chunks) in parts.iter().enumerate() {
-                    let mut par = Par::turn(machine, lanes, cpus[tid], tid, threads);
+                    let Some(mut par) = Par::turn(team, tid) else {
+                        continue;
+                    };
                     for &(start, end) in chunks {
                         for i in start..end {
                             body(&mut par, i);
@@ -445,20 +479,21 @@ impl Runtime {
     ) -> T {
         let blocks = reduction_block_count(self.threads);
         let mut partials: Vec<Option<T>> = vec![None; blocks];
-        self.run_region(self.threads, |machine, cpus, lanes| {
+        self.run_region(self.threads, |team| {
             assert!(
                 !schedule.is_dynamic(),
                 "reductions are supported on static schedules (as in the NAS codes)"
             );
-            let threads = cpus.len();
             let parts = schedule.static_chunks(n, blocks);
-            let ownership = reduction_block_ownership(threads);
-            for (tid, &cpu) in cpus.iter().enumerate() {
+            let ownership = reduction_block_ownership(team.cpus.len());
+            for (tid, &(b0, b1)) in ownership.iter().enumerate() {
                 // Thread `tid` owns a contiguous run of blocks, so its
                 // iteration range (and memory traffic) is identical to the
-                // plain per-thread static schedule.
-                let (b0, b1) = ownership[tid];
-                let mut par = Par::turn(machine, lanes, cpu, tid, threads);
+                // plain per-thread static schedule. A skipped turn leaves
+                // its blocks' partials out.
+                let Some(mut par) = Par::turn(team, tid) else {
+                    continue;
+                };
                 for (b, chunks) in parts.iter().enumerate().take(b1).skip(b0) {
                     let mut acc = identity.clone();
                     for &(start, end) in chunks {
@@ -474,23 +509,19 @@ impl Runtime {
     }
 
     /// Sequential program text between parallel constructs, executed by the
-    /// master thread (CPU 0) with full simulation of its accesses.
-    pub fn serial<R>(&mut self, body: impl FnOnce(&mut Par) -> R) -> R {
+    /// master thread — on the CPU thread 0 is bound to — as a team of one.
+    /// A skipped turn of a timing-only runtime returns `R::default()`.
+    pub fn serial<R: Default>(&mut self, body: impl FnOnce(&mut Par) -> R) -> R {
         let _hp = hostprof::span_hot("omp.serial");
-        self.region(1, |machine, cpus, lanes| {
-            body(&mut Par::turn(machine, lanes, cpus[0], 0, 1))
-        })
-        .0
+        self.region(1, |team| Par::turn(team, 0).map(|mut par| body(&mut par)))
+            .0
+            .unwrap_or_default()
     }
 
     /// A worksharing region: the bracket, then what only a parallel
     /// construct has — the region histograms of a traced run and the kernel
     /// migration engine's scan at the join.
-    fn run_region(
-        &mut self,
-        proof_team: usize,
-        work: impl FnOnce(&mut Machine, &[CpuId], &mut FastpathOutcome),
-    ) {
+    fn run_region(&mut self, proof_team: usize, work: impl FnOnce(&mut Team)) {
         let _hp = hostprof::span_hot("omp.region");
         let ((), traced) = self.region(proof_team, work);
         if let Some((local, remote, wall_ns)) = traced {
@@ -510,17 +541,17 @@ impl Runtime {
 
     /// The region bracket, stated once for every construct: the yield
     /// point, `begin_region`, the fast path's verdict on `proof_team` (see
-    /// [`Runtime::fastpath_begin`]), `body` on the machine with the team's
-    /// binding and the region's lanes, the lanes handed back (before
-    /// `end_region`: a recording diffs the still-open region state and a
-    /// retime walk lands in the region account), `end_region`.
+    /// [`Runtime::fastpath_begin`]), `body` on the region's [`Team`] (the
+    /// machine, the team's binding, the region's lanes), the lanes handed
+    /// back (before `end_region`: a recording diffs the still-open region
+    /// state and a retime walk lands in the region account), `end_region`.
     /// A traced run also gets the region's [`obs::EventKind::RegionProfile`]
     /// and, returned beside the body's value, its local and remote memory
     /// accesses and wall time.
     fn region<R>(
         &mut self,
         proof_team: usize,
-        body: impl FnOnce(&mut Machine, &[CpuId], &mut FastpathOutcome) -> R,
+        body: impl FnOnce(&mut Team) -> R,
     ) -> (R, Option<(u64, u64, f64)>) {
         self.apply_pending_rebind();
         // Snapshot only when tracing: the profile is a stats delta.
@@ -531,7 +562,12 @@ impl Runtime {
             .then(|| self.machine.aggregate_cpu_stats());
         self.machine.begin_region();
         let mut lanes = self.fastpath_begin(proof_team);
-        let r = body(&mut self.machine, &self.cpu_of_thread, &mut lanes);
+        let r = body(&mut Team {
+            machine: &mut self.machine,
+            cpus: &self.cpu_of_thread,
+            lanes: &mut lanes,
+            timing_only: self.timing_only,
+        });
         if let Some(engine) = self.fastpath.as_mut() {
             engine.finish_region(&mut self.machine, lanes);
         }
@@ -559,18 +595,17 @@ impl Runtime {
     /// Deterministic simulation of dynamic/guided dispatch: the next chunk
     /// always goes to the thread with the least accumulated virtual time.
     fn run_dynamic(
-        machine: &mut Machine,
-        cpus: &[CpuId],
-        lanes: &mut FastpathOutcome,
+        team: &mut Team,
         n: usize,
         schedule: Schedule,
         body: &mut impl FnMut(&mut Par, usize),
     ) {
-        let threads = cpus.len();
+        let threads = team.cpus.len();
         let mut next = 0usize;
         while next < n {
             let len = schedule.next_chunk_len(n - next, threads);
             // argmin over virtual times; ties break toward lower thread id.
+            let (machine, cpus) = (&team.machine, team.cpus);
             let tid = (0..threads)
                 .min_by(|&a, &b| {
                     machine
@@ -580,7 +615,8 @@ impl Runtime {
                         .then(a.cmp(&b))
                 })
                 .expect("team is non-empty");
-            let mut par = Par::turn(machine, lanes, cpus[tid], tid, threads);
+            // No proof speaks for a dynamic loop, so every turn is live.
+            let mut par = Par::turn(team, tid).expect("a dynamic loop replays nothing");
             for i in next..next + len {
                 body(&mut par, i);
             }
@@ -897,15 +933,28 @@ mod tests {
 
     /// Run `construct` (one region of [`stripe`]s, proven by `owners`) next
     /// to its exact twin: a replayed region must hand every turn the
-    /// data-only lane, any other region the simulated one, and the two
-    /// machines must stay indistinguishable.
+    /// data-only lane — or, on a `timing_only` runtime, no turn at all —
+    /// any other region the simulated one, and the two machines must stay
+    /// indistinguishable (in host data too, unless `timing_only`).
     fn check_lanes_of(
         name: &str,
+        timing_only: bool,
         owners: Vec<Vec<(usize, usize)>>,
         construct: impl Fn(&mut Runtime, &mut dyn FnMut(&mut Par, usize)),
     ) {
         let (mut exact, ea) = striped_by(4, None);
         let (mut fast, fa) = striped_by(4, Some(owners.clone()));
+        if timing_only {
+            fast.set_timing_only();
+        }
+        let same = |exact: &Runtime, fast: &Runtime, what: &str| {
+            let (e, f) = (observable(exact, &ea), observable(fast, &fa));
+            if timing_only {
+                assert_eq!((e.1, e.2), (f.1, f.2), "{what}");
+            } else {
+                assert_eq!(e, f, "{what}");
+            }
+        };
         let replays = |rt: &Runtime| rt.fastpath_stats().expect("installed").replays;
         for rep in 0..5 {
             construct(&mut exact, &mut |par, i| {
@@ -920,12 +969,9 @@ mod tests {
                 stripe(par, &fa, i, rep)
             });
             let replayed = replays(&fast) > before;
-            assert_eq!(data_only, [replayed; STRIPES], "{name} rep {rep}");
-            assert_eq!(
-                observable(&exact, &ea),
-                observable(&fast, &fa),
-                "{name} rep {rep}"
-            );
+            let turns = if replayed && timing_only { 0 } else { STRIPES };
+            assert_eq!(data_only, vec![replayed; turns], "{name} rep {rep}");
+            same(&exact, &fast, &format!("{name} rep {rep}"));
         }
         assert!(replays(&fast) >= 2, "{name} never reached its steady state");
 
@@ -962,11 +1008,7 @@ mod tests {
                 }
                 stripe(par, &fa, i, rep)
             });
-            assert_eq!(
-                observable(&exact, &ea),
-                observable(&fast, &fa),
-                "{name} rep {rep}"
-            );
+            same(&exact, &fast, &format!("{name} rep {rep}"));
             if moved {
                 assert_eq!(walked.len(), STRIPES, "{name}");
                 // A thread with no iteration reaches no memory: its memo is
@@ -990,29 +1032,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_construct_reads_the_lane_at_the_start_of_the_turn() {
+    /// [`check_lanes_of`] every construct, then a dynamic loop, which hands
+    /// out chunks by simulated time and so never gets a data-only turn: the
+    /// proof under its name is refused, and every turn runs its body.
+    fn check_every_construct(timing_only: bool) {
         check_lanes_of(
             "parallel_for",
+            timing_only,
             Schedule::Static.static_chunks(STRIPES, 4),
             |rt, body| rt.parallel_for(STRIPES, Schedule::Static, body),
         );
         check_lanes_of(
             "parallel_reduce",
+            timing_only,
             reduction_chunks(Schedule::Static, STRIPES, 4),
             |rt, body| {
                 let fold = |par: &mut Par, i: usize, ()| body(par, i);
                 rt.parallel_reduce(STRIPES, Schedule::Static, (), fold, |(), ()| ())
             },
         );
-        check_lanes_of("serial", vec![vec![(0, STRIPES)]], |rt, body| {
-            rt.serial(|par| (0..STRIPES).for_each(|i| body(par, i)))
-        });
+        check_lanes_of(
+            "serial",
+            timing_only,
+            vec![vec![(0, STRIPES)]],
+            |rt, body| rt.serial(|par| (0..STRIPES).for_each(|i| body(par, i))),
+        );
 
-        // A dynamic loop hands out chunks by simulated time, so it never
-        // gets a data-only turn: the proof under its name is refused.
         let (mut exact, ea) = striped(4, false);
         let (mut fast, fa) = striped(4, true);
+        if timing_only {
+            fast.set_timing_only();
+        }
         for rep in 0..4 {
             exact.parallel_for(STRIPES, Schedule::Dynamic(1), |par, i| {
                 stripe(par, &ea, i, rep)
@@ -1031,6 +1081,53 @@ mod tests {
                 rejects: 4,
                 ..Default::default()
             }
+        );
+    }
+
+    #[test]
+    fn every_construct_reads_the_lane_at_the_start_of_the_turn() {
+        check_every_construct(false);
+    }
+
+    #[test]
+    fn a_timing_only_runtime_runs_the_live_and_retimed_turns_alone() {
+        check_every_construct(true);
+    }
+
+    #[test]
+    fn a_skipped_reduction_leaves_its_blocks_out_and_a_skipped_serial_defaults() {
+        let reduced = reduction_chunks(Schedule::Static, STRIPES, 4);
+        let (mut red, ra) = striped_by(4, Some(reduced));
+        let (mut ser, sa) = striped_by(4, Some(vec![vec![(0, STRIPES)]]));
+        red.set_timing_only();
+        ser.set_timing_only();
+        assert!(red.clone().timing_only(), "a clone inherits the mode");
+        let (mut sums, mut serials) = (Vec::new(), Vec::new());
+        for rep in 0..5 {
+            // Each iteration run counts 1.
+            red.name_region("stripe");
+            let fold = |par: &mut Par, i: usize, acc: f64| {
+                stripe(par, &ra, i, rep);
+                acc + 1.0
+            };
+            sums.push(red.parallel_reduce(STRIPES, Schedule::Static, 0.0, fold, |x, y| x + y));
+            ser.name_region("stripe");
+            serials.push(ser.serial(|par| {
+                (0..STRIPES).for_each(|i| stripe(par, &sa, i, rep));
+                1usize
+            }));
+        }
+        assert_eq!(sums.first(), Some(&(STRIPES as f64)), "{sums:?}");
+        assert_eq!(serials.first(), Some(&1), "{serials:?}");
+        assert_eq!(
+            sums.last(),
+            Some(&0.0),
+            "the reduction was not skipped: {sums:?}"
+        );
+        assert_eq!(
+            serials.last(),
+            Some(&0),
+            "the serial was not skipped: {serials:?}"
         );
     }
 

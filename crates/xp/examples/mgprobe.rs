@@ -3,7 +3,7 @@
 //!        mgprobe [tiny|small|medium] grid <bench>
 //!        mgprobe [tiny|small|medium] derive
 //!        mgprobe [tiny|small|medium] fork <bench>
-//!        mgprobe [tiny|small|medium] side <bench[:placement-engine]>
+//!        mgprobe [tiny|small|medium] side <bench[:placement-engine]> [borrow]
 //!
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
@@ -36,7 +36,10 @@
 //! with a host profile of its later steps: their wall, what `omp.region`
 //! spends itself (the kernel text's data side: loop bodies and their index
 //! arithmetic) against what it spends in `ccnuma.fastpath` and in
-//! `nas.line_solve` (the host numerics of BT, SP and FT).
+//! `nas.line_solve` (the host numerics of BT, SP and FT). With `borrow` it
+//! profiles a timing-only run of the cell too (`BenchRun::set_timing_only`,
+//! what a plan's borrower runs): the wall and `omp.region` self time it no
+//! longer spends are the data side's host-side reading.
 
 use std::time::Instant;
 
@@ -83,7 +86,8 @@ fn main() {
         Some("side") => {
             let cell = args.get(2).and_then(|c| parse(c));
             let (bench, cfg) = cell.unwrap_or_else(|| parse("mg").expect("mg parses"));
-            return side(bench, scale, &cfg);
+            let borrow = args.get(3).map(String::as_str) == Some("borrow");
+            return side(bench, scale, &cfg, borrow);
         }
         _ => {}
     }
@@ -361,10 +365,28 @@ fn span_ns(nodes: &[hostprof::SpanNode], name: &str) -> (u64, u64) {
 }
 
 /// One warm run of the cell, then a second whose later steps run under a
-/// host profile: where a replayed region's time goes.
-fn side(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig) {
+/// host profile: where a replayed region's time goes. With `borrow`, a
+/// timing-only run's later steps are profiled after the full one's.
+fn side(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig, borrow: bool) {
     run(bench, scale, cfg, true).complete();
+    profile_later_steps(bench, scale, cfg, false);
+    if borrow {
+        profile_later_steps(bench, scale, cfg, true);
+    }
+}
+
+/// A warm run of the cell, `timing_only` or full, its later steps under a
+/// host profile.
+fn profile_later_steps(
+    bench: nas::BenchName,
+    scale: nas::Scale,
+    cfg: &nas::RunConfig,
+    timing_only: bool,
+) {
     let mut warm = run(bench, scale, cfg, true);
+    if timing_only {
+        warm.set_timing_only();
+    }
     warm.step();
     let session = hostprof::start();
     let t = std::time::Instant::now();
@@ -381,12 +403,13 @@ fn side(bench: nas::BenchName, scale: nas::Scale, cfg: &nas::RunConfig) {
     let (_, line_solve) = span_ns(&roots, "nas.line_solve");
     let share = |ns: u64| 100.0 * ns as f64 / region.max(1) as f64;
     println!(
-        "{} {} {}-{} later steps: wall {later_s:.4}s, omp.region {:.4}s: self {:.4}s \
+        "{} {} {}-{} {} later steps: wall {later_s:.4}s, omp.region {:.4}s: self {:.4}s \
          ({:.1}%), ccnuma.fastpath {:.4}s ({:.1}%), nas.line_solve {:.4}s ({:.1}%)",
         bench.label(),
         scale.label(),
         cfg.placement.label(),
         cfg.engine.label(),
+        if timing_only { "timing-only" } else { "full" },
         secs(region),
         secs(region_self),
         share(region_self),

@@ -27,11 +27,25 @@
 //! grid cells that differ only in those engines
 //! ([`crate::grid::fork_chains`]) are one pool job: each cell's run is
 //! forked from the one before it. A chain of one is a cell's own run, and
-//! every cell is one when the plan is traced or has fewer than
-//! [`CHAIN_SPREAD`] jobs per worker.
+//! every cell is one when the plan is traced or, on more than one worker,
+//! has fewer than [`CHAIN_SPREAD`] jobs per worker.
 //! The job times each cell's share of its work, and the merge gives the
 //! chain's first cell the rest of the job's wall, so the cells' walls sum
 //! to the pool's.
+//!
+//! The residue computes each problem's **numerics once**. Placement and
+//! engine change a run's time, never its result, so of the untraced grid
+//! cells the residue holds, the first of each numerics key
+//! ([`crate::grid::Cell::numerics_key`]), in plan order, is the key's
+//! **owner** and runs in full, and every later one is a **borrower**
+//! ([`crate::grid::borrowers`]): its run, a chain root or a forked child,
+//! is timing-only ([`nas::BenchRun::set_timing_only`]) and skips every turn
+//! the fast path applied in bulk. After the pool returns, before any merge,
+//! each borrower takes its owner's verification ([`settle_borrowers`]);
+//! the borrowers of an owner that failed are recomputed in full, as a
+//! second batch. A borrowed value whose owner did not finish is never
+//! reported, and a borrower's merged result is byte-equal to its full
+//! run's, so the cache and the session store what a full run stores.
 //!
 //! A panicking cell is caught once, by the pool ([`exec`]'s job runner):
 //! it surfaces as an `Err` output (a failed *row* in the report), never a
@@ -41,7 +55,7 @@
 use crate::cache::CellCodec;
 use crate::grid;
 use crate::session::{ErasedResult, Session};
-use exec::{Job, JobPanic, ResidentJob};
+use exec::{Job, JobPanic, PoolTelemetry, ResidentJob};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -222,10 +236,23 @@ impl<T: Send + 'static> CellPlan<T> {
 
         // Phase 3 — compute the residue as one batch on a session's pool:
         // one job per fork chain of grid cells and per other cell, in the
-        // plan order of their first cells.
+        // plan order of their first cells; each key's later grid cells
+        // borrow their numerics from its first.
         let grid_cells: Vec<(usize, &grid::Cell)> = (cells.iter().enumerate())
             .filter_map(|(i, c)| match &c.job_state {
                 CellState::Run(cell) => Some((i, &**cell)),
+                _ => None,
+            })
+            .collect();
+        let borrowers = if traced {
+            Vec::new()
+        } else {
+            grid::borrowers(&grid_cells)
+        };
+        // Each borrower's cell, kept for a full recompute.
+        let mut spares: std::collections::HashMap<usize, grid::Cell> = (borrowers.iter())
+            .filter_map(|&(b, _)| match &cells[b].job_state {
+                CellState::Run(cell) => Some((b, (**cell).clone())),
                 _ => None,
             })
             .collect();
@@ -243,51 +270,35 @@ impl<T: Send + 'static> CellPlan<T> {
             .map(|m| {
                 let mut take = |i: usize| {
                     let state = std::mem::replace(&mut cells[i].job_state, CellState::Dispatched);
-                    (cells[i].id.clone(), state)
+                    (cells[i].id.clone(), state, spares.contains_key(&i))
                 };
                 match take(m[0]) {
-                    (id, CellState::Pending(job)) => wrap_cell(id, job),
+                    (id, CellState::Pending(job), _) => wrap_cell(id, job),
                     first => {
                         chain_job(std::iter::once(first).chain(m[1..].iter().map(|&i| take(i))))
                     }
                 }
             })
             .collect();
-        let mut outcomes: Vec<Option<(Result<ErasedResult, JobPanic>, f64)>> =
-            (0..cells.len()).map(|_| None).collect();
+        let mut outcomes: Outcomes = (0..cells.len()).map(|_| None).collect();
         if !jobs.is_empty() {
-            let (runs, telemetry) = crate::session::for_plan(jobs.len()).run(jobs);
-            for (timed, m) in runs.into_iter().zip(&members) {
-                // The pool measured the wall time around the whole job, so a
-                // panicking chain still reports how long it ran, split among
-                // its cells; its panic names the batch position, each
-                // output its plan position.
-                match timed.result {
-                    Ok(erased) => {
-                        let done = *erased
-                            .downcast::<Members>()
-                            .expect("a job returns its members");
-                        let rest: f64 = done[1..].iter().map(|(_, secs)| secs).sum();
-                        for (k, ((value, secs), &i)) in done.into_iter().zip(m).enumerate() {
-                            let wall = if k == 0 { timed.wall_secs - rest } else { secs };
-                            outcomes[i] = Some((Ok(value), wall));
-                        }
-                    }
-                    Err(p) => {
-                        for &i in m {
-                            let p = JobPanic {
-                                index: i,
-                                ..p.clone()
-                            };
-                            outcomes[i] = Some((Err(p), timed.wall_secs / m.len() as f64));
-                        }
-                    }
-                }
+            let mut batches = vec![run_batch(jobs, &members, &mut outcomes)];
+            let recompute = settle_borrowers(&mut outcomes, &borrowers, borrow_verification);
+            if !recompute.is_empty() {
+                let members: Vec<Vec<usize>> = recompute.iter().map(|&i| vec![i]).collect();
+                let jobs = (recompute.iter())
+                    .map(|i| {
+                        let cell = Box::new(spares.remove(i).expect("a borrower's cell is kept"));
+                        let id = cells[*i].id.clone();
+                        chain_job(std::iter::once((id, CellState::<T>::Run(cell), false)))
+                    })
+                    .collect();
+                batches.push(run_batch(jobs, &members, &mut outcomes));
             }
             let computed = outcomes.iter().flatten();
             let cell_walls: Vec<f64> = computed.clone().map(|(_, wall)| *wall).collect();
             let failed = computed.filter(|(value, _)| value.is_err()).count();
-            crate::summary::record_plan(&telemetry, &cell_walls, failed);
+            crate::summary::record_plan(&batches, &cell_walls, failed);
         }
 
         // Phase 4 — merge in plan order: every spec cell that has a value
@@ -352,6 +363,85 @@ impl<T> Cell<T> {
 /// order, with the on-worker seconds spent on that cell.
 type Members = Vec<(ErasedResult, f64)>;
 
+/// What the pool made of each cell of a plan, by plan position: its value
+/// or panic and its wall, `None` for a cell resolved without running.
+type Outcomes = Vec<Option<(Result<ErasedResult, JobPanic>, f64)>>;
+
+/// Run `jobs`, one per entry of `members` (the plan positions of its
+/// cells), as one batch on a session's pool, and put each cell's value or
+/// panic and its wall into `outcomes`. A cell computed again keeps the
+/// wall of its first attempt too.
+fn run_batch(
+    jobs: Vec<ResidentJob<ErasedResult>>,
+    members: &[Vec<usize>],
+    outcomes: &mut Outcomes,
+) -> PoolTelemetry {
+    let (runs, telemetry) = crate::session::for_plan(jobs.len()).run(jobs);
+    let mut put = |i: usize, value, wall: f64| {
+        let before = outcomes[i].take().map_or(0.0, |(_, wall)| wall);
+        outcomes[i] = Some((value, before + wall));
+    };
+    for (timed, m) in runs.into_iter().zip(members) {
+        // The pool measured the wall time around the whole job, so a
+        // panicking chain still reports how long it ran, split among its
+        // cells; its panic names the batch position, each output its plan
+        // position.
+        match timed.result {
+            Ok(erased) => {
+                let done = *erased
+                    .downcast::<Members>()
+                    .expect("a job returns its members");
+                let rest: f64 = done[1..].iter().map(|(_, secs)| secs).sum();
+                for (k, ((value, secs), &i)) in done.into_iter().zip(m).enumerate() {
+                    let wall = if k == 0 { timed.wall_secs - rest } else { secs };
+                    put(i, Ok(value), wall);
+                }
+            }
+            Err(p) => {
+                for &i in m {
+                    let p = JobPanic {
+                        index: i,
+                        ..p.clone()
+                    };
+                    put(i, Err(p), timed.wall_secs / m.len() as f64);
+                }
+            }
+        }
+    }
+    telemetry
+}
+
+/// Borrowers take their owner's value, or are recomputed: for each
+/// `(borrower, owner)` pair, an owner earlier in the plan, `take` hands
+/// the owner's value to the borrower's when both ran. Returns, in plan
+/// order, the borrowers whose owner failed — whatever became of their
+/// own runs, they must be computed again in full.
+fn settle_borrowers<V, E>(
+    outcomes: &mut [Option<(Result<V, E>, f64)>],
+    borrowers: &[(usize, usize)],
+    take: impl Fn(&V, &mut V),
+) -> Vec<usize> {
+    let mut recompute = Vec::new();
+    for &(borrower, owner) in borrowers {
+        assert!(owner < borrower, "an owner precedes its borrowers");
+        let (earlier, later) = outcomes.split_at_mut(borrower);
+        match (&earlier[owner], &mut later[0]) {
+            (Some((Ok(owned), _)), Some((Ok(mine), _))) => take(owned, mine),
+            (Some((Ok(_), _)), _) => {} // the borrower failed on its own
+            _ => recompute.push(borrower),
+        }
+    }
+    recompute
+}
+
+/// A borrower's result takes its owner's verification.
+fn borrow_verification(owner: &ErasedResult, borrower: &mut ErasedResult) {
+    let owner = owner.downcast_ref::<nas::RunResult>();
+    let borrower = borrower.downcast_mut::<nas::RunResult>();
+    let (owner, borrower) = owner.zip(borrower).expect("borrowers are grid cells");
+    borrower.verification = owner.verification.clone();
+}
+
 /// Pool jobs per worker a plan needs for its cells to run in fork chains.
 /// A chain runs its cells one after another on one worker, so a plan of
 /// few jobs idles workers that would otherwise overlap them: Figure 6's
@@ -379,26 +469,35 @@ fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob
 }
 
 /// The job of a fork chain ([`grid::fork_chains`]), given as its cells'
-/// ids and states: the first cell's run is built, and each later cell's
-/// run is forked from the one before it ([`nas::BenchRun::fork`] brings
-/// an unstarted run to its fork point). A run finishes before its child
-/// steps on, so the worker holds at most two.
-fn chain_job<T>(chain: impl Iterator<Item = (String, CellState<T>)>) -> ResidentJob<ErasedResult> {
-    let chain: Vec<(String, grid::Cell)> = chain
-        .map(|(id, state)| match state {
-            CellState::Run(cell) => (id, *cell),
+/// ids, states and whether each borrows its numerics: the first cell's run
+/// is built, and each later cell's run is forked from the one before it
+/// ([`nas::BenchRun::fork`] brings an unstarted run to its fork point). A
+/// borrower's run, root or child, is made timing-only. A run finishes
+/// before its child steps on, so the worker holds at most two.
+fn chain_job<T>(
+    chain: impl Iterator<Item = (String, CellState<T>, bool)>,
+) -> ResidentJob<ErasedResult> {
+    let chain: Vec<(String, grid::Cell, bool)> = chain
+        .map(|(id, state, borrows)| match state {
+            CellState::Run(cell) => (id, *cell, borrows),
             _ => unreachable!("a fork chain holds grid cells"),
         })
         .collect();
+    let mark = |mut run: nas::BenchRun, borrows: bool| {
+        if borrows {
+            run.set_timing_only();
+        }
+        run
+    };
     Box::new(move || {
         let mut chain = chain.into_iter();
-        let (mut id, mut root) = chain.next().expect("a chain has a cell");
-        let (mut run, mut wall) = on_cell(&id, || root.build());
+        let (mut id, mut root, borrows) = chain.next().expect("a chain has a cell");
+        let (mut run, mut wall) = on_cell(&id, || mark(root.build(), borrows));
         let mut done = Members::new();
-        for (child_id, child) in chain {
+        for (child_id, child, borrows) in chain {
             // The prefix the child shares is its parent's work.
             let ((forked, result), secs) = on_cell(&id, || {
-                let forked = run.fork(&child.cfg.engine);
+                let forked = mark(run.fork(&child.cfg.engine), borrows);
                 (forked, grid::complete(run))
             });
             done.push((Box::new(result), wall + secs));
@@ -477,6 +576,89 @@ mod tests {
             credited
         };
         assert_eq!(total(1), total(5));
+    }
+
+    fn panic_at(index: usize) -> JobPanic {
+        JobPanic {
+            index,
+            message: "boom".into(),
+        }
+    }
+
+    #[test]
+    fn borrowers_take_their_owners_value() {
+        // A chain [0, 1] whose root 0 owns key A and whose child 1 borrows
+        // from it; a chain [2] borrowing from 0 as its root; 3 owns key B
+        // and 4 borrows from it but failed on its own.
+        let mut outcomes = vec![
+            Some((Ok((10, 'a')), 1.0)),
+            Some((Ok((11, '?')), 1.0)),
+            Some((Ok((12, '?')), 1.0)),
+            Some((Ok((13, 'b')), 1.0)),
+            Some((Err(panic_at(4)), 1.0)),
+        ];
+        let borrowers = [(1, 0), (2, 0), (4, 3)];
+        let take = |owner: &(u32, char), mine: &mut (u32, char)| mine.1 = owner.1;
+        assert!(settle_borrowers(&mut outcomes, &borrowers, take).is_empty());
+        let values: Vec<_> = (outcomes.iter().flatten())
+            .map(|(v, _)| v.as_ref().ok().copied())
+            .collect();
+        let want = [(10, 'a'), (11, 'a'), (12, 'a'), (13, 'b')].map(Some);
+        assert_eq!(values, [&want[..], &[None]].concat());
+    }
+
+    #[test]
+    fn the_borrowers_of_a_failed_owner_are_recomputed() {
+        // Owner 0 failed, and with it its chain's child 1; borrower 2 ran
+        // alone. Owner 3 did not run at all. Both of 0's borrowers and 3's
+        // come back, in plan order, and nothing borrowed a value.
+        let mut outcomes = vec![
+            Some((Err(panic_at(0)), 1.0)),
+            Some((Err(panic_at(1)), 1.0)),
+            Some((Ok(12), 1.0)),
+            None,
+            Some((Ok(14), 1.0)),
+        ];
+        let borrowers = [(1, 0), (2, 0), (4, 3)];
+        let take = |_: &u32, _: &mut u32| panic!("a failed owner lends nothing");
+        let recompute = settle_borrowers(&mut outcomes, &borrowers, take);
+        assert_eq!(recompute, [1, 2, 4]);
+    }
+
+    #[test]
+    fn a_plan_recomputes_the_borrowers_of_a_failed_owner_in_full() {
+        use vmm::PlacementScheme;
+        let _gate = crate::summary::gate::crediting();
+        // The owner of CG's numerics names a node the machine lacks, so its
+        // run panics; its borrowers, an IRIX chain root and the UPMlib
+        // child forked from it, must still report their full runs' bytes.
+        let upm = crate::default_engine_configs().1;
+        let cell = |placement, engine| {
+            crate::grid::Cell::paper(nas::BenchName::Cg, nas::Scale::Tiny, placement, engine)
+        };
+        let cells = || {
+            vec![
+                cell(
+                    PlacementScheme::WorstCase { node: 99 },
+                    nas::EngineMode::None,
+                ),
+                cell(PlacementScheme::FirstTouch, nas::EngineMode::None),
+                cell(PlacementScheme::FirstTouch, nas::EngineMode::Upmlib(upm)),
+            ]
+        };
+        let bytes = |r: &nas::RunResult| r.to_cache_json().to_string();
+        let alone: Vec<String> = cells()[1..]
+            .iter()
+            .map(|c| bytes(&c.clone().run()))
+            .collect();
+        for workers in [1, 2] {
+            let mut plan = CellPlan::new();
+            cells().into_iter().for_each(|c| plan.add_cell(c));
+            let out = crate::jobs::with_pinned(workers, || plan.execute());
+            assert!(out[0].value.is_err(), "the owner fails");
+            let got: Vec<String> = out[1..].iter().map(|c| bytes(c.ok().unwrap())).collect();
+            assert_eq!(got, alone, "{workers} workers");
+        }
     }
 
     #[test]

@@ -208,18 +208,30 @@ impl Cell {
         if self.cfg.trace || matches!(self.cfg.engine, EngineMode::IrixMig(_)) {
             return None;
         }
+        Some(self.irix_sibling_key(self.cfg.placement.clone()))
+    }
+
+    /// What the cells whose numerics are this one's share: the canonical
+    /// spec of its first-touch IRIX sibling. Team, machine, problem,
+    /// variant and tag are kept; placement and engine change the time,
+    /// never the result.
+    pub(crate) fn numerics_key(&self) -> String {
+        self.irix_sibling_key(PlacementScheme::FirstTouch)
+    }
+
+    /// The canonical spec of this cell under `placement` and no engine.
+    fn irix_sibling_key(&self, placement: PlacementScheme) -> String {
         let cfg = RunConfig {
+            placement,
             engine: EngineMode::None,
             ..self.cfg.clone()
         };
-        Some(
-            Cell {
-                cfg,
-                ..self.clone()
-            }
-            .spec()
-            .canonical(),
-        )
+        Cell {
+            cfg,
+            ..self.clone()
+        }
+        .spec()
+        .canonical()
     }
 
     /// Rebuild the cell a spec names — the server side of [`Cell::spec`].
@@ -323,6 +335,20 @@ pub(crate) fn fork_chains(cells: &[(usize, &Cell)]) -> Vec<Vec<usize>> {
         }
     }
     chains
+}
+
+/// The borrowers among `cells` (plan index, cell), in plan order, each
+/// with its owner ([`crate::cells`]): the first untraced cell of each
+/// numerics key ([`Cell::numerics_key`]) owns it, and every later untraced
+/// cell of that key borrows from it.
+pub(crate) fn borrowers(cells: &[(usize, &Cell)]) -> Vec<(usize, usize)> {
+    let mut owners: std::collections::HashMap<String, usize> = Default::default();
+    (cells.iter().filter(|(_, cell)| !cell.cfg.trace))
+        .filter_map(|&(index, cell)| {
+            let owner = *owners.entry(cell.numerics_key()).or_insert(index);
+            (owner != index).then_some((index, owner))
+        })
+        .collect()
 }
 
 /// Execute groups of cells as one plan (cache, server and pool all see one
@@ -472,6 +498,28 @@ mod tests {
         assert_eq!(chains, [vec!["ft-upmlib", "ft-recrep", "ft-upmlib"]]);
         // Under the kernel engine nothing forks.
         assert_eq!(cells[1].cfg.engine, EngineMode::IrixMig(kcfg));
+    }
+
+    #[test]
+    fn the_first_cell_of_a_problem_owns_its_numerics() {
+        // Figure 1's CG and MG grids, then Figure 6's 4x BT pair and a
+        // traced CG cell: each problem's first cell owns it, whatever its
+        // placement and engine; a traced cell neither owns nor borrows.
+        let mut cells = crate::fig1::cells(BenchName::Cg, Scale::Tiny, true);
+        cells.extend(crate::fig1::cells(BenchName::Mg, Scale::Tiny, true));
+        cells.extend(crate::fig6::cells(Scale::Tiny, 4));
+        let mut traced = cells[3].clone();
+        traced.cfg.trace = true;
+        cells.push(traced);
+        let indexed: Vec<(usize, &Cell)> = cells.iter().enumerate().collect();
+        let owners: Vec<usize> = borrowers(&indexed).iter().map(|&(_, o)| o).collect();
+        let mut want = vec![0; 14];
+        want.extend([15; 14]);
+        want.push(30);
+        assert_eq!(owners, want);
+        let keys: std::collections::HashSet<String> =
+            cells.iter().map(Cell::numerics_key).collect();
+        assert_eq!(keys.len(), 4, "CG, MG, BT 4x and the traced CG cell");
     }
 
     fn run_spec(spec: &CellSpec) -> Result<RunResult, String> {

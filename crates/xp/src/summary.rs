@@ -76,18 +76,20 @@ pub fn add_sim_secs(secs: f64) {
     with_tally(|t| t.sim_secs += secs);
 }
 
-/// Credit one executed plan: its pool telemetry, the on-worker wall
-/// seconds of the cells it computed, in plan order, and how many of those
-/// failed.
-pub(crate) fn record_plan(t: &PoolTelemetry, cell_walls: &[f64], failed: usize) {
+/// Credit one executed plan: the pool telemetry of each of its batches,
+/// the on-worker wall seconds of the cells it computed, in plan order, and
+/// how many of those failed.
+pub(crate) fn record_plan(batches: &[PoolTelemetry], cell_walls: &[f64], failed: usize) {
     with_tally(|tally| {
         tally.plans += 1;
         tally.cells_computed += cell_walls.len();
         tally.failed += failed;
-        tally.pool_wall_secs += t.wall_secs;
-        tally.busy_secs += t.busy_secs();
-        tally.worker_secs += t.wall_secs * t.workers.len() as f64;
-        tally.max_workers = tally.max_workers.max(t.workers.len());
+        for t in batches {
+            tally.pool_wall_secs += t.wall_secs;
+            tally.busy_secs += t.busy_secs();
+            tally.worker_secs += t.wall_secs * t.workers.len() as f64;
+            tally.max_workers = tally.max_workers.max(t.workers.len());
+        }
         for &w in cell_walls {
             tally.cells_wall_secs += w;
             tally.wall_us.record((w * 1e6) as u64);
@@ -277,7 +279,7 @@ mod tests {
         };
         add_sim_secs(1.5);
         add_sim_secs(0.5);
-        record_plan(&t, &[0.1, 0.2, 0.3, 0.4], 1);
+        record_plan(&[t], &[0.1, 0.2, 0.3, 0.4], 1);
         let tally = take();
         assert!(tally.sim_secs >= 2.0);
         assert!(tally.cells_wall_secs >= 1.0 - 1e-12);
