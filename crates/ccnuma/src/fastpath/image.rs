@@ -31,6 +31,11 @@ pub(super) struct ImageCore {
     /// memory on, ascending: the reference-counter increments at this CPU's
     /// node, on whatever frame holds the page.
     pub(super) pages: Vec<(u32, u64)>,
+    /// Positions in `proof.pages` of the pages this CPU faulted in, in the
+    /// order it faulted them: those of its `pages` that were unmapped when
+    /// its turn came. Part of the image's identity: each fault adds the
+    /// fault time to `cache_ns` at its place in the walk.
+    pub(super) faults: Vec<u32>,
     pub(super) l1_hits: u64,
     pub(super) l2_hits: u64,
     pub(super) coherence_misses: u64,
@@ -48,12 +53,64 @@ impl ImageCore {
         self.pages.iter().map(|&(_, count)| count).sum()
     }
 
-    /// Whether `other` is keyed on the same cache state — and so, for the
-    /// same proof and CPU, is the same image.
+    /// Whether `other` is keyed on the same cache state and faults the same
+    /// pages — and so, for the same proof and CPU, is the same image.
     pub(super) fn same_key(&self, other: &ImageCore) -> bool {
-        self.l1 == other.l1 && self.l2 == other.l2
+        self.l1 == other.l1 && self.l2 == other.l2 && self.faults == other.faults
+    }
+
+    /// Whether the walk faults exactly the pages it reaches that are still
+    /// `unmapped` at its turn: the pages it faulted when recorded are all
+    /// unmapped, and every other page it reaches memory on is mapped.
+    pub(super) fn faults_fit(&self, unmapped: &Unmapped) -> bool {
+        if unmapped.left == 0 {
+            return self.faults.is_empty();
+        }
+        let reached = self.pages.iter().filter(|&&(p, _)| unmapped.contains(p));
+        self.faults.iter().all(|&p| unmapped.contains(p)) && reached.count() == self.faults.len()
     }
 }
+
+/// The proof pages a region entry found unmapped and no earlier thread's
+/// image has faulted in yet, by position in `proof.pages`.
+#[derive(Default)]
+pub(super) struct Unmapped {
+    at: Vec<bool>,
+    pub(super) left: usize,
+}
+
+impl Unmapped {
+    /// The pages `frames` holds no frame for.
+    pub(super) fn of(frames: &[(u64, FrameId)]) -> Self {
+        let mut unmapped = Self::default();
+        for (p, &(_, frame)) in frames.iter().enumerate() {
+            if frame == NO_FRAME {
+                unmapped.at.resize(frames.len(), false);
+                unmapped.at[p] = true;
+                unmapped.left += 1;
+            }
+        }
+        unmapped
+    }
+
+    #[inline]
+    pub(super) fn contains(&self, page: u32) -> bool {
+        self.at.get(page as usize).copied().unwrap_or(false)
+    }
+
+    /// Take `faults` (unmapped pages, each once) off the set.
+    pub(super) fn claim(&mut self, faults: &[u32]) {
+        for &p in faults {
+            debug_assert!(self.at[p as usize], "a page faults once");
+            self.at[p as usize] = false;
+        }
+        self.left -= faults.len();
+    }
+}
+
+/// The frame of a proof page that is not mapped yet, in a region's
+/// `(vpage, frame)` table.
+pub(super) const NO_FRAME: FrameId = FrameId::MAX;
 
 /// A memo: an image and its timing under each frame assignment seen so
 /// far, MRU first.

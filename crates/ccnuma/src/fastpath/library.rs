@@ -1,8 +1,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use super::engine::{find, FastpathStats, Lane, Pool};
-use super::image::{keep_mru, Image, ImageCore, Placement};
+use super::engine::{find, lane_on, Lane, Pool};
+use super::image::{keep_mru, Image, ImageCore, Placement, Unmapped};
 use super::proof::PhaseProof;
 use crate::cpu::CpuId;
 use crate::machine::Machine;
@@ -54,37 +54,11 @@ impl MemoLibrary {
         }
     }
 
-    /// Serve each CPU of `pool` whose `lanes` entry is still open from the
-    /// library's images of its slot, copying what served it into the slot.
-    pub(super) fn lend(
-        &self,
-        m: &Machine,
-        pool: &mut Pool,
-        lanes: &mut [Option<Lane>],
-        frames: &[(u64, FrameId)],
-        stats: &mut FastpathStats,
-    ) {
-        let mut slots = lock(&self.0);
-        for (t, lane) in lanes.iter_mut().enumerate() {
-            if lane.is_some() {
-                continue;
-            }
-            let Some((_, held)) = slots.get_mut(&pool.slot_key(t)) else {
-                continue;
-            };
-            let slot = &mut pool.slots[t];
-            let Some(found) = find(m, slot.cpu, held, &pool.lines, frames) else {
-                continue;
-            };
-            let image = &held[0];
-            let placements = match found {
-                Lane::Hit => vec![image.placements[0].clone()],
-                _ => Vec::new(),
-            };
-            let core = Arc::clone(&image.core);
-            keep_mru(&mut slot.images, Image { core, placements });
-            *lane = Some(found);
-            stats.cpu_borrowed += 1;
+    /// A lender over this library, which takes its lock on first use.
+    pub(super) fn lender(&self) -> Lender<'_> {
+        Lender {
+            library: self,
+            slots: None,
         }
     }
 
@@ -123,5 +97,53 @@ impl MemoLibrary {
                 ),
             }
         }
+    }
+}
+
+/// The library's side of one region entry: its images looked up for the
+/// threads whose own missed, and copied to the threads they serve, under
+/// one acquisition of the lock, taken by the first lookup.
+pub(super) struct Lender<'l> {
+    library: &'l MemoLibrary,
+    slots: Option<MutexGuard<'l, Slots>>,
+}
+
+impl Lender<'_> {
+    /// The core of the library's image for `thread` of `pool` that serves
+    /// its CPU's live caches with `unmapped` pages (see [`find`]), held in
+    /// front of its list until [`Lender::lend`].
+    pub(super) fn find(
+        &mut self,
+        m: &Machine,
+        pool: &Pool,
+        thread: usize,
+        unmapped: &Unmapped,
+    ) -> Option<Arc<ImageCore>> {
+        let slots = self.slots.get_or_insert_with(|| lock(&self.library.0));
+        let (_, held) = slots.get_mut(&pool.slot_key(thread))?;
+        let cpu = pool.slots[thread].cpu;
+        find(m, cpu, held, &pool.lines, unmapped).then(|| Arc::clone(&held[0].core))
+    }
+
+    /// Copy what [`Lender::find`] found for `thread` into its slot in
+    /// `pool`, with its placement on `frames` if it has one: the lane that
+    /// gives the thread.
+    pub(super) fn lend(
+        &mut self,
+        pool: &mut Pool,
+        thread: usize,
+        frames: &[(u64, FrameId)],
+    ) -> Lane {
+        let slots = self.slots.as_mut().expect("found before it is lent");
+        let (_, held) = slots.get_mut(&pool.slot_key(thread)).expect("found");
+        let image = &mut held[0];
+        let lane = lane_on(image, frames);
+        let placements = match lane {
+            Lane::Hit => vec![image.placements[0].clone()],
+            _ => Vec::new(),
+        };
+        let core = Arc::clone(&image.core);
+        keep_mru(&mut pool.slots[thread].images, Image { core, placements });
+        lane
     }
 }

@@ -98,8 +98,10 @@ impl Retime {
     /// Account the next access of the walk, to `vaddr`: the same adds, in
     /// the same order, as `Machine::touch` makes for an access of that
     /// class. Out of line and cold: the call sits in every kernel loop
-    /// beside the exact and the data-only lane, and runs for an iteration or
-    /// two after a migration.
+    /// beside the exact and the data-only lane, and runs in the first step
+    /// of a run that borrows images another run timed on other frames —
+    /// every run of a key on another placement than its first — and for an
+    /// iteration or two after a migration.
     #[cold]
     #[inline(never)]
     pub fn touch(&mut self, vaddr: u64) {

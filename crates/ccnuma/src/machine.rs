@@ -231,6 +231,10 @@ pub(crate) struct FpRecording {
     /// order, per CPU: the class stream a memo is re-timed from when its
     /// pages move.
     pub(crate) classes: Vec<ClassStream>,
+    /// `(vpage, cpu)` of every page fault, in the order they were taken.
+    pub(crate) faults: Vec<(u64, u32)>,
+    /// Best-effort redirects the logged faults' allocations made.
+    pub(crate) fault_redirects: u64,
 }
 
 /// The simulated ccNUMA machine.
@@ -741,6 +745,34 @@ impl Machine {
         }
     }
 
+    /// Page fault of `vpage` by `cpu`: ask the placement policy, allocate
+    /// best-effort, and map the page on a frame with cleared counters. The
+    /// one fault path: the access path takes it on a miss to an unmapped
+    /// page (and charges the fault's time to the access), and the fast path
+    /// takes it to fault a replayed region's pages in, in the order the
+    /// access path took them, so stateful policies and the allocator follow
+    /// the same sequence. A recording logs the fault.
+    pub(crate) fn fault(&mut self, vpage: u64, cpu: CpuId) -> FrameId {
+        // The policy code lives in `vmm`, hence the span name.
+        let preferred = {
+            let _hp = hostprof::span_hot("vmm.place");
+            self.placer.place(vpage, cpu, self.cpus[cpu].node)
+        };
+        let redirects = self.stats.best_effort_redirects;
+        let frame = self
+            .alloc_best_effort(preferred)
+            .expect("simulated machine out of physical memory");
+        self.counters.reset_frame(frame);
+        self.page_table[vpage as usize] = Some(frame);
+        self.vpage_top = self.vpage_top.max(vpage + 1);
+        self.stats.page_faults += 1;
+        if let Some(rec) = self.fp_rec.as_mut() {
+            rec.faults.push((vpage, cpu as u32));
+            rec.fault_redirects += self.stats.best_effort_redirects - redirects;
+        }
+        frame
+    }
+
     /// Simulate one memory access by `cpu` to `vaddr`. Returns the simulated
     /// latency in nanoseconds (also accumulated into the CPU's region
     /// account and statistics).
@@ -847,19 +879,7 @@ impl Machine {
         let mut frame = match self.page_table[vpage as usize] {
             Some(f) => f,
             None => {
-                // Page fault: ask the placement policy, allocate best-effort.
-                // (The policy code lives in `vmm`, hence the span name.)
-                let preferred = {
-                    let _hp = hostprof::span_hot("vmm.place");
-                    self.placer.place(vpage, cpu, cpu_node)
-                };
-                let frame = self
-                    .alloc_best_effort(preferred)
-                    .expect("simulated machine out of physical memory");
-                self.counters.reset_frame(frame);
-                self.page_table[vpage as usize] = Some(frame);
-                self.vpage_top = self.vpage_top.max(vpage + 1);
-                self.stats.page_faults += 1;
+                let frame = self.fault(vpage, cpu);
                 self.cpus[cpu].account.cache_ns += self.config.fault_ns;
                 frame
             }

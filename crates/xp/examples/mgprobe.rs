@@ -18,7 +18,8 @@
 //! once sharing one key — what a sweep runs, later cells borrowing what
 //! earlier ones published — and once each cell first on a key of its own,
 //! and prints per cell the first step, the later steps and the engine's
-//! counters of each.
+//! counters of each; the footer sums them, and the pages the engine faulted
+//! in at region entry (`fault_pages`: cold starts replayed, not simulated).
 //!
 //! `derive` prints per kernel, and for BT at Figure 6's phase scales, the
 //! region instances of its model, the constructs proved for them and the
@@ -242,14 +243,21 @@ fn grid(bench: nas::BenchName, scale: nas::Scale) {
         println!("    shared {:?}", n.stats);
         println!("    alone  {:?}", p.stats);
     }
+    let faulted = |runs: &[Timed]| -> u64 {
+        let stats = runs.iter().filter_map(|t| t.stats);
+        stats.map(|s| s.fault_pages).sum()
+    };
     println!(
-        "{} {} grid: shared first {:.3}s later {:.3}s, alone first {:.3}s later {:.3}s",
+        "{} {} grid: shared first {:.3}s later {:.3}s fault_pages {}, alone first {:.3}s later \
+         {:.3}s fault_pages {}",
         bench.label(),
         scale.label(),
         sum(&shared, |t| t.first_s),
         sum(&shared, |t| t.later_s),
+        faulted(&shared),
         sum(&alone, |t| t.first_s),
         sum(&alone, |t| t.later_s),
+        faulted(&alone),
     );
     println!(
         "{} {} grid: the shared runs left {held:?}",
