@@ -1484,66 +1484,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn a_thread_whose_image_leaves_its_fault_to_another_runs_live() {
-        // Thread 0 (CPU 0, node 0) reads page 0; thread 1 (CPU 2, node 1)
-        // reads page 1, then page 0. Two recordings give the threads images
-        // of the cold caches that fault differently: thread 0's with page 0
-        // mapped (it faults nothing), thread 1's with page 0 unmapped and
-        // thread 0 hitting a stale copy of its line (it faults both pages).
-        // Together they fault exactly the unmapped pages of a fresh machine,
-        // but there thread 0 faults page 0 itself — on its own node — so
-        // its image does not serve it and the region runs live. The stale
-        // line `unmap_page` leaves is what makes such a pair: on states the
-        // exact path produces, a thread faults every unmapped page it
-        // reaches.
-        let proof = PhaseProof::new(LABEL.into(), 2, vec![0, 1, 128], vec![]);
-        let mut engine = FastpathEngine::new();
-        engine.install(
-            &ProofTable::fold([instance(Some(proof))]),
-            &MemoLibrary::default(),
-        );
-        let body = |m: &mut Machine, lanes: &mut FastpathOutcome| {
-            access(m, lanes, 0, 0, Read);
-            access(m, lanes, 2, PAGE_SIZE, Read);
-            access(m, lanes, 2, 128, Read);
-        };
-        let mut mapped = Machine::new(MachineConfig::tiny_test());
-        mapped.map_page(0, 0).unwrap();
-        run_body(&mut mapped, Some(&mut engine), &[0, 2], body);
-        let mut stale = Machine::new(MachineConfig::tiny_test());
-        stale.map_page(0, 0).unwrap();
-        stale.touch(0, 0, Read);
-        stale.unmap_page(0).unwrap();
-        run_body(&mut stale, Some(&mut engine), &[0, 2], body);
-        assert_eq!(engine.stats().records, 2);
-        for run in 0..2 {
-            let before = engine.stats();
-            let (mut reference, mut fast) = (unmapped(None), unmapped(None));
-            run_body(&mut reference, None, &[0, 2], body);
-            run_body(&mut fast, Some(&mut engine), &[0, 2], body);
-            assert_eq!(fingerprint(&reference), fingerprint(&fast));
-            assert_eq!(fast.node_of_vpage(0), Some(0));
-            // Recorded, then replayed from what it recorded. Not admitted,
-            // both threads count as fault misses, whatever thread 0 found.
-            let s = engine.stats();
-            assert_eq!(
-                (
-                    s.records,
-                    s.fault_records,
-                    s.cpu_misses_faults,
-                    s.fault_pages
-                ),
-                (
-                    before.records + 1 - run,
-                    before.fault_records + 1 - run,
-                    before.cpu_misses_faults + 2 * (1 - run),
-                    2 * run
-                )
-            );
-        }
-    }
-
     /// A library of its own, and a fresh engine of [`thrash`]'s table
     /// sharing it.
     fn sharing() -> (MemoLibrary, impl Fn() -> FastpathEngine) {

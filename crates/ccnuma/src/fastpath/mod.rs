@@ -85,8 +85,8 @@
 //! and serves only where they are exactly the unmapped pages its walk
 //! reaches at its thread's turn (on states the exact path produces, the
 //! same as the threads' lists concatenating to the unmapped pages; the two
-//! differ only where an unmapped page has lines cached, as
-//! `Machine::unmap_page` leaves it). A region with unmapped pages replays
+//! differ only where an unmapped page has lines cached, and no public
+//! operation produces that state). A region with unmapped pages replays
 //! only if every thread is served and together they fault all of them: the
 //! engine then faults them in at entry, in order, through the machine's
 //! one fault path (`Machine::fault`), so stateful placement policies and

@@ -478,23 +478,6 @@ impl Machine {
         Ok(node)
     }
 
-    /// Unmap a page, freeing its frame and any replicas.
-    pub fn unmap_page(&mut self, vpage: u64) -> Result<(), MemError> {
-        let frame = self.page_table[vpage as usize]
-            .take()
-            .ok_or(MemError::Unmapped)?;
-        if let Some(frames) = self.replicas.remove(&vpage) {
-            for f in frames {
-                self.counters.reset_frame(f);
-                self.memory.free(f);
-            }
-        }
-        self.counters.reset_frame(frame);
-        self.memory.free(frame);
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        Ok(())
-    }
-
     /// Verify the page-table/frame bookkeeping invariants that the rest of
     /// the stack — the migration engines and the static analyzer in the
     /// `lint` crate — builds on:
@@ -1315,7 +1298,9 @@ mod tests {
         m.replicate_page(0, 2).unwrap();
         m.migrate_page(1, 3).unwrap();
         m.collapse_page(0);
-        m.unmap_page(1).unwrap();
+        m.replicate_page(1, 0).unwrap();
+        m.migrate_page(1, 2).unwrap();
+        assert_eq!(m.replica_count(1), 0, "a migration collapses the replicas");
         assert_eq!(m.check_invariants(), Ok(()));
     }
 
@@ -1419,9 +1404,6 @@ mod tests {
                     2 => {
                         m.collapse_page(vpage);
                     }
-                    3 => {
-                        let _ = m.unmap_page(vpage);
-                    }
                     4 => {
                         if let Some(frame) = m.frame_of(vpage) {
                             // Enough traffic to spill the hardware counter.
@@ -1487,7 +1469,7 @@ mod tests {
         let mut m = machine();
         m.map_page(0, 0).unwrap();
         assert_eq!(m.map_page(0, 1), Err(MemError::AlreadyMapped));
-        m.unmap_page(0).unwrap();
-        assert_eq!(m.unmap_page(0), Err(MemError::Unmapped));
+        assert_eq!(m.migrate_page(1, 1), Err(MemError::Unmapped));
+        assert_eq!(m.replicate_page(1, 1), Err(MemError::Unmapped));
     }
 }

@@ -10,30 +10,41 @@
 //!   freezing disabled, page-level false sharing keeps the engine migrating
 //!   forever and burning migration cost.
 //!
-//! The run-config sweeps declare [`Cell`]s, the synthetic-kernel ones plain
-//! [`CellPlan`]s (each sweep point an independent machine);
-//! [`scheduler_disruption`] is a single evolving timeline and stays
-//! serial.
+//! The run-config sweeps declare [`Cell`]s, the grid of [`SWEEP`]; the
+//! synthetic-kernel ones run plain [`CellPlan`]s (each sweep point an
+//! independent machine) inside its report; [`scheduler_disruption`] is a
+//! single evolving timeline and stays serial.
 
-use crate::cells::CellPlan;
-use crate::grid::{self, Cell, Problem};
+use crate::cells::{CellOutput, CellPlan};
+use crate::grid::{self, Cell, Group, Problem, Sweep};
 use crate::report::{pct, secs, Report};
 use ccnuma::{LatencyModel, MachineConfig};
-use nas::{BenchName, EngineMode, RunConfig, Scale};
+use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
 use upmlib::{UpmOptions, UpmStats};
 use vmm::PlacementScheme;
 
-/// Every ablation, in report order (`xp ablations`).
-pub fn all(scale: Scale) -> Vec<Report> {
-    vec![
-        latency_ratio(scale),
-        threshold_sweep(scale),
-        freeze_toggle(scale),
-        replication(scale),
-        machine_size(scale),
-        scheduler_disruption(scale),
-    ]
-}
+/// The ablations' sweep (`xp ablations`): the latency-ratio groups, the
+/// threshold group and the machine-size groups; every ablation, in report
+/// order.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| {
+        let mut groups = RATIOS.map(|r| latency_ratio_cells(scale, r)).to_vec();
+        groups.push(threshold_cells(scale));
+        groups.extend(NODES.map(machine_size_cells));
+        groups
+    },
+    report: |scale, outputs| {
+        let (ratios, rest) = outputs.split_at(RATIOS.len());
+        vec![
+            latency_ratio(ratios),
+            threshold_sweep(&rest[0]),
+            freeze_toggle(scale),
+            replication(scale),
+            machine_size(&rest[1..]),
+            scheduler_disruption(scale),
+        ]
+    },
+};
 
 /// The remote:local latency ratios [`latency_ratio`] sweeps.
 pub const RATIOS: [f64; 4] = [1.7, 3.0, 5.0, 8.0];
@@ -77,8 +88,8 @@ pub fn latency_ratio_cells(scale: Scale, ratio: f64) -> Vec<Cell> {
 /// access latencies". Random placement is used because its penalty is pure
 /// remote latency (worst-case placement is contention-dominated, and
 /// stretching the run with slower remote accesses actually *lowers* module
-/// utilization).
-pub fn latency_ratio(scale: Scale) -> Report {
+/// utilization). `outputs` are the [`RATIOS`]' cells.
+pub fn latency_ratio(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "ablation-latency-ratio",
         "Random-placement slowdown vs the machine's remote:local latency ratio (CG)",
@@ -89,8 +100,7 @@ pub fn latency_ratio(scale: Scale) -> Report {
             "rand slowdown",
         ],
     );
-    let outputs = grid::execute(RATIOS.map(|r| latency_ratio_cells(scale, r)).to_vec());
-    for (ratio, pair) in RATIOS.into_iter().zip(&outputs) {
+    for (ratio, pair) in RATIOS.into_iter().zip(outputs) {
         if let Some(pair) = grid::all_ok(&mut report, pair) {
             let (ft, rand) = (pair[0], pair[1]);
             report.row(vec![
@@ -133,7 +143,8 @@ pub fn threshold_cells(scale: Scale) -> Vec<Cell> {
 /// UPMlib competitive-threshold sweep under random placement. CG is the
 /// interesting subject: its gathered vector pages are only weakly dominated
 /// by their owners, so they sit right at the criterion's decision boundary.
-pub fn threshold_sweep(scale: Scale) -> Report {
+/// `outputs` are the [`threshold_cells`]' outputs.
+pub fn threshold_sweep(outputs: &[CellOutput<RunResult>]) -> Report {
     let mut report = Report::new(
         "ablation-threshold",
         "UPMlib competitive threshold `thr` sweep (CG, random placement)",
@@ -144,7 +155,6 @@ pub fn threshold_sweep(scale: Scale) -> Report {
             "Total migrations",
         ],
     );
-    let outputs = grid::execute(vec![threshold_cells(scale)]).remove(0);
     for (thr, cell) in THRS.into_iter().zip(outputs) {
         let r = match &cell.value {
             Ok(r) => r,
@@ -390,15 +400,15 @@ pub fn machine_size_cells(nodes: usize) -> Vec<Cell> {
 /// that scale was impossible for our experiments"). The simulator has no
 /// such constraint: sweep the machine from 8 to 64 processors (the hypercube
 /// deepens, so worst-case hop counts grow past Table 1's three) and measure
-/// the placement sensitivity of CG at each size.
-pub fn machine_size(_scale: Scale) -> Report {
+/// the placement sensitivity of CG at each size. `outputs` are the
+/// [`NODES`]' cells.
+pub fn machine_size(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "ablation-machine-size",
         "Placement sensitivity vs machine size (CG weak-scaled: 500 rows/CPU; 2 CPUs per node)",
         &["CPUs", "Max hops", "ft (s)", "rand slowdown", "wc slowdown"],
     );
-    let outputs = grid::execute(NODES.map(machine_size_cells).to_vec());
-    for (nodes, chunk) in NODES.into_iter().zip(&outputs) {
+    for (nodes, chunk) in NODES.into_iter().zip(outputs) {
         let diameter = MachineConfig::origin2000_scaled_nodes(nodes)
             .topology
             .diameter();

@@ -20,8 +20,7 @@
 use nas::{BenchName, Scale};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
-use xp::cli::{Experiment, Flag, EXPERIMENTS, FLAGS, TOOLS};
+use xp::cli::{Flag, EXPERIMENTS, FLAGS, TOOLS};
 use xp::summary::SummaryEntry;
 use xp::Report;
 
@@ -384,8 +383,8 @@ fn cache_admin(args: &Args, root: &Path, max_bytes: Option<u64>, max_age: Option
     }
 }
 
-/// One experiment to run: its summary id plus the closure producing its
-/// reports.
+/// A command that is not in [`EXPERIMENTS`]: its summary id plus the
+/// closure producing its reports.
 type Job = (&'static str, Box<dyn FnOnce() -> Vec<Report>>);
 
 /// The job of a command that is not in [`EXPERIMENTS`].
@@ -571,40 +570,24 @@ fn main() {
         ));
     }
 
-    let experiment = |&(id, run): &Experiment| -> Job { (id, Box::new(move || run(scale))) };
-    let jobs: Vec<Job> = match EXPERIMENTS.iter().find(|(id, _)| *id == command) {
-        Some(row) => vec![experiment(row)],
-        None if command == "all" => EXPERIMENTS.iter().map(experiment).collect(),
-        None => vec![tool_job(command, &args, scale, &out_dir)],
+    // Experiments run as one sweep (`all` is every row of the table); a
+    // tool runs alone.
+    let rows: Vec<_> = (EXPERIMENTS.iter())
+        .filter(|(id, _)| command == "all" || *id == command)
+        .copied()
+        .collect();
+    let done = if rows.is_empty() {
+        let (id, job) = tool_job(command, &args, scale, &out_dir);
+        xp::summary::take();
+        vec![xp::summary::timed(id, 0.0, job)]
+    } else {
+        xp::grid::sweep(&rows, scale)
     };
 
-    let mut entries: Vec<SummaryEntry> = Vec::new();
-    // Multi-experiment sweeps share one resident worker pool across every
-    // plan instead of spawning and joining a scoped pool per experiment
-    // (see crates/xp/src/session.rs).
-    if jobs.len() > 1 {
-        xp::session::begin();
-    }
-    // Per job: its reports plus the pool-telemetry footer its plans
-    // accumulated. The footer goes to stdout only, never into the saved
-    // JSON, so result trees stay identical across --jobs counts.
-    let mut groups: Vec<(Vec<Report>, Vec<String>)> = Vec::new();
-    for (id, job) in jobs {
-        xp::summary::take();
-        let t0 = Instant::now();
-        let produced = job();
-        let wall_secs = t0.elapsed().as_secs_f64();
-        let tally = xp::summary::take();
-        groups.push((produced, tally.footer()));
-        entries.push(SummaryEntry {
-            id: id.to_string(),
-            wall_secs,
-            tally,
-        });
-    }
-    xp::session::end();
-
-    for (reports, footer) in &groups {
+    // Per experiment: its reports, then the pool-telemetry footer of its
+    // part of the plans. The footer goes to stdout only, never into the
+    // saved JSON, so result trees stay identical across --jobs counts.
+    for (entry, reports) in &done {
         for report in reports {
             print!("{}", report.to_markdown());
             match report.save_json(&out_dir) {
@@ -612,6 +595,7 @@ fn main() {
                 Err(e) => eprintln!("[warn: could not save {}: {e}]", report.id),
             }
         }
+        let footer = entry.tally.footer();
         if !footer.is_empty() {
             for line in footer {
                 println!("[pool] {line}");
@@ -619,6 +603,7 @@ fn main() {
             println!();
         }
     }
+    let entries: Vec<SummaryEntry> = done.into_iter().map(|(entry, _)| entry).collect();
     match xp::summary::write(
         &out_dir,
         scale.label(),

@@ -2,8 +2,8 @@
 //!
 //! The binary installs an [`svc::Cache`] here at startup; every
 //! [`crate::cells::CellPlan`] execution then resolves its spec-carrying
-//! cells against it — after the open session's table, before the server
-//! and the worker pool — and stores freshly computed payloads back at
+//! cells against it — before the server and the worker pool — and stores
+//! freshly computed payloads back at
 //! merge time. The cache is bypassed entirely while a `--trace DIR` is
 //! installed: traced runs must actually execute (and their results carry
 //! tracers the cache encoding deliberately drops).
@@ -12,7 +12,7 @@
 //! artifact. Two properties deliver that:
 //!
 //! * the payload codec is **exact** (`nas::codec`: every `f64` round-trips
-//!   bit-identically) — the session's cell table keeps the same encoding;
+//!   bit-identically);
 //! * a run has no effects of its own on the process-globals: every spec
 //!   cell, computed or resolved, has them in one merge step,
 //!   [`CachePayload::on_merge`], at its canonical plan position, so

@@ -10,16 +10,16 @@
 //!
 //! A cell's job only computes its value. Cells added via
 //! [`CellPlan::add_cell`] carry a [`svc::CellSpec`], and their value may
-//! come from any of four sources, asked in this order: the open session's
-//! cell table ([`crate::session`]), the result cache ([`crate::cache`]),
-//! the resident server in client mode ([`crate::remote`]), and — for the
-//! residue — the session's pool. Whichever source produced it, a spec
-//! cell has its effects in one place, the **merge**, in plan order:
+//! come from any of three sources, asked in this order: the result cache
+//! ([`crate::cache`]), the resident server in client mode
+//! ([`crate::remote`]), and — for the residue — a worker pool scoped to
+//! the plan. Whichever source produced it, a spec cell has its effects in
+//! one place, the **merge**, in plan order:
 //! [`crate::cache::CachePayload::on_merge`] credits its simulated seconds
 //! and writes its `--trace DIR` dump, and the merge stores it back to the
-//! cache and records it in the session. So the accumulated float sum and
-//! the trace file sequence follow plan order, and a fully resolved run
-//! produces byte-identical artifacts to a cold one.
+//! cache. So the accumulated float sum and the trace file sequence follow
+//! plan order, and a fully resolved run produces byte-identical artifacts
+//! to a cold one.
 //!
 //! The residue runs as **fork chains**. Under the paper's protocols the
 //! IRIX, UPMlib and record–replay runs of one problem and placement are in
@@ -45,7 +45,7 @@
 //! the borrowers of an owner that failed are recomputed in full, as a
 //! second batch. A borrowed value whose owner did not finish is never
 //! reported, and a borrower's merged result is byte-equal to its full
-//! run's, so the cache and the session store what a full run stores.
+//! run's, so the cache stores what a full run stores.
 //!
 //! A panicking cell is caught once, by the pool ([`exec`]'s job runner):
 //! it surfaces as an `Err` output (a failed *row* in the report), never a
@@ -54,13 +54,12 @@
 
 use crate::cache::CellCodec;
 use crate::grid;
-use crate::session::{ErasedResult, Session};
-use exec::{Job, JobPanic, PoolTelemetry, ResidentJob};
-use std::sync::Arc;
+use exec::{Job, JobPanic, PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool};
+use std::any::Any;
 use std::time::Instant;
 
 /// One merged cell result, in plan order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CellOutput<T> {
     /// The cell's plan id (e.g. `cg:wc-upmlib`).
     pub id: String,
@@ -99,24 +98,15 @@ struct Cell<T> {
 
 /// Where one cell's value will come from, decided during resolution.
 enum CellState<T> {
-    /// Resolved without running here, by the source named.
-    Resolved(T, Source),
+    /// Resolved without running here: from the cache (`true`) or by a
+    /// server.
+    Resolved(T, bool),
     /// Still needs local computation.
     Pending(Job<'static, T>),
     /// A grid cell that still needs local computation, in a fork chain.
     Run(Box<grid::Cell>),
     /// The pending job has been moved to the worker pool.
     Dispatched,
-}
-
-/// Which source produced a spec cell's value: what its merge still owes
-/// the cache and the session.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Session,
-    Cache,
-    Server,
-    Computed,
 }
 
 /// An ordered list of independent experiment cells.
@@ -157,43 +147,31 @@ impl<T: Send + 'static> CellPlan<T> {
         self.cells.is_empty()
     }
 
-    /// Execute with the process-wide machinery — the session's table, the
-    /// cache and the server first, then the residual cells on a session's
-    /// pool ([`crate::session`]) — and merge in plan order: outputs come
-    /// back in plan order, each spec cell has its one merge step there,
-    /// and the plan's wall-clock statistics are credited to
-    /// [`crate::summary`].
+    /// Execute with the process-wide machinery — the cache and the server
+    /// first, then the residual cells on a pool scoped to the plan — and
+    /// merge in plan order: outputs come back in plan order, each spec cell
+    /// has its one merge step there, and the plan's wall-clock statistics
+    /// are credited to [`crate::summary`].
     pub fn execute(self) -> Vec<CellOutput<T>> {
         // A traced run must execute, and its result carries a tracer that
-        // the cache encoding drops: a traced plan asks no table, cache or
-        // server and forms no chain.
+        // the cache encoding drops: a traced plan asks no cache or server
+        // and forms no chain.
         let traced = crate::trace::dir().is_some();
-        let (cache, table, client) = if traced {
-            (None, None, None)
+        let (cache, client) = if traced {
+            (None, None)
         } else {
-            (
-                crate::cache::installed(),
-                crate::session::remembering(),
-                crate::remote::installed(),
-            )
+            (crate::cache::installed(), crate::remote::installed())
         };
         let mut cells = self.cells;
 
-        // Phase 1 — the session's table, then the cache. A payload that
-        // does not decode is a miss (the recompute overwrites a cache
-        // entry at merge).
+        // Phase 1 — the cache. A payload that does not decode is a miss
+        // (the recompute overwrites the entry at merge).
         for cell in &mut cells {
-            let (Some(spec), Some(codec)) = (&cell.spec, &cell.codec) else {
+            let (Some(spec), Some(codec), Some(cache)) = (&cell.spec, &cell.codec, &cache) else {
                 continue;
             };
-            let decode = |payload: obs::json::Value| (codec.decode)(&payload).ok();
-            let recalled = table.as_ref().and_then(|s| s.recall(spec)).and_then(decode);
-            let resolved = recalled.map(|v| (v, Source::Session)).or_else(|| {
-                let hit = cache.as_ref()?.lookup(spec).and_then(decode)?;
-                Some((hit, Source::Cache))
-            });
-            if let Some((value, source)) = resolved {
-                cell.job_state = CellState::Resolved(value, source);
+            if let Some(hit) = cache.lookup(spec).and_then(|p| (codec.decode)(&p).ok()) {
+                cell.job_state = CellState::Resolved(hit, true);
             }
         }
 
@@ -220,9 +198,7 @@ impl<T: Send + 'static> CellPlan<T> {
                         for (&i, outcome) in indices.iter().zip(outcomes) {
                             let codec = cells[i].codec.expect("spec cells carry a codec");
                             match outcome.result.and_then(|p| (codec.decode)(&p)) {
-                                Ok(value) => {
-                                    cells[i].job_state = CellState::Resolved(value, Source::Server)
-                                }
+                                Ok(value) => cells[i].job_state = CellState::Resolved(value, false),
                                 Err(e) => {
                                     eprintln!("[svc] cell {}: {e}; computing locally", cells[i].id)
                                 }
@@ -234,7 +210,7 @@ impl<T: Send + 'static> CellPlan<T> {
             }
         }
 
-        // Phase 3 — compute the residue as one batch on a session's pool:
+        // Phase 3 — compute the residue as one batch on the plan's pool:
         // one job per fork chain of grid cells and per other cell, in the
         // plan order of their first cells; each key's later grid cells
         // borrow their numerics from its first.
@@ -280,9 +256,10 @@ impl<T: Send + 'static> CellPlan<T> {
                 }
             })
             .collect();
-        let mut outcomes: Outcomes = (0..cells.len()).map(|_| None).collect();
+        let mut outcomes: Outcomes<T> = (0..cells.len()).map(|_| None).collect();
+        let mut batches = Vec::new();
         if !jobs.is_empty() {
-            let mut batches = vec![run_batch(jobs, &members, &mut outcomes)];
+            batches.push(run_batch(jobs, &members, &mut outcomes));
             let recompute = settle_borrowers(&mut outcomes, &borrowers, borrow_verification);
             if !recompute.is_empty() {
                 let members: Vec<Vec<usize>> = recompute.iter().map(|&i| vec![i]).collect();
@@ -295,11 +272,12 @@ impl<T: Send + 'static> CellPlan<T> {
                     .collect();
                 batches.push(run_batch(jobs, &members, &mut outcomes));
             }
-            let computed = outcomes.iter().flatten();
-            let cell_walls: Vec<f64> = computed.clone().map(|(_, wall)| *wall).collect();
-            let failed = computed.filter(|(value, _)| value.is_err()).count();
-            crate::summary::record_plan(&batches, &cell_walls, failed);
         }
+        let computed = outcomes.iter().flatten();
+        let cell_walls: Vec<f64> = computed.clone().map(|(_, wall)| *wall).collect();
+        let failed = computed.filter(|(value, _)| value.is_err()).count();
+        let resolved = outcomes.iter().filter(|o| o.is_none()).count();
+        crate::summary::record_plan(&batches, &cell_walls, failed, resolved);
 
         // Phase 4 — merge in plan order: every spec cell that has a value
         // has its one merge step here, whichever source produced it.
@@ -307,23 +285,13 @@ impl<T: Send + 'static> CellPlan<T> {
             .into_iter()
             .zip(outcomes)
             .map(|(cell, outcome)| {
-                let (value, source, wall_secs) = match (cell.job_state, outcome) {
-                    (CellState::Resolved(value, source), _) => {
-                        crate::summary::record_resolved_cell();
-                        (Ok(value), source, 0.0)
-                    }
-                    (CellState::Dispatched, Some((value, wall))) => {
-                        let value = value.map(|erased| {
-                            *erased
-                                .downcast::<T>()
-                                .expect("a plan's batch returns its own cell type")
-                        });
-                        (value, Source::Computed, wall)
-                    }
+                let (value, store, wall_secs) = match (cell.job_state, outcome) {
+                    (CellState::Resolved(value, cached), _) => (Ok(value), !cached, 0.0),
+                    (CellState::Dispatched, Some((value, wall))) => (value, true, wall),
                     _ => unreachable!("pending cells were dispatched above"),
                 };
                 if let (Ok(value), Some(spec), Some(codec)) = (&value, &cell.spec, &cell.codec) {
-                    merge(value, source, spec, codec, &cache, &table);
+                    merge(value, store, spec, codec, &cache);
                 }
                 CellOutput {
                     id: cell.id,
@@ -361,22 +329,33 @@ impl<T> Cell<T> {
 
 /// What one pool job returns: the value of each of its cells, in its
 /// order, with the on-worker seconds spent on that cell.
-type Members = Vec<(ErasedResult, f64)>;
+type Members<T> = Vec<(T, f64)>;
 
 /// What the pool made of each cell of a plan, by plan position: its value
 /// or panic and its wall, `None` for a cell resolved without running.
-type Outcomes = Vec<Option<(Result<ErasedResult, JobPanic>, f64)>>;
+type Outcomes<T> = Vec<Option<(Result<T, JobPanic>, f64)>>;
 
 /// Run `jobs`, one per entry of `members` (the plan positions of its
-/// cells), as one batch on a session's pool, and put each cell's value or
+/// cells), as one batch on a pool of its own, and put each cell's value or
 /// panic and its wall into `outcomes`. A cell computed again keeps the
 /// wall of its first attempt too.
-fn run_batch(
-    jobs: Vec<ResidentJob<ErasedResult>>,
+///
+/// The pool has [`crate::jobs::get`] seats, but no more than jobs, one of
+/// them the calling thread's: the caller helps run its cells, and `--jobs
+/// 1` spawns no worker thread. A batch of two or more jobs shows a
+/// progress line ([`crate::dash`]).
+fn run_batch<T: Send + 'static>(
+    jobs: Vec<ResidentJob<Members<T>>>,
     members: &[Vec<usize>],
-    outcomes: &mut Outcomes,
+    outcomes: &mut Outcomes<T>,
 ) -> PoolTelemetry {
-    let (runs, telemetry) = crate::session::for_plan(jobs.len()).run(jobs);
+    let pool = ResidentPool::with_caller(crate::jobs::get().min(jobs.len()));
+    let _dash = (jobs.len() >= 2).then(|| {
+        let monitor = PoolMonitor::new();
+        monitor.attach(&pool);
+        crate::dash::spawn(monitor)
+    });
+    let (runs, telemetry) = pool.run(jobs);
     let mut put = |i: usize, value, wall: f64| {
         let before = outcomes[i].take().map_or(0.0, |(_, wall)| wall);
         outcomes[i] = Some((value, before + wall));
@@ -387,10 +366,7 @@ fn run_batch(
         // cells; its panic names the batch position, each output its plan
         // position.
         match timed.result {
-            Ok(erased) => {
-                let done = *erased
-                    .downcast::<Members>()
-                    .expect("a job returns its members");
+            Ok(done) => {
                 let rest: f64 = done[1..].iter().map(|(_, secs)| secs).sum();
                 for (k, ((value, secs), &i)) in done.into_iter().zip(m).enumerate() {
                     let wall = if k == 0 { timed.wall_secs - rest } else { secs };
@@ -435,9 +411,9 @@ fn settle_borrowers<V, E>(
 }
 
 /// A borrower's result takes its owner's verification.
-fn borrow_verification(owner: &ErasedResult, borrower: &mut ErasedResult) {
-    let owner = owner.downcast_ref::<nas::RunResult>();
-    let borrower = borrower.downcast_mut::<nas::RunResult>();
+fn borrow_verification<T: 'static>(owner: &T, borrower: &mut T) {
+    let owner = (owner as &dyn Any).downcast_ref::<nas::RunResult>();
+    let borrower = (borrower as &mut dyn Any).downcast_mut::<nas::RunResult>();
     let (owner, borrower) = owner.zip(borrower).expect("borrowers are grid cells");
     borrower.verification = owner.verification.clone();
 }
@@ -459,13 +435,9 @@ fn on_cell<R>(id: &str, work: impl FnOnce() -> R) -> (R, f64) {
     (r, t.elapsed().as_secs_f64())
 }
 
-/// Wrap one cell's job for the shared pool, with the type erasure that
-/// lets plans of different cell types share one pool.
-fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob<ErasedResult> {
-    Box::new(move || {
-        let (value, secs) = on_cell(&id, job);
-        Box::new(vec![(Box::new(value) as ErasedResult, secs)] as Members) as ErasedResult
-    })
+/// Wrap one cell's job for the pool, as a job of one member.
+fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob<Members<T>> {
+    Box::new(move || vec![on_cell(&id, job)])
 }
 
 /// The job of a fork chain ([`grid::fork_chains`]), given as its cells'
@@ -474,9 +446,9 @@ fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob
 /// ([`nas::BenchRun::fork`] brings an unstarted run to its fork point). A
 /// borrower's run, root or child, is made timing-only. A run finishes
 /// before its child steps on, so the worker holds at most two.
-fn chain_job<T>(
+fn chain_job<T: 'static>(
     chain: impl Iterator<Item = (String, CellState<T>, bool)>,
-) -> ResidentJob<ErasedResult> {
+) -> ResidentJob<Members<T>> {
     let chain: Vec<(String, grid::Cell, bool)> = chain
         .map(|(id, state, borrows)| match state {
             CellState::Run(cell) => (id, *cell, borrows),
@@ -500,44 +472,40 @@ fn chain_job<T>(
                 let forked = mark(run.fork(&child.cfg.engine), borrows);
                 (forked, grid::complete(run))
             });
-            done.push((Box::new(result), wall + secs));
+            done.push((as_cell(result), wall + secs));
             (id, run, wall) = (child_id, forked, 0.0);
         }
         let (result, rest) = on_cell(&id, || grid::complete(run));
-        done.push((Box::new(result), wall + rest));
-        Box::new(done) as ErasedResult
+        done.push((as_cell(result), wall + rest));
+        done
     })
 }
 
+/// A grid cell's result as its plan's cell type, which is `RunResult`:
+/// only [`CellPlan::add_cell`] plans grid cells.
+fn as_cell<T: 'static>(result: nas::RunResult) -> T {
+    let result: Box<dyn Any> = Box::new(result);
+    *result
+        .downcast()
+        .expect("grid cells are planned as RunResult cells")
+}
+
 /// The merge step of one spec cell, at its plan position: its effects
-/// ([`crate::cache::CachePayload::on_merge`]), then what keeps it — the
-/// cache when it was computed (here or by a server), the session's table
-/// when it did not come from there. A store failure degrades the cache,
-/// not the run.
+/// ([`crate::cache::CachePayload::on_merge`]), then — when `store`, i.e.
+/// it was computed, here or by a server — its store to the cache. A store
+/// failure degrades the cache, not the run.
 fn merge<T>(
     value: &T,
-    source: Source,
+    store: bool,
     spec: &svc::CellSpec,
     codec: &CellCodec<T>,
     cache: &Option<svc::Cache>,
-    table: &Option<Arc<Session>>,
 ) {
     (codec.on_merge)(value);
-    let store = cache
-        .as_ref()
-        .filter(|_| matches!(source, Source::Computed | Source::Server));
-    let remember = table.as_ref().filter(|_| source != Source::Session);
-    if store.is_none() && remember.is_none() {
-        return;
-    }
-    let payload = (codec.encode)(value);
-    if let Some(cache) = store {
-        if let Err(e) = cache.store(spec, &payload) {
+    if let Some(cache) = cache.as_ref().filter(|_| store) {
+        if let Err(e) = cache.store(spec, &(codec.encode)(value)) {
             eprintln!("[cache] store failed for {spec}: {e}");
         }
-    }
-    if let Some(session) = remember {
-        session.remember(spec, payload);
     }
 }
 

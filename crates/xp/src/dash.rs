@@ -1,6 +1,6 @@
 //! The live progress line for multi-cell sweeps — the one renderer.
 //!
-//! While a [`crate::session::Session`]'s pool works, a background thread
+//! While a plan's pool works ([`crate::cells`]), a background thread
 //! polls its [`exec::PoolMonitor`] and paints one status line on stderr:
 //! cells done/running/failed, a per-worker utilization bar, simulated
 //! throughput (sim-secs per host second) and a naive ETA over the cells
@@ -106,8 +106,8 @@ fn run(monitor: PoolMonitor, stop: Arc<AtomicBool>, tty: bool) {
     }
 }
 
-/// One status line, or `None` while the pool has nothing to show (idle
-/// between plans, or a lone cell).
+/// One status line, or `None` while the pool has nothing to show (a lone
+/// cell, or every job done).
 fn render(status: &ResidentStatus, sim_done_secs: f64) -> Option<String> {
     let running = status.busy_workers();
     let done = status.jobs_done as usize;

@@ -14,11 +14,17 @@
 //! one [`CellPlan`] and rendered by [`grid::report_benches`].
 
 use crate::cells::CellPlan;
-use crate::grid::{self, Cell};
+use crate::grid::{self, Cell, Group, Sweep};
 use crate::report::{pct, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, RunResult, Scale};
 use vmm::PlacementScheme;
+
+/// Figure 1's sweep: one group of [`cells`] per benchmark.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| BenchName::all().map(|b| cells(b, scale, false)).to_vec(),
+    report: |_, outputs| vec![report(&outputs)],
+};
 
 /// One benchmark's placement x engine cells, in the canonical order
 /// (placement-major, engine-minor): five placement schemes
@@ -60,6 +66,11 @@ pub fn plan_grid(
 
 /// Run Figure 1 for all five benchmarks.
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render Figure 1 from its cells' outputs.
+fn report(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "fig1",
         "Impact of page placement on the NAS benchmarks (execution time, simulated seconds)",
@@ -70,7 +81,7 @@ pub fn run(scale: Scale) -> Report {
     grid::report_benches(
         &mut report,
         &BenchName::all(),
-        |bench| cells(bench, scale, false),
+        outputs,
         " (execution time, simulated seconds)",
         |r, base| {
             if let (Some(base), "IRIX") = (base, r.engine.as_str()) {

@@ -6,9 +6,15 @@
 //! (rand), ~14% (wc) — and under first-touch UPMlib even *gains* 6–22% on
 //! most codes by fixing the pages first-touch put in the wrong place.
 
-use crate::grid::{self, Cell};
+use crate::grid::{self, Cell, Group, Sweep};
 use crate::report::{pct, Report};
 use nas::{BenchName, Scale};
+
+/// Figure 4's sweep: one group of [`cells`] per benchmark.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| BenchName::all().map(|b| cells(b, scale)).to_vec(),
+    report: |_, outputs| vec![report(&outputs)],
+};
 
 /// One benchmark's cells: the Figure 1 grid plus the `*-upmlib` bars.
 pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
@@ -17,6 +23,11 @@ pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
 
 /// Run Figure 4 for all five benchmarks.
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render Figure 4 from its cells' outputs.
+fn report(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "fig4",
         "Performance of the UPMlib page migration engine under the five placement schemes",
@@ -33,7 +44,7 @@ pub fn run(scale: Scale) -> Report {
     grid::report_benches(
         &mut report,
         &BenchName::all(),
-        |bench| cells(bench, scale),
+        outputs,
         " with UPMlib (execution time, simulated seconds)",
         |r, base| {
             if let (Some(base), "upmlib") = (base, r.engine.as_str()) {

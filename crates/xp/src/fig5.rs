@@ -8,7 +8,7 @@
 //! on BT) but its on-critical-path migration overhead outweighs the gain at
 //! normal phase lengths — the total recrep bar is not better than upmlib.
 
-use crate::grid::{self, Cell};
+use crate::grid::{self, Cell, Group, Sweep};
 use crate::report::{secs, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, Scale};
@@ -16,6 +16,12 @@ use vmm::PlacementScheme;
 
 /// The benchmarks of the figure.
 pub const BENCHES: [BenchName; 2] = [BenchName::Bt, BenchName::Sp];
+
+/// Figure 5's sweep: one group of [`cells`] per benchmark of [`BENCHES`].
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| BENCHES.map(|b| cells(b, scale)).to_vec(),
+    report: |_, outputs| vec![report(&outputs)],
+};
 
 /// One benchmark's cells, in bar order: first-touch under each of the four
 /// engine modes.
@@ -34,6 +40,11 @@ pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
 
 /// Run Figure 5 (BT and SP).
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render Figure 5 from its cells' outputs.
+fn report(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "fig5",
         "Record-replay on BT and SP, first-touch placement",
@@ -49,7 +60,7 @@ pub fn run(scale: Scale) -> Report {
     grid::report_benches(
         &mut report,
         &BENCHES,
-        |bench| cells(bench, scale),
+        outputs,
         " (execution time; recrep bar includes its overhead)",
         |r, base| vec![secs(r.recrep_overhead_secs), grid::vs(r, base)],
         |report, bench, ok| {

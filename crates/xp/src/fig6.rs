@@ -15,7 +15,7 @@
 //! to (and crossing of) break-even; EXPERIMENTS.md discusses the scale
 //! analysis.
 
-use crate::grid::{self, Cell, Problem};
+use crate::grid::{self, Cell, Group, Problem, Sweep};
 use crate::report::{pct, secs, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, Scale};
@@ -24,6 +24,12 @@ use vmm::PlacementScheme;
 /// The phase-scale sweep points — also the only phase scales a server
 /// rebuilds from a spec ([`Cell::from_spec`]).
 pub const PHASE_SCALES: [usize; 3] = [1, 4, 16];
+
+/// Figure 6's sweep: one pair of [`cells`] per phase scale.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| PHASE_SCALES.map(|ps| cells(scale, ps)).to_vec(),
+    report: |_, outputs| vec![report(&outputs)],
+};
 
 /// One sweep point's cells: first-touch BT with `phase_scale`-lengthened
 /// phases under UPMlib, then under record-replay.
@@ -40,6 +46,11 @@ pub fn cells(scale: Scale, phase_scale: usize) -> Vec<Cell> {
 
 /// Run Figure 6: the paper's 4x experiment plus a wider sweep.
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render Figure 6 from its cells' outputs.
+fn report(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "fig6",
         "Record-replay on BT with synthetically lengthened phases (paper: 4x)",
@@ -51,9 +62,8 @@ pub fn run(scale: Scale) -> Report {
             "recrep vs upmlib",
         ],
     );
-    let outputs = grid::execute(PHASE_SCALES.map(|ps| cells(scale, ps)).to_vec());
     let mut ratios = Vec::new();
-    for (phase_scale, pair) in PHASE_SCALES.into_iter().zip(&outputs) {
+    for (phase_scale, pair) in PHASE_SCALES.into_iter().zip(outputs) {
         let Some(pair) = grid::all_ok(&mut report, pair) else {
             continue;
         };

@@ -15,18 +15,21 @@
 //!   stored under a key this binary would not have built itself;
 //! * [`crate::CellPlan::add_cell`] — both halves of a planned cell.
 //!
-//! An experiment is then a `Vec<Cell>` per benchmark plus a row closure:
-//! [`execute`] runs groups of cells as one plan and hands the outputs back
-//! group by group (chunk widths are the groups' lengths), and
+//! An experiment is then a [`Sweep`]: a `Vec<Cell>` per benchmark and a
+//! report over their outputs. [`execute`] runs groups of cells as one plan
+//! that holds each distinct cell once and hands the outputs back group by
+//! group, [`sweep`] runs the groups of several experiments so, and
 //! [`report_benches`] is the chart-and-rows loop the bar-chart figures
 //! share.
 
 use crate::cells::{CellOutput, CellPlan};
 use crate::report::{pct, secs, Bar, Report};
 use crate::spec::{config_fp, CODE_VERSION};
+use crate::summary::SummaryEntry;
 use nas::bt::{Bt, BtConfig};
 use nas::cg::{Cg, CgConfig};
 use nas::{BenchName, BenchRun, EngineMode, RunConfig, RunResult, Scale};
+use std::time::Instant;
 use svc::CellSpec;
 use vmm::PlacementScheme;
 
@@ -351,26 +354,76 @@ pub(crate) fn borrowers(cells: &[(usize, &Cell)]) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// One group's outputs, in its listing order.
+pub type Group = Vec<CellOutput<RunResult>>;
+
 /// Execute groups of cells as one plan (cache, server and pool all see one
-/// batch) and hand the outputs back group by group, in plan order.
-pub fn execute(groups: Vec<Vec<Cell>>) -> Vec<Vec<CellOutput<RunResult>>> {
-    let widths: Vec<usize> = groups.iter().map(Vec::len).collect();
+/// batch) and hand the outputs back group by group, in listing order. Each
+/// distinct cell ([`svc::CellSpec::canonical`]) is planned once, at its
+/// first listing; a repeat gets a clone of that output, with `wall_secs` 0.
+pub fn execute(groups: Vec<Vec<Cell>>) -> Vec<Group> {
     let mut plan = CellPlan::new();
-    for cell in groups.into_iter().flatten() {
-        plan.add_cell(cell);
-    }
-    let mut outputs = plan.execute().into_iter();
-    widths
-        .into_iter()
-        .map(|width| outputs.by_ref().take(width).collect())
+    let mut planned: std::collections::HashMap<String, usize> = Default::default();
+    let mut position = |cell: Cell| {
+        *planned.entry(cell.spec().canonical()).or_insert_with(|| {
+            plan.add_cell(cell);
+            plan.len() - 1
+        })
+    };
+    let positions: Vec<Vec<usize>> = (groups.into_iter())
+        .map(|group| group.into_iter().map(&mut position).collect())
+        .collect();
+    // A cell's first listing takes its wall; later ones find 0.
+    let mut outputs = plan.execute();
+    let mut output = |p: usize| {
+        let output = outputs[p].clone();
+        outputs[p].wall_secs = 0.0;
+        output
+    };
+    (positions.into_iter())
+        .map(|group| group.into_iter().map(&mut output).collect())
         .collect()
 }
 
-/// Execute `cells` and return their results, panicking on a failed cell —
-/// for callers (tests, helper APIs) that require a complete grid.
-pub fn run_cells(cells: Vec<Cell>) -> Vec<RunResult> {
-    let outputs = execute(vec![cells]).remove(0);
-    outputs.into_iter().map(CellOutput::expect_ok).collect()
+/// What an experiment runs: its grid cells, in groups, and the reports it
+/// renders from their outputs, group by group. Plans of cells that are not
+/// grid cells (probes, synthetic kernels, schedules) run inside the report.
+#[derive(Clone, Copy)]
+pub struct Sweep {
+    /// The groups of grid cells, in listing order.
+    pub grid: fn(Scale) -> Vec<Vec<Cell>>,
+    /// The reports, from the groups' outputs.
+    pub report: fn(Scale, Vec<Group>) -> Vec<Report>,
+}
+
+impl Sweep {
+    /// This one experiment: its grid as one plan, then its reports.
+    pub fn run(self, scale: Scale) -> Vec<Report> {
+        (self.report)(scale, execute((self.grid)(scale)))
+    }
+}
+
+/// Run `rows` at `scale` as one sweep: every row's grid cells as one plan
+/// ([`execute`]: each distinct cell computed once), then each row's reports
+/// from its own cells' outputs, in row order. Returns per row its summary
+/// entry, with its part of the plan ([`crate::summary::credit_sweep`]), and
+/// its reports.
+pub fn sweep(rows: &[crate::cli::Experiment], scale: Scale) -> Vec<(SummaryEntry, Vec<Report>)> {
+    crate::summary::take();
+    let t0 = Instant::now();
+    let grids: Vec<Vec<Vec<Cell>>> = rows.iter().map(|(_, s)| (s.grid)(scale)).collect();
+    let widths: Vec<usize> = grids.iter().map(Vec::len).collect();
+    let listed = grids.iter().flatten().map(Vec::len).sum();
+    let mut outputs = execute(grids.into_iter().flatten().collect()).into_iter();
+    let plan = crate::summary::take();
+    let plan_wall = t0.elapsed().as_secs_f64();
+    (rows.iter().zip(widths))
+        .map(|(&(id, sweep), width)| {
+            let outputs: Vec<Group> = outputs.by_ref().take(width).collect();
+            let share = crate::summary::credit_sweep(&plan, plan_wall, listed, &outputs);
+            crate::summary::timed(id, share, || (sweep.report)(scale, outputs))
+        })
+        .collect()
 }
 
 /// A group's results when every cell of it ran; otherwise a failed row per
@@ -403,22 +456,21 @@ pub fn upm_migrations(r: &RunResult) -> String {
         .unwrap_or_else(|| "-".into())
 }
 
-/// The loop the bar-chart figures share. Plans `cells_for(bench)` for every
-/// benchmark as one plan, executes it, and renders each benchmark's share:
-/// a bar chart `NAS <bench><chart_suffix>` of the cells that ran, then per
-/// cell either a failed row or the row `[bench, config, time] ++
-/// columns(result, the benchmark's ft-IRIX result) ++ [verified]`, then
-/// `after(report, bench, the results that ran)` for per-benchmark notes.
+/// The loop the bar-chart figures share: `outputs` holds each benchmark's
+/// cells, in `benches` order. Renders each benchmark's share: a bar chart
+/// `NAS <bench><chart_suffix>` of the cells that ran, then per cell either
+/// a failed row or the row `[bench, config, time] ++ columns(result, the
+/// benchmark's ft-IRIX result) ++ [verified]`, then `after(report, bench,
+/// the results that ran)` for per-benchmark notes.
 pub fn report_benches(
     report: &mut Report,
     benches: &[BenchName],
-    cells_for: impl Fn(BenchName) -> Vec<Cell>,
+    outputs: &[Group],
     chart_suffix: &str,
     mut columns: impl FnMut(&RunResult, Option<&RunResult>) -> Vec<String>,
     mut after: impl FnMut(&mut Report, BenchName, &[&RunResult]),
 ) {
-    let outputs = execute(benches.iter().map(|&b| cells_for(b)).collect());
-    for (&bench, chunk) in benches.iter().zip(&outputs) {
+    for (&bench, chunk) in benches.iter().zip(outputs) {
         let ok: Vec<&RunResult> = chunk.iter().filter_map(CellOutput::ok).collect();
         let base = ok
             .iter()
@@ -447,6 +499,14 @@ pub fn report_benches(
         }
         after(report, bench, &ok);
     }
+}
+
+#[cfg(test)]
+/// Execute `cells` and return their results, panicking on a failed cell —
+/// for the experiments' tests, which require a complete grid.
+pub(crate) fn run_cells(cells: Vec<Cell>) -> Vec<RunResult> {
+    let outputs = execute(vec![cells]).remove(0);
+    outputs.into_iter().map(CellOutput::expect_ok).collect()
 }
 
 #[cfg(test)]
@@ -488,7 +548,8 @@ mod tests {
         assert_eq!(all.len(), 10);
         assert_eq!(all[0], ["ft-IRIX", "ft-upmlib"]);
         assert_eq!(all[1], ["ft-IRIXmig"]);
-        // An IRIX cell recalled elsewhere leaves its UPMlib sibling alone.
+        // An IRIX cell resolved elsewhere (a cache hit) leaves its UPMlib
+        // sibling alone.
         let no_irix = labels(&cells, &|c| c.cfg.engine != EngineMode::None);
         assert!(no_irix.iter().all(|c| c.len() == 1), "{no_irix:?}");
         assert_eq!(no_irix.len(), 10);
@@ -700,5 +761,8 @@ mod tests {
         let widths: Vec<usize> = groups.iter().map(Vec::len).collect();
         assert_eq!(widths, [1, 0, 2]);
         assert!(groups.iter().flatten().all(|c| c.id == "cg:ft-IRIX"));
+        // One cell computed, at its first listing.
+        let ran: Vec<bool> = groups.iter().flatten().map(|c| c.wall_secs > 0.0).collect();
+        assert_eq!(ran, [true, false, false]);
     }
 }

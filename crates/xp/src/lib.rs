@@ -9,16 +9,19 @@
 //! | `table2` | Residual slowdown + migration timing statistics | Table 2 | [`table2::run`] | [`table2::cells`], served |
 //! | `fig5` | Record–replay on BT and SP | Figure 5 | [`fig5::run`] | [`fig5::cells`], served |
 //! | `fig6` | Record–replay with 1x/4x/16x-scaled phases | Figure 6 | [`fig6::run`] | [`fig6::cells`], served |
-//! | `ablations` | Latency-ratio, threshold and machine-size sweeps; freezing, replication, scheduler disruption | beyond the paper | [`ablation::all`] | tagged cells (offline cache only) and synthetic kernels |
+//! | `ablations` | Latency-ratio, threshold and machine-size sweeps; freezing, replication, scheduler disruption | beyond the paper | [`ablation::SWEEP`] | tagged cells (offline cache only) and synthetic kernels |
 //! | `multiprog` | Job mixes under the kernel scheduler | beyond the paper | [`multiprog::run`] | baselines served; mixes uncached |
 //! | `staticplace` | Static distribution vs first-touch, ± UPMlib (four-way) | beyond the paper | [`staticplace::run`] | [`staticplace::cells`], served |
 //!
 //! The command column is [`cli::EXPERIMENTS`], the table the binary
-//! dispatches from. A *served* experiment is a `Vec<`[`grid::Cell`]`>` per
-//! benchmark and a row closure: one `Cell` derives the cache key, the
-//! local job and the server-side reconstruction (see [`grid`]).
+//! dispatches from. An experiment is a [`grid::Sweep`]: its grid, a
+//! `Vec<`[`grid::Cell`]`>` per group (one `Cell` derives the cache key,
+//! the local job and the server-side reconstruction), and reports built
+//! from those cells' outputs. [`grid::sweep`] runs the grids of the
+//! experiments it is given as one plan, so `xp all` computes each distinct
+//! cell once; each module's `run` is the sweep of its one row.
 //!
-//! Each function returns structured rows and renders a markdown table; the
+//! Each report holds structured rows and renders a markdown table; the
 //! `xp` binary writes both to stdout and to `results/*.json`.
 
 pub mod ablation;
@@ -40,7 +43,6 @@ pub mod report;
 pub mod run_one;
 pub mod seed;
 pub mod selfprof;
-pub mod session;
 pub mod spec;
 pub mod staticplace;
 pub mod summary;
@@ -56,24 +58,23 @@ pub use run_one::{default_engine_configs, run_one, run_one_fastpath};
 /// The two tables the `xp` binary is driven from (and that
 /// `tests/cli_usage.rs` walks, so the usage text cannot drift from them).
 pub mod cli {
-    use crate::Report;
-    use nas::Scale;
+    use crate::grid::Sweep;
 
     /// An experiment: its command name (also its id in
-    /// `bench_summary.json`) and the function producing its reports.
-    pub type Experiment = (&'static str, fn(Scale) -> Vec<Report>);
+    /// `bench_summary.json`) and its sweep.
+    pub type Experiment = (&'static str, Sweep);
 
     /// The experiments, in `xp all` order.
     pub const EXPERIMENTS: &[Experiment] = &[
-        ("table1", |_| vec![crate::table1::run()]),
-        ("fig1", |scale| vec![crate::fig1::run(scale)]),
-        ("fig4", |scale| vec![crate::fig4::run(scale)]),
-        ("table2", |scale| vec![crate::table2::run(scale)]),
-        ("fig5", |scale| vec![crate::fig5::run(scale)]),
-        ("fig6", |scale| vec![crate::fig6::run(scale)]),
-        ("ablations", crate::ablation::all),
-        ("multiprog", |scale| vec![crate::multiprog::run(scale)]),
-        ("staticplace", |scale| vec![crate::staticplace::run(scale)]),
+        ("table1", crate::table1::SWEEP),
+        ("fig1", crate::fig1::SWEEP),
+        ("fig4", crate::fig4::SWEEP),
+        ("table2", crate::table2::SWEEP),
+        ("fig5", crate::fig5::SWEEP),
+        ("fig6", crate::fig6::SWEEP),
+        ("ablations", crate::ablation::SWEEP),
+        ("multiprog", crate::multiprog::SWEEP),
+        ("staticplace", crate::staticplace::SWEEP),
     ];
 
     /// The commands that are not experiments (`all` runs every experiment).

@@ -11,7 +11,7 @@
 //! comparison from the locality-friendly side.
 
 use crate::cells::CellPlan;
-use crate::grid::Cell;
+use crate::grid::{Cell, Group, Sweep};
 use crate::report::{pct, secs, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, RunConfig, Scale};
@@ -233,8 +233,26 @@ pub fn run_schedule(
     outcome
 }
 
+/// The experiment's sweep: its grid is one group, the dedicated baselines —
+/// one ft-IRIX cell per benchmark the mixes run, in benchmark order. The
+/// schedules run as one plan inside its report.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| {
+        let mixed = |b: &BenchName| mixes().iter().any(|mix| mix.benches.contains(b));
+        let ft = |b| Cell::paper(b, scale, PlacementScheme::FirstTouch, EngineMode::None);
+        vec![BenchName::all().into_iter().filter(mixed).map(ft).collect()]
+    },
+    report: |scale, mut outputs| vec![report(scale, outputs.remove(0))],
+};
+
 /// The `xp multiprog` experiment.
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render the experiment from its baselines' outputs, running its
+/// schedules.
+fn report(scale: Scale, baselines: Group) -> Report {
     let mut report = Report::new(
         "multiprog",
         "Multiprogrammed job mixes under the kernel scheduler: per-job slowdown vs dedicated execution",
@@ -255,29 +273,15 @@ pub fn run(scale: Scale) -> Report {
     // multiprogramming cost this strategy?", not "how far is it from its
     // own (engine-tuned) dedicated run", which would penalize UPMlib for
     // being faster than first-touch when dedicated.
-    // Phase 1: the dedicated baselines, one ft-IRIX grid cell per distinct
-    // benchmark — keyed, so cached, served, and in `xp all` recalled from
-    // Figure 1's. A missing baseline makes every slowdown of that
-    // benchmark uncomputable, so a baseline failure is fatal
-    // (`run_cells`), unlike the per-schedule cells below.
-    let mut bench_order: Vec<BenchName> = Vec::new();
-    for mix in mixes() {
-        for &bench in mix.benches {
-            if !bench_order.contains(&bench) {
-                bench_order.push(bench);
-            }
-        }
-    }
-    let baselines = crate::grid::run_cells(
-        bench_order
-            .iter()
-            .map(|&b| Cell::paper(b, scale, PlacementScheme::FirstTouch, EngineMode::None))
-            .collect(),
-    );
-    let dedicated: BTreeMap<&str, f64> = bench_order
-        .iter()
-        .zip(baselines)
-        .map(|(bench, r)| (bench.label(), r.total_secs))
+    // Phase 1: the dedicated baselines, the grid cells — keyed, so cached,
+    // served, and in `xp all` computed once with Figure 1's. A missing
+    // baseline makes every slowdown of that benchmark uncomputable, so a
+    // baseline failure is fatal, unlike the per-schedule cells below.
+    let dedicated: BTreeMap<&str, f64> = (baselines.into_iter())
+        .map(|cell| {
+            let r = cell.expect_ok();
+            (r.bench.label(), r.total_secs)
+        })
         .collect();
     // Phase 2: one cell per (mix, policy, engine variant) schedule.
     let variants = engine_variants();

@@ -22,20 +22,22 @@
 //! itself: pages mapped, flip pages (no phase-invariant home), predicted
 //! residual migrations, and the migrations the hybrid actually performed.
 
-use crate::grid::{self, Cell};
+use crate::grid::{self, Cell, Group, Sweep};
 use crate::report::{pct, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, Scale};
 use vmm::PlacementScheme;
 
+/// The four-way sweep: one group of [`cells`] per benchmark.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| BenchName::all().map(|b| cells(b, scale)).to_vec(),
+    report: |scale, outputs| vec![report(scale, &outputs)],
+};
+
 /// One benchmark's four head-to-head cells, in the canonical order:
 /// ft-IRIX, static-IRIX, ft-upmlib, static-upmlib.
 pub fn cells(bench: BenchName, scale: Scale) -> Vec<Cell> {
-    cells_under(bench, scale, crate::lint::static_scheme(bench, scale))
-}
-
-/// [`cells`] with the static placement already synthesized.
-fn cells_under(bench: BenchName, scale: Scale, static_placement: PlacementScheme) -> Vec<Cell> {
+    let static_placement = crate::lint::static_scheme(bench, scale);
     let (_, upm_opts) = default_engine_configs();
     [
         (PlacementScheme::FirstTouch, EngineMode::None),
@@ -50,6 +52,11 @@ fn cells_under(bench: BenchName, scale: Scale, static_placement: PlacementScheme
 
 /// Run the four-way head-to-head for all five benchmarks.
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render the head-to-head from its cells' outputs.
+fn report(scale: Scale, outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "staticplace",
         "Static data distribution vs first-touch, with and without UPMlib (the four-way head-to-head)",
@@ -65,18 +72,10 @@ pub fn run(scale: Scale) -> Report {
     );
     let mut static_vs_ft: Vec<f64> = Vec::new();
     let mut hybrid_vs_upm: Vec<f64> = Vec::new();
-    // Synthesized once per benchmark: the cells install the map, the notes
-    // account for it.
-    let benches = BenchName::all();
-    let maps = benches.map(|bench| crate::lint::placement_map(bench, scale));
-    let map_of = |bench: BenchName| {
-        let at = benches.iter().position(|&b| b == bench);
-        &maps[at.expect("a benchmark of the sweep")]
-    };
     grid::report_benches(
         &mut report,
-        &benches,
-        |bench| cells_under(bench, scale, crate::lint::scheme_of(map_of(bench))),
+        &BenchName::all(),
+        outputs,
         " four-way (execution time, simulated seconds)",
         |r, base| {
             let last75 = base.map(|b| pct(r.last75_mean_secs() / b.last75_mean_secs()));
@@ -94,7 +93,7 @@ pub fn run(scale: Scale) -> Report {
             };
             // Synthesis accounting: what did the offline pass prescribe, and
             // how much dynamic work was left for the hybrid?
-            let map = map_of(bench);
+            let map = crate::lint::placement_map(bench, scale);
             let hybrid_migrations = find("static", "upmlib")
                 .and_then(|r| r.upm.as_ref())
                 .map(|s| s.total_distribution_migrations())

@@ -26,15 +26,25 @@
 //! `wall_secs - pool_wall + cells_wall` serially, and `speedup_vs_serial`
 //! is that estimate divided by `wall_secs` — ~1.0 for `--jobs 1` runs,
 //! approaching the worker count for cell-dominated experiments, and
-//! `null` when every cell was resolved without running — recalled from
-//! the session, cached or served — so there is nothing to estimate from.
+//! `null` when every cell was resolved without running — listed first by
+//! an earlier experiment, cached or served — so there is nothing to
+//! estimate from.
+//!
+//! A sweep runs every experiment's grid cells as one plan
+//! ([`crate::grid::sweep`]), whose tally is split among the experiments
+//! ([`credit_sweep`]): each credits the simulated seconds of every cell it
+//! lists, in its listing order, and the wall of every cell it lists first;
+//! the plan's wall, pool wall, busy and worker time go to each in
+//! proportion to those cell walls (to the cells it lists, when none ran).
 
+use crate::grid::Group;
 use exec::PoolTelemetry;
 use obs::json::Value;
 use obs::metrics::Histogram;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Host-side cost of the experiment currently running.
 #[derive(Debug, Clone, Default)]
@@ -47,8 +57,8 @@ pub struct Tally {
     pub pool_wall_secs: f64,
     /// Cells computed on a pool.
     pub cells_computed: usize,
-    /// Cells resolved from the session's table, the result cache or a
-    /// server.
+    /// Cells resolved without running here: from the result cache, a
+    /// server, or (in a sweep) an earlier experiment's listing.
     pub cells_resolved: usize,
     plans: usize,
     failed: usize,
@@ -76,36 +86,79 @@ pub fn add_sim_secs(secs: f64) {
     with_tally(|t| t.sim_secs += secs);
 }
 
-/// Credit one executed plan: the pool telemetry of each of its batches,
-/// the on-worker wall seconds of the cells it computed, in plan order, and
-/// how many of those failed.
-pub(crate) fn record_plan(batches: &[PoolTelemetry], cell_walls: &[f64], failed: usize) {
+/// Credit one executed plan: the pool telemetry of each of its batches
+/// (none when no cell ran), the on-worker wall seconds of the cells it
+/// computed, in plan order, how many of those failed, and how many cells it
+/// resolved without running (cache hits, served).
+pub(crate) fn record_plan(pools: &[PoolTelemetry], walls: &[f64], failed: usize, resolved: usize) {
     with_tally(|tally| {
-        tally.plans += 1;
-        tally.cells_computed += cell_walls.len();
+        tally.plans += usize::from(!pools.is_empty());
+        tally.cells_computed += walls.len();
+        tally.cells_resolved += resolved;
         tally.failed += failed;
-        for t in batches {
+        for t in pools {
             tally.pool_wall_secs += t.wall_secs;
             tally.busy_secs += t.busy_secs();
             tally.worker_secs += t.wall_secs * t.workers.len() as f64;
             tally.max_workers = tally.max_workers.max(t.workers.len());
         }
-        for &w in cell_walls {
+        for &w in walls {
             tally.cells_wall_secs += w;
             tally.wall_us.record((w * 1e6) as u64);
         }
     });
 }
 
-/// Credit one cell resolved without running (recalled, a cache hit, served).
-pub(crate) fn record_resolved_cell() {
-    with_tally(|t| t.cells_resolved += 1);
-}
-
 /// Drain the tally: everything credited since the last call.
 pub fn take() -> Tally {
     let mut slot = TALLY.lock().unwrap_or_else(|p| p.into_inner());
     slot.take().unwrap_or_default()
+}
+
+/// Run `work` as the experiment `id`: its entry holds the wall it took
+/// plus `earlier_secs`, and the tally drained after it.
+pub fn timed<R>(id: &str, earlier_secs: f64, work: impl FnOnce() -> R) -> (SummaryEntry, R) {
+    let t0 = Instant::now();
+    let out = work();
+    let wall_secs = earlier_secs + t0.elapsed().as_secs_f64();
+    let (id, tally) = (id.to_string(), take());
+    (
+        SummaryEntry {
+            id,
+            wall_secs,
+            tally,
+        },
+        out,
+    )
+}
+
+/// Credit one experiment's part of a sweep's grid plan to the tally:
+/// `plan` is the plan's drained tally, `wall_secs` the sweep's wall up to
+/// its merge, `listed` the cells all experiments list, `groups` this one's
+/// outputs in its listing order (a cell it lists first and that ran here
+/// has a wall, any other none). Returns its share of `wall_secs`.
+pub(crate) fn credit_sweep(plan: &Tally, wall_secs: f64, listed: usize, groups: &[Group]) -> f64 {
+    let outputs: Vec<_> = groups.iter().flatten().collect();
+    let ran: Vec<_> = outputs.iter().filter(|c| c.wall_secs > 0.0).collect();
+    let walls: Vec<f64> = ran.iter().map(|c| c.wall_secs).collect();
+    let failed = ran.iter().filter(|c| c.value.is_err()).count();
+    record_plan(&[], &walls, failed, outputs.len() - ran.len());
+    let share = if plan.cells_wall_secs > 0.0 {
+        walls.iter().sum::<f64>() / plan.cells_wall_secs
+    } else {
+        outputs.len() as f64 / listed.max(1) as f64
+    };
+    with_tally(|t| {
+        for cell in &outputs {
+            t.sim_secs += cell.ok().map_or(0.0, |r| r.total_secs);
+        }
+        t.plans += usize::from(!ran.is_empty());
+        t.pool_wall_secs += plan.pool_wall_secs * share;
+        t.busy_secs += plan.busy_secs * share;
+        t.worker_secs += plan.worker_secs * share;
+        t.max_workers = t.max_workers.max(plan.max_workers);
+    });
+    wall_secs * share
 }
 
 impl Tally {
@@ -279,7 +332,7 @@ mod tests {
         };
         add_sim_secs(1.5);
         add_sim_secs(0.5);
-        record_plan(&[t], &[0.1, 0.2, 0.3, 0.4], 1);
+        record_plan(&[t], &[0.1, 0.2, 0.3, 0.4], 1, 0);
         let tally = take();
         assert!(tally.sim_secs >= 2.0);
         assert!(tally.cells_wall_secs >= 1.0 - 1e-12);

@@ -2,8 +2,15 @@
 //! hierarchy, measured by probing the simulated machine (not just echoing
 //! the configuration).
 
+use crate::grid::Sweep;
 use crate::report::Report;
 use ccnuma::{AccessKind, Machine, MachineConfig, LINE_SIZE, PAGE_SIZE};
+
+/// Table 1's sweep: no grid cells; its probe is a plan of its own.
+pub const SWEEP: Sweep = Sweep {
+    grid: |_| Vec::new(),
+    report: |_, _| vec![run()],
+};
 
 /// Measured hierarchy latencies.
 #[derive(Debug, Clone, PartialEq)]

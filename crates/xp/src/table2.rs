@@ -8,11 +8,17 @@
 //! Paper values: residual slowdown always < 2.7%; first-iteration migration
 //! share 100% for CG/FT/MG and >= 78% for BT/SP.
 
-use crate::grid::{self, Cell};
+use crate::grid::{Cell, Group, Sweep};
 use crate::report::{pct, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, RunResult, Scale};
 use vmm::PlacementScheme;
+
+/// Table 2's sweep: one group of [`cells`] per benchmark.
+pub const SWEEP: Sweep = Sweep {
+    grid: |scale| BenchName::all().map(|b| cells(b, scale)).to_vec(),
+    report: |_, outputs| vec![report(&outputs)],
+};
 
 /// One benchmark's cells: first the ft-IRIX reference run, then the three
 /// non-optimal schemes and the synthesized static placement under UPMlib.
@@ -49,6 +55,11 @@ fn stats_vs(ft: &RunResult, r: &RunResult) -> (f64, f64) {
 
 /// Run Table 2 for all five benchmarks.
 pub fn run(scale: Scale) -> Report {
+    SWEEP.run(scale).remove(0)
+}
+
+/// Render Table 2 from its cells' outputs.
+fn report(outputs: &[Group]) -> Report {
     let mut report = Report::new(
         "table2",
         "UPMlib statistics: residual slowdown in the last 75% of iterations; share of migrations in the first iteration",
@@ -59,10 +70,9 @@ pub fn run(scale: Scale) -> Report {
             "Migrations in first invocation",
         ],
     );
-    let outputs = grid::execute(BenchName::all().map(|b| cells(b, scale)).to_vec());
     let mut worst_res = 0.0f64;
     let mut best_frac = 1.0f64;
-    for (bench, chunk) in BenchName::all().into_iter().zip(&outputs) {
+    for (bench, chunk) in BenchName::all().into_iter().zip(outputs) {
         let ft = match &chunk[0].value {
             Ok(r) => r,
             Err(p) => {
@@ -110,7 +120,7 @@ mod tests {
         let _gate = crate::summary::gate::crediting();
         // MG Tiny under round-robin + upmlib: after the engine settles, the
         // steady-state iterations should be close to first-touch speed.
-        let results = grid::run_cells(cells(BenchName::Mg, Scale::Tiny));
+        let results = crate::grid::run_cells(cells(BenchName::Mg, Scale::Tiny));
         let rr = results.iter().find(|r| r.placement == "rr").unwrap();
         let (last75_slowdown, first_iter_fraction) = stats_vs(&results[0], rr);
         assert!(

@@ -3,7 +3,7 @@
 //! stepped through its first timed iteration once, and the others fork
 //! from it. The outputs must be the bytes each cell computes alone, every
 //! computed cell must report a wall time, and the cells' walls must add up
-//! to the pool's. Its own process, because the session and the tally are
+//! to the pool's. Its own process, because the cache and the tally are
 //! process-global.
 
 use nas::{BenchName, RunResult, Scale};
@@ -67,23 +67,20 @@ fn fork_chains_compute_what_each_cell_computes_alone() {
         assert!(outputs.iter().all(|c| c.wall_secs > 0.0));
     }
 
-    // With the IRIX cells recalled by the open session, each UPMlib cell
-    // is a chain of one: it runs alone, from its own cold start.
-    xp::session::begin();
-    let irix: Vec<Cell> = grid()
-        .into_iter()
-        .filter(|c| c.cfg.engine.label() == "IRIX")
-        .collect();
-    let irix_alone: Vec<String> = (alone.iter())
-        .zip(grid())
-        .filter(|(_, c)| c.cfg.engine.label() == "IRIX")
+    // With the IRIX cells already in the cache, each UPMlib cell is a chain
+    // of one: it runs alone, from its own cold start.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fork-chains-cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    xp::cache::install(Some(svc::Cache::new(&dir)));
+    let irix = |c: &Cell| c.cfg.engine.label() == "IRIX";
+    let irix_alone: Vec<String> = (alone.iter().zip(grid()))
+        .filter(|(_, c)| irix(c))
         .map(|(b, _)| b.clone())
         .collect();
-    execute(irix, 2, &irix_alone);
+    execute(grid().into_iter().filter(irix).collect(), 2, &irix_alone);
     let outputs = execute(grid(), 2, &alone);
     for (out, cell) in outputs.iter().zip(grid()) {
-        let recalled = cell.cfg.engine.label() == "IRIX";
-        assert_eq!(out.wall_secs == 0.0, recalled, "{}", out.id);
+        assert_eq!(out.wall_secs == 0.0, irix(&cell), "{}", out.id);
     }
-    xp::session::end();
+    xp::cache::install(None);
 }

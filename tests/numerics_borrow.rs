@@ -17,7 +17,9 @@
 //! Then the plan: every tiny grid the experiments plan, executed as one
 //! plan at one and at two workers — where `CellPlan::execute` makes the
 //! later cells of each problem borrowers of its first — must equal each
-//! cell run alone, in full (`Cell::run`), in every cache byte.
+//! cell run alone, in full (`Cell::run`), in every cache byte; so must
+//! their union executed as one sweep, which computes each distinct cell
+//! once.
 //!
 //! Every run is on a machine key of its own (`max_vpages` grown by a
 //! process-unique amount), so its memo library starts empty and the twins'
@@ -259,6 +261,34 @@ fn every_tiny_experiment_plan_equals_its_cells_run_alone() {
                 assert_eq!(got, alone[key], "{name} on {workers} workers: {}", out.id);
             }
         }
+    }
+    xp::jobs::set(0);
+}
+
+#[test]
+fn the_union_of_the_tiny_plans_as_one_sweep_computes_each_distinct_cell_once() {
+    let groups: Vec<Vec<Cell>> = experiment_plans().into_iter().map(|(_, c)| c).collect();
+    let cells = || groups.iter().flatten();
+    let mut alone: HashMap<String, String> = HashMap::new();
+    for cell in cells() {
+        let key = cell.spec().canonical();
+        alone
+            .entry(key)
+            .or_insert_with(|| bytes(&cell.clone().run()));
+    }
+    for workers in [1, 2] {
+        xp::jobs::set(workers);
+        let outputs = xp::grid::execute(groups.clone());
+        let outputs: Vec<_> = outputs.iter().flatten().collect();
+        assert_eq!(outputs.len(), cells().count());
+        for (out, cell) in outputs.iter().zip(cells()) {
+            let got = bytes(out.ok().expect("every cell ran"));
+            let want = &alone[&cell.spec().canonical()];
+            assert_eq!(&got, want, "on {workers} workers: {}", out.id);
+        }
+        // Only a cell's first listing ran, and it reports a wall.
+        let computed = outputs.iter().filter(|c| c.wall_secs > 0.0).count();
+        assert_eq!(computed, alone.len(), "on {workers} workers");
     }
     xp::jobs::set(0);
 }
