@@ -7,7 +7,7 @@ use super::image::{
 };
 use super::library::{MemoLibrary, Slots};
 use super::proof::{PhaseProof, ProofTable};
-use super::retime::{ClassStream, Retime, Timing, NO_HOME};
+use super::retime::{retime, ClassStream, LagCount, PageEncoder, PageStream, Timing};
 use super::{KEY_OTHER, MAX_ASSOC};
 use crate::cache::SetAssocCache;
 use crate::cpu::CpuId;
@@ -63,33 +63,29 @@ pub struct FastpathStats {
 
 /// What the engine did for a region, and what the caller owes it.
 ///
-/// The region effects of every CPU in `replayed` have been applied in bulk:
-/// those CPUs must not reach the machine during the region body. Their
-/// threads run for the data side only — except a CPU that
-/// [`retime_of`](Self::retime_of) has a walk for, whose thread must also
-/// hand that walk every access it makes, in order. Every other team CPU
-/// executes the exact path. After the body and *before* `end_region` the
-/// outcome goes back through [`FastpathEngine::finish_region`]. The cases
-/// are values, not variants: the whole team replayed and no recording (no
-/// CPU missed), a recording (at least one did), or neither (a precondition
-/// failed).
+/// The region effects of every CPU in `replayed` have been applied in bulk,
+/// time included: those CPUs must not reach the machine during the region
+/// body. Their threads run for the data side only, or not at all. Every
+/// other team CPU executes the exact path. After the body and *before*
+/// `end_region` the outcome goes back through
+/// [`FastpathEngine::finish_region`]. The cases are values, not variants:
+/// the whole team replayed and no recording (no CPU missed), a recording
+/// (at least one did), or neither (a precondition failed).
 #[derive(Default)]
 pub struct FastpathOutcome {
     /// Team CPUs that sit the region out: memo hits and retimed CPUs.
     pub replayed: Vec<CpuId>,
-    /// The walks of the retimed CPUs.
-    retimed: Vec<Retime>,
+    /// The accesses each `replayed` CPU's thread made in the body, in
+    /// `replayed` order. A caller that runs those bodies for their data
+    /// sizes it and counts; one that skips them leaves it empty.
+    /// [`FastpathEngine::finish_region`] holds a counted walk to its image's.
+    pub walked: Vec<u64>,
+    /// The accesses of each `replayed` CPU's image.
+    walks: Vec<u64>,
     /// Present when some CPU missed and is being recorded.
     record: Option<RecordToken>,
-    /// The region's label; set only when there is something to finish.
+    /// The region's label; set only when something is recorded.
     label: String,
-}
-
-impl FastpathOutcome {
-    /// The walk `cpu`'s thread owes its accesses to, if `cpu` is retimed.
-    pub fn retime_of(&mut self, cpu: CpuId) -> Option<&mut Retime> {
-        self.retimed.iter_mut().find(|r| r.cpu == cpu)
-    }
 }
 
 /// Entry snapshot carried from `begin_region_fastpath` to `finish_region`.
@@ -383,12 +379,13 @@ impl FastpathEngine {
         } else {
             Vec::new()
         };
-        let mut outcome = apply_lanes(m, pool, &lanes, &frames);
-        let retimes = outcome.retimed.len();
+        let (mut outcome, timed) = apply_lanes(m, pool, &lanes, &frames);
+        let retimes = timed.len();
         stats.cpu_retimes += retimes as u64;
         stats.cpu_replays += (outcome.replayed.len() - retimes) as u64;
-        if retimes > 0 || live_cpus > 0 {
-            outcome.label = label.to_string();
+        // Until the first migration, every run of the key walks this prefix.
+        if retimes > 0 && m.stats.page_migrations == 0 {
+            self.library.publish_placements(pool, timed);
         }
         if live_cpus == 0 {
             stats.replays += 1;
@@ -428,6 +425,7 @@ impl FastpathEngine {
             });
         }
         m.fp_begin_recording();
+        outcome.label = label.to_string();
         outcome.record = Some(RecordToken {
             frames,
             entry_stats: m.stats,
@@ -443,58 +441,44 @@ impl FastpathEngine {
 
     /// Finish the region `outcome` came from. Must be called after the body
     /// and *before* `end_region` (the recording's entry/exit diff needs the
-    /// still-open region state). Every retimed CPU's walk is checked — always
-    /// on — landed in its account and statistics, and kept as one more
-    /// placement of its image; a recording is validated (did the region
-    /// behave exactly as the proof claims?) and stored, one memo per live
-    /// CPU. Until the machine's first page migration, both are published to
-    /// the engine's library too.
+    /// still-open region state). Every counted data-only turn is held to
+    /// its image's walk — always on: the body and the image must agree on
+    /// the access count, or a memo served the wrong walk. A recording is
+    /// validated (did the region behave exactly as the proof claims?) and
+    /// stored, one memo per live CPU; until the machine's first page
+    /// migration it is published to the engine's library too.
     pub fn finish_region(&mut self, m: &mut Machine, outcome: FastpathOutcome) {
-        if outcome.retimed.is_empty() && outcome.record.is_none() {
-            return;
+        if !outcome.walked.is_empty() {
+            let counted = outcome.replayed.iter().zip(&outcome.walks);
+            assert_eq!(
+                outcome.walked.len(),
+                counted.len(),
+                "one count per replayed CPU"
+            );
+            for ((cpu, &want), &walked) in counted.zip(&outcome.walked) {
+                assert_eq!(
+                    walked, want,
+                    "cpu {cpu}'s data-only turn made {walked} accesses, its image's walk {want}",
+                );
+            }
         }
+        let Some(token) = outcome.record else {
+            return;
+        };
         let _hp = hostprof::span_hot("ccnuma.fastpath");
         let rec = m.fp_take_recording().unwrap_or_default();
         let pool = self.pools.get_mut(&outcome.label);
         let pool = pool.expect("no install runs inside a region");
-        let mut timed = Vec::with_capacity(outcome.retimed.len());
-        for walk in outcome.retimed {
-            assert_eq!(
-                (walk.pos, walk.timing.mem_local + walk.timing.mem_remote),
-                (walk.image.classes.len, walk.image.memory_accesses()),
-                "{}: cpu {}'s retime walk (accesses, of them memory) left its image's",
-                outcome.label,
-                walk.cpu,
-            );
-            land_timing(m, walk.cpu, &walk.timing);
-            let placement = Placement {
-                frames: walk.frames,
-                timing: walk.timing,
-            };
-            timed.push((walk.thread, walk.image, placement));
-        }
-        let mut recorded = Vec::new();
-        if let Some(token) = outcome.record {
-            let faulted = !rec.faults.is_empty();
-            match build_images(m, pool, &token, rec, &mut self.frame_page) {
-                Some(images) => {
-                    self.stats.records += 1;
-                    self.stats.fault_records += u64::from(faulted);
-                    self.stats.cpu_records += images.len() as u64;
-                    recorded = images;
-                }
-                None => self.stats.rejects += 1,
-            }
-        }
-        // Until the first migration, every run of the key walks this prefix.
+        let faulted = !rec.faults.is_empty();
+        let Some(mut recorded) = build_images(m, pool, &token, rec, &mut self.frame_page) else {
+            self.stats.rejects += 1;
+            return;
+        };
+        self.stats.records += 1;
+        self.stats.fault_records += u64::from(faulted);
+        self.stats.cpu_records += recorded.len() as u64;
         if m.stats.page_migrations == 0 {
-            self.library.publish(pool, &timed, &mut recorded);
-        }
-        for (thread, core, placement) in timed {
-            let images = &mut pool.slots[thread].images;
-            let image = images.iter_mut().find(|i| Arc::ptr_eq(&i.core, &core));
-            let image = image.expect("a retimed image stays in its slot for the region");
-            image.keep_placement(placement);
+            self.library.publish_images(pool, &mut recorded);
         }
         // A thread a faulting region ran live for want of another thread's
         // image may hold its twin already: that one keeps the new placement.
@@ -569,63 +553,47 @@ fn count_miss(slot: &CpuSlot, frames: &[(u64, FrameId)], stats: &mut FastpathSta
 
 /// Apply the front image of every CPU that sits the region out: directory
 /// bumps for all of them first (cache fix-ups read the post-region
-/// versions), then per-CPU state — a hitter's with its front placement's
-/// timing, a retimed CPU's without (its walk lands that at region exit). A
-/// live thread cannot observe any of this by eligibility.
+/// versions), then per-CPU state and time — a hitter's from its front
+/// placement, a retimed CPU's from a walk of its image on the frames its
+/// pages are in now, kept as a new front placement. From there a retimed
+/// CPU is a hitter. Returns the outcome of a region no CPU is recording in,
+/// and what each retime timed: `(thread, image, placement)`. A live thread
+/// cannot observe any of this by eligibility.
 fn apply_lanes(
     m: &mut Machine,
     pool: &mut Pool,
     lanes: &[Lane],
     frames: &[(u64, FrameId)],
-) -> FastpathOutcome {
+) -> (FastpathOutcome, Vec<(usize, Arc<ImageCore>, Placement)>) {
     for (t, _) in lanes.iter().enumerate().filter(|(_, &l)| l != Lane::Live) {
         for &(line, k) in &pool.writes_by_thread[t] {
             m.directory.bump(line, k);
         }
     }
     let mut outcome: FastpathOutcome = Default::default();
+    let mut timed = Vec::new();
     for (t, &lane) in lanes.iter().enumerate() {
         if lane == Lane::Live {
             continue;
         }
         let slot = &mut pool.slots[t];
-        let Image { core, placements } = &slot.images[0];
-        apply_image(m, slot.cpu, core, frames);
+        let image = &mut slot.images[0];
+        apply_image(m, slot.cpu, &image.core, frames);
         outcome.replayed.push(slot.cpu);
-        if lane == Lane::Hit {
-            land_timing(m, slot.cpu, &placements[0].timing);
-            continue;
+        outcome.walks.push(image.core.accesses());
+        if lane == Lane::Retime {
+            let core = &image.core;
+            let on: Vec<FrameId> = (core.pages.iter())
+                .map(|&(p, _)| frames[p as usize].1)
+                .collect();
+            let timing = retime(core, m, slot.cpu, &on);
+            let placement = Placement { frames: on, timing };
+            timed.push((t, Arc::clone(core), placement.clone()));
+            image.keep_placement(placement);
         }
-        let nodes = m.config.topology.nodes();
-        let node = m.cpus[slot.cpu].node;
-        let mut homes = vec![NO_HOME; m.page_table.len()];
-        let mut on = Vec::with_capacity(core.pages.len());
-        for &(page, _) in &core.pages {
-            let (vpage, frame) = frames[page as usize];
-            homes[vpage as usize] = m.memory.node_of_frame(frame) as u16;
-            on.push(frame);
-        }
-        outcome.retimed.push(Retime {
-            thread: t,
-            cpu: slot.cpu,
-            frames: on,
-            homes,
-            image: Arc::clone(core),
-            pos: 0,
-            l1_ns: m.config.latency.l1_ns,
-            l2_ns: m.config.latency.l2_ns,
-            mem_ns: m.mem_ns[node * nodes..][..nodes].to_vec(),
-            node,
-            timing: Timing {
-                stall_ns: 0.0,
-                stall_by_node: vec![0.0; nodes],
-                accesses_by_node: vec![0; nodes],
-                mem_local: 0,
-                mem_remote: 0,
-            },
-        });
+        land_timing(m, slot.cpu, &image.placements[0].timing);
     }
-    outcome
+    (outcome, timed)
 }
 
 fn int_stats(m: &Machine, cpu: CpuId) -> [u64; 5] {
@@ -738,53 +706,11 @@ fn build_images(
         .counters
         .total_recorded()
         .wrapping_sub(token.entry_accesses);
-    if acc_delta != rec.mem_log.len() as u64 {
+    let logged = rec.mem_log.len();
+    if acc_delta != logged as u64 {
         debug_assert!(
             false,
-            "PhaseProof {:?}: counters moved {acc_delta}, log has {}",
-            proof.label,
-            rec.mem_log.len(),
-        );
-        return None;
-    }
-    // One pass over the log: every access must land inside the proof's page
-    // footprint, and each live CPU's accesses are counted per proof page
-    // (`hits[slot * pages + page]`). A CPU streams through a page line by
-    // line, so most entries repeat the previous entry's frame; a stencil
-    // changes frame on nearly every one, so the frame's page is an index,
-    // not a hash. `frame_page` is all `NO_PAGE` between calls: the
-    // footprint's entries are set here and cleared before any return.
-    if frame_page.len() < m.memory.total_frames() {
-        frame_page.resize(m.memory.total_frames(), NO_PAGE);
-    }
-    for (pi, &(_, frame)) in frames.iter().enumerate() {
-        frame_page[frame] = pi as u32;
-    }
-    let pages = frames.len();
-    let mut hits = vec![0u64; token.live.len() * pages];
-    let mut last = (u32::MAX, 0usize);
-    let mut outside = None;
-    for &(cpu, frame) in &rec.mem_log {
-        if frame != last.0 {
-            let pi = frame_page.get(frame as usize).copied().unwrap_or(NO_PAGE);
-            if pi == NO_PAGE {
-                outside = Some(frame);
-                break;
-            }
-            last = (frame, pi as usize);
-        }
-        let slot = live_slot[cpu as usize];
-        if slot != usize::MAX {
-            hits[slot * pages + last.1] += 1;
-        }
-    }
-    for &(_, frame) in &frames {
-        frame_page[frame] = NO_PAGE;
-    }
-    if let Some(frame) = outside {
-        debug_assert!(
-            false,
-            "PhaseProof {:?}: memory access outside the proof footprint (frame {frame})",
+            "PhaseProof {:?}: counters moved {acc_delta}, log has {logged}",
             proof.label,
         );
         return None;
@@ -793,10 +719,12 @@ fn build_images(
         // Exhaustive per-(frame, node) re-validation of the aggregate check.
         let nodes = m.config.topology.nodes();
         let mut logged: BTreeMap<(FrameId, usize), u64> = BTreeMap::new();
-        for &(cpu, frame) in &rec.mem_log {
-            *logged
-                .entry((frame as FrameId, m.cpus[cpu as usize].node))
-                .or_insert(0) += 1;
+        for (cpu, log) in rec.runs() {
+            for &frame in log {
+                *logged
+                    .entry((frame as FrameId, m.cpus[cpu].node))
+                    .or_insert(0) += 1;
+            }
         }
         for (fi, &(_, frame)) in frames.iter().enumerate() {
             for node in 0..nodes {
@@ -833,9 +761,34 @@ fn build_images(
     for entries in pre.values_mut() {
         entries.sort_unstable_by_key(|&(set, _)| set);
     }
+    // Every access must land inside the proof's page footprint; each live
+    // CPU's are counted per proof page and encoded in walk order.
+    // `frame_page` is all `NO_PAGE` between calls: the footprint's entries
+    // are set here and cleared before any return.
+    if frame_page.len() < m.memory.total_frames() {
+        frame_page.resize(m.memory.total_frames(), NO_PAGE);
+    }
+    for (pi, &(_, frame)) in frames.iter().enumerate() {
+        frame_page[frame] = pi as u32;
+    }
+    let walks = walks(&mut rec, &token.live, frame_page, frames.len());
+    for &(_, frame) in &frames {
+        frame_page[frame] = NO_PAGE;
+    }
+    let walks = match walks {
+        Ok(walks) => walks,
+        Err(frame) => {
+            debug_assert!(
+                false,
+                "PhaseProof {:?}: memory access outside the proof footprint (frame {frame})",
+                proof.label,
+            );
+            return None;
+        }
+    };
     let empty: Vec<(u32, usize)> = Vec::new();
     let mut images = Vec::with_capacity(token.live.len());
-    for (slot, lc) in token.live.iter().enumerate() {
+    for ((walk, lc), faults) in walks.into_iter().zip(&token.live).zip(faults) {
         debug_assert_eq!(pool.slots[lc.thread].cpu, lc.cpu);
         let exit = int_stats(m, lc.cpu);
         let mut stats = [0u64; 5];
@@ -852,22 +805,16 @@ fn build_images(
         let (l2, l2_fix) = diff_level(
             &ctx.l2, l2_pre, &rec.ways, lc.l2_tick, proof, pool, token, m,
         )?;
-        // This CPU's memory accesses per proof page, in page order.
-        let pages: Vec<(u32, u64)> = hits[slot * pages..][..pages]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(pi, &count)| (pi as u32, count))
-            .collect();
+        let Walk {
+            pages,
+            mut classes,
+            mut mem_pages,
+        } = walk;
         let on = pages.iter().map(|&(pi, _)| frames[pi as usize].1);
-        let mut classes = std::mem::take(&mut rec.classes[lc.cpu]);
-        classes.seal();
+        let accesses = l1_hits + l2_hits + mem_local + mem_remote;
         assert_eq!(
             (classes.len as u64, mem_local + mem_remote),
-            (
-                l1_hits + l2_hits + mem_local + mem_remote,
-                pages.iter().map(|&(_, count)| count).sum()
-            ),
+            (accesses, pages.iter().map(|&(_, count)| count).sum()),
             "{}: cpu {}'s class stream and memory log disagree with its statistics",
             proof.label,
             lc.cpu,
@@ -884,7 +831,7 @@ fn build_images(
         };
         // A walk that never reaches memory is timed the same everywhere.
         if pages.is_empty() {
-            classes = ClassStream::default();
+            (classes, mem_pages) = Default::default();
         }
         let core = ImageCore {
             l1,
@@ -892,13 +839,14 @@ fn build_images(
             l1_fix,
             l2_fix,
             pages,
-            faults: std::mem::take(&mut faults[slot]),
+            faults,
             l1_hits,
             l2_hits,
             coherence_misses,
             compute_ns: ctx.account.compute_ns,
             cache_ns: ctx.account.cache_ns,
             classes,
+            mem_pages,
         };
         images.push((
             lc.thread,
@@ -909,6 +857,75 @@ fn build_images(
         ));
     }
     Some(images)
+}
+
+/// One live CPU's walk, as a recording's logs give it.
+struct Walk {
+    /// `(proof page, accesses)` of every page it reached memory on,
+    /// ascending.
+    pages: Vec<(u32, u64)>,
+    classes: ClassStream,
+    mem_pages: PageStream,
+}
+
+/// The [`Walk`] of each CPU of `live`, in order: its class stream taken
+/// from `rec`, and its memory accesses from `rec`'s log, counted per proof
+/// page and encoded, page by page, in walk order. A CPU streams through a
+/// page line by line, so most log entries repeat the previous entry's
+/// frame; a stencil changes frame on nearly every one, so the frame's proof
+/// page is an index (`frame_page`, of `pages`), not a hash. `Err` names a
+/// logged frame outside the footprint, whichever CPU logged it.
+fn walks(
+    rec: &mut FpRecording,
+    live: &[LiveCpu],
+    frame_page: &[u32],
+    pages: usize,
+) -> Result<Vec<Walk>, u32> {
+    let page_of = |frame: u32| match frame_page.get(frame as usize) {
+        Some(&pi) if pi != NO_PAGE => Ok(pi),
+        _ => Err(frame),
+    };
+    let is_live = |cpu: usize| live.iter().any(|lc| lc.cpu == cpu);
+    for (_, log) in rec.runs().filter(|&(cpu, _)| !is_live(cpu)) {
+        log.iter().try_for_each(|&frame| page_of(frame).map(drop))?;
+    }
+    let mut walks = Vec::with_capacity(live.len());
+    let mut hits = vec![0u64; pages];
+    for lc in live {
+        let mut classes = std::mem::take(&mut rec.classes[lc.cpu]);
+        classes.seal();
+        let logs = || rec.runs().filter(|&(cpu, _)| cpu == lc.cpu);
+        // Accesses per proof page, and which lag best predicts their pages.
+        hits.fill(0);
+        let mut lags = LagCount::default();
+        for (_, log) in logs() {
+            let mut last = (u32::MAX, 0u32);
+            for &frame in log {
+                if frame != last.0 {
+                    last = (frame, page_of(frame)?);
+                }
+                hits[last.1 as usize] += 1;
+                lags.push(last.1);
+            }
+        }
+        // From here `hits` holds the image-local index of each page reached.
+        let mut reached = Vec::new();
+        for (pi, count) in hits.iter_mut().enumerate().filter(|(_, c)| **c > 0) {
+            reached.push((pi as u32, *count));
+            *count = reached.len() as u64 - 1;
+        }
+        let mut encoder = PageEncoder::new(&lags, reached.len());
+        for &frame in logs().flat_map(|(_, log)| log) {
+            let page = frame_page[frame as usize];
+            encoder.push(&mut classes, page, hits[page as usize] as u32);
+        }
+        walks.push(Walk {
+            pages: reached,
+            classes,
+            mem_pages: encoder.finish(),
+        });
+    }
+    Ok(walks)
 }
 
 /// Build one level's key from the logged pre-images and diff its exit state
@@ -1038,7 +1055,7 @@ mod tests {
 
     /// One access of the region body. The lane is the caller's to keep: a
     /// CPU in `replayed` had its effects applied by the engine and sits out,
-    /// handing its accesses to its retime walk if it has one.
+    /// counting the accesses its data-only turn makes.
     fn access(
         m: &mut Machine,
         lanes: &mut FastpathOutcome,
@@ -1046,10 +1063,11 @@ mod tests {
         vaddr: u64,
         kind: AccessKind,
     ) {
-        if let Some(walk) = lanes.retime_of(cpu) {
-            walk.touch(vaddr);
-        } else if !lanes.replayed.contains(&cpu) {
-            m.touch(cpu, vaddr, kind);
+        match lanes.replayed.iter().position(|&c| c == cpu) {
+            Some(i) => lanes.walked[i] += 1,
+            None => {
+                m.touch(cpu, vaddr, kind);
+            }
         }
     }
 
@@ -1087,6 +1105,7 @@ mod tests {
             None => body(m, &mut Default::default()),
             Some(e) => {
                 let mut outcome = e.begin_region_fastpath(m, LABEL, binding);
+                outcome.walked.resize(outcome.replayed.len(), 0);
                 body(m, &mut outcome);
                 e.finish_region(m, outcome);
             }
@@ -1472,16 +1491,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "retime walk")]
-    fn a_retime_walk_that_leaves_its_stream_is_an_engine_bug() {
-        let (_, mut fast, mut engine) = thrashing(MachineConfig::tiny_test());
-        fast.migrate_page(1, 3).unwrap();
-        // The body makes one access fewer than the image was recorded with.
-        run_body(&mut fast, Some(&mut engine), &[0], |m, lanes| {
+    fn a_data_only_turn_that_leaves_its_image_walk_is_an_engine_bug() {
+        // The body makes one access fewer than the image was recorded with:
+        // caught on a hit and on a retime alike. A caller that skips the
+        // replayed turns counts nothing, and nothing is checked.
+        let short = |m: &mut Machine, lanes: &mut FastpathOutcome| {
             for line in [128, 0, 32] {
                 access(m, lanes, 0, line * 128, Read);
             }
-        });
+        };
+        for moved in [false, true] {
+            let (_, mut fast, engine) = thrashing(MachineConfig::tiny_test());
+            if moved {
+                fast.migrate_page(1, 3).unwrap();
+            }
+            let (mut skipped, mut skipper) = (fast.clone(), engine.clone());
+            skipped.begin_region();
+            let outcome = skipper.begin_region_fastpath(&mut skipped, LABEL, &[0]);
+            assert_eq!(outcome.replayed, [0]);
+            skipper.finish_region(&mut skipped, outcome);
+            skipped.end_region();
+            assert_eq!(skipper.stats().cpu_retimes, u64::from(moved));
+
+            let short_run = std::panic::AssertUnwindSafe(|| {
+                run_body(&mut fast, Some(&mut engine.clone()), &[0], short)
+            });
+            let panic = std::panic::catch_unwind(short_run).expect_err("a short walk passed");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains("data-only turn made 3 accesses"),
+                "{message}"
+            );
+        }
     }
 
     /// A library of its own, and a fresh engine of [`thrash`]'s table

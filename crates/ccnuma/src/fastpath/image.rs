@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use super::proof::PhaseProof;
-use super::retime::{ClassStream, Timing};
+use super::retime::{ClassStream, PageStream, Timing};
 use super::{KEY_EMPTY, KEY_OTHER, MAX_ASSOC, MAX_VARIANTS};
 use crate::cache::{SetAssocCache, INVALID_TAG};
 use crate::coherence::Directory;
@@ -42,15 +42,27 @@ pub(super) struct ImageCore {
     /// Exit `compute_ns` and `cache_ns` of the region account.
     pub(super) compute_ns: f64,
     pub(super) cache_ns: f64,
-    /// The walk's class per access; empty when it never reaches memory (its
-    /// one placement, on no frames, always hits).
+    /// The walk's class per access, and the page of each memory access: what
+    /// a retime walks ([`super::retime::retime`]). Empty when it never
+    /// reaches memory (its one placement, on no frames, always hits).
     pub(super) classes: ClassStream,
+    pub(super) mem_pages: PageStream,
 }
 
 impl ImageCore {
     /// Accesses of the walk that reach memory.
     pub(super) fn memory_accesses(&self) -> u64 {
         self.pages.iter().map(|&(_, count)| count).sum()
+    }
+
+    /// Accesses of the walk: what a data-only turn of its thread makes.
+    pub(super) fn accesses(&self) -> u64 {
+        self.l1_hits + self.l2_hits + self.memory_accesses()
+    }
+
+    /// Bytes the walk's streams hold.
+    pub(super) fn walk_bytes(&self) -> usize {
+        self.classes.words.len() * 8 + self.mem_pages.bytes()
     }
 
     /// Whether `other` is keyed on the same cache state and faults the same

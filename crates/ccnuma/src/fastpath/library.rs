@@ -38,7 +38,8 @@ pub struct LibraryStats {
     pub libraries: usize,
     /// Images held.
     pub images: usize,
-    /// Bytes of class stream the images hold.
+    /// Bytes of walk the images hold: class streams and the page indices
+    /// beside them.
     pub class_bytes: usize,
 }
 
@@ -50,7 +51,7 @@ impl MemoLibrary {
         LibraryStats {
             libraries: 1,
             images: images.len(),
-            class_bytes: images.iter().map(|i| i.core.classes.words.len() * 8).sum(),
+            class_bytes: images.iter().map(|i| i.core.walk_bytes()).sum(),
         }
     }
 
@@ -62,24 +63,28 @@ impl MemoLibrary {
         }
     }
 
-    /// Shelve what one region of `pool` timed: the placements of retime
-    /// walks (`(thread, image, placement)`), on their images while the
-    /// library holds them, and the `recorded` images. A recorded image
-    /// keyed like one held keeps the held one, and the engine is handed its
-    /// core to hold instead of its own copy.
-    pub(super) fn publish(
+    /// Shelve the placements one region's retimes of `pool` timed
+    /// (`(thread, image, placement)`) on their images, while the library
+    /// holds them.
+    pub(super) fn publish_placements(
         &self,
         pool: &Pool,
-        timed: &[(usize, Arc<ImageCore>, Placement)],
-        recorded: &mut [(usize, Image)],
+        timed: Vec<(usize, Arc<ImageCore>, Placement)>,
     ) {
         let mut slots = lock(&self.0);
         for (thread, core, placement) in timed {
-            let held = pool.shelf(&mut slots, *thread);
-            if let Some(image) = held.iter_mut().find(|h| Arc::ptr_eq(&h.core, core)) {
-                image.keep_placement(placement.clone());
+            let held = pool.shelf(&mut slots, thread);
+            if let Some(image) = held.iter_mut().find(|h| Arc::ptr_eq(&h.core, &core)) {
+                image.keep_placement(placement);
             }
         }
+    }
+
+    /// Shelve the images one region of `pool` recorded. A recorded image
+    /// keyed like one held keeps the held one, and the engine is handed its
+    /// core to hold instead of its own copy.
+    pub(super) fn publish_images(&self, pool: &Pool, recorded: &mut [(usize, Image)]) {
+        let mut slots = lock(&self.0);
         for (thread, image) in recorded {
             let held = pool.shelf(&mut slots, *thread);
             match held.iter_mut().find(|h| h.core.same_key(&image.core)) {

@@ -39,12 +39,14 @@
 //! is the frames of the pages the walk reached memory on — a handful of word
 //! compares once the image is found. A CPU whose caches match an image with
 //! no placement on the live frames — its pages moved, none of their lines
-//! was resident — is **retimed**: the image is
-//! applied at entry on the frames the pages are in now, and the CPU's thread
-//! walks the body against the image's *class stream* (one 2-bit class per
-//! access: L1 hit, L2 hit, memory) instead of the machine, adding up the
-//! latencies the new homes give ([`Retime`]); the result is kept as one more
-//! placement, so a page that ping-pongs hits both ways. Recording is
+//! was resident — is **retimed** at entry: the image is applied on the
+//! frames the pages are in now, and its walk is timed from the image alone
+//! — its *class stream* (one 2-bit class per access: L1 hit, L2 hit,
+//! memory) and the page of each memory access, most of them "the page of
+//! the memory access `lag` before" — adding up the latencies the new homes
+//! give. The result is kept as one more placement, so a page that
+//! ping-pongs hits both ways, and from there the CPU is a hit: its thread
+//! runs no walk. Recording is
 //! copy-on-write: the machine logs each probed set's pre-image the first time
 //! the region reaches it (see `Machine::fp_log_set`), and the exit diff runs
 //! over exactly those sets.
@@ -68,9 +70,9 @@
 //! `accesses_by_node` and local/remote are per-home counts re-bucketed, but
 //! `CpuRegionAccount::stall_ns` is an in-order `f64` sum of cache and memory
 //! latencies whose rounding depends on the order of the addends, so it cannot
-//! be rebuilt from counts: the retime walk performs the same adds in the same
-//! order and therefore lands the same bits — non-integer latencies included —
-//! and a placement stores them for the frames they were summed under.
+//! be rebuilt from counts: a retime performs the same adds in the same order
+//! and therefore lands the same bits — non-integer latencies included — and
+//! a placement stores them for the frames they were summed under.
 //! Bit-identical f64s survive the fold into cumulative stats because region
 //! stall/compute time is staged in per-region accounts and folded once per
 //! region (see `Machine::end_region`). Apply order mirrors execution:
@@ -121,9 +123,10 @@
 //! match the memory accesses the machine logged? did anything outside the
 //! footprint change?); a violated contract discards the memos in release
 //! builds and fires a `debug_assert!` in debug builds, so a lying proof can
-//! degrade performance but never correctness. A retime walk that does not
-//! consume its class stream exactly, or reaches memory more or less often
-//! than its image says, is the engine's own bug and an `assert!`.
+//! degrade performance but never correctness. A retime that does not consume
+//! its streams exactly, and a counted data-only turn that makes more or
+//! fewer accesses than its image's walk (the outcome's `walked` counts),
+//! are the engine's own bugs and `assert!`s.
 
 mod engine;
 mod image;
@@ -134,7 +137,6 @@ mod retime;
 pub use engine::{FastpathEngine, FastpathOutcome, FastpathStats};
 pub use library::{LibraryStats, MemoLibrary};
 pub use proof::{PhaseProof, ProofTable};
-pub use retime::Retime;
 pub(crate) use retime::{ClassStream, CLASS_L1, CLASS_L2, CLASS_MEM};
 
 /// Maximum associativity the fast path handles (normalization scratch

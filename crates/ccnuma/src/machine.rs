@@ -215,10 +215,15 @@ impl MachineConfig {
 /// records a region (see [`crate::fastpath`]).
 #[derive(Clone, Default)]
 pub(crate) struct FpRecording {
-    /// `(cpu, frame)` of every access that reached memory, 8 bytes an
-    /// entry (a BT medium region logs millions);
-    /// [`Machine::fp_begin_recording`] checks that frame numbers fit.
-    pub(crate) mem_log: Vec<(u32, u32)>,
+    /// The frame of every access that reached memory, in order: 4 bytes an
+    /// entry (a BT medium region logs millions), one vector, so a large log
+    /// is one large allocation; [`Machine::fp_begin_recording`] checks that
+    /// frame numbers fit.
+    pub(crate) mem_log: Vec<u32>,
+    /// `(cpu, first entry)` of each run of `mem_log` one CPU logged: the
+    /// exact path runs a region's threads one after the other, so a run a
+    /// thread.
+    pub(crate) mem_runs: Vec<(u32, usize)>,
     /// `(cpu, level 0|1, set)` of every cache set probed, in first-probe
     /// order, deduplicated per recording.
     pub(crate) sets: Vec<(u32, u8, u32)>,
@@ -286,6 +291,15 @@ pub struct Machine {
     fp_set_span: usize,
     /// Observability sink: `TraceSink::Null` unless a trace was requested.
     trace: TraceSink,
+}
+
+impl FpRecording {
+    /// The runs of `mem_log` each CPU logged, in order: `(cpu, frames)`.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let ends = (self.mem_runs.iter().skip(1).map(|run| run.1)).chain([self.mem_log.len()]);
+        let runs = self.mem_runs.iter().zip(ends);
+        runs.map(|(&(cpu, start), end)| (cpu as usize, &self.mem_log[start..end]))
+    }
 }
 
 impl Machine {
@@ -900,7 +914,10 @@ impl Machine {
             }
         }
         if let Some(rec) = self.fp_rec.as_mut() {
-            rec.mem_log.push((cpu as u32, frame as u32));
+            if rec.mem_runs.last().map(|run| run.0) != Some(cpu as u32) {
+                rec.mem_runs.push((cpu as u32, rec.mem_log.len()));
+            }
+            rec.mem_log.push(frame as u32);
         }
         let home = self.memory.node_of_frame(frame);
         let ns = self.mem_ns[cpu_node * self.config.topology.nodes() + home];

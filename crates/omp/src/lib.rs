@@ -26,10 +26,11 @@
 //! by name: [`Runtime::phase`] and [`Runtime::name_region`] label exactly
 //! the next region `"phase/name"`, the label its proof was installed under,
 //! and a region nobody named runs exactly. And a thread whose CPU the engine
-//! replayed takes its turn on a [`Par`] that holds no machine, so its body
-//! runs for the data side only — or, on a timing-only runtime
-//! ([`Runtime::set_timing_only`]), takes no turn at all. `ccnuma` simulates
-//! whatever reaches it.
+//! replayed — a hit, or a retime the engine timed from its image at entry —
+//! takes its turn on a [`Par`] that holds no machine, so its body runs for
+//! the data side only, counting its accesses for the engine to check — or,
+//! on a timing-only runtime ([`Runtime::set_timing_only`]), takes no turn
+//! at all. `ccnuma` simulates whatever reaches it.
 
 pub mod runtime;
 pub mod schedule;

@@ -1,9 +1,7 @@
 //! The fork/join runtime: parallel regions, worksharing, reductions.
 
 use crate::schedule::Schedule;
-use ccnuma::fastpath::{
-    FastpathEngine, FastpathOutcome, FastpathStats, MemoLibrary, ProofTable, Retime,
-};
+use ccnuma::fastpath::{FastpathEngine, FastpathOutcome, FastpathStats, MemoLibrary, ProofTable};
 use ccnuma::{AccessKind, CpuId, Machine, SimArray};
 use vmm::KernelMigrationEngine;
 
@@ -15,18 +13,14 @@ use vmm::KernelMigrationEngine;
 ///
 /// What the thread does with an access is decided once, when its turn
 /// starts. A thread whose region effects the phase fast path has already
-/// applied in bulk runs its body for the data side only, and holds no
-/// machine its accesses could reach; if its CPU's pages moved since the memo
-/// was timed, it also hands every access to the engine's retime walk, which
-/// holds no machine either. On a timing-only runtime
+/// applied in bulk, time included, runs its body for the data side only,
+/// and holds no machine its accesses could reach: it only counts them, for
+/// the engine to hold to the walk it applied. On a timing-only runtime
 /// ([`Runtime::set_timing_only`]) the data-only turn is not taken at all.
 pub struct Par<'m> {
-    /// The machine, borrowed for this thread's turn; `None` on the data-only
-    /// and retime lanes. Private, so [`Par::turn`] is the only way to build
-    /// one.
-    machine: Option<&'m mut Machine>,
-    /// The retime lane: the CPU's walk.
-    retime: Option<&'m mut Retime>,
+    /// What this thread's accesses reach. Private, so [`Par::turn`] is the
+    /// only way to build one.
+    lane: Lane<'m>,
     /// CPU executing this thread (identity binding unless the scheduler
     /// has rebound the team via `Runtime::rebind_threads`).
     pub cpu: CpuId,
@@ -36,21 +30,29 @@ pub struct Par<'m> {
     pub team: usize,
 }
 
+/// The lane of a turn: the machine, borrowed for the turn, or on the
+/// data-only lane the region's count of this CPU's accesses.
+enum Lane<'m> {
+    Machine(&'m mut Machine),
+    DataOnly(&'m mut u64),
+}
+
 impl<'m> Par<'m> {
     /// Thread `tid`'s turn in the region `team` is running: a replayed
-    /// CPU's thread gets no machine, a retimed one's its walk — and on a
-    /// timing-only runtime a replayed, unretimed CPU's thread gets no turn
+    /// CPU's thread gets no machine — and on a timing-only runtime no turn
     /// (`None`): its body would compute values only.
     fn turn(team: &'m mut Team<'_>, tid: usize) -> Option<Self> {
         let cpu = team.cpus[tid];
-        let replayed = team.lanes.replayed.contains(&cpu);
-        let retime = team.lanes.retime_of(cpu);
-        if replayed && retime.is_none() && team.timing_only {
+        let replayed = team.lanes.replayed.iter().position(|&c| c == cpu);
+        if replayed.is_some() && team.timing_only {
             return None;
         }
+        let lane = match replayed {
+            Some(i) => Lane::DataOnly(&mut team.lanes.walked[i]),
+            None => Lane::Machine(&mut *team.machine),
+        };
         Some(Self {
-            machine: (!replayed).then_some(&mut *team.machine),
-            retime,
+            lane,
             cpu,
             tid,
             team: team.cpus.len(),
@@ -69,49 +71,51 @@ struct Team<'r> {
 }
 
 impl Par<'_> {
+    /// One access of the turn, to `array[i]`: simulated on the machine,
+    /// or counted on the data-only lane.
+    #[inline(always)]
+    fn touch<T: Copy>(&mut self, array: &SimArray<T>, i: usize, kind: AccessKind) {
+        match &mut self.lane {
+            Lane::Machine(machine) => {
+                machine.touch(self.cpu, array.vaddr_of(i), kind);
+            }
+            Lane::DataOnly(walked) => **walked += 1,
+        }
+    }
+
     /// Simulated load of `array[i]`.
     #[inline(always)]
     pub fn get<T: Copy>(&mut self, array: &SimArray<T>, i: usize) -> T {
-        if let Some(machine) = &mut self.machine {
-            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
-        } else if let Some(walk) = &mut self.retime {
-            walk.touch(array.vaddr_of(i));
-        }
+        self.touch(array, i, AccessKind::Read);
         array.peek(i)
     }
 
     /// Simulated store of `array[i] = value`.
     #[inline(always)]
     pub fn set<T: Copy>(&mut self, array: &SimArray<T>, i: usize, value: T) {
-        if let Some(machine) = &mut self.machine {
-            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
-        } else if let Some(walk) = &mut self.retime {
-            walk.touch(array.vaddr_of(i));
-        }
+        self.touch(array, i, AccessKind::Write);
         array.poke(i, value)
     }
 
     /// Simulated read-modify-write of `array[i]` (one load + one store).
     #[inline(always)]
     pub fn update<T: Copy>(&mut self, array: &SimArray<T>, i: usize, f: impl FnOnce(T) -> T) {
-        if let Some(machine) = &mut self.machine {
-            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Read);
-        } else if let Some(walk) = &mut self.retime {
-            walk.touch(array.vaddr_of(i));
-        }
+        self.touch(array, i, AccessKind::Read);
         let v = f(array.peek(i));
-        if let Some(machine) = &mut self.machine {
-            machine.touch(self.cpu, array.vaddr_of(i), AccessKind::Write);
-        } else if let Some(walk) = &mut self.retime {
-            walk.touch(array.vaddr_of(i));
-        }
+        self.touch(array, i, AccessKind::Write);
         array.poke(i, v)
+    }
+
+    /// Whether this turn is on the data-only lane.
+    #[cfg(test)]
+    fn data_only(&self) -> bool {
+        matches!(self.lane, Lane::DataOnly(_))
     }
 
     /// Charge `flops` floating-point operations of simulated compute time.
     #[inline(always)]
     pub fn flops(&mut self, flops: u64) {
-        if let Some(machine) = &mut self.machine {
+        if let Lane::Machine(machine) = &mut self.lane {
             machine.compute(self.cpu, flops);
         }
     }
@@ -241,13 +245,14 @@ impl Runtime {
     }
 
     /// Make this runtime timing-only, and every clone of it: a thread whose
-    /// turn the fast path has already applied in bulk does not run its body
-    /// at all. Simulated time, placement and statistics are those of a full
-    /// runtime, since such a body reaches no machine and no address, flop
-    /// charge or control decision of a body depends on a simulated value;
-    /// what is lost is the values. Live, retimed and dynamic-loop turns run
-    /// as ever; a skipped reduction block contributes nothing to the
-    /// reduction, a skipped serial section returns `R::default()`.
+    /// turn the fast path has already applied in bulk (a hit or a retime)
+    /// does not run its body at all. Simulated time, placement and
+    /// statistics are those of a full runtime, since such a body reaches no
+    /// machine and no address, flop charge or control decision of a body
+    /// depends on a simulated value; what is lost is the values. Live and
+    /// dynamic-loop turns run as ever; a skipped reduction block contributes
+    /// nothing to the reduction, a skipped serial section returns
+    /// `R::default()`.
     pub fn set_timing_only(&mut self) {
         self.timing_only = true;
     }
@@ -542,9 +547,10 @@ impl Runtime {
     /// The region bracket, stated once for every construct: the yield
     /// point, `begin_region`, the fast path's verdict on `proof_team` (see
     /// [`Runtime::fastpath_begin`]), `body` on the region's [`Team`] (the
-    /// machine, the team's binding, the region's lanes), the lanes handed
-    /// back (before `end_region`: a recording diffs the still-open region
-    /// state and a retime walk lands in the region account), `end_region`.
+    /// machine, the team's binding, the region's lanes; a full runtime counts
+    /// its data-only turns' accesses in them), the lanes handed back (before
+    /// `end_region`: a recording diffs the still-open region state),
+    /// `end_region`.
     /// A traced run also gets the region's [`obs::EventKind::RegionProfile`]
     /// and, returned beside the body's value, its local and remote memory
     /// accesses and wall time.
@@ -562,6 +568,9 @@ impl Runtime {
             .then(|| self.machine.aggregate_cpu_stats());
         self.machine.begin_region();
         let mut lanes = self.fastpath_begin(proof_team);
+        if !self.timing_only {
+            lanes.walked.resize(lanes.replayed.len(), 0);
+        }
         let r = body(&mut Team {
             machine: &mut self.machine,
             cpus: &self.cpu_of_thread,
@@ -886,9 +895,9 @@ mod tests {
         let (mut fast, fa) = striped(4, true);
         let mut data_only_turns = 0;
         for rep in 0..6 {
-            stripe_rep(&mut exact, &ea, rep, |par| assert!(par.machine.is_some()));
+            stripe_rep(&mut exact, &ea, rep, |par| assert!(!par.data_only()));
             stripe_rep(&mut fast, &fa, rep, |par| {
-                data_only_turns += usize::from(par.machine.is_none())
+                data_only_turns += usize::from(par.data_only())
             });
             assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
         }
@@ -920,7 +929,7 @@ mod tests {
         let mut lanes = [None; 2];
         stripe_rep(&mut exact, &ea, 4, |_| {});
         stripe_rep(&mut fast, &fa, 4, |par| {
-            lanes[par.tid] = Some(par.machine.is_none())
+            lanes[par.tid] = Some(par.data_only())
         });
         assert_eq!(lanes, [Some(false), Some(true)]);
         assert_eq!(observable(&exact, &ea), observable(&fast, &fa));
@@ -958,14 +967,14 @@ mod tests {
         let replays = |rt: &Runtime| rt.fastpath_stats().expect("installed").replays;
         for rep in 0..5 {
             construct(&mut exact, &mut |par, i| {
-                assert!(par.machine.is_some());
+                assert!(!par.data_only());
                 stripe(par, &ea, i, rep)
             });
             let before = replays(&fast);
             let mut data_only = Vec::new();
             fast.name_region("stripe");
             construct(&mut fast, &mut |par, i| {
-                data_only.push(par.machine.is_none());
+                data_only.push(par.data_only());
                 stripe(par, &fa, i, rep)
             });
             let replayed = replays(&fast) > before;
@@ -975,11 +984,12 @@ mod tests {
         }
         assert!(replays(&fast) >= 2, "{name} never reached its steady state");
 
-        // The retime lane. Before each region every CPU's copies of the
-        // array's lines are pushed out of both caches by two lines per set
-        // of another page; once that has settled the array's page moves,
-        // which then invalidates nothing: every turn of the next region is
-        // handed its CPU's walk, and reaches no cache.
+        // Retimed CPUs. Before each region every CPU's copies of the array's
+        // lines are pushed out of both caches by two lines per set of
+        // another page; once that has settled the array's page moves, which
+        // then invalidates nothing: every CPU of the next region is retimed
+        // at entry, and its turn is a replayed one like a hit's — data-only,
+        // or none on a timing-only runtime.
         let junk = |rt: &mut Runtime| SimArray::new(rt.machine_mut(), "junk", 128 * EPL, 0.0f64);
         let (ej, fj) = (junk(&mut exact), junk(&mut fast));
         let page = ccnuma::vpage_of(fa.vaddr_of(0));
@@ -998,23 +1008,23 @@ mod tests {
             }
             construct(&mut exact, &mut |par, i| stripe(par, &ea, i, rep));
             let before = fast.fastpath_stats().expect("installed");
-            let mut walked = Vec::new();
+            let mut data_only = Vec::new();
             fast.name_region("stripe");
             construct(&mut fast, &mut |par, i| {
-                assert_eq!(par.retime.is_some(), moved, "{name} rep {rep}");
-                if par.retime.is_some() {
-                    assert!(par.machine.is_none(), "a walk holds no machine");
-                    walked.push(par.cpu);
-                }
+                data_only.push(par.data_only());
                 stripe(par, &fa, i, rep)
             });
             same(&exact, &fast, &format!("{name} rep {rep}"));
             if moved {
-                assert_eq!(walked.len(), STRIPES, "{name}");
+                let turns = if timing_only { 0 } else { STRIPES };
+                assert_eq!(data_only, vec![true; turns], "{name}");
                 // A thread with no iteration reaches no memory: its memo is
                 // timed the same wherever the page is, a plain hit.
-                walked.dedup();
-                let (team, walked) = (owners.len() as u64, walked.len() as u64);
+                let team = owners.len() as u64;
+                let walked = owners
+                    .iter()
+                    .filter(|chunks| chunks.iter().any(|c| c.1 > c.0));
+                let walked = walked.count() as u64;
                 let want = FastpathStats {
                     replays: before.replays + 1,
                     cpu_retimes: before.cpu_retimes + walked,
@@ -1023,7 +1033,7 @@ mod tests {
                 };
                 assert_eq!(fast.fastpath_stats(), Some(want), "{name}");
                 // The fix-up at entry moved the cache clocks as far as
-                // execution does, and the walks moved them no further.
+                // execution does.
                 for cpu in 0..4 {
                     let clocks = |rt: &Runtime| rt.machine().cache_ticks(cpu);
                     assert_eq!(clocks(&fast), clocks(&exact), "{name} cpu {cpu}");
@@ -1069,7 +1079,7 @@ mod tests {
             });
             fast.name_region("stripe");
             fast.parallel_for(STRIPES, Schedule::Dynamic(1), |par, i| {
-                assert!(par.machine.is_some());
+                assert!(!par.data_only());
                 stripe(par, &fa, i, rep)
             });
             assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
@@ -1090,7 +1100,7 @@ mod tests {
     }
 
     #[test]
-    fn a_timing_only_runtime_runs_the_live_and_retimed_turns_alone() {
+    fn a_timing_only_runtime_runs_the_live_turns_alone() {
         check_every_construct(true);
     }
 
@@ -1193,7 +1203,7 @@ mod tests {
         let before = fast.fastpath_stats().expect("installed");
         for rep in 3..6 {
             stripe_rep(&mut exact, &ea, rep, |_| {});
-            stripe_rep(&mut fast, &fa, rep, |par| assert!(par.machine.is_some()));
+            stripe_rep(&mut fast, &fa, rep, |par| assert!(!par.data_only()));
             assert_eq!(observable(&exact, &ea), observable(&fast, &fa), "rep {rep}");
         }
         let want = FastpathStats {

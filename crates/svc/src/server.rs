@@ -205,9 +205,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             Ok(v) => v,
             Err(e) => {
                 let message = format!("bad request JSON: {e}");
-                let sent = emit(&mut out, error_event(&message));
+                let event = error_event(&message);
                 record(shared, TraceCtx::fresh(), "bad", false, message, t0);
-                sent?;
+                emit(&mut out, event)?;
                 continue;
             }
         };
@@ -218,11 +218,17 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             .get("trace")
             .and_then(TraceCtx::from_json)
             .unwrap_or_else(TraceCtx::fresh);
+        // Every op records its request before it sends its last frame: a
+        // client that has read the answer and asks for the telemetry next
+        // finds the request counted.
         match request.get("op").and_then(Value::as_str) {
             Some("run") => {
                 let _hp = hostprof::span_named(|| format!("svc.run:{}", trace.trace_id));
                 match handle_run(shared, &mut out, &request, &trace) {
-                    Ok((ok, detail)) => record(shared, trace, "run", ok, detail, t0),
+                    Ok((last, ok, detail)) => {
+                        record(shared, trace, "run", ok, detail, t0);
+                        emit(&mut out, last)?;
+                    }
                     Err(e) => {
                         record(
                             shared,
@@ -237,35 +243,33 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
                 }
             }
             Some("ping") => {
-                let sent = emit(&mut out, Value::object(vec![("event", "pong".into())]));
                 record(shared, trace, "ping", true, String::new(), t0);
-                sent?;
+                emit(&mut out, Value::object(vec![("event", "pong".into())]))?;
             }
             Some("metrics") => {
                 let format = request.get("format").and_then(Value::as_str);
-                let sent = emit(&mut out, metrics_event(shared, format));
+                let event = metrics_event(shared, format);
                 let detail = format.unwrap_or("json").to_string();
                 record(shared, trace, "metrics", true, detail, t0);
-                sent?;
+                emit(&mut out, event)?;
             }
             Some("log") => {
                 let n = request.get("n").and_then(Value::as_u64).unwrap_or(50) as usize;
-                let sent = emit(&mut out, log_event(shared, n));
+                let event = log_event(shared, n);
                 record(shared, trace, "log", true, format!("n={n}"), t0);
-                sent?;
+                emit(&mut out, event)?;
             }
             Some("shutdown") => {
                 shared.stop();
-                let sent = emit(&mut out, Value::object(vec![("event", "bye".into())]));
                 record(shared, trace, "shutdown", true, String::new(), t0);
-                sent?;
+                emit(&mut out, Value::object(vec![("event", "bye".into())]))?;
                 break;
             }
             other => {
                 let message = format!("unknown op {:?}", other.unwrap_or("<none>"));
-                let sent = emit(&mut out, error_event(&message));
+                let event = error_event(&message);
                 record(shared, trace, "unknown", false, message, t0);
-                sent?;
+                emit(&mut out, event)?;
             }
         }
     }
@@ -300,17 +304,18 @@ enum Resolution {
     Joined(Arc<Flight>),
 }
 
+/// Serve a `run` request up to its last frame, which it returns unsent
+/// beside whether the request succeeded and its log detail.
 fn handle_run(
     shared: &Arc<Shared>,
     out: &mut BufWriter<TcpStream>,
     request: &Value,
     trace: &TraceCtx,
-) -> std::io::Result<(bool, String)> {
+) -> std::io::Result<(Value, bool, String)> {
     let t0 = Instant::now();
     let Some(cells) = request.get("cells").and_then(Value::as_array) else {
         let message = "run request has no 'cells' array".to_string();
-        emit(out, error_event(&message))?;
-        return Ok((false, message));
+        return Ok((error_event(&message), false, message));
     };
     let mut specs = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
@@ -318,8 +323,7 @@ fn handle_run(
             Ok(spec) => specs.push(spec),
             Err(e) => {
                 let message = format!("cell {i}: {e}");
-                emit(out, error_event(&message))?;
-                return Ok((false, message));
+                return Ok((error_event(&message), false, message));
             }
         }
     }
@@ -478,24 +482,21 @@ fn handle_run(
     shared.telemetry.inc("svc.cells.computed", counts.1);
     shared.telemetry.inc("svc.flight.joins", counts.2);
     shared.telemetry.inc("svc.cells.refused", counts.3);
-    emit(
-        out,
-        Value::object(vec![
-            ("event", "done".into()),
-            ("total", total.into()),
-            ("hits", counts.0.into()),
-            ("computed", counts.1.into()),
-            ("joined", counts.2.into()),
-            ("errors", counts.3.into()),
-            ("wall_secs", t0.elapsed().as_secs_f64().into()),
-            ("trace_id", trace.trace_id.as_str().into()),
-        ]),
-    )?;
+    let done = Value::object(vec![
+        ("event", "done".into()),
+        ("total", total.into()),
+        ("hits", counts.0.into()),
+        ("computed", counts.1.into()),
+        ("joined", counts.2.into()),
+        ("errors", counts.3.into()),
+        ("wall_secs", t0.elapsed().as_secs_f64().into()),
+        ("trace_id", trace.trace_id.as_str().into()),
+    ]);
     let detail = format!(
         "{total} cells — {} cached, {} computed, {} joined, {} errors",
         counts.0, counts.1, counts.2, counts.3
     );
-    Ok((counts.3 == 0, detail))
+    Ok((done, counts.3 == 0, detail))
 }
 
 /// The `metrics` op's response — the server's one window: the telemetry

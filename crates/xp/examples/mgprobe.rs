@@ -8,7 +8,8 @@
 //! A plain `bench` runs under the `xp trace` reference configuration
 //! (round-robin placement, UPMlib); `ft:rand-upmlib` runs that cell of the
 //! figures instead. Either way pages move, and the counters show the engine
-//! re-timing memos (`cpu_retimes`) where it used to re-record them. Each
+//! re-timing memos (`cpu_retimes`, from the image at region entry, so a
+//! retimed CPU's turn runs no walk) where it used to re-record them. Each
 //! cell runs on a key of its own (a machine a few virtual pages larger than
 //! the cell's, which moves no simulated byte): its run is the first of its
 //! memo library and borrows nothing, so on/off and warm compare one run
@@ -37,10 +38,11 @@
 //! with a host profile of its later steps: their wall, what `omp.region`
 //! spends itself (the kernel text's data side: loop bodies and their index
 //! arithmetic) against what it spends in `ccnuma.fastpath` and in
-//! `nas.line_solve` (the host numerics of BT, SP and FT). With `borrow` it
-//! profiles a timing-only run of the cell too (`BenchRun::set_timing_only`,
-//! what a plan's borrower runs): the wall and `omp.region` self time it no
-//! longer spends are the data side's host-side reading.
+//! `nas.line_solve` (the host numerics of BT, SP and FT); the retimes are in
+//! `ccnuma.fastpath`. With `borrow` it profiles a timing-only run of the
+//! cell too (`BenchRun::set_timing_only`, what a plan's borrower runs: hit
+//! and retimed turns alike are skipped): the wall and `omp.region` self time
+//! it no longer spends are the data side's host-side reading.
 
 use std::time::Instant;
 

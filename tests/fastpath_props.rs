@@ -685,6 +685,231 @@ fn a_streaming_loop_is_retimed_when_its_page_moves() {
     assert_eq!(shape, (0, 2, 2, 4), "{stats:?}");
 }
 
+/// Lines in a page.
+const LINES_PER_PAGE: usize = 1 << (PAGE_SHIFT - LINE_SHIFT);
+
+/// The shape of a region whose pages move under memos that still match:
+/// each names what the memory side of a retime must decode.
+#[derive(Debug, Clone, Copy)]
+enum Moving {
+    /// Iteration `i` reads line `i` of `b`, then writes line `i` of `a`:
+    /// two streams interleaved, so most accesses repeat the page of the
+    /// one two before.
+    Interleaved,
+    /// Iteration `i` reads a line of `b` scattered over its pages
+    /// (`i · 37 mod n`), then writes line `i` of `a`: few accesses repeat a
+    /// recent page.
+    Gather,
+    /// Iteration `i` reads line `i` of `b`'s first page, then writes it
+    /// back: every walk reaches one page. It runs at most 128 iterations,
+    /// one a line.
+    OnePage,
+    /// Iteration `i` reads the first line of page `i` of `b`, then writes
+    /// line `i` of `a`: a walk on more than 256 pages when one thread runs
+    /// 256 iterations or more.
+    Wide,
+}
+
+impl Moving {
+    /// `(line of b read, line of a written)` by iteration `i` of `n`; for
+    /// [`Moving::OnePage`] the write goes to `b` too (`a` is not touched).
+    fn lines(self, i: usize, n: usize) -> (usize, usize) {
+        match self {
+            Moving::Interleaved => (i, i),
+            Moving::Gather => (i * 37 % n, i),
+            Moving::OnePage => (i, i),
+            Moving::Wide => (i * LINES_PER_PAGE, i),
+        }
+    }
+
+    /// The iterations a region of the shape runs when `n` are asked for.
+    fn iterations(self, n: usize) -> usize {
+        match self {
+            Moving::OnePage => n.min(LINES_PER_PAGE),
+            _ => n,
+        }
+    }
+
+    /// Lines `b` must hold for `n` iterations.
+    fn b_lines(self, n: usize) -> usize {
+        (0..n).map(|i| self.lines(i, n).0 + 1).max().unwrap_or(1)
+    }
+}
+
+/// `reps` regions of `shape` over `n` iterations on `threads` threads,
+/// with the fast path on if `fast` (a timing-only runtime if
+/// `timing_only`). Before every region each team CPU streams a page of
+/// junk through its caches, which leaves none of the region's lines
+/// resident, and before region `.0` of a `moves` entry the `.1`-th mapped
+/// page of the arrays (wrapping) moves `.2 + 1` nodes on (wrapping, never
+/// onto its own; a page moves once before a region). So from the third region on
+/// every CPU's image matches, and a CPU that reached a moved page is
+/// retimed. Returns the fingerprint, the arrays' values and the engine's
+/// counters.
+#[allow(clippy::too_many_arguments)]
+fn retimed_run(
+    shape: Moving,
+    n: usize,
+    threads: usize,
+    reps: usize,
+    moves: &[(usize, usize, usize)],
+    fractional: bool,
+    fast: bool,
+    timing_only: bool,
+) -> ((u64, String), String, ccnuma::FastpathStats) {
+    let latency = fractional_latencies().latency;
+    let config = MachineConfig {
+        frames_per_node: 128,
+        max_vpages: 1024,
+        latency: if fractional {
+            latency
+        } else {
+            MachineConfig::tiny_test().latency
+        },
+        ..MachineConfig::tiny_test()
+    };
+    let n = shape.iterations(n);
+    let mut m = Machine::new(config);
+    let a = SimArray::<f64>::new(&mut m, "r.a", n * EPL, 0.0);
+    let b = SimArray::<f64>::new(&mut m, "r.b", shape.b_lines(n) * EPL, 1.0);
+    let junk = SimArray::<f64>::new(&mut m, "r.junk", PAGE_SIZE as usize / 8, 0.0);
+    let pages: Vec<u64> = [&a, &b]
+        .into_iter()
+        .flat_map(|arr| {
+            let (base, bytes) = arr.vrange();
+            ccnuma::vpages(base, bytes)
+        })
+        .collect();
+    let (base_a, base_b) = (a.vrange().0, b.vrange().0);
+    let target = move |line: usize| match shape {
+        Moving::OnePage => base_b + 8 * (line * EPL) as u64,
+        _ => base_a + 8 * (line * EPL) as u64,
+    };
+    let model = LoopModel::parallel("loop", n, Schedule::Static, move |i, emit| {
+        let (read, write) = shape.lines(i, n);
+        emit(base_b + 8 * (read * EPL) as u64, AccessKind::Read);
+        emit(target(write), AccessKind::Write);
+    });
+    let mut rt = Runtime::with_threads(m, threads);
+    if fast {
+        let proof = derive_loop_proof("r/loop", &model, threads);
+        assert!(proof.is_some(), "{shape:?} is thread-local by construction");
+        let table = ccnuma::ProofTable::fold([("r/loop".to_string(), proof)]);
+        rt.install_fastpath(&table, &MemoLibrary::default());
+        if timing_only {
+            rt.set_timing_only();
+        }
+    }
+    rt.phase("r");
+    let nodes = rt.machine().topology().nodes();
+    for rep in 0..reps {
+        let m = rt.machine();
+        let homes = pages
+            .iter()
+            .filter_map(|&vp| Some((vp, m.node_of_vpage(vp)?)));
+        let homes: Vec<(u64, usize)> = homes.collect();
+        let mut moved = BTreeSet::new();
+        for &(_, page, on) in moves.iter().filter(|mv| mv.0 == rep) {
+            let (vpage, home) = homes[page % homes.len()];
+            if moved.insert(vpage) {
+                let node = (home + 1 + on % (nodes - 1)) % nodes;
+                rt.machine_mut().migrate_page(vpage, node).unwrap();
+            }
+        }
+        for cpu in 0..threads {
+            for i in (0..junk.len()).step_by(EPL) {
+                let vaddr = junk.vaddr_of(i);
+                rt.machine_mut().touch(cpu, vaddr, AccessKind::Read);
+            }
+        }
+        rt.name_region("loop");
+        rt.parallel_for(n, Schedule::Static, |par, i| {
+            let (read, write) = shape.lines(i, n);
+            let x = par.get(&b, read * EPL);
+            let value = x + (i + rep) as f64;
+            match shape {
+                Moving::OnePage => par.set(&b, write * EPL, value),
+                _ => par.set(&a, write * EPL, value),
+            }
+        });
+    }
+    let values: Vec<u64> = [&a, &b]
+        .into_iter()
+        .flat_map(|arr| (0..arr.len()).map(|i| arr.peek(i).to_bits()))
+        .collect();
+    let stats = rt.fastpath_stats().unwrap_or_default();
+    (fingerprint(rt.machine()), format!("{values:?}"), stats)
+}
+
+fn any_moving() -> impl Strategy<Value = Moving> {
+    prop_oneof![
+        Just(Moving::Interleaved),
+        Just(Moving::Gather),
+        Just(Moving::OnePage),
+        Just(Moving::Wide),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Retimed regions equal their exact twins. Pages move between regions
+    /// while no line of theirs is resident, so the memos still match and
+    /// every CPU that reached a moved page is retimed at region entry from
+    /// its image — interleaved streams, gathers, a walk on one page and one
+    /// on more than 256 — on latencies whose sums depend on the order of
+    /// their addends. Bytes and every statistic equal the exact run's; a
+    /// timing-only run, whose replayed turns never run, equals it in every
+    /// statistic.
+    #[test]
+    fn regions_retimed_on_moved_pages_equal_their_exact_twins(
+        shape in any_moving(),
+        n in 1usize..320,
+        threads in 1usize..5,
+        reps in 3usize..6,
+        moves in proptest::collection::vec((2usize..6, 0usize..400, 0usize..3), 1..4),
+        fractional in any::<bool>(),
+    ) {
+        let run = |fast, timing_only| {
+            retimed_run(shape, n, threads, reps, &moves, fractional, fast, timing_only)
+        };
+        let (exact, exact_values, _) = run(false, false);
+        let (fast, fast_values, stats) = run(true, false);
+        prop_assert_eq!(&exact, &fast);
+        prop_assert_eq!(exact_values, fast_values);
+        let (timed, _, timed_stats) = run(true, true);
+        prop_assert_eq!(&exact, &timed);
+        prop_assert_eq!(stats, timed_stats);
+        prop_assert_eq!(stats.rejects, 0);
+        if moves.iter().any(|mv| mv.0 < reps) {
+            prop_assert!(stats.cpu_retimes > 0, "nothing retimed: {:?}", stats);
+        }
+    }
+}
+
+/// The property above on the cases it names, each certainly drawn: a
+/// region retimed on an interleaved stream, a gather, one page, and one
+/// thread's walk on 300 pages.
+#[test]
+fn each_moving_shape_is_retimed_bit_identically() {
+    for (shape, n, threads) in [
+        (Moving::Interleaved, 300, 2),
+        (Moving::Gather, 300, 3),
+        (Moving::OnePage, 40, 4),
+        (Moving::Wide, 300, 1),
+    ] {
+        let moves = [(2, 1, 0), (3, 150, 1), (4, 0, 2)];
+        let run = |fast| retimed_run(shape, n, threads, 6, &moves, true, fast, false);
+        let (exact, exact_values, _) = run(false);
+        let (fast, fast_values, stats) = run(true);
+        assert_eq!((exact, exact_values), (fast, fast_values), "{shape:?}");
+        assert!(
+            stats.cpu_retimes >= 3 && stats.rejects == 0,
+            "{shape:?}: {stats:?}"
+        );
+    }
+}
+
 /// The access model of `bench` at tiny scale, team of 16.
 fn tiny_model(bench: nas::BenchName) -> (nas::KernelModel, usize) {
     let mut rt = Runtime::with_threads(Machine::new(MachineConfig::origin2000_16p_scaled()), 16);
