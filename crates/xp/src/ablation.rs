@@ -11,16 +11,18 @@
 //!   forever and burning migration cost.
 //!
 //! The run-config sweeps declare [`Cell`]s, the grid of [`SWEEP`]; the
-//! synthetic-kernel ones run plain [`CellPlan`]s (each sweep point an
-//! independent machine) inside its report; [`scheduler_disruption`] is a
-//! single evolving timeline and stays serial.
+//! synthetic kernels are its jobs (each sweep point an independent
+//! machine; [`scheduler_disruption`]'s single evolving timeline is one
+//! job), planned with the grid, and every report only renders its
+//! outputs.
 
-use crate::cells::{CellOutput, CellPlan};
-use crate::grid::{self, Cell, Group, Problem, Sweep};
+use crate::cells::CellOutput;
+use crate::grid::{self, Cell, Group, Output, Problem, Sweep};
 use crate::report::{pct, secs, Report};
-use ccnuma::{LatencyModel, MachineConfig};
+use ccnuma::{LatencyModel, Machine, MachineConfig, SimArray};
 use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
-use upmlib::{UpmOptions, UpmStats};
+use omp::{Runtime, Schedule};
+use upmlib::{UpmEngine, UpmOptions, UpmStats};
 use vmm::PlacementScheme;
 
 /// The ablations' sweep (`xp ablations`): the latency-ratio groups, the
@@ -33,18 +35,43 @@ pub const SWEEP: Sweep = Sweep {
         groups.extend(NODES.map(machine_size_cells));
         groups
     },
-    report: |scale, outputs| {
+    jobs: |_| {
+        let [alone, replicated] = REPLICATION;
+        vec![
+            grid::job("freeze-on", || freeze_kernel(true)),
+            grid::job("freeze-off", || freeze_kernel(false)),
+            grid::job(alone, || replication_kernel(false)),
+            grid::job(replicated, || replication_kernel(true)),
+            grid::job("scheduler-disruption", disruption_kernel),
+        ]
+    },
+    report: |_, outputs, jobs| {
         let (ratios, rest) = outputs.split_at(RATIOS.len());
         vec![
             latency_ratio(ratios),
             threshold_sweep(&rest[0]),
-            freeze_toggle(scale),
-            replication(scale),
+            freeze_toggle(&jobs[..2]),
+            replication(&jobs[2..4]),
             machine_size(&rest[1..]),
-            scheduler_disruption(scale),
+            scheduler_disruption(&jobs[4]),
         ]
     },
 };
+
+/// A synthetic kernel's output, or a failed row and `None`.
+fn kernel<'a>(
+    report: &mut Report,
+    job: &'a CellOutput<Output>,
+) -> Option<(&'a [f64], &'a UpmStats)> {
+    match &job.value {
+        Ok(Output::Kernel { secs, upm }) => Some((secs, upm)),
+        Ok(_) => unreachable!("the ablations' jobs are synthetic kernels"),
+        Err(p) => {
+            report.failed_row(&job.id, &p.message);
+            None
+        }
+    }
+}
 
 /// The remote:local latency ratios [`latency_ratio`] sweeps.
 pub const RATIOS: [f64; 4] = [1.7, 3.0, 5.0, 8.0];
@@ -178,12 +205,9 @@ pub fn threshold_sweep(outputs: &[CellOutput<RunResult>]) -> Report {
 /// Page-freezing on/off on a kernel with page-level false sharing: two
 /// halves of the team alternately dominate the same pages (the pattern the
 /// paper observed in BT/SP, where "some page-level false sharing forced
-/// page migrations after the second and third iterations").
-pub fn freeze_toggle(_scale: Scale) -> Report {
-    use ccnuma::{Machine, SimArray};
-    use omp::{Runtime, Schedule};
-    use upmlib::UpmEngine;
-
+/// page migrations after the second and third iterations"). `jobs` are the
+/// [`freeze_kernel`] runs with freezing on, then off.
+pub fn freeze_toggle(jobs: &[CellOutput<Output>]) -> Report {
     let mut report = Report::new(
         "ablation-freeze",
         "Ping-pong freezing on/off (alternating-dominance kernel, first-touch placement)",
@@ -195,60 +219,13 @@ pub fn freeze_toggle(_scale: Scale) -> Report {
             "Frozen pages",
         ],
     );
-    let run = |freeze: bool| -> (f64, UpmStats) {
-        let mut machine = Machine::new(MachineConfig::origin2000_16p_scaled());
-        vmm::install_placement(&mut machine, PlacementScheme::FirstTouch);
-        let mut rt = Runtime::new(machine);
-        let len = 32 * (ccnuma::PAGE_SIZE as usize / 8);
-        let shared = SimArray::new(rt.machine_mut(), "shared", len, 0.0f64);
-        let mut upm = UpmEngine::new(
-            rt.machine(),
-            UpmOptions {
-                freeze_ping_pong: freeze,
-                ..Default::default()
-            },
-        );
-        upm.memrefcnt(&shared);
-        // Odd iterations reverse the index mapping, so every page's
-        // dominant node flips each iteration — page-grain false sharing.
-        let sweep = |rt: &mut Runtime, flip: bool| {
-            rt.parallel_for(len, Schedule::Static, |par, i| {
-                let j = if flip { len - 1 - i } else { i };
-                par.update(&shared, j, |v| v + 1.0);
-                par.flops(1);
-            });
-        };
-        sweep(&mut rt, false); // cold start
-        upm.reset_counters(rt.machine());
-        let t0 = rt.machine().clock().now_secs();
-        for step in 0..10 {
-            // Start flipped, so the first observation window already shows
-            // the alternating dominance.
-            sweep(&mut rt, step % 2 == 0);
-            if upm.is_active() {
-                upm.migrate_memory(rt.machine_mut());
-            }
-        }
-        (rt.machine().clock().now_secs() - t0, upm.stats().clone())
-    };
-    let mut plan = CellPlan::new();
-    for freeze in [true, false] {
-        plan.add(
-            format!("freeze-{}", if freeze { "on" } else { "off" }),
-            move || run(freeze),
-        );
-    }
-    for (freeze, cell) in [true, false].into_iter().zip(plan.execute()) {
-        let (elapsed, stats) = match &cell.value {
-            Ok(v) => v,
-            Err(p) => {
-                report.failed_row(&cell.id, &p.message);
-                continue;
-            }
+    for (freeze, job) in ["on", "off"].into_iter().zip(jobs) {
+        let Some((times, stats)) = kernel(&mut report, job) else {
+            continue;
         };
         report.row(vec![
-            if freeze { "on".into() } else { "off".into() },
-            secs(*elapsed),
+            freeze.into(),
+            secs(times[0]),
             stats.total_distribution_migrations().to_string(),
             stats.migrations_per_invocation.len().to_string(),
             stats.frozen_pages.to_string(),
@@ -261,93 +238,126 @@ pub fn freeze_toggle(_scale: Scale) -> Report {
     report
 }
 
+/// The alternating-dominance kernel under UPMlib, with ping-pong freezing
+/// on or off: its timed seconds and the engine's statistics.
+fn freeze_kernel(freeze: bool) -> Output {
+    let mut machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+    vmm::install_placement(&mut machine, PlacementScheme::FirstTouch);
+    let mut rt = Runtime::new(machine);
+    let len = 32 * (ccnuma::PAGE_SIZE as usize / 8);
+    let shared = SimArray::new(rt.machine_mut(), "shared", len, 0.0f64);
+    let mut upm = UpmEngine::new(
+        rt.machine(),
+        UpmOptions {
+            freeze_ping_pong: freeze,
+            ..Default::default()
+        },
+    );
+    upm.memrefcnt(&shared);
+    // Odd iterations reverse the index mapping, so every page's dominant
+    // node flips each iteration — page-grain false sharing.
+    let sweep = |rt: &mut Runtime, flip: bool| {
+        rt.parallel_for(len, Schedule::Static, |par, i| {
+            let j = if flip { len - 1 - i } else { i };
+            par.update(&shared, j, |v| v + 1.0);
+            par.flops(1);
+        });
+    };
+    sweep(&mut rt, false); // cold start
+    upm.reset_counters(rt.machine());
+    let t0 = rt.machine().clock().now_secs();
+    for step in 0..10 {
+        // Start flipped, so the first observation window already shows the
+        // alternating dominance.
+        sweep(&mut rt, step % 2 == 0);
+        if upm.is_active() {
+            upm.migrate_memory(rt.machine_mut());
+        }
+    }
+    Output::Kernel {
+        secs: vec![rt.machine().clock().now_secs() - t0],
+        upm: upm.stats().clone(),
+    }
+}
+
+/// The [`replication`] configurations: without, then with replication.
+const REPLICATION: [&str; 2] = ["migration only", "migration + replication"];
+
 /// Read-only replication (the paper's §1.2 sketch): a broadcast-pattern
 /// kernel — every thread reads a shared coefficient table every iteration
 /// while updating its own partition — run with UPMlib migration alone vs
-/// migration + read-only replication.
+/// migration + read-only replication. `jobs` are the [`REPLICATION`]
+/// configurations' [`replication_kernel`] runs.
 ///
 /// Migration cannot help the table (it has no dominant accessor; moving it
 /// just moves the hot spot); replication puts a copy on every consuming
 /// node and removes both the remote latency and the contention.
-pub fn replication(_scale: Scale) -> Report {
-    use ccnuma::{Machine, SimArray};
-    use omp::{Runtime, Schedule};
-    use upmlib::UpmEngine;
-
+pub fn replication(jobs: &[CellOutput<Output>]) -> Report {
     let mut report = Report::new(
         "ablation-replication",
         "Read-only page replication on a broadcast-pattern kernel (worst-case placement)",
         &["Config", "Time (s)", "Replicas", "Migrations"],
     );
-    let run = |replicate: bool| -> (f64, u64, u64) {
-        let mut machine = Machine::new(MachineConfig::origin2000_16p_scaled());
-        vmm::install_placement(&mut machine, PlacementScheme::WorstCase { node: 0 });
-        let mut rt = Runtime::new(machine);
-        // A shared read-only table (16 pages) and a large private-partition
-        // working array (64 pages).
-        let table_len = 16 * (ccnuma::PAGE_SIZE as usize / 8);
-        let work_len = 64 * (ccnuma::PAGE_SIZE as usize / 8);
-        let table = SimArray::from_fn(rt.machine_mut(), "table", table_len, |i| {
-            1.0 + (i % 97) as f64
-        });
-        let work = SimArray::new(rt.machine_mut(), "work", work_len, 0.0f64);
-        let mut upm = UpmEngine::new(rt.machine(), UpmOptions::default());
-        upm.memrefcnt(&table);
-        upm.memrefcnt(&work);
-        let sweep = |rt: &mut Runtime| {
-            rt.parallel_for(work_len, Schedule::Static, |par, i| {
-                // A scrambled index spreads every thread's reads over the
-                // whole table (the broadcast pattern).
-                let coeff = par.get(&table, (i.wrapping_mul(7919)) % table_len);
-                par.update(&work, i, |v| v + coeff);
-                par.flops(2);
-            });
-        };
-        sweep(&mut rt); // cold start
-        upm.reset_counters(rt.machine());
-        let t0 = rt.machine().clock().now_secs();
-        for _ in 0..12 {
-            sweep(&mut rt);
-            if upm.is_active() {
-                upm.migrate_memory(rt.machine_mut());
-            }
-            if replicate {
-                upm.replicate_readonly(rt.machine_mut());
-            }
-        }
-        let elapsed = rt.machine().clock().now_secs() - t0;
-        let stats = upm.stats();
-        (
-            elapsed,
-            stats.replications,
-            stats.total_distribution_migrations(),
-        )
-    };
-    const CONFIGS: [(&str, bool); 2] =
-        [("migration only", false), ("migration + replication", true)];
-    let mut plan = CellPlan::new();
-    for (label, replicate) in CONFIGS {
-        plan.add(label, move || run(replicate));
-    }
-    for ((label, _), cell) in CONFIGS.into_iter().zip(plan.execute()) {
-        let (elapsed, replicas, migrations) = match &cell.value {
-            Ok(v) => v,
-            Err(p) => {
-                report.failed_row(&cell.id, &p.message);
-                continue;
-            }
+    for (label, job) in REPLICATION.into_iter().zip(jobs) {
+        let Some((times, stats)) = kernel(&mut report, job) else {
+            continue;
         };
         report.row(vec![
             label.into(),
-            secs(*elapsed),
-            replicas.to_string(),
-            migrations.to_string(),
+            secs(times[0]),
+            stats.replications.to_string(),
+            stats.total_distribution_migrations().to_string(),
         ]);
     }
     report.note(
-        "the shared table has no dominant accessor, so the competitive migration criterion          leaves it on the hot node; replication is the only mechanism that serves it",
+        "the shared table has no dominant accessor, so the competitive migration criterion \
+         leaves it on the hot node; replication is the only mechanism that serves it",
     );
     report
+}
+
+/// The broadcast-pattern kernel under UPMlib, replicating read-only pages
+/// or not: its timed seconds and the engine's statistics.
+fn replication_kernel(replicate: bool) -> Output {
+    let mut machine = Machine::new(MachineConfig::origin2000_16p_scaled());
+    vmm::install_placement(&mut machine, PlacementScheme::WorstCase { node: 0 });
+    let mut rt = Runtime::new(machine);
+    // A shared read-only table (16 pages) and a large private-partition
+    // working array (64 pages).
+    let table_len = 16 * (ccnuma::PAGE_SIZE as usize / 8);
+    let work_len = 64 * (ccnuma::PAGE_SIZE as usize / 8);
+    let table = SimArray::from_fn(rt.machine_mut(), "table", table_len, |i| {
+        1.0 + (i % 97) as f64
+    });
+    let work = SimArray::new(rt.machine_mut(), "work", work_len, 0.0f64);
+    let mut upm = UpmEngine::new(rt.machine(), UpmOptions::default());
+    upm.memrefcnt(&table);
+    upm.memrefcnt(&work);
+    let sweep = |rt: &mut Runtime| {
+        rt.parallel_for(work_len, Schedule::Static, |par, i| {
+            // A scrambled index spreads every thread's reads over the whole
+            // table (the broadcast pattern).
+            let coeff = par.get(&table, (i.wrapping_mul(7919)) % table_len);
+            par.update(&work, i, |v| v + coeff);
+            par.flops(2);
+        });
+    };
+    sweep(&mut rt); // cold start
+    upm.reset_counters(rt.machine());
+    let t0 = rt.machine().clock().now_secs();
+    for _ in 0..12 {
+        sweep(&mut rt);
+        if upm.is_active() {
+            upm.migrate_memory(rt.machine_mut());
+        }
+        if replicate {
+            upm.replicate_readonly(rt.machine_mut());
+        }
+    }
+    Output::Kernel {
+        secs: vec![rt.machine().clock().now_secs() - t0],
+        upm: upm.stats().clone(),
+    }
 }
 
 /// The machine sizes, in nodes (2 CPUs each), [`machine_size`] sweeps.
@@ -424,7 +434,9 @@ pub fn machine_size(outputs: &[Group]) -> Report {
         }
     }
     report.note(
-        "both balanced-scheme and worst-case penalties grow with machine size: more remote          hops per access and, for worst-case, more processors contending for one memory          module — the paper's §2.2 extrapolation, verified",
+        "both balanced-scheme and worst-case penalties grow with machine size: more remote \
+         hops per access and, for worst-case, more processors contending for one memory \
+         module — the paper's §2.2 extrapolation, verified",
     );
     report
 }
@@ -435,19 +447,40 @@ pub fn machine_size(outputs: &[Group]) -> Report {
 /// work). After UPMlib settles, the OS rebinds every thread to a different
 /// node's CPU; the tuned placement is suddenly wrong. Re-arming the engine
 /// (`reactivate`) lets it re-learn the new binding within an iteration.
-///
-/// One machine evolving through a timeline — inherently serial, so no
-/// cell plan here.
-pub fn scheduler_disruption(_scale: Scale) -> Report {
-    use ccnuma::{Machine, SimArray};
-    use omp::{Runtime, Schedule};
-    use upmlib::UpmEngine;
-
+/// `job` is the [`disruption_kernel`] timeline.
+pub fn scheduler_disruption(job: &CellOutput<Output>) -> Report {
     let mut report = Report::new(
         "ablation-scheduler",
         "Thread rebinding after UPMlib settles (iteration timeline, simulated ms)",
         &["Iteration", "Event", "Time (ms)"],
     );
+    if let Some((steps, _)) = kernel(&mut report, job) {
+        for (step, secs) in steps.iter().enumerate() {
+            let event = match step {
+                0 => "engine settling",
+                6 => "threads rebound + engine re-armed",
+                7 => "re-learned placement",
+                _ => "",
+            };
+            report.row(vec![
+                format!("{}", step + 1),
+                event.into(),
+                format!("{:.3}", secs * 1e3),
+            ]);
+        }
+    }
+    report.note(
+        "the rebinding makes the settled placement wrong for one iteration; the re-armed \
+         engine restores steady state in the next — the behaviour the paper's companion \
+         work on multiprogrammed machines builds on",
+    );
+    report
+}
+
+/// The rebinding timeline: one machine evolving through twelve iterations,
+/// its threads rebound before the seventh — inherently serial, so one job.
+/// Its seconds are each iteration's.
+fn disruption_kernel() -> Output {
     let mut machine = Machine::new(MachineConfig::origin2000_16p_scaled());
     vmm::install_placement(&mut machine, PlacementScheme::RoundRobin);
     let mut rt = Runtime::new(machine);
@@ -463,6 +496,7 @@ pub fn scheduler_disruption(_scale: Scale) -> Report {
     };
     sweep(&mut rt); // cold start
     upm.reset_counters(rt.machine());
+    let mut secs = Vec::new();
     for step in 0..12 {
         if step == 6 {
             // The OS migrates every thread to the "opposite" CPU: thread t
@@ -476,24 +510,12 @@ pub fn scheduler_disruption(_scale: Scale) -> Report {
         if upm.is_active() {
             upm.migrate_memory(rt.machine_mut());
         }
-        let event = match step {
-            0 => "engine settling",
-            6 => "threads rebound + engine re-armed",
-            7 => "re-learned placement",
-            _ => "",
-        };
-        report.row(vec![
-            format!("{}", step + 1),
-            event.into(),
-            format!("{:.3}", (rt.machine().clock().now_secs() - t0) * 1e3),
-        ]);
+        secs.push(rt.machine().clock().now_secs() - t0);
     }
-    report.note(
-        "the rebinding makes the settled placement wrong for one iteration; the re-armed \
-         engine restores steady state in the next — the behaviour the paper's companion \
-         work on multiprogrammed machines builds on",
-    );
-    report
+    Output::Kernel {
+        secs,
+        upm: upm.stats().clone(),
+    }
 }
 
 #[cfg(test)]

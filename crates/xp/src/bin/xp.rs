@@ -126,7 +126,8 @@ options:
 ";
 
 /// Why the process exits 1 once every report is written: set by the lint
-/// gate, checked last so the JSON still lands on disk.
+/// gate, checked last, with [`xp::summary::failures`], so the JSON still
+/// lands on disk.
 static FAILED: Mutex<Option<String>> = Mutex::new(None);
 
 /// A usage error: the command line cannot be run as written.
@@ -617,8 +618,10 @@ fn main() {
     if let Some(line) = xp::cache::stats_line() {
         eprintln!("[{line}]");
     }
-    if let Some(why) = FAILED.lock().unwrap().take() {
-        eprintln!("{why}");
+    let mut failed = Vec::from_iter(FAILED.lock().unwrap().take());
+    failed.extend(xp::summary::failures(&entries));
+    if !failed.is_empty() {
+        eprintln!("{}", failed.join("\n"));
         std::process::exit(1);
     }
 }

@@ -1,25 +1,24 @@
 //! The `CellPlan → execute → Report` pipeline every experiment runs on.
 //!
-//! An experiment is a grid of independent **cells** — `(benchmark,
-//! placement, engine, scale, seed)` points, each of which builds its own
-//! simulated machine. A [`CellPlan`] is the ordered list of those cells;
-//! [`CellPlan::execute`] fans them out over an [`exec`] pool (`--jobs N`
-//! workers, see [`crate::jobs`]) and hands back one
-//! [`CellOutput`] per cell **in plan order**, so the report a caller
-//! builds from the outputs is byte-identical whatever the worker count.
+//! A [`CellPlan`] is an ordered list of independent entries: grid **cells**
+//! ([`CellPlan::add_cell`]) — `(benchmark, placement, engine, scale, seed)`
+//! points, each of which builds its own simulated machine — and **jobs**
+//! ([`CellPlan::add`]): multiprog's schedules, the synthetic kernels, Table
+//! 1's probe, unkeyed and never forked or borrowed. [`CellPlan::execute`]
+//! runs them on one [`exec`] pool (`--jobs N` workers, see [`crate::jobs`])
+//! and hands back one [`CellOutput`] per entry **in plan order**, so the
+//! report a caller builds from the outputs is byte-identical whatever the
+//! worker count.
 //!
-//! A cell's job only computes its value. Cells added via
-//! [`CellPlan::add_cell`] carry a [`svc::CellSpec`], and their value may
-//! come from any of three sources, asked in this order: the result cache
-//! ([`crate::cache`]), the resident server in client mode
-//! ([`crate::remote`]), and — for the residue — a worker pool scoped to
-//! the plan. Whichever source produced it, a spec cell has its effects in
-//! one place, the **merge**, in plan order:
-//! [`crate::cache::CachePayload::on_merge`] credits its simulated seconds
-//! and writes its `--trace DIR` dump, and the merge stores it back to the
-//! cache. So the accumulated float sum and the trace file sequence follow
-//! plan order, and a fully resolved run produces byte-identical artifacts
-//! to a cold one.
+//! A grid cell's value is a [`nas::RunResult`] until its output is handed
+//! back. It may come from any of three sources, asked in this order: the
+//! result cache ([`crate::cache`]), the resident server in client mode
+//! ([`crate::remote`]), and — for the residue — the pool. Whichever source
+//! produced it, a grid cell has its effects in one place, the **merge**, in
+//! plan order: its `--trace DIR` dump, and a computed run's store to the
+//! cache. So trace files follow plan order, and a fully resolved run
+//! produces byte-identical artifacts to a cold one. Simulated seconds are
+//! credited from the outputs ([`crate::summary::credit_sweep`]).
 //!
 //! The residue runs as **fork chains**. Under the paper's protocols the
 //! IRIX, UPMlib and record–replay runs of one problem and placement are in
@@ -47,15 +46,14 @@
 //! reported, and a borrower's merged result is byte-equal to its full
 //! run's, so the cache stores what a full run stores.
 //!
-//! A panicking cell is caught once, by the pool ([`exec`]'s job runner):
-//! it surfaces as an `Err` output (a failed *row* in the report), never a
-//! dead run, and never poisons sibling cells — except the cells of its
+//! A panicking cell or job is caught once, by the pool ([`exec`]'s job
+//! runner): it surfaces as an `Err` output (a failed *row* in the report),
+//! never a dead run, and never poisons siblings — except the cells of its
 //! own chain, which fail with it.
 
-use crate::cache::CellCodec;
 use crate::grid;
 use exec::{Job, JobPanic, PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool};
-use std::any::Any;
+use nas::RunResult;
 use std::time::Instant;
 
 /// One merged cell result, in plan order.
@@ -71,47 +69,39 @@ pub struct CellOutput<T> {
 }
 
 impl<T> CellOutput<T> {
-    /// The value, panicking with the cell's id on a failed cell — for
-    /// callers (tests, helper APIs) that require a complete grid.
-    pub fn expect_ok(self) -> T {
-        match self.value {
-            Ok(v) => v,
-            Err(p) => panic!("cell {} failed: {}", self.id, p.message),
-        }
-    }
-
     /// The value as `Option`, dropping the panic.
     pub fn ok(&self) -> Option<&T> {
         self.value.as_ref().ok()
     }
 }
 
-/// One planned cell: id, the job that computes it, and — for cells the
-/// result service can resolve — the spec naming it and the codec that
-/// round-trips its value.
+/// One planned entry: id, what computes it, and — for a grid cell — the
+/// spec naming it to the cache and a server.
 struct Cell<T> {
     id: String,
     spec: Option<svc::CellSpec>,
-    codec: Option<CellCodec<T>>,
-    job_state: CellState<T>,
+    state: CellState<T>,
 }
 
-/// Where one cell's value will come from, decided during resolution.
+/// Where one entry's value will come from, decided during resolution.
 enum CellState<T> {
-    /// Resolved without running here: from the cache (`true`) or by a
-    /// server.
-    Resolved(T, bool),
-    /// Still needs local computation.
+    /// A grid cell resolved without running here: from the cache (`true`)
+    /// or by a server.
+    Resolved(bool),
+    /// A job, still to run.
     Pending(Job<'static, T>),
-    /// A grid cell that still needs local computation, in a fork chain.
+    /// A grid cell still to run, in a fork chain.
     Run(Box<grid::Cell>),
-    /// The pending job has been moved to the worker pool.
+    /// Moved to the worker pool.
     Dispatched,
 }
 
-/// An ordered list of independent experiment cells.
+/// An ordered list of independent experiment cells and jobs.
 pub struct CellPlan<T> {
     cells: Vec<Cell<T>>,
+    /// How a grid cell's run becomes the plan's value, fixed by
+    /// [`CellPlan::add_cell`].
+    from_run: fn(RunResult) -> T,
 }
 
 impl<T: Send + 'static> Default for CellPlan<T> {
@@ -123,17 +113,28 @@ impl<T: Send + 'static> Default for CellPlan<T> {
 impl<T: Send + 'static> CellPlan<T> {
     /// An empty plan.
     pub fn new() -> Self {
-        CellPlan { cells: Vec::new() }
+        CellPlan {
+            cells: Vec::new(),
+            from_run: |_| unreachable!("only add_cell plans grid cells"),
+        }
     }
 
-    /// Append a cell. `id` names the cell in failed rows and diagnostics;
-    /// the position in the plan is the cell's canonical merge position.
+    /// Append a job. `id` names it in failed rows and diagnostics; the
+    /// position in the plan is its canonical merge position.
     pub fn add(&mut self, id: impl Into<String>, job: impl FnOnce() -> T + Send + 'static) {
         self.cells.push(Cell {
             id: id.into(),
             spec: None,
-            codec: None,
-            job_state: CellState::Pending(Box::new(job)),
+            state: CellState::Pending(Box::new(job)),
+        });
+    }
+
+    /// Append a grid cell named by `spec`, its [`grid::Cell::spec`].
+    pub(crate) fn add_run(&mut self, cell: grid::Cell, spec: svc::CellSpec) {
+        self.cells.push(Cell {
+            id: spec.cell_id(),
+            spec: Some(spec),
+            state: CellState::Run(Box::new(cell)),
         });
     }
 
@@ -148,11 +149,29 @@ impl<T: Send + 'static> CellPlan<T> {
     }
 
     /// Execute with the process-wide machinery — the cache and the server
-    /// first, then the residual cells on a pool scoped to the plan — and
-    /// merge in plan order: outputs come back in plan order, each spec cell
-    /// has its one merge step there, and the plan's wall-clock statistics
-    /// are credited to [`crate::summary`].
+    /// first, then the residue on a pool scoped to the plan — and merge in
+    /// plan order: outputs come back in plan order, each grid cell has its
+    /// one merge step there, and the plan's wall-clock statistics are
+    /// credited to [`crate::summary`].
     pub fn execute(self) -> Vec<CellOutput<T>> {
+        let from_run = self.from_run;
+        let grid: Vec<bool> = self.cells.iter().map(|c| c.spec.is_some()).collect();
+        let (runs, jobs) = self.execute_by_kind();
+        let mut runs = (runs.into_iter()).map(|out| CellOutput {
+            value: out.value.map(from_run),
+            id: out.id,
+            wall_secs: out.wall_secs,
+        });
+        let mut jobs = jobs.into_iter();
+        let mut next = |grid| if grid { runs.next() } else { jobs.next() };
+        (grid.into_iter())
+            .map(|grid| next(grid).expect("one output per entry"))
+            .collect()
+    }
+
+    /// [`CellPlan::execute`], with the outputs by kind, each in plan order:
+    /// the grid cells' runs and the jobs' values.
+    pub(crate) fn execute_by_kind(self) -> (Vec<CellOutput<RunResult>>, Vec<CellOutput<T>>) {
         // A traced run must execute, and its result carries a tracer that
         // the cache encoding drops: a traced plan asks no cache or server
         // and forms no chain.
@@ -163,42 +182,47 @@ impl<T: Send + 'static> CellPlan<T> {
             (crate::cache::installed(), crate::remote::installed())
         };
         let mut cells = self.cells;
+        // Each grid cell's run and each job's value, by plan position.
+        let mut runs: Outcomes<RunResult> = (0..cells.len()).map(|_| None).collect();
+        let mut values: Outcomes<T> = (0..cells.len()).map(|_| None).collect();
 
         // Phase 1 — the cache. A payload that does not decode is a miss
         // (the recompute overwrites the entry at merge).
-        for cell in &mut cells {
-            let (Some(spec), Some(codec), Some(cache)) = (&cell.spec, &cell.codec, &cache) else {
+        for (cell, run) in cells.iter_mut().zip(&mut runs) {
+            let (Some(spec), Some(cache)) = (&cell.spec, &cache) else {
                 continue;
             };
-            if let Some(hit) = cache.lookup(spec).and_then(|p| (codec.decode)(&p).ok()) {
-                cell.job_state = CellState::Resolved(hit, true);
+            if let Some(hit) =
+                (cache.lookup(spec)).and_then(|p| RunResult::from_cache_json(&p).ok())
+            {
+                (cell.state, *run) = (CellState::Resolved(true), Some((Ok(hit), 0.0)));
             }
         }
 
-        // Phase 2 — client dispatch: offer every still-pending
-        // spec-carrying cell to the server as one batch. Failure is never
-        // fatal at either granularity — a dead batch or a refused cell
-        // just stays pending and computes locally.
+        // Phase 2 — client dispatch: offer every still-pending grid cell to
+        // the server as one batch. Failure is never fatal at either
+        // granularity — a dead batch or a refused cell just stays pending
+        // and computes locally.
         if let Some(client) = client {
-            let indices: Vec<usize> = cells
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_pending() && c.spec.is_some())
+            let indices: Vec<usize> = (cells.iter().enumerate())
+                .filter(|(_, c)| matches!(c.state, CellState::Run(_)))
                 .map(|(i, _)| i)
                 .collect();
             if !indices.is_empty() {
                 let specs: Vec<svc::CellSpec> = indices
                     .iter()
-                    .map(|&i| cells[i].spec.clone().expect("filtered on spec"))
+                    .map(|&i| cells[i].spec.clone().expect("grid cells carry a spec"))
                     .collect();
                 let mut progress = crate::remote::Progress::new();
                 match client.run_cells(&specs, |p| progress.update(p)) {
                     Ok(outcomes) => {
                         progress.finish(client.addr());
                         for (&i, outcome) in indices.iter().zip(outcomes) {
-                            let codec = cells[i].codec.expect("spec cells carry a codec");
-                            match outcome.result.and_then(|p| (codec.decode)(&p)) {
-                                Ok(value) => cells[i].job_state = CellState::Resolved(value, false),
+                            match (outcome.result).and_then(|p| RunResult::from_cache_json(&p)) {
+                                Ok(run) => {
+                                    cells[i].state = CellState::Resolved(false);
+                                    runs[i] = Some((Ok(run), 0.0));
+                                }
                                 Err(e) => {
                                     eprintln!("[svc] cell {}: {e}; computing locally", cells[i].id)
                                 }
@@ -211,11 +235,11 @@ impl<T: Send + 'static> CellPlan<T> {
         }
 
         // Phase 3 — compute the residue as one batch on the plan's pool:
-        // one job per fork chain of grid cells and per other cell, in the
+        // one job per fork chain of grid cells and per planned job, in the
         // plan order of their first cells; each key's later grid cells
         // borrow their numerics from its first.
         let grid_cells: Vec<(usize, &grid::Cell)> = (cells.iter().enumerate())
-            .filter_map(|(i, c)| match &c.job_state {
+            .filter_map(|(i, c)| match &c.state {
                 CellState::Run(cell) => Some((i, &**cell)),
                 _ => None,
             })
@@ -227,14 +251,14 @@ impl<T: Send + 'static> CellPlan<T> {
         };
         // Each borrower's cell, kept for a full recompute.
         let mut spares: std::collections::HashMap<usize, grid::Cell> = (borrowers.iter())
-            .filter_map(|&(b, _)| match &cells[b].job_state {
+            .filter_map(|&(b, _)| match &cells[b].state {
                 CellState::Run(cell) => Some((b, (**cell).clone())),
                 _ => None,
             })
             .collect();
         let mut members = grid::fork_chains(&grid_cells);
         let others: Vec<usize> = (0..cells.len())
-            .filter(|&i| matches!(cells[i].job_state, CellState::Pending(_)))
+            .filter(|&i| matches!(cells[i].state, CellState::Pending(_)))
             .collect();
         let workers = crate::jobs::get();
         if traced || workers > 1 && members.len() + others.len() < CHAIN_SPREAD * workers {
@@ -245,22 +269,24 @@ impl<T: Send + 'static> CellPlan<T> {
         let jobs: Vec<_> = (members.iter())
             .map(|m| {
                 let mut take = |i: usize| {
-                    let state = std::mem::replace(&mut cells[i].job_state, CellState::Dispatched);
+                    let state = std::mem::replace(&mut cells[i].state, CellState::Dispatched);
                     (cells[i].id.clone(), state, spares.contains_key(&i))
                 };
                 match take(m[0]) {
-                    (id, CellState::Pending(job), _) => wrap_cell(id, job),
+                    (id, CellState::Pending(job), _) => wrap_job(id, job),
                     first => {
                         chain_job(std::iter::once(first).chain(m[1..].iter().map(|&i| take(i))))
                     }
                 }
             })
             .collect();
-        let mut outcomes: Outcomes<T> = (0..cells.len()).map(|_| None).collect();
         let mut batches = Vec::new();
         if !jobs.is_empty() {
-            batches.push(run_batch(jobs, &members, &mut outcomes));
-            let recompute = settle_borrowers(&mut outcomes, &borrowers, borrow_verification);
+            let is_run = |i: usize| cells[i].spec.is_some();
+            batches.push(run_batch(jobs, &members, &is_run, &mut runs, &mut values));
+            let recompute = settle_borrowers(&mut runs, &borrowers, |owner, mine| {
+                mine.verification = owner.verification.clone()
+            });
             if !recompute.is_empty() {
                 let members: Vec<Vec<usize>> = recompute.iter().map(|&i| vec![i]).collect();
                 let jobs = (recompute.iter())
@@ -270,84 +296,88 @@ impl<T: Send + 'static> CellPlan<T> {
                         chain_job(std::iter::once((id, CellState::<T>::Run(cell), false)))
                     })
                     .collect();
-                batches.push(run_batch(jobs, &members, &mut outcomes));
+                batches.push(run_batch(jobs, &members, &is_run, &mut runs, &mut values));
             }
         }
-        let computed = outcomes.iter().flatten();
-        let cell_walls: Vec<f64> = computed.clone().map(|(_, wall)| *wall).collect();
-        let failed = computed.filter(|(value, _)| value.is_err()).count();
-        let resolved = outcomes.iter().filter(|o| o.is_none()).count();
-        crate::summary::record_plan(&batches, &cell_walls, failed, resolved);
-
-        // Phase 4 — merge in plan order: every spec cell that has a value
+        // Phase 4 — merge in plan order: every grid cell that has a run
         // has its one merge step here, whichever source produced it.
-        cells
-            .into_iter()
-            .zip(outcomes)
-            .map(|(cell, outcome)| {
-                let (value, store, wall_secs) = match (cell.job_state, outcome) {
-                    (CellState::Resolved(value, cached), _) => (Ok(value), !cached, 0.0),
-                    (CellState::Dispatched, Some((value, wall))) => (value, true, wall),
-                    _ => unreachable!("pending cells were dispatched above"),
-                };
-                if let (Ok(value), Some(spec), Some(codec)) = (&value, &cell.spec, &cell.codec) {
-                    merge(value, store, spec, codec, &cache);
+        let (mut run_outputs, mut job_outputs) = (Vec::with_capacity(cells.len()), Vec::new());
+        let (mut walls, mut failed, mut resolved) = (Vec::new(), 0, 0);
+        for ((cell, run), value) in cells.into_iter().zip(runs).zip(values) {
+            let (id, computed) = (cell.id, matches!(cell.state, CellState::Dispatched));
+            let wall_secs = if let Some(spec) = cell.spec {
+                let (value, wall_secs) = run.expect("a grid cell has a run or a panic");
+                if let Ok(run) = &value {
+                    let store = !matches!(cell.state, CellState::Resolved(true));
+                    merge(run, store, &spec, &cache);
                 }
-                CellOutput {
-                    id: cell.id,
+                failed += usize::from(value.is_err());
+                run_outputs.push(CellOutput {
+                    id,
                     value,
                     wall_secs,
-                }
-            })
-            .collect()
+                });
+                wall_secs
+            } else {
+                let (value, wall_secs) = value.expect("a job has a value or a panic");
+                failed += usize::from(value.is_err());
+                job_outputs.push(CellOutput {
+                    id,
+                    value,
+                    wall_secs,
+                });
+                wall_secs
+            };
+            match computed {
+                true => walls.push(wall_secs),
+                false => resolved += 1,
+            }
+        }
+        crate::summary::record_plan(&batches, &walls, failed, resolved);
+        (run_outputs, job_outputs)
     }
 }
 
-impl CellPlan<nas::RunResult> {
+impl CellPlan<RunResult> {
     /// Append a cell the result service can resolve, both halves derived
     /// from one [`crate::grid::Cell`] so they cannot disagree: its spec is
     /// the cache key (and the plan id, via [`svc::CellSpec::cell_id`]),
     /// its `run` the local computation of record when no other source
-    /// satisfies it.
+    /// satisfies it. Its run is the plan's value as it is.
     pub fn add_cell(&mut self, cell: crate::grid::Cell) {
+        self.from_run = |run| run;
         let spec = cell.spec();
-        self.cells.push(Cell {
-            id: spec.cell_id(),
-            spec: Some(spec),
-            codec: Some(crate::cache::codec_for()),
-            job_state: CellState::Run(Box::new(cell)),
-        });
+        self.add_run(cell, spec);
     }
 }
 
-impl<T> Cell<T> {
-    /// Whether the cell still needs local computation.
-    fn is_pending(&self) -> bool {
-        matches!(self.job_state, CellState::Pending(_) | CellState::Run(_))
-    }
+/// What one pool job returns: the runs of a fork chain, in its order, each
+/// with the on-worker seconds spent on it, or a planned job's value.
+enum Done<T> {
+    Runs(Vec<(RunResult, f64)>),
+    Job(T),
 }
 
-/// What one pool job returns: the value of each of its cells, in its
-/// order, with the on-worker seconds spent on that cell.
-type Members<T> = Vec<(T, f64)>;
-
-/// What the pool made of each cell of a plan, by plan position: its value
-/// or panic and its wall, `None` for a cell resolved without running.
-type Outcomes<T> = Vec<Option<(Result<T, JobPanic>, f64)>>;
+/// What became of each entry of a plan, by plan position: its value or
+/// panic and its wall, `None` until it has one.
+type Outcomes<V> = Vec<Option<(Result<V, JobPanic>, f64)>>;
 
 /// Run `jobs`, one per entry of `members` (the plan positions of its
-/// cells), as one batch on a pool of its own, and put each cell's value or
-/// panic and its wall into `outcomes`. A cell computed again keeps the
-/// wall of its first attempt too.
+/// cells), as one batch on a pool of its own, and put each cell's run or
+/// panic and its wall into `runs`, each job's into `values` — a panic where
+/// `is_run` says its entry belongs. A cell computed again keeps the wall of
+/// its first attempt too.
 ///
 /// The pool has [`crate::jobs::get`] seats, but no more than jobs, one of
 /// them the calling thread's: the caller helps run its cells, and `--jobs
 /// 1` spawns no worker thread. A batch of two or more jobs shows a
 /// progress line ([`crate::dash`]).
 fn run_batch<T: Send + 'static>(
-    jobs: Vec<ResidentJob<Members<T>>>,
+    jobs: Vec<ResidentJob<Done<T>>>,
     members: &[Vec<usize>],
-    outcomes: &mut Outcomes<T>,
+    is_run: &dyn Fn(usize) -> bool,
+    runs: &mut Outcomes<RunResult>,
+    values: &mut Outcomes<T>,
 ) -> PoolTelemetry {
     let pool = ResidentPool::with_caller(crate::jobs::get().min(jobs.len()));
     let _dash = (jobs.len() >= 2).then(|| {
@@ -355,36 +385,43 @@ fn run_batch<T: Send + 'static>(
         monitor.attach(&pool);
         crate::dash::spawn(monitor)
     });
-    let (runs, telemetry) = pool.run(jobs);
-    let mut put = |i: usize, value, wall: f64| {
-        let before = outcomes[i].take().map_or(0.0, |(_, wall)| wall);
-        outcomes[i] = Some((value, before + wall));
-    };
-    for (timed, m) in runs.into_iter().zip(members) {
+    let (done, telemetry) = pool.run(jobs);
+    for (timed, m) in done.into_iter().zip(members) {
         // The pool measured the wall time around the whole job, so a
         // panicking chain still reports how long it ran, split among its
         // cells; its panic names the batch position, each output its plan
         // position.
         match timed.result {
-            Ok(done) => {
+            Ok(Done::Runs(done)) => {
                 let rest: f64 = done[1..].iter().map(|(_, secs)| secs).sum();
-                for (k, ((value, secs), &i)) in done.into_iter().zip(m).enumerate() {
+                for (k, ((run, secs), &i)) in done.into_iter().zip(m).enumerate() {
                     let wall = if k == 0 { timed.wall_secs - rest } else { secs };
-                    put(i, Ok(value), wall);
+                    put(&mut runs[i], Ok(run), wall);
                 }
             }
+            Ok(Done::Job(value)) => put(&mut values[m[0]], Ok(value), timed.wall_secs),
             Err(p) => {
                 for &i in m {
                     let p = JobPanic {
                         index: i,
                         ..p.clone()
                     };
-                    put(i, Err(p), timed.wall_secs / m.len() as f64);
+                    let wall = timed.wall_secs / m.len() as f64;
+                    match is_run(i) {
+                        true => put(&mut runs[i], Err(p), wall),
+                        false => put(&mut values[i], Err(p), wall),
+                    }
                 }
             }
         }
     }
     telemetry
+}
+
+/// Put `value` and `wall` into `slot`, adding the wall it held.
+fn put<V>(slot: &mut Option<(Result<V, JobPanic>, f64)>, value: Result<V, JobPanic>, wall: f64) {
+    let before = slot.take().map_or(0.0, |(_, wall)| wall);
+    *slot = Some((value, before + wall));
 }
 
 /// Borrowers take their owner's value, or are recomputed: for each
@@ -410,14 +447,6 @@ fn settle_borrowers<V, E>(
     recompute
 }
 
-/// A borrower's result takes its owner's verification.
-fn borrow_verification<T: 'static>(owner: &T, borrower: &mut T) {
-    let owner = (owner as &dyn Any).downcast_ref::<nas::RunResult>();
-    let borrower = (borrower as &mut dyn Any).downcast_mut::<nas::RunResult>();
-    let (owner, borrower) = owner.zip(borrower).expect("borrowers are grid cells");
-    borrower.verification = owner.verification.clone();
-}
-
 /// Pool jobs per worker a plan needs for its cells to run in fork chains.
 /// A chain runs its cells one after another on one worker, so a plan of
 /// few jobs idles workers that would otherwise overlap them: Figure 6's
@@ -435,9 +464,9 @@ fn on_cell<R>(id: &str, work: impl FnOnce() -> R) -> (R, f64) {
     (r, t.elapsed().as_secs_f64())
 }
 
-/// Wrap one cell's job for the pool, as a job of one member.
-fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob<Members<T>> {
-    Box::new(move || vec![on_cell(&id, job)])
+/// Wrap one planned job for the pool.
+fn wrap_job<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob<Done<T>> {
+    Box::new(move || Done::Job(on_cell(&id, job).0))
 }
 
 /// The job of a fork chain ([`grid::fork_chains`]), given as its cells'
@@ -448,7 +477,7 @@ fn wrap_cell<T: Send + 'static>(id: String, job: Job<'static, T>) -> ResidentJob
 /// before its child steps on, so the worker holds at most two.
 fn chain_job<T: 'static>(
     chain: impl Iterator<Item = (String, CellState<T>, bool)>,
-) -> ResidentJob<Members<T>> {
+) -> ResidentJob<Done<T>> {
     let chain: Vec<(String, grid::Cell, bool)> = chain
         .map(|(id, state, borrows)| match state {
             CellState::Run(cell) => (id, *cell, borrows),
@@ -465,45 +494,30 @@ fn chain_job<T: 'static>(
         let mut chain = chain.into_iter();
         let (mut id, mut root, borrows) = chain.next().expect("a chain has a cell");
         let (mut run, mut wall) = on_cell(&id, || mark(root.build(), borrows));
-        let mut done = Members::new();
+        let mut done = Vec::new();
         for (child_id, child, borrows) in chain {
             // The prefix the child shares is its parent's work.
             let ((forked, result), secs) = on_cell(&id, || {
                 let forked = mark(run.fork(&child.cfg.engine), borrows);
                 (forked, grid::complete(run))
             });
-            done.push((as_cell(result), wall + secs));
+            done.push((result, wall + secs));
             (id, run, wall) = (child_id, forked, 0.0);
         }
         let (result, rest) = on_cell(&id, || grid::complete(run));
-        done.push((as_cell(result), wall + rest));
-        done
+        done.push((result, wall + rest));
+        Done::Runs(done)
     })
 }
 
-/// A grid cell's result as its plan's cell type, which is `RunResult`:
-/// only [`CellPlan::add_cell`] plans grid cells.
-fn as_cell<T: 'static>(result: nas::RunResult) -> T {
-    let result: Box<dyn Any> = Box::new(result);
-    *result
-        .downcast()
-        .expect("grid cells are planned as RunResult cells")
-}
-
-/// The merge step of one spec cell, at its plan position: its effects
-/// ([`crate::cache::CachePayload::on_merge`]), then — when `store`, i.e.
-/// it was computed, here or by a server — its store to the cache. A store
-/// failure degrades the cache, not the run.
-fn merge<T>(
-    value: &T,
-    store: bool,
-    spec: &svc::CellSpec,
-    codec: &CellCodec<T>,
-    cache: &Option<svc::Cache>,
-) {
-    (codec.on_merge)(value);
+/// The merge step of one grid cell, at its plan position: its `--trace
+/// DIR` dump (only a computed traced run carries a tracer), then — when
+/// `store`, i.e. it was computed, here or by a server — its store to the
+/// cache. A store failure degrades the cache, not the run.
+fn merge(run: &RunResult, store: bool, spec: &svc::CellSpec, cache: &Option<svc::Cache>) {
+    crate::trace::write(run);
     if let Some(cache) = cache.as_ref().filter(|_| store) {
-        if let Err(e) = cache.store(spec, &(codec.encode)(value)) {
+        if let Err(e) = cache.store(spec, &run.to_cache_json()) {
             eprintln!("[cache] store failed for {spec}: {e}");
         }
     }
@@ -521,29 +535,48 @@ mod tests {
                 plan.add(format!("cell-{i}"), move || i * i);
             }
             let out = crate::jobs::with_pinned(workers, || plan.execute());
-            let values: Vec<usize> = out.into_iter().map(|c| c.expect_ok()).collect();
+            let values: Vec<usize> = out.into_iter().map(|c| c.value.unwrap()).collect();
             assert_eq!(values, (0..13).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn sim_secs_are_replayed_in_plan_order() {
+    fn a_plan_credits_its_walls_and_no_simulated_seconds() {
         let _gate = crate::summary::gate::exact();
-        // Whatever order cells finish in, the merged accumulator sees the
-        // same fixed-order float sum: the outputs' own, in plan order.
-        let total = |workers: usize| {
-            crate::summary::take();
-            let mut plan = CellPlan::new();
-            for cell in crate::fig1::cells(nas::BenchName::Mg, nas::Scale::Tiny, false) {
-                plan.add_cell(cell);
-            }
-            let out = crate::jobs::with_pinned(workers, || plan.execute());
-            let credited = crate::summary::take().sim_secs.to_bits();
-            let in_order = out.iter().map(|c| c.ok().unwrap().total_secs);
-            assert_eq!(credited, in_order.fold(0.0, |sum, s| sum + s).to_bits());
-            credited
-        };
-        assert_eq!(total(1), total(5));
+        // Simulated seconds are the sweep's to credit, from the outputs;
+        // the plan credits what ran on its pool.
+        crate::summary::take();
+        let mut plan = CellPlan::new();
+        for cell in crate::fig1::cells(nas::BenchName::Mg, nas::Scale::Tiny, false) {
+            plan.add_cell(cell);
+        }
+        let out = crate::jobs::with_pinned(2, || plan.execute());
+        let tally = crate::summary::take();
+        assert_eq!(tally.sim_secs, 0.0);
+        assert_eq!(tally.cells_computed, out.len());
+        assert!(out.iter().all(|c| c.ok().is_some() && c.wall_secs > 0.0));
+    }
+
+    #[test]
+    fn grid_cells_and_jobs_share_one_plan_and_keep_its_order() {
+        let _gate = crate::summary::gate::crediting();
+        let cell = crate::grid::Cell::paper(
+            nas::BenchName::Mg,
+            nas::Scale::Tiny,
+            vmm::PlacementScheme::FirstTouch,
+            nas::EngineMode::None,
+        );
+        let alone = cell.clone().run();
+        let mut plan = CellPlan::new();
+        let (first, last) = (alone.clone(), alone.clone());
+        plan.add("job-0", move || first);
+        plan.add_cell(cell);
+        plan.add("job-2", move || last);
+        let out = crate::jobs::with_pinned(2, || plan.execute());
+        let ids: Vec<&str> = out.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["job-0", "mg:ft-IRIX", "job-2"]);
+        let bytes = |r: &nas::RunResult| r.to_cache_json().to_string();
+        assert!(out.iter().all(|c| bytes(c.ok().unwrap()) == bytes(&alone)));
     }
 
     fn panic_at(index: usize) -> JobPanic {

@@ -23,7 +23,8 @@ use vmm::PlacementScheme;
 /// Figure 1's sweep: one group of [`cells`] per benchmark.
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| BenchName::all().map(|b| cells(b, scale, false)).to_vec(),
-    report: |_, outputs| vec![report(&outputs)],
+    jobs: |_| Vec::new(),
+    report: |_, outputs, _| vec![report(&outputs)],
 };
 
 /// One benchmark's placement x engine cells, in the canonical order

@@ -13,7 +13,8 @@ use nas::{BenchName, Scale};
 /// Figure 4's sweep: one group of [`cells`] per benchmark.
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| BenchName::all().map(|b| cells(b, scale)).to_vec(),
-    report: |_, outputs| vec![report(&outputs)],
+    jobs: |_| Vec::new(),
+    report: |_, outputs, _| vec![report(&outputs)],
 };
 
 /// One benchmark's cells: the Figure 1 grid plus the `*-upmlib` bars.

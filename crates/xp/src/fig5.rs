@@ -20,7 +20,8 @@ pub const BENCHES: [BenchName; 2] = [BenchName::Bt, BenchName::Sp];
 /// Figure 5's sweep: one group of [`cells`] per benchmark of [`BENCHES`].
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| BENCHES.map(|b| cells(b, scale)).to_vec(),
-    report: |_, outputs| vec![report(&outputs)],
+    jobs: |_| Vec::new(),
+    report: |_, outputs, _| vec![report(&outputs)],
 };
 
 /// One benchmark's cells, in bar order: first-touch under each of the four

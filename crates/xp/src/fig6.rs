@@ -28,7 +28,8 @@ pub const PHASE_SCALES: [usize; 3] = [1, 4, 16];
 /// Figure 6's sweep: one pair of [`cells`] per phase scale.
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| PHASE_SCALES.map(|ps| cells(scale, ps)).to_vec(),
-    report: |_, outputs| vec![report(&outputs)],
+    jobs: |_| Vec::new(),
+    report: |_, outputs, _| vec![report(&outputs)],
 };
 
 /// One sweep point's cells: first-touch BT with `phase_scale`-lengthened

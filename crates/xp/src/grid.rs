@@ -15,14 +15,18 @@
 //!   stored under a key this binary would not have built itself;
 //! * [`crate::CellPlan::add_cell`] — both halves of a planned cell.
 //!
-//! An experiment is then a [`Sweep`]: a `Vec<Cell>` per benchmark and a
-//! report over their outputs. [`execute`] runs groups of cells as one plan
-//! that holds each distinct cell once and hands the outputs back group by
-//! group, [`sweep`] runs the groups of several experiments so, and
-//! [`report_benches`] is the chart-and-rows loop the bar-chart figures
+//! An experiment is then a [`Sweep`]: its grid, a `Vec<Cell>` per group,
+//! its jobs — the entries that are not grid cells (multiprog's schedules,
+//! the synthetic-kernel ablations, Table 1's probe), each computing an
+//! [`Output`] — and reports that only render the outputs they are handed.
+//! [`sweep`] runs all the work of several experiments as one plan that
+//! holds each distinct cell once, on one pool, and hands each experiment
+//! its outputs in listing order; [`execute`] runs bare groups of cells so;
+//! and [`report_benches`] is the chart-and-rows loop the bar-chart figures
 //! share.
 
 use crate::cells::{CellOutput, CellPlan};
+use crate::cli::Experiment;
 use crate::report::{pct, secs, Bar, Report};
 use crate::spec::{config_fp, CODE_VERSION};
 use crate::summary::SummaryEntry;
@@ -167,8 +171,7 @@ impl Cell {
 
     /// Run the cell: it only computes. With a `--trace DIR` installed the
     /// run executes with the `obs` sink attached; its planned cell's merge
-    /// step writes the events and credits its simulated seconds (see
-    /// [`crate::cells`]).
+    /// step writes the events (see [`crate::cells`]).
     pub fn run(self) -> RunResult {
         self.run_with(None)
     }
@@ -357,71 +360,137 @@ pub(crate) fn borrowers(cells: &[(usize, &Cell)]) -> Vec<(usize, usize)> {
 /// One group's outputs, in its listing order.
 pub type Group = Vec<CellOutput<RunResult>>;
 
+/// What an experiment's job computes.
+pub enum Output {
+    /// Table 1's probe.
+    Table1(crate::table1::Table1),
+    /// A synthetic kernel: the simulated seconds of each span it times, and
+    /// its engine's statistics.
+    Kernel {
+        secs: Vec<f64>,
+        upm: upmlib::UpmStats,
+    },
+    /// One multiprog schedule.
+    Sched(sched::SchedOutcome),
+}
+
+/// An experiment's jobs, in listing order: each one's id and its work.
+pub type Jobs = Vec<(String, exec::Job<'static, Output>)>;
+
+/// One entry of [`Jobs`].
+pub fn job(
+    id: &str,
+    work: impl FnOnce() -> Output + Send + 'static,
+) -> (String, exec::Job<'static, Output>) {
+    (id.into(), Box::new(work))
+}
+
+/// The outputs of an experiment's jobs, in listing order.
+pub type JobOutputs = Vec<CellOutput<Output>>;
+
 /// Execute groups of cells as one plan (cache, server and pool all see one
 /// batch) and hand the outputs back group by group, in listing order. Each
 /// distinct cell ([`svc::CellSpec::canonical`]) is planned once, at its
 /// first listing; a repeat gets a clone of that output, with `wall_secs` 0.
 pub fn execute(groups: Vec<Vec<Cell>>) -> Vec<Group> {
+    execute_rows(vec![(groups, Vec::new())]).remove(0).0
+}
+
+/// [`execute`] for rows of groups and jobs: one plan, in which each row's
+/// jobs follow its new cells. Hands back per row its groups' outputs and
+/// its jobs'.
+fn execute_rows(rows: Vec<(Vec<Vec<Cell>>, Jobs)>) -> Vec<(Vec<Group>, JobOutputs)> {
     let mut plan = CellPlan::new();
     let mut planned: std::collections::HashMap<String, usize> = Default::default();
-    let mut position = |cell: Cell| {
-        *planned.entry(cell.spec().canonical()).or_insert_with(|| {
-            plan.add_cell(cell);
-            plan.len() - 1
-        })
-    };
-    let positions: Vec<Vec<usize>> = (groups.into_iter())
-        .map(|group| group.into_iter().map(&mut position).collect())
-        .collect();
+    let mut layout = Vec::new();
+    for (groups, jobs) in rows {
+        let mut position = |cell: Cell| {
+            let (spec, next) = (cell.spec(), planned.len());
+            *planned.entry(spec.canonical()).or_insert_with(|| {
+                plan.add_run(cell, spec);
+                next
+            })
+        };
+        let positions: Vec<Vec<usize>> = (groups.into_iter())
+            .map(|group| group.into_iter().map(&mut position).collect())
+            .collect();
+        layout.push((positions, jobs.len()));
+        for (id, job) in jobs {
+            plan.add(id, job);
+        }
+    }
+    let (mut runs, jobs) = plan.execute_by_kind();
     // A cell's first listing takes its wall; later ones find 0.
-    let mut outputs = plan.execute();
     let mut output = |p: usize| {
-        let output = outputs[p].clone();
-        outputs[p].wall_secs = 0.0;
+        let output = runs[p].clone();
+        runs[p].wall_secs = 0.0;
         output
     };
-    (positions.into_iter())
-        .map(|group| group.into_iter().map(&mut output).collect())
+    let mut jobs = jobs.into_iter();
+    (layout.into_iter())
+        .map(|(positions, width)| {
+            let groups = (positions.into_iter())
+                .map(|group| group.into_iter().map(&mut output).collect())
+                .collect();
+            (groups, jobs.by_ref().take(width).collect())
+        })
         .collect()
 }
 
-/// What an experiment runs: its grid cells, in groups, and the reports it
-/// renders from their outputs, group by group. Plans of cells that are not
-/// grid cells (probes, synthetic kernels, schedules) run inside the report.
+/// What an experiment runs: its grid cells, in groups, its jobs, and the
+/// reports it renders from their outputs.
 #[derive(Clone, Copy)]
 pub struct Sweep {
     /// The groups of grid cells, in listing order.
     pub grid: fn(Scale) -> Vec<Vec<Cell>>,
-    /// The reports, from the groups' outputs.
-    pub report: fn(Scale, Vec<Group>) -> Vec<Report>,
+    /// The jobs, planned after the grid's cells.
+    pub jobs: fn(Scale) -> Jobs,
+    /// The reports, from the groups' outputs and the jobs'.
+    pub report: fn(Scale, Vec<Group>, JobOutputs) -> Vec<Report>,
 }
 
 impl Sweep {
-    /// This one experiment: its grid as one plan, then its reports.
+    /// This one experiment as one plan, then its reports. Its part of the
+    /// plan stays credited to [`crate::summary`]'s tally.
     pub fn run(self, scale: Scale) -> Vec<Report> {
-        (self.report)(scale, execute((self.grid)(scale)))
+        let rows = [("", self)];
+        let report = |(_, sweep): &Experiment, _, groups, jobs| (sweep.report)(scale, groups, jobs);
+        run_rows(&rows, scale, report).remove(0)
     }
 }
 
-/// Run `rows` at `scale` as one sweep: every row's grid cells as one plan
-/// ([`execute`]: each distinct cell computed once), then each row's reports
-/// from its own cells' outputs, in row order. Returns per row its summary
-/// entry, with its part of the plan ([`crate::summary::credit_sweep`]), and
-/// its reports.
-pub fn sweep(rows: &[crate::cli::Experiment], scale: Scale) -> Vec<(SummaryEntry, Vec<Report>)> {
+/// Run `rows` at `scale` as one sweep: every row's grid cells and jobs as
+/// one plan (each distinct cell computed once), then each row's reports
+/// from its own outputs, in row order. Returns per row its summary entry,
+/// with its part of the plan ([`crate::summary::credit_sweep`]) and the
+/// wall of its rendering, and its reports.
+pub fn sweep(rows: &[Experiment], scale: Scale) -> Vec<(SummaryEntry, Vec<Report>)> {
+    run_rows(rows, scale, |(id, sweep), share, groups, jobs| {
+        crate::summary::timed(id, share, || (sweep.report)(scale, groups, jobs))
+    })
+}
+
+/// Execute the work of `rows` at `scale` as one plan, then per row, in row
+/// order, credit its part of the plan and hand `then` the row, its share of
+/// the plan's wall and its outputs.
+fn run_rows<R>(
+    rows: &[Experiment],
+    scale: Scale,
+    mut then: impl FnMut(&Experiment, f64, Vec<Group>, JobOutputs) -> R,
+) -> Vec<R> {
     crate::summary::take();
     let t0 = Instant::now();
-    let grids: Vec<Vec<Vec<Cell>>> = rows.iter().map(|(_, s)| (s.grid)(scale)).collect();
-    let widths: Vec<usize> = grids.iter().map(Vec::len).collect();
-    let listed = grids.iter().flatten().map(Vec::len).sum();
-    let mut outputs = execute(grids.into_iter().flatten().collect()).into_iter();
+    let work = rows.iter().map(|(_, s)| ((s.grid)(scale), (s.jobs)(scale)));
+    let outputs = execute_rows(work.collect());
     let plan = crate::summary::take();
     let plan_wall = t0.elapsed().as_secs_f64();
-    (rows.iter().zip(widths))
-        .map(|(&(id, sweep), width)| {
-            let outputs: Vec<Group> = outputs.by_ref().take(width).collect();
-            let share = crate::summary::credit_sweep(&plan, plan_wall, listed, &outputs);
-            crate::summary::timed(id, share, || (sweep.report)(scale, outputs))
+    let listed = (outputs.iter())
+        .map(|(groups, jobs)| groups.iter().map(Vec::len).sum::<usize>() + jobs.len())
+        .sum();
+    (rows.iter().zip(outputs))
+        .map(|(row, (groups, jobs))| {
+            let share = crate::summary::credit_sweep(&plan, plan_wall, listed, &groups, &jobs);
+            then(row, share, groups, jobs)
         })
         .collect()
 }
@@ -506,7 +575,8 @@ pub fn report_benches(
 /// for the experiments' tests, which require a complete grid.
 pub(crate) fn run_cells(cells: Vec<Cell>) -> Vec<RunResult> {
     let outputs = execute(vec![cells]).remove(0);
-    outputs.into_iter().map(CellOutput::expect_ok).collect()
+    let ok = |c: CellOutput<RunResult>| c.value.unwrap_or_else(|p| panic!("{}: {p:?}", c.id));
+    outputs.into_iter().map(ok).collect()
 }
 
 #[cfg(test)]

@@ -3,23 +3,24 @@
 //!
 //! | `xp` command | Experiment | Paper artifact | Function | Cells |
 //! |---|---|---|---|---|
-//! | `table1` | Memory-hierarchy latencies | Table 1 | [`table1::run`] | none (probes) |
+//! | `table1` | Memory-hierarchy latencies | Table 1 | [`table1::run`] | none (one probe job) |
 //! | `fig1` | Placement sensitivity (5 schemes x IRIX-migration on/off, 5 benchmarks) | Figure 1 | [`fig1::run`] | [`fig1::cells`], served |
 //! | `fig4` | UPMlib distribution emulation | Figure 4 | [`fig4::run`] | [`fig4::cells`], served |
 //! | `table2` | Residual slowdown + migration timing statistics | Table 2 | [`table2::run`] | [`table2::cells`], served |
 //! | `fig5` | Record–replay on BT and SP | Figure 5 | [`fig5::run`] | [`fig5::cells`], served |
 //! | `fig6` | Record–replay with 1x/4x/16x-scaled phases | Figure 6 | [`fig6::run`] | [`fig6::cells`], served |
-//! | `ablations` | Latency-ratio, threshold and machine-size sweeps; freezing, replication, scheduler disruption | beyond the paper | [`ablation::SWEEP`] | tagged cells (offline cache only) and synthetic kernels |
-//! | `multiprog` | Job mixes under the kernel scheduler | beyond the paper | [`multiprog::run`] | baselines served; mixes uncached |
+//! | `ablations` | Latency-ratio, threshold and machine-size sweeps; freezing, replication, scheduler disruption | beyond the paper | [`ablation::SWEEP`] | tagged cells (offline cache only) and synthetic-kernel jobs |
+//! | `multiprog` | Job mixes under the kernel scheduler | beyond the paper | [`multiprog::run`] | baselines served; schedule jobs uncached |
 //! | `staticplace` | Static distribution vs first-touch, ± UPMlib (four-way) | beyond the paper | [`staticplace::run`] | [`staticplace::cells`], served |
 //!
 //! The command column is [`cli::EXPERIMENTS`], the table the binary
 //! dispatches from. An experiment is a [`grid::Sweep`]: its grid, a
 //! `Vec<`[`grid::Cell`]`>` per group (one `Cell` derives the cache key,
-//! the local job and the server-side reconstruction), and reports built
-//! from those cells' outputs. [`grid::sweep`] runs the grids of the
-//! experiments it is given as one plan, so `xp all` computes each distinct
-//! cell once; each module's `run` is the sweep of its one row.
+//! the local job and the server-side reconstruction), its jobs, and
+//! reports that only render their outputs. [`grid::sweep`] runs all the
+//! work of the experiments it is given as one plan on one pool, so `xp
+//! all` computes each distinct cell once; each module's `run` is the sweep
+//! of its one row.
 //!
 //! Each report holds structured rows and renders a markdown table; the
 //! `xp` binary writes both to stdout and to `results/*.json`.

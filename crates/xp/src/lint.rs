@@ -82,19 +82,29 @@ pub fn scheme_of(map: &PlacementMap) -> PlacementScheme {
     }
 }
 
-/// One scheme per (bench, scale) for the life of the process: every plan
-/// that names a `static` cell, and every server-side rebuild of one, clones
-/// the `Arc` the first asker synthesized.
-static SCHEMES: LazyLock<Facts<(BenchName, Scale), PlacementScheme>> =
-    LazyLock::new(Facts::default);
+/// One synthesis per (bench, scale) for the life of the process: the map
+/// and the scheme prescribing it. Every plan that names a `static` cell,
+/// every server-side rebuild of one and `xp staticplace`'s report clone the
+/// `Arc`s the first asker synthesized.
+static SCHEMES: LazyLock<Facts<(BenchName, Scale), Synthesized>> = LazyLock::new(Facts::default);
 
-/// The installable `static` placement scheme for `bench` at `scale`:
-/// [`scheme_of`] [`placement_map`], synthesized once per process.
-pub fn static_scheme(bench: BenchName, scale: Scale) -> PlacementScheme {
+/// One (bench, scale)'s [`static_placement`].
+type Synthesized = (PlacementScheme, Arc<PlacementMap>);
+
+/// The installable `static` placement scheme for `bench` at `scale` and the
+/// [`placement_map`] it prescribes ([`scheme_of`]), synthesized once per
+/// process.
+pub fn static_placement(bench: BenchName, scale: Scale) -> (PlacementScheme, Arc<PlacementMap>) {
     SCHEMES.get((bench, scale), || {
         let _hp = hostprof::span("lint.facts.derive");
-        scheme_of(&placement_map(bench, scale))
+        let map = placement_map(bench, scale);
+        (scheme_of(&map), Arc::new(map))
     })
+}
+
+/// [`static_placement`]'s scheme.
+pub fn static_scheme(bench: BenchName, scale: Scale) -> PlacementScheme {
+    static_placement(bench, scale).0
 }
 
 /// Whether this process has synthesized [`static_scheme`]`(bench, scale)`.
@@ -102,7 +112,7 @@ pub fn static_scheme_held(bench: BenchName, scale: Scale) -> bool {
     SCHEMES.holds(&(bench, scale))
 }
 
-/// How often [`static_scheme`] synthesized and how often it shared.
+/// How often [`static_placement`] synthesized and how often it shared.
 pub fn static_scheme_stats() -> FactsStats {
     SCHEMES.stats()
 }
@@ -256,10 +266,10 @@ mod tests {
                     panic!("static_scheme builds the static scheme");
                 };
                 assert!(Arc::ptr_eq(&map, &again), "one map per (bench, scale)");
-                assert_eq!(
-                    map.fingerprint(),
-                    placement_map(bench, scale).to_static().fingerprint()
-                );
+                let fresh = placement_map(bench, scale);
+                assert_eq!(map.fingerprint(), fresh.to_static().fingerprint());
+                let (_, held) = static_placement(bench, scale);
+                assert_eq!(held.to_json().to_string(), fresh.to_json().to_string());
             }
         }
         let stats = static_scheme_stats();

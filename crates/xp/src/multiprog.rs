@@ -9,9 +9,13 @@
 //! or replaying the tuned placement under the new binding) keeps pulling
 //! pages back to the threads. Gang scheduling and space sharing bracket the
 //! comparison from the locality-friendly side.
+//!
+//! The sweep's grid is the dedicated baselines and its jobs are the 45
+//! (mix, policy, variant) schedules, planned after them on the same pool;
+//! the report only renders their outputs.
 
-use crate::cells::CellPlan;
-use crate::grid::{Cell, Group, Sweep};
+use crate::cells::CellOutput;
+use crate::grid::{self, Cell, Group, JobOutputs, Output, Sweep};
 use crate::report::{pct, secs, Report};
 use crate::run_one::default_engine_configs;
 use nas::{BenchName, EngineMode, RunConfig, Scale};
@@ -207,8 +211,8 @@ pub fn variant_config(variant: &EngineVariant, bench: BenchName, scale: Scale) -
     cfg
 }
 
-/// Run one mix under one policy and engine variant. It only computes: the
-/// report loop credits the makespan, in plan order.
+/// Run one mix under one policy and engine variant. It only computes: its
+/// makespan is credited from its output, in listing order.
 pub fn run_schedule(
     mix: &Mix,
     kind: PolicyKind,
@@ -234,25 +238,44 @@ pub fn run_schedule(
 }
 
 /// The experiment's sweep: its grid is one group, the dedicated baselines —
-/// one ft-IRIX cell per benchmark the mixes run, in benchmark order. The
-/// schedules run as one plan inside its report.
+/// one ft-IRIX cell per [`mixed_benches`] benchmark — and its jobs are one
+/// schedule per (mix, policy, engine variant).
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| {
-        let mixed = |b: &BenchName| mixes().iter().any(|mix| mix.benches.contains(b));
         let ft = |b| Cell::paper(b, scale, PlacementScheme::FirstTouch, EngineMode::None);
-        vec![BenchName::all().into_iter().filter(mixed).map(ft).collect()]
+        vec![mixed_benches().into_iter().map(ft).collect()]
     },
-    report: |scale, mut outputs| vec![report(scale, outputs.remove(0))],
+    jobs: |scale| {
+        let mut jobs: grid::Jobs = Vec::new();
+        for mix in mixes() {
+            for kind in PolicyKind::all() {
+                for variant in engine_variants() {
+                    let id = format!("{}:{}-{}", mix.name, kind.label(), variant.label);
+                    let schedule = move || Output::Sched(run_schedule(&mix, kind, &variant, scale));
+                    jobs.push(grid::job(&id, schedule));
+                }
+            }
+        }
+        jobs
+    },
+    report: |scale, mut outputs, schedules| vec![report(scale, outputs.remove(0), schedules)],
 };
+
+/// The benchmarks the mixes run, in benchmark order.
+fn mixed_benches() -> Vec<BenchName> {
+    let mixed = |b: &BenchName| mixes().iter().any(|mix| mix.benches.contains(b));
+    BenchName::all().into_iter().filter(mixed).collect()
+}
 
 /// The `xp multiprog` experiment.
 pub fn run(scale: Scale) -> Report {
     SWEEP.run(scale).remove(0)
 }
 
-/// Render the experiment from its baselines' outputs, running its
-/// schedules.
-fn report(scale: Scale, baselines: Group) -> Report {
+/// Render the experiment from its baselines' and its schedules' outputs.
+/// A failed schedule is a failed row, and so is each job whose baseline
+/// failed, naming that baseline.
+fn report(scale: Scale, baselines: Group, schedules: JobOutputs) -> Report {
     let mut report = Report::new(
         "multiprog",
         "Multiprogrammed job mixes under the kernel scheduler: per-job slowdown vs dedicated execution",
@@ -273,48 +296,35 @@ fn report(scale: Scale, baselines: Group) -> Report {
     // multiprogramming cost this strategy?", not "how far is it from its
     // own (engine-tuned) dedicated run", which would penalize UPMlib for
     // being faster than first-touch when dedicated.
-    // Phase 1: the dedicated baselines, the grid cells — keyed, so cached,
-    // served, and in `xp all` computed once with Figure 1's. A missing
-    // baseline makes every slowdown of that benchmark uncomputable, so a
-    // baseline failure is fatal, unlike the per-schedule cells below.
-    let dedicated: BTreeMap<&str, f64> = (baselines.into_iter())
-        .map(|cell| {
-            let r = cell.expect_ok();
-            (r.bench.label(), r.total_secs)
-        })
+    let dedicated: BTreeMap<&str, &CellOutput<nas::RunResult>> = (mixed_benches().into_iter())
+        .map(|b| b.label())
+        .zip(&baselines)
         .collect();
-    // Phase 2: one cell per (mix, policy, engine variant) schedule.
-    let variants = engine_variants();
-    let mut plan = CellPlan::new();
-    for mix in mixes() {
-        for kind in PolicyKind::all() {
-            for variant in variants.clone() {
-                plan.add(
-                    format!("{}:{}-{}", mix.name, kind.label(), variant.label),
-                    move || run_schedule(&mix, kind, &variant, scale),
-                );
-            }
-        }
-    }
-    let mut outputs = plan.execute().into_iter();
+    let mut outputs = schedules.iter();
     // (mix, policy, engine) -> mean slowdown, for the qualitative notes.
     let mut mean_slowdown: BTreeMap<(String, &'static str, &'static str), f64> = BTreeMap::new();
     for mix in mixes() {
         for kind in PolicyKind::all() {
-            for variant in &variants {
+            for variant in &engine_variants() {
                 let cell = outputs.next().expect("one cell per (mix, policy, variant)");
                 let outcome = match &cell.value {
-                    Ok(o) => o,
+                    Ok(Output::Sched(o)) => o,
+                    Ok(_) => unreachable!("multiprog's jobs are schedules"),
                     Err(p) => {
                         report.failed_row(&cell.id, &p.message);
                         continue;
                     }
                 };
-                crate::summary::add_sim_secs(outcome.makespan_secs);
                 let mut slowdowns = Vec::new();
                 for j in &outcome.jobs {
-                    let base = dedicated[j.bench.label()];
-                    let slowdown = j.turnaround_secs / base;
+                    let baseline = dedicated[j.bench.label()];
+                    let Some(base) = baseline.ok() else {
+                        let job = format!("{}#{}", j.bench.label(), j.job);
+                        let why = format!("{job}: baseline {} failed", baseline.id);
+                        report.failed_row(&cell.id, &why);
+                        continue;
+                    };
+                    let slowdown = j.turnaround_secs / base.total_secs;
                     slowdowns.push(slowdown);
                     report.row(vec![
                         mix.name.into(),
@@ -338,10 +348,12 @@ fn report(scale: Scale, baselines: Group) -> Report {
                         j.result.verification.reference,
                     );
                 }
-                mean_slowdown.insert(
-                    (mix.name.to_string(), kind.label(), variant.label),
-                    slowdowns.iter().sum::<f64>() / slowdowns.len() as f64,
-                );
+                if slowdowns.len() == outcome.jobs.len() {
+                    mean_slowdown.insert(
+                        (mix.name.to_string(), kind.label(), variant.label),
+                        slowdowns.iter().sum::<f64>() / slowdowns.len() as f64,
+                    );
+                }
             }
         }
     }
@@ -427,5 +439,45 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    fn failed<V>(id: String) -> CellOutput<V> {
+        CellOutput {
+            id,
+            value: Err(exec::JobPanic {
+                index: 0,
+                message: "boom".into(),
+            }),
+            wall_secs: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_failed_baseline_fails_the_rows_of_its_jobs_by_name() {
+        let baselines = vec![failed("cg:ft-IRIX".into()), failed("mg:ft-IRIX".into())];
+        // The first schedule, 2xCG under gang with no engine, ran; every
+        // other one failed on its own.
+        let variants = engine_variants();
+        let ran = run_schedule(&mixes()[0], PolicyKind::Gang, &variants[0], Scale::Tiny);
+        let mut schedules = vec![CellOutput {
+            id: "2xCG:gang-IRIX".into(),
+            value: Ok(Output::Sched(ran)),
+            wall_secs: 0.0,
+        }];
+        schedules.extend((1..45).map(|i| failed(format!("schedule-{i}"))));
+        let r = report(Scale::Tiny, baselines, schedules);
+        assert_eq!(
+            r.rows.len(),
+            2 + 44,
+            "a failed row per job and per failed schedule"
+        );
+        for (job, row) in r.rows[..2].iter().enumerate() {
+            assert_eq!(row[0], "2xCG:gang-IRIX");
+            let why = format!("PANIC: CG#{job}: baseline cg:ft-IRIX failed");
+            assert_eq!(row.last(), Some(&why));
+        }
+        assert!(r.rows[2..]
+            .iter()
+            .all(|row| row[0].starts_with("schedule-")));
     }
 }

@@ -31,7 +31,8 @@ use vmm::PlacementScheme;
 /// The four-way sweep: one group of [`cells`] per benchmark.
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| BenchName::all().map(|b| cells(b, scale)).to_vec(),
-    report: |scale, outputs| vec![report(scale, &outputs)],
+    jobs: |_| Vec::new(),
+    report: |scale, outputs, _| vec![report(scale, &outputs)],
 };
 
 /// One benchmark's four head-to-head cells, in the canonical order:
@@ -93,7 +94,7 @@ fn report(scale: Scale, outputs: &[Group]) -> Report {
             };
             // Synthesis accounting: what did the offline pass prescribe, and
             // how much dynamic work was left for the hybrid?
-            let map = crate::lint::placement_map(bench, scale);
+            let (_, map) = crate::lint::static_placement(bench, scale);
             let hybrid_migrations = find("static", "upmlib")
                 .and_then(|r| r.upm.as_ref())
                 .map(|s| s.total_distribution_migrations())

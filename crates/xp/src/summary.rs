@@ -5,15 +5,15 @@
 //!
 //! Everything an experiment costs on the host accumulates in one
 //! process-global [`Tally`]. Simulated seconds are credited on the calling
-//! thread, never inside a running cell: each spec cell's merge step credits
-//! its run (see [`crate::cells`]), multiprog its schedules' makespans in
-//! its report loop, and `xp trace`/`prof`/`selfprof` their runs once their
-//! plans merge — all in plan order, so the accumulated float sum is
-//! bit-identical whatever `--jobs` count ran the cells. Every executed
-//! [`crate::cells::CellPlan`] credits its pool telemetry and per-cell
-//! walls. The binary drains the tally around each experiment with
-//! [`take`], prints its [`Tally::footer`] and writes the collected entries
-//! with [`write`].
+//! thread, never inside a running cell or job: an experiment's are the
+//! fold of the outputs it lists, in listing order — its runs' and its
+//! schedules' makespans ([`credit_sweep`]) — and `xp trace`/`prof`/
+//! `selfprof` credit their runs once their plans merge. So the accumulated
+//! float sum is bit-identical whatever `--jobs` count ran the cells. Every
+//! executed [`crate::cells::CellPlan`] credits its pool telemetry and
+//! per-cell walls. The binary drains the tally around each experiment with
+//! [`take`], prints its [`Tally::footer`], writes the collected entries
+//! with [`write`], and exits non-zero when [`failures`] names any.
 //!
 //! The footer goes to **stdout only** — it is never embedded in saved
 //! report JSON, so result trees stay byte-identical across `--jobs`
@@ -30,14 +30,15 @@
 //! an earlier experiment, cached or served — so there is nothing to
 //! estimate from.
 //!
-//! A sweep runs every experiment's grid cells as one plan
+//! A sweep runs all the work of its experiments as one plan
 //! ([`crate::grid::sweep`]), whose tally is split among the experiments
-//! ([`credit_sweep`]): each credits the simulated seconds of every cell it
-//! lists, in its listing order, and the wall of every cell it lists first;
-//! the plan's wall, pool wall, busy and worker time go to each in
-//! proportion to those cell walls (to the cells it lists, when none ran).
+//! ([`credit_sweep`]): each credits the simulated seconds of every output
+//! it lists, in its listing order, and the wall of every cell it lists
+//! first and of every job it lists; the plan's wall, pool wall, busy and
+//! worker time go to each in proportion to those walls (to the entries it
+//! lists, when none ran). [`timed`] around a report times its rendering.
 
-use crate::grid::Group;
+use crate::grid::{Group, JobOutputs, Output};
 use exec::PoolTelemetry;
 use obs::json::Value;
 use obs::metrics::Histogram;
@@ -60,8 +61,10 @@ pub struct Tally {
     /// Cells resolved without running here: from the result cache, a
     /// server, or (in a sweep) an earlier experiment's listing.
     pub cells_resolved: usize,
-    plans: usize,
-    failed: usize,
+    /// Plans the work ran on: a sweep's, or each plan a tool executed.
+    pub plans: usize,
+    /// Cells and jobs computed here whose value is a panic.
+    pub failed: usize,
     /// Σ on-worker seconds of the plans' pool jobs; equal to
     /// `cells_wall_secs`, because a job's wall is split among its cells.
     pub busy_secs: f64,
@@ -132,33 +135,60 @@ pub fn timed<R>(id: &str, earlier_secs: f64, work: impl FnOnce() -> R) -> (Summa
     )
 }
 
-/// Credit one experiment's part of a sweep's grid plan to the tally:
-/// `plan` is the plan's drained tally, `wall_secs` the sweep's wall up to
-/// its merge, `listed` the cells all experiments list, `groups` this one's
-/// outputs in its listing order (a cell it lists first and that ran here
-/// has a wall, any other none). Returns its share of `wall_secs`.
-pub(crate) fn credit_sweep(plan: &Tally, wall_secs: f64, listed: usize, groups: &[Group]) -> f64 {
-    let outputs: Vec<_> = groups.iter().flatten().collect();
-    let ran: Vec<_> = outputs.iter().filter(|c| c.wall_secs > 0.0).collect();
-    let walls: Vec<f64> = ran.iter().map(|c| c.wall_secs).collect();
-    let failed = ran.iter().filter(|c| c.value.is_err()).count();
-    record_plan(&[], &walls, failed, outputs.len() - ran.len());
+/// Credit one experiment's part of a sweep's plan to the tally: `plan` is
+/// the plan's drained tally, `wall_secs` the sweep's wall up to its merge,
+/// `listed` the entries all experiments list, `groups` and `jobs` this
+/// one's outputs in its listing order (a cell it lists first and that ran
+/// here has a wall, any other none; a job always ran). Returns its share of
+/// `wall_secs`.
+pub(crate) fn credit_sweep(
+    plan: &Tally,
+    wall_secs: f64,
+    listed: usize,
+    groups: &[Group],
+    jobs: &JobOutputs,
+) -> f64 {
+    let cells = || groups.iter().flatten();
+    let ran = (cells().filter(|c| c.wall_secs > 0.0))
+        .map(|c| (c.wall_secs, c.value.is_err()))
+        .chain(jobs.iter().map(|c| (c.wall_secs, c.value.is_err())));
+    let (walls, failed): (Vec<f64>, Vec<bool>) = ran.unzip();
+    let here = cells().count() + jobs.len();
+    let failed = failed.into_iter().filter(|&f| f).count();
+    record_plan(&[], &walls, failed, here - walls.len());
     let share = if plan.cells_wall_secs > 0.0 {
         walls.iter().sum::<f64>() / plan.cells_wall_secs
     } else {
-        outputs.len() as f64 / listed.max(1) as f64
+        here as f64 / listed.max(1) as f64
     };
+    let runs = cells().filter_map(|c| c.ok()).map(|r| r.total_secs);
+    // Table 1's probe and the synthetic kernels credit none.
+    let makespans = jobs.iter().filter_map(|c| match c.ok()? {
+        Output::Sched(outcome) => Some(outcome.makespan_secs),
+        _ => None,
+    });
     with_tally(|t| {
-        for cell in &outputs {
-            t.sim_secs += cell.ok().map_or(0.0, |r| r.total_secs);
+        for secs in runs.chain(makespans) {
+            t.sim_secs += secs;
         }
-        t.plans += usize::from(!ran.is_empty());
+        // The work it lists ran on the sweep's plans.
+        t.plans += if walls.is_empty() { 0 } else { plan.plans };
         t.pool_wall_secs += plan.pool_wall_secs * share;
         t.busy_secs += plan.busy_secs * share;
         t.worker_secs += plan.worker_secs * share;
         t.max_workers = t.max_workers.max(plan.max_workers);
     });
     wall_secs * share
+}
+
+/// Why a run must exit non-zero: the experiments whose tallies count a
+/// failed cell or job, with how many; `None` when every one ran.
+pub fn failures(entries: &[SummaryEntry]) -> Option<String> {
+    let failed: Vec<String> = (entries.iter())
+        .filter(|e| e.tally.failed > 0)
+        .map(|e| format!("{} ({})", e.id, e.tally.failed))
+        .collect();
+    (!failed.is_empty()).then(|| format!("failed cells: {}", failed.join(", ")))
 }
 
 impl Tally {

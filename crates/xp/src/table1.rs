@@ -1,15 +1,22 @@
 //! Table 1: access latency to the different levels of the Origin2000 memory
 //! hierarchy, measured by probing the simulated machine (not just echoing
-//! the configuration).
+//! the configuration). The probe is the sweep's one job, so it runs on the
+//! plan's pool like every other entry and its summary row carries a real
+//! cell wall; the report only renders its output.
 
-use crate::grid::Sweep;
+use crate::grid::{self, Output, Sweep};
 use crate::report::Report;
 use ccnuma::{AccessKind, Machine, MachineConfig, LINE_SIZE, PAGE_SIZE};
+use nas::Scale;
 
-/// Table 1's sweep: no grid cells; its probe is a plan of its own.
+/// Table 1's sweep: no grid cells, one job — the probe.
 pub const SWEEP: Sweep = Sweep {
     grid: |_| Vec::new(),
-    report: |_, _| vec![run()],
+    jobs: |_| {
+        let probe = || Output::Table1(measure(&mut Machine::new(MachineConfig::origin2000_16p())));
+        vec![grid::job("table1", probe)]
+    },
+    report: |_, _, mut probe| vec![report(probe.remove(0).value)],
 };
 
 /// Measured hierarchy latencies.
@@ -70,26 +77,26 @@ pub fn measure(machine: &mut Machine) -> Table1 {
     }
 }
 
-/// Run the Table 1 experiment and render it. The probe goes through a
-/// single-cell [`crate::CellPlan`] like every other experiment, so the
-/// run's summary row carries a real cell wall time.
+/// Run the Table 1 experiment and render it.
 pub fn run() -> Report {
-    let mut plan = crate::CellPlan::new();
-    plan.add("table1", || {
-        let mut machine = Machine::new(MachineConfig::origin2000_16p());
-        measure(&mut machine)
-    });
-    let t = plan
-        .execute()
-        .into_iter()
-        .next()
-        .expect("one planned cell")
-        .expect_ok();
+    SWEEP.run(Scale::Tiny).remove(0)
+}
+
+/// Render Table 1 from its probe's output: a failed row when it died.
+fn report(probe: Result<Output, exec::JobPanic>) -> Report {
     let mut r = Report::new(
         "table1",
         "Access latency to the levels of the memory hierarchy (measured on the simulated machine)",
         &["Level", "Distance in hops", "Latency (ns)", "Paper (ns)"],
     );
+    let t = match probe {
+        Ok(Output::Table1(t)) => t,
+        Ok(_) => unreachable!("Table 1 lists one probe"),
+        Err(p) => {
+            r.failed_row("table1", &p.message);
+            return r;
+        }
+    };
     r.row(vec![
         "L1 cache".into(),
         "0".into(),

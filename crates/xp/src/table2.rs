@@ -17,7 +17,8 @@ use vmm::PlacementScheme;
 /// Table 2's sweep: one group of [`cells`] per benchmark.
 pub const SWEEP: Sweep = Sweep {
     grid: |scale| BenchName::all().map(|b| cells(b, scale)).to_vec(),
-    report: |_, outputs| vec![report(&outputs)],
+    jobs: |_| Vec::new(),
+    report: |_, outputs, _| vec![report(&outputs)],
 };
 
 /// One benchmark's cells: first the ft-IRIX reference run, then the three

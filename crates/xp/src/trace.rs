@@ -47,8 +47,8 @@ pub(crate) fn arm(cfg: &mut RunConfig) {
 
 /// Write a traced run's events under the installed directory, taking the
 /// next file sequence number — called from the run's cell merge step
-/// ([`crate::cache::CachePayload::on_merge`]), so file numbers follow plan
-/// order whatever the worker count. No-op without a directory or a tracer.
+/// ([`crate::cells`]), so file numbers follow plan order whatever the
+/// worker count. No-op without a directory or a tracer.
 pub(crate) fn write(result: &RunResult) {
     let (Some(dir), Some(tracer)) = (dir(), result.trace.as_deref()) else {
         return;
