@@ -524,7 +524,6 @@ mod tests {
 
     #[test]
     fn higher_latency_ratio_hurts_balanced_placement_more() {
-        let _gate = crate::summary::gate::crediting();
         // Compare rand slowdown at the Origin ratio vs a 5x machine.
         let slow = |ratio: f64| {
             let pair = grid::run_cells(latency_ratio_cells(Scale::Small, ratio));

@@ -19,9 +19,8 @@
 
 use nas::{BenchName, Scale};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use xp::cli::{Flag, EXPERIMENTS, FLAGS, TOOLS};
-use xp::summary::SummaryEntry;
+use xp::summary::{SummaryEntry, Tally};
 use xp::Report;
 
 const USAGE: &str = "\
@@ -124,11 +123,6 @@ options:
   --once                     top: print one snapshot and exit
   -h, --help                 show this help
 ";
-
-/// Why the process exits 1 once every report is written: set by the lint
-/// gate, checked last, with [`xp::summary::failures`], so the JSON still
-/// lands on disk.
-static FAILED: Mutex<Option<String>> = Mutex::new(None);
 
 /// A usage error: the command line cannot be run as written.
 fn die(msg: &str) -> ! {
@@ -385,8 +379,11 @@ fn cache_admin(args: &Args, root: &Path, max_bytes: Option<u64>, max_age: Option
 }
 
 /// A command that is not in [`EXPERIMENTS`]: its summary id plus the
-/// closure producing its reports.
-type Job = (&'static str, Box<dyn FnOnce() -> Vec<Report>>);
+/// closure producing its reports, its tally and why the process must exit
+/// 1 once every report is written (the lint gate), if it must.
+type Job = (&'static str, Box<dyn FnOnce() -> ToolRun>);
+
+type ToolRun = (Vec<Report>, Tally, Option<String>);
 
 /// The job of a command that is not in [`EXPERIMENTS`].
 fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
@@ -401,7 +398,10 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
             let bench = bench_arg(name);
             (
                 "trace",
-                Box::new(move || vec![xp::trace::run(bench, scale, &out)]),
+                Box::new(move || {
+                    let (report, tally) = xp::trace::run(bench, scale, &out);
+                    (vec![report], tally, None)
+                }),
             )
         }
         "prof" => {
@@ -412,12 +412,15 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
             }
             (
                 "prof",
-                Box::new(move || match from {
-                    Some(path) => match xp::prof::run_from(&path, benches[0], scale, &out) {
-                        Ok(report) => vec![report],
-                        Err(e) => fail(&e),
-                    },
-                    None => xp::prof::run(&benches, scale, &out),
+                Box::new(move || {
+                    let (reports, tally) = match from {
+                        Some(path) => match xp::prof::run_from(&path, benches[0], scale, &out) {
+                            Ok(report) => (vec![report], Tally::default()),
+                            Err(e) => fail(&e),
+                        },
+                        None => xp::prof::run(&benches, scale, &out),
+                    };
+                    (reports, tally, None)
                 }),
             )
         }
@@ -425,7 +428,10 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
             let benches = bench_or_all(command, args);
             (
                 "selfprof",
-                Box::new(move || xp::selfprof::run(&benches, scale, &out)),
+                Box::new(move || {
+                    let (reports, tally) = xp::selfprof::run(&benches, scale, &out);
+                    (reports, tally, None)
+                }),
             )
         }
         "lint" => {
@@ -456,12 +462,12 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
                     for f in &run.denied {
                         eprintln!("denied: {}", f.render());
                     }
-                    if !run.denied.is_empty() {
-                        *FAILED.lock().unwrap() = Some(format!(
+                    let failed = (!run.denied.is_empty()).then(|| {
+                        format!(
                             "lint: {} denied findings (see rows marked `denied`)",
                             run.denied.len()
-                        ));
-                    }
+                        )
+                    });
                     if emit_placement {
                         match xp::lint::emit_placement(&run.maps, scale, &out) {
                             Ok(paths) => {
@@ -472,7 +478,7 @@ fn tool_job(command: &str, args: &Args, scale: Scale, out_dir: &Path) -> Job {
                             Err(e) => fail(&format!("cannot write placement maps: {e}")),
                         }
                     }
-                    vec![run.report]
+                    (vec![run.report], Tally::default(), failed)
                 }),
             )
         }
@@ -577,12 +583,19 @@ fn main() {
         .filter(|(id, _)| command == "all" || *id == command)
         .copied()
         .collect();
-    let done = if rows.is_empty() {
+    let (done, mut failed) = if rows.is_empty() {
         let (id, job) = tool_job(command, &args, scale, &out_dir);
-        xp::summary::take();
-        vec![xp::summary::timed(id, 0.0, job)]
+        let t0 = std::time::Instant::now();
+        let (reports, tally, failed) = job();
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let entry = SummaryEntry {
+            id: id.to_string(),
+            wall_secs,
+            tally,
+        };
+        (vec![(entry, reports)], Vec::from_iter(failed))
     } else {
-        xp::grid::sweep(&rows, scale)
+        (xp::grid::sweep(&rows, scale), Vec::new())
     };
 
     // Per experiment: its reports, then the pool-telemetry footer of its
@@ -618,7 +631,6 @@ fn main() {
     if let Some(line) = xp::cache::stats_line() {
         eprintln!("[{line}]");
     }
-    let mut failed = Vec::from_iter(FAILED.lock().unwrap().take());
     failed.extend(xp::summary::failures(&entries));
     if !failed.is_empty() {
         eprintln!("{}", failed.join("\n"));

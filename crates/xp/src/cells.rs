@@ -17,8 +17,10 @@
 //! produced it, a grid cell has its effects in one place, the **merge**, in
 //! plan order: its `--trace DIR` dump, and a computed run's store to the
 //! cache. So trace files follow plan order, and a fully resolved run
-//! produces byte-identical artifacts to a cold one. Simulated seconds are
-//! credited from the outputs ([`crate::summary::credit_sweep`]).
+//! produces byte-identical artifacts to a cold one. The plan credits its
+//! pool telemetry and cell walls to the [`crate::summary::Tally`] its
+//! caller hands it; simulated seconds are credited from the outputs
+//! ([`crate::summary::credit_sweep`]).
 //!
 //! The residue runs as **fork chains**. Under the paper's protocols the
 //! IRIX, UPMlib and record–replay runs of one problem and placement are in
@@ -52,6 +54,7 @@
 //! own chain, which fail with it.
 
 use crate::grid;
+use crate::summary::Tally;
 use exec::{Job, JobPanic, PoolMonitor, PoolTelemetry, ResidentJob, ResidentPool};
 use nas::RunResult;
 use std::time::Instant;
@@ -150,13 +153,12 @@ impl<T: Send + 'static> CellPlan<T> {
 
     /// Execute with the process-wide machinery — the cache and the server
     /// first, then the residue on a pool scoped to the plan — and merge in
-    /// plan order: outputs come back in plan order, each grid cell has its
-    /// one merge step there, and the plan's wall-clock statistics are
-    /// credited to [`crate::summary`].
+    /// plan order: outputs come back in plan order, and each grid cell has
+    /// its one merge step there.
     pub fn execute(self) -> Vec<CellOutput<T>> {
         let from_run = self.from_run;
         let grid: Vec<bool> = self.cells.iter().map(|c| c.spec.is_some()).collect();
-        let (runs, jobs) = self.execute_by_kind();
+        let (runs, jobs) = self.execute_by_kind(&mut Tally::default());
         let mut runs = (runs.into_iter()).map(|out| CellOutput {
             value: out.value.map(from_run),
             id: out.id,
@@ -169,9 +171,13 @@ impl<T: Send + 'static> CellPlan<T> {
             .collect()
     }
 
-    /// [`CellPlan::execute`], with the outputs by kind, each in plan order:
-    /// the grid cells' runs and the jobs' values.
-    pub(crate) fn execute_by_kind(self) -> (Vec<CellOutput<RunResult>>, Vec<CellOutput<T>>) {
+    /// [`CellPlan::execute`], with the outputs by kind, each in plan order
+    /// — the grid cells' runs and the jobs' values — and the plan's pool
+    /// telemetry and per-cell walls credited to `tally`.
+    pub fn execute_by_kind(
+        self,
+        tally: &mut Tally,
+    ) -> (Vec<CellOutput<RunResult>>, Vec<CellOutput<T>>) {
         // A traced run must execute, and its result carries a tracer that
         // the cache encoding drops: a traced plan asks no cache or server
         // and forms no chain.
@@ -333,7 +339,7 @@ impl<T: Send + 'static> CellPlan<T> {
                 false => resolved += 1,
             }
         }
-        crate::summary::record_plan(&batches, &walls, failed, resolved);
+        tally.credit_plan(&batches, &walls, failed, resolved);
         (run_outputs, job_outputs)
     }
 }
@@ -540,26 +546,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_plan_credits_its_walls_and_no_simulated_seconds() {
-        let _gate = crate::summary::gate::exact();
-        // Simulated seconds are the sweep's to credit, from the outputs;
-        // the plan credits what ran on its pool.
-        crate::summary::take();
+    /// Execute Figure 1's tiny grid of `bench` as one plan: its runs and
+    /// its tally.
+    fn fig1_plan(bench: nas::BenchName) -> (Vec<CellOutput<RunResult>>, Tally) {
         let mut plan = CellPlan::new();
-        for cell in crate::fig1::cells(nas::BenchName::Mg, nas::Scale::Tiny, false) {
+        for cell in crate::fig1::cells(bench, nas::Scale::Tiny, false) {
             plan.add_cell(cell);
         }
-        let out = crate::jobs::with_pinned(2, || plan.execute());
-        let tally = crate::summary::take();
+        let mut tally = Tally::default();
+        let (runs, _) = plan.execute_by_kind(&mut tally);
+        (runs, tally)
+    }
+
+    /// Simulated seconds are the sweep's to credit, from the outputs; the
+    /// plan credits exactly what ran on its pool: every cell, once, with
+    /// the wall its output reports.
+    fn assert_credits_its_walls(runs: &[CellOutput<RunResult>], tally: &Tally) {
         assert_eq!(tally.sim_secs, 0.0);
-        assert_eq!(tally.cells_computed, out.len());
-        assert!(out.iter().all(|c| c.ok().is_some() && c.wall_secs > 0.0));
+        assert_eq!((tally.cells_computed, tally.plans), (runs.len(), 1));
+        assert!(runs.iter().all(|c| c.ok().is_some() && c.wall_secs > 0.0));
+        let walls = runs.iter().fold(0.0, |sum, c| sum + c.wall_secs);
+        assert_eq!(tally.cells_wall_secs.to_bits(), walls.to_bits());
+    }
+
+    #[test]
+    fn a_plan_credits_its_walls_and_no_simulated_seconds() {
+        let (runs, tally) = crate::jobs::with_pinned(2, || fig1_plan(nas::BenchName::Mg));
+        assert_credits_its_walls(&runs, &tally);
+    }
+
+    #[test]
+    fn two_plans_at_once_each_get_exactly_their_own_tally() {
+        let (mg, cg) = crate::jobs::with_pinned(2, || {
+            std::thread::scope(|s| {
+                let mg = s.spawn(|| fig1_plan(nas::BenchName::Mg));
+                let cg = fig1_plan(nas::BenchName::Cg);
+                (mg.join().unwrap(), cg)
+            })
+        });
+        for (runs, tally) in [mg, cg] {
+            assert_credits_its_walls(&runs, &tally);
+        }
     }
 
     #[test]
     fn grid_cells_and_jobs_share_one_plan_and_keep_its_order() {
-        let _gate = crate::summary::gate::crediting();
         let cell = crate::grid::Cell::paper(
             nas::BenchName::Mg,
             nas::Scale::Tiny,
@@ -629,7 +660,6 @@ mod tests {
     #[test]
     fn a_plan_recomputes_the_borrowers_of_a_failed_owner_in_full() {
         use vmm::PlacementScheme;
-        let _gate = crate::summary::gate::crediting();
         // The owner of CG's numerics names a node the machine lacks, so its
         // run panics; its borrowers, an IRIX chain root and the UPMlib
         // child forked from it, must still report their full runs' bytes.

@@ -88,7 +88,6 @@ mod tests {
 
     #[test]
     fn upmlib_recovers_worst_case() {
-        let _gate = crate::summary::gate::crediting();
         // The paper's headline: wc-upmlib is dramatically better than
         // wc-IRIX and lands near ft-IRIX.
         let results = grid::run_cells(cells(BenchName::Cg, Scale::Small));

@@ -102,7 +102,6 @@ mod tests {
 
     #[test]
     fn scaling_phases_improves_recreps_relative_position() {
-        let _gate = crate::summary::gate::crediting();
         let ratio_at = |ps: usize| {
             let pair = grid::run_cells(cells(Scale::Tiny, ps));
             pair[1].total_secs / pair[0].total_secs

@@ -20,8 +20,9 @@
 //! the synthetic-kernel ablations, Table 1's probe), each computing an
 //! [`Output`] — and reports that only render the outputs they are handed.
 //! [`sweep`] runs all the work of several experiments as one plan that
-//! holds each distinct cell once, on one pool, and hands each experiment
-//! its outputs in listing order; [`execute`] runs bare groups of cells so;
+//! holds each distinct cell once, on one pool, hands each experiment its
+//! outputs in listing order and returns its reports with its part of the
+//! plan's [`crate::summary::Tally`]; [`execute`] runs bare groups of cells so;
 //! and [`report_benches`] is the chart-and-rows loop the bar-chart figures
 //! share.
 
@@ -29,7 +30,7 @@ use crate::cells::{CellOutput, CellPlan};
 use crate::cli::Experiment;
 use crate::report::{pct, secs, Bar, Report};
 use crate::spec::{config_fp, CODE_VERSION};
-use crate::summary::SummaryEntry;
+use crate::summary::{SummaryEntry, Tally};
 use nas::bt::{Bt, BtConfig};
 use nas::cg::{Cg, CgConfig};
 use nas::{BenchName, BenchRun, EngineMode, RunConfig, RunResult, Scale};
@@ -393,13 +394,18 @@ pub type JobOutputs = Vec<CellOutput<Output>>;
 /// distinct cell ([`svc::CellSpec::canonical`]) is planned once, at its
 /// first listing; a repeat gets a clone of that output, with `wall_secs` 0.
 pub fn execute(groups: Vec<Vec<Cell>>) -> Vec<Group> {
-    execute_rows(vec![(groups, Vec::new())]).remove(0).0
+    execute_rows(vec![(groups, Vec::new())], &mut Tally::default())
+        .remove(0)
+        .0
 }
 
 /// [`execute`] for rows of groups and jobs: one plan, in which each row's
-/// jobs follow its new cells. Hands back per row its groups' outputs and
-/// its jobs'.
-fn execute_rows(rows: Vec<(Vec<Vec<Cell>>, Jobs)>) -> Vec<(Vec<Group>, JobOutputs)> {
+/// jobs follow its new cells, credited to `tally`. Hands back per row its
+/// groups' outputs and its jobs'.
+fn execute_rows(
+    rows: Vec<(Vec<Vec<Cell>>, Jobs)>,
+    tally: &mut Tally,
+) -> Vec<(Vec<Group>, JobOutputs)> {
     let mut plan = CellPlan::new();
     let mut planned: std::collections::HashMap<String, usize> = Default::default();
     let mut layout = Vec::new();
@@ -419,7 +425,7 @@ fn execute_rows(rows: Vec<(Vec<Vec<Cell>>, Jobs)>) -> Vec<(Vec<Group>, JobOutput
             plan.add(id, job);
         }
     }
-    let (mut runs, jobs) = plan.execute_by_kind();
+    let (mut runs, jobs) = plan.execute_by_kind(tally);
     // A cell's first listing takes its wall; later ones find 0.
     let mut output = |p: usize| {
         let output = runs[p].clone();
@@ -450,12 +456,9 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// This one experiment as one plan, then its reports. Its part of the
-    /// plan stays credited to [`crate::summary`]'s tally.
+    /// This one experiment as one plan, then its reports.
     pub fn run(self, scale: Scale) -> Vec<Report> {
-        let rows = [("", self)];
-        let report = |(_, sweep): &Experiment, _, groups, jobs| (sweep.report)(scale, groups, jobs);
-        run_rows(&rows, scale, report).remove(0)
+        sweep(&[("", self)], scale).remove(0).1
     }
 }
 
@@ -465,32 +468,22 @@ impl Sweep {
 /// with its part of the plan ([`crate::summary::credit_sweep`]) and the
 /// wall of its rendering, and its reports.
 pub fn sweep(rows: &[Experiment], scale: Scale) -> Vec<(SummaryEntry, Vec<Report>)> {
-    run_rows(rows, scale, |(id, sweep), share, groups, jobs| {
-        crate::summary::timed(id, share, || (sweep.report)(scale, groups, jobs))
-    })
-}
-
-/// Execute the work of `rows` at `scale` as one plan, then per row, in row
-/// order, credit its part of the plan and hand `then` the row, its share of
-/// the plan's wall and its outputs.
-fn run_rows<R>(
-    rows: &[Experiment],
-    scale: Scale,
-    mut then: impl FnMut(&Experiment, f64, Vec<Group>, JobOutputs) -> R,
-) -> Vec<R> {
-    crate::summary::take();
     let t0 = Instant::now();
     let work = rows.iter().map(|(_, s)| ((s.grid)(scale), (s.jobs)(scale)));
-    let outputs = execute_rows(work.collect());
-    let plan = crate::summary::take();
+    let mut plan = Tally::default();
+    let outputs = execute_rows(work.collect(), &mut plan);
     let plan_wall = t0.elapsed().as_secs_f64();
     let listed = (outputs.iter())
         .map(|(groups, jobs)| groups.iter().map(Vec::len).sum::<usize>() + jobs.len())
         .sum();
     (rows.iter().zip(outputs))
-        .map(|(row, (groups, jobs))| {
-            let share = crate::summary::credit_sweep(&plan, plan_wall, listed, &groups, &jobs);
-            then(row, share, groups, jobs)
+        .map(|((id, sweep), (groups, jobs))| {
+            let mut entry =
+                crate::summary::credit_sweep(id, &plan, plan_wall, listed, &groups, &jobs);
+            let t0 = Instant::now();
+            let reports = (sweep.report)(scale, groups, jobs);
+            entry.wall_secs += t0.elapsed().as_secs_f64();
+            (entry, reports)
         })
         .collect()
 }
@@ -825,7 +818,6 @@ mod tests {
 
     #[test]
     fn execute_hands_outputs_back_group_by_group() {
-        let _gate = crate::summary::gate::crediting();
         let ft = || Cell::at_scale(BenchName::Cg, Scale::Tiny, RunConfig::paper_default());
         let groups = execute(vec![vec![ft()], vec![], vec![ft(), ft()]]);
         let widths: Vec<usize> = groups.iter().map(Vec::len).collect();

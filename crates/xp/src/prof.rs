@@ -17,9 +17,12 @@
 //! The returned [`Report`] is a pure function of the analysis (artifact
 //! *stems* in the notes, never absolute paths), so reports and profiles
 //! are byte-identical at every `--jobs` count and serve as golden
-//! fixtures.
+//! fixtures. [`run`] returns them with its plan's
+//! [`crate::summary::Tally`], its runs' simulated seconds credited in plan
+//! order.
 
 use crate::report::Report;
+use crate::summary::Tally;
 use crate::CellPlan;
 use ::prof::{ArrayHeatmap, ArraySpan, Profile, ProfileContext};
 use nas::{BenchName, RunResult, Scale};
@@ -171,20 +174,20 @@ fn save_artifacts(dir: &Path, events: &[Event], profile: &Profile) -> String {
 
 /// The `xp prof` command: profile every requested benchmark on the cell
 /// pool, then credit each run's simulated seconds and write its artifacts
-/// in plan order.
-pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
+/// in plan order. Returns the reports and the plan's tally.
+pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> (Vec<Report>, Tally) {
     let mut plan: CellPlan<(RunResult, Box<Tracer>, Profile)> = CellPlan::new();
     for &bench in benches {
         plan.add(format!("prof:{}", bench.label().to_ascii_lowercase()), {
             move || profile_one(bench, scale)
         });
     }
-    let mut reports = Vec::new();
-    for output in plan.execute() {
+    let (mut reports, mut tally) = (Vec::new(), Tally::default());
+    for output in plan.execute_by_kind(&mut tally).1 {
         let id = output.id.clone();
         match output.value {
             Ok((result, tracer, profile)) => {
-                crate::summary::add_sim_secs(result.total_secs);
+                tally.sim_secs += result.total_secs;
                 let mut report = report_for(&profile);
                 report.note(format!(
                     "verification: {}",
@@ -209,7 +212,7 @@ pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
             }
         }
     }
-    reports
+    (reports, tally)
 }
 
 /// The `xp prof <bench> --from FILE` offline path: re-analyse a saved
@@ -277,5 +280,19 @@ mod tests {
         let report = report_for(&profile);
         assert_eq!(report.id, "prof_cg_tiny");
         assert_eq!(report.rows.len(), profile.phases.len());
+    }
+
+    #[test]
+    fn the_command_credits_exactly_its_runs_simulated_seconds() {
+        let benches = [BenchName::Cg, BenchName::Mg];
+        let dir = std::env::temp_dir().join(format!("ddnomp-prof-{}", std::process::id()));
+        let (reports, tally) = run(&benches, Scale::Tiny, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reports.len(), 2);
+        assert_eq!((tally.plans, tally.cells_computed), (1, 2));
+        let runs = benches.map(|b| profile_one(b, Scale::Tiny).0.total_secs);
+        let alone = runs.iter().fold(0.0, |sum, secs| sum + secs);
+        assert!(tally.sim_secs > 0.0);
+        assert_eq!(tally.sim_secs.to_bits(), alone.to_bits());
     }
 }

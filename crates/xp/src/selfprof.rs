@@ -23,9 +23,11 @@
 //!
 //! Host time is noisy, so unlike every other `xp` command this report is
 //! **not** byte-identical across runs; it is diagnostics, not a golden
-//! fixture.
+//! fixture. [`run`] returns the reports with one [`crate::summary::Tally`]
+//! that every benchmark's plan credits, and its runs' simulated seconds.
 
 use crate::report::Report;
+use crate::summary::Tally;
 use crate::{CellOutput, CellPlan};
 use hostprof::HostReport;
 use nas::{BenchName, RunConfig, RunResult, Scale};
@@ -41,16 +43,21 @@ pub fn reference_config() -> RunConfig {
     }
 }
 
-/// Profile one benchmark cell under a hostprof session: the host-time
-/// report plus the cell output it profiled. Sessions are process-wide, so
-/// calls serialize on [`hostprof`]'s session lock.
-pub fn profile_one(bench: BenchName, scale: Scale) -> (HostReport, CellOutput<RunResult>) {
+/// Profile one benchmark cell under a hostprof session, its plan credited
+/// to `tally`: the host-time report plus the cell output it profiled.
+/// Sessions are process-wide, so calls serialize on [`hostprof`]'s session
+/// lock.
+pub fn profile_one(
+    bench: BenchName,
+    scale: Scale,
+    tally: &mut Tally,
+) -> (HostReport, CellOutput<RunResult>) {
     let session = hostprof::start();
     let mut plan: CellPlan<RunResult> = CellPlan::new();
     plan.add(cell_id(bench), move || {
         crate::run_one(bench, scale, &reference_config())
     });
-    let mut outputs = plan.execute();
+    let mut outputs = plan.execute_by_kind(tally).1;
     let host = session.finish();
     (host, outputs.remove(0))
 }
@@ -151,15 +158,16 @@ pub fn report_for(
 
 /// The `xp selfprof` command: profile each requested benchmark in its own
 /// session (sessions are process-wide, so benchmarks run sequentially),
-/// credit its run's simulated seconds and write the artifacts.
-pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
-    let mut reports = Vec::new();
+/// credit its run's simulated seconds and write the artifacts. Returns the
+/// reports and the tally of every benchmark's plan.
+pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> (Vec<Report>, Tally) {
+    let (mut reports, mut tally) = (Vec::new(), Tally::default());
     for &bench in benches {
         let label = bench.label().to_ascii_lowercase();
-        let (host, output) = profile_one(bench, scale);
+        let (host, output) = profile_one(bench, scale, &mut tally);
         match output.value {
             Ok(result) => {
-                crate::summary::add_sim_secs(result.total_secs);
+                tally.sim_secs += result.total_secs;
                 let mut report = report_for(&host, bench, scale, output.wall_secs);
                 report.note(format!(
                     "verification: {}",
@@ -191,7 +199,7 @@ pub fn run(benches: &[BenchName], scale: Scale, out_dir: &Path) -> Vec<Report> {
             }
         }
     }
-    reports
+    (reports, tally)
 }
 
 #[cfg(test)]
@@ -203,7 +211,7 @@ mod tests {
     /// same interval, so they must agree within 2%.
     #[test]
     fn root_span_reconciles_with_the_pool_cell_wall() {
-        let (host, output) = profile_one(BenchName::Cg, Scale::Tiny);
+        let (host, output) = profile_one(BenchName::Cg, Scale::Tiny, &mut Tally::default());
         let result = output.value.as_ref().expect("cg cell runs");
         assert!(result.verification.passed);
         let root = host
@@ -229,7 +237,7 @@ mod tests {
 
     #[test]
     fn report_carries_reconciliation_and_breakdown_notes() {
-        let (host, output) = profile_one(BenchName::Cg, Scale::Tiny);
+        let (host, output) = profile_one(BenchName::Cg, Scale::Tiny, &mut Tally::default());
         let report = report_for(&host, BenchName::Cg, Scale::Tiny, output.wall_secs);
         assert_eq!(report.id, "selfprof_cg_tiny");
         assert!(!report.rows.is_empty());
@@ -244,5 +252,20 @@ mod tests {
         // Spot-check the tree rows render with the indent convention.
         assert!(report.rows.iter().any(|r| r[0].starts_with("cell:")));
         assert!(report.rows.iter().any(|r| r[0].starts_with("· ")));
+    }
+
+    #[test]
+    fn the_command_credits_exactly_its_runs_simulated_seconds() {
+        let dir = std::env::temp_dir().join(format!("ddnomp-selfprof-{}", std::process::id()));
+        let benches = [BenchName::Cg, BenchName::Mg];
+        let (reports, tally) = run(&benches, Scale::Tiny, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reports.len(), 2);
+        // One plan per benchmark, each in its own session.
+        assert_eq!((tally.plans, tally.cells_computed), (2, 2));
+        let runs = benches.map(|b| crate::run_one(b, Scale::Tiny, &reference_config()));
+        let alone = runs.iter().fold(0.0, |sum, r| sum + r.total_secs);
+        assert!(tally.sim_secs > 0.0);
+        assert_eq!(tally.sim_secs.to_bits(), alone.to_bits());
     }
 }

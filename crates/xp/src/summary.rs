@@ -3,17 +3,18 @@
 //! host-parallel executor's speedup estimate, so future changes have a
 //! performance trajectory to compare against.
 //!
-//! Everything an experiment costs on the host accumulates in one
-//! process-global [`Tally`]. Simulated seconds are credited on the calling
-//! thread, never inside a running cell or job: an experiment's are the
-//! fold of the outputs it lists, in listing order — its runs' and its
-//! schedules' makespans ([`credit_sweep`]) — and `xp trace`/`prof`/
-//! `selfprof` credit their runs once their plans merge. So the accumulated
-//! float sum is bit-identical whatever `--jobs` count ran the cells. Every
+//! What an experiment costs on the host is a [`Tally`], a value: an
 //! executed [`crate::cells::CellPlan`] credits its pool telemetry and
-//! per-cell walls. The binary drains the tally around each experiment with
-//! [`take`], prints its [`Tally::footer`], writes the collected entries
-//! with [`write`], and exits non-zero when [`failures`] names any.
+//! per-cell walls to the tally its caller hands it, a sweep splits its
+//! plan's tally among its experiments ([`credit_sweep`]), and `xp trace`/
+//! `prof`/`selfprof` return theirs with their reports. Simulated seconds
+//! are credited on the calling thread, never inside a running cell or
+//! job: an experiment's are the fold of the outputs it lists, in listing
+//! order — its runs' and its schedules' makespans — and a tool's those of
+//! its runs, in the order they merge. So the float sum is bit-identical
+//! whatever `--jobs` count ran the cells. The binary prints each entry's
+//! [`Tally::footer`], writes the entries with [`write`], and exits
+//! non-zero when [`failures`] names any.
 //!
 //! The footer goes to **stdout only** — it is never embedded in saved
 //! report JSON, so result trees stay byte-identical across `--jobs`
@@ -36,7 +37,7 @@
 //! it lists, in its listing order, and the wall of every cell it lists
 //! first and of every job it lists; the plan's wall, pool wall, busy and
 //! worker time go to each in proportion to those walls (to the entries it
-//! lists, when none ran). [`timed`] around a report times its rendering.
+//! lists, when none ran); the wall of its report's rendering is its own.
 
 use crate::grid::{Group, JobOutputs, Output};
 use exec::PoolTelemetry;
@@ -44,10 +45,8 @@ use obs::json::Value;
 use obs::metrics::Histogram;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::Instant;
 
-/// Host-side cost of the experiment currently running.
+/// Host-side cost of a plan, an experiment or a tool's run.
 #[derive(Debug, Clone, Default)]
 pub struct Tally {
     /// Simulated seconds across every run dispatched.
@@ -76,78 +75,20 @@ pub struct Tally {
     wall_us: Histogram,
 }
 
-static TALLY: Mutex<Option<Tally>> = Mutex::new(None);
-
-fn with_tally<R>(f: impl FnOnce(&mut Tally) -> R) -> R {
-    let mut slot = TALLY.lock().unwrap_or_else(|p| p.into_inner());
-    f(slot.get_or_insert_with(Tally::default))
-}
-
-/// Credit simulated seconds to the experiment currently running. Call it
-/// in plan order from the thread that merges, never from a running cell.
-pub fn add_sim_secs(secs: f64) {
-    with_tally(|t| t.sim_secs += secs);
-}
-
-/// Credit one executed plan: the pool telemetry of each of its batches
-/// (none when no cell ran), the on-worker wall seconds of the cells it
-/// computed, in plan order, how many of those failed, and how many cells it
-/// resolved without running (cache hits, served).
-pub(crate) fn record_plan(pools: &[PoolTelemetry], walls: &[f64], failed: usize, resolved: usize) {
-    with_tally(|tally| {
-        tally.plans += usize::from(!pools.is_empty());
-        tally.cells_computed += walls.len();
-        tally.cells_resolved += resolved;
-        tally.failed += failed;
-        for t in pools {
-            tally.pool_wall_secs += t.wall_secs;
-            tally.busy_secs += t.busy_secs();
-            tally.worker_secs += t.wall_secs * t.workers.len() as f64;
-            tally.max_workers = tally.max_workers.max(t.workers.len());
-        }
-        for &w in walls {
-            tally.cells_wall_secs += w;
-            tally.wall_us.record((w * 1e6) as u64);
-        }
-    });
-}
-
-/// Drain the tally: everything credited since the last call.
-pub fn take() -> Tally {
-    let mut slot = TALLY.lock().unwrap_or_else(|p| p.into_inner());
-    slot.take().unwrap_or_default()
-}
-
-/// Run `work` as the experiment `id`: its entry holds the wall it took
-/// plus `earlier_secs`, and the tally drained after it.
-pub fn timed<R>(id: &str, earlier_secs: f64, work: impl FnOnce() -> R) -> (SummaryEntry, R) {
-    let t0 = Instant::now();
-    let out = work();
-    let wall_secs = earlier_secs + t0.elapsed().as_secs_f64();
-    let (id, tally) = (id.to_string(), take());
-    (
-        SummaryEntry {
-            id,
-            wall_secs,
-            tally,
-        },
-        out,
-    )
-}
-
-/// Credit one experiment's part of a sweep's plan to the tally: `plan` is
-/// the plan's drained tally, `wall_secs` the sweep's wall up to its merge,
-/// `listed` the entries all experiments list, `groups` and `jobs` this
-/// one's outputs in its listing order (a cell it lists first and that ran
-/// here has a wall, any other none; a job always ran). Returns its share of
-/// `wall_secs`.
+/// The experiment `id`'s part of a sweep's plan: `plan` is the plan's
+/// tally, `wall_secs` the sweep's wall up to its merge, `listed` the
+/// entries all experiments list, `groups` and `jobs` this one's outputs in
+/// its listing order (a cell it lists first and that ran here has a wall,
+/// any other none; a job always ran). Returns its entry, whose wall is its
+/// share of `wall_secs`.
 pub(crate) fn credit_sweep(
+    id: &str,
     plan: &Tally,
     wall_secs: f64,
     listed: usize,
     groups: &[Group],
     jobs: &JobOutputs,
-) -> f64 {
+) -> SummaryEntry {
     let cells = || groups.iter().flatten();
     let ran = (cells().filter(|c| c.wall_secs > 0.0))
         .map(|c| (c.wall_secs, c.value.is_err()))
@@ -155,7 +96,8 @@ pub(crate) fn credit_sweep(
     let (walls, failed): (Vec<f64>, Vec<bool>) = ran.unzip();
     let here = cells().count() + jobs.len();
     let failed = failed.into_iter().filter(|&f| f).count();
-    record_plan(&[], &walls, failed, here - walls.len());
+    let mut tally = Tally::default();
+    tally.credit_plan(&[], &walls, failed, here - walls.len());
     let share = if plan.cells_wall_secs > 0.0 {
         walls.iter().sum::<f64>() / plan.cells_wall_secs
     } else {
@@ -167,18 +109,18 @@ pub(crate) fn credit_sweep(
         Output::Sched(outcome) => Some(outcome.makespan_secs),
         _ => None,
     });
-    with_tally(|t| {
-        for secs in runs.chain(makespans) {
-            t.sim_secs += secs;
-        }
-        // The work it lists ran on the sweep's plans.
-        t.plans += if walls.is_empty() { 0 } else { plan.plans };
-        t.pool_wall_secs += plan.pool_wall_secs * share;
-        t.busy_secs += plan.busy_secs * share;
-        t.worker_secs += plan.worker_secs * share;
-        t.max_workers = t.max_workers.max(plan.max_workers);
-    });
-    wall_secs * share
+    tally.sim_secs = runs.chain(makespans).fold(0.0, |sum, secs| sum + secs);
+    // The work it lists ran on the sweep's plans.
+    tally.plans = if walls.is_empty() { 0 } else { plan.plans };
+    tally.pool_wall_secs = plan.pool_wall_secs * share;
+    tally.busy_secs = plan.busy_secs * share;
+    tally.worker_secs = plan.worker_secs * share;
+    tally.max_workers = plan.max_workers;
+    SummaryEntry {
+        id: id.to_string(),
+        wall_secs: wall_secs * share,
+        tally,
+    }
 }
 
 /// Why a run must exit non-zero: the experiments whose tallies count a
@@ -192,6 +134,33 @@ pub fn failures(entries: &[SummaryEntry]) -> Option<String> {
 }
 
 impl Tally {
+    /// Credit one executed plan: the pool telemetry of each of its batches
+    /// (none when no cell ran), the on-worker wall seconds of the cells it
+    /// computed, in plan order, how many of those failed, and how many
+    /// cells it resolved without running (cache hits, served).
+    pub(crate) fn credit_plan(
+        &mut self,
+        pools: &[PoolTelemetry],
+        walls: &[f64],
+        failed: usize,
+        resolved: usize,
+    ) {
+        self.plans += usize::from(!pools.is_empty());
+        self.cells_computed += walls.len();
+        self.cells_resolved += resolved;
+        self.failed += failed;
+        for t in pools {
+            self.pool_wall_secs += t.wall_secs;
+            self.busy_secs += t.busy_secs();
+            self.worker_secs += t.wall_secs * t.workers.len() as f64;
+            self.max_workers = self.max_workers.max(t.workers.len());
+        }
+        for &w in walls {
+            self.cells_wall_secs += w;
+            self.wall_us.record((w * 1e6) as u64);
+        }
+    }
+
     /// The `[pool]` footer lines (empty when no cell was computed).
     pub fn footer(&self) -> Vec<String> {
         if self.cells_computed == 0 {
@@ -322,35 +291,13 @@ pub fn write(
     Ok(path)
 }
 
-/// The unit tests' gate on the process-global tally: a test that credits
-/// it (runs a plan of spec cells) holds [`crediting`], one that reads a
-/// total exactly holds [`exact`], so no credit lands inside its window.
-#[cfg(test)]
-pub(crate) mod gate {
-    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-    static GATE: RwLock<()> = RwLock::new(());
-
-    pub(crate) fn crediting() -> RwLockReadGuard<'static, ()> {
-        GATE.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    pub(crate) fn exact() -> RwLockWriteGuard<'static, ()> {
-        GATE.write().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use exec::WorkerTelemetry;
 
-    // The tally is process-global and sibling tests execute plans
-    // concurrently, so these tests assert on what they credited being
-    // present (>=) and on shapes, not on exact totals.
     #[test]
-    fn tally_takes_and_resets() {
-        let _gate = gate::exact();
+    fn a_tally_credits_a_plan_exactly() {
         let t = PoolTelemetry {
             wall_secs: 1.0,
             jobs_total: 4,
@@ -360,13 +307,15 @@ mod tests {
                 busy_secs: 0.8,
             }],
         };
-        add_sim_secs(1.5);
-        add_sim_secs(0.5);
-        record_plan(&[t], &[0.1, 0.2, 0.3, 0.4], 1, 0);
-        let tally = take();
-        assert!(tally.sim_secs >= 2.0);
-        assert!(tally.cells_wall_secs >= 1.0 - 1e-12);
-        assert!(tally.pool_wall_secs >= 1.0);
+        let mut tally = Tally {
+            sim_secs: 2.0,
+            ..Tally::default()
+        };
+        tally.credit_plan(&[t], &[0.1, 0.2, 0.3, 0.4], 1, 0);
+        assert_eq!(tally.sim_secs, 2.0);
+        assert_eq!(tally.cells_wall_secs, 0.1 + 0.2 + 0.3 + 0.4);
+        assert_eq!(tally.pool_wall_secs, 1.0);
+        assert_eq!((tally.plans, tally.cells_computed, tally.failed), (1, 4, 1));
         let footer = tally.footer();
         assert_eq!(footer.len(), 2, "footer: {footer:?}");
         assert!(footer[0].starts_with("pool:"), "footer: {}", footer[0]);

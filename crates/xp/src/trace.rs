@@ -6,7 +6,8 @@
 //!   round-robin placement with the UPMlib engine (a configuration where
 //!   pages actually move), then writes `trace.jsonl` (one event per line)
 //!   and `trace.chrome.json` (load it in Perfetto or `chrome://tracing`)
-//!   under the output directory and returns a per-iteration metrics table.
+//!   under the output directory and returns a per-iteration metrics table
+//!   with its run's [`Tally`].
 //! * **`--trace DIR` on any other command** — [`set_dir`] installs a trace
 //!   directory; every [`crate::grid::Cell`] run then runs with the sink
 //!   attached, and each planned cell's merge step writes its events as
@@ -15,6 +16,7 @@
 //!   and keeps repeated configurations from overwriting each other).
 
 use crate::report::Report;
+use crate::summary::Tally;
 use nas::{BenchName, EngineMode, RunConfig, RunResult, Scale};
 use obs::export::{chrome_trace, to_jsonl};
 use obs::{EventKind, Tracer};
@@ -89,11 +91,13 @@ pub fn run_traced(bench: BenchName, scale: Scale) -> (RunResult, Box<Tracer>) {
     (result, tracer)
 }
 
-/// The `xp trace <bench>` command: run, credit its simulated seconds,
-/// export, and build the per-iteration metrics table.
-pub fn run(bench: BenchName, scale: Scale, out_dir: &Path) -> Report {
+/// The `xp trace <bench>` command: run, export, and build the
+/// per-iteration metrics table. Returns it with the tally of the run's
+/// simulated seconds.
+pub fn run(bench: BenchName, scale: Scale, out_dir: &Path) -> (Report, Tally) {
     let (result, tracer) = run_traced(bench, scale);
-    crate::summary::add_sim_secs(result.total_secs);
+    let mut tally = Tally::default();
+    tally.sim_secs = result.total_secs;
     let mut report = report_for(bench, &result, &tracer);
     match write_files(out_dir, "trace", &tracer) {
         Ok((jsonl, chrome)) => {
@@ -105,7 +109,7 @@ pub fn run(bench: BenchName, scale: Scale, out_dir: &Path) -> Report {
         }
         Err(e) => report.note(format!("could not write trace files: {e}")),
     }
-    report
+    (report, tally)
 }
 
 /// Per-iteration metrics table built from the run's `IterationBoundary`
@@ -182,5 +186,15 @@ mod tests {
         assert!(tracer.metrics.counter("page_migrations") > 0);
         let report = report_for(BenchName::Cg, &result, &tracer);
         assert_eq!(report.rows.len(), boundaries);
+    }
+
+    #[test]
+    fn the_command_credits_exactly_its_runs_simulated_seconds() {
+        let dir = std::env::temp_dir().join(format!("ddnomp-trace-{}", std::process::id()));
+        let (_, tally) = run(BenchName::Cg, Scale::Tiny, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let (alone, _) = run_traced(BenchName::Cg, Scale::Tiny);
+        assert!(tally.sim_secs > 0.0);
+        assert_eq!(tally.sim_secs.to_bits(), alone.total_secs.to_bits());
     }
 }

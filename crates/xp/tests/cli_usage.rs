@@ -4,7 +4,8 @@
 //! command there is, and the usage text mentions every row of both tables
 //! — so neither the dispatcher nor `--help` can drift from them.
 //!
-//! Every invocation here exits during argument handling; nothing runs.
+//! Every invocation here but the lint gate's exits during argument
+//! handling; nothing runs.
 
 use std::process::Command;
 use xp::cli::{EXPERIMENTS, FLAGS, TOOLS};
@@ -175,4 +176,23 @@ fn the_hand_written_refusals_keep_their_messages() {
         &["trace", "nope"],
         "unknown benchmark 'nope' (expected bt|sp|cg|mg|ft)",
     );
+}
+
+#[test]
+fn a_denied_lint_finding_exits_1_after_writing_every_report() {
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-lint-denied");
+    let _ = std::fs::remove_dir_all(&out);
+    let out_arg = out.to_str().unwrap();
+    let args = ["lint", "--bench", "bt", "--scale", "tiny", "--deny"];
+    let args = [
+        &args[..],
+        &["false-sharing", "--allow", "/dev/null", "--out", out_arg],
+    ]
+    .concat();
+    let (code, _, stderr) = xp(&args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("lint: 1 denied findings"), "{stderr}");
+    for file in ["lint_tiny.json", "bench_summary.json"] {
+        assert!(out.join(file).is_file(), "{file} not written:\n{stderr}");
+    }
 }

@@ -3,11 +3,11 @@
 //! stepped through its first timed iteration once, and the others fork
 //! from it. The outputs must be the bytes each cell computes alone, every
 //! computed cell must report a wall time, and the cells' walls must add up
-//! to the pool's. Its own process, because the cache and the tally are
-//! process-global.
+//! to the pool's. Its own process, because the cache is process-global.
 
 use nas::{BenchName, RunResult, Scale};
 use xp::grid::Cell;
+use xp::summary::Tally;
 use xp::{CellOutput, CellPlan};
 
 fn bytes(r: &RunResult) -> String {
@@ -27,14 +27,13 @@ fn grid() -> Vec<Cell> {
 /// the cell run alone and every computed cell to a positive wall, and the
 /// tally's cell walls to its pool jobs' busy time. Returns the outputs.
 fn execute(cells: Vec<Cell>, workers: usize, alone: &[String]) -> Vec<CellOutput<RunResult>> {
-    xp::summary::take();
     xp::jobs::set(workers);
     let mut plan = CellPlan::new();
     for cell in cells {
         plan.add_cell(cell);
     }
-    let outputs = plan.execute();
-    let tally = xp::summary::take();
+    let mut tally = Tally::default();
+    let (outputs, _) = plan.execute_by_kind(&mut tally);
     for (out, want) in outputs.iter().zip(alone) {
         assert_eq!(
             &bytes(out.ok().expect("every cell ran")),

@@ -17,13 +17,12 @@ use xp::Report;
 static JOBS_GUARD: Mutex<()> = Mutex::new(());
 
 /// Run `f` with the worker count pinned to `jobs`, restoring the default
-/// afterwards. Also snapshots the simulated-seconds accumulator so each
-/// run's credit is observed in isolation.
-fn render_with_jobs(jobs: usize, f: impl Fn() -> Report) -> (String, String, u64) {
+/// afterwards; `f` returns its report and the simulated seconds it
+/// credited.
+fn render_with_jobs(jobs: usize, f: impl Fn() -> (Report, f64)) -> (String, String, u64) {
     xp::jobs::set(jobs);
-    xp::summary::take();
-    let report = f();
-    let sim_bits = xp::summary::take().sim_secs.to_bits();
+    let (report, sim_secs) = f();
+    let sim_bits = sim_secs.to_bits();
     xp::jobs::set(0);
     (
         report.to_json().to_string_pretty(),
@@ -32,7 +31,7 @@ fn render_with_jobs(jobs: usize, f: impl Fn() -> Report) -> (String, String, u64
     )
 }
 
-fn assert_jobs_invariant(f: impl Fn() -> Report) {
+fn assert_jobs_invariant(f: impl Fn() -> (Report, f64)) {
     let _guard = JOBS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let (json_1, md_1, sim_1) = render_with_jobs(1, &f);
     let (json_4, md_4, sim_4) = render_with_jobs(4, &f);
@@ -50,31 +49,40 @@ fn assert_jobs_invariant(f: impl Fn() -> Report) {
     );
 }
 
+/// The experiment `id` run alone as a sweep: its report and the
+/// simulated seconds its summary entry credits.
+fn experiment(id: &str) -> (Report, f64) {
+    let row = xp::cli::EXPERIMENTS.iter().find(|(name, _)| *name == id);
+    let (entry, mut reports) = xp::grid::sweep(&[*row.unwrap()], Scale::Tiny).remove(0);
+    (reports.remove(0), entry.tally.sim_secs)
+}
+
 #[test]
 fn fig1_is_identical_under_one_and_four_workers() {
-    assert_jobs_invariant(|| xp::fig1::run(Scale::Tiny));
+    assert_jobs_invariant(|| experiment("fig1"));
 }
 
 #[test]
 fn multiprog_is_identical_under_one_and_four_workers() {
-    assert_jobs_invariant(|| xp::multiprog::run(Scale::Tiny));
+    assert_jobs_invariant(|| experiment("multiprog"));
 }
 
 #[test]
 fn table2_is_identical_under_one_and_four_workers() {
-    assert_jobs_invariant(|| xp::table2::run(Scale::Tiny));
+    assert_jobs_invariant(|| experiment("table2"));
 }
 
 #[test]
 fn prof_is_identical_under_one_and_four_workers() {
     // The profiler's report is a pure function of the analysed trace
     // (artifact stems in the notes, never paths), so the full `xp prof`
-    // pipeline must be jobs-invariant like every other command.
+    // pipeline must be jobs-invariant like every other command, and it
+    // credits its run's simulated seconds.
     let dir = std::env::temp_dir().join(format!("ddnomp-prof-det-{}", std::process::id()));
     assert_jobs_invariant(|| {
-        xp::prof::run(&[nas::BenchName::Cg], Scale::Tiny, &dir)
-            .pop()
-            .expect("one report per bench")
+        let (mut reports, tally) = xp::prof::run(&[nas::BenchName::Cg], Scale::Tiny, &dir);
+        assert!(tally.sim_secs > 0.0, "prof credits its run");
+        (reports.pop().expect("one report per bench"), tally.sim_secs)
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
